@@ -21,8 +21,8 @@
 //!   in hardened modules.
 //! * `lossy-cast` — no bare `as u32`/`as usize`/`as i64` in decode paths.
 //! * `unsafe-forbidden` — every crate root carries `#![forbid(unsafe_code)]`
-//!   (a root owning an audited unsafe module instead carries the `cfg_attr`
-//!   pair: feature-off `forbid`, feature-on `deny`), and the `unsafe`
+//!   (a root owning an audited unsafe module instead carries
+//!   `#![deny(unsafe_code)]`), and the `unsafe`
 //!   keyword itself may appear **only** in the audited allowlist
 //!   ([`workspace::UNSAFE_ALLOWLIST`] — currently the AVX2 kernel backend).
 //! * `todo-tracker` — `TODO`/`FIXME`/`HACK` must cite an issue: `TODO(#123)`.

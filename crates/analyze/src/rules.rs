@@ -151,9 +151,9 @@ pub struct FileProfile {
     /// ([`crate::workspace::UNSAFE_ALLOWLIST`]) — the only place `unsafe`
     /// tokens may appear.
     pub unsafe_allowlisted: bool,
-    /// R3: this crate root owns an allowlisted unsafe module, so instead
-    /// of the plain `#![forbid(unsafe_code)]` it must carry the
-    /// `cfg_attr` pair (feature-off `forbid` + feature-on `deny`).
+    /// R3: this crate root owns an allowlisted unsafe module, so it must
+    /// carry `#![deny(unsafe_code)]` — the strongest lint the module's
+    /// `#![allow(unsafe_code)]` opt-in can still override.
     pub owns_unsafe_module: bool,
 }
 
@@ -655,20 +655,6 @@ fn rule_lossy_cast(
 // R3: unsafe-forbidden
 // ---------------------------------------------------------------------------
 
-/// `true` when the code tokens contain `<lint> ( unsafe_code )` — the
-/// payload of a `forbid`/`deny`/`allow` attribute, whether it appears
-/// directly in `#![...]` or nested inside `cfg_attr`.
-fn has_unsafe_lint_seq(code: &[&Token], src: &str, lint: &str) -> bool {
-    code.windows(4).any(|w| {
-        w[0].kind == TokKind::Ident
-            && w[0].text(src) == lint
-            && matches!(w[1].kind, TokKind::Punct('('))
-            && w[2].kind == TokKind::Ident
-            && w[2].text(src) == "unsafe_code"
-            && matches!(w[3].kind, TokKind::Punct(')'))
-    })
-}
-
 fn rule_unsafe_forbidden(
     rel_path: &str,
     tokens: &[Token],
@@ -681,41 +667,29 @@ fn rule_unsafe_forbidden(
         .filter(|t| !matches!(t.kind, TokKind::LineComment { .. } | TokKind::BlockComment { .. }))
         .collect();
 
-    // Crate-root attribute check. A root that owns an allowlisted unsafe
-    // module may replace the unconditional `#![forbid(unsafe_code)]` with
-    // the `cfg_attr` pair (feature-off `forbid`, feature-on `deny`); both
-    // halves must be present so neither build drops the lint.
+    // Crate-root attribute check: `#![forbid(unsafe_code)]`, or
+    // `#![deny(unsafe_code)]` on a root that owns an allowlisted unsafe
+    // module (`forbid` cannot be overridden by the module's `allow`).
     if profile.crate_root {
-        let found = if profile.owns_unsafe_module {
-            has_unsafe_lint_seq(&code, src, "forbid") && has_unsafe_lint_seq(&code, src, "deny")
-        } else {
-            code.windows(7).any(|w| {
-                matches!(w[0].kind, TokKind::Punct('#'))
-                    && matches!(w[1].kind, TokKind::Punct('!'))
-                    && matches!(w[2].kind, TokKind::Punct('['))
-                    && w[3].kind == TokKind::Ident
-                    && w[3].text(src) == "forbid"
-                    && matches!(w[4].kind, TokKind::Punct('('))
-                    && w[5].kind == TokKind::Ident
-                    && w[5].text(src) == "unsafe_code"
-                    && matches!(w[6].kind, TokKind::Punct(')'))
-            })
-        };
+        let lint = if profile.owns_unsafe_module { "deny" } else { "forbid" };
+        let found = code.windows(7).any(|w| {
+            matches!(w[0].kind, TokKind::Punct('#'))
+                && matches!(w[1].kind, TokKind::Punct('!'))
+                && matches!(w[2].kind, TokKind::Punct('['))
+                && w[3].kind == TokKind::Ident
+                && w[3].text(src) == lint
+                && matches!(w[4].kind, TokKind::Punct('('))
+                && w[5].kind == TokKind::Ident
+                && w[5].text(src) == "unsafe_code"
+                && matches!(w[6].kind, TokKind::Punct(')'))
+        });
         if !found {
-            let message = if profile.owns_unsafe_module {
-                "crate root owns an audited unsafe module and must carry both \
-                 `cfg_attr` halves: `forbid(unsafe_code)` with the feature off \
-                 and `deny(unsafe_code)` with it on"
-                    .to_string()
-            } else {
-                "crate root is missing `#![forbid(unsafe_code)]`".to_string()
-            };
             out.push(Finding {
                 file: rel_path.to_string(),
                 line: 1,
                 col: 1,
                 rule: "unsafe-forbidden",
-                message,
+                message: format!("crate root is missing `#![{lint}(unsafe_code)]`"),
                 symbol: None,
                 severity_override: None,
             });
@@ -1356,30 +1330,19 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_owning_root_needs_both_cfg_attr_halves() {
+    fn unsafe_owning_root_needs_plain_deny() {
         let profile =
             FileProfile { crate_root: true, owns_unsafe_module: true, ..FileProfile::default() };
-        let both = "#![cfg_attr(not(feature = \"simd\"), forbid(unsafe_code))]\n\
-                    #![cfg_attr(feature = \"simd\", deny(unsafe_code))]\n\
-                    pub fn f() {}\n";
-        assert!(analyze_source("src/lib.rs", both, profile).is_empty());
+        let deny = "#![deny(unsafe_code)]\npub fn f() {}\n";
+        assert!(analyze_source("src/lib.rs", deny, profile).is_empty());
 
-        // Dropping either half reopens a build with the lint missing.
-        let forbid_only =
-            "#![cfg_attr(not(feature = \"simd\"), forbid(unsafe_code))]\npub fn f() {}\n";
-        let f = analyze_source("src/lib.rs", forbid_only, profile);
+        let f = analyze_source("src/lib.rs", "pub fn f() {}\n", profile);
         assert_eq!(rules_of(&f), ["unsafe-forbidden"]);
-        assert!(f[0].message.contains("both"), "message names the pair: {}", f[0].message);
-        let deny_only = "#![cfg_attr(feature = \"simd\", deny(unsafe_code))]\npub fn f() {}\n";
-        assert_eq!(
-            rules_of(&analyze_source("src/lib.rs", deny_only, profile)),
-            ["unsafe-forbidden"]
-        );
+        assert!(f[0].message.contains("deny"), "message names the lint: {}", f[0].message);
 
-        // A plain unconditional forbid no longer satisfies an owning root:
-        // it would make the audited module uncompilable rather than gated.
-        let plain = "#![forbid(unsafe_code)]\npub fn f() {}\n";
-        assert_eq!(rules_of(&analyze_source("src/lib.rs", plain, profile)), ["unsafe-forbidden"]);
+        // An ordinary root is not let off with the weaker lint.
+        let ordinary = FileProfile { crate_root: true, ..FileProfile::default() };
+        assert_eq!(rules_of(&analyze_source("src/lib.rs", deny, ordinary)), ["unsafe-forbidden"]);
     }
 
     #[test]

@@ -54,9 +54,9 @@ pub(crate) const NUMERIC_MODULES: &[&str] =
     &["crates/tensor/src/", "crates/autograd/src/", "crates/eval/src/"];
 
 /// The only files allowed to contain the `unsafe` keyword (R3). Each entry
-/// is an individually audited module — currently just the feature-gated
-/// AVX2 kernel backend, whose crate root demotes `forbid(unsafe_code)` to
-/// a `cfg_attr`-paired `deny` so this one module can `allow` it. Every
+/// is an individually audited module — currently just the AVX2 kernel
+/// backend, whose crate root demotes `forbid(unsafe_code)` to `deny` so
+/// this one module can `allow` it. Every
 /// other file in the workspace is scanned token-wise: any `unsafe`
 /// outside this list is a finding regardless of crate-level attributes.
 pub const UNSAFE_ALLOWLIST: &[&str] = &["crates/tensor/src/simd.rs"];

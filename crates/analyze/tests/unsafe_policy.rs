@@ -1,7 +1,7 @@
 //! Workspace-wide unsafe-allowlist audit (R3).
 //!
 //! The static-analysis contract is that the `unsafe` keyword appears in
-//! exactly one audited module — the feature-gated AVX2 kernel backend —
+//! exactly one audited module — the AVX2 kernel backend —
 //! and nowhere else. The rule engine enforces this per file; this test
 //! pins the *global* property against the real workspace by lexing every
 //! `.rs` file directly, so a rule-dispatch regression (e.g. a profile
@@ -74,7 +74,7 @@ fn allowlisted_modules_exist_and_opt_in_explicitly() {
 }
 
 #[test]
-fn unsafe_owning_crate_root_carries_the_cfg_attr_pair() {
+fn unsafe_owning_crate_root_denies_unsafe_code() {
     let root = workspace_root();
     let src = fs::read_to_string(root.join("crates/tensor/src/lib.rs")).expect("tensor root");
     let toks = lex(&src);
@@ -82,15 +82,13 @@ fn unsafe_owning_crate_root_carries_the_cfg_attr_pair() {
         .iter()
         .filter(|t| !matches!(t.kind, TokKind::LineComment { .. } | TokKind::BlockComment { .. }))
         .collect();
-    for lint in ["forbid", "deny"] {
-        let present = code.windows(4).any(|w| {
-            w[0].kind == TokKind::Ident
-                && w[0].text(&src) == lint
-                && matches!(w[1].kind, TokKind::Punct('('))
-                && w[2].kind == TokKind::Ident
-                && w[2].text(&src) == "unsafe_code"
-                && matches!(w[3].kind, TokKind::Punct(')'))
-        });
-        assert!(present, "tensor crate root is missing its `{lint}(unsafe_code)` half");
-    }
+    let present = code.windows(4).any(|w| {
+        w[0].kind == TokKind::Ident
+            && w[0].text(&src) == "deny"
+            && matches!(w[1].kind, TokKind::Punct('('))
+            && w[2].kind == TokKind::Ident
+            && w[2].text(&src) == "unsafe_code"
+            && matches!(w[3].kind, TokKind::Punct(')'))
+    });
+    assert!(present, "tensor crate root is missing `#![deny(unsafe_code)]`");
 }

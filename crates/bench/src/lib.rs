@@ -15,7 +15,11 @@
 //! | `fig6_reasoning` | Figure 6 (accuracy vs bitwidth, CSA & Booth) |
 //! | `fig7_attention` | Figure 7 (per-class hop attention) |
 //! | `ablation_aggregation` | §III-B aggregator ablation |
-//! | `kernels` | microbenchmarks (hop features, attention, synthesis) |
+//! | `hotpath` | microbenchmarks (hop features, attention, synthesis) |
+//! | `analyze` | linter timing, written to `BENCH_analyze.json` |
+//!
+//! Kernel, training and serving throughput are measured end to end by the
+//! performance ledger (`bash ledger/run.sh`), not here.
 //!
 //! Experiment sizes default to CPU-friendly presets; set
 //! `HOGA_BENCH_SCALE=full` for larger runs.

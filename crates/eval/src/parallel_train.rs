@@ -140,8 +140,7 @@ pub fn train_reasoning_parallel_supervised(
 
     // Workers get the whole kernel-thread budget divided between them, so
     // speedup comes from parallelism across nodes, not oversubscription.
-    let prev_threads = hoga_tensor::available_threads();
-    hoga_tensor::set_threads(1);
+    let _kernel_threads = SingleThreadedKernels::enter();
 
     let start = Instant::now();
     let mut final_loss = 0.0f32;
@@ -246,10 +245,31 @@ pub fn train_reasoning_parallel_supervised(
         }
     }
     let train_time = start.elapsed();
-    hoga_tensor::set_threads(if prev_threads == 0 { 0 } else { prev_threads });
     report.final_lr = opt.learning_rate();
 
     Ok((model, cls, ParallelRunStats { workers, train_time, final_loss, hop_feature_time }, report))
+}
+
+/// Pins the process-global kernel thread count to 1 and puts the previous
+/// count back on drop, so a checkpoint error (`?`) or an unwind out of the
+/// epoch loop cannot leave every later kernel in the process — a retried
+/// job attempt, the next CLI stage — single-threaded.
+struct SingleThreadedKernels {
+    previous: usize,
+}
+
+impl SingleThreadedKernels {
+    fn enter() -> Self {
+        let previous = hoga_tensor::available_threads();
+        hoga_tensor::set_threads(1);
+        Self { previous }
+    }
+}
+
+impl Drop for SingleThreadedKernels {
+    fn drop(&mut self) {
+        hoga_tensor::set_threads(self.previous);
+    }
 }
 
 #[cfg(test)]

@@ -206,20 +206,6 @@ pub struct TrainStats {
     pub epochs_run: usize,
 }
 
-impl TrainStats {
-    /// Mean wall-clock time per executed epoch; zero when no epochs ran.
-    ///
-    /// This is the end-to-end per-epoch figure recorded by the `train`
-    /// benchmark (`BENCH_train.json`).
-    pub fn epoch_time(&self) -> Duration {
-        if self.epochs_run == 0 {
-            Duration::ZERO
-        } else {
-            self.train_time / self.epochs_run as u32
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Functional reasoning (Figure 6)
 // ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ use hoga_tensor::{
 use std::error::Error;
 use std::fmt;
 
-/// Typed shape/plan mismatch from the fallible inference entry points
+/// Typed shape/plan mismatch from the inference entry points
 /// ([`HogaModel::try_infer`] / [`HogaModel::try_infer_int8`]). The serving
 /// layer maps these to HTTP 4xx instead of unwinding a worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,8 +135,8 @@ struct Int8Layer {
 }
 
 /// Column-quantized copies of every projection weight, built once per model
-/// by [`HogaModel::int8_plan`] and reused across [`HogaModel::infer_int8`]
-/// calls.
+/// by [`HogaModel::int8_plan`] and reused across
+/// [`HogaModel::try_infer_int8`] calls.
 ///
 /// Only the hidden projections (`W_in`, `W_Q`, `W_K`, `W_U`, `W_V`) are
 /// quantized: they dominate the MAC count. Biases, LayerNorm parameters and
@@ -179,26 +179,8 @@ impl HogaModel {
     ///
     /// `Precision::Exact` is bitwise identical to
     /// [`HogaModel::forward`][crate::model::HogaModel::forward];
-    /// `Precision::Fast` is ULP-bounded against it. For
-    /// [`Precision::Int8`], build a plan with [`HogaModel::int8_plan`] and
-    /// call [`HogaModel::infer_int8`] (this method panics on `Int8` to keep
-    /// the weight-quantization cost explicit at the call site).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same shape conditions as `forward`, or if
-    /// `precision` is [`Precision::Int8`]. Long-lived callers (the serving
-    /// layer) use [`HogaModel::try_infer`] instead.
-    pub fn infer(&self, hop_stack: &Matrix, batch: usize, precision: Precision) -> InferOutput {
-        match self.try_infer(hop_stack, batch, precision) {
-            Ok(out) => out,
-            // analyze: allow(panic-free-paths) — documented panicking wrapper; fallible callers use try_infer
-            Err(e) => panic!("infer: {e}"),
-        }
-    }
-
-    /// Fallible [`HogaModel::infer`]: validates shapes up front and returns
-    /// a typed [`InferError`] instead of panicking.
+    /// `Precision::Fast` is ULP-bounded against it. Shapes are validated up
+    /// front, so a mismatch is a typed [`InferError`], never a panic.
     ///
     /// # Errors
     ///
@@ -220,25 +202,10 @@ impl HogaModel {
         Ok(self.infer_impl(hop_stack, batch, mode))
     }
 
-    /// Tape-free int8 forward pass using a prebuilt [`Int8Plan`].
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same shape conditions as
-    /// [`HogaModel::forward`][crate::model::HogaModel::forward]. Long-lived
-    /// callers use [`HogaModel::try_infer_int8`] instead.
-    pub fn infer_int8(&self, plan: &Int8Plan, hop_stack: &Matrix, batch: usize) -> InferOutput {
-        match self.try_infer_int8(plan, hop_stack, batch) {
-            Ok(out) => out,
-            // analyze: allow(panic-free-paths) — documented panicking wrapper; fallible callers use try_infer_int8
-            Err(e) => panic!("infer_int8: {e}"),
-        }
-    }
-
-    /// Fallible [`HogaModel::infer_int8`]: validates the hop-stack shapes
-    /// and the plan geometry (layer/head counts and projection dimensions)
-    /// up front, so the hot loop below indexes the plan without any
-    /// reachable panic.
+    /// Tape-free int8 forward pass using a prebuilt [`Int8Plan`]: validates
+    /// the hop-stack shapes and the plan geometry (layer/head counts and
+    /// projection dimensions) up front, so the hot loop below indexes the
+    /// plan without any reachable panic.
     ///
     /// # Errors
     ///

@@ -12,7 +12,7 @@
 //!   against the f32 oracle, deterministic under plan reuse.
 
 use hoga_autograd::Tape;
-use hoga_core::infer::{InferError, Precision};
+use hoga_core::infer::{InferError, InferOutput, Int8Plan, Precision};
 use hoga_core::model::{Aggregator, HogaConfig, HogaModel};
 use hoga_tensor::{Init, Matrix};
 
@@ -22,6 +22,14 @@ fn toy_stack(batch: usize, k1: usize, d: usize, seed: u64) -> Matrix {
 
 fn bits(m: &Matrix) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+fn infer(model: &HogaModel, stack: &Matrix, batch: usize, precision: Precision) -> InferOutput {
+    model.try_infer(stack, batch, precision).expect("valid shapes")
+}
+
+fn infer_int8(model: &HogaModel, plan: &Int8Plan, stack: &Matrix, batch: usize) -> InferOutput {
+    model.try_infer_int8(plan, stack, batch).expect("valid shapes and plan")
 }
 
 fn tape_forward(model: &HogaModel, stack: &Matrix, batch: usize) -> (Matrix, Option<Matrix>) {
@@ -46,7 +54,7 @@ fn exact_inference_is_bitwise_identical_to_tape_forward() {
         let batch = 4;
         let stack = toy_stack(batch, cfg.num_hops + 1, cfg.input_dim, 40 + i as u64);
         let (want_reps, want_scores) = tape_forward(&model, &stack, batch);
-        let got = model.infer(&stack, batch, Precision::Exact);
+        let got = infer(&model, &stack, batch, Precision::Exact);
         assert_eq!(
             bits(&want_reps),
             bits(&got.representations),
@@ -66,8 +74,8 @@ fn fast_inference_tracks_exact_within_tolerance() {
     let model = HogaModel::new(&cfg, 11);
     let batch = 6;
     let stack = toy_stack(batch, 5, 9, 12);
-    let exact = model.infer(&stack, batch, Precision::Exact);
-    let fast = model.infer(&stack, batch, Precision::Fast);
+    let exact = infer(&model, &stack, batch, Precision::Exact);
+    let fast = infer(&model, &stack, batch, Precision::Fast);
     assert!(
         exact.representations.max_abs_diff(&fast.representations) < 1e-4,
         "fast representations drifted: {}",
@@ -83,9 +91,9 @@ fn int8_inference_is_loosely_bounded_and_scores_normalized() {
     let model = HogaModel::new(&cfg, 21);
     let batch = 6;
     let stack = toy_stack(batch, 5, 9, 22);
-    let exact = model.infer(&stack, batch, Precision::Exact);
+    let exact = infer(&model, &stack, batch, Precision::Exact);
     let plan = model.int8_plan();
-    let int8 = model.infer_int8(&plan, &stack, batch);
+    let int8 = infer_int8(&model, &plan, &stack, batch);
     // Per-row/per-column 8-bit quantization through one attention layer:
     // loose but meaningful bound relative to the representation scale.
     let scale = exact.representations.as_slice().iter().fold(1e-6f32, |m, &v| m.max(v.abs()));
@@ -110,9 +118,9 @@ fn int8_plan_reuse_is_deterministic() {
     let stack = toy_stack(batch, 4, 6, 32);
     let plan_a = model.int8_plan();
     let plan_b = model.int8_plan();
-    let r1 = model.infer_int8(&plan_a, &stack, batch);
-    let r2 = model.infer_int8(&plan_a, &stack, batch);
-    let r3 = model.infer_int8(&plan_b, &stack, batch);
+    let r1 = infer_int8(&model, &plan_a, &stack, batch);
+    let r2 = infer_int8(&model, &plan_a, &stack, batch);
+    let r3 = infer_int8(&model, &plan_b, &stack, batch);
     assert_eq!(bits(&r1.representations), bits(&r2.representations), "plan reuse nondeterministic");
     assert_eq!(bits(&r1.representations), bits(&r3.representations), "plan rebuild drifted");
 }
@@ -123,36 +131,10 @@ fn exact_inference_covers_sum_ablation_end_to_end() {
     let model = HogaModel::new(&cfg, 41);
     let batch = 3;
     let stack = toy_stack(batch, 4, 5, 42);
-    let out = model.infer(&stack, batch, Precision::Fast);
+    let out = infer(&model, &stack, batch, Precision::Fast);
     assert_eq!(out.representations.shape(), (batch, 8));
     assert!(out.readout_scores.is_none());
     assert!(out.representations.is_finite());
-}
-
-#[test]
-#[should_panic(expected = "int8 inference needs a weight plan")]
-fn int8_without_plan_panics() {
-    let cfg = HogaConfig::new(5, 8, 3);
-    let model = HogaModel::new(&cfg, 51);
-    let stack = toy_stack(2, 4, 5, 52);
-    let _ = model.infer(&stack, 2, Precision::Int8);
-}
-
-#[test]
-fn try_infer_matches_the_panicking_wrapper_bitwise() {
-    let cfg = HogaConfig::new(7, 16, 5).with_heads(4);
-    let model = HogaModel::new(&cfg, 61);
-    let batch = 4;
-    let stack = toy_stack(batch, 6, 7, 62);
-    for precision in [Precision::Exact, Precision::Fast] {
-        let want = model.infer(&stack, batch, precision);
-        let got = model.try_infer(&stack, batch, precision).expect("valid shapes");
-        assert_eq!(bits(&want.representations), bits(&got.representations));
-    }
-    let plan = model.int8_plan();
-    let want = model.infer_int8(&plan, &stack, batch);
-    let got = model.try_infer_int8(&plan, &stack, batch).expect("valid shapes and plan");
-    assert_eq!(bits(&want.representations), bits(&got.representations));
 }
 
 #[test]

@@ -39,7 +39,7 @@ use hoga_jobs::{
     RetryPolicy, ServeSite, SubmitOptions,
 };
 use hoga_synth::Recipe;
-use hoga_tensor::Matrix;
+use hoga_tensor::{active_backend, available_threads, Matrix};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -572,7 +572,9 @@ pub(crate) fn concat_row(pooled: &Matrix, extra: &[f32]) -> Matrix {
     Matrix::from_vec(1, data.len(), data)
 }
 
-/// The `GET /stats` payload.
+/// The `GET /stats` payload: the request counters, plus the kernel backend
+/// and thread count this process resolved to (the CPU picks them, so the
+/// process has to say what it picked).
 fn stats_json(state: &ServeState) -> String {
     let c = &state.counters;
     let cache = state.cache.stats();
@@ -582,6 +584,7 @@ fn stats_json(state: &ServeState) -> String {
             "{{\"requests\":{},\"predictions\":{},\"shed\":{},\"client_timeouts\":{},",
             "\"deadline_exceeded\":{},\"bad_requests\":{},\"failures\":{},",
             "\"reloads\":{},\"reload_failures\":{},",
+            "\"backend\":\"{}\",\"kernel_threads\":{},",
             "\"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"rejected\":{},",
             "\"bytes\":{},\"entries\":{}}}}}"
         ),
@@ -594,6 +597,8 @@ fn stats_json(state: &ServeState) -> String {
         c.failures.load(Ordering::Relaxed),
         reloads,
         reload_failures,
+        active_backend(),
+        available_threads(),
         cache.hits,
         cache.misses,
         cache.evictions,

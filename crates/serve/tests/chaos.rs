@@ -396,6 +396,11 @@ fn stats_endpoint_reports_the_counters() {
     assert!(text.contains("\"predictions\":1"), "{text}");
     assert!(text.contains("\"cache\":{"), "{text}");
     assert!(text.contains("\"reloads\":0"), "{text}");
+    // The CPU picks the backend, so the process reports what it picked.
+    let backend = format!("\"backend\":\"{}\"", hoga_tensor::active_backend());
+    assert!(text.contains(&backend), "{text}");
+    let threads = format!("\"kernel_threads\":{}", hoga_tensor::available_threads());
+    assert!(text.contains(&threads), "{text}");
     s.stop();
 }
 

@@ -1,104 +1,83 @@
-//! Kernel backend selection: scalar vs SIMD inner loops.
+//! Kernel backend selection: the CPU picks the inner loops.
 //!
 //! Every hot kernel in this crate ([`crate::Matrix::matmul`] and friends,
 //! `softmax_rows`, `layernorm_forward`) routes its inner loop through the
-//! [`KernelBackend`] trait. Three implementations exist:
+//! [`KernelBackend`] trait. Two implementations exist:
 //!
-//! * [`ScalarKernels`] — the plain loops this crate has always run; the
-//!   semantic reference for everything else.
-//! * [`PortableKernels`] — 8-lane chunked loops in safe Rust. On the
-//!   *training* entry points it is bitwise identical to [`ScalarKernels`]
-//!   (element-wise multiplies and adds do not reassociate); its `*_fast`
-//!   reductions mirror the AVX2 lane tree exactly, so the fast path is
-//!   also machine-independent.
-//! * `Avx2Kernels` (in `crate::simd`, behind the `simd` cargo feature) —
-//!   `std::arch` AVX2 intrinsics, selected at runtime only when the CPU
-//!   reports `avx2` + `fma`.
+//! * [`ScalarKernels`] — the plain loops (the trait defaults); the
+//!   semantic reference for everything else, and what runs on a CPU
+//!   without AVX2.
+//! * `Avx2Kernels` (in `crate::simd`, compiled on `x86_64`) — `std::arch`
+//!   AVX2 intrinsics, selected at runtime when the CPU reports `avx2` +
+//!   `fma`.
 //!
 //! # Determinism contract per path
 //!
-//! Training-path methods (`fma_row`, `fma_row4`, `dot`, `sum`,
-//! `sq_diff_sum`, and the element-wise ops) are **bitwise identical**
-//! across all three backends: element-wise lanes perform exactly the
-//! scalar `mul` + `add` per element (never a fused multiply-add) and
-//! reductions keep the scalar ascending order. The `*_fast` methods are
-//! inference-only: they reduce through a fixed 8-lane tree and may fuse
-//! multiply-adds, which reassociates the float sums within a documented
-//! ULP bound of the scalar result (see `docs/PERFORMANCE.md`). For a
-//! fixed backend resolution the fast path is still a pure function of
-//! its inputs — never of the thread count.
+//! Training-path methods (`fma_row`, `fma_row4`, `fma_panel6`, `dot`,
+//! `sum`, `sq_diff_sum`, and the element-wise ops) are **bitwise
+//! identical** across both backends: element-wise lanes perform exactly
+//! the scalar `mul` + `add` per element (never a fused multiply-add) and
+//! reductions keep the scalar ascending order. The
+//! `*_fast` methods are inference-only: they reduce through a fixed
+//! 8-lane tree and fuse multiply-adds, which reassociates the float sums
+//! within a documented ULP bound of the training-path result (see
+//! `docs/PERFORMANCE.md`). No backend overrides them — the trait
+//! defaults are their one implementation, as the scalar loop in
+//! `qmatmul` is the int8 product's — so they too are a pure function of
+//! their inputs, never of the machine or thread count.
 //!
-//! The requested backend is process-global state, like
-//! [`crate::set_threads`]: [`set_backend`] stores the request and
-//! [`resolved`] maps it to an implementation (`Simd` falls back to
-//! [`PortableKernels`] when the `simd` feature is off or the CPU lacks
-//! AVX2).
+//! [`resolved`] observes the CPU; nothing selects a backend in product
+//! code. [`set_backend`] exists so the differential suites can pin the
+//! scalar loops as the bitwise reference.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Which kernel backend the process requests (see [`set_backend`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// The plain scalar loops (default).
+    /// The plain scalar loops: the reference the differential tests pin.
     Scalar,
-    /// SIMD inner loops: AVX2 when compiled with the `simd` feature and
-    /// detected at runtime, the portable 8-lane fallback otherwise.
+    /// AVX2 when the CPU reports `avx2` + `fma`, the scalar loops
+    /// otherwise (default).
     Simd,
 }
 
-static BACKEND: AtomicU8 = AtomicU8::new(0);
+static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 
 /// Selects the kernel backend for all subsequent kernel calls.
 ///
-/// Training-path results are bitwise identical across backends, so this
-/// affects wall-clock time only; the `*_fast` inference entry points are
-/// ULP-bounded against the scalar oracles instead (module docs).
+/// Results are bitwise identical across backends (module docs), so this
+/// affects wall-clock time only; it is the differential tests' handle on
+/// the scalar reference loops.
 pub fn set_backend(b: Backend) {
-    BACKEND.store(if b == Backend::Scalar { 0 } else { 1 }, Ordering::Relaxed);
+    FORCE_SCALAR.store(b == Backend::Scalar, Ordering::Relaxed);
 }
 
-/// The currently requested backend.
-pub fn backend() -> Backend {
-    if BACKEND.load(Ordering::Relaxed) == 0 {
-        Backend::Scalar
-    } else {
-        Backend::Simd
-    }
-}
-
-/// The name of the implementation the current request resolves to:
-/// `"scalar"`, `"simd-portable"`, or `"simd-avx2"`. Benchmark reports
-/// record this so a curve is never attributed to a backend that silently
-/// fell back.
+/// The name of the implementation kernels currently run on: `"scalar"`
+/// or `"simd-avx2"`. Benchmark reports and the server record this so a
+/// number is never attributed to a backend the CPU did not provide.
 pub fn active_backend() -> &'static str {
     dispatch!(B => B::NAME)
 }
 
-/// The backend implementation a [`Backend`] request maps to on this
-/// build + CPU.
+/// The backend implementation kernels run on, on this CPU.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ResolvedBackend {
     /// [`ScalarKernels`].
     Scalar,
-    /// [`PortableKernels`].
-    Portable,
     /// `crate::simd::Avx2Kernels`.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     Avx2,
 }
 
-/// Maps the requested backend to an implementation. `Simd` resolves to
-/// AVX2 only when the feature is compiled in *and* the CPU reports
-/// `avx2` + `fma`; otherwise it degrades to the portable lanes.
+/// AVX2 when the CPU reports `avx2` + `fma` (and no test pinned the
+/// scalar reference), the scalar loops otherwise.
 pub(crate) fn resolved() -> ResolvedBackend {
-    if BACKEND.load(Ordering::Relaxed) == 0 {
-        return ResolvedBackend::Scalar;
-    }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if crate::simd::avx2_available() {
+    #[cfg(target_arch = "x86_64")]
+    if !FORCE_SCALAR.load(Ordering::Relaxed) && crate::simd::avx2_available() {
         return ResolvedBackend::Avx2;
     }
-    ResolvedBackend::Portable
+    ResolvedBackend::Scalar
 }
 
 /// Monomorphizes `$body` over the resolved backend: `dispatch!(B =>
@@ -112,11 +91,7 @@ macro_rules! dispatch {
                 type $B = $crate::backend::ScalarKernels;
                 $body
             }
-            $crate::backend::ResolvedBackend::Portable => {
-                type $B = $crate::backend::PortableKernels;
-                $body
-            }
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             $crate::backend::ResolvedBackend::Avx2 => {
                 type $B = $crate::simd::Avx2Kernels;
                 $body
@@ -128,9 +103,8 @@ pub(crate) use dispatch;
 
 /// The inner-loop primitives every backend provides. Default method
 /// bodies are the scalar semantics; [`ScalarKernels`] uses them verbatim,
-/// so the defaults double as the reference implementation overriding
-/// backends must match (bitwise on the training path, ULP-bounded on
-/// `*_fast`).
+/// so the defaults double as the reference implementation an overriding
+/// backend must match bitwise.
 pub(crate) trait KernelBackend {
     /// Implementation name for bench/report labels.
     const NAME: &'static str;
@@ -170,8 +144,8 @@ pub(crate) trait KernelBackend {
     }
 
     /// Inference-only `acc[i] += a * b[i]` that may fuse the multiply and
-    /// add (`f32::mul_add` / hardware FMA — both correctly rounded, so
-    /// portable and AVX2 agree bitwise). Keeps the bitwise-zero skip.
+    /// add (`f32::mul_add`, correctly rounded). Keeps the bitwise-zero
+    /// skip.
     fn fma_row_fast(acc: &mut [f32], a: f32, b: &[f32]) {
         // analyze: allow(float-equality) — exact-zero sparsity fast path; skipping only bitwise zeros cannot change the accumulated sum
         if a == 0.0 {
@@ -191,17 +165,10 @@ pub(crate) trait KernelBackend {
     /// operation sequence is still one mul + one add per `dk` in
     /// ascending order (with the bitwise-zero skip), so every
     /// implementation is bitwise identical to six
-    /// [`KernelBackend::fma_row`] sweeps. `FAST` selects the fused
-    /// inference contract of [`KernelBackend::fma_row_fast`] instead.
-    fn fma_panel6<const FAST: bool>(acc: [&mut [f32]; 6], a: [&[f32]; 6], b: &[f32], n: usize) {
+    /// [`KernelBackend::fma_row`] sweeps.
+    fn fma_panel6(acc: [&mut [f32]; 6], a: [&[f32]; 6], b: &[f32], n: usize) {
         let klen = a[0].len();
         for (accr, arow) in acc.into_iter().zip(a) {
-            if FAST {
-                for (dk, &av) in arow.iter().enumerate() {
-                    Self::fma_row_fast(accr, av, &b[dk * n..(dk + 1) * n]);
-                }
-                continue;
-            }
             let mut dk = 0;
             while dk + 4 <= klen {
                 let a4 = [arow[dk], arow[dk + 1], arow[dk + 2], arow[dk + 3]];
@@ -228,8 +195,7 @@ pub(crate) trait KernelBackend {
 
     /// Inference-only dot product: 8 lane accumulators with fused
     /// multiply-adds, reduced through [`reduce_lanes8`], scalar-FMA tail.
-    /// Bitwise identical between the portable and AVX2 backends; within a
-    /// documented ULP bound of [`KernelBackend::dot`].
+    /// Within a documented ULP bound of [`KernelBackend::dot`].
     fn dot_fast(a: &[f32], b: &[f32]) -> f32 {
         let ca = a.chunks_exact(8);
         let cb = b.chunks_exact(8);
@@ -317,13 +283,12 @@ pub(crate) trait KernelBackend {
     }
 }
 
-/// Reduces 8 lane accumulators in the fixed order the AVX2 horizontal-add
-/// sequence produces (`vextractf128` + `movehl` + shuffle):
-/// `((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7))`. The portable fast path
-/// reduces through this exact tree so portable and AVX2 fast results are
-/// bitwise identical.
+/// Reduces 8 lane accumulators in one fixed order,
+/// `((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7))` — the order a 256-bit
+/// horizontal add produces, so a vector implementation of the `*_fast`
+/// reductions can match these bits.
 #[inline]
-pub(crate) fn reduce_lanes8(l: [f32; 8]) -> f32 {
+fn reduce_lanes8(l: [f32; 8]) -> f32 {
     let s0 = l[0] + l[4];
     let s1 = l[1] + l[5];
     let s2 = l[2] + l[6];
@@ -339,120 +304,6 @@ impl KernelBackend for ScalarKernels {
     const NAME: &'static str = "scalar";
 }
 
-/// Safe-Rust 8-lane backend: the `Backend::Simd` fallback when AVX2 is
-/// unavailable (or the `simd` feature is off). Element-wise loops are
-/// chunked by 8 so the auto-vectorizer can keep up with the baseline
-/// target features; reductions use the trait defaults (ascending on the
-/// training path, the AVX2-mirroring lane tree on `*_fast`).
-pub(crate) struct PortableKernels;
-
-impl KernelBackend for PortableKernels {
-    const NAME: &'static str = "simd-portable";
-
-    fn fma_row(acc: &mut [f32], a: f32, b: &[f32]) {
-        // analyze: allow(float-equality) — exact-zero sparsity fast path; skipping only bitwise zeros cannot change the accumulated sum
-        if a == 0.0 {
-            return;
-        }
-        let ca = acc.chunks_exact_mut(8);
-        let cb = b.chunks_exact(8);
-        let tb = cb.remainder();
-        let mut tail_at = 0;
-        for (x8, y8) in ca.zip(cb) {
-            for i in 0..8 {
-                x8[i] += a * y8[i];
-            }
-            tail_at += 8;
-        }
-        for (x, &y) in acc[tail_at..].iter_mut().zip(tb) {
-            *x += a * y;
-        }
-    }
-
-    fn fma_row4(acc: &mut [f32], a: [f32; 4], b: [&[f32]; 4]) {
-        if a.contains(&0.0) {
-            for (&av, &bv) in a.iter().zip(&b) {
-                Self::fma_row(acc, av, bv);
-            }
-            return;
-        }
-        let (b0, b1, b2, b3) = (b[0], b[1], b[2], b[3]);
-        let mut j = 0;
-        while j + 8 <= acc.len() {
-            for l in j..j + 8 {
-                acc[l] = (((acc[l] + a[0] * b0[l]) + a[1] * b1[l]) + a[2] * b2[l]) + a[3] * b3[l];
-            }
-            j += 8;
-        }
-        while j < acc.len() {
-            acc[j] = (((acc[j] + a[0] * b0[j]) + a[1] * b1[j]) + a[2] * b2[j]) + a[3] * b3[j];
-            j += 1;
-        }
-    }
-
-    fn fma_row_fast(acc: &mut [f32], a: f32, b: &[f32]) {
-        // analyze: allow(float-equality) — exact-zero sparsity fast path; skipping only bitwise zeros cannot change the accumulated sum
-        if a == 0.0 {
-            return;
-        }
-        let mut j = 0;
-        while j + 8 <= acc.len() {
-            for l in j..j + 8 {
-                acc[l] = a.mul_add(b[l], acc[l]);
-            }
-            j += 8;
-        }
-        while j < acc.len() {
-            acc[j] = a.mul_add(b[j], acc[j]);
-            j += 1;
-        }
-    }
-
-    fn scale(row: &mut [f32], s: f32) {
-        let chunks = row.chunks_exact_mut(8);
-        let mut tail_at = 0;
-        for x8 in chunks {
-            for x in x8 {
-                *x *= s;
-            }
-            tail_at += 8;
-        }
-        for x in &mut row[tail_at..] {
-            *x *= s;
-        }
-    }
-
-    fn normalize_row(dst: &mut [f32], x: &[f32], mean: f32, inv_std: f32) {
-        let cd = dst.chunks_exact_mut(8);
-        let cx = x.chunks_exact(8);
-        let tx = cx.remainder();
-        let mut tail_at = 0;
-        for (d8, x8) in cd.zip(cx) {
-            for i in 0..8 {
-                d8[i] = (x8[i] - mean) * inv_std;
-            }
-            tail_at += 8;
-        }
-        for (d, &v) in dst[tail_at..].iter_mut().zip(tx) {
-            *d = (v - mean) * inv_std;
-        }
-    }
-
-    fn affine_row(dst: &mut [f32], xhat: &[f32], gamma: &[f32], beta: &[f32]) {
-        let mut j = 0;
-        while j + 8 <= dst.len() {
-            for l in j..j + 8 {
-                dst[l] = xhat[l] * gamma[l] + beta[l];
-            }
-            j += 8;
-        }
-        while j < dst.len() {
-            dst[j] = xhat[j] * gamma[j] + beta[j];
-            j += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,32 +312,6 @@ mod tests {
         let a: Vec<f32> = (0..n).map(|i| ((i * 37 % 19) as f32 - 9.0) * 0.37).collect();
         let b: Vec<f32> = (0..n).map(|i| ((i * 53 % 23) as f32 - 11.0) * 0.21).collect();
         (a, b)
-    }
-
-    #[test]
-    fn portable_training_ops_match_scalar_bitwise() {
-        for n in [0, 1, 5, 7, 8, 9, 16, 31, 64, 100] {
-            let (a, b) = vecs(n);
-            let mut acc_s = a.clone();
-            let mut acc_p = a.clone();
-            ScalarKernels::fma_row(&mut acc_s, 0.77, &b);
-            PortableKernels::fma_row(&mut acc_p, 0.77, &b);
-            assert_eq!(
-                acc_s.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                acc_p.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "fma_row width {n}"
-            );
-            assert_eq!(
-                ScalarKernels::dot(&a, &b).to_bits(),
-                PortableKernels::dot(&a, &b).to_bits(),
-                "dot width {n}"
-            );
-            let mut r_s = a.clone();
-            let mut r_p = a.clone();
-            ScalarKernels::scale(&mut r_s, 1.3);
-            PortableKernels::scale(&mut r_p, 1.3);
-            assert_eq!(r_s, r_p, "scale width {n}");
-        }
     }
 
     #[test]
@@ -508,13 +333,6 @@ mod tests {
                 via1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 "width {n}"
             );
-            let mut viap = x.clone();
-            PortableKernels::fma_row4(&mut viap, coeffs, refs);
-            assert_eq!(
-                viap.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                via1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "portable width {n}"
-            );
         }
     }
 
@@ -525,7 +343,7 @@ mod tests {
         let mut acc = vec![1.0f32, 2.0];
         ScalarKernels::fma_row(&mut acc, 0.0, &[f32::INFINITY, 1.0]);
         assert_eq!(acc, vec![1.0, 2.0]);
-        PortableKernels::fma_row(&mut acc, -0.0, &[f32::INFINITY, 1.0]);
+        ScalarKernels::fma_row(&mut acc, -0.0, &[f32::INFINITY, 1.0]);
         assert_eq!(acc, vec![1.0, 2.0]);
     }
 
@@ -533,24 +351,30 @@ mod tests {
     fn fast_reductions_are_close_and_tree_is_fixed() {
         let (a, b) = vecs(1000);
         let exact: f64 = a.iter().zip(&b).map(|(&x, &y)| f64::from(x) * f64::from(y)).sum();
-        let fast = PortableKernels::dot_fast(&a, &b);
+        let fast = ScalarKernels::dot_fast(&a, &b);
         assert!((f64::from(fast) - exact).abs() < 1e-2, "dot_fast drifted: {fast} vs {exact}");
         // The lane tree is a fixed reassociation: same inputs, same bits,
         // independent of how the caller chunks its rows.
-        assert_eq!(fast.to_bits(), PortableKernels::dot_fast(&a, &b).to_bits());
-        let s = PortableKernels::sum_fast(&a);
+        assert_eq!(fast.to_bits(), ScalarKernels::dot_fast(&a, &b).to_bits());
+        let s = ScalarKernels::sum_fast(&a);
         let s_exact: f64 = a.iter().map(|&x| f64::from(x)).sum();
         assert!((f64::from(s) - s_exact).abs() < 1e-2);
     }
 
+    /// The only test in this binary that calls `set_backend`, so its first
+    /// line sees the process as a product binary does.
     #[test]
     fn backend_request_roundtrip() {
-        assert_eq!(backend(), Backend::Scalar);
-        set_backend(Backend::Simd);
-        assert_eq!(backend(), Backend::Simd);
-        let name = active_backend();
-        assert!(name == "simd-portable" || name == "simd-avx2", "unexpected backend {name}");
+        #[cfg(target_arch = "x86_64")]
+        let cpu_has_avx2 = std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma");
+        #[cfg(not(target_arch = "x86_64"))]
+        let cpu_has_avx2 = false;
+        let cpu_choice = if cpu_has_avx2 { "simd-avx2" } else { "scalar" };
+        assert_eq!(active_backend(), cpu_choice, "default backend must be what the CPU reports");
         set_backend(Backend::Scalar);
         assert_eq!(active_backend(), "scalar");
+        set_backend(Backend::Simd);
+        assert_eq!(active_backend(), cpu_choice);
     }
 }

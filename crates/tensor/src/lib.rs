@@ -13,18 +13,16 @@
 //!
 //! Parallelism uses `std::thread::scope` over disjoint row (or block, or
 //! k-) chunks. Every *training-path* kernel's output is a pure function of
-//! its inputs — never of the thread count or the selected
-//! [`Backend`] — because chunk decompositions depend only on shapes,
+//! its inputs — never of the thread count or the [`Backend`]
+//! the CPU resolved to — because chunk decompositions depend only on shapes,
 //! partial results are reduced in a fixed order, and SIMD lanes replay the
 //! identical per-element operations (see `docs/PERFORMANCE.md`). The
 //! inference-only `*_fast` kernels trade that bitwise contract for fused
 //! multiply-adds and lane-parallel reductions with a documented ULP bound
 //! against the `*_reference` oracles.
 //!
-//! Unsafe code is confined to one audited module: without the `simd`
-//! feature the crate is `#![forbid(unsafe_code)]`; with it, only
-//! `src/simd.rs` (runtime-detected AVX2 intrinsics) may opt out of the
-//! crate-level `deny`.
+//! Unsafe code is confined to one audited module: only `src/simd.rs`
+//! (runtime-detected AVX2 intrinsics) opts out of the crate-level `deny`.
 //!
 //! # Examples
 //!
@@ -39,8 +37,7 @@
 //!
 //! [Deng et al., DAC 2024]: https://arxiv.org/abs/2403.01317
 
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod approx;
@@ -51,12 +48,12 @@ mod kernels;
 mod matrix;
 mod parallel;
 mod quant;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod simd;
 mod sparse;
 
 pub use approx::{approx_eq, approx_eq_eps, approx_eq_ulps};
-pub use backend::{active_backend, backend, set_backend, Backend};
+pub use backend::{active_backend, set_backend, Backend};
 pub use error::ShapeError;
 pub use init::Init;
 pub use kernels::{
@@ -64,6 +61,6 @@ pub use kernels::{
     softmax_backward_rows, softmax_rows, softmax_rows_fast, LayerNormCache,
 };
 pub use matrix::Matrix;
-pub use parallel::{available_threads, parallel_chunks_with, set_threads};
+pub use parallel::{available_threads, set_threads};
 pub use quant::{qmatmul, QuantizedMatrix, QuantizedWeights};
 pub use sparse::CsrMatrix;

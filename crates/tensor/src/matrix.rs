@@ -400,15 +400,16 @@ impl Matrix {
                 let arow = |i: usize| &a[(row_start + i) * k + kb..(row_start + i) * k + kend];
                 // Six output rows share each b panel (bitwise equal to
                 // six single-row sweeps; see KernelBackend::fma_panel6),
-                // then the remainder one row at a time.
+                // then the remainder one row at a time. The fused
+                // contract has no panel kernel: every row is a remainder.
                 let mut i = 0;
-                while i + 6 <= rows_here {
+                while !FAST && i + 6 <= rows_here {
                     let (c0, rest) = chunk[i * n..(i + 6) * n].split_at_mut(n);
                     let (c1, rest) = rest.split_at_mut(n);
                     let (c2, rest) = rest.split_at_mut(n);
                     let (c3, rest) = rest.split_at_mut(n);
                     let (c4, c5) = rest.split_at_mut(n);
-                    B::fma_panel6::<FAST>(
+                    B::fma_panel6(
                         [c0, c1, c2, c3, c4, c5],
                         [arow(i), arow(i + 1), arow(i + 2), arow(i + 3), arow(i + 4), arow(i + 5)],
                         bpanel,
@@ -460,21 +461,10 @@ impl Matrix {
     ///
     /// Panics if `self.cols() != other.cols()`.
     pub fn matmul_nt(&self, other: &Self) -> Self {
-        dispatch!(B => self.matmul_nt_impl::<B, false>(other))
+        dispatch!(B => self.matmul_nt_impl::<B>(other))
     }
 
-    /// Inference-only `self · otherᵀ`: the dot products run on the
-    /// backend's lane-parallel fast reduction, ULP-bounded against
-    /// [`Matrix::matmul_nt_reference`] (see `docs/PERFORMANCE.md`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != other.cols()`.
-    pub fn matmul_nt_fast(&self, other: &Self) -> Self {
-        dispatch!(B => self.matmul_nt_impl::<B, true>(other))
-    }
-
-    fn matmul_nt_impl<B: KernelBackend, const FAST: bool>(&self, other: &Self) -> Self {
+    fn matmul_nt_impl<B: KernelBackend>(&self, other: &Self) -> Self {
         assert_eq!(
             self.cols, other.cols,
             "shape mismatch in matmul_nt: ({}, {}) x ({}, {})^T",
@@ -493,8 +483,7 @@ impl Matrix {
                 let arow = &a[(row_start + i) * k..(row_start + i + 1) * k];
                 for j in 0..n {
                     let brow = &b[j * k..(j + 1) * k];
-                    chunk[i * n + j] =
-                        if FAST { B::dot_fast(arow, brow) } else { B::dot(arow, brow) };
+                    chunk[i * n + j] = B::dot(arow, brow);
                 }
             }
         };

@@ -23,7 +23,7 @@
 //!
 //! Thread-level partitioning composes orthogonally with the lane-level
 //! backends in `crate::backend`: these helpers decide *which rows* a
-//! thread computes, while the selected [`crate::Backend`] decides *how*
+//! thread computes, while the backend the CPU resolved to decides *how*
 //! each row's arithmetic is vectorized. Training-path kernels stay
 //! bitwise identical across every (thread count × backend) combination
 //! because SIMD lanes replay the identical per-element multiply/add
@@ -100,47 +100,6 @@ where
             let handle = s.spawn(move || fref(start_row, chunk));
             handles.push(handle);
             row += take / row_width;
-            rest = tail;
-        }
-        join_all(handles);
-    });
-}
-
-/// Like [`parallel_chunks`] but the closure also receives a zero-based chunk
-/// index, useful for writing into per-chunk scratch areas.
-///
-/// # Panics
-///
-/// Panics if `row_width` is zero or does not divide `out.len()`.
-// analyze: allow(dead-public-api) — index-carrying variant of the public chunked-parallelism API; covered by tests
-pub fn parallel_chunks_with<F>(out: &mut [f32], row_width: usize, f: F)
-where
-    F: Fn(usize, usize, &mut [f32]) + Sync,
-{
-    assert!(row_width > 0, "row_width must be positive");
-    assert_eq!(out.len() % row_width, 0, "buffer not aligned to row width");
-    let total_rows = out.len() / row_width;
-    let threads = available_threads().min(total_rows.max(1));
-    if threads <= 1 || total_rows == 0 {
-        f(0, 0, out);
-        return;
-    }
-    let rows_per = total_rows.div_ceil(threads);
-    std::thread::scope(|s| {
-        let mut rest = out;
-        let mut row = 0;
-        let mut chunk_idx = 0;
-        let mut handles = Vec::new();
-        while !rest.is_empty() {
-            let take = (rows_per * row_width).min(rest.len());
-            let (chunk, tail) = rest.split_at_mut(take);
-            let start_row = row;
-            let ci = chunk_idx;
-            let fref = &f;
-            let handle = s.spawn(move || fref(ci, start_row, chunk));
-            handles.push(handle);
-            row += take / row_width;
-            chunk_idx += 1;
             rest = tail;
         }
         join_all(handles);
@@ -233,20 +192,6 @@ mod tests {
             chunk.fill(1.0);
         });
         assert!(buf.iter().all(|&v| v == 1.0));
-    }
-
-    #[test]
-    fn chunk_index_variant_labels_chunks() {
-        let mut buf = vec![0.0f32; 64];
-        parallel_chunks_with(&mut buf, 1, |ci, _start, chunk| {
-            chunk.fill(ci as f32);
-        });
-        // Chunk ids must be non-decreasing across the buffer.
-        let mut last = 0.0;
-        for &v in &buf {
-            assert!(v >= last);
-            last = v;
-        }
     }
 
     #[test]

@@ -104,11 +104,11 @@ impl QuantizedMatrix {
         self.cols
     }
 
-    /// Reconstructs the `f32` matrix `scale[r] · (q − zero_point[r])`.
-    ///
-    /// Used by the differential tests to measure round-trip error; the
-    /// inference path never rematerializes activations.
-    pub fn dequantize(&self) -> Matrix {
+    /// Reconstructs the `f32` matrix `scale[r] · (q − zero_point[r])`, for
+    /// the tests below to measure round-trip error; the inference path
+    /// never rematerializes activations.
+    #[cfg(test)]
+    fn dequantize(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.cols);
         for r in 0..self.rows {
             let qrow = &self.q[r * self.cols..(r + 1) * self.cols];
@@ -177,8 +177,10 @@ impl QuantizedWeights {
         self.n
     }
 
-    /// Reconstructs the `f32` weight matrix `scale[c] · q`.
-    pub fn dequantize(&self) -> Matrix {
+    /// Reconstructs the `f32` weight matrix `scale[c] · q` (test-only, as
+    /// [`QuantizedMatrix::dequantize`]).
+    #[cfg(test)]
+    fn dequantize(&self) -> Matrix {
         let mut out = Matrix::zeros(self.k, self.n);
         for r in 0..self.k {
             let qrow = &self.q[r * self.n..(r + 1) * self.n];
@@ -199,11 +201,8 @@ impl QuantizedWeights {
 /// the integer accumulation is association-free, making the result
 /// thread-count invariant bit for bit.
 ///
-/// Under [`Backend::Simd`](crate::Backend) (with the `simd` feature, on a
-/// CPU with AVX2) each row chunk runs the `vpmaddwd` kernel in the `simd`
-/// module instead; because both paths compute the same exact integer sums
-/// and the same dequantizing float expression, the output is bitwise
-/// identical across backends too.
+/// The same loop runs on every CPU: the AVX2 backend covers the
+/// bitwise-pinned training-path kernels only (`docs/PERFORMANCE.md`).
 ///
 /// # Panics
 ///
@@ -221,30 +220,6 @@ pub fn qmatmul(a: &QuantizedMatrix, w: &QuantizedWeights) -> Matrix {
     }
     let work = |row_start: usize, chunk: &mut [f32]| {
         let rows_here = chunk.len() / n;
-        // The AVX2 backend has a dedicated int8 kernel (16 MACs per
-        // `vpmaddwd`); integer accumulation is exact, so its output is
-        // bitwise identical to the scalar loop below for every input.
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if matches!(crate::backend::resolved(), crate::backend::ResolvedBackend::Avx2) {
-            // In bounds: the shape assert above pins `a.q.len()` to rows·k
-            // and the parallel splitter keeps row chunks within rows.
-            let qa_range = row_start * k..(row_start + rows_here) * k;
-            let row_range = row_start..row_start + rows_here;
-            crate::simd::qmatmul_chunk(
-                chunk,
-                &crate::simd::QOperands {
-                    qa: &a.q[qa_range],
-                    k,
-                    scale: &a.scale[row_range.clone()],
-                    zero_point: &a.zero_point[row_range],
-                    qw: &w.q,
-                    n,
-                    w_scale: &w.scale,
-                    col_sums: &w.col_sums,
-                },
-            );
-            return;
-        }
         let mut acc = vec![0i32; n];
         for i in 0..rows_here {
             let r = row_start + i;

@@ -1,4 +1,5 @@
-//! AVX2 kernel backend (`Backend::Simd` with the `simd` cargo feature).
+//! AVX2 kernel backend: what `backend::resolved()` picks on an `x86_64`
+//! CPU that reports `avx2` + `fma`.
 //!
 //! This is the **only module in the workspace allowed to contain
 //! `unsafe`** — it is the audited entry in `hoga-analyze`'s R3
@@ -18,34 +19,26 @@
 //!    iterator guarantees exactly 8 in-bounds, initialized `f32`s, and
 //!    the unaligned variants carry no alignment requirement.
 //! 3. Unaligned loads/stores at explicitly computed offsets inside the
-//!    register-tiled kernels ([`fma_panel6_avx2`] and the int8 product),
-//!    each carrying a `SAFETY:` comment proving the offset plus the
-//!    vector width stays inside the borrowed slice.
+//!    register-tiled kernel ([`fma_panel6_avx2`]), each carrying a
+//!    `SAFETY:` comment proving the offset plus the vector width stays
+//!    inside the borrowed slice.
 //!
-//! # Determinism
+//! # Scope and determinism
 //!
-//! Training-path methods use `_mm256_mul_ps` + `_mm256_add_ps` — the
-//! same two IEEE roundings per element as the scalar loops, in the same
-//! per-element order — so they are bitwise identical to
-//! [`ScalarKernels`](crate::backend::ScalarKernels). The `*_fast` methods
-//! use `_mm256_fmadd_ps` and reduce their 8 lane accumulators through
-//! [`reduce_lanes8`], the same fixed tree the portable fallback uses;
-//! since hardware FMA and `f32::mul_add` are both correctly rounded, the
-//! fast path is bitwise identical between AVX2 and portable too. The int8
-//! product accumulates in `i32` — exact and association-free — and its
-//! dequantizing tail evaluates the same float expression in the same
-//! order as the scalar loop, so it is bitwise identical to scalar for
-//! every input, backend, and thread count.
+//! The backend overrides the training-path methods only, with
+//! `_mm256_mul_ps` + `_mm256_add_ps` — the same two IEEE roundings per
+//! element as the scalar loops, in the same per-element order — so every
+//! override is bitwise identical to
+//! [`ScalarKernels`](crate::backend::ScalarKernels). The inference-only
+//! `*_fast` methods and the int8 product are not overridden: they have
+//! one implementation, the scalar one (`docs/PERFORMANCE.md`, "What the
+//! AVX2 backend covers").
 
 #![allow(unsafe_code)]
 
-use crate::backend::{reduce_lanes8, KernelBackend};
+use crate::backend::KernelBackend;
 use std::arch::x86_64::{
-    __m128i, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_cvtepi32_ps, _mm256_cvtepi8_epi16,
-    _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_mul_ps,
-    _mm256_mullo_epi32, _mm256_permute2x128_si256, _mm256_set1_epi32, _mm256_set1_ps,
-    _mm256_setzero_ps, _mm256_setzero_si256, _mm256_storeu_ps, _mm256_sub_epi32, _mm256_sub_ps,
-    _mm256_unpackhi_epi16, _mm256_unpacklo_epi16, _mm_loadu_si128,
+    _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_storeu_ps, _mm256_sub_ps,
 };
 use std::sync::OnceLock;
 
@@ -84,33 +77,9 @@ impl KernelBackend for Avx2Kernels {
         unsafe { fma_row4_avx2(acc, a, b) }
     }
 
-    fn fma_row_fast(acc: &mut [f32], a: f32, b: &[f32]) {
-        // analyze: allow(float-equality) — exact-zero sparsity fast path; skipping only bitwise zeros cannot change the accumulated sum
-        if a == 0.0 {
-            return;
-        }
+    fn fma_panel6(acc: [&mut [f32]; 6], a: [&[f32]; 6], b: &[f32], n: usize) {
         // SAFETY: gated on avx2_available() by backend::resolved().
-        unsafe { fma_row_fast_avx2(acc, a, b) }
-    }
-
-    fn fma_panel6<const FAST: bool>(acc: [&mut [f32]; 6], a: [&[f32]; 6], b: &[f32], n: usize) {
-        // SAFETY: gated on avx2_available() by backend::resolved().
-        unsafe { fma_panel6_avx2::<FAST>(acc, a, b, n) }
-    }
-
-    fn dot_fast(a: &[f32], b: &[f32]) -> f32 {
-        // SAFETY: gated on avx2_available() by backend::resolved().
-        unsafe { dot_fast_avx2(a, b) }
-    }
-
-    fn sum_fast(xs: &[f32]) -> f32 {
-        // SAFETY: gated on avx2_available() by backend::resolved().
-        unsafe { sum_fast_avx2(xs) }
-    }
-
-    fn sq_diff_sum_fast(xs: &[f32], mean: f32) -> f32 {
-        // SAFETY: gated on avx2_available() by backend::resolved().
-        unsafe { sq_diff_sum_fast_avx2(xs, mean) }
+        unsafe { fma_panel6_avx2(acc, a, b, n) }
     }
 
     fn scale(row: &mut [f32], s: f32) {
@@ -173,39 +142,15 @@ unsafe fn fma_row4_avx2(acc: &mut [f32], a: [f32; 4], b: [&[f32]; 4]) {
     }
 }
 
-#[target_feature(enable = "avx2,fma")]
-unsafe fn fma_row_fast_avx2(acc: &mut [f32], a: f32, b: &[f32]) {
-    let va = _mm256_set1_ps(a);
-    let ca = acc.chunks_exact_mut(8);
-    let cb = b.chunks_exact(8);
-    let tb = cb.remainder();
-    let mut tail_at = 0;
-    for (x8, y8) in ca.zip(cb) {
-        // SAFETY: both chunks are exactly 8 contiguous f32s.
-        let x = _mm256_loadu_ps(x8.as_ptr());
-        let y = _mm256_loadu_ps(y8.as_ptr());
-        _mm256_storeu_ps(x8.as_mut_ptr(), _mm256_fmadd_ps(va, y, x));
-        tail_at += 8;
-    }
-    for (x, &y) in acc[tail_at..].iter_mut().zip(tb) {
-        *x = a.mul_add(y, *x);
-    }
-}
-
 /// The register-tiled heart of the row-blocked training matmul: a 6-row ×
 /// 16-column accumulator tile lives in twelve ymm registers for the whole
 /// k-panel, so the output touches memory once per panel instead of once
 /// per four k-steps. Each element still sees exactly one mul + one add
-/// per k in ascending order (`FAST`: one fused `vfmadd`), and the
+/// per k in ascending order, and the
 /// bitwise-zero skip branches per `(row, k)` — identical semantics to
 /// six [`KernelBackend::fma_row`] sweeps, load/store traffic 16× lower.
 #[target_feature(enable = "avx2,fma")]
-unsafe fn fma_panel6_avx2<const FAST: bool>(
-    mut acc: [&mut [f32]; 6],
-    a: [&[f32]; 6],
-    b: &[f32],
-    n: usize,
-) {
+unsafe fn fma_panel6_avx2(mut acc: [&mut [f32]; 6], a: [&[f32]; 6], b: &[f32], n: usize) {
     let klen = a[0].len();
     for ar in &a {
         assert_eq!(ar.len(), klen, "fma_panel6: uneven a-row lengths");
@@ -230,13 +175,8 @@ unsafe fn fma_panel6_avx2<const FAST: bool>(
     macro_rules! tile_step {
         ($av:expr, $b0:ident, $b1:ident, $lo:ident, $hi:ident) => {{
             let va = _mm256_set1_ps($av);
-            if FAST {
-                $lo = _mm256_fmadd_ps(va, $b0, $lo);
-                $hi = _mm256_fmadd_ps(va, $b1, $hi);
-            } else {
-                $lo = _mm256_add_ps($lo, _mm256_mul_ps(va, $b0));
-                $hi = _mm256_add_ps($hi, _mm256_mul_ps(va, $b1));
-            }
+            $lo = _mm256_add_ps($lo, _mm256_mul_ps(va, $b0));
+            $hi = _mm256_add_ps($hi, _mm256_mul_ps(va, $b1));
         }};
     }
     macro_rules! tile_step_skip_zero {
@@ -326,8 +266,7 @@ unsafe fn fma_panel6_avx2<const FAST: bool>(
                 if av == 0.0 {
                     continue;
                 }
-                let bv = b[dk * n + jj];
-                x = if FAST { av.mul_add(bv, x) } else { x + av * bv };
+                x += av * b[dk * n + jj];
             }
             accr[jj] = x;
         }
@@ -348,236 +287,6 @@ fn clean_run(zmask: &[u64; 8], start: usize, klen: usize) -> usize {
         dk = (dk / 64 + 1) * 64;
     }
     dk.min(klen) - start
-}
-
-/// Column width of one int8 accumulator tile: two `i32` vectors.
-const QTILE: usize = 16;
-
-/// Borrowed operands for one int8 row-chunk: activation rows `qa`
-/// (`rows × k`, matching the chunk's `rows × n` output) with per-row
-/// affine parameters, and the shared weights `qw` (`k × n`) with
-/// per-column scales and sums.
-pub(crate) struct QOperands<'a> {
-    pub(crate) qa: &'a [i8],
-    pub(crate) k: usize,
-    pub(crate) scale: &'a [f32],
-    pub(crate) zero_point: &'a [i32],
-    pub(crate) qw: &'a [i8],
-    pub(crate) n: usize,
-    pub(crate) w_scale: &'a [f32],
-    pub(crate) col_sums: &'a [i32],
-}
-
-/// One row-chunk of the int8 inference product `a · w` (AVX2 path).
-///
-/// The hot loop pairs two consecutive `k`-rows of the weights, sign-extends
-/// them to `i16`, and feeds `vpmaddwd` with the broadcast activation pair —
-/// 16 `i8 × i8` MACs per instruction, accumulated exactly in `i32`. Integer
-/// AVX2 also sidesteps the frequency penalty "heavy" FP vector instructions
-/// pay on server parts, so this is the highest-throughput matmul in the
-/// crate. Bitwise identical to the scalar loop in `qmatmul`: the integer
-/// sums are exact, and the dequantizing tail evaluates
-/// `(sa * w_scale[j]) * ((acc - za * col_sums[j]) as f32)` — the same
-/// roundings in the same order as the scalar expression.
-pub(crate) fn qmatmul_chunk(chunk: &mut [f32], op: &QOperands<'_>) {
-    assert!(avx2_available(), "int8 AVX2 kernel dispatched without AVX2");
-    assert_eq!(op.qw.len(), op.k * op.n, "qmatmul_chunk: weight shape mismatch");
-    let rows = chunk.len().checked_div(op.n).unwrap_or(0);
-    assert_eq!(op.qa.len(), rows * op.k, "qmatmul_chunk: activation shape mismatch");
-    // SAFETY: shape 1 — `avx2_available` was just asserted.
-    unsafe { qmatmul_chunk_avx2(chunk, op) }
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn qmatmul_chunk_avx2(chunk: &mut [f32], op: &QOperands<'_>) {
-    let (k, n) = (op.k, op.n);
-    let rows = chunk.len().checked_div(n).unwrap_or(0);
-    let jtail = n - n % QTILE;
-    let zero16 = _mm256_setzero_si256();
-    // One k-pair step for one activation row: broadcast the packed
-    // (a[kk], a[kk+1]) i16 pair and `vpmaddwd` it against the interleaved
-    // weight vectors — each i32 column gains a[kk]·w[kk][c] +
-    // a[kk+1]·w[kk+1][c], exactly (the widest pair sum, 2·128·127, is far
-    // inside i16-product i32 range).
-    macro_rules! qstep {
-        ($lo:expr, $hi:expr, $al:ident, $ah:ident, $vl:ident, $vh:ident) => {{
-            let pair = (($lo) as i16 as u16 as u32) | ((($hi) as i16 as u16 as u32) << 16);
-            let va = _mm256_set1_epi32(pair as i32);
-            $al = _mm256_add_epi32($al, _mm256_madd_epi16(va, $vl));
-            $ah = _mm256_add_epi32($ah, _mm256_madd_epi16(va, $vh));
-        }};
-    }
-    // Undo the unpack interleave (acc-low holds columns 0-3 and 8-11 of
-    // the tile, acc-high 4-7 and 12-15) and apply the affine correction:
-    // y[j] = (sa · w_scale[j]) · ((acc[j] − za · col_sums[j]) as f32),
-    // the identical expression and rounding order as the scalar loop.
-    macro_rules! qstore {
-        ($al:expr, $ah:expr, $ri:expr, $j:expr) => {{
-            let halves = [
-                _mm256_permute2x128_si256::<0x20>($al, $ah),
-                _mm256_permute2x128_si256::<0x31>($al, $ah),
-            ];
-            let sa = _mm256_set1_ps(op.scale[$ri]);
-            let za = _mm256_set1_epi32(op.zero_point[$ri]);
-            for (t, &acc) in halves.iter().enumerate() {
-                let c = $j + 8 * t;
-                // SAFETY: c + 8 <= jtail <= n; the column arrays are n
-                // long and the output row $ri spans [$ri * n, $ri * n + n).
-                let cs = _mm256_loadu_si256(op.col_sums.as_ptr().add(c) as *const __m256i);
-                let ws = _mm256_loadu_ps(op.w_scale.as_ptr().add(c));
-                let corr = _mm256_sub_epi32(acc, _mm256_mullo_epi32(za, cs));
-                let y = _mm256_mul_ps(_mm256_mul_ps(sa, ws), _mm256_cvtepi32_ps(corr));
-                _mm256_storeu_ps(chunk.as_mut_ptr().add($ri * n + c), y);
-            }
-        }};
-    }
-    let mut rb = 0;
-    while rb < rows {
-        let rc = (rows - rb).min(4);
-        // SAFETY: activation row r spans [r * k, r * k + k). Unused slots
-        // of a short (< 4 row) block alias the last real row so their
-        // loads stay in bounds; their products are computed and discarded.
-        let p0 = op.qa.as_ptr().add(rb * k);
-        let p1 = op.qa.as_ptr().add((rb + 1.min(rc - 1)) * k);
-        let p2 = op.qa.as_ptr().add((rb + 2.min(rc - 1)) * k);
-        let p3 = op.qa.as_ptr().add((rb + 3.min(rc - 1)) * k);
-        let mut j = 0;
-        while j + QTILE <= n {
-            let mut a0l = _mm256_setzero_si256();
-            let mut a0h = _mm256_setzero_si256();
-            let mut a1l = _mm256_setzero_si256();
-            let mut a1h = _mm256_setzero_si256();
-            let mut a2l = _mm256_setzero_si256();
-            let mut a2h = _mm256_setzero_si256();
-            let mut a3l = _mm256_setzero_si256();
-            let mut a3h = _mm256_setzero_si256();
-            let mut kk = 0;
-            while kk + 2 <= k {
-                // SAFETY: weight rows kk and kk+1 each span n bytes and
-                // j + 16 <= n keeps the 16-byte loads inside them; the
-                // activation loads sit at kk and kk+1 < k within a row.
-                let w0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                    op.qw.as_ptr().add(kk * n + j) as *const __m128i
-                ));
-                let w1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                    op.qw.as_ptr().add((kk + 1) * n + j) as *const __m128i,
-                ));
-                let vl = _mm256_unpacklo_epi16(w0, w1);
-                let vh = _mm256_unpackhi_epi16(w0, w1);
-                qstep!(*p0.add(kk), *p0.add(kk + 1), a0l, a0h, vl, vh);
-                qstep!(*p1.add(kk), *p1.add(kk + 1), a1l, a1h, vl, vh);
-                qstep!(*p2.add(kk), *p2.add(kk + 1), a2l, a2h, vl, vh);
-                qstep!(*p3.add(kk), *p3.add(kk + 1), a3l, a3h, vl, vh);
-                kk += 2;
-            }
-            if kk < k {
-                // Odd-k tail: pair the last weight row with zeros so the
-                // second half of each `vpmaddwd` pair contributes nothing.
-                // SAFETY: same bounds as above for row kk.
-                let w0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                    op.qw.as_ptr().add(kk * n + j) as *const __m128i
-                ));
-                let vl = _mm256_unpacklo_epi16(w0, zero16);
-                let vh = _mm256_unpackhi_epi16(w0, zero16);
-                qstep!(*p0.add(kk), 0i8, a0l, a0h, vl, vh);
-                qstep!(*p1.add(kk), 0i8, a1l, a1h, vl, vh);
-                qstep!(*p2.add(kk), 0i8, a2l, a2h, vl, vh);
-                qstep!(*p3.add(kk), 0i8, a3l, a3h, vl, vh);
-            }
-            qstore!(a0l, a0h, rb, j);
-            if rc > 1 {
-                qstore!(a1l, a1h, rb + 1, j);
-            }
-            if rc > 2 {
-                qstore!(a2l, a2h, rb + 2, j);
-            }
-            if rc > 3 {
-                qstore!(a3l, a3h, rb + 3, j);
-            }
-            j += QTILE;
-        }
-        rb += rc;
-    }
-    // Column tail (< 16): plain scalar dot products, exact like everything
-    // above, so the split point never shows in the output.
-    if jtail < n {
-        for ri in 0..rows {
-            let arow = &op.qa[ri * k..(ri + 1) * k];
-            let (sa, za) = (op.scale[ri], op.zero_point[ri]);
-            for j in jtail..n {
-                let mut acc = 0i32;
-                for (kk, &qv) in arow.iter().enumerate() {
-                    acc += qv as i32 * op.qw[kk * n + j] as i32;
-                }
-                chunk[ri * n + j] = sa * op.w_scale[j] * ((acc - za * op.col_sums[j]) as f32);
-            }
-        }
-    }
-}
-
-/// Spills the 8-lane vector accumulator and reduces it through the shared
-/// [`reduce_lanes8`] tree, guaranteeing bit-identity with the portable
-/// fast path by construction.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn reduce256(v: std::arch::x86_64::__m256) -> f32 {
-    let mut lanes = [0.0f32; 8];
-    // SAFETY: lanes is exactly 8 contiguous f32s.
-    _mm256_storeu_ps(lanes.as_mut_ptr(), v);
-    reduce_lanes8(lanes)
-}
-
-#[target_feature(enable = "avx2,fma")]
-unsafe fn dot_fast_avx2(a: &[f32], b: &[f32]) -> f32 {
-    let ca = a.chunks_exact(8);
-    let cb = b.chunks_exact(8);
-    let (ta, tb) = (ca.remainder(), cb.remainder());
-    let mut vacc = _mm256_setzero_ps();
-    for (x8, y8) in ca.zip(cb) {
-        // SAFETY: both chunks are exactly 8 contiguous f32s.
-        let x = _mm256_loadu_ps(x8.as_ptr());
-        let y = _mm256_loadu_ps(y8.as_ptr());
-        vacc = _mm256_fmadd_ps(x, y, vacc);
-    }
-    let mut acc = reduce256(vacc);
-    for (&x, &y) in ta.iter().zip(tb) {
-        acc = x.mul_add(y, acc);
-    }
-    acc
-}
-
-#[target_feature(enable = "avx2,fma")]
-unsafe fn sum_fast_avx2(xs: &[f32]) -> f32 {
-    let chunks = xs.chunks_exact(8);
-    let tail = chunks.remainder();
-    let mut vacc = _mm256_setzero_ps();
-    for x8 in chunks {
-        // SAFETY: the chunk is exactly 8 contiguous f32s.
-        vacc = _mm256_add_ps(vacc, _mm256_loadu_ps(x8.as_ptr()));
-    }
-    let mut acc = reduce256(vacc);
-    for &x in tail {
-        acc += x;
-    }
-    acc
-}
-
-#[target_feature(enable = "avx2,fma")]
-unsafe fn sq_diff_sum_fast_avx2(xs: &[f32], mean: f32) -> f32 {
-    let vmean = _mm256_set1_ps(mean);
-    let chunks = xs.chunks_exact(8);
-    let tail = chunks.remainder();
-    let mut vacc = _mm256_setzero_ps();
-    for x8 in chunks {
-        // SAFETY: the chunk is exactly 8 contiguous f32s.
-        let d = _mm256_sub_ps(_mm256_loadu_ps(x8.as_ptr()), vmean);
-        vacc = _mm256_fmadd_ps(d, d, vacc);
-    }
-    let mut acc = reduce256(vacc);
-    for &x in tail {
-        let d = x - mean;
-        acc = d.mul_add(d, acc);
-    }
-    acc
 }
 
 #[target_feature(enable = "avx2,fma")]
@@ -636,7 +345,7 @@ unsafe fn affine_row_avx2(dst: &mut [f32], xhat: &[f32], gamma: &[f32], beta: &[
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{PortableKernels, ScalarKernels};
+    use crate::backend::ScalarKernels;
 
     fn vecs(n: usize) -> (Vec<f32>, Vec<f32>) {
         let a: Vec<f32> = (0..n).map(|i| ((i * 41 % 17) as f32 - 8.0) * 0.43).collect();
@@ -728,113 +437,23 @@ mod tests {
             let start: Vec<f32> = (0..n).map(|j| (j as f32) * 0.11 - 1.0).collect();
             let mut scalar_rows = vec![start.clone(); 6];
             let mut avx_rows = vec![start.clone(); 6];
-            for fast in [false, true] {
-                fn split6(rows: &mut [Vec<f32>]) -> [&mut [f32]; 6] {
-                    let (r0, rest) = rows.split_at_mut(1);
-                    let (r1, rest) = rest.split_at_mut(1);
-                    let (r2, rest) = rest.split_at_mut(1);
-                    let (r3, rest) = rest.split_at_mut(1);
-                    let (r4, r5) = rest.split_at_mut(1);
-                    [&mut r0[0], &mut r1[0], &mut r2[0], &mut r3[0], &mut r4[0], &mut r5[0]]
-                }
-                if fast {
-                    ScalarKernels::fma_panel6::<true>(split6(&mut scalar_rows), a6, &bpanel, n);
-                    Avx2Kernels::fma_panel6::<true>(split6(&mut avx_rows), a6, &bpanel, n);
-                } else {
-                    ScalarKernels::fma_panel6::<false>(split6(&mut scalar_rows), a6, &bpanel, n);
-                    Avx2Kernels::fma_panel6::<false>(split6(&mut avx_rows), a6, &bpanel, n);
-                }
-                for r in 0..6 {
-                    assert_eq!(
-                        scalar_rows[r].iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        avx_rows[r].iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        "fma_panel6 fast={fast} klen={klen} n={n} row {r}"
-                    );
-                }
+            fn split6(rows: &mut [Vec<f32>]) -> [&mut [f32]; 6] {
+                let (r0, rest) = rows.split_at_mut(1);
+                let (r1, rest) = rest.split_at_mut(1);
+                let (r2, rest) = rest.split_at_mut(1);
+                let (r3, rest) = rest.split_at_mut(1);
+                let (r4, r5) = rest.split_at_mut(1);
+                [&mut r0[0], &mut r1[0], &mut r2[0], &mut r3[0], &mut r4[0], &mut r5[0]]
             }
-        }
-    }
-
-    #[test]
-    fn avx2_int8_chunk_matches_scalar_bitwise_at_awkward_shapes() {
-        if !avx2_available() {
-            return;
-        }
-        // Rows exercise the 4-row block + remainder; columns the 16-wide
-        // tile + scalar tail; k the paired loop + odd tail.
-        for (rows, k, n) in
-            [(1usize, 1usize, 1usize), (3, 5, 16), (4, 8, 17), (5, 7, 16), (9, 64, 48), (2, 3, 33)]
-        {
-            let qa: Vec<i8> = (0..rows * k).map(|i| ((i * 37 % 255) as i32 - 127) as i8).collect();
-            let qw: Vec<i8> = (0..k * n).map(|i| ((i * 29 % 253) as i32 - 126) as i8).collect();
-            let scale: Vec<f32> = (0..rows).map(|r| 0.01 + r as f32 * 0.003).collect();
-            let zero_point: Vec<i32> = (0..rows).map(|r| (r as i32 % 7) - 3).collect();
-            let w_scale: Vec<f32> = (0..n).map(|c| 0.02 + c as f32 * 0.001).collect();
-            let col_sums: Vec<i32> =
-                (0..n).map(|c| (0..k).map(|kk| qw[kk * n + c] as i32).sum()).collect();
-            // Scalar reference — the exact expression from `qmatmul`.
-            let mut expect = vec![0.0f32; rows * n];
-            for r in 0..rows {
-                for j in 0..n {
-                    let acc: i32 =
-                        (0..k).map(|kk| qa[r * k + kk] as i32 * qw[kk * n + j] as i32).sum();
-                    expect[r * n + j] =
-                        scale[r] * w_scale[j] * ((acc - zero_point[r] * col_sums[j]) as f32);
-                }
+            ScalarKernels::fma_panel6(split6(&mut scalar_rows), a6, &bpanel, n);
+            Avx2Kernels::fma_panel6(split6(&mut avx_rows), a6, &bpanel, n);
+            for r in 0..6 {
+                assert_eq!(
+                    scalar_rows[r].iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    avx_rows[r].iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    "fma_panel6 klen={klen} n={n} row {r}"
+                );
             }
-            let mut got = vec![0.0f32; rows * n];
-            qmatmul_chunk(
-                &mut got,
-                &QOperands {
-                    qa: &qa,
-                    k,
-                    scale: &scale,
-                    zero_point: &zero_point,
-                    qw: &qw,
-                    n,
-                    w_scale: &w_scale,
-                    col_sums: &col_sums,
-                },
-            );
-            assert_eq!(
-                expect.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "int8 chunk rows={rows} k={k} n={n}"
-            );
-        }
-    }
-
-    #[test]
-    fn avx2_fast_reductions_match_portable_bitwise() {
-        if !avx2_available() {
-            return;
-        }
-        for n in [0, 1, 7, 8, 9, 63, 64, 65, 255, 1000] {
-            let (a, b) = vecs(n);
-            assert_eq!(
-                Avx2Kernels::dot_fast(&a, &b).to_bits(),
-                PortableKernels::dot_fast(&a, &b).to_bits(),
-                "dot_fast width {n}"
-            );
-            assert_eq!(
-                Avx2Kernels::sum_fast(&a).to_bits(),
-                PortableKernels::sum_fast(&a).to_bits(),
-                "sum_fast width {n}"
-            );
-            assert_eq!(
-                Avx2Kernels::sq_diff_sum_fast(&a, 0.21).to_bits(),
-                PortableKernels::sq_diff_sum_fast(&a, 0.21).to_bits(),
-                "sq_diff_sum_fast width {n}"
-            );
-            let mut f_v = a.clone();
-            let mut f_p = a.clone();
-            Avx2Kernels::fma_row_fast(&mut f_v, 1.3, &b);
-            PortableKernels::fma_row_fast(&mut f_p, 1.3, &b);
-            assert_eq!(
-                f_v.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                f_p.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "fma_row_fast width {n}"
-            );
         }
     }
 }

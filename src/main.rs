@@ -678,7 +678,13 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
     {
         use std::io::Write as _;
         let mut out = std::io::stdout();
-        let _ = writeln!(out, "serving on {}", handle.addr());
+        let _ = writeln!(
+            out,
+            "serving on {} (backend {}, {} kernel threads)",
+            handle.addr(),
+            hoga_tensor::active_backend(),
+            hoga_tensor::available_threads()
+        );
         let _ = out.flush();
     }
     // Serve until the process is stopped externally (signal/SIGKILL —
@@ -705,7 +711,7 @@ fn cmd_encode_aig(flags: &HashMap<String, String>) -> Result<(), CliError> {
     };
     let aig = generate_ip(spec, get(flags, "scale", 32));
     let frame = hoga_repro::datasets::io::encode_aig(&aig);
-    std::fs::write(out, frame.to_vec())
+    std::fs::write(out, &frame)
         .map_err(|e| CliError::failed(format!("cannot write `{out}`: {e}")))?;
     println!(
         "wrote {out}: design `{}`, {} nodes, {} bytes",
