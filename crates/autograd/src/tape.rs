@@ -5,6 +5,7 @@ use hoga_tensor::{
     layernorm_backward, layernorm_forward, softmax_backward_rows, softmax_rows, CsrMatrix,
     LayerNormCache, Matrix,
 };
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Handle to a value recorded on a [`Tape`].
@@ -42,10 +43,10 @@ impl Gradients {
         &mut self.grads[idx]
     }
 
-    fn add(&mut self, id: ParamId, delta: &Matrix) {
+    fn add(&mut self, id: ParamId, delta: Matrix) {
         match self.slot(id.index()) {
-            Some(g) => g.axpy(1.0, delta),
-            slot @ None => *slot = Some(delta.clone()),
+            Some(g) => g.axpy(1.0, &delta),
+            slot @ None => *slot = Some(delta),
         }
     }
 
@@ -122,9 +123,43 @@ enum Op {
     Dropout { x: Var, mask: Matrix },
 }
 
+impl Op {
+    /// The tape values this op reads.
+    fn inputs(&self) -> impl Iterator<Item = Var> {
+        let vars = match *self {
+            Op::Constant | Op::Param(_) => [None, None, None],
+            Op::Scale(x, _)
+            | Op::Relu(x)
+            | Op::Sigmoid(x)
+            | Op::SoftmaxRows(x)
+            | Op::Reshape(x)
+            | Op::SumAll(x)
+            | Op::SelectRows { x, .. }
+            | Op::Spmm { x, .. }
+            | Op::SegmentReduce { x, .. }
+            | Op::Dropout { x, .. }
+            | Op::MseLoss { pred: x, .. }
+            | Op::CrossEntropyMean { logits: x, .. } => [Some(x), None, None],
+            Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Hadamard(a, b)
+            | Op::Matmul(a, b)
+            | Op::ConcatCols(a, b)
+            | Op::AddBias { x: a, bias: b }
+            | Op::BatchedMatmul { a, b, .. }
+            | Op::BatchedMatmulNT { a, b, .. } => [Some(a), Some(b), None],
+            Op::LayerNorm { x, gamma, beta, .. } => [Some(x), Some(gamma), Some(beta)],
+        };
+        vars.into_iter().flatten()
+    }
+}
+
 struct Node {
     value: Matrix,
     op: Op,
+    /// Whether a parameter is reachable from this node, i.e. whether
+    /// [`Tape::backward`] has any use for a gradient with respect to it.
+    needs_grad: bool,
 }
 
 /// A single-use computation tape.
@@ -159,7 +194,9 @@ impl Tape {
     }
 
     fn push(&mut self, value: Matrix, op: Op) -> Var {
-        self.nodes.push(Node { value, op });
+        let needs_grad =
+            matches!(op, Op::Param(_)) || op.inputs().any(|v| self.nodes[v.0].needs_grad);
+        self.nodes.push(Node { value, op, needs_grad });
         Var(self.nodes.len() - 1)
     }
 
@@ -483,20 +520,24 @@ impl Tape {
 
         for i in (0..self.nodes.len()).rev() {
             let Some(gy) = grads[i].take() else { continue };
-            // Helper closure semantics: accumulate `delta` into node `j`.
+            // Accumulates `delta` into node `j`; `$delta` is evaluated only
+            // when a parameter sits upstream of `j`, so the gradient of a
+            // constant (the hop stack, a feature matrix) is never computed.
             macro_rules! acc {
                 ($j:expr, $delta:expr) => {{
                     let j: Var = $j;
-                    let delta: Matrix = $delta;
-                    match &mut grads[j.0] {
-                        Some(g) => g.axpy(1.0, &delta),
-                        slot @ None => *slot = Some(delta),
+                    if self.nodes[j.0].needs_grad {
+                        let delta: Matrix = $delta;
+                        match &mut grads[j.0] {
+                            Some(g) => g.axpy(1.0, &delta),
+                            slot @ None => *slot = Some(delta),
+                        }
                     }
                 }};
             }
             match &self.nodes[i].op {
                 Op::Constant => {}
-                Op::Param(id) => out.add(*id, &gy),
+                Op::Param(id) => out.add(*id, gy),
                 Op::Add(a, b) => {
                     let (a, b) = (*a, *b);
                     acc!(a, gy.clone());
@@ -509,10 +550,8 @@ impl Tape {
                 }
                 Op::Hadamard(a, b) => {
                     let (a, b) = (*a, *b);
-                    let da = gy.hadamard(&self.nodes[b.0].value);
-                    let db = gy.hadamard(&self.nodes[a.0].value);
-                    acc!(a, da);
-                    acc!(b, db);
+                    acc!(a, gy.hadamard(&self.nodes[b.0].value));
+                    acc!(b, gy.hadamard(&self.nodes[a.0].value));
                 }
                 Op::Scale(x, s) => {
                     let (x, s) = (*x, *s);
@@ -525,24 +564,18 @@ impl Tape {
                 }
                 Op::Matmul(a, b) => {
                     let (a, b) = (*a, *b);
-                    let da = gy.matmul_nt(&self.nodes[b.0].value);
-                    let db = self.nodes[a.0].value.matmul_tn(&gy);
-                    acc!(a, da);
-                    acc!(b, db);
+                    acc!(a, gy.matmul_nt(&self.nodes[b.0].value));
+                    acc!(b, self.nodes[a.0].value.matmul_tn(&gy));
                 }
                 Op::BatchedMatmul { a, b, batch } => {
                     let (a, b, batch) = (*a, *b, *batch);
-                    let da = gy.batched_matmul_nt(&self.nodes[b.0].value, batch);
-                    let db = self.nodes[a.0].value.batched_matmul_tn(&gy, batch);
-                    acc!(a, da);
-                    acc!(b, db);
+                    acc!(a, gy.batched_matmul_nt(&self.nodes[b.0].value, batch));
+                    acc!(b, self.nodes[a.0].value.batched_matmul_tn(&gy, batch));
                 }
                 Op::BatchedMatmulNT { a, b, batch } => {
                     let (a, b, batch) = (*a, *b, *batch);
-                    let da = gy.batched_matmul(&self.nodes[b.0].value, batch);
-                    let db = gy.batched_matmul_tn(&self.nodes[a.0].value, batch);
-                    acc!(a, da);
-                    acc!(b, db);
+                    acc!(a, gy.batched_matmul(&self.nodes[b.0].value, batch));
+                    acc!(b, gy.batched_matmul_tn(&self.nodes[a.0].value, batch));
                 }
                 Op::Relu(x) => {
                     let x = *x;
@@ -571,16 +604,15 @@ impl Tape {
                 Op::ConcatCols(a, b) => {
                     let (a, b) = (*a, *b);
                     let ca = self.nodes[a.0].value.cols();
-                    let cb = self.nodes[b.0].value.cols();
-                    let rows = gy.rows();
-                    let mut da = Matrix::zeros(rows, ca);
-                    let mut db = Matrix::zeros(rows, cb);
-                    for r in 0..rows {
-                        da.row_mut(r).copy_from_slice(&gy.row(r)[..ca]);
-                        db.row_mut(r).copy_from_slice(&gy.row(r)[ca..]);
-                    }
-                    acc!(a, da);
-                    acc!(b, db);
+                    let cols = |range: Range<usize>| {
+                        let mut d = Matrix::zeros(gy.rows(), range.len());
+                        for r in 0..gy.rows() {
+                            d.row_mut(r).copy_from_slice(&gy.row(r)[range.clone()]);
+                        }
+                        d
+                    };
+                    acc!(a, cols(0..ca));
+                    acc!(b, cols(ca..gy.cols()));
                 }
                 Op::SelectRows { x, indices } => {
                     let x = *x;
@@ -768,6 +800,148 @@ mod tests {
             tape.cross_entropy_weighted(logits, &labels, &cw)
         });
         assert!(report.passes(2e-2), "{report:?}");
+    }
+
+    fn needs_grad(tape: &Tape, v: Var) -> bool {
+        tape.nodes[v.0].needs_grad
+    }
+
+    #[test]
+    fn needs_grad_follows_parameters_through_every_op_family() {
+        type Unary = Box<dyn Fn(&mut Tape, Var) -> Var>;
+        type Binary = Box<dyn Fn(&mut Tape, Var, Var) -> Var>;
+        let mut params = ParamSet::new();
+        let w = params.add("w", Init::SmallUniform.matrix(4, 4, 1));
+        let row = params.add("row", Init::SmallUniform.matrix(1, 4, 2));
+        let adj = Arc::new(CsrMatrix::from_coo(4, 4, &[(0, 1, 1.0), (2, 3, 0.5)]));
+
+        let mut t = Tape::new();
+        let c = t.constant(Init::SmallUniform.matrix(4, 4, 3));
+        let crow = t.constant(Matrix::full(1, 4, 1.0));
+        let p = t.param(&params, w);
+        let prow = t.param(&params, row);
+        assert!(!needs_grad(&t, c) && !needs_grad(&t, crow));
+        assert!(needs_grad(&t, p) && needs_grad(&t, prow));
+
+        let unary: Vec<(&str, Unary)> = vec![
+            ("scale", Box::new(|t, x| t.scale(x, 0.5))),
+            ("relu", Box::new(|t, x| t.relu(x))),
+            ("sigmoid", Box::new(|t, x| t.sigmoid(x))),
+            ("softmax_rows", Box::new(|t, x| t.softmax_rows(x))),
+            ("select_rows", Box::new(|t, x| t.select_rows(x, vec![3, 0, 0]))),
+            ("reshape", Box::new(|t, x| t.reshape(x, 2, 8))),
+            ("spmm", Box::new(move |t, x| t.spmm(&adj, &adj, x))),
+            ("segment_reduce", Box::new(|t, x| t.segment_reduce(x, vec![(0, 1), (1, 4)], true))),
+            ("sum_all", Box::new(|t, x| t.sum_all(x))),
+            ("mse_loss", Box::new(|t, x| t.mse_loss(x, &Matrix::zeros(4, 4)))),
+            ("cross_entropy", Box::new(|t, x| t.cross_entropy_mean(x, &[0, 1, 2, 3]))),
+            ("dropout", Box::new(|t, x| t.dropout(x, Matrix::full(4, 4, 2.0)))),
+        ];
+        for (name, op) in &unary {
+            let of_constant = op(&mut t, c);
+            let of_param = op(&mut t, p);
+            assert!(!needs_grad(&t, of_constant), "{name}(constant) asks for a gradient");
+            assert!(needs_grad(&t, of_param), "{name}(param) lost its gradient");
+            // Depth two: the flag rides through an intermediate node.
+            let deeper = t.sum_all(of_constant);
+            assert!(!needs_grad(&t, deeper), "sum_all({name}(constant)) asks for a gradient");
+        }
+
+        let binary: Vec<(&str, Binary)> = vec![
+            ("add", Box::new(|t, a, b| t.add(a, b))),
+            ("sub", Box::new(|t, a, b| t.sub(a, b))),
+            ("hadamard", Box::new(|t, a, b| t.hadamard(a, b))),
+            ("matmul", Box::new(|t, a, b| t.matmul(a, b))),
+            ("batched_matmul", Box::new(|t, a, b| t.batched_matmul(a, b, 1))),
+            ("batched_matmul_nt", Box::new(|t, a, b| t.batched_matmul_nt(a, b, 2))),
+            ("concat_cols", Box::new(|t, a, b| t.concat_cols(a, b))),
+        ];
+        for (name, op) in &binary {
+            let cc = op(&mut t, c, c);
+            let pc = op(&mut t, p, c);
+            let cp = op(&mut t, c, p);
+            assert!(!needs_grad(&t, cc), "{name}(constant, constant) asks for a gradient");
+            assert!(needs_grad(&t, pc), "{name}(param, constant) lost its gradient");
+            assert!(needs_grad(&t, cp), "{name}(constant, param) lost its gradient");
+        }
+
+        let bias_cc = t.add_bias(c, crow);
+        let bias_cp = t.add_bias(c, prow);
+        let bias_pc = t.add_bias(p, crow);
+        assert!(!needs_grad(&t, bias_cc));
+        assert!(needs_grad(&t, bias_cp) && needs_grad(&t, bias_pc));
+
+        let ln_ccc = t.layer_norm(c, crow, crow);
+        let ln_pcc = t.layer_norm(p, crow, crow);
+        let ln_cpc = t.layer_norm(c, prow, crow);
+        let ln_ccp = t.layer_norm(c, crow, prow);
+        assert!(!needs_grad(&t, ln_ccc));
+        assert!(needs_grad(&t, ln_pcc) && needs_grad(&t, ln_cpc) && needs_grad(&t, ln_ccp));
+    }
+
+    #[test]
+    fn constant_branch_is_bitwise_a_pre_evaluated_constant() {
+        // A feature pipeline made of constants only (the hop stack of a
+        // model, a baseline's feature matrix) feeds a parameter branch at
+        // every kind of join. Skipping the gradients of that pipeline must
+        // not move a bit of the parameter gradients: the same graph with
+        // the pipeline folded into one constant is the oracle.
+        let adj = Arc::new(CsrMatrix::from_coo(
+            6,
+            6,
+            &[(0, 1, 0.5), (1, 0, 0.5), (2, 5, 1.0), (3, 3, 0.25), (5, 2, -1.0)],
+        ));
+        let features = |tape: &mut Tape| {
+            let x = tape.constant(Init::SmallUniform.matrix(6, 4, 21).scale(3.0));
+            let mix = tape.constant(Init::SmallUniform.matrix(4, 4, 22).scale(3.0));
+            let ones = tape.constant(Matrix::full(1, 4, 1.0));
+            let zeros = tape.constant(Matrix::zeros(1, 4));
+            let ax = tape.spmm(&adj, &adj, x);
+            let picked = tape.select_rows(ax, vec![5, 0, 1, 1, 3, 2]);
+            let mixed = tape.matmul(picked, mix);
+            let normed = tape.layer_norm(mixed, ones, zeros);
+            tape.relu(normed)
+        };
+        let folded = {
+            let mut tape = Tape::new();
+            let f = features(&mut tape);
+            tape.value(f).clone()
+        };
+
+        let mut params = ParamSet::new();
+        let w = params.add("w", Init::SmallUniform.matrix(4, 4, 31).scale(3.0));
+        let gamma = params.add("gamma", Init::SmallUniform.matrix(1, 4, 32));
+        let beta = params.add("beta", Init::SmallUniform.matrix(1, 4, 33));
+        let head = params.add("head", Init::SmallUniform.matrix(8, 3, 34).scale(3.0));
+        let run = |fold: bool| {
+            let mut tape = Tape::new();
+            let f = if fold { tape.constant(folded.clone()) } else { features(&mut tape) };
+            let wv = tape.param(&params, w);
+            let gv = tape.param(&params, gamma);
+            let bv = tape.param(&params, beta);
+            let hv = tape.param(&params, head);
+            let h = tape.matmul(f, wv); // constant lhs
+            let gate = tape.sigmoid(h);
+            let gated = tape.hadamard(f, gate); // constant operand
+            let scores = tape.batched_matmul_nt(gated, f, 2); // constant rhs, (6, 3)
+            let scores = tape.softmax_rows(scores);
+            let attended = tape.batched_matmul(scores, f, 2); // constant rhs, (6, 4)
+            let own = tape.layer_norm(f, gv, bv); // constant x
+            let sum = tape.add(attended, own);
+            let cat = tape.concat_cols(f, sum); // constant half
+            let logits = tape.matmul(cat, hv);
+            let loss = tape.cross_entropy_mean(logits, &[0, 1, 2, 0, 1, 2]);
+            let loss_bits = tape.value(loss)[(0, 0)].to_bits();
+            let grads = tape.backward(loss);
+            let grad_bits: Vec<(usize, Vec<u32>)> = grads
+                .iter()
+                .map(|(id, g)| (id.index(), g.as_slice().iter().map(|v| v.to_bits()).collect()))
+                .collect();
+            (loss_bits, grad_bits)
+        };
+        let (inline, pre_evaluated) = (run(false), run(true));
+        assert_eq!(inline.1.len(), 4, "every parameter must receive a gradient");
+        assert_eq!(inline, pre_evaluated);
     }
 
     #[test]

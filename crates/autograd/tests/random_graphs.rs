@@ -5,7 +5,9 @@ use hoga_autograd::gradcheck::check_gradients;
 use hoga_autograd::{ParamSet, Tape, Var};
 use proptest::prelude::*;
 
-/// A random sequence of smooth ops applied to a parameter matrix.
+/// A random sequence of smooth ops applied to a parameter matrix; the
+/// `*Constant*` ops bring in a second kind of leaf, a `constant`, so the
+/// graphs mix branches that need a gradient with branches that do not.
 // LayerNorm is deliberately absent: on low-variance rows its Jacobian is
 // dominated by the epsilon regularizer and f32 central differences are
 // meaningless (its gradient is checked under controlled conditioning in
@@ -17,6 +19,14 @@ enum SmoothOp {
     AddSelf,
     MatmulSelfT,
     SoftmaxRows,
+    /// `h ⊙ σ(C)`: a constant-only branch (leaf and op) joins by product.
+    GateByConstant,
+    /// `h + C`.
+    AddConstant,
+    /// `h · C`: only the left gradient exists.
+    MatmulConstant,
+    /// `C · h`: only the right gradient exists.
+    ConstantMatmul,
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<SmoothOp>> {
@@ -27,6 +37,10 @@ fn arb_ops() -> impl Strategy<Value = Vec<SmoothOp>> {
             Just(SmoothOp::AddSelf),
             Just(SmoothOp::MatmulSelfT),
             Just(SmoothOp::SoftmaxRows),
+            Just(SmoothOp::GateByConstant),
+            Just(SmoothOp::AddConstant),
+            Just(SmoothOp::MatmulConstant),
+            Just(SmoothOp::ConstantMatmul),
         ],
         1..5,
     )
@@ -55,7 +69,11 @@ proptest! {
             // differences (its Jacobian scales with 1/std of the row).
             let raw: Var = tape.param(params, w);
             let mut h: Var = tape.sigmoid(raw);
-            for &op in &ops {
+            for (i, &op) in ops.iter().enumerate() {
+                let constant = |tape: &mut Tape, r: usize, c: usize| {
+                    let seed = seed * 31 + i as u64 + 1;
+                    tape.constant(hoga_tensor::Init::SmallUniform.matrix(r, c, seed).scale(5.0))
+                };
                 h = match op {
                     SmoothOp::Sigmoid => tape.sigmoid(h),
                     SmoothOp::ScaleHalf => tape.scale(h, 0.5),
@@ -66,6 +84,23 @@ proptest! {
                     }
                     SmoothOp::MatmulSelfT => h,
                     SmoothOp::SoftmaxRows => tape.softmax_rows(h),
+                    SmoothOp::GateByConstant => {
+                        let c = constant(tape, rows, cols);
+                        let gate = tape.sigmoid(c);
+                        tape.hadamard(h, gate)
+                    }
+                    SmoothOp::AddConstant => {
+                        let c = constant(tape, rows, cols);
+                        tape.add(h, c)
+                    }
+                    SmoothOp::MatmulConstant => {
+                        let c = constant(tape, cols, cols);
+                        tape.matmul(h, c)
+                    }
+                    SmoothOp::ConstantMatmul => {
+                        let c = constant(tape, rows, rows);
+                        tape.matmul(c, h)
+                    }
                 };
             }
             let s = tape.sigmoid(h);

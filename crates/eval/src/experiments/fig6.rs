@@ -6,7 +6,7 @@
 //! generalization test. Expected shape: HOGA ≥ SIGN on Booth; HOGA clearly
 //! ahead of everything on CSA; GraphSAINT worst.
 
-use crate::trainer::{eval_reasoning, train_reasoning, ReasonModelKind, TrainConfig};
+use crate::trainer::{eval_reasoning, train_reasoning, ReasonModelKind, TrainConfig, TrainStats};
 use hoga_core::model::Aggregator;
 use hoga_datasets::gamora::{build_reasoning_benchmark, MultiplierKind, ReasoningConfig};
 
@@ -61,6 +61,8 @@ pub struct AccuracySeries {
     pub model: String,
     /// `(bitwidth, accuracy)` points.
     pub points: Vec<(usize, f32)>,
+    /// Wall time of the training run behind the series.
+    pub train: TrainStats,
 }
 
 /// One panel (CSA or Booth) of the figure.
@@ -105,9 +107,9 @@ pub fn run_panel(kind: MultiplierKind, cfg: &Fig6Config) -> Fig6Panel {
         build_reasoning_benchmark(kind, cfg.train_width, &cfg.eval_widths, &cfg.graph);
     let mut series = Vec::new();
     for (label, mkind) in model_suite() {
-        let (model, _) = train_reasoning(&train_graph, mkind, &cfg.train);
+        let (model, train) = train_reasoning(&train_graph, mkind, &cfg.train);
         let points = eval_graphs.iter().map(|g| (g.width, eval_reasoning(&model, g))).collect();
-        series.push(AccuracySeries { model: label, points });
+        series.push(AccuracySeries { model: label, points, train });
     }
     Fig6Panel { kind, series }
 }
@@ -130,6 +132,9 @@ impl Fig6 {
                     out.push_str(&format!(" | {:>6.2}%", acc * 100.0));
                 }
                 out.push('\n');
+            }
+            for s in &panel.series {
+                out.push_str(&format!("{:<10} {}\n", s.model, s.train.phases_line()));
             }
             out.push('\n');
         }

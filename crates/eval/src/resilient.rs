@@ -31,7 +31,7 @@ use crate::fault::{
     FaultInjector, FaultPlan, RecoveryEvent, RecoveryPolicy, TrainError, TrainReport,
 };
 use crate::trainer::{
-    maybe_checkpoint, reasoning_class_weights, resume_state, TrainConfig, TrainStats,
+    maybe_checkpoint, reasoning_class_weights, resume_state, timed, TrainConfig, TrainStats,
 };
 
 /// The learning rate the run *wants* at `epoch`, before any divergence
@@ -84,9 +84,7 @@ pub fn train_reasoning_resilient(
     let mut snapshot = (start_epoch, model.params.clone(), opt.state_bytes());
     let mut retries = 0usize;
     let mut epoch = start_epoch;
-    let mut steps = 0usize;
-    let mut final_loss = 0.0f32;
-    let mut epochs_run = 0usize;
+    let mut stats = TrainStats::default();
     let start = Instant::now();
 
     'training: while epoch < cfg.epochs {
@@ -97,14 +95,16 @@ pub fn train_reasoning_resilient(
             let stack = hop_stack(&graph.hops, &batch);
             let batch_labels: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
             let mut tape = Tape::new();
-            let out = model.forward(&mut tape, &stack, batch.len());
-            let logits = cls.logits(&mut tape, &model.params, out.representations);
-            let loss = tape.cross_entropy_weighted(logits, &batch_labels, &weights);
+            let loss = timed(&mut stats.forward_time, || {
+                let out = model.forward(&mut tape, &stack, batch.len());
+                let logits = cls.logits(&mut tape, &model.params, out.representations);
+                tape.cross_entropy_weighted(logits, &batch_labels, &weights)
+            });
             let mut loss_val = tape.value(loss)[(0, 0)];
             if injector.nan_loss(epoch, step) {
                 loss_val = f32::NAN;
             }
-            let grads = tape.backward(loss);
+            let grads = timed(&mut stats.backward_time, || tape.backward(loss));
             let grad_norm = grads.global_norm();
             let diverged = !loss_val.is_finite()
                 || !grad_norm.is_finite()
@@ -140,9 +140,9 @@ pub fn train_reasoning_resilient(
                 report.events.push(RecoveryEvent::RolledBack { to_epoch: epoch, retry: retries });
                 continue 'training;
             }
-            opt.step(&mut model.params, &grads);
-            final_loss = loss_val;
-            steps += 1;
+            timed(&mut stats.optim_time, || opt.step(&mut model.params, &grads));
+            stats.final_loss = loss_val;
+            stats.steps += 1;
         }
         if maybe_checkpoint(cfg, epoch, &model.params, &opt, lr_scale)? {
             report.checkpoints_written += 1;
@@ -150,12 +150,12 @@ pub fn train_reasoning_resilient(
         snapshot = (epoch + 1, model.params.clone(), opt.state_bytes());
         epoch += 1;
         // Counts completed epoch passes, so rolled-back re-runs add passes.
-        epochs_run += 1;
+        stats.epochs_run += 1;
     }
 
     report.retries = retries;
     report.final_lr = opt.learning_rate();
-    let stats = TrainStats { train_time: start.elapsed(), final_loss, steps, epochs_run };
+    stats.train_time = start.elapsed();
     Ok((model, cls, stats, report))
 }
 

@@ -6,7 +6,7 @@
 //! their seed.
 
 use hoga_autograd::optim::{Adam, LrSchedule, Optimizer};
-use hoga_autograd::{Gradients, ParamSet, Tape};
+use hoga_autograd::{Gradients, ParamSet, Tape, Var};
 use hoga_baselines::gcn::Gcn;
 use hoga_baselines::sage::GraphSage;
 use hoga_baselines::saint::random_walk_sample;
@@ -191,11 +191,20 @@ pub(crate) fn maybe_checkpoint(
     Ok(true)
 }
 
-/// Wall-clock statistics of a training run.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Wall-clock statistics of a training run. The trainers fill it in as
+/// they go; nothing timed here reaches a checkpoint, manifest or job event.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TrainStats {
     /// Total optimization time (excludes dataset construction).
     pub train_time: Duration,
+    /// Time recording the forward pass and loss on the tape, summed over
+    /// steps. With the two phases below it accounts for `train_time` up to
+    /// batching, the hop-stack gather and checkpoint writes.
+    pub forward_time: Duration,
+    /// Time in [`Tape::backward`], summed over steps.
+    pub backward_time: Duration,
+    /// Time in the optimizer update, summed over steps.
+    pub optim_time: Duration,
     /// Final training loss.
     pub final_loss: f32,
     /// Number of optimizer steps taken.
@@ -204,6 +213,40 @@ pub struct TrainStats {
     /// epochs run in this process; divergence-recovery retries count each
     /// re-run pass).
     pub epochs_run: usize,
+}
+
+impl TrainStats {
+    /// Where the steps' time went, as the one line the CLI prints.
+    pub fn phases_line(&self) -> String {
+        format!(
+            "phases: forward {:.1?} backward {:.1?} optim {:.1?} (of {:.1?} training)",
+            self.forward_time, self.backward_time, self.optim_time, self.train_time
+        )
+    }
+}
+
+/// Runs `f` and adds its wall time to `phase`, one of [`TrainStats`]'s
+/// per-phase sums.
+pub(crate) fn timed<T>(phase: &mut Duration, f: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let out = f();
+    *phase += start.elapsed();
+    out
+}
+
+/// The tail every single-tape step shares: reads the loss off the tape,
+/// backpropagates and applies the update, timing the two phases.
+fn finish_step(
+    stats: &mut TrainStats,
+    mut tape: Tape,
+    loss: Var,
+    params: &mut ParamSet,
+    opt: &mut dyn Optimizer,
+) {
+    stats.final_loss = tape.value(loss)[(0, 0)];
+    let grads = timed(&mut stats.backward_time, || tape.backward(loss));
+    timed(&mut stats.optim_time, || opt.step(params, &grads));
+    stats.steps += 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -290,9 +333,7 @@ pub fn try_train_reasoning(
     let weights = class_weights(&labels, NodeClass::COUNT);
     let n = graph.aig.num_nodes();
     let start = Instant::now();
-    let mut steps = 0usize;
-    let mut final_loss = 0.0f32;
-    let mut epochs_run = 0usize;
+    let mut stats = TrainStats::default();
     let model = match kind {
         ReasonModelKind::Hoga(aggregator) => {
             let hcfg = HogaConfig::new(graph.features.cols(), cfg.hidden_dim, graph.hops.len() - 1)
@@ -312,15 +353,14 @@ pub fn try_train_reasoning(
                     let stack = hop_stack(&graph.hops, &batch);
                     let batch_labels: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
                     let mut tape = Tape::new();
-                    let out = model.forward(&mut tape, &stack, batch.len());
-                    let logits = cls.logits(&mut tape, &model.params, out.representations);
-                    let loss = tape.cross_entropy_weighted(logits, &batch_labels, &weights);
-                    final_loss = tape.value(loss)[(0, 0)];
-                    let grads = tape.backward(loss);
-                    opt.step(&mut model.params, &grads);
-                    steps += 1;
+                    let loss = timed(&mut stats.forward_time, || {
+                        let out = model.forward(&mut tape, &stack, batch.len());
+                        let logits = cls.logits(&mut tape, &model.params, out.representations);
+                        tape.cross_entropy_weighted(logits, &batch_labels, &weights)
+                    });
+                    finish_step(&mut stats, tape, loss, &mut model.params, &mut opt);
                 }
-                epochs_run += 1;
+                stats.epochs_run += 1;
                 maybe_checkpoint(cfg, epoch, &model.params, &opt, lr_scale)?;
             }
             ReasonModel::Hoga(Box::new(model), cls)
@@ -343,15 +383,14 @@ pub fn try_train_reasoning(
                     let stack = hop_stack(&graph.hops, &batch);
                     let batch_labels: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
                     let mut tape = Tape::new();
-                    let reps = model.forward(&mut tape, &stack, batch.len());
-                    let logits = cls.logits(&mut tape, &model.params, reps);
-                    let loss = tape.cross_entropy_weighted(logits, &batch_labels, &weights);
-                    final_loss = tape.value(loss)[(0, 0)];
-                    let grads = tape.backward(loss);
-                    opt.step(&mut model.params, &grads);
-                    steps += 1;
+                    let loss = timed(&mut stats.forward_time, || {
+                        let reps = model.forward(&mut tape, &stack, batch.len());
+                        let logits = cls.logits(&mut tape, &model.params, reps);
+                        tape.cross_entropy_weighted(logits, &batch_labels, &weights)
+                    });
+                    finish_step(&mut stats, tape, loss, &mut model.params, &mut opt);
                 }
-                epochs_run += 1;
+                stats.epochs_run += 1;
                 maybe_checkpoint(cfg, epoch, &model.params, &opt, lr_scale)?;
             }
             ReasonModel::Sign(Box::new(model), cls)
@@ -382,14 +421,17 @@ pub fn try_train_reasoning(
                     ReasonModelKind::Sage => {
                         for _ in 0..steps_per_epoch {
                             let mut tape = Tape::new();
-                            let reps =
-                                model.forward(&mut tape, &mean_adj, &mean_adj_t, &graph.features);
-                            let logits = cls.logits(&mut tape, &model.params, reps);
-                            let loss = tape.cross_entropy_weighted(logits, &labels, &weights);
-                            final_loss = tape.value(loss)[(0, 0)];
-                            let grads = tape.backward(loss);
-                            opt.step(&mut model.params, &grads);
-                            steps += 1;
+                            let loss = timed(&mut stats.forward_time, || {
+                                let reps = model.forward(
+                                    &mut tape,
+                                    &mean_adj,
+                                    &mean_adj_t,
+                                    &graph.features,
+                                );
+                                let logits = cls.logits(&mut tape, &model.params, reps);
+                                tape.cross_entropy_weighted(logits, &labels, &weights)
+                            });
+                            finish_step(&mut stats, tape, loss, &mut model.params, &mut opt);
                         }
                     }
                     ReasonModelKind::Saint => {
@@ -408,25 +450,24 @@ pub fn try_train_reasoning(
                             let sub_labels: Vec<usize> =
                                 sub.nodes.iter().map(|&i| labels[i]).collect();
                             let mut tape = Tape::new();
-                            let reps = model.forward(&mut tape, &sub_adj, &sub_adj_t, &feats);
-                            let logits = cls.logits(&mut tape, &model.params, reps);
-                            let loss = tape.cross_entropy_weighted(logits, &sub_labels, &weights);
-                            final_loss = tape.value(loss)[(0, 0)];
-                            let grads = tape.backward(loss);
-                            opt.step(&mut model.params, &grads);
-                            steps += 1;
+                            let loss = timed(&mut stats.forward_time, || {
+                                let reps = model.forward(&mut tape, &sub_adj, &sub_adj_t, &feats);
+                                let logits = cls.logits(&mut tape, &model.params, reps);
+                                tape.cross_entropy_weighted(logits, &sub_labels, &weights)
+                            });
+                            finish_step(&mut stats, tape, loss, &mut model.params, &mut opt);
                         }
                     }
                     // analyze: allow(panic-free-paths) — kind is matched exhaustively by the enclosing dispatch
                     _ => unreachable!(),
                 }
-                epochs_run += 1;
+                stats.epochs_run += 1;
                 maybe_checkpoint(cfg, epoch, &model.params, &opt, lr_scale)?;
             }
             ReasonModel::Sage(Box::new(model), cls)
         }
     };
-    let stats = TrainStats { train_time: start.elapsed(), final_loss, steps, epochs_run };
+    stats.train_time = start.elapsed();
     Ok((model, stats))
 }
 
@@ -579,9 +620,7 @@ pub fn try_train_qor_with_target(
 ) -> Result<(QorModel, TrainStats), TrainError> {
     let feat_dim = ds.designs[0].features.cols();
     let start = Instant::now();
-    let mut steps = 0usize;
-    let mut final_loss = 0.0f32;
-    let mut epochs_run = 0usize;
+    let mut stats = TrainStats::default();
     match kind {
         QorModelKind::Hoga { num_hops } => {
             if num_hops + 1 > ds.designs[0].hops.len() {
@@ -606,16 +645,15 @@ pub fn try_train_qor_with_target(
                 for batch in minibatches(ds.train.len(), cfg.batch_samples, cfg.seed, epoch as u64)
                 {
                     let samples: Vec<&QorSample> = batch.iter().map(|&i| &ds.train[i]).collect();
-                    let (loss_val, grads) =
-                        hoga_qor_step(ds, &model, &reg, num_hops, &samples, target);
-                    final_loss = loss_val;
-                    opt.step(&mut model.params, &grads);
-                    steps += 1;
+                    let grads =
+                        hoga_qor_step(ds, &model, &reg, num_hops, &samples, target, &mut stats);
+                    timed(&mut stats.optim_time, || opt.step(&mut model.params, &grads));
+                    stats.steps += 1;
                 }
-                epochs_run += 1;
+                stats.epochs_run += 1;
                 maybe_checkpoint(cfg, epoch, &model.params, &opt, lr_scale)?;
             }
-            let stats = TrainStats { train_time: start.elapsed(), final_loss, steps, epochs_run };
+            stats.train_time = start.elapsed();
             Ok((QorModel::Hoga(Box::new(model), reg), stats))
         }
         QorModelKind::Gcn { layers } => {
@@ -638,22 +676,22 @@ pub fn try_train_qor_with_target(
                 for batch in minibatches(ds.train.len(), cfg.batch_samples, cfg.seed, epoch as u64)
                 {
                     let samples: Vec<&QorSample> = batch.iter().map(|&i| &ds.train[i]).collect();
-                    let (loss_val, grads) = gcn_qor_step(ds, &model, &reg, &samples, target);
-                    final_loss = loss_val;
-                    opt.step(&mut model.params, &grads);
-                    steps += 1;
+                    let grads = gcn_qor_step(ds, &model, &reg, &samples, target, &mut stats);
+                    timed(&mut stats.optim_time, || opt.step(&mut model.params, &grads));
+                    stats.steps += 1;
                 }
-                epochs_run += 1;
+                stats.epochs_run += 1;
                 maybe_checkpoint(cfg, epoch, &model.params, &opt, lr_scale)?;
             }
-            let stats = TrainStats { train_time: start.elapsed(), final_loss, steps, epochs_run };
+            stats.train_time = start.elapsed();
             Ok((QorModel::Gcn(Box::new(model), reg), stats))
         }
     }
 }
 
 /// One HOGA QoR step over a sample minibatch: one tape per involved design,
-/// gradients summed (identical math to a single joint tape).
+/// gradients summed (identical math to a single joint tape). Leaves the
+/// step's loss and its forward/backward time in `stats`.
 fn hoga_qor_step(
     ds: &QorDataset,
     model: &HogaModel,
@@ -661,7 +699,8 @@ fn hoga_qor_step(
     num_hops: usize,
     samples: &[&QorSample],
     target: QorTarget,
-) -> (f32, Gradients) {
+    stats: &mut TrainStats,
+) -> Gradients {
     let mut by_design: BTreeMap<usize, Vec<&QorSample>> = BTreeMap::new();
     for s in samples {
         by_design.entry(s.design).or_default().push(s);
@@ -673,33 +712,37 @@ fn hoga_qor_step(
         let design = &ds.designs[design_idx];
         let stack = hop_stack(&design.hops[..=num_hops], &design.pooled_nodes);
         let mut tape = Tape::new();
-        let out = model.forward(&mut tape, &stack, design.pooled_nodes.len());
         let n = design.pooled_nodes.len();
         // All samples of the group share the node representations; each gets
         // its own recipe vector via identical pooling segments.
         let segments: Vec<(usize, usize)> = group.iter().map(|_| (0, n)).collect();
         let extra =
             Matrix::from_fn(group.len(), RECIPE_ENCODING_WIDTH, |r, c| group[r].recipe_encoding[c]);
-        let pred =
-            reg.predict_with_extra(&mut tape, &model.params, out.representations, segments, &extra);
         let target_m = Matrix::from_fn(group.len(), 1, |r, _| target.ratio(group[r]));
-        let loss = tape.mse_loss(pred, &target_m);
-        let scaled = tape.scale(loss, weight);
+        let scaled = timed(&mut stats.forward_time, || {
+            let reps = model.forward(&mut tape, &stack, n).representations;
+            let pred = reg.predict_with_extra(&mut tape, &model.params, reps, segments, &extra);
+            let loss = tape.mse_loss(pred, &target_m);
+            tape.scale(loss, weight)
+        });
         total_loss += tape.value(scaled)[(0, 0)];
-        let grads = tape.backward(scaled);
+        let grads = timed(&mut stats.backward_time, || tape.backward(scaled));
         total_grads.accumulate(&grads);
     }
-    (total_loss, total_grads)
+    stats.final_loss = total_loss;
+    total_grads
 }
 
-/// One GCN QoR step (full-graph message passing per involved design).
+/// One GCN QoR step (full-graph message passing per involved design);
+/// `stats` as in [`hoga_qor_step`].
 fn gcn_qor_step(
     ds: &QorDataset,
     model: &Gcn,
     reg: &GraphRegressor,
     samples: &[&QorSample],
     target: QorTarget,
-) -> (f32, Gradients) {
+    stats: &mut TrainStats,
+) -> Gradients {
     let mut by_design: BTreeMap<usize, Vec<&QorSample>> = BTreeMap::new();
     for s in samples {
         by_design.entry(s.design).or_default().push(s);
@@ -710,20 +753,23 @@ fn gcn_qor_step(
     for (design_idx, group) in by_design {
         let design = &ds.designs[design_idx];
         let mut tape = Tape::new();
-        let reps = model.forward(&mut tape, &design.adj, &design.features);
         let n = design.aig.num_nodes();
         let segments: Vec<(usize, usize)> = group.iter().map(|_| (0, n)).collect();
         let extra =
             Matrix::from_fn(group.len(), RECIPE_ENCODING_WIDTH, |r, c| group[r].recipe_encoding[c]);
-        let pred = reg.predict_with_extra(&mut tape, &model.params, reps, segments, &extra);
         let target_m = Matrix::from_fn(group.len(), 1, |r, _| target.ratio(group[r]));
-        let loss = tape.mse_loss(pred, &target_m);
-        let scaled = tape.scale(loss, weight);
+        let scaled = timed(&mut stats.forward_time, || {
+            let reps = model.forward(&mut tape, &design.adj, &design.features);
+            let pred = reg.predict_with_extra(&mut tape, &model.params, reps, segments, &extra);
+            let loss = tape.mse_loss(pred, &target_m);
+            tape.scale(loss, weight)
+        });
         total_loss += tape.value(scaled)[(0, 0)];
-        let grads = tape.backward(scaled);
+        let grads = timed(&mut stats.backward_time, || tape.backward(scaled));
         total_grads.accumulate(&grads);
     }
-    (total_loss, total_grads)
+    stats.final_loss = total_loss;
+    total_grads
 }
 
 /// Per-design evaluation record: `(design name, truths, predictions)` in

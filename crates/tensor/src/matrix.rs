@@ -455,7 +455,15 @@ impl Matrix {
         out
     }
 
-    /// Matrix product `self · otherᵀ` without materializing the transpose.
+    /// Matrix product `self · otherᵀ` — the `dX = dY·Wᵀ` kernel of every
+    /// linear layer's backward pass.
+    ///
+    /// `out[i][j] = Σ_k self[i][k]·other[j][k]` with `k` ascending is,
+    /// element for element, `self.matmul(&other.transpose())`, so the
+    /// transposed copy (`other.len()` floats, paid back over `self.rows()`
+    /// output rows) goes through the register-tiled panels of
+    /// [`Matrix::matmul`] and inherits its thread and backend invariance.
+    /// Bitwise equal to [`Matrix::matmul_nt_reference`] on finite inputs.
     ///
     /// # Panics
     ///
@@ -470,29 +478,7 @@ impl Matrix {
             "shape mismatch in matmul_nt: ({}, {}) x ({}, {})^T",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        let mut out = Self::zeros(m, n);
-        if out.data.is_empty() {
-            return out;
-        }
-        let a = &self.data;
-        let b = &other.data;
-        let work = |row_start: usize, chunk: &mut [f32]| {
-            let rows_here = chunk.len() / n;
-            for i in 0..rows_here {
-                let arow = &a[(row_start + i) * k..(row_start + i + 1) * k];
-                for j in 0..n {
-                    let brow = &b[j * k..(j + 1) * k];
-                    chunk[i * n + j] = B::dot(arow, brow);
-                }
-            }
-        };
-        if m * k * n > PARALLEL_MACS {
-            parallel_chunks(&mut out.data, n, |start_row, chunk| work(start_row, chunk));
-        } else {
-            work(0, &mut out.data);
-        }
-        out
+        self.matmul_impl::<B, false>(&other.transpose())
     }
 
     /// Matrix product `selfᵀ · other` without materializing the transpose.

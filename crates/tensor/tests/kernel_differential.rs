@@ -159,6 +159,10 @@ fn matmul_family_handles_zero_dims() {
     let znt = dense(3, 0, 4).matmul_nt(&Matrix::zeros(2, 0));
     assert_eq!(znt.shape(), (3, 2));
     assert_eq!(znt, Matrix::zeros(3, 2));
+    // `==` cannot see the sign of a zero: an empty sum must be `+0.0`, as
+    // it is for matmul, matmul_tn and the reference.
+    assert_eq!(bits(&znt), bits(&Matrix::zeros(3, 2)), "empty matmul_nt sum is not +0.0");
+    assert_eq!(bits(&znt), bits(&dense(3, 0, 4).matmul_nt_reference(&Matrix::zeros(2, 0))));
 
     // matmul_tn: (5, 0)ᵀ · (5, 4) → (0, 4); (5, 3)ᵀ · (5, 0) → (3, 0);
     // (0, 3)ᵀ · (0, 4) → all-zero (3, 4).
@@ -329,6 +333,33 @@ fn training_matmul_family_is_backend_invariant_bitwise() {
     let q = dense_rough(batch * 5, 27, 7);
     assert_backend_invariant("batched_matmul_nt", || q.batched_matmul_nt(&v, batch));
     assert_backend_invariant("batched_matmul_tn", || s.batched_matmul_tn(&v, batch));
+}
+
+#[test]
+fn matmul_nt_is_bitwise_the_reference_and_matmul_of_the_transpose() {
+    // `matmul_nt` is `matmul` over a transposed copy, and `matmul` adds one
+    // product per k, ascending, to a +0.0 accumulator, skipping only
+    // bitwise-zero multipliers — on finite inputs that is the naive oracle
+    // bit for bit, at every thread count and on both backends. Shapes are
+    // m × k × n for (m × k)·(n × k)ᵀ; the last is the trainer's dX = dY·Wᵀ.
+    let shapes = [(1, 1, 1), (7, 13, 5), (33, 1, 128), (5, 64, 3), (130, 70, 90), (4608, 64, 64)];
+    for (m, k, n) in shapes {
+        for (name, make) in [("dense", dense as fn(_, _, _) -> _), ("dense_rough", dense_rough)] {
+            let a = make(m, k, m + n);
+            let b = make(n, k, k + n + 1);
+            let label = format!("matmul_nt {m}x{k}x{n} on {name} operands");
+            let want = bits(&a.matmul_nt_reference(&b));
+            let threaded = assert_thread_invariant(&label, || a.matmul_nt(&b));
+            assert_eq!(bits(&threaded), want, "{label}: differs bitwise from the reference");
+            let scalar = assert_backend_invariant(&label, || a.matmul_nt(&b));
+            assert_eq!(bits(&scalar), want, "{label}: scalar differs bitwise from the reference");
+            assert_eq!(
+                bits(&a.matmul(&b.transpose())),
+                want,
+                "{label}: matmul of the transpose differs bitwise"
+            );
+        }
+    }
 }
 
 #[test]

@@ -343,6 +343,7 @@ fn cmd_table2(flags: &HashMap<String, String>, with_fig4: bool) -> Result<(), Cl
             println!("  {:<14} MAPE {:>6.2}%", e.name, e.mape());
         }
         println!("  average: {:.2}% ({:.1?})", average_mape(&evals), stats.train_time);
+        println!("  {}", stats.phases_line());
         return Ok(());
     }
     let result = table2::run(&cfg);
@@ -559,6 +560,7 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
         "train: final loss {:.6} after {} epoch(s); checkpoint at {ckpt}",
         stats.final_loss, stats.epochs_run
     );
+    println!("train: {}", stats.phases_line());
     Ok(())
 }
 
