@@ -879,8 +879,7 @@ impl CallGraph {
     }
 
     /// Propagates may-panic/may-block over the SCC condensation in
-    /// reverse topological order. Returns the number of edge visits (the
-    /// unit the bench harness reports as propagation throughput).
+    /// reverse topological order. Returns the number of edge visits.
     pub fn propagate(&mut self) -> u64 {
         let n = self.names.len();
         self.may_panic = vec![false; n];
@@ -1358,11 +1357,11 @@ fn cycle_through(succs: &[Vec<usize>], scc_of: &[usize], rep: usize) -> Vec<usiz
 }
 
 // ---------------------------------------------------------------------------
-// Single-file helpers (analyze_source, bench)
+// Single-file helpers (analyze_source, tests)
 // ---------------------------------------------------------------------------
 
 /// Non-test `fn` definitions of a source file, as call-graph defs.
-pub fn file_defs(src: &str) -> Vec<CgDef> {
+pub(crate) fn file_defs(src: &str) -> Vec<CgDef> {
     let tokens = lex(src);
     let test_spans = cfg_test_spans(&tokens, src);
     let mut out = Vec::new();
@@ -1381,8 +1380,8 @@ pub fn file_defs(src: &str) -> Vec<CgDef> {
     out
 }
 
-/// Builds a full per-file call-graph input from source (used by the bench
-/// harness; the analyzer proper assembles inputs from cached artifacts).
+/// Builds a full per-file call-graph input from source (used by the golden
+/// tests; the analyzer proper assembles inputs from cached artifacts).
 pub fn file_input(rel: &str, src: &str, profile: FileProfile) -> CgFileInput {
     let tokens = lex(src);
     let test_spans: Vec<Range<usize>> = if profile.all_test {

@@ -69,7 +69,7 @@ pub struct Cfg {
 
 impl Cfg {
     /// Total number of edges.
-    pub fn edge_count(&self) -> usize {
+    pub(crate) fn edge_count(&self) -> usize {
         self.blocks.iter().map(|b| b.succs.len()).sum()
     }
 

@@ -9,7 +9,7 @@
 //!
 //! Determinism: blocks are seeded in index order, the worklist is a FIFO
 //! dequeued front-first, and successors are enqueued in edge order — the
-//! fixpoint (and the iteration count reported to the bench harness) is a
+//! fixpoint (and the iteration count `--stats` reports) is a
 //! pure function of the CFG and the analysis.
 
 use std::collections::VecDeque;
@@ -39,8 +39,8 @@ pub trait Analysis {
 pub struct Fixpoint<F> {
     /// Fact at each block's entry, indexed by [`BlockId`].
     pub entry_facts: Vec<F>,
-    /// Number of block transfers executed before stabilizing (the unit the
-    /// bench harness reports as fixpoint iterations).
+    /// Number of block transfers executed before stabilizing (the unit
+    /// `--stats` reports as fixpoint iterations).
     pub iterations: u64,
 }
 

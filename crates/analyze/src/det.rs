@@ -108,7 +108,7 @@ pub(crate) struct CondFinding {
     pub(crate) kind: CondKind,
 }
 
-/// Aggregate dataflow statistics for the bench harness and `--stats`.
+/// Aggregate dataflow statistics for `--stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DetStats {
     /// Function CFGs built.

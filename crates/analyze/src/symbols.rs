@@ -58,8 +58,6 @@ pub struct SymbolGraph {
     live: Vec<bool>,
     /// name → unit → identifier occurrences.
     refs: BTreeMap<String, BTreeMap<String, usize>>,
-    /// Type/owner edges actually traversed, as (from def, to def) indices.
-    edge_count: usize,
 }
 
 /// The source unit a workspace-relative path belongs to.
@@ -159,7 +157,7 @@ impl SymbolGraph {
     ) -> SymbolGraph {
         let names: BTreeSet<&str> = defs.iter().map(|d| d.name.as_str()).collect();
         refs.retain(|name, _| names.contains(name.as_str()));
-        let mut graph = SymbolGraph { live: vec![false; defs.len()], defs, refs, edge_count: 0 };
+        let mut graph = SymbolGraph { live: vec![false; defs.len()], defs, refs };
         graph.propagate();
         graph
     }
@@ -176,7 +174,6 @@ impl SymbolGraph {
         for &i in &work {
             self.live[i] = true;
         }
-        let mut edges = 0usize;
         while let Some(i) = work.pop() {
             let mut reached: Vec<usize> = Vec::new();
             for dep in &self.defs[i].dep_names {
@@ -190,14 +187,12 @@ impl SymbolGraph {
                 }
             }
             for j in reached {
-                edges += 1;
                 if !self.live[j] {
                     self.live[j] = true;
                     work.push(j);
                 }
             }
         }
-        self.edge_count = edges;
     }
 
     /// Identifier occurrences of `def.name` outside `def.unit`.
@@ -211,21 +206,6 @@ impl SymbolGraph {
     /// All definitions.
     pub fn defs(&self) -> &[SymbolDef] {
         &self.defs
-    }
-
-    /// Did the fixpoint reach this definition?
-    pub fn is_live(&self, idx: usize) -> bool {
-        self.live[idx]
-    }
-
-    /// Liveness edges traversed (for the bench report).
-    pub fn edge_count(&self) -> usize {
-        self.edge_count
-    }
-
-    /// Total (name, unit) reference entries (for the bench report).
-    pub fn ref_entries(&self) -> usize {
-        self.refs.values().map(|m| m.len()).sum()
     }
 
     /// Dead public API: `pub` definitions in library source units that the

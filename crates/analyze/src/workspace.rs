@@ -97,7 +97,7 @@ impl std::error::Error for WalkError {}
 
 /// Every workspace `.rs` file as `(workspace-relative path, absolute
 /// path)`, sorted by relative path. Exposed so the lexer differential test
-/// and the analyzer bench iterate exactly the files the linter sees.
+/// iterates exactly the files the linter sees.
 pub fn workspace_rs_files(root: &Path) -> Result<Vec<(String, PathBuf)>, WalkError> {
     let mut rs_files = Vec::new();
     collect_rs_files(root, &mut rs_files)?;
@@ -127,7 +127,7 @@ pub struct AnalyzeOptions {
     pub cache_dir: Option<PathBuf>,
 }
 
-/// What a workspace run did, for `--stats` and the bench harness.
+/// What a workspace run did, for `--stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AnalysisStats {
     /// Files analyzed (hit + miss).

@@ -7,9 +7,10 @@
 //! shape: time decreases near-linearly with worker count.
 
 use crate::parallel_train::train_reasoning_parallel;
-use crate::trainer::TrainConfig;
+use crate::trainer::{TrainConfig, TrainStats};
+use hoga_core::hopfeat::hop_features;
 use hoga_datasets::gamora::{build_reasoning_graph, MultiplierKind, ReasoningConfig};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Configuration for the scaling experiment.
 #[derive(Debug, Clone)]
@@ -60,8 +61,9 @@ impl Fig5Config {
 pub struct ScalingPoint {
     /// Worker (thread) count.
     pub workers: usize,
-    /// Wall-clock training time.
-    pub train_time: Duration,
+    /// The run's statistics: `train_time` is wall time, the forward and
+    /// backward phases are worker time summed over shards.
+    pub train: TrainStats,
     /// Speedup relative to 1 worker.
     pub speedup: f64,
 }
@@ -78,18 +80,21 @@ pub struct Fig5 {
 /// Runs the sweep.
 pub fn run(cfg: &Fig5Config) -> Fig5 {
     let graph = build_reasoning_graph(MultiplierKind::Booth, cfg.width, &cfg.graph);
+    // The Phase-1 cost on this graph, for the ratio the paper quotes.
+    let hop_start = Instant::now();
+    let _ = hop_features(&graph.adj, &graph.features, graph.hops.len() - 1);
+    let hop_feature_time = hop_start.elapsed();
     let mut points = Vec::new();
     let mut base = None;
-    let mut hop_feature_time = Duration::ZERO;
     for &w in &cfg.worker_counts {
         let (_, _, stats) =
             train_reasoning_parallel(&graph, &cfg.train, w).expect("worker count is positive");
-        hop_feature_time = stats.hop_feature_time;
-        let base_time = *base.get_or_insert(stats.train_time);
+        let train_time = stats.train.train_time;
+        let base_time = *base.get_or_insert(train_time);
         points.push(ScalingPoint {
             workers: w,
-            train_time: stats.train_time,
-            speedup: base_time.as_secs_f64() / stats.train_time.as_secs_f64().max(1e-9),
+            train: stats.train,
+            speedup: base_time.as_secs_f64() / train_time.as_secs_f64().max(1e-9),
         });
     }
     Fig5 { points, hop_feature_time }
@@ -102,8 +107,13 @@ impl Fig5 {
         for p in &self.points {
             out.push_str(&format!(
                 "{:>7} | {:>10.2?} | {:>5.2}x\n",
-                p.workers, p.train_time, p.speedup
+                p.workers, p.train.train_time, p.speedup
             ));
+        }
+        // Forward and backward are worker time summed over shards, so they
+        // stay level across worker counts while the wall time falls.
+        for p in &self.points {
+            out.push_str(&format!("{:>7} | {}\n", p.workers, p.train.phases_line()));
         }
         out.push_str(&format!("hop-feature generation (one-off): {:.2?}\n", self.hop_feature_time));
         out
@@ -121,8 +131,12 @@ mod tests {
         assert_eq!(f.points[0].workers, 1);
         assert!((f.points[0].speedup - 1.0).abs() < 1e-9);
         for p in &f.points {
-            assert!(p.train_time > Duration::ZERO);
+            assert!(p.train.train_time > Duration::ZERO);
+            assert!(p.train.forward_time > Duration::ZERO, "shard phases reach the stats");
         }
-        assert!(f.render().contains("workers"));
+        assert!(f.hop_feature_time > Duration::ZERO);
+        let rendered = f.render();
+        assert!(rendered.contains("workers"));
+        assert_eq!(rendered.matches("phases:").count(), 3, "one phases line per worker count");
     }
 }

@@ -100,8 +100,8 @@ pub fn run(cfg: &Fig6Config) -> Fig6 {
     Fig6 { panels }
 }
 
-/// Runs a single panel (exposed for the Criterion harness, which benches
-/// the panels separately).
+/// Runs a single panel (the `functional_reasoning` example prints the two
+/// panels separately).
 pub fn run_panel(kind: MultiplierKind, cfg: &Fig6Config) -> Fig6Panel {
     let (train_graph, eval_graphs) =
         build_reasoning_benchmark(kind, cfg.train_width, &cfg.eval_widths, &cfg.graph);

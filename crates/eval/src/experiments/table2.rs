@@ -7,10 +7,9 @@
 //! faster to train than HOGA-5/GCN.
 
 use crate::trainer::{
-    average_mape, eval_qor, train_qor, QorEval, QorModel, QorModelKind, TrainConfig,
+    average_mape, eval_qor, train_qor, QorEval, QorModel, QorModelKind, TrainConfig, TrainStats,
 };
 use hoga_datasets::openabcd::{build_qor_dataset, QorDataset, QorDatasetConfig};
-use std::time::Duration;
 
 /// Configuration for the Table-2 experiment.
 #[derive(Debug, Clone)]
@@ -66,8 +65,8 @@ pub struct Table2Row {
     pub evals: Vec<QorEval>,
     /// Average MAPE over test designs (the paper's `Average` column).
     pub average_mape: f32,
-    /// Wall-clock training time.
-    pub train_time: Duration,
+    /// Statistics of the training run behind the row.
+    pub train: TrainStats,
 }
 
 /// The full experiment result, including the trained models so that the
@@ -95,14 +94,9 @@ pub fn run(cfg: &Table2Config) -> Table2 {
     let mut rows = Vec::new();
     let mut models = Vec::new();
     for (label, kind) in kinds {
-        let (model, stats) = train_qor(&dataset, kind, &cfg.train);
+        let (model, train) = train_qor(&dataset, kind, &cfg.train);
         let evals = eval_qor(&dataset, &model, false);
-        rows.push(Table2Row {
-            model: label,
-            average_mape: average_mape(&evals),
-            evals,
-            train_time: stats.train_time,
-        });
+        rows.push(Table2Row { model: label, average_mape: average_mape(&evals), evals, train });
         models.push(model);
     }
     Table2 { rows, dataset, models }
@@ -123,7 +117,13 @@ impl Table2 {
             for e in &row.evals {
                 out.push_str(&format!(" | {:>6.2}%", e.mape()));
             }
-            out.push_str(&format!(" | {:>6.2}% | {:.1?}\n", row.average_mape, row.train_time));
+            out.push_str(&format!(
+                " | {:>6.2}% | {:.1?}\n",
+                row.average_mape, row.train.train_time
+            ));
+        }
+        for row in &self.rows {
+            out.push_str(&format!("{:<8} {}\n", row.model, row.train.phases_line()));
         }
         out
     }

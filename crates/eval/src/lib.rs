@@ -2,25 +2,26 @@
 //!
 //! * [`metrics`] — MAPE (Table 2), accuracy and confusion matrices
 //!   (Figure 6).
-//! * [`trainer`] — task training loops for HOGA and every baseline, with
-//!   identical task pipelines (Figure 3's controlled swap).
-//! * [`parallel_train`] — thread-based data-parallel HOGA training
-//!   reproducing the DDP scaling experiment (Figure 5), supervised so
+//! * [`trainer`] — the one training loop (resume, schedule, divergence
+//!   rollback, Adam step, checkpoint) and the task entry points that feed
+//!   it a gradient provider, for HOGA and every baseline with identical
+//!   task pipelines (Figure 3's controlled swap).
+//! * [`parallel_train`] — thread-based data-parallel gradients for that
+//!   loop, reproducing the DDP scaling experiment (Figure 5), supervised so
 //!   worker faults are recovered instead of fatal.
 //! * [`fault`] — the fault-tolerance vocabulary: [`fault::TrainError`],
 //!   deterministic [`fault::FaultPlan`] injection, and the
 //!   [`fault::TrainReport`] recovery log.
-//! * [`resilient`] — divergence-recovering training loop: rolls back to
-//!   the last good checkpoint and backs the learning rate off instead of
-//!   aborting on a non-finite loss.
+//! * [`resilient`] — the same loop under a caller-chosen recovery policy
+//!   and fault plan, returning the log of every rollback.
 //! * [`sched`] — loom-style deterministic schedule explorer: enumerates
 //!   every bounded interleaving of the shard-reduce/step/checkpoint
 //!   critical section and asserts bitwise-identical gradients and
 //!   checkpoint CRCs across all of them (see `docs/SCHEDULE_TESTING.md`).
 //! * [`experiments`] — one driver per paper artifact (Table 1, Table 2,
 //!   Figures 4–7 and the §III-B ablation); each returns typed results and
-//!   renders the same rows/series the paper reports. The Criterion harness
-//!   in `hoga-bench` wraps these drivers.
+//!   renders the same rows/series the paper reports; the `hoga-repro` CLI
+//!   and `examples/` call these drivers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -35,14 +35,14 @@ use std::sync::{Mutex, PoisonError};
 use hoga_autograd::optim::{Adam, Optimizer};
 use hoga_autograd::{Gradients, ParamSet, Tape};
 use hoga_core::heads::NodeClassifier;
-use hoga_core::model::{HogaConfig, HogaModel};
+use hoga_core::model::{Aggregator, HogaModel};
 use hoga_datasets::gamora::ReasoningGraph;
 use hoga_datasets::io::{crc32, encode_checkpoint, Checkpoint};
 use hoga_datasets::splits::{minibatches, shard_ranges};
-use hoga_gen::reason::NodeClass;
 use hoga_tensor::Matrix;
 
-use crate::trainer::TrainConfig;
+use crate::parallel_train::ShardTask;
+use crate::trainer::{reasoning_class_weights, reasoning_hoga, TrainConfig, TrainStats};
 
 /// How the supervisor folds published shard gradients into the total.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -519,7 +519,7 @@ impl ShardSource for SyntheticShardSource {
 
 /// The real thing: one minibatch of HOGA reasoning training, sharded
 /// exactly like [`crate::parallel_train::train_reasoning_parallel`] shards
-/// it, with gradients from the production `shard_grad`.
+/// it, with gradients from the production `ShardTask::grad`.
 pub struct HogaShardSource {
     graph: ReasoningGraph,
     model: HogaModel,
@@ -528,7 +528,6 @@ pub struct HogaShardSource {
     weights: Vec<f32>,
     batch: Vec<usize>,
     shards: Vec<(usize, usize)>,
-    batch_weight: f32,
 }
 
 impl HogaShardSource {
@@ -538,21 +537,14 @@ impl HogaShardSource {
     /// replay identically.
     pub fn new(graph: ReasoningGraph, cfg: &TrainConfig, workers: usize) -> Self {
         let labels = graph.label_indices();
-        let weights = crate::trainer::reasoning_class_weights(&labels);
-        let n = graph.aig.num_nodes();
-        let hcfg = HogaConfig::new(graph.features.cols(), cfg.hidden_dim, graph.hops.len() - 1);
-        let mut model = HogaModel::new(&hcfg, cfg.seed);
-        let cls = NodeClassifier::new(
-            &mut model.params,
-            cfg.hidden_dim,
-            NodeClass::COUNT,
-            cfg.seed ^ 0xC,
-        );
-        let batch =
-            minibatches(n, cfg.batch_nodes, cfg.seed, 0).into_iter().next().unwrap_or_default();
+        let weights = reasoning_class_weights(&labels);
+        let (model, cls) = reasoning_hoga(&graph, cfg, Aggregator::GatedSelfAttention);
+        let batch = minibatches(labels.len(), cfg.batch_nodes, cfg.seed, 0)
+            .into_iter()
+            .next()
+            .unwrap_or_default();
         let shards = shard_ranges(batch.len(), workers);
-        let batch_weight: f32 = batch.iter().map(|&i| weights[labels[i]]).sum();
-        Self { graph, model, cls, labels, weights, batch, shards, batch_weight }
+        Self { graph, model, cls, labels, weights, batch, shards }
     }
 }
 
@@ -566,18 +558,15 @@ impl ShardSource for HogaShardSource {
         if lo == hi {
             return (0.0, Gradients::new());
         }
+        let task = ShardTask {
+            graph: &self.graph,
+            model: &self.model,
+            cls: &self.cls,
+            labels: &self.labels,
+            weights: &self.weights,
+        };
         let nodes = &self.batch[lo..hi];
-        let shard_weight: f32 = nodes.iter().map(|&i| self.weights[self.labels[i]]).sum();
-        let weight = shard_weight / self.batch_weight.max(1e-12);
-        crate::parallel_train::shard_grad(
-            &self.graph,
-            &self.model,
-            &self.cls,
-            &self.labels,
-            &self.weights,
-            nodes,
-            weight,
-        )
+        task.grad(nodes, task.share(nodes, &self.batch), &mut TrainStats::default())
     }
 
     fn params(&self) -> &ParamSet {

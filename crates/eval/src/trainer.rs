@@ -1,9 +1,14 @@
-//! Training loops for both EDA tasks.
+//! The training loop for both EDA tasks, and the entry points around it.
 //!
 //! Mirrors the paper's controlled setup (Figure 3): the task pipeline is
 //! fixed and only the representation model varies — HOGA vs the baselines
-//! of `hoga-baselines`. All loops use Adam (§IV-A) and are deterministic in
-//! their seed.
+//! of `hoga-baselines`. Hop-wise learning has no inter-node dependencies
+//! (§III), so a training step is a pure function of (parameters, batch)
+//! whatever the model, the sharding or the supervisor around it: [`fit`] is
+//! the one epoch loop — resume, schedule, divergence guard, Adam step,
+//! checkpoint — and each entry point hands it the one thing that differs,
+//! how a batch becomes a loss and its gradients. Every run is deterministic
+//! in its seed.
 
 use hoga_autograd::optim::{Adam, LrSchedule, Optimizer};
 use hoga_autograd::{Gradients, ParamSet, Tape, Var};
@@ -16,7 +21,7 @@ use hoga_core::hopfeat::hop_stack;
 use hoga_core::model::{Aggregator, HogaConfig, HogaModel};
 use hoga_datasets::gamora::ReasoningGraph;
 use hoga_datasets::io::{load_checkpoint, save_checkpoint, Checkpoint, CheckpointError};
-use hoga_datasets::openabcd::{QorDataset, QorSample, RECIPE_ENCODING_WIDTH};
+use hoga_datasets::openabcd::{QorDataset, QorDesign, QorSample, RECIPE_ENCODING_WIDTH};
 use hoga_datasets::splits::minibatches;
 use hoga_gen::reason::NodeClass;
 use hoga_tensor::Matrix;
@@ -25,7 +30,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::fault::TrainError;
+use crate::fault::{
+    FaultInjector, FaultPlan, RecoveryEvent, RecoveryPolicy, TrainError, TrainReport,
+};
 use crate::metrics::{accuracy, argmax_rows, mape};
 
 /// Common hyperparameters.
@@ -82,17 +89,19 @@ impl Default for TrainConfig {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint/resume plumbing shared by all training loops
+// Checkpoint/resume plumbing
 // ---------------------------------------------------------------------------
 
-/// Installs a loaded checkpoint into freshly built training state and
-/// returns `(start_epoch, lr_scale)`.
-pub(crate) fn restore_from_checkpoint(
-    ck: &Checkpoint,
+/// Loads `cfg.resume_from` (when set) into `params`/`opt` after checking it
+/// belongs to this run; returns `(start_epoch, lr_scale)` — `(0, 1.0)` for a
+/// fresh run.
+fn resume_state(
     cfg: &TrainConfig,
     params: &mut ParamSet,
     opt: &mut dyn Optimizer,
 ) -> Result<(usize, f32), TrainError> {
+    let Some(path) = &cfg.resume_from else { return Ok((0, 1.0)) };
+    let ck = load_checkpoint(path)?;
     if ck.seed != cfg.seed {
         return Err(TrainError::CheckpointMismatch(format!(
             "checkpoint seed {} != config seed {}",
@@ -136,39 +145,19 @@ pub(crate) fn restore_from_checkpoint(
     Ok((ck.epoch as usize, ck.lr_scale))
 }
 
-/// Loads `cfg.resume_from` (when set) into `params`/`opt`; returns
-/// `(start_epoch, lr_scale)` — `(0, 1.0)` for a fresh run.
-pub(crate) fn resume_state(
-    cfg: &TrainConfig,
-    params: &mut ParamSet,
-    opt: &mut dyn Optimizer,
-) -> Result<(usize, f32), TrainError> {
-    match &cfg.resume_from {
-        None => Ok((0, 1.0)),
-        Some(path) => {
-            let ck = load_checkpoint(path)?;
-            restore_from_checkpoint(&ck, cfg, params, opt)
-        }
-    }
-}
-
-/// Applies the scheduled learning rate (scaled by any divergence backoff)
-/// at the start of `epoch`. Without a schedule the optimizer keeps its
-/// current rate — which after a resume is the restored one.
-pub(crate) fn apply_epoch_lr(
-    cfg: &TrainConfig,
-    opt: &mut dyn Optimizer,
-    epoch: usize,
-    lr_scale: f32,
-) {
-    if let Some(s) = &cfg.schedule {
-        opt.set_learning_rate(s.lr_at(epoch) * lr_scale);
+/// The learning rate the run *wants* at `epoch`, before any divergence
+/// backoff: the schedule's rate when one is configured, the base rate
+/// otherwise.
+fn base_lr_at(cfg: &TrainConfig, epoch: usize) -> f32 {
+    match &cfg.schedule {
+        Some(s) => s.lr_at(epoch),
+        None => cfg.lr,
     }
 }
 
 /// Persists an end-of-epoch checkpoint when the config asks for one.
 /// Returns whether a checkpoint was written.
-pub(crate) fn maybe_checkpoint(
+fn maybe_checkpoint(
     cfg: &TrainConfig,
     epoch: usize,
     params: &ParamSet,
@@ -191,15 +180,17 @@ pub(crate) fn maybe_checkpoint(
     Ok(true)
 }
 
-/// Wall-clock statistics of a training run. The trainers fill it in as
-/// they go; nothing timed here reaches a checkpoint, manifest or job event.
+/// Wall-clock statistics of a training run. [`fit`] and the gradient
+/// providers fill it in as they go; nothing timed here reaches a
+/// checkpoint, manifest or job event.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TrainStats {
     /// Total optimization time (excludes dataset construction).
     pub train_time: Duration,
     /// Time recording the forward pass and loss on the tape, summed over
     /// steps. With the two phases below it accounts for `train_time` up to
-    /// batching, the hop-stack gather and checkpoint writes.
+    /// batching, the node minibatch's hop-stack gather, the epoch snapshot
+    /// and checkpoint writes.
     pub forward_time: Duration,
     /// Time in [`Tape::backward`], summed over steps.
     pub backward_time: Duration,
@@ -207,46 +198,209 @@ pub struct TrainStats {
     pub optim_time: Duration,
     /// Final training loss.
     pub final_loss: f32,
-    /// Number of optimizer steps taken.
+    /// Number of optimizer steps taken (steps of a rolled-back epoch pass
+    /// included).
     pub steps: usize,
-    /// Number of epoch passes actually executed (resumed runs count only the
-    /// epochs run in this process; divergence-recovery retries count each
-    /// re-run pass).
+    /// Number of epoch passes completed in this process: a resumed run
+    /// counts only the epochs it ran itself, a rolled-back pass counts once
+    /// it has been re-run to its end.
     pub epochs_run: usize,
+    /// Divergence rollbacks the run needed (0 for a run that never saw a
+    /// non-finite loss or an exploding gradient).
+    pub retries: usize,
 }
 
 impl TrainStats {
-    /// Where the steps' time went, as the one line the CLI prints.
+    /// Where the steps' time went, as the one line the CLI prints; names the
+    /// divergence rollbacks when there were any.
     pub fn phases_line(&self) -> String {
-        format!(
+        let mut line = format!(
             "phases: forward {:.1?} backward {:.1?} optim {:.1?} (of {:.1?} training)",
             self.forward_time, self.backward_time, self.optim_time, self.train_time
-        )
+        );
+        if self.retries > 0 {
+            line.push_str(&format!(", {} divergence rollback(s)", self.retries));
+        }
+        line
+    }
+
+    /// Folds in the stats of the run that continued this one from its
+    /// checkpoint: counts and times add up, the final loss is `next`'s.
+    pub fn absorb(&mut self, next: &TrainStats) {
+        self.train_time += next.train_time;
+        self.forward_time += next.forward_time;
+        self.backward_time += next.backward_time;
+        self.optim_time += next.optim_time;
+        self.final_loss = next.final_loss;
+        self.steps += next.steps;
+        self.epochs_run += next.epochs_run;
+        self.retries += next.retries;
     }
 }
 
 /// Runs `f` and adds its wall time to `phase`, one of [`TrainStats`]'s
 /// per-phase sums.
-pub(crate) fn timed<T>(phase: &mut Duration, f: impl FnOnce() -> T) -> T {
+fn timed<T>(phase: &mut Duration, f: impl FnOnce() -> T) -> T {
     let start = Instant::now();
     let out = f();
     *phase += start.elapsed();
     out
 }
 
-/// The tail every single-tape step shares: reads the loss off the tape,
-/// backpropagates and applies the update, timing the two phases.
-fn finish_step(
+// ---------------------------------------------------------------------------
+// The one training loop
+// ---------------------------------------------------------------------------
+
+/// What [`fit`] needs of a model: where its parameters live.
+pub(crate) trait Trainable {
+    /// The model's parameters (any head registered in the same set).
+    fn params(&self) -> &ParamSet;
+    /// The parameters, for the optimizer step, resume and rollback.
+    fn params_mut(&mut self) -> &mut ParamSet;
+}
+
+macro_rules! trainable {
+    ($($model:ty),*) => {$(
+        impl Trainable for $model {
+            fn params(&self) -> &ParamSet {
+                &self.params
+            }
+            fn params_mut(&mut self) -> &mut ParamSet {
+                &mut self.params
+            }
+        }
+    )*};
+}
+trainable!(HogaModel, Sign, GraphSage, Gcn);
+
+/// One optimizer step as a gradient provider sees it.
+pub(crate) struct Step<'a> {
+    /// Epoch of the step.
+    pub epoch: usize,
+    /// Index of the step within its epoch.
+    pub step: usize,
+    /// The step's minibatch: indices into whatever [`fit`] was told to split.
+    pub batch: &'a [usize],
+    /// The run's statistics; providers add their forward and backward time.
+    pub stats: &'a mut TrainStats,
+    /// The run's recovery log, for providers that recover on their own.
+    pub events: &'a mut Vec<RecoveryEvent>,
+    /// The run's armed fault plan.
+    pub faults: &'a FaultInjector,
+}
+
+/// Records `forward` on a fresh tape, reads the loss it returns and
+/// backpropagates from it, timing the two phases into `stats`.
+pub(crate) fn tape_step(
     stats: &mut TrainStats,
-    mut tape: Tape,
-    loss: Var,
-    params: &mut ParamSet,
-    opt: &mut dyn Optimizer,
-) {
-    stats.final_loss = tape.value(loss)[(0, 0)];
-    let grads = timed(&mut stats.backward_time, || tape.backward(loss));
-    timed(&mut stats.optim_time, || opt.step(params, &grads));
-    stats.steps += 1;
+    forward: impl FnOnce(&mut Tape) -> Var,
+) -> (f32, Gradients) {
+    let mut tape = Tape::new();
+    let loss = timed(&mut stats.forward_time, || forward(&mut tape));
+    let value = tape.value(loss)[(0, 0)];
+    (value, timed(&mut stats.backward_time, || tape.backward(loss)))
+}
+
+/// Trains `model` with Adam for `cfg.epochs` epochs of minibatches over
+/// `items` indices; `grad` turns a step's batch into its loss and gradients.
+///
+/// The loop owns everything the trainers share. It resumes from
+/// `cfg.resume_from`, sets each epoch's rate to the scheduled (or base)
+/// rate times the backoff scale, and checkpoints at epoch boundaries. Every
+/// step is guarded: on a non-finite loss, a non-finite gradient norm or a
+/// norm above `policy.grad_norm_limit` it restores the in-memory snapshot
+/// taken when the epoch began, scales the rate by `policy.lr_backoff` and
+/// runs the epoch again — the same batches, since their order is a pure
+/// function of `(seed, epoch)`. `plan` can inject NaN losses (each fires
+/// once) to exercise that path.
+///
+/// # Errors
+///
+/// [`TrainError::Diverged`] once `policy.max_retries` rollbacks are spent;
+/// [`TrainError::Checkpoint`] when `cfg.resume_from` cannot be read or
+/// `cfg.checkpoint_to` cannot be written; [`TrainError::CheckpointMismatch`]
+/// when a loaded checkpoint belongs to a different run (seed, parameter
+/// names/shapes, or optimizer type differ).
+pub(crate) fn fit<M: Trainable>(
+    model: &mut M,
+    cfg: &TrainConfig,
+    items: usize,
+    batch_size: usize,
+    policy: &RecoveryPolicy,
+    plan: &FaultPlan,
+    mut grad: impl FnMut(&M, &mut Step<'_>) -> (f32, Gradients),
+) -> Result<(TrainStats, TrainReport), TrainError> {
+    let mut opt = Adam::new(cfg.lr);
+    let (start_epoch, mut lr_scale) = resume_state(cfg, model.params_mut(), &mut opt)?;
+    let faults = FaultInjector::new(plan);
+    let mut report = TrainReport {
+        resumed_from_epoch: (start_epoch > 0).then_some(start_epoch),
+        ..TrainReport::default()
+    };
+    let mut stats = TrainStats::default();
+    let start = Instant::now();
+    let mut epoch = start_epoch;
+    'training: while epoch < cfg.epochs {
+        // The state a divergence inside this epoch rolls back to.
+        let snapshot = (model.params().clone(), opt.state_bytes());
+        opt.set_learning_rate(base_lr_at(cfg, epoch) * lr_scale);
+        for (step, batch) in
+            minibatches(items, batch_size, cfg.seed, epoch as u64).iter().enumerate()
+        {
+            let (mut loss, grads) = grad(
+                model,
+                &mut Step {
+                    epoch,
+                    step,
+                    batch,
+                    stats: &mut stats,
+                    events: &mut report.events,
+                    faults: &faults,
+                },
+            );
+            if faults.nan_loss(epoch, step) {
+                loss = f32::NAN;
+            }
+            let norm = grads.global_norm();
+            if !loss.is_finite() || !norm.is_finite() || norm > policy.grad_norm_limit {
+                if report.retries >= policy.max_retries {
+                    return Err(TrainError::Diverged {
+                        epoch,
+                        retries: report.retries,
+                        last_loss: loss,
+                    });
+                }
+                report.retries += 1;
+                let lr_before = opt.learning_rate();
+                let lr_after = lr_before * policy.lr_backoff;
+                lr_scale *= policy.lr_backoff;
+                report.events.push(if loss.is_finite() {
+                    RecoveryEvent::GradientExplosion { epoch, step, norm, lr_before, lr_after }
+                } else {
+                    RecoveryEvent::NonFiniteLoss { epoch, step, lr_before, lr_after }
+                });
+                *model.params_mut() = snapshot.0;
+                opt.restore_state(&snapshot.1)
+                    .map_err(|e| TrainError::CheckpointMismatch(e.to_string()))?;
+                report
+                    .events
+                    .push(RecoveryEvent::RolledBack { to_epoch: epoch, retry: report.retries });
+                continue 'training;
+            }
+            timed(&mut stats.optim_time, || opt.step(model.params_mut(), &grads));
+            stats.final_loss = loss;
+            stats.steps += 1;
+        }
+        if maybe_checkpoint(cfg, epoch, model.params(), &opt, lr_scale)? {
+            report.checkpoints_written += 1;
+        }
+        epoch += 1;
+        stats.epochs_run += 1;
+    }
+    report.final_lr = opt.learning_rate();
+    stats.retries = report.retries;
+    stats.train_time = start.elapsed();
+    Ok((stats, report))
 }
 
 // ---------------------------------------------------------------------------
@@ -284,19 +438,44 @@ pub enum ReasonModel {
 /// frequency over-corrects and collapses the majority instead. The square
 /// root is the standard middle ground.
 pub(crate) fn reasoning_class_weights(labels: &[usize]) -> Vec<f32> {
-    class_weights(labels, NodeClass::COUNT)
-}
-
-fn class_weights(labels: &[usize], num_classes: usize) -> Vec<f32> {
-    let mut counts = vec![0usize; num_classes];
+    let mut counts = [0usize; NodeClass::COUNT];
     for &l in labels {
         counts[l] += 1;
     }
     let n = labels.len() as f32;
+    let classes = NodeClass::COUNT as f32;
     counts
         .iter()
-        .map(|&c| if c == 0 { 1.0 } else { (n / (num_classes as f32 * c as f32)).sqrt().min(4.0) })
+        .map(|&c| if c == 0 { 1.0 } else { (n / (classes * c as f32)).sqrt().min(4.0) })
         .collect()
+}
+
+/// Registers the node classifier every reasoning trainer puts on top of its
+/// model, in the model's own parameter set.
+pub(crate) fn with_classifier<M: Trainable>(
+    mut model: M,
+    cfg: &TrainConfig,
+) -> (M, NodeClassifier) {
+    let cls =
+        NodeClassifier::new(model.params_mut(), cfg.hidden_dim, NodeClass::COUNT, cfg.seed ^ 0xC);
+    (model, cls)
+}
+
+/// HOGA sized for `graph`, with its node classifier, as every HOGA
+/// reasoning trainer builds the pair.
+pub(crate) fn reasoning_hoga(
+    graph: &ReasoningGraph,
+    cfg: &TrainConfig,
+    aggregator: Aggregator,
+) -> (HogaModel, NodeClassifier) {
+    let hcfg = HogaConfig::new(graph.features.cols(), cfg.hidden_dim, graph.hops.len() - 1)
+        .with_aggregator(aggregator);
+    with_classifier(HogaModel::new(&hcfg, cfg.seed), cfg)
+}
+
+/// HOGA's node representations of a hop stack.
+pub(crate) fn hoga_reps(model: &HogaModel, tape: &mut Tape, stack: &Matrix, batch: usize) -> Var {
+    model.forward(tape, stack, batch).representations
 }
 
 /// Trains a reasoning model on one labeled graph (the paper trains on the
@@ -305,7 +484,8 @@ fn class_weights(labels: &[usize], num_classes: usize) -> Vec<f32> {
 /// # Panics
 ///
 /// Panics on any [`TrainError`] (bad `resume_from` checkpoint, unwritable
-/// `checkpoint_to` path). Use [`try_train_reasoning`] for typed errors.
+/// `checkpoint_to` path, unrecoverable divergence). Use
+/// [`try_train_reasoning`] for typed errors.
 pub fn train_reasoning(
     graph: &ReasoningGraph,
     kind: ReasonModelKind,
@@ -315,160 +495,110 @@ pub fn train_reasoning(
     try_train_reasoning(graph, kind, cfg).expect("training failed")
 }
 
-/// Fallible [`train_reasoning`]: checkpoint and resume problems surface as
-/// [`TrainError`] instead of panicking.
+/// Fallible [`train_reasoning`]: checkpoint, resume and divergence problems
+/// surface as [`TrainError`] instead of panicking.
 ///
 /// # Errors
 ///
-/// [`TrainError::Checkpoint`] when `cfg.resume_from` cannot be read or
-/// `cfg.checkpoint_to` cannot be written; [`TrainError::CheckpointMismatch`]
-/// when a loaded checkpoint belongs to a different run (seed, parameter
-/// names/shapes, or optimizer type differ).
+/// As [`fit`], under the default [`RecoveryPolicy`].
 pub fn try_train_reasoning(
     graph: &ReasoningGraph,
     kind: ReasonModelKind,
     cfg: &TrainConfig,
 ) -> Result<(ReasonModel, TrainStats), TrainError> {
-    let labels = graph.label_indices();
-    let weights = class_weights(&labels, NodeClass::COUNT);
-    let n = graph.aig.num_nodes();
-    let start = Instant::now();
-    let mut stats = TrainStats::default();
-    let model = match kind {
+    let (policy, plan) = (RecoveryPolicy::default(), FaultPlan::default());
+    match kind {
         ReasonModelKind::Hoga(aggregator) => {
-            let hcfg = HogaConfig::new(graph.features.cols(), cfg.hidden_dim, graph.hops.len() - 1)
-                .with_aggregator(aggregator);
-            let mut model = HogaModel::new(&hcfg, cfg.seed);
-            let cls = NodeClassifier::new(
-                &mut model.params,
-                cfg.hidden_dim,
-                NodeClass::COUNT,
-                cfg.seed ^ 0xC,
-            );
-            let mut opt = Adam::new(cfg.lr);
-            let (start_epoch, lr_scale) = resume_state(cfg, &mut model.params, &mut opt)?;
-            for epoch in start_epoch..cfg.epochs {
-                apply_epoch_lr(cfg, &mut opt, epoch, lr_scale);
-                for batch in minibatches(n, cfg.batch_nodes, cfg.seed, epoch as u64) {
-                    let stack = hop_stack(&graph.hops, &batch);
-                    let batch_labels: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
-                    let mut tape = Tape::new();
-                    let loss = timed(&mut stats.forward_time, || {
-                        let out = model.forward(&mut tape, &stack, batch.len());
-                        let logits = cls.logits(&mut tape, &model.params, out.representations);
-                        tape.cross_entropy_weighted(logits, &batch_labels, &weights)
-                    });
-                    finish_step(&mut stats, tape, loss, &mut model.params, &mut opt);
-                }
-                stats.epochs_run += 1;
-                maybe_checkpoint(cfg, epoch, &model.params, &opt, lr_scale)?;
-            }
-            ReasonModel::Hoga(Box::new(model), cls)
+            let (mut model, cls) = reasoning_hoga(graph, cfg, aggregator);
+            let (stats, _) = fit_hopwise(graph, &mut model, &cls, hoga_reps, cfg, &policy, &plan)?;
+            Ok((ReasonModel::Hoga(Box::new(model), cls), stats))
         }
         ReasonModelKind::Sign => {
-            let mut model =
-                Sign::new(graph.features.cols(), cfg.hidden_dim, graph.hops.len() - 1, cfg.seed);
-            let cls = {
-                let mut p = std::mem::take(&mut model.params);
-                let cls =
-                    NodeClassifier::new(&mut p, cfg.hidden_dim, NodeClass::COUNT, cfg.seed ^ 0xC);
-                model.params = p;
-                cls
-            };
-            let mut opt = Adam::new(cfg.lr);
-            let (start_epoch, lr_scale) = resume_state(cfg, &mut model.params, &mut opt)?;
-            for epoch in start_epoch..cfg.epochs {
-                apply_epoch_lr(cfg, &mut opt, epoch, lr_scale);
-                for batch in minibatches(n, cfg.batch_nodes, cfg.seed, epoch as u64) {
-                    let stack = hop_stack(&graph.hops, &batch);
-                    let batch_labels: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
-                    let mut tape = Tape::new();
-                    let loss = timed(&mut stats.forward_time, || {
-                        let reps = model.forward(&mut tape, &stack, batch.len());
-                        let logits = cls.logits(&mut tape, &model.params, reps);
-                        tape.cross_entropy_weighted(logits, &batch_labels, &weights)
-                    });
-                    finish_step(&mut stats, tape, loss, &mut model.params, &mut opt);
-                }
-                stats.epochs_run += 1;
-                maybe_checkpoint(cfg, epoch, &model.params, &opt, lr_scale)?;
-            }
-            ReasonModel::Sign(Box::new(model), cls)
+            let (feat_dim, num_hops) = (graph.features.cols(), graph.hops.len() - 1);
+            let (mut model, cls) =
+                with_classifier(Sign::new(feat_dim, cfg.hidden_dim, num_hops, cfg.seed), cfg);
+            let (stats, _) =
+                fit_hopwise(graph, &mut model, &cls, Sign::forward, cfg, &policy, &plan)?;
+            Ok((ReasonModel::Sign(Box::new(model), cls), stats))
         }
         ReasonModelKind::Sage | ReasonModelKind::Saint => {
-            let mean_adj = Arc::new(hoga_circuit::adjacency::normalized_mean(&graph.aig));
-            let mean_adj_t = Arc::new(mean_adj.transpose());
-            let undirected = hoga_circuit::adjacency::undirected(&graph.aig);
-            let layers = graph.hops.len() - 1; // match receptive field K
-            let mut model = GraphSage::new(graph.features.cols(), cfg.hidden_dim, layers, cfg.seed);
-            let cls = {
-                let mut p = std::mem::take(&mut model.params);
-                let cls =
-                    NodeClassifier::new(&mut p, cfg.hidden_dim, NodeClass::COUNT, cfg.seed ^ 0xC);
-                model.params = p;
-                cls
-            };
-            let mut opt = Adam::new(cfg.lr);
-            // Match the hop-based models' optimizer-step budget: they take
-            // ceil(n / batch_nodes) steps per epoch, full-graph SAGE takes
-            // the same number of (full-batch) steps.
-            let steps_per_epoch =
-                if cfg.batch_nodes == 0 { 1 } else { n.div_ceil(cfg.batch_nodes) };
-            let (start_epoch, lr_scale) = resume_state(cfg, &mut model.params, &mut opt)?;
-            for epoch in start_epoch..cfg.epochs {
-                apply_epoch_lr(cfg, &mut opt, epoch, lr_scale);
-                match kind {
-                    ReasonModelKind::Sage => {
-                        for _ in 0..steps_per_epoch {
-                            let mut tape = Tape::new();
-                            let loss = timed(&mut stats.forward_time, || {
-                                let reps = model.forward(
-                                    &mut tape,
-                                    &mean_adj,
-                                    &mean_adj_t,
-                                    &graph.features,
-                                );
-                                let logits = cls.logits(&mut tape, &model.params, reps);
-                                tape.cross_entropy_weighted(logits, &labels, &weights)
-                            });
-                            finish_step(&mut stats, tape, loss, &mut model.params, &mut opt);
-                        }
-                    }
-                    ReasonModelKind::Saint => {
-                        // One sampled subgraph per step; functionality-severing
-                        // by construction (§II-A).
-                        for step in 0..steps_per_epoch {
-                            let sub = random_walk_sample(
-                                &undirected,
-                                (cfg.batch_nodes / 8).max(8),
-                                4,
-                                cfg.seed ^ ((epoch * steps_per_epoch + step) as u64) << 16,
-                            );
-                            let sub_adj = Arc::new(sub.mean_adj.clone());
-                            let sub_adj_t = Arc::new(sub.mean_adj_t.clone());
-                            let feats = graph.features.select_rows(&sub.nodes);
-                            let sub_labels: Vec<usize> =
-                                sub.nodes.iter().map(|&i| labels[i]).collect();
-                            let mut tape = Tape::new();
-                            let loss = timed(&mut stats.forward_time, || {
-                                let reps = model.forward(&mut tape, &sub_adj, &sub_adj_t, &feats);
-                                let logits = cls.logits(&mut tape, &model.params, reps);
-                                tape.cross_entropy_weighted(logits, &sub_labels, &weights)
-                            });
-                            finish_step(&mut stats, tape, loss, &mut model.params, &mut opt);
-                        }
-                    }
-                    // analyze: allow(panic-free-paths) — kind is matched exhaustively by the enclosing dispatch
-                    _ => unreachable!(),
-                }
-                stats.epochs_run += 1;
-                maybe_checkpoint(cfg, epoch, &model.params, &opt, lr_scale)?;
-            }
-            ReasonModel::Sage(Box::new(model), cls)
+            // As many layers as the graph has hops: the same receptive field K.
+            let (feat_dim, layers) = (graph.features.cols(), graph.hops.len() - 1);
+            let (mut model, cls) =
+                with_classifier(GraphSage::new(feat_dim, cfg.hidden_dim, layers, cfg.seed), cfg);
+            let sampled = kind == ReasonModelKind::Saint;
+            let (stats, _) = fit_sage(graph, &mut model, &cls, sampled, cfg, &policy, &plan)?;
+            Ok((ReasonModel::Sage(Box::new(model), cls), stats))
         }
-    };
-    stats.train_time = start.elapsed();
-    Ok((model, stats))
+    }
+}
+
+/// [`fit`] for a model over hop features (HOGA, SIGN): one tape per step
+/// over the node minibatch's hop stack.
+pub(crate) fn fit_hopwise<M: Trainable>(
+    graph: &ReasoningGraph,
+    model: &mut M,
+    cls: &NodeClassifier,
+    forward: impl Fn(&M, &mut Tape, &Matrix, usize) -> Var,
+    cfg: &TrainConfig,
+    policy: &RecoveryPolicy,
+    plan: &FaultPlan,
+) -> Result<(TrainStats, TrainReport), TrainError> {
+    let labels = graph.label_indices();
+    let weights = reasoning_class_weights(&labels);
+    fit(model, cfg, graph.aig.num_nodes(), cfg.batch_nodes, policy, plan, |model, step| {
+        let stack = hop_stack(&graph.hops, step.batch);
+        let batch_labels: Vec<usize> = step.batch.iter().map(|&i| labels[i]).collect();
+        tape_step(step.stats, |tape| {
+            let reps = forward(model, tape, &stack, step.batch.len());
+            let logits = cls.logits(tape, model.params(), reps);
+            tape.cross_entropy_weighted(logits, &batch_labels, &weights)
+        })
+    })
+}
+
+/// [`fit`] for GraphSAGE: a full-graph step, or with `sampled` a GraphSAINT
+/// random-walk subgraph per step (functionality-severing by construction,
+/// §II-A). Either way an epoch takes as many optimizer steps as the
+/// hop-based models' `ceil(n / batch_nodes)`, whose node batches it ignores.
+fn fit_sage(
+    graph: &ReasoningGraph,
+    model: &mut GraphSage,
+    cls: &NodeClassifier,
+    sampled: bool,
+    cfg: &TrainConfig,
+    policy: &RecoveryPolicy,
+    plan: &FaultPlan,
+) -> Result<(TrainStats, TrainReport), TrainError> {
+    let labels = graph.label_indices();
+    let weights = reasoning_class_weights(&labels);
+    let n = graph.aig.num_nodes();
+    let mean_adj = Arc::new(hoga_circuit::adjacency::normalized_mean(&graph.aig));
+    let mean_adj_t = Arc::new(mean_adj.transpose());
+    let undirected = sampled.then(|| hoga_circuit::adjacency::undirected(&graph.aig));
+    let steps_per_epoch = if cfg.batch_nodes == 0 { 1 } else { n.div_ceil(cfg.batch_nodes) };
+    fit(model, cfg, n, cfg.batch_nodes, policy, plan, |model, step| {
+        let sub = undirected.as_ref().map(|undirected| {
+            let sub = random_walk_sample(
+                undirected,
+                (cfg.batch_nodes / 8).max(8),
+                4,
+                cfg.seed ^ ((step.epoch * steps_per_epoch + step.step) as u64) << 16,
+            );
+            let sub_labels: Vec<usize> = sub.nodes.iter().map(|&i| labels[i]).collect();
+            let feats = graph.features.select_rows(&sub.nodes);
+            (Arc::new(sub.mean_adj.clone()), Arc::new(sub.mean_adj_t.clone()), feats, sub_labels)
+        });
+        let (adj, adj_t, feats, step_labels) = match &sub {
+            Some((adj, adj_t, feats, sub_labels)) => (adj, adj_t, feats, &sub_labels[..]),
+            None => (&mean_adj, &mean_adj_t, &graph.features, &labels[..]),
+        };
+        tape_step(step.stats, |tape| {
+            let reps = model.forward(tape, adj, adj_t, feats);
+            let logits = cls.logits(tape, &model.params, reps);
+            tape.cross_entropy_weighted(logits, step_labels, &weights)
+        })
+    })
 }
 
 /// Evaluates node-classification accuracy on a graph (full-graph inference,
@@ -481,30 +611,9 @@ pub fn eval_reasoning(model: &ReasonModel, graph: &ReasoningGraph) -> f32 {
 
 /// Predicted class index per node.
 pub fn predict_reasoning(model: &ReasonModel, graph: &ReasoningGraph) -> Vec<usize> {
-    let n = graph.aig.num_nodes();
     match model {
-        ReasonModel::Hoga(m, cls) => {
-            let mut pred = Vec::with_capacity(n);
-            for chunk in (0..n).collect::<Vec<_>>().chunks(4096) {
-                let stack = hop_stack(&graph.hops, chunk);
-                let mut tape = Tape::new();
-                let out = m.forward(&mut tape, &stack, chunk.len());
-                let logits = cls.logits(&mut tape, &m.params, out.representations);
-                pred.extend(argmax_rows(tape.value(logits)));
-            }
-            pred
-        }
-        ReasonModel::Sign(m, cls) => {
-            let mut pred = Vec::with_capacity(n);
-            for chunk in (0..n).collect::<Vec<_>>().chunks(4096) {
-                let stack = hop_stack(&graph.hops, chunk);
-                let mut tape = Tape::new();
-                let reps = m.forward(&mut tape, &stack, chunk.len());
-                let logits = cls.logits(&mut tape, &m.params, reps);
-                pred.extend(argmax_rows(tape.value(logits)));
-            }
-            pred
-        }
+        ReasonModel::Hoga(m, cls) => predict_hopwise(graph, &**m, cls, hoga_reps),
+        ReasonModel::Sign(m, cls) => predict_hopwise(graph, &**m, cls, Sign::forward),
         ReasonModel::Sage(m, cls) => {
             let mean_adj = Arc::new(hoga_circuit::adjacency::normalized_mean(&graph.aig));
             let mean_adj_t = Arc::new(mean_adj.transpose());
@@ -514,6 +623,24 @@ pub fn predict_reasoning(model: &ReasonModel, graph: &ReasoningGraph) -> Vec<usi
             argmax_rows(tape.value(logits))
         }
     }
+}
+
+fn predict_hopwise<M: Trainable>(
+    graph: &ReasoningGraph,
+    model: &M,
+    cls: &NodeClassifier,
+    forward: impl Fn(&M, &mut Tape, &Matrix, usize) -> Var,
+) -> Vec<usize> {
+    let nodes: Vec<usize> = (0..graph.aig.num_nodes()).collect();
+    let mut pred = Vec::with_capacity(nodes.len());
+    for chunk in nodes.chunks(4096) {
+        let stack = hop_stack(&graph.hops, chunk);
+        let mut tape = Tape::new();
+        let reps = forward(model, &mut tape, &stack, chunk.len());
+        let logits = cls.logits(&mut tape, model.params(), reps);
+        pred.extend(argmax_rows(tape.value(logits)));
+    }
+    pred
 }
 
 // ---------------------------------------------------------------------------
@@ -592,8 +719,8 @@ pub fn train_qor(ds: &QorDataset, kind: QorModelKind, cfg: &TrainConfig) -> (Qor
 /// # Panics
 ///
 /// Panics on any [`TrainError`] — a HOGA hop count exceeding the dataset's
-/// precomputed hops, or a checkpoint problem. Use
-/// [`try_train_qor_with_target`] for typed errors.
+/// precomputed hops, an empty dataset, a checkpoint problem, unrecoverable
+/// divergence. Use [`try_train_qor_with_target`] for typed errors.
 pub fn train_qor_with_target(
     ds: &QorDataset,
     kind: QorModelKind,
@@ -608,168 +735,129 @@ pub fn train_qor_with_target(
 ///
 /// # Errors
 ///
-/// [`TrainError::InvalidConfig`] when the requested hop count exceeds what
-/// the dataset precomputed; [`TrainError::Checkpoint`] /
-/// [`TrainError::CheckpointMismatch`] for resume/checkpoint problems as in
-/// [`try_train_reasoning`].
+/// [`TrainError::InvalidConfig`] when the dataset has no designs or no
+/// training samples, or the requested hop count exceeds what the dataset
+/// precomputed; otherwise as [`fit`], under the default [`RecoveryPolicy`].
 pub fn try_train_qor_with_target(
     ds: &QorDataset,
     kind: QorModelKind,
     cfg: &TrainConfig,
     target: QorTarget,
 ) -> Result<(QorModel, TrainStats), TrainError> {
-    let feat_dim = ds.designs[0].features.cols();
-    let start = Instant::now();
-    let mut stats = TrainStats::default();
+    let Some(first) = ds.designs.first() else {
+        return Err(TrainError::InvalidConfig("the dataset has no designs".into()));
+    };
+    let feat_dim = first.features.cols();
+    let (policy, plan) = (RecoveryPolicy::default(), FaultPlan::default());
     match kind {
         QorModelKind::Hoga { num_hops } => {
-            if num_hops + 1 > ds.designs[0].hops.len() {
+            if num_hops + 1 > first.hops.len() {
                 return Err(TrainError::InvalidConfig(format!(
                     "requested {} hops but the dataset precomputed only {}",
                     num_hops,
-                    ds.designs[0].hops.len() - 1
+                    first.hops.len().saturating_sub(1)
                 )));
             }
             let hcfg = HogaConfig::new(feat_dim, cfg.hidden_dim, num_hops);
             let mut model = HogaModel::new(&hcfg, cfg.seed);
-            let reg = GraphRegressor::new(
-                &mut model.params,
-                cfg.hidden_dim + RECIPE_ENCODING_WIDTH,
-                cfg.hidden_dim,
-                cfg.seed ^ 0xD,
-            );
-            let mut opt = Adam::new(cfg.lr);
-            let (start_epoch, lr_scale) = resume_state(cfg, &mut model.params, &mut opt)?;
-            for epoch in start_epoch..cfg.epochs {
-                apply_epoch_lr(cfg, &mut opt, epoch, lr_scale);
-                for batch in minibatches(ds.train.len(), cfg.batch_samples, cfg.seed, epoch as u64)
-                {
-                    let samples: Vec<&QorSample> = batch.iter().map(|&i| &ds.train[i]).collect();
-                    let grads =
-                        hoga_qor_step(ds, &model, &reg, num_hops, &samples, target, &mut stats);
-                    timed(&mut stats.optim_time, || opt.step(&mut model.params, &grads));
-                    stats.steps += 1;
-                }
-                stats.epochs_run += 1;
-                maybe_checkpoint(cfg, epoch, &model.params, &opt, lr_scale)?;
-            }
-            stats.train_time = start.elapsed();
+            let (reg, stats, _) =
+                fit_qor(ds, &mut model, hoga_design_reps, cfg, target, &policy, &plan)?;
             Ok((QorModel::Hoga(Box::new(model), reg), stats))
         }
         QorModelKind::Gcn { layers } => {
             let mut model = Gcn::new(feat_dim, cfg.hidden_dim, layers, cfg.seed);
-            let reg = {
-                let mut p = std::mem::take(&mut model.params);
-                let reg = GraphRegressor::new(
-                    &mut p,
-                    cfg.hidden_dim + RECIPE_ENCODING_WIDTH,
-                    cfg.hidden_dim,
-                    cfg.seed ^ 0xD,
-                );
-                model.params = p;
-                reg
-            };
-            let mut opt = Adam::new(cfg.lr);
-            let (start_epoch, lr_scale) = resume_state(cfg, &mut model.params, &mut opt)?;
-            for epoch in start_epoch..cfg.epochs {
-                apply_epoch_lr(cfg, &mut opt, epoch, lr_scale);
-                for batch in minibatches(ds.train.len(), cfg.batch_samples, cfg.seed, epoch as u64)
-                {
-                    let samples: Vec<&QorSample> = batch.iter().map(|&i| &ds.train[i]).collect();
-                    let grads = gcn_qor_step(ds, &model, &reg, &samples, target, &mut stats);
-                    timed(&mut stats.optim_time, || opt.step(&mut model.params, &grads));
-                    stats.steps += 1;
-                }
-                stats.epochs_run += 1;
-                maybe_checkpoint(cfg, epoch, &model.params, &opt, lr_scale)?;
-            }
-            stats.train_time = start.elapsed();
+            let (reg, stats, _) =
+                fit_qor(ds, &mut model, gcn_design_reps, cfg, target, &policy, &plan)?;
             Ok((QorModel::Gcn(Box::new(model), reg), stats))
         }
     }
 }
 
-/// One HOGA QoR step over a sample minibatch: one tape per involved design,
-/// gradients summed (identical math to a single joint tape). Leaves the
-/// step's loss and its forward/backward time in `stats`.
-fn hoga_qor_step(
-    ds: &QorDataset,
-    model: &HogaModel,
-    reg: &GraphRegressor,
-    num_hops: usize,
-    samples: &[&QorSample],
-    target: QorTarget,
-    stats: &mut TrainStats,
-) -> Gradients {
-    let mut by_design: BTreeMap<usize, Vec<&QorSample>> = BTreeMap::new();
-    for s in samples {
-        by_design.entry(s.design).or_default().push(s);
-    }
-    let mut total_grads = Gradients::new();
-    let mut total_loss = 0.0f32;
-    let weight = 1.0 / by_design.len() as f32;
-    for (design_idx, group) in by_design {
-        let design = &ds.designs[design_idx];
-        let stack = hop_stack(&design.hops[..=num_hops], &design.pooled_nodes);
-        let mut tape = Tape::new();
-        let n = design.pooled_nodes.len();
-        // All samples of the group share the node representations; each gets
-        // its own recipe vector via identical pooling segments.
-        let segments: Vec<(usize, usize)> = group.iter().map(|_| (0, n)).collect();
-        let extra =
-            Matrix::from_fn(group.len(), RECIPE_ENCODING_WIDTH, |r, c| group[r].recipe_encoding[c]);
-        let target_m = Matrix::from_fn(group.len(), 1, |r, _| target.ratio(group[r]));
-        let scaled = timed(&mut stats.forward_time, || {
-            let reps = model.forward(&mut tape, &stack, n).representations;
-            let pred = reg.predict_with_extra(&mut tape, &model.params, reps, segments, &extra);
-            let loss = tape.mse_loss(pred, &target_m);
-            tape.scale(loss, weight)
-        });
-        total_loss += tape.value(scaled)[(0, 0)];
-        let grads = timed(&mut stats.backward_time, || tape.backward(scaled));
-        total_grads.accumulate(&grads);
-    }
-    stats.final_loss = total_loss;
-    total_grads
+/// HOGA's representations of a design's pooled nodes, and how many there
+/// are.
+fn hoga_design_reps(model: &HogaModel, tape: &mut Tape, design: &QorDesign) -> (Var, usize) {
+    let n = design.pooled_nodes.len();
+    let stack = hop_stack(&design.hops[..=model.config().num_hops], &design.pooled_nodes);
+    (hoga_reps(model, tape, &stack, n), n)
 }
 
-/// One GCN QoR step (full-graph message passing per involved design);
-/// `stats` as in [`hoga_qor_step`].
-fn gcn_qor_step(
-    ds: &QorDataset,
-    model: &Gcn,
-    reg: &GraphRegressor,
-    samples: &[&QorSample],
-    target: QorTarget,
-    stats: &mut TrainStats,
-) -> Gradients {
+/// GCN's representations of all of a design's nodes (full-graph message
+/// passing), and how many there are.
+fn gcn_design_reps(model: &Gcn, tape: &mut Tape, design: &QorDesign) -> (Var, usize) {
+    (model.forward(tape, &design.adj, &design.features), design.aig.num_nodes())
+}
+
+/// `samples` grouped by the design they were run on, in design order.
+fn group_by_design<'a>(
+    samples: impl IntoIterator<Item = &'a QorSample>,
+) -> BTreeMap<usize, Vec<&'a QorSample>> {
     let mut by_design: BTreeMap<usize, Vec<&QorSample>> = BTreeMap::new();
     for s in samples {
         by_design.entry(s.design).or_default().push(s);
     }
-    let mut total_grads = Gradients::new();
-    let mut total_loss = 0.0f32;
-    let weight = 1.0 / by_design.len() as f32;
-    for (design_idx, group) in by_design {
-        let design = &ds.designs[design_idx];
-        let mut tape = Tape::new();
-        let n = design.aig.num_nodes();
-        let segments: Vec<(usize, usize)> = group.iter().map(|_| (0, n)).collect();
-        let extra =
-            Matrix::from_fn(group.len(), RECIPE_ENCODING_WIDTH, |r, c| group[r].recipe_encoding[c]);
-        let target_m = Matrix::from_fn(group.len(), 1, |r, _| target.ratio(group[r]));
-        let scaled = timed(&mut stats.forward_time, || {
-            let reps = model.forward(&mut tape, &design.adj, &design.features);
-            let pred = reg.predict_with_extra(&mut tape, &model.params, reps, segments, &extra);
-            let loss = tape.mse_loss(pred, &target_m);
-            tape.scale(loss, weight)
-        });
-        total_loss += tape.value(scaled)[(0, 0)];
-        let grads = timed(&mut stats.backward_time, || tape.backward(scaled));
-        total_grads.accumulate(&grads);
+    by_design
+}
+
+/// Records the predicted ratio of every sample in `group`, all of them
+/// recipes run on `design`, as one column.
+fn predict_group<M: Trainable>(
+    tape: &mut Tape,
+    model: &M,
+    reg: &GraphRegressor,
+    design_reps: impl Fn(&M, &mut Tape, &QorDesign) -> (Var, usize),
+    design: &QorDesign,
+    group: &[&QorSample],
+) -> Var {
+    let (reps, n) = design_reps(model, tape, design);
+    // All samples of the group share the node representations; each gets
+    // its own recipe vector via identical pooling segments.
+    let segments: Vec<(usize, usize)> = group.iter().map(|_| (0, n)).collect();
+    let extra =
+        Matrix::from_fn(group.len(), RECIPE_ENCODING_WIDTH, |r, c| group[r].recipe_encoding[c]);
+    reg.predict_with_extra(tape, model.params(), reps, segments, &extra)
+}
+
+/// [`fit`] for a QoR model: registers the pooled regressor on `model` and
+/// trains both on minibatches of training samples — one tape per involved
+/// design, gradients summed (identical math to a single joint tape).
+fn fit_qor<M: Trainable>(
+    ds: &QorDataset,
+    model: &mut M,
+    design_reps: impl Fn(&M, &mut Tape, &QorDesign) -> (Var, usize),
+    cfg: &TrainConfig,
+    target: QorTarget,
+    policy: &RecoveryPolicy,
+    plan: &FaultPlan,
+) -> Result<(GraphRegressor, TrainStats, TrainReport), TrainError> {
+    if ds.train.is_empty() {
+        return Err(TrainError::InvalidConfig("the dataset's training split is empty".into()));
     }
-    stats.final_loss = total_loss;
-    total_grads
+    let reg = GraphRegressor::new(
+        model.params_mut(),
+        cfg.hidden_dim + RECIPE_ENCODING_WIDTH,
+        cfg.hidden_dim,
+        cfg.seed ^ 0xD,
+    );
+    let (stats, report) =
+        fit(model, cfg, ds.train.len(), cfg.batch_samples, policy, plan, |model, step| {
+            let by_design = group_by_design(step.batch.iter().map(|&i| &ds.train[i]));
+            let weight = 1.0 / by_design.len() as f32;
+            let mut total_loss = 0.0f32;
+            let mut total_grads = Gradients::new();
+            for (design_idx, group) in by_design {
+                let design = &ds.designs[design_idx];
+                let target_m = Matrix::from_fn(group.len(), 1, |r, _| target.ratio(group[r]));
+                let (loss, grads) = tape_step(step.stats, |tape| {
+                    let pred = predict_group(tape, model, &reg, &design_reps, design, &group);
+                    let loss = tape.mse_loss(pred, &target_m);
+                    tape.scale(loss, weight)
+                });
+                total_loss += loss;
+                total_grads.accumulate(&grads);
+            }
+            (total_loss, total_grads)
+        })?;
+    Ok((reg, stats, report))
 }
 
 /// Per-design evaluation record: `(design name, truths, predictions)` in
@@ -805,41 +893,19 @@ pub fn eval_qor_with_target(
     target: QorTarget,
 ) -> Vec<QorEval> {
     let samples = if use_train { &ds.train } else { &ds.test };
-    let mut by_design: BTreeMap<usize, Vec<&QorSample>> = BTreeMap::new();
-    for s in samples {
-        by_design.entry(s.design).or_default().push(s);
-    }
     let mut out = Vec::new();
-    for (design_idx, group) in by_design {
+    for (design_idx, group) in group_by_design(samples) {
         let design = &ds.designs[design_idx];
-        let extra =
-            Matrix::from_fn(group.len(), RECIPE_ENCODING_WIDTH, |r, c| group[r].recipe_encoding[c]);
-        let pred_ratios: Matrix = match model {
+        let mut tape = Tape::new();
+        let pred = match model {
             QorModel::Hoga(m, reg) => {
-                let num_hops = m.config().num_hops;
-                let stack = hop_stack(&design.hops[..=num_hops], &design.pooled_nodes);
-                let mut tape = Tape::new();
-                let o = m.forward(&mut tape, &stack, design.pooled_nodes.len());
-                let n = design.pooled_nodes.len();
-                let segments: Vec<(usize, usize)> = group.iter().map(|_| (0, n)).collect();
-                let pred = reg.predict_with_extra(
-                    &mut tape,
-                    &m.params,
-                    o.representations,
-                    segments,
-                    &extra,
-                );
-                tape.value(pred).clone()
+                predict_group(&mut tape, &**m, reg, hoga_design_reps, design, &group)
             }
             QorModel::Gcn(m, reg) => {
-                let mut tape = Tape::new();
-                let reps = m.forward(&mut tape, &design.adj, &design.features);
-                let n = design.aig.num_nodes();
-                let segments: Vec<(usize, usize)> = group.iter().map(|_| (0, n)).collect();
-                let pred = reg.predict_with_extra(&mut tape, &m.params, reps, segments, &extra);
-                tape.value(pred).clone()
+                predict_group(&mut tape, &**m, reg, gcn_design_reps, design, &group)
             }
         };
+        let pred_ratios = tape.value(pred);
         let truth: Vec<f32> = group.iter().map(|s| target.truth(s)).collect();
         let pred: Vec<f32> = group
             .iter()
@@ -862,7 +928,9 @@ pub fn average_mape(evals: &[QorEval]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::Fault;
     use hoga_datasets::gamora::{build_reasoning_graph, MultiplierKind, ReasoningConfig};
+    use hoga_datasets::openabcd::{build_qor_dataset, QorDatasetConfig};
 
     fn tiny_cfg() -> TrainConfig {
         TrainConfig {
@@ -976,5 +1044,148 @@ mod tests {
             stats1.final_loss,
             stats2.final_loss
         );
+    }
+    #[test]
+    fn qor_training_rejects_an_empty_design_list_and_an_empty_training_split() {
+        let tiny =
+            QorDatasetConfig { recipes_per_design: 1, recipe_len: 2, ..QorDatasetConfig::tiny() };
+        let mut ds = build_qor_dataset(&tiny);
+        ds.train.clear();
+        let kinds = [QorModelKind::Hoga { num_hops: 2 }, QorModelKind::Gcn { layers: 2 }];
+        for kind in kinds {
+            match try_train_qor_with_target(&ds, kind, &tiny_cfg(), QorTarget::GateCount) {
+                Err(TrainError::InvalidConfig(why)) => assert!(why.contains("training split")),
+                other => panic!("{kind:?}: expected InvalidConfig, got {:?}", other.map(|_| ())),
+            }
+        }
+        ds.designs.clear();
+        for kind in kinds {
+            match try_train_qor_with_target(&ds, kind, &tiny_cfg(), QorTarget::GateCount) {
+                Err(TrainError::InvalidConfig(why)) => assert!(why.contains("no designs")),
+                other => panic!("{kind:?}: expected InvalidConfig, got {:?}", other.map(|_| ())),
+            }
+        }
+    }
+
+    type GuardedRun = Result<(TrainStats, TrainReport, ParamSet), TrainError>;
+
+    /// The divergence guard's contract for one trainer, given as
+    /// `run(cfg, policy, plan)`: an injected NaN loss rolls back parameters
+    /// *and* Adam moments, the backoff sticks, the run completes; a run that
+    /// keeps diverging gives up after `max_retries`.
+    fn assert_guarded(run: impl Fn(&TrainConfig, &RecoveryPolicy, &FaultPlan) -> GuardedRun) {
+        let cfg = tiny_cfg();
+        let policy = RecoveryPolicy::default();
+        let flat = |p: &ParamSet| -> Vec<u32> {
+            p.iter().flat_map(|(_, _, m)| m.as_slice().iter().map(|v| v.to_bits())).collect()
+        };
+
+        // A NaN at the very first step: the finished run must be the clean
+        // run that started at the backed-off rate.
+        let plan = FaultPlan::new(vec![Fault::NanLoss { epoch: 0, step: 0 }]);
+        let (stats, report, params) = run(&cfg, &policy, &plan).expect("survives the NaN");
+        assert_eq!((stats.retries, report.retries), (1, 1));
+        assert_eq!(stats.epochs_run, cfg.epochs);
+        assert!(stats.final_loss.is_finite());
+        assert!(matches!(report.events[0], RecoveryEvent::NonFiniteLoss { epoch: 0, step: 0, .. }));
+        assert!(matches!(report.events[1], RecoveryEvent::RolledBack { to_epoch: 0, retry: 1 }));
+        assert_eq!(report.final_lr, cfg.lr * policy.lr_backoff);
+        let halved = TrainConfig { lr: cfg.lr * policy.lr_backoff, ..cfg.clone() };
+        let (clean_stats, clean_report, clean_params) =
+            run(&halved, &policy, &FaultPlan::default()).expect("clean run");
+        assert!(clean_report.events.is_empty());
+        assert_eq!(clean_stats.retries, 0);
+        assert_eq!(flat(&params), flat(&clean_params), "rollback must restore params and moments");
+        assert_eq!(stats.final_loss.to_bits(), clean_stats.final_loss.to_bits());
+
+        // Mid-run: the rollback goes to the start of the faulted epoch.
+        let plan = FaultPlan::new(vec![Fault::NanLoss { epoch: 2, step: 0 }]);
+        let (stats, report, params) = run(&cfg, &policy, &plan).expect("survives the NaN");
+        assert!(matches!(report.events[1], RecoveryEvent::RolledBack { to_epoch: 2, retry: 1 }));
+        assert_eq!(stats.epochs_run, cfg.epochs);
+        assert!(flat(&params).iter().all(|&b| f32::from_bits(b).is_finite()));
+
+        // An impossible gradient-norm limit diverges every step.
+        let strict = RecoveryPolicy { max_retries: 2, grad_norm_limit: 1e-12, ..policy };
+        match run(&cfg, &strict, &FaultPlan::default()) {
+            Err(TrainError::Diverged { epoch: 0, retries: 2, last_loss }) => {
+                assert!(last_loss.is_finite(), "the norm exploded, not the loss");
+            }
+            other => panic!("expected Diverged, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn sign_sage_and_saint_are_guarded() {
+        let g = tiny_graph();
+        let (feat_dim, hops) = (g.features.cols(), g.hops.len() - 1);
+        assert_guarded(|cfg, policy, plan| {
+            let (mut model, cls) =
+                with_classifier(Sign::new(feat_dim, cfg.hidden_dim, hops, cfg.seed), cfg);
+            let (stats, report) =
+                fit_hopwise(&g, &mut model, &cls, Sign::forward, cfg, policy, plan)?;
+            Ok((stats, report, model.params))
+        });
+        for sampled in [false, true] {
+            assert_guarded(|cfg, policy, plan| {
+                let (mut model, cls) =
+                    with_classifier(GraphSage::new(feat_dim, cfg.hidden_dim, hops, cfg.seed), cfg);
+                let (stats, report) = fit_sage(&g, &mut model, &cls, sampled, cfg, policy, plan)?;
+                Ok((stats, report, model.params))
+            });
+        }
+    }
+
+    #[test]
+    fn qor_hoga_and_gcn_are_guarded() {
+        let ds = crate::testutil::tiny_qor_dataset();
+        assert!(!ds.train.is_empty());
+        let feat_dim = ds.designs[0].features.cols();
+        assert_guarded(|cfg, policy, plan| {
+            let mut model = HogaModel::new(&HogaConfig::new(feat_dim, cfg.hidden_dim, 2), cfg.seed);
+            let target = QorTarget::GateCount;
+            let (_, stats, report) =
+                fit_qor(ds, &mut model, hoga_design_reps, cfg, target, policy, plan)?;
+            Ok((stats, report, model.params))
+        });
+        assert_guarded(|cfg, policy, plan| {
+            let mut model = Gcn::new(feat_dim, cfg.hidden_dim, 2, cfg.seed);
+            let target = QorTarget::GateCount;
+            let (_, stats, report) =
+                fit_qor(ds, &mut model, gcn_design_reps, cfg, target, policy, plan)?;
+            Ok((stats, report, model.params))
+        });
+    }
+
+    #[test]
+    fn staged_stats_add_up() {
+        let stage = |steps, loss| TrainStats {
+            train_time: Duration::from_millis(10),
+            forward_time: Duration::from_millis(4),
+            backward_time: Duration::from_millis(5),
+            optim_time: Duration::from_millis(1),
+            final_loss: loss,
+            steps,
+            epochs_run: 1,
+            retries: 1,
+        };
+        let mut total = TrainStats::default();
+        total.absorb(&stage(3, 0.5));
+        total.absorb(&stage(2, 0.25));
+        assert_eq!(
+            total,
+            TrainStats {
+                train_time: Duration::from_millis(20),
+                forward_time: Duration::from_millis(8),
+                backward_time: Duration::from_millis(10),
+                optim_time: Duration::from_millis(2),
+                final_loss: 0.25,
+                steps: 5,
+                epochs_run: 2,
+                retries: 2,
+            }
+        );
+        assert!(total.phases_line().ends_with("2 divergence rollback(s)"));
+        assert!(!TrainStats::default().phases_line().contains("rollback"));
     }
 }

@@ -53,8 +53,9 @@ fn qor_err(e: QorBuildError) -> JobError {
 /// claims planned step faults (site `unit` = the epoch the next stage
 /// starts from), and re-reads the checkpoint — so a retried or restarted
 /// job resumes from the last durable epoch and the final checkpoint is
-/// byte-identical to an uninterrupted run's. Without a checkpoint path
-/// the job is a plain one-shot training run.
+/// byte-identical to an uninterrupted run's. The returned [`TrainStats`]
+/// cover every stage this attempt ran. Without a checkpoint path the job
+/// is a plain one-shot training run.
 pub struct TrainJob {
     /// The (in-memory) dataset to train on.
     pub ds: Arc<QorDataset>,
@@ -81,6 +82,7 @@ impl Job for TrainJob {
         };
         let total = self.cfg.epochs;
         let stage = self.cfg.checkpoint_every.max(1);
+        let mut stats = TrainStats::default();
         loop {
             // Resume point: trust only a checkpoint that parses cleanly
             // (the trainer still validates seed/shape/epoch on load; a
@@ -96,8 +98,10 @@ impl Job for TrainJob {
             let mut cfg = self.cfg.clone();
             cfg.epochs = stage_end;
             cfg.resume_from = (start > 0).then(|| ckpt.clone());
-            let (model, stats) = try_train_qor_with_target(&self.ds, self.kind, &cfg, self.target)
-                .map_err(train_err)?;
+            let (model, stage_stats) =
+                try_train_qor_with_target(&self.ds, self.kind, &cfg, self.target)
+                    .map_err(train_err)?;
+            stats.absorb(&stage_stats);
             ctx.progress("epoch", stage_end as u64);
             if stage_end >= total {
                 return Ok((model, stats));

@@ -7,7 +7,7 @@
 
 use hoga_repro::datasets::manifest::{MANIFEST_DIR, QUARANTINE_DIR};
 use hoga_repro::datasets::openabcd::{build_qor_dataset, QorDatasetConfig, QorSweepOptions};
-use hoga_repro::eval::trainer::{QorModelKind, QorTarget, TrainConfig};
+use hoga_repro::eval::trainer::{QorModelKind, QorTarget, TrainConfig, TrainStats};
 use hoga_repro::jobs::{
     backoff_delay, CancelToken, Engine, EngineConfig, EventLog, FaultKind, FaultSite, JobEvent,
     JobFaultPlan, RetryPolicy,
@@ -47,8 +47,11 @@ fn started_attempts(log: &EventLog) -> usize {
     log.snapshot().iter().filter(|e| matches!(e, JobEvent::Started { .. })).count()
 }
 
-/// Runs one TrainJob on a fresh engine; returns the event log.
-fn run_train(ckpt: &Path, plan: JobFaultPlan, max_attempts: u32) -> Arc<EventLog> {
+const TRAIN_EPOCHS: usize = 4;
+
+/// Runs one TrainJob on a fresh engine; returns the event log and the
+/// stats of the attempt that completed.
+fn run_train(ckpt: &Path, plan: JobFaultPlan, max_attempts: u32) -> (Arc<EventLog>, TrainStats) {
     let cfg = ds_cfg();
     let num_hops = cfg.num_hops;
     let ds = Arc::new(build_qor_dataset(&cfg));
@@ -58,7 +61,7 @@ fn run_train(ckpt: &Path, plan: JobFaultPlan, max_attempts: u32) -> Arc<EventLog
         target: QorTarget::GateCount,
         cfg: TrainConfig {
             hidden_dim: 8,
-            epochs: 4,
+            epochs: TRAIN_EPOCHS,
             checkpoint_to: Some(ckpt.to_path_buf()),
             checkpoint_every: 1,
             ..TrainConfig::default()
@@ -67,9 +70,9 @@ fn run_train(ckpt: &Path, plan: JobFaultPlan, max_attempts: u32) -> Arc<EventLog
     let log = Arc::new(EventLog::new());
     let engine = Engine::with_sink(engine_cfg(max_attempts), log.clone()).expect("engine");
     let handle = engine.submit(job, plan).expect("submit");
-    handle.wait().expect("train job completes");
+    let (_, stats) = handle.wait().expect("train job completes");
     engine.shutdown();
-    log
+    (log, stats)
 }
 
 fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
@@ -134,20 +137,26 @@ fn train_resumes_byte_identically_after_injected_panics() {
 
     // Reference: uninterrupted run.
     let reference = dir.join("ck-ref.bin");
-    let log = run_train(&reference, JobFaultPlan::none(), 1);
+    let (log, stats) = run_train(&reference, JobFaultPlan::none(), 1);
     assert_eq!(started_attempts(&log), 1);
+    // One trainer call per checkpoint stage; the report covers all of them.
+    assert_eq!(stats.epochs_run, TRAIN_EPOCHS, "staged stats must cover the whole run");
+    assert!(stats.steps >= TRAIN_EPOCHS && stats.train_time >= stats.optim_time);
     let want = std::fs::read(&reference).expect("reference checkpoint");
 
     // An attempt-level panic: the engine injects it before attempt 1 runs
     // the job body, so attempt 2 finds no checkpoint and trains from
     // epoch 0 — the whole run replays inside one process.
     let attempt = dir.join("ck-attempt.bin");
-    let log = run_train(
+    let (log, attempt_stats) = run_train(
         &attempt,
         JobFaultPlan::none().inject(FaultSite::Attempt { attempt: 1 }, FaultKind::Panic),
         3,
     );
     assert_eq!(started_attempts(&log), 2, "one panic costs exactly one attempt");
+    assert_eq!(attempt_stats.epochs_run, TRAIN_EPOCHS, "attempt 2 replays every epoch");
+    assert_eq!(attempt_stats.steps, stats.steps);
+    assert_eq!(attempt_stats.final_loss.to_bits(), stats.final_loss.to_bits());
     assert!(
         log.snapshot().iter().any(|e| matches!(e, JobEvent::FaultInjected { .. })),
         "the injected fault must be visible in the event stream"
@@ -157,13 +166,14 @@ fn train_resumes_byte_identically_after_injected_panics() {
     // A step-level panic at the epoch-2 stage boundary: epochs 0–1 are
     // already checkpointed, so attempt 2 resumes mid-run from epoch 2.
     let step = dir.join("ck-step.bin");
-    let log = run_train(
+    let (log, step_stats) = run_train(
         &step,
         JobFaultPlan::none()
             .inject(FaultSite::Step { unit: 2, step: 0, lane: 0 }, FaultKind::Panic),
         3,
     );
     assert_eq!(started_attempts(&log), 2);
+    assert_eq!(step_stats.epochs_run, TRAIN_EPOCHS - 2, "attempt 2 ran the epochs left");
     let rendered = log.render();
     assert!(
         rendered.contains("checkpointed"),
