@@ -137,9 +137,6 @@ pub fn train_reasoning_parallel_supervised(
     let labels = graph.label_indices();
     let weights = reasoning_class_weights(&labels);
     let (mut model, cls) = reasoning_hoga(graph, cfg, Aggregator::GatedSelfAttention);
-    // Workers get the whole kernel-thread budget divided between them, so
-    // speedup comes from parallelism across nodes, not oversubscription.
-    let _kernel_threads = SingleThreadedKernels::enter();
     let policy = RecoveryPolicy::default();
     let (train, report) =
         fit(&mut model, cfg, labels.len(), cfg.batch_nodes, &policy, plan, |model, run| {
@@ -189,7 +186,11 @@ fn all_reduce(task: ShardTask<'_>, workers: usize, run: &mut Step<'_>) -> (f32, 
                     panic!("injected worker panic (fault plan)");
                 }
                 let mut spent = TrainStats::default();
-                let (loss, mut grads) = task.grad(nodes, share, &mut spent);
+                // Each shard's kernels run on its own worker, so speedup comes
+                // from parallelism across nodes, not oversubscription — and no
+                // other thread of the process is pinned along with it.
+                let (loss, mut grads) =
+                    hoga_tensor::inline_kernels(|| task.grad(nodes, share, &mut spent));
                 if inject_corrupt {
                     grads.scale(f32::NAN);
                 }
@@ -224,28 +225,6 @@ fn all_reduce(task: ShardTask<'_>, workers: usize, run: &mut Step<'_>) -> (f32, 
     })
     // analyze: allow(panic-free-paths) — scope result is Ok by construction: every join is consumed above
     .expect("all worker panics are consumed via join")
-}
-
-/// Pins the process-global kernel thread count to 1 and puts the previous
-/// count back on drop, so a checkpoint error (`?`) or an unwind out of the
-/// epoch loop cannot leave every later kernel in the process — a retried
-/// job attempt, the next CLI stage — single-threaded.
-struct SingleThreadedKernels {
-    previous: usize,
-}
-
-impl SingleThreadedKernels {
-    fn enter() -> Self {
-        let previous = hoga_tensor::available_threads();
-        hoga_tensor::set_threads(1);
-        Self { previous }
-    }
-}
-
-impl Drop for SingleThreadedKernels {
-    fn drop(&mut self) {
-        hoga_tensor::set_threads(self.previous);
-    }
 }
 
 #[cfg(test)]

@@ -29,8 +29,8 @@
 use crate::model::{Aggregator, HogaModel};
 use hoga_autograd::ParamId;
 use hoga_tensor::{
-    layernorm_forward, layernorm_rows_fast, qmatmul, softmax_rows, softmax_rows_fast, Matrix,
-    QuantizedMatrix, QuantizedWeights,
+    layernorm_forward, layernorm_rows_fast, parallel_blocks, qmatmul, softmax_rows,
+    softmax_rows_fast, Matrix, QuantizedMatrix, QuantizedWeights,
 };
 use std::error::Error;
 use std::fmt;
@@ -282,7 +282,51 @@ impl HogaModel {
         Ok(())
     }
 
+    /// The forward is a loop over independent node blocks (the paper's
+    /// §III: a node's `(K+1) × d` sequence goes through Eqs. 5–10 alone).
+    /// Each block of [`block_nodes`] nodes takes its contiguous rows of the
+    /// hop stack through [`Self::infer_block`] and writes its rows of the
+    /// outputs, inside one parallel region with every kernel inline on its
+    /// worker. Every step is row- or node-local, so block boundaries cannot
+    /// change a bit of the result.
     fn infer_impl(&self, hop_stack: &Matrix, batch: usize, mode: Mode<'_>) -> InferOutput {
+        let (k1, d, width) = (self.config.num_hops + 1, self.config.hidden_dim, hop_stack.cols());
+        // The Sum ablation has no readout scores: zero score columns.
+        let scored = self.config.aggregator != Aggregator::Sum;
+        let k = if scored { self.config.num_hops } else { 0 };
+        let block = block_nodes(k1, d);
+        let gather = readout_gather(block.min(batch), k1);
+        let mut reps = Matrix::zeros(batch, d);
+        let mut scores = Matrix::zeros(batch, k);
+        // One item per block: its first node and its rows of the two outputs.
+        let mut score_rows = scores.as_mut_slice().chunks_mut((block * k).max(1));
+        let blocks = reps.as_mut_slice().chunks_mut(block * d).enumerate();
+        let blocks =
+            blocks.map(|(i, rows)| (i * block, rows, score_rows.next().unwrap_or_default()));
+        parallel_blocks(blocks.collect(), |(first, reps, scores)| {
+            let nodes = reps.len() / d;
+            let rows = first * k1 * width..(first + nodes) * k1 * width;
+            let rows = hop_stack.as_slice().get(rows).unwrap_or_default();
+            let stack = Matrix::from_vec(nodes * k1, width, rows.to_vec());
+            let out = self.infer_block(&stack, nodes, mode, &gather);
+            reps.copy_from_slice(out.representations.as_slice());
+            if let Some(s) = out.readout_scores {
+                scores.copy_from_slice(s.as_slice());
+            }
+        });
+        InferOutput { representations: reps, readout_scores: scored.then_some(scores) }
+    }
+
+    /// Eqs. 5–10 for one block of `batch ≤ block_nodes` nodes: the tape
+    /// ops replayed verbatim on intermediates small enough to stay
+    /// cache-resident and be recycled by the allocator's bins.
+    fn infer_block(
+        &self,
+        hop_stack: &Matrix,
+        batch: usize,
+        mode: Mode<'_>,
+        gather: &[Vec<usize>; 3],
+    ) -> InferOutput {
         let k1 = self.config.num_hops + 1;
         let k = self.config.num_hops;
 
@@ -351,10 +395,12 @@ impl HogaModel {
                     };
                     head_outputs.push(gated);
                 }
-                let mut cat = head_outputs[0].clone();
-                for ho in &head_outputs[1..] {
-                    cat = cat.concat_cols(ho);
-                }
+                // A single head's output moves out; a layer without heads
+                // (HogaModel::new refuses one) would be the identity.
+                let Some(cat) = head_outputs.into_iter().reduce(|cat, ho| cat.concat_cols(&ho))
+                else {
+                    continue;
+                };
                 let gamma = value(layer.gamma);
                 let beta = value(layer.beta);
                 let normed = if mode.is_exact() {
@@ -366,41 +412,59 @@ impl HogaModel {
             }
         }
 
-        // Readout (Eq. 10), always f32 — Int8 dequantized above.
-        let idx0: Vec<usize> = (0..batch).map(|b| b * k1).collect();
-        let h0 = h.select_rows(&idx0);
+        // Readout (Eq. 10), always f32 — Int8 dequantized above. The gather
+        // lists are node-major, so a ragged last block uses their prefixes.
+        let [idx0, idx0_rep, idx_rest] = gather;
+        let idx0 = idx0.get(..batch).unwrap_or_default();
+        let h0 = h.select_rows(idx0);
         if self.config.aggregator == Aggregator::Sum {
             let mut y = h0;
             for hop in 1..k1 {
-                let idx: Vec<usize> = (0..batch).map(|b| b * k1 + hop).collect();
+                let idx: Vec<usize> = idx0.iter().map(|&first| first + hop).collect();
                 y = &y + &h.select_rows(&idx);
             }
             return InferOutput { representations: y, readout_scores: None };
         }
 
-        let idx0_rep: Vec<usize> =
-            (0..batch).flat_map(|b| std::iter::repeat_n(b * k1, k)).collect();
-        let idx_rest: Vec<usize> =
-            (0..batch).flat_map(|b| (1..k1).map(move |hop| b * k1 + hop)).collect();
-        let h0_rep = h.select_rows(&idx0_rep);
-        let h_rest = h.select_rows(&idx_rest);
+        let h0_rep = h.select_rows(idx0_rep.get(..batch * k).unwrap_or_default());
+        let h_rest = h.select_rows(idx_rest.get(..batch * k).unwrap_or_default());
         let cat = h0_rep.concat_cols(&h_rest);
         let alpha = value(self.alpha);
         let (scores, weighted);
         if mode.is_exact() {
-            let logits_flat = cat.matmul(alpha);
-            let logits = Matrix::from_vec(batch, k, logits_flat.as_slice().to_vec());
+            let logits = Matrix::from_vec(batch, k, cat.matmul(alpha).into_vec());
             scores = softmax_rows(&logits);
             weighted = scores.batched_matmul(&h_rest, batch);
         } else {
-            let logits_flat = cat.matmul_fast(alpha);
-            let logits = Matrix::from_vec(batch, k, logits_flat.as_slice().to_vec());
+            let logits = Matrix::from_vec(batch, k, cat.matmul_fast(alpha).into_vec());
             scores = softmax_rows_fast(&logits);
             weighted = scores.batched_matmul_fast(&h_rest, batch);
         }
         let y = &h0 + &weighted;
         InferOutput { representations: y, readout_scores: Some(scores) }
     }
+}
+
+/// Floats in one block-sized `(block · (K+1)) × hidden_dim` intermediate:
+/// 72 KiB, so the handful a block keeps live stay cache-resident and under
+/// the allocator's `mmap` threshold (no page-fault/trim cycle per kernel).
+const BLOCK_ELEMS: usize = 18 * 1024;
+
+/// Nodes per block of the forward — a pure function of the shapes (32 at
+/// the paper's `K = 8`, `d = 64`), never of the thread count, the batch or
+/// any setting. `docs/PERFORMANCE.md` records the sweep behind the size.
+fn block_nodes(k1: usize, hidden_dim: usize) -> usize {
+    (BLOCK_ELEMS / (k1 * hidden_dim).max(1)).max(1)
+}
+
+/// Row indices of the readout gathers for one full block, built once per
+/// call: `Ĥ₀`, `Ĥ₀` repeated `K` times, and `Ĥ₁..Ĥ_K`.
+fn readout_gather(batch: usize, k1: usize) -> [Vec<usize>; 3] {
+    [
+        (0..batch).map(|b| b * k1).collect(),
+        (0..batch).flat_map(|b| std::iter::repeat_n(b * k1, k1 - 1)).collect(),
+        (0..batch).flat_map(|b| (1..k1).map(move |hop| b * k1 + hop)).collect(),
+    ]
 }
 
 /// Adds a `1 × d` bias row to every row of `x`, in the same element order
@@ -412,5 +476,140 @@ fn add_bias_rows(x: &mut Matrix, bias: &Matrix) {
         for (o, &b) in x.row_mut(r).iter_mut().zip(bias.row(0)) {
             *o += b;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::model::HogaConfig;
+    use hoga_autograd::Tape;
+    use hoga_tensor::{set_threads, Init};
+    use std::ops::Range;
+
+    const INPUT: usize = 5;
+    const HIDDEN: usize = 32;
+    const HOPS: usize = 5;
+    const K1: usize = HOPS + 1;
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The hop-stack rows of a contiguous node range.
+    fn rows_of(stack: &Matrix, nodes: Range<usize>) -> Matrix {
+        let rows = &stack.as_slice()[nodes.start * K1 * INPUT..nodes.end * K1 * INPUT];
+        Matrix::from_vec(nodes.len() * K1, INPUT, rows.to_vec())
+    }
+
+    /// Representation and readout-score bits (none under `Sum`) of the
+    /// `Exact`, `Fast` and `Int8` forwards, in that order.
+    fn all_modes(
+        (model, plan): &(HogaModel, Int8Plan),
+        stack: &Matrix,
+        batch: usize,
+    ) -> [(Vec<u32>, Vec<u32>); 3] {
+        [
+            model.try_infer(stack, batch, Precision::Exact),
+            model.try_infer(stack, batch, Precision::Fast),
+            model.try_infer_int8(plan, stack, batch),
+        ]
+        .map(|out| {
+            let out = out.expect("valid shapes");
+            (bits(&out.representations), out.readout_scores.as_ref().map(bits).unwrap_or_default())
+        })
+    }
+
+    /// {1, 4 heads} × {1, 2 layers} × the three aggregators, each model
+    /// with its int8 plan.
+    fn grid() -> Vec<(HogaModel, Int8Plan)> {
+        let mut models = Vec::new();
+        for aggregator in [Aggregator::GatedSelfAttention, Aggregator::GateOnly, Aggregator::Sum] {
+            for (heads, layers) in [(1, 1), (4, 1), (1, 2), (4, 2)] {
+                let cfg = HogaConfig::new(INPUT, HIDDEN, HOPS)
+                    .with_heads(heads)
+                    .with_layers(layers)
+                    .with_aggregator(aggregator);
+                let model = HogaModel::new(&cfg, 17 + models.len() as u64);
+                let plan = model.int8_plan();
+                models.push((model, plan));
+            }
+        }
+        models
+    }
+
+    /// Node independence (the paper's §III) as a property: a batch is, row
+    /// for row and bit for bit, its nodes inferred alone — below, at, just
+    /// past and several times past one block, with a ragged last block.
+    #[test]
+    fn a_batch_is_bitwise_its_nodes_alone_across_block_boundaries() {
+        let block = block_nodes(K1, HIDDEN);
+        let most = 3 * block + 5;
+        let stack = Init::SmallUniform.matrix(most * K1, INPUT, 7);
+        for (mi, model) in grid().iter().enumerate() {
+            // Every node alone, concatenated per mode.
+            let mut alone: [(Vec<u32>, Vec<u32>); 3] = Default::default();
+            for node in 0..most {
+                let one = all_modes(model, &rows_of(&stack, node..node + 1), 1);
+                for (all, one) in alone.iter_mut().zip(one) {
+                    all.0.extend(one.0);
+                    all.1.extend(one.1);
+                }
+            }
+            for batch in [1, block - 1, block, block + 1, most] {
+                let sub = rows_of(&stack, 0..batch);
+                let got = all_modes(model, &sub, batch);
+                for (mode, (got, alone)) in got.iter().zip(&alone).enumerate() {
+                    let k = got.1.len() / batch;
+                    assert_eq!(
+                        got.0,
+                        alone.0[..batch * HIDDEN],
+                        "model {mi} mode {mode} batch {batch}"
+                    );
+                    assert_eq!(
+                        got.1,
+                        alone.1[..batch * k],
+                        "model {mi} mode {mode} batch {batch}: scores"
+                    );
+                }
+                // And `Exact` is still the training forward, bit for bit.
+                let mut tape = Tape::new();
+                let trained = model.0.forward(&mut tape, &sub, batch);
+                assert_eq!(
+                    got[0].0,
+                    bits(tape.value(trained.representations)),
+                    "model {mi} batch {batch}"
+                );
+                let scores =
+                    trained.readout_scores.map(|s| bits(tape.value(s))).unwrap_or_default();
+                assert_eq!(got[0].1, scores, "model {mi} batch {batch}: scores vs tape");
+            }
+        }
+    }
+
+    /// Which worker runs a block depends on the thread count; what the
+    /// block computes does not.
+    #[test]
+    fn blocked_forward_is_bitwise_identical_at_every_thread_count() {
+        let batch = 3 * block_nodes(K1, HIDDEN) + 5;
+        let stack = Init::SmallUniform.matrix(batch * K1, INPUT, 9);
+        for (mi, model) in grid().iter().enumerate() {
+            set_threads(1);
+            let want = all_modes(model, &stack, batch);
+            for threads in [2, 3, 8] {
+                set_threads(threads);
+                assert_eq!(all_modes(model, &stack, batch), want, "model {mi}, {threads} threads");
+            }
+        }
+        set_threads(0);
+    }
+
+    #[test]
+    fn block_size_is_a_function_of_the_shapes_alone() {
+        assert_eq!(block_nodes(9, 64), 32, "the paper's K = 8, d = 64");
+        assert_eq!(block_nodes(9, 64) * 9 * 64, BLOCK_ELEMS);
+        assert_eq!(block_nodes(4, 8), 576);
+        // Never zero, however wide the model.
+        assert_eq!(block_nodes(65, 1024), 1);
     }
 }

@@ -61,6 +61,6 @@ pub use kernels::{
     softmax_backward_rows, softmax_rows, softmax_rows_fast, LayerNormCache,
 };
 pub use matrix::Matrix;
-pub use parallel::{available_threads, set_threads};
+pub use parallel::{available_threads, inline_kernels, parallel_blocks, set_threads};
 pub use quant::{qmatmul, QuantizedMatrix, QuantizedWeights};
 pub use sparse::CsrMatrix;

@@ -7,6 +7,14 @@
 //! results in task order, which is the primitive behind the deterministic
 //! fixed-order reductions of `Matrix::matmul_tn` and `CsrMatrix::from_coo`.
 //!
+//! A caller whose work is already independent per item — the tape-free
+//! forward over node blocks, a data-parallel trainer's shards — opens **one**
+//! parallel region instead of one per kernel: [`parallel_blocks`] runs
+//! contiguous runs of items on the kernel workers, and every kernel called
+//! inside a worker (or inside an [`inline_kernels`] scope) runs on that
+//! thread alone. The marker is thread-local, so it never leaks to another
+//! thread and [`available_threads`] keeps reporting the configured count.
+//!
 //! # Determinism contract
 //!
 //! Every helper here guarantees that the *values* it produces are a pure
@@ -18,6 +26,9 @@
 //! * [`parallel_map`] returns results **in task-index order** regardless of
 //!   which worker ran which task, so callers that reduce the results in
 //!   order get bitwise-identical floats for every thread count.
+//! * [`parallel_blocks`] runs every block exactly once; the thread count
+//!   decides only which worker runs it, so a block that carries its own
+//!   disjoint output is computed identically at any parallelism.
 //!
 //! # Composition with the kernel backends
 //!
@@ -31,17 +42,23 @@
 //! reductions, and they do so in a fixed lane tree that is still
 //! thread-count invariant.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::thread::ScopedJoinHandle;
 
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Set while this thread is a kernel worker; see [`inline_kernels`].
+    static INLINE: Cell<bool> = const { Cell::new(false) };
+}
+
 /// Number of worker threads kernels will use.
 ///
 /// Defaults to `std::thread::available_parallelism()` capped at 16; can be
-/// overridden (e.g. by the data-parallel trainer, which wants its *own*
-/// thread-level parallelism) via [`set_threads`].
+/// overridden via [`set_threads`]. Process-wide: a caller that wants its
+/// *own* thread-level parallelism scopes it with [`inline_kernels`] instead.
 ///
 /// # Examples
 ///
@@ -66,6 +83,59 @@ pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
+/// Threads the next kernel called on this thread may use: one inside a
+/// kernel worker or an [`inline_kernels`] scope, [`available_threads`]
+/// anywhere else. Every kernel picks its thread count here.
+pub(crate) fn kernel_threads() -> usize {
+    if INLINE.get() {
+        1
+    } else {
+        available_threads()
+    }
+}
+
+/// Runs `f` with every kernel it calls on this thread running on this
+/// thread, whatever [`available_threads`] says: the scope for a caller that
+/// brings its own thread-level parallelism (a shard worker of the
+/// data-parallel trainer). Thread-local, and the previous state comes back
+/// on every way out, an unwind included.
+pub fn inline_kernels<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            INLINE.set(self.0);
+        }
+    }
+    let _restore = Restore(INLINE.replace(true));
+    f()
+}
+
+/// Runs `f` on every block, splitting `blocks` into one contiguous run per
+/// kernel worker; each worker is an [`inline_kernels`] scope, so the whole
+/// call is one parallel region however many kernels `f` goes through. A
+/// single block, or a caller that is already a worker, runs inline with no
+/// spawn. A worker's panic resurfaces on the caller with its payload.
+///
+/// Which thread runs a block depends on the thread count; what `f` computes
+/// for it must not (blocks carry their own disjoint outputs).
+pub fn parallel_blocks<T: Send>(blocks: Vec<T>, f: impl Fn(T) + Sync) {
+    let (count, workers) = (blocks.len(), kernel_threads().min(blocks.len()));
+    if workers <= 1 {
+        return inline_kernels(|| blocks.into_iter().for_each(f));
+    }
+    let mut blocks = blocks.into_iter();
+    std::thread::scope(|s| {
+        let mut handles = Vec::with_capacity(workers);
+        for w in 0..workers {
+            let take = count * (w + 1) / workers - count * w / workers;
+            let run: Vec<T> = blocks.by_ref().take(take).collect();
+            let f = &f;
+            handles.push(s.spawn(move || inline_kernels(|| run.into_iter().for_each(f))));
+        }
+        join_all(handles);
+    });
+}
+
 /// Splits `out` into contiguous chunks aligned to `row_width` and invokes
 /// `f(start_row, chunk)` on each chunk, in parallel.
 ///
@@ -82,32 +152,20 @@ where
     assert!(row_width > 0, "row_width must be positive");
     assert_eq!(out.len() % row_width, 0, "buffer not aligned to row width");
     let total_rows = out.len() / row_width;
-    let threads = available_threads().min(total_rows.max(1));
+    let threads = kernel_threads().min(total_rows.max(1));
     if threads <= 1 || total_rows == 0 {
         f(0, out);
         return;
     }
+    // At most `threads` chunks, so each gets a worker of its own.
     let rows_per = total_rows.div_ceil(threads);
-    std::thread::scope(|s| {
-        let mut rest = out;
-        let mut row = 0;
-        let mut handles = Vec::new();
-        while !rest.is_empty() {
-            let take = (rows_per * row_width).min(rest.len());
-            let (chunk, tail) = rest.split_at_mut(take);
-            let start_row = row;
-            let fref = &f;
-            let handle = s.spawn(move || fref(start_row, chunk));
-            handles.push(handle);
-            row += take / row_width;
-            rest = tail;
-        }
-        join_all(handles);
-    });
+    let chunks = out.chunks_mut(rows_per * row_width).enumerate();
+    let chunks = chunks.map(|(i, chunk)| (i * rows_per, chunk)).collect();
+    parallel_blocks(chunks, |(start_row, chunk)| f(start_row, chunk));
 }
 
-/// Joins every chunk worker, re-raising the first panic payload so the
-/// failure surfaces on the caller's thread with its original message.
+/// Joins every worker, re-raising the first panic payload so the failure
+/// surfaces on the caller's thread with its original message.
 fn join_all(handles: Vec<ScopedJoinHandle<'_, ()>>) {
     for handle in handles {
         if let Err(payload) = handle.join() {
@@ -119,55 +177,80 @@ fn join_all(handles: Vec<ScopedJoinHandle<'_, ()>>) {
 /// Runs `count` independent tasks and returns their results **in task-index
 /// order**, regardless of which worker thread executed which task.
 ///
-/// Tasks are assigned to workers round-robin (worker `w` runs tasks
-/// `w, w + W, w + 2W, ...`), so each task runs exactly once and the result
-/// order is a pure function of `count`. Callers that reduce the returned
-/// values in index order therefore get bitwise-identical results for every
-/// thread count; this is the primitive behind the deterministic k-chunked
-/// reduction of `Matrix::matmul_tn` and the sharded `CsrMatrix::from_coo`
-/// build.
+/// Each task is a block of [`parallel_blocks`] that fills its own slot, so
+/// it runs exactly once and the result order is a pure function of `count`.
+/// Callers that reduce the returned values in index order therefore get
+/// bitwise-identical results for every thread count; this is the primitive
+/// behind the deterministic k-chunked reduction of `Matrix::matmul_tn` and
+/// the sharded `CsrMatrix::from_coo` build.
 pub(crate) fn parallel_map<T, F>(count: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = available_threads().min(count);
-    if workers <= 1 {
-        return (0..count).map(f).collect();
-    }
-    let mut per_worker: Vec<Vec<(usize, T)>> = std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let fref = &f;
-            let handle = s.spawn(move || {
-                (w..count).step_by(workers).map(|i| (i, fref(i))).collect::<Vec<_>>()
-            });
-            handles.push(handle);
-        }
-        let mut results = Vec::with_capacity(workers);
-        for handle in handles {
-            match handle.join() {
-                Ok(v) => results.push(v),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        results
-    });
-    // Reassemble in task-index order; the round-robin assignment covers
-    // every index exactly once.
     let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
-    for bucket in &mut per_worker {
-        for (i, v) in bucket.drain(..) {
-            slots[i] = Some(v);
-        }
-    }
-    // analyze: allow(panic-reachability) — round-robin fills every slot, so the expect is unreachable
-    slots.into_iter().map(|s| s.expect("round-robin covers every task index")).collect()
+    parallel_blocks(slots.iter_mut().enumerate().collect(), |(i, slot)| *slot = Some(f(i)));
+    // analyze: allow(panic-reachability) — parallel_blocks runs every block, so every slot is filled and the expect is unreachable
+    slots.into_iter().map(|s| s.expect("every task fills its slot")).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::{Mutex, PoisonError};
+
+    /// Serializes the tests that override the process-wide thread count.
+    static THREADS: Mutex<()> = Mutex::new(());
+
+    #[test]
+    fn blocks_run_once_each_with_kernels_inline_and_the_caller_untouched() {
+        let _guard = THREADS.lock().unwrap_or_else(PoisonError::into_inner);
+        for threads in [1, 2, 3, 8] {
+            set_threads(threads);
+            let mut out = vec![0usize; 11];
+            parallel_blocks(out.iter_mut().enumerate().collect(), |(i, slot)| {
+                assert_eq!(kernel_threads(), 1, "a kernel inside a worker runs on that worker");
+                // So does a nested region: no spawn from inside a worker.
+                parallel_blocks(vec![(); 3], |()| assert_eq!(kernel_threads(), 1));
+                assert_eq!(available_threads(), threads, "the configured count is still reported");
+                *slot += i + 1;
+            });
+            assert_eq!(out, (1..=11).collect::<Vec<_>>(), "{threads} threads");
+            assert_eq!(kernel_threads(), threads, "the caller's thread count was touched");
+        }
+        set_threads(0);
+    }
+
+    #[test]
+    fn worker_panic_resurfaces_with_its_payload_and_the_caller_stays_untouched() {
+        let _guard = THREADS.lock().unwrap_or_else(PoisonError::into_inner);
+        set_threads(4);
+        // Eight blocks run on spawned workers, one block inline on the caller.
+        for blocks in [8usize, 1] {
+            let failing = blocks - 1;
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                parallel_blocks((0..blocks).collect(), |i| {
+                    assert!(i != failing, "block {i} failed");
+                })
+            }))
+            .expect_err("the failing block must unwind into the caller");
+            let message = payload.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(message, Some(format!("block {failing} failed").as_str()));
+            assert_eq!(kernel_threads(), 4, "{blocks} blocks: the unwind left the caller inline");
+        }
+        set_threads(0);
+    }
+
+    #[test]
+    fn inline_scope_nests_and_restores() {
+        assert!(!INLINE.get());
+        inline_kernels(|| {
+            inline_kernels(|| assert_eq!(kernel_threads(), 1));
+            assert_eq!(kernel_threads(), 1, "leaving the inner scope ended the outer one");
+        });
+        assert!(!INLINE.get());
+    }
 
     #[test]
     fn chunks_cover_all_rows_exactly_once() {

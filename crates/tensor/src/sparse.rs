@@ -7,7 +7,7 @@
 //! pipeline, matching the paper's observation that feature generation is
 //! negligible next to training.
 
-use crate::parallel::{available_threads, parallel_chunks, parallel_map};
+use crate::parallel::{kernel_threads, parallel_chunks, parallel_map};
 use crate::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -71,8 +71,7 @@ impl CsrMatrix {
         // triplet list for large inputs; per-shard counts merge by integer
         // addition, which is order-independent, so the shard count can never
         // change the result.
-        let count_shards =
-            if parallel { available_threads().min(triplets.len().max(1)) } else { 1 };
+        let count_shards = if parallel { kernel_threads().min(triplets.len().max(1)) } else { 1 };
         let mut counts = vec![0usize; rows + 1];
         if count_shards > 1 {
             let per = triplets.len().div_ceil(count_shards);
@@ -122,7 +121,7 @@ impl CsrMatrix {
         // self-contained per row, so contiguous row ranges merge in parallel;
         // shard outputs are concatenated in ascending-row order, making the
         // result independent of the shard count.
-        let merge_shards = if parallel && rows > 1 { available_threads().min(rows) } else { 1 };
+        let merge_shards = if parallel && rows > 1 { kernel_threads().min(rows) } else { 1 };
         let rows_per = rows.div_ceil(merge_shards).max(1);
         let shards: Vec<(Vec<usize>, Vec<u32>, Vec<f32>)> = parallel_map(merge_shards, |si| {
             let r_lo = (si * rows_per).min(rows);
