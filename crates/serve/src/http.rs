@@ -78,8 +78,7 @@ pub struct Request {
 impl Request {
     /// Case-insensitive single-header lookup.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let want = name.to_ascii_lowercase();
-        self.headers.iter().find(|(n, _)| *n == want).map(|(_, v)| v.as_str())
+        self.headers.iter().find(|(n, _)| n.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
     }
 }
 
@@ -230,7 +229,9 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Serializes and writes `response`; the caller closes the stream.
+/// Serializes `response` into one buffer and writes it in one call (head and
+/// body in one segment, as `HttpClient` sends requests); the caller closes
+/// the stream.
 ///
 /// # Errors
 ///
@@ -245,8 +246,9 @@ pub(crate) fn write_response(stream: &mut TcpStream, response: &Response) -> std
     }
     head.push_str(&format!("Content-Length: {}\r\n", response.body.len()));
     head.push_str("Connection: close\r\n\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&response.body)?;
+    let mut wire = head.into_bytes();
+    wire.extend_from_slice(&response.body);
+    stream.write_all(&wire)?;
     stream.flush()
 }
 

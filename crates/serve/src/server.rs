@@ -20,9 +20,11 @@
 //! write_response (Connection: close)
 //! ```
 //!
-//! A slow client therefore occupies only its connection thread and is cut
-//! off by the socket timeout; engine worker slots are spent exclusively on
-//! fully-read, admitted requests. Fault sites (`hoga_jobs::ServeSite`) are
+//! The accept thread blocks in `accept` — no poll, no timer — and the only
+//! socket I/O it does itself, the shed path's lingering close, has one total
+//! deadline. A slow client therefore occupies only its connection thread and
+//! is cut off by the socket timeout; engine worker slots are spent exclusively
+//! on fully-read, admitted requests. Fault sites (`hoga_jobs::ServeSite`) are
 //! claimed at the exact production code points they model — see
 //! `docs/SERVING.md` for the table.
 
@@ -40,12 +42,12 @@ use hoga_jobs::{
 };
 use hoga_synth::Recipe;
 use hoga_tensor::{active_backend, available_threads, Matrix};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Server tuning. `Default` gives a loopback server on an OS-chosen port
 /// with conservative robustness limits; only `checkpoint` must be set.
@@ -192,7 +194,6 @@ impl Server {
         .map_err(StartError::Io)?;
         let listener = TcpListener::bind(&config.addr).map_err(StartError::Io)?;
         let addr = listener.local_addr().map_err(StartError::Io)?;
-        listener.set_nonblocking(true).map_err(StartError::Io)?;
 
         let state = Arc::new(ServeState {
             registry,
@@ -239,23 +240,41 @@ impl ServerHandle {
 
     /// Stops accepting, then drains and joins the engine. Connection
     /// threads already past accept finish their single request.
+    ///
+    /// The accept thread sleeps in `accept`, so after raising `stop` this
+    /// wakes it with one bounded connection to its own address (a wildcard
+    /// bind is reached over loopback of the same family). If even that
+    /// cannot connect, the thread is left detached rather than joined: it
+    /// exits at its next wake-up and `shutdown` stays bounded.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
+        let mut wake = self.addr;
+        match wake.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => wake.set_ip(Ipv4Addr::LOCALHOST.into()),
+            IpAddr::V6(ip) if ip.is_unspecified() => wake.set_ip(Ipv6Addr::LOCALHOST.into()),
+            _ => {}
+        }
+        let woken = TcpStream::connect_timeout(&wake, Duration::from_millis(500)).is_ok();
+        if let Some(t) = self.accept_thread.take().filter(|_| woken) {
             let _ = t.join();
         }
         // The engine drains on drop of the last state Arc.
     }
 }
 
-/// Accept loop: nonblocking accept polled against the stop flag.
+/// Accept loop: blocks in `accept`, so an idle server is asleep and a
+/// connection is admitted the moment it arrives. Whatever `accept` returns
+/// once `stop` is set — the shutdown wake — is dropped unadmitted: never
+/// counted, never given a thread, never shed. Returning drops the listener.
 fn accept_loop(listener: &TcpListener, state: &Arc<ServeState>, stop: &AtomicBool) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => admit(stream, state),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // Out of descriptors and the like: back off instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -321,11 +340,20 @@ fn serve_connection(mut stream: TcpStream, state: &Arc<ServeState>) {
 /// makes the kernel send RST, destroying the response in flight. Drain —
 /// briefly and boundedly — so the client sees the typed error, not a
 /// connection reset. Never used on the success path (no latency cost).
+///
+/// The bound is one wall-clock deadline for the whole drain, not a timeout
+/// per read: the shed path runs on the accept thread, and a client that
+/// dribbles a byte inside every read timeout must not hold it.
 fn linger_close(stream: &mut TcpStream) {
     use std::io::Read;
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+    let deadline = Instant::now() + Duration::from_millis(50);
     let mut sink = [0u8; 4096];
-    for _ in 0..256 {
+    loop {
+        // Past the deadline `left` is zero, a timeout the socket API refuses.
+        let left = deadline.saturating_duration_since(Instant::now());
+        if stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
         match stream.read(&mut sink) {
             Ok(0) | Err(_) => break,
             Ok(_) => {}

@@ -9,8 +9,10 @@ use hoga_datasets::io::{encode_aig, save_checkpoint, Checkpoint};
 use hoga_datasets::openabcd::RECIPE_ENCODING_WIDTH;
 use hoga_jobs::{FaultKind, FaultSite, JobFaultPlan, ServeSite};
 use hoga_serve::{HttpClient, Server, ServerConfig, ServerHandle};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const HOPS: usize = 3;
 const HIDDEN: usize = 8;
@@ -425,5 +427,52 @@ fn connection_cap_sheds_pre_parse_with_retry_after() {
     // Slot free again: served.
     let r = s.client.get("/healthz").expect("healthz");
     assert_eq!(r.status, 200);
+    s.stop();
+}
+
+#[test]
+fn dribbling_shed_client_cannot_hold_the_accept_loop() {
+    let s = start("dribble", |c| {
+        c.max_connections = 1;
+        c.read_timeout_ms = 10_000;
+    });
+    // The only slot goes to a connection that sends nothing and stays open;
+    // connections are accepted in arrival order, so the next one is shed.
+    let holder = TcpStream::connect(s.handle.addr()).expect("holder connects");
+    let mut dribbler = TcpStream::connect(s.handle.addr()).expect("dribbler connects");
+    dribbler.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+    let (mut seen, mut chunk) = (Vec::new(), [0u8; 512]);
+    while !seen.ends_with(b"\"}") {
+        let n = dribbler.read(&mut chunk).expect("the shed response arrives");
+        assert!(n > 0, "closed before the 503: {:?}", String::from_utf8_lossy(&seen));
+        seen.extend_from_slice(&chunk[..n]);
+    }
+    let text = String::from_utf8_lossy(&seen);
+    assert!(text.starts_with("HTTP/1.1 503 "), "{text}");
+    assert!(text.contains("Retry-After: 1\r\n") && text.contains("connection limit"), "{text}");
+
+    // Shed and answered, the client neither closes nor goes quiet: a byte
+    // inside every per-read linger timeout, for 1.5 s.
+    let dribbling = std::thread::spawn(move || {
+        let until = Instant::now() + Duration::from_millis(1500);
+        while Instant::now() < until {
+            let _ = dribbler.write_all(b"x"); // a reset, once the server hangs up, is fine
+            std::thread::sleep(Duration::from_millis(40));
+        }
+    });
+    // Free the slot. The accept loop must already be back in `accept`: the
+    // lingering close it ran for the dribbler is bounded in total.
+    drop(holder);
+    let released = Instant::now();
+    loop {
+        let r = s.client.get("/healthz").expect("healthz round-trip");
+        let waited = released.elapsed();
+        assert!(waited < Duration::from_millis(500), "accept loop held for {waited:?}");
+        if r.status == 200 {
+            break;
+        }
+        assert_eq!(r.status, 503, "only a not-yet-released slot may refuse: {}", r.text());
+    }
+    dribbling.join().expect("dribbler");
     s.stop();
 }

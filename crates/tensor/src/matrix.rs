@@ -1,14 +1,10 @@
 use crate::backend::{dispatch, KernelBackend};
-use crate::parallel::{parallel_chunks, parallel_map};
+use crate::parallel::{parallel_chunks, parallel_map, PARALLEL_MACS};
 use crate::ShapeError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
 use std::ops::{Add, AddAssign, Mul, Sub};
-
-/// Threshold (in multiply-accumulate operations) above which the matmul
-/// family parallelizes across row (or block, or k-) chunks.
-const PARALLEL_MACS: usize = 1 << 18;
 
 /// Tile edge for the cache-blocked [`Matrix::transpose`].
 const TRANSPOSE_TILE: usize = 32;
@@ -388,7 +384,6 @@ impl Matrix {
         if out.data.is_empty() {
             return out;
         }
-        let parallel = m * k * n > PARALLEL_MACS;
         let a = &self.data;
         let b = &other.data;
         let panel = matmul_panel_len(n);
@@ -447,11 +442,7 @@ impl Matrix {
                 }
             }
         };
-        if parallel {
-            parallel_chunks(&mut out.data, n, |start_row, chunk| work(start_row, chunk));
-        } else {
-            work(0, &mut out.data);
-        }
+        parallel_chunks(&mut out.data, n, m * k * n, work);
         out
     }
 
@@ -626,13 +617,7 @@ impl Matrix {
                 }
             }
         };
-        if batch * br_a * k * n > PARALLEL_MACS {
-            parallel_chunks(&mut out.data, block_elems, |start_block, region| {
-                work(start_block, region)
-            });
-        } else {
-            work(0, &mut out.data);
-        }
+        parallel_chunks(&mut out.data, block_elems, batch * br_a * k * n, work);
         out
     }
 
@@ -696,13 +681,7 @@ impl Matrix {
                 }
             }
         };
-        if batch * br_a * k * br_b > PARALLEL_MACS {
-            parallel_chunks(&mut out.data, block_elems, |start_block, region| {
-                work(start_block, region)
-            });
-        } else {
-            work(0, &mut out.data);
-        }
+        parallel_chunks(&mut out.data, block_elems, batch * br_a * k * br_b, work);
         out
     }
 
@@ -748,13 +727,7 @@ impl Matrix {
                 }
             }
         };
-        if batch * br_a * cols * n > PARALLEL_MACS {
-            parallel_chunks(&mut out.data, block_elems, |start_block, region| {
-                work(start_block, region)
-            });
-        } else {
-            work(0, &mut out.data);
-        }
+        parallel_chunks(&mut out.data, block_elems, batch * br_a * cols * n, work);
         out
     }
 

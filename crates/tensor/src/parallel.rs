@@ -3,7 +3,9 @@
 //! The kernels in this crate parallelize over disjoint row chunks of an
 //! output buffer. [`parallel_chunks`] splits a mutable slice into per-thread
 //! chunks aligned to a row width and runs a closure on each chunk inside a
-//! scoped thread. [`parallel_map`] runs indexed tasks and returns their
+//! scoped thread — unless the region's work is at or below [`PARALLEL_MACS`],
+//! the crate's one grain rule, in which case the closure runs once on the
+//! caller. [`parallel_map`] runs indexed tasks and returns their
 //! results in task order, which is the primitive behind the deterministic
 //! fixed-order reductions of `Matrix::matmul_tn` and `CsrMatrix::from_coo`.
 //!
@@ -136,8 +138,17 @@ pub fn parallel_blocks<T: Send>(blocks: Vec<T>, f: impl Fn(T) + Sync) {
     });
 }
 
+/// Work, in multiply-adds, at or below which a kernel region costs less than
+/// the spawn that would split it: the one grain rule of the crate, applied by
+/// [`parallel_chunks`]. Its value is pinned: `matrix::tn_chunk_count` reads
+/// it, and that chunking decides float association in `Matrix::matmul_tn`.
+pub(crate) const PARALLEL_MACS: usize = 1 << 18;
+
 /// Splits `out` into contiguous chunks aligned to `row_width` and invokes
-/// `f(start_row, chunk)` on each chunk, in parallel.
+/// `f(start_row, chunk)` on each chunk, in parallel — or, for a region of
+/// `macs` multiply-adds at or below [`PARALLEL_MACS`], once on the caller as
+/// `f(0, out)`. The split is a function of the shape and the thread count
+/// alone; it decides which thread writes a row, never what is written.
 ///
 /// The closure receives the starting *row* index of its chunk (not the
 /// element index) so it can read corresponding rows of the inputs.
@@ -145,17 +156,16 @@ pub fn parallel_blocks<T: Send>(blocks: Vec<T>, f: impl Fn(T) + Sync) {
 /// # Panics
 ///
 /// Panics if `row_width` is zero or does not divide `out.len()`.
-pub(crate) fn parallel_chunks<F>(out: &mut [f32], row_width: usize, f: F)
+pub(crate) fn parallel_chunks<F>(out: &mut [f32], row_width: usize, macs: usize, f: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
     assert!(row_width > 0, "row_width must be positive");
     assert_eq!(out.len() % row_width, 0, "buffer not aligned to row width");
     let total_rows = out.len() / row_width;
-    let threads = kernel_threads().min(total_rows.max(1));
-    if threads <= 1 || total_rows == 0 {
-        f(0, out);
-        return;
+    let threads = if macs > PARALLEL_MACS { kernel_threads().min(total_rows) } else { 1 };
+    if threads <= 1 {
+        return f(0, out);
     }
     // At most `threads` chunks, so each gets a worker of its own.
     let rows_per = total_rows.div_ceil(threads);
@@ -252,36 +262,77 @@ mod tests {
         assert!(!INLINE.get());
     }
 
-    #[test]
-    fn chunks_cover_all_rows_exactly_once() {
-        let mut buf = vec![0.0f32; 97 * 3];
-        parallel_chunks(&mut buf, 3, |start_row, chunk| {
+    /// Every `(start_row, rows, ran on the caller)` call `parallel_chunks`
+    /// makes over a `rows × 3` buffer declared as `macs` multiply-adds, in
+    /// row order; each call stamps its rows, so a row written twice or never
+    /// fails here.
+    fn chunk_calls(rows: usize, macs: usize) -> Vec<(usize, usize, bool)> {
+        let caller = std::thread::current().id();
+        let calls = Mutex::new(Vec::new());
+        let mut buf = vec![0.0f32; rows * 3];
+        parallel_chunks(&mut buf, 3, macs, |start_row, chunk| {
             for (i, row) in chunk.chunks_mut(3).enumerate() {
-                for v in row.iter_mut() {
-                    *v += (start_row + i) as f32;
-                }
+                row.iter_mut().for_each(|v| *v += (start_row + i) as f32 + 1.0);
             }
+            let here = (start_row, chunk.len() / 3, std::thread::current().id() == caller);
+            calls.lock().unwrap_or_else(PoisonError::into_inner).push(here);
         });
         for (r, row) in buf.chunks(3).enumerate() {
-            assert!(row.iter().all(|&v| v == r as f32), "row {r} wrong: {row:?}");
+            assert!(row.iter().all(|&v| v == r as f32 + 1.0), "row {r} wrong: {row:?}");
         }
+        let mut calls = calls.into_inner().unwrap_or_else(PoisonError::into_inner);
+        calls.sort_unstable();
+        calls
+    }
+
+    #[test]
+    fn grain_rule_keeps_small_regions_on_the_caller_and_splits_large_ones_per_worker() {
+        let _guard = THREADS.lock().unwrap_or_else(PoisonError::into_inner);
+        for threads in [1, 2, 3, 8] {
+            set_threads(threads);
+            // At or below the bound: one call, the whole buffer, this thread.
+            for macs in [0, 1, PARALLEL_MACS] {
+                assert_eq!(chunk_calls(97, macs), [(0, 97, true)], "{threads} threads, {macs}");
+            }
+            // Above it: one chunk per worker, disjoint, in order, covering.
+            let calls = chunk_calls(97, PARALLEL_MACS + 1);
+            assert_eq!(calls.len(), threads, "{threads} threads: {calls:?}");
+            let mut next = 0;
+            for &(start, rows, on_caller) in &calls {
+                assert_eq!(start, next, "{threads} threads: {calls:?}");
+                assert_eq!(on_caller, threads == 1, "{threads} threads: {calls:?}");
+                next += rows;
+            }
+            assert_eq!(next, 97, "{threads} threads: {calls:?}");
+            // Inside an inline scope the work figure is moot: one call.
+            let inline = inline_kernels(|| chunk_calls(97, PARALLEL_MACS + 1));
+            assert_eq!(inline, [(0, 97, true)], "{threads} threads, inline scope");
+        }
+        set_threads(0);
+    }
+
+    #[test]
+    fn chunks_cover_all_rows_exactly_once() {
+        // At the machine's own thread count; `chunk_calls` checks the stamps.
+        let rows: usize = chunk_calls(97, usize::MAX).iter().map(|call| call.1).sum();
+        assert_eq!(rows, 97);
+    }
+
+    #[test]
+    fn empty_buffer_is_one_inline_call_however_large_the_work() {
+        assert_eq!(chunk_calls(0, usize::MAX), [(0, 0, true)]);
     }
 
     #[test]
     fn single_row_buffer_works() {
-        let mut buf = vec![0.0f32; 4];
-        parallel_chunks(&mut buf, 4, |start, chunk| {
-            assert_eq!(start, 0);
-            chunk.fill(1.0);
-        });
-        assert!(buf.iter().all(|&v| v == 1.0));
+        assert_eq!(chunk_calls(1, usize::MAX), [(0, 1, true)]);
     }
 
     #[test]
     #[should_panic(expected = "not aligned")]
     fn misaligned_buffer_panics() {
         let mut buf = vec![0.0f32; 7];
-        parallel_chunks(&mut buf, 3, |_, _| {});
+        parallel_chunks(&mut buf, 3, 0, |_, _| {});
     }
 
     #[test]

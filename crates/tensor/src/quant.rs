@@ -30,9 +30,6 @@
 use crate::matrix::Matrix;
 use crate::parallel::parallel_chunks;
 
-/// Products below this many `i8` MACs run single-threaded.
-const PARALLEL_MACS: usize = 1 << 18;
-
 /// An activation matrix quantized row-wise to `i8` with an asymmetric
 /// affine map `x ≈ scale[r] · (q − zero_point[r])`.
 #[derive(Debug, Clone)]
@@ -242,11 +239,7 @@ pub fn qmatmul(a: &QuantizedMatrix, w: &QuantizedWeights) -> Matrix {
             }
         }
     };
-    if m * k * n > PARALLEL_MACS {
-        parallel_chunks(out.as_mut_slice(), n, |start_row, chunk| work(start_row, chunk));
-    } else {
-        work(0, out.as_mut_slice());
-    }
+    parallel_chunks(out.as_mut_slice(), n, m * k * n, work);
     out
 }
 

@@ -185,7 +185,8 @@ impl CsrMatrix {
         self.indices[lo..hi].iter().zip(&self.values[lo..hi]).map(|(&c, &v)| (c as usize, v))
     }
 
-    /// Sparse × dense product `self · x`, parallelized over output rows.
+    /// Sparse × dense product `self · x`, parallelized over output rows when
+    /// its `nnz · d` multiply-adds exceed the crate's grain bound.
     ///
     /// # Panics
     ///
@@ -209,7 +210,7 @@ impl CsrMatrix {
         let indices = &self.indices;
         let values = &self.values;
         let xs = x.as_slice();
-        parallel_chunks(out.as_mut_slice(), d, |start_row, chunk| {
+        parallel_chunks(out.as_mut_slice(), d, self.nnz() * d, |start_row, chunk| {
             for (i, orow) in chunk.chunks_mut(d).enumerate() {
                 let r = start_row + i;
                 for pos in indptr[r]..indptr[r + 1] {

@@ -117,18 +117,47 @@ fn batched_matmul_tn_at_trainer_shape_is_thread_invariant() {
     assert!(out.max_abs_diff(&s.batched_matmul_tn_reference(&dy, batch)) < 1e-3);
 }
 
-#[test]
-fn spmm_is_thread_invariant() {
+/// A `rows × 300` adjacency with five entries a row.
+fn banded_csr(rows: usize) -> CsrMatrix {
     let mut triplets = Vec::new();
-    for r in 0..400 {
+    for r in 0..rows {
         for k in 0..5 {
             triplets.push((r, (r * 7 + k * 13) % 300, ((r + k) % 5) as f32 - 2.0));
         }
     }
-    let a = CsrMatrix::from_coo(400, 300, &triplets);
+    CsrMatrix::from_coo(rows, 300, &triplets)
+}
+
+#[test]
+fn spmm_is_thread_invariant() {
+    // 2 000 rows × 5 entries × 48 columns = 480 k multiply-adds: above the
+    // grain bound (1 << 18), so the 3- and 8-thread runs really split rows.
+    let a = banded_csr(2000);
     let x = dense(300, 48, 13);
     let out = assert_thread_invariant("spmm", || a.spmm(&x));
     assert!(out.max_abs_diff(&a.to_dense().matmul_reference(&x)) < 1e-3);
+}
+
+#[test]
+fn spmm_is_bitwise_the_row_by_row_reference_on_both_sides_of_the_grain_bound() {
+    // 1 092 rows × 5 × 48 = 262 080 multiply-adds runs on the caller; one
+    // more row (262 320) crosses 1 << 18 and splits across the workers.
+    // Either way a row is the same ascending sum over its entries.
+    let x = dense(300, 48, 14);
+    for rows in [1092usize, 1093] {
+        let a = banded_csr(rows);
+        assert_eq!(a.nnz(), rows * 5, "the band never merges entries");
+        let mut want = Matrix::zeros(rows, 48);
+        for r in 0..rows {
+            for (c, v) in a.row_entries(r) {
+                for j in 0..48 {
+                    want[(r, j)] += v * x[(c, j)];
+                }
+            }
+        }
+        let out = assert_thread_invariant("spmm at the grain bound", || a.spmm(&x));
+        assert_eq!(bits(&out), bits(&want), "{rows} rows");
+    }
 }
 
 #[test]
