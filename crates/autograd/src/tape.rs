@@ -1,6 +1,7 @@
 //! The reverse-mode tape: an arena of operation nodes plus the backward sweep.
 
 use crate::params::{ParamId, ParamSet};
+use hoga_tensor::recycle::{give_back, retire};
 use hoga_tensor::{
     layernorm_backward, layernorm_forward, softmax_backward_rows, softmax_rows, CsrMatrix,
     LayerNormCache, Matrix,
@@ -44,10 +45,7 @@ impl Gradients {
     }
 
     fn add(&mut self, id: ParamId, delta: Matrix) {
-        match self.slot(id.index()) {
-            Some(g) => g.axpy(1.0, &delta),
-            slot @ None => *slot = Some(delta),
-        }
+        accumulate(self.slot(id.index()), delta);
     }
 
     /// Sums another worker's gradients into this one (all-reduce).
@@ -94,6 +92,19 @@ impl Gradients {
     /// Iterates over `(ParamId, gradient)` pairs that received gradients.
     pub fn iter(&self) -> impl Iterator<Item = (ParamId, &Matrix)> {
         self.grads.iter().enumerate().filter_map(|(i, g)| g.as_ref().map(|g| (ParamId(i), g)))
+    }
+}
+
+/// Adds `delta` to the gradient in `slot`. An empty slot takes `delta`
+/// itself; a full one sums it in and hands its storage back for the next
+/// allocation of the sweep.
+fn accumulate(slot: &mut Option<Matrix>, delta: Matrix) {
+    match slot {
+        Some(g) => {
+            g.axpy(1.0, &delta);
+            give_back(delta);
+        }
+        None => *slot = Some(delta),
     }
 }
 
@@ -167,9 +178,30 @@ struct Node {
 /// Build the forward pass by calling the op methods, then call
 /// [`Tape::backward`] once on the final scalar. See the
 /// [crate-level docs](crate) for a complete example.
+///
+/// A tape keeps its thread's memory warm: when it drops, the storage of
+/// its values and op caches goes to [`hoga_tensor::recycle`] rather than to
+/// the allocator, and the next tape on the thread — a training step repeats
+/// its shapes — is built in the same buffers.
 #[derive(Default)]
 pub struct Tape {
     nodes: Vec<Node>,
+}
+
+impl Drop for Tape {
+    fn drop(&mut self) {
+        for node in self.nodes.drain(..) {
+            give_back(node.value);
+            match node.op {
+                Op::LayerNorm { cache, .. } => give_back(cache.normalized),
+                Op::CrossEntropyMean { probs, .. } => give_back(probs),
+                Op::Dropout { mask, .. } => give_back(mask),
+                Op::MseLoss { target, .. } => give_back(target),
+                _ => {}
+            }
+        }
+        retire();
+    }
 }
 
 impl Tape {
@@ -353,7 +385,9 @@ impl Tape {
         self.push(v, Op::SelectRows { x, indices })
     }
 
-    /// Reinterprets `x` as `rows × cols` without moving data.
+    /// Records a `rows × cols` copy of `x`'s elements in the same row-major
+    /// order (a tape value owns its storage, so the data is copied, not
+    /// aliased).
     ///
     /// # Panics
     ///
@@ -361,7 +395,7 @@ impl Tape {
     pub fn reshape(&mut self, x: Var, rows: usize, cols: usize) -> Var {
         let xm = &self.nodes[x.0].value;
         assert_eq!(rows * cols, xm.len(), "reshape element count mismatch");
-        let v = Matrix::from_vec(rows, cols, xm.as_slice().to_vec());
+        let v = Matrix::from_vec(rows, cols, xm.clone().into_vec());
         self.push(v, Op::Reshape(x))
     }
 
@@ -500,7 +534,6 @@ impl Tape {
     /// # Panics
     ///
     /// Panics if the mask shape differs from `x`.
-    // analyze: allow(dead-public-api) — public regularization op of the tape API; its backward pass is covered by gradcheck tests
     pub fn dropout(&mut self, x: Var, mask: Matrix) -> Var {
         let v = self.nodes[x.0].value.hadamard(&mask);
         self.push(v, Op::Dropout { x, mask })
@@ -508,6 +541,11 @@ impl Tape {
 
     /// Runs the reverse sweep from scalar `loss` and returns parameter
     /// gradients.
+    ///
+    /// Each node's incoming gradient is owned by the sweep, so wherever an
+    /// input's gradient has the same shape it is computed in that storage
+    /// or is that storage, moved; what is left over goes back to
+    /// [`hoga_tensor::recycle`] for the next allocation of the sweep.
     ///
     /// # Panics
     ///
@@ -519,7 +557,7 @@ impl Tape {
         let mut out = Gradients::new();
 
         for i in (0..self.nodes.len()).rev() {
-            let Some(gy) = grads[i].take() else { continue };
+            let Some(mut gy) = grads[i].take() else { continue };
             // Accumulates `delta` into node `j`; `$delta` is evaluated only
             // when a parameter sits upstream of `j`, so the gradient of a
             // constant (the hop stack, a feature matrix) is never computed.
@@ -527,71 +565,109 @@ impl Tape {
                 ($j:expr, $delta:expr) => {{
                     let j: Var = $j;
                     if self.nodes[j.0].needs_grad {
-                        let delta: Matrix = $delta;
+                        accumulate(&mut grads[j.0], $delta);
+                    }
+                }};
+            }
+            // `acc!` for a delta that is `gy` itself and has a later use:
+            // summed in by reference, copied only into an empty slot.
+            macro_rules! acc_shared {
+                ($j:expr) => {{
+                    let j: Var = $j;
+                    if self.nodes[j.0].needs_grad {
                         match &mut grads[j.0] {
-                            Some(g) => g.axpy(1.0, &delta),
-                            slot @ None => *slot = Some(delta),
+                            Some(g) => g.axpy(1.0, &gy),
+                            slot @ None => *slot = Some(gy.clone()),
                         }
                     }
                 }};
             }
+            // `acc!` for the last use of an owned gradient: moved into node
+            // `j`'s slot, or handed back when `j` has no use for it.
+            macro_rules! acc_last {
+                ($j:expr, $owned:expr) => {{
+                    let (j, owned): (Var, Matrix) = ($j, $owned);
+                    if self.nodes[j.0].needs_grad {
+                        accumulate(&mut grads[j.0], owned);
+                    } else {
+                        give_back(owned);
+                    }
+                }};
+            }
             match &self.nodes[i].op {
-                Op::Constant => {}
+                Op::Constant => give_back(gy),
                 Op::Param(id) => out.add(*id, gy),
                 Op::Add(a, b) => {
                     let (a, b) = (*a, *b);
-                    acc!(a, gy.clone());
-                    acc!(b, gy);
+                    if self.nodes[b.0].needs_grad {
+                        acc_shared!(a);
+                        acc_last!(b, gy);
+                    } else {
+                        acc_last!(a, gy);
+                    }
                 }
                 Op::Sub(a, b) => {
                     let (a, b) = (*a, *b);
-                    acc!(a, gy.clone());
-                    acc!(b, gy.scale(-1.0));
+                    if self.nodes[b.0].needs_grad {
+                        acc_shared!(a);
+                        gy.map_inplace(|g| -g);
+                        acc_last!(b, gy);
+                    } else {
+                        acc_last!(a, gy);
+                    }
                 }
                 Op::Hadamard(a, b) => {
                     let (a, b) = (*a, *b);
                     acc!(a, gy.hadamard(&self.nodes[b.0].value));
-                    acc!(b, gy.hadamard(&self.nodes[a.0].value));
+                    gy.zip_map_inplace(&self.nodes[a.0].value, |g, v| g * v);
+                    acc_last!(b, gy);
                 }
                 Op::Scale(x, s) => {
                     let (x, s) = (*x, *s);
-                    acc!(x, gy.scale(s));
+                    gy.map_inplace(|g| g * s);
+                    acc_last!(x, gy);
                 }
                 Op::AddBias { x, bias } => {
                     let (x, bias) = (*x, *bias);
                     acc!(bias, gy.col_sums());
-                    acc!(x, gy);
+                    acc_last!(x, gy);
                 }
                 Op::Matmul(a, b) => {
                     let (a, b) = (*a, *b);
                     acc!(a, gy.matmul_nt(&self.nodes[b.0].value));
                     acc!(b, self.nodes[a.0].value.matmul_tn(&gy));
+                    give_back(gy);
                 }
                 Op::BatchedMatmul { a, b, batch } => {
                     let (a, b, batch) = (*a, *b, *batch);
                     acc!(a, gy.batched_matmul_nt(&self.nodes[b.0].value, batch));
                     acc!(b, self.nodes[a.0].value.batched_matmul_tn(&gy, batch));
+                    give_back(gy);
                 }
                 Op::BatchedMatmulNT { a, b, batch } => {
                     let (a, b, batch) = (*a, *b, *batch);
                     acc!(a, gy.batched_matmul(&self.nodes[b.0].value, batch));
                     acc!(b, gy.batched_matmul_tn(&self.nodes[a.0].value, batch));
+                    give_back(gy);
                 }
                 Op::Relu(x) => {
                     let x = *x;
-                    let dx =
-                        gy.zip_map(&self.nodes[x.0].value, |g, v| if v > 0.0 { g } else { 0.0 });
-                    acc!(x, dx);
+                    gy.zip_map_inplace(
+                        &self.nodes[x.0].value,
+                        |g, v| if v > 0.0 { g } else { 0.0 },
+                    );
+                    acc_last!(x, gy);
                 }
                 Op::Sigmoid(x) => {
                     let x = *x;
-                    let dx = gy.zip_map(&self.nodes[i].value, |g, y| g * y * (1.0 - y));
-                    acc!(x, dx);
+                    gy.zip_map_inplace(&self.nodes[i].value, |g, y| g * y * (1.0 - y));
+                    acc_last!(x, gy);
                 }
                 Op::SoftmaxRows(x) => {
                     let x = *x;
                     let dx = softmax_backward_rows(&self.nodes[i].value, &gy);
                     acc!(x, dx);
+                    give_back(gy);
                 }
                 Op::LayerNorm { x, gamma, beta, cache } => {
                     let (x, gamma, beta) = (*x, *gamma, *beta);
@@ -600,6 +676,7 @@ impl Tape {
                     acc!(x, dx);
                     acc!(gamma, Matrix::from_vec(1, dg.len(), dg));
                     acc!(beta, Matrix::from_vec(1, db.len(), db));
+                    give_back(gy);
                 }
                 Op::ConcatCols(a, b) => {
                     let (a, b) = (*a, *b);
@@ -613,6 +690,7 @@ impl Tape {
                     };
                     acc!(a, cols(0..ca));
                     acc!(b, cols(ca..gy.cols()));
+                    give_back(gy);
                 }
                 Op::SelectRows { x, indices } => {
                     let x = *x;
@@ -620,16 +698,18 @@ impl Tape {
                         Matrix::zeros(self.nodes[x.0].value.rows(), self.nodes[x.0].value.cols());
                     dx.scatter_add_rows(indices, &gy);
                     acc!(x, dx);
+                    give_back(gy);
                 }
                 Op::Reshape(x) => {
                     let x = *x;
                     let (r, c) = self.nodes[x.0].value.shape();
-                    acc!(x, Matrix::from_vec(r, c, gy.into_vec()));
+                    acc_last!(x, Matrix::from_vec(r, c, gy.into_vec()));
                 }
                 Op::Spmm { adj_t, x } => {
                     let x = *x;
                     let dx = adj_t.spmm(&gy);
                     acc!(x, dx);
+                    give_back(gy);
                 }
                 Op::SegmentReduce { x, segments, mean } => {
                     let x = *x;
@@ -645,6 +725,7 @@ impl Tape {
                         }
                     }
                     acc!(x, dx);
+                    give_back(gy);
                 }
                 Op::SumAll(x) => {
                     let x = *x;
@@ -676,7 +757,8 @@ impl Tape {
                 }
                 Op::Dropout { x, mask } => {
                     let x = *x;
-                    acc!(x, gy.hadamard(mask));
+                    gy.zip_map_inplace(mask, |g, m| g * m);
+                    acc_last!(x, gy);
                 }
             }
         }

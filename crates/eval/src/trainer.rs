@@ -612,8 +612,12 @@ pub fn eval_reasoning(model: &ReasonModel, graph: &ReasoningGraph) -> f32 {
 /// Predicted class index per node.
 pub fn predict_reasoning(model: &ReasonModel, graph: &ReasoningGraph) -> Vec<usize> {
     match model {
-        ReasonModel::Hoga(m, cls) => predict_hopwise(graph, &**m, cls, hoga_reps),
-        ReasonModel::Sign(m, cls) => predict_hopwise(graph, &**m, cls, Sign::forward),
+        ReasonModel::Hoga(m, cls) => {
+            predict_hopwise(graph, &**m, cls, hoga_reps, PREDICT_CHUNK_NODES)
+        }
+        ReasonModel::Sign(m, cls) => {
+            predict_hopwise(graph, &**m, cls, Sign::forward, PREDICT_CHUNK_NODES)
+        }
         ReasonModel::Sage(m, cls) => {
             let mean_adj = Arc::new(hoga_circuit::adjacency::normalized_mean(&graph.aig));
             let mean_adj_t = Arc::new(mean_adj.transpose());
@@ -625,15 +629,24 @@ pub fn predict_reasoning(model: &ReasonModel, graph: &ReasoningGraph) -> Vec<usi
     }
 }
 
+/// Nodes per evaluation tape of the hop-based models: the training step's
+/// default node count, so that evaluating between or after epochs builds
+/// its tapes in the buffers the step left on the thread
+/// (`hoga_tensor::recycle`) instead of founding — and then retaining — a
+/// size class eight times larger. Predictions are per node, so the chunk
+/// size cannot change them.
+const PREDICT_CHUNK_NODES: usize = 512;
+
 fn predict_hopwise<M: Trainable>(
     graph: &ReasoningGraph,
     model: &M,
     cls: &NodeClassifier,
     forward: impl Fn(&M, &mut Tape, &Matrix, usize) -> Var,
+    chunk_nodes: usize,
 ) -> Vec<usize> {
     let nodes: Vec<usize> = (0..graph.aig.num_nodes()).collect();
     let mut pred = Vec::with_capacity(nodes.len());
-    for chunk in nodes.chunks(4096) {
+    for chunk in nodes.chunks(chunk_nodes) {
         let stack = hop_stack(&graph.hops, chunk);
         let mut tape = Tape::new();
         let reps = forward(model, &mut tape, &stack, chunk.len());
@@ -981,6 +994,29 @@ mod tests {
             let (model, _) = train_reasoning(&g, kind, &cfg);
             let acc = eval_reasoning(&model, &g);
             assert!((0.0..=1.0).contains(&acc), "{kind:?}: bad accuracy {acc}");
+        }
+    }
+
+    #[test]
+    fn predictions_do_not_depend_on_the_evaluation_chunk() {
+        // 1 632 nodes: one 4 096-node chunk (what evaluation used to build)
+        // against four chunks of the training step's size, the last partial.
+        let g = build_reasoning_graph(MultiplierKind::Csa, 8, &ReasoningConfig::default());
+        assert!(g.aig.num_nodes() > 3 * PREDICT_CHUNK_NODES);
+        let cfg = TrainConfig { epochs: 1, ..tiny_cfg() };
+        for kind in [ReasonModelKind::Hoga(Aggregator::GatedSelfAttention), ReasonModelKind::Sign] {
+            let (model, _) = train_reasoning(&g, kind, &cfg);
+            let predict = |chunk_nodes| match &model {
+                ReasonModel::Hoga(m, cls) => predict_hopwise(&g, &**m, cls, hoga_reps, chunk_nodes),
+                ReasonModel::Sign(m, cls) => {
+                    predict_hopwise(&g, &**m, cls, Sign::forward, chunk_nodes)
+                }
+                ReasonModel::Sage(..) => unreachable!("not a hop-based kind"),
+            };
+            let whole = predict(4096);
+            assert_eq!(whole.len(), g.aig.num_nodes());
+            assert_eq!(whole, predict(PREDICT_CHUNK_NODES), "{kind:?}");
+            assert_eq!(whole, predict_reasoning(&model, &g), "{kind:?}");
         }
     }
 

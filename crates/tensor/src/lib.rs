@@ -48,6 +48,7 @@ mod kernels;
 mod matrix;
 mod parallel;
 mod quant;
+pub mod recycle;
 #[cfg(target_arch = "x86_64")]
 mod simd;
 mod sparse;

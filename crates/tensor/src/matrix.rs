@@ -1,6 +1,6 @@
 use crate::backend::{dispatch, KernelBackend};
-use crate::parallel::{parallel_chunks, parallel_map, PARALLEL_MACS};
-use crate::ShapeError;
+use crate::parallel::{parallel_chunks, parallel_map};
+use crate::{recycle, ShapeError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
@@ -34,11 +34,18 @@ const TN_K_CHUNK: usize = 128;
 /// `chunks × m × n` scratch memory.
 const TN_MAX_CHUNKS: usize = 16;
 
+/// Work, in multiply-adds, up to which [`Matrix::matmul_tn`] accumulates in
+/// one `k`-chunk. This is part of the numeric contract — it decides float
+/// association, so changing it moves every trained bit — and is therefore a
+/// constant of its own: it equals `parallel::PARALLEL_MACS` by history, not
+/// by reference, and the grain bound can be retuned without touching it.
+const TN_SINGLE_CHUNK_MACS: usize = 1 << 18;
+
 /// Number of `k`-chunks `matmul_tn` decomposes into — a pure function of the
 /// operand shapes, never of the thread count, so the fixed-order reduction
 /// over chunk partials yields bitwise-identical floats at any parallelism.
 fn tn_chunk_count(m: usize, k: usize, n: usize) -> usize {
-    if m * k * n <= PARALLEL_MACS {
+    if m * k * n <= TN_SINGLE_CHUNK_MACS {
         1
     } else {
         k.div_ceil(TN_K_CHUNK).clamp(1, TN_MAX_CHUNKS)
@@ -63,7 +70,7 @@ fn tn_chunk_count(m: usize, k: usize, n: usize) -> usize {
 /// assert_eq!(m.cols(), 3);
 /// assert_eq!(m[(1, 2)], 5.0);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -81,12 +88,12 @@ impl Matrix {
     /// assert_eq!(z.sum(), 0.0);
     /// ```
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self { rows, cols, data: vec![0.0; rows * cols] }
+        Self::full(rows, cols, 0.0)
     }
 
     /// Creates a `rows × cols` matrix filled with `value`.
     pub fn full(rows: usize, cols: usize, value: f32) -> Self {
-        Self { rows, cols, data: vec![value; rows * cols] }
+        Self { rows, cols, data: recycle::filled(rows * cols, value) }
     }
 
     /// Creates the `n × n` identity matrix.
@@ -215,7 +222,9 @@ impl Matrix {
 
     /// Returns a new matrix with `f` applied to every element.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
-        Self { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&x| f(x)).collect() }
+        let mut data = recycle::empty(self.data.len());
+        data.extend(self.data.iter().map(|&x| f(x)));
+        Self { rows: self.rows, cols: self.cols, data }
     }
 
     /// Applies `f` to every element in place.
@@ -232,10 +241,21 @@ impl Matrix {
     /// Panics if the shapes differ.
     pub fn zip_map(&self, other: &Self, f: impl Fn(f32, f32) -> f32) -> Self {
         self.assert_same_shape(other, "zip_map");
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)).collect(),
+        let mut data = recycle::empty(self.data.len());
+        data.extend(self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)));
+        Self { rows: self.rows, cols: self.cols, data }
+    }
+
+    /// Replaces every element `a` by `f(a, b)`, `b` being `other`'s element
+    /// at the same position: [`Matrix::zip_map`] into `self`'s own storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes differ.
+    pub fn zip_map_inplace(&mut self, other: &Self, f: impl Fn(f32, f32) -> f32) {
+        self.assert_same_shape(other, "zip_map_inplace");
+        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+            *a = f(*a, b);
         }
     }
 
@@ -386,6 +406,12 @@ impl Matrix {
         }
         let a = &self.data;
         let b = &other.data;
+        if n == 1 && k > 0 && !FAST {
+            parallel_chunks(&mut out.data, 1, m * k, |row_start, chunk| {
+                Self::matvec_rows(&a[row_start * k..], k, b, chunk)
+            });
+            return out;
+        }
         let panel = matmul_panel_len(n);
         let work = |row_start: usize, chunk: &mut [f32]| {
             let rows_here = chunk.len() / n;
@@ -444,6 +470,26 @@ impl Matrix {
         };
         parallel_chunks(&mut out.data, n, m * k * n, work);
         out
+    }
+
+    /// `out[i] += a_i · x` for consecutive `k`-float rows `a_i` of `a`: the
+    /// [`Matrix::matmul`] of a one-column right-hand side (the readout's
+    /// `[Ĥ₀ ‖ Ĥₖ]·α`, Eq. 10). The panel kernel tiles sixteen output columns
+    /// and walks a lone one element at a time down a single dependency
+    /// chain; here eight rows advance together, each on the chain the
+    /// kernel contract fixes — one multiply and one add per `k`, ascending,
+    /// bitwise-zero coefficients skipped — so the bits are the panel's.
+    fn matvec_rows(a: &[f32], k: usize, x: &[f32], out: &mut [f32]) {
+        const ROWS: usize = 8;
+        for (block, arows) in out.chunks_mut(ROWS).zip(a.chunks(ROWS * k)) {
+            for (kk, &xv) in x.iter().enumerate() {
+                for (acc, arow) in block.iter_mut().zip(arows.chunks_exact(k)) {
+                    let av = arow[kk];
+                    // analyze: allow(float-equality) — exact-zero sparsity fast path; skipping only bitwise zeros cannot change the accumulated sum
+                    *acc = if av == 0.0 { *acc } else { *acc + av * xv };
+                }
+            }
+        }
     }
 
     /// Matrix product `self · otherᵀ` — the `dX = dY·Wᵀ` kernel of every
@@ -537,6 +583,16 @@ impl Matrix {
         for kk in range {
             let arow = &a[kk * m..(kk + 1) * m];
             let brow = &b[kk * n..(kk + 1) * n];
+            if let [bv] = *brow {
+                // A one-column `b` (the gradient of a matrix–vector
+                // product): `fma_row` over one-float rows is a backend call
+                // per multiply-add, so spell its contract out instead.
+                for (o, &av) in out.iter_mut().zip(arow) {
+                    // analyze: allow(float-equality) — exact-zero sparsity fast path; skipping only bitwise zeros cannot change the accumulated sum
+                    *o = if av == 0.0 { *o } else { *o + av * bv };
+                }
+                continue;
+            }
             for (i, &av) in arow.iter().enumerate() {
                 let orow = &mut out[i * n..(i + 1) * n];
                 B::fma_row(orow, av, brow);
@@ -920,7 +976,7 @@ impl Matrix {
             self.rows, other.rows
         );
         let cols = self.cols + other.cols;
-        let mut data = Vec::with_capacity(self.rows * cols);
+        let mut data = recycle::empty(self.rows * cols);
         for r in 0..self.rows {
             data.extend_from_slice(self.row(r));
             data.extend_from_slice(other.row(r));
@@ -934,7 +990,7 @@ impl Matrix {
     ///
     /// Panics if any index is out of bounds.
     pub fn select_rows(&self, indices: &[usize]) -> Self {
-        let mut data = Vec::with_capacity(indices.len() * self.cols);
+        let mut data = recycle::empty(indices.len() * self.cols);
         for &i in indices {
             data.extend_from_slice(self.row(i));
         }
@@ -975,6 +1031,14 @@ impl Matrix {
     pub fn max_abs_diff(&self, other: &Self) -> f32 {
         self.assert_same_shape(other, "max_abs_diff");
         self.data.iter().zip(&other.data).fold(0.0f32, |m, (&a, &b)| m.max((a - b).abs()))
+    }
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        let mut data = recycle::empty(self.data.len());
+        data.extend_from_slice(&self.data);
+        Self { rows: self.rows, cols: self.cols, data }
     }
 }
 
@@ -1066,7 +1130,7 @@ mod tests {
 
     #[test]
     fn chunked_matmul_tn_matches_reference() {
-        // 40 × 600 · 600 × 40 exceeds PARALLEL_MACS, so matmul_tn decomposes
+        // 40 × 600 · 600 × 40 exceeds TN_SINGLE_CHUNK_MACS, so matmul_tn decomposes
         // the 600-row shared dimension into multiple fixed chunks.
         let a = Matrix::from_fn(600, 40, |r, c| ((r * 7 + c * 3) % 23) as f32 * 0.125 - 1.0);
         let b = Matrix::from_fn(600, 40, |r, c| ((r * 5 + c * 11) % 19) as f32 * 0.25 - 2.0);

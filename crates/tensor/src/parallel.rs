@@ -140,8 +140,9 @@ pub fn parallel_blocks<T: Send>(blocks: Vec<T>, f: impl Fn(T) + Sync) {
 
 /// Work, in multiply-adds, at or below which a kernel region costs less than
 /// the spawn that would split it: the one grain rule of the crate, applied by
-/// [`parallel_chunks`]. Its value is pinned: `matrix::tn_chunk_count` reads
-/// it, and that chunking decides float association in `Matrix::matmul_tn`.
+/// [`parallel_chunks`]. It only ever decides which thread writes a row, so
+/// retuning it cannot move a result (`Matrix::matmul_tn`'s reduction tree
+/// has a constant of its own).
 pub(crate) const PARALLEL_MACS: usize = 1 << 18;
 
 /// Splits `out` into contiguous chunks aligned to `row_width` and invokes
