@@ -7,8 +7,7 @@
 //! * **Per-file extraction** ([`extract`]) walks each function CFG and
 //!   records *facts* — panic seeds, blocking-operation sites, call sites,
 //!   lock-order edges, and calls made while a lock is must-held. Facts are
-//!   plain data ([`CgFacts`]) that persist in the incremental cache, so a
-//!   warm run never re-lexes a file to rebuild the graph.
+//!   plain data ([`CgFacts`]), one value per file.
 //! * **Cross-file resolution** ([`build_graph`] + [`resolve_rules`]) is a
 //!   pure function of the per-file facts: it merges definitions by name
 //!   (the same conservative heuristic `det.rs` uses for its one-hop
@@ -32,21 +31,20 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Range;
 
-use crate::cfg::{function_cfgs, BlockId, Cfg};
+use crate::cfg::{BlockId, Cfg};
 use crate::dataflow::{forward_fixpoint, Analysis};
-use crate::lexer::{lex, TokKind, Token};
-use crate::parser::{parse_items, ItemKind, Visibility};
-use crate::rules::{
-    cfg_test_spans, in_spans, lock_acquisition, FileProfile, Finding, Suppression, LOCK_ORDER,
-};
+use crate::lexer::{TokKind, Token};
+use crate::parser::{ItemKind, Visibility};
+use crate::rules::{lock_acquisition, FileFacts, FileView, Finding, Suppression, LOCK_ORDER};
+use crate::symbols::SymbolDef;
 
 // ---------------------------------------------------------------------------
-// Per-file fact types (cached in the incremental artifacts)
+// Per-file fact types
 // ---------------------------------------------------------------------------
 
 /// One extracted site: a panic seed, a blocking operation, or a call,
 /// attributed to the enclosing function.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Default)]
+#[derive(Debug)]
 pub struct CgSite {
     /// 1-based line of the site.
     pub line: u32,
@@ -60,7 +58,7 @@ pub struct CgSite {
 }
 
 /// One lock-order edge: `to` was acquired while `from` was must-held.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Default)]
+#[derive(Debug)]
 pub struct LockEdge {
     /// 1-based line of the acquisition of `to`.
     pub line: u32,
@@ -76,7 +74,7 @@ pub struct LockEdge {
 
 /// A call made while at least one lock was must-held (resolved cross-file
 /// against the callee's may-block fact).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Default)]
+#[derive(Debug)]
 pub struct UnderLockCall {
     /// 1-based line of the call.
     pub line: u32,
@@ -90,9 +88,8 @@ pub struct UnderLockCall {
     pub held: Vec<String>,
 }
 
-/// Every interprocedural fact extracted from one file. Persisted in the
-/// cache artifact so the cross-file stage never re-parses a warm file.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// Every interprocedural fact extracted from one file.
+#[derive(Debug, Default)]
 pub struct CgFacts {
     /// Panic seeds (empty for panic-free-hardened files by policy).
     pub panics: Vec<CgSite>,
@@ -106,30 +103,10 @@ pub struct CgFacts {
     pub under_lock: Vec<UnderLockCall>,
 }
 
-/// One function definition contributed by a file.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CgDef {
-    /// Function name (methods by bare name, like `det.rs` summaries).
-    pub name: String,
-    /// 1-based line of the definition.
-    pub line: u32,
-    /// 1-based column of the definition.
-    pub col: u32,
-    /// `pub` (unrestricted) visibility — the R13 API surface.
-    pub public: bool,
-}
-
-/// A file's contribution to the workspace call graph.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CgFileInput {
-    /// Workspace-relative path.
-    pub rel: String,
-    /// Whether the file is panic-free-hardened (R13 audits its public API).
-    pub hardened: bool,
-    /// Non-test `fn` definitions in the file.
-    pub defs: Vec<CgDef>,
-    /// Extracted facts.
-    pub facts: CgFacts,
+/// The file's non-test `fn` definitions — its call-graph nodes (methods
+/// by bare name, like `det.rs` summaries).
+fn fn_defs(file: &FileFacts) -> impl Iterator<Item = &SymbolDef> {
+    file.defs.iter().filter(|d| d.kind == ItemKind::Fn && !d.in_test_item)
 }
 
 // ---------------------------------------------------------------------------
@@ -166,20 +143,13 @@ const ASSERT_MACROS: &[&str] =
 /// otherwise land in distant files where no annotation could reach them.
 /// The matched suppression is marked used so it does not read as stale.
 pub(crate) fn extract(
-    rel_path: &str,
-    code: &[&Token],
-    src: &str,
-    test_spans: &[Range<usize>],
-    profile: FileProfile,
+    view: &FileView<'_>,
     sups: &mut [Suppression],
     raw: &mut Vec<Finding>,
 ) -> CgFacts {
     let mut facts = CgFacts::default();
-    for cfg in function_cfgs(code, src) {
-        if in_spans(cfg.header_start, test_spans) {
-            continue;
-        }
-        extract_fn(rel_path, code, src, &cfg, profile, &mut facts, sups, raw);
+    for cfg in view.live_cfgs() {
+        extract_fn(view, cfg, &mut facts, sups, raw);
     }
     facts
 }
@@ -197,17 +167,14 @@ fn seed_allowed(sups: &mut [Suppression], rule: &str, line: u32) -> bool {
     hit
 }
 
-#[allow(clippy::too_many_arguments)]
 fn extract_fn(
-    rel_path: &str,
-    code: &[&Token],
-    src: &str,
+    view: &FileView<'_>,
     cfg: &Cfg,
-    profile: FileProfile,
     facts: &mut CgFacts,
     sups: &mut [Suppression],
     raw: &mut Vec<Finding>,
 ) {
+    let (code, src) = (&view.code[..], view.src);
     let stmts: Vec<Range<usize>> =
         cfg.blocks.iter().flat_map(|b| b.stmts.iter().cloned()).collect();
     let bounded = bounded_idents(code, src, &stmts);
@@ -217,7 +184,7 @@ fn extract_fn(
         let guarded = stmt_is_guarded(code, src, stmt);
         for i in stmt.clone() {
             let t = code[i];
-            if !profile.panic_free {
+            if !view.profile.panic_free {
                 if let Some(what) = panic_seed_at(code, src, i, &bounded, guarded) {
                     if !seed_allowed(sups, "panic-reachability", t.line) {
                         facts.panics.push(site(t, &cfg.name, what));
@@ -237,7 +204,7 @@ fn extract_fn(
         }
     }
 
-    lockset_fn(rel_path, code, src, cfg, facts, raw);
+    lockset_fn(view, cfg, facts, raw);
 }
 
 fn site(t: &Token, func: &str, what: String) -> CgSite {
@@ -696,14 +663,8 @@ fn enclosing_scope_end(code: &[&Token], i: usize) -> usize {
 
 /// Runs the must-lockset pass over one function: fixpoint, then a
 /// deterministic reporting walk from the stabilized entry facts.
-fn lockset_fn(
-    rel_path: &str,
-    code: &[&Token],
-    src: &str,
-    cfg: &Cfg,
-    facts: &mut CgFacts,
-    raw: &mut Vec<Finding>,
-) {
+fn lockset_fn(view: &FileView<'_>, cfg: &Cfg, facts: &mut CgFacts, raw: &mut Vec<Finding>) {
+    let (code, src) = (&view.code[..], view.src);
     let mut universe = BTreeSet::new();
     for b in &cfg.blocks {
         for stmt in &b.stmts {
@@ -733,24 +694,20 @@ fn lockset_fn(
     }
 
     for e in &report.edges {
-        if let Some(f) = declared_order_finding(rel_path, e) {
+        if let Some(f) = declared_order_finding(view, e) {
             raw.push(f);
         }
     }
     for (line, col, what, held) in &report.blocking {
+        let message = format!(
+            "{what} while guard(s) `{}` are held; blocking under a held lock stalls every \
+             contender — release the guard first (or justify with \
+             `// analyze: allow(blocking-under-lock) — <why>`)",
+            held.join("`, `")
+        );
         raw.push(Finding {
-            file: rel_path.to_string(),
-            line: *line,
-            col: *col,
-            rule: "blocking-under-lock",
-            message: format!(
-                "{what} while guard(s) `{}` are held; blocking under a held lock stalls every \
-                 contender — release the guard first (or justify with \
-                 `// analyze: allow(blocking-under-lock) — <why>`)",
-                held.join("`, `")
-            ),
             symbol: Some(report.func.clone()),
-            severity_override: None,
+            ..view.finding(*line, *col, "blocking-under-lock", message)
         });
     }
     facts.lock_edges.append(&mut report.edges);
@@ -759,7 +716,7 @@ fn lockset_fn(
 
 /// The flow-local R14 check against the declared [`LOCK_ORDER`]:
 /// re-acquisitions of any lock, and inversions of the declared order.
-fn declared_order_finding(rel_path: &str, e: &LockEdge) -> Option<Finding> {
+fn declared_order_finding(view: &FileView<'_>, e: &LockEdge) -> Option<Finding> {
     let message = if e.from == e.to {
         format!(
             "acquiring `{}` while a guard for it is still held re-acquires a non-reentrant \
@@ -783,13 +740,8 @@ fn declared_order_finding(rel_path: &str, e: &LockEdge) -> Option<Finding> {
         )
     };
     Some(Finding {
-        file: rel_path.to_string(),
-        line: e.line,
-        col: e.col,
-        rule: "lock-order",
-        message,
         symbol: Some(e.to.clone()),
-        severity_override: None,
+        ..view.finding(e.line, e.col, "lock-order", message)
     })
 }
 
@@ -959,8 +911,8 @@ impl CallGraph {
         }
     }
 
-    /// The graph as a deterministic JSON document (the `--callgraph` CI
-    /// artifact).
+    /// The graph as a deterministic JSON document — the observable the
+    /// golden tests compare for byte-identical builds.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"schema\": \"hoga-analyze-callgraph v1\",\n");
         out.push_str(&format!(
@@ -991,18 +943,18 @@ impl CallGraph {
     }
 }
 
-/// Builds the call graph from per-file inputs: nodes are defined function
+/// Builds the call graph from per-file facts: nodes are defined function
 /// names, edges are call sites whose callee resolves to a defined name.
 /// Pure and deterministic: inputs are consumed in the given order, every
 /// collection is a BTree, and Tarjan's visit order is the sorted name
 /// order.
-pub fn build_graph(inputs: &[CgFileInput]) -> CallGraph {
+pub fn build_graph(inputs: &[FileFacts]) -> CallGraph {
     // Node order: sorted (file, name) pairs. Two same-name defs in one
     // file (e.g. `new` on two types) merge into one node — the per-file
     // grain is the same conservative merge `det.rs` applies.
     let mut keys: BTreeSet<(String, String)> = BTreeSet::new();
     for input in inputs {
-        for d in &input.defs {
+        for d in fn_defs(input) {
             keys.insert((input.rel.clone(), d.name.clone()));
         }
     }
@@ -1035,7 +987,7 @@ pub fn build_graph(inputs: &[CgFileInput]) -> CallGraph {
 
     let mut succ_sets: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
     for input in inputs {
-        for c in &input.facts.calls {
+        for c in &input.cg.calls {
             let (Some(from), Some(to)) =
                 (graph.node(&input.rel, &c.func), graph.resolve(&input.rel, &c.what))
             else {
@@ -1043,7 +995,7 @@ pub fn build_graph(inputs: &[CgFileInput]) -> CallGraph {
             };
             succ_sets[from].insert(to);
         }
-        for s in &input.facts.panics {
+        for s in &input.cg.panics {
             if let Some(v) = graph.node(&input.rel, &s.func) {
                 let seed = Seed {
                     file: input.rel.clone(),
@@ -1054,7 +1006,7 @@ pub fn build_graph(inputs: &[CgFileInput]) -> CallGraph {
                 merge_seed(&mut graph.panic_seed[v], seed);
             }
         }
-        for s in &input.facts.blocking {
+        for s in &input.cg.blocking {
             if let Some(v) = graph.node(&input.rel, &s.func) {
                 let seed = Seed {
                     file: input.rel.clone(),
@@ -1146,30 +1098,24 @@ fn tarjan(succs: &[Vec<usize>]) -> (Vec<usize>, usize) {
 // Cross-file resolution: R13 / R14-cycles / R15
 // ---------------------------------------------------------------------------
 
-/// Resolves the cross-file rules against a propagated graph. Returns
-/// findings grouped by workspace-relative path, ready to be pushed through
-/// each file's suppression machinery (like R6's dead-API findings).
-pub(crate) fn resolve_rules(
-    graph: &CallGraph,
-    inputs: &[CgFileInput],
-) -> BTreeMap<String, Vec<Finding>> {
-    let mut out: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
+/// Resolves the cross-file rules against a propagated graph. The findings
+/// still have to pass each file's suppression machinery (like R6's
+/// dead-API findings).
+pub(crate) fn resolve_rules(graph: &CallGraph, inputs: &[FileFacts]) -> Vec<Finding> {
+    let mut out = Vec::new();
 
     // R13: hardened public APIs that can transitively reach a panic.
     for input in inputs {
         if !input.hardened {
             continue;
         }
-        for d in &input.defs {
-            if !d.public {
-                continue;
-            }
+        for d in fn_defs(input).filter(|d| d.vis == Visibility::Public) {
             let Some(v) = graph.node(&input.rel, &d.name) else { continue };
             if !graph.may_panic[v] {
                 continue;
             }
             let Some(path) = graph.witness(v, &graph.panic_seed) else { continue };
-            out.entry(input.rel.clone()).or_default().push(Finding {
+            out.push(Finding {
                 file: input.rel.clone(),
                 line: d.line,
                 col: d.col,
@@ -1190,7 +1136,7 @@ pub(crate) fn resolve_rules(
     // R15 (cross-file): calls under a must-held lock whose callee may
     // transitively block.
     for input in inputs {
-        for u in &input.facts.under_lock {
+        for u in &input.cg.under_lock {
             let Some(v) = graph.resolve(&input.rel, &u.callee) else { continue };
             if !graph.may_block[v] {
                 continue;
@@ -1203,7 +1149,7 @@ pub(crate) fn resolve_rules(
                     None => continue,
                 }
             };
-            out.entry(input.rel.clone()).or_default().push(Finding {
+            out.push(Finding {
                 file: input.rel.clone(),
                 line: u.line,
                 col: u.col,
@@ -1224,21 +1170,19 @@ pub(crate) fn resolve_rules(
 
     // R14 (cross-file): cycles in the workspace lock-order graph that the
     // flow-local declared-order check did not already flag.
-    for f in lock_cycle_findings(inputs) {
-        out.entry(f.file.clone()).or_default().push(f);
-    }
+    out.extend(lock_cycle_findings(inputs));
     out
 }
 
 /// Builds the workspace lock-order graph (lock names as nodes, observed
 /// held→acquired pairs as edges) and reports every cycle not already
 /// covered by the flow-local declared-order/re-acquire findings.
-fn lock_cycle_findings(inputs: &[CgFileInput]) -> Vec<Finding> {
+fn lock_cycle_findings(inputs: &[FileFacts]) -> Vec<Finding> {
     // (from, to) -> earliest site, skipping self-edges (flagged per-file)
     // and declared-order inversions (ditto).
     let mut edges: BTreeMap<(String, String), (String, u32, u32)> = BTreeMap::new();
     for input in inputs {
-        for e in &input.facts.lock_edges {
+        for e in &input.cg.lock_edges {
             if e.from == e.to {
                 continue;
             }
@@ -1354,51 +1298,4 @@ fn cycle_through(succs: &[Vec<usize>], scc_of: &[usize], rep: usize) -> Vec<usiz
         }
     }
     vec![rep, rep]
-}
-
-// ---------------------------------------------------------------------------
-// Single-file helpers (analyze_source, tests)
-// ---------------------------------------------------------------------------
-
-/// Non-test `fn` definitions of a source file, as call-graph defs.
-pub(crate) fn file_defs(src: &str) -> Vec<CgDef> {
-    let tokens = lex(src);
-    let test_spans = cfg_test_spans(&tokens, src);
-    let mut out = Vec::new();
-    for item in parse_items(&tokens, src) {
-        if item.kind != ItemKind::Fn || in_spans(item.start, &test_spans) {
-            continue;
-        }
-        let Some(name) = item.name else { continue };
-        out.push(CgDef {
-            name,
-            line: item.line,
-            col: item.col,
-            public: item.vis == Visibility::Public,
-        });
-    }
-    out
-}
-
-/// Builds a full per-file call-graph input from source (used by the golden
-/// tests; the analyzer proper assembles inputs from cached artifacts).
-pub fn file_input(rel: &str, src: &str, profile: FileProfile) -> CgFileInput {
-    let tokens = lex(src);
-    let test_spans: Vec<Range<usize>> = if profile.all_test {
-        std::iter::once(0..src.len()).collect()
-    } else {
-        cfg_test_spans(&tokens, src)
-    };
-    let code: Vec<&Token> = tokens
-        .iter()
-        .filter(|t| !matches!(t.kind, TokKind::LineComment { .. } | TokKind::BlockComment { .. }))
-        .collect();
-    let mut sups = crate::rules::collect_suppressions(rel, &tokens, src);
-    let mut sink = Vec::new();
-    let facts = if profile.all_test {
-        CgFacts::default()
-    } else {
-        extract(rel, &code, src, &test_spans, profile, &mut sups, &mut sink)
-    };
-    CgFileInput { rel: rel.to_string(), hardened: profile.panic_free, defs: file_defs(src), facts }
 }

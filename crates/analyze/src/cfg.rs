@@ -1,8 +1,8 @@
 //! Intraprocedural control-flow graphs over the token stream — the
 //! substrate for the dataflow rules (R10–R12).
 //!
-//! [`function_cfgs`] finds every `fn` body in a lexed file (via
-//! [`crate::parser::parse_items`]) and lowers it to basic blocks. The
+//! `function_cfgs` lowers every `fn` body among a file's parsed items
+//! ([`crate::parser::parse_items`]) to basic blocks. The
 //! lowering recognizes the statement-level control constructs that matter
 //! for a may-analysis: `if`/`else if`/`else`, `match` arms, `loop`,
 //! `while`, `for`, `return`, `break`, `continue`, and the `?` operator
@@ -24,7 +24,7 @@
 use std::ops::Range;
 
 use crate::lexer::{TokKind, Token};
-use crate::parser::{parse_items, ItemKind};
+use crate::parser::{Item, ItemKind};
 
 /// Index of a basic block within its [`Cfg`].
 pub type BlockId = usize;
@@ -104,20 +104,18 @@ fn edge_label<'a>(code: &[&Token], src: &'a str, pos: usize) -> &'a str {
         .unwrap_or("end")
 }
 
-/// Builds a CFG for every `fn` body in a file. `tokens` must come from
-/// [`crate::lexer::lex`] over `src`; `code` is the comment-free view the
-/// caller already holds (same filtering as the rule engine).
-pub fn function_cfgs(code: &[&Token], src: &str) -> Vec<Cfg> {
-    let owned: Vec<Token> = code.iter().map(|t| (*t).clone()).collect();
-    let items = parse_items(&owned, src);
+/// Builds a CFG for every `fn` body in a file. `code` is the file's
+/// comment-free token view and `items` the item headers parsed from it
+/// (both held by [`crate::rules::FileView`], which is the one caller).
+pub(crate) fn function_cfgs(code: &[&Token], items: &[Item], src: &str) -> Vec<Cfg> {
     let mut cfgs = Vec::new();
-    for item in &items {
+    for item in items {
         if item.kind != ItemKind::Fn {
             continue;
         }
         // Find the token index of the header start, then the signature end:
         // the first `{` or `;` at paren/bracket depth 0 after the name.
-        let Some(header_idx) = code.iter().position(|t| t.start == item.start) else { continue };
+        let Ok(header_idx) = code.binary_search_by_key(&item.start, |t| t.start) else { continue };
         let mut j = header_idx;
         // Skip to the `fn` keyword, then past the name and generics to the
         // body `{` (or `;` for trait-method declarations, which have no
@@ -585,13 +583,7 @@ mod tests {
 
     fn cfgs(src: &str) -> Vec<Cfg> {
         let tokens = lex(src);
-        let code: Vec<&Token> = tokens
-            .iter()
-            .filter(|t| {
-                !matches!(t.kind, TokKind::LineComment { .. } | TokKind::BlockComment { .. })
-            })
-            .collect();
-        function_cfgs(&code, src)
+        crate::rules::FileView::new("fixture.rs", src, &tokens, Default::default()).cfgs
     }
 
     fn reachable_from_entry(cfg: &Cfg) -> usize {

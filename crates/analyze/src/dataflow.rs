@@ -97,19 +97,12 @@ pub fn forward_fixpoint<A: Analysis>(cfg: &Cfg, analysis: &mut A) -> Fixpoint<A:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cfg::function_cfgs;
-    use crate::lexer::{lex, TokKind, Token};
+    use crate::lexer::lex;
     use std::collections::BTreeSet;
 
     fn build(src: &str) -> Vec<crate::cfg::Cfg> {
         let tokens = lex(src);
-        let code: Vec<&Token> = tokens
-            .iter()
-            .filter(|t| {
-                !matches!(t.kind, TokKind::LineComment { .. } | TokKind::BlockComment { .. })
-            })
-            .collect();
-        function_cfgs(&code, src)
+        crate::rules::FileView::new("fixture.rs", src, &tokens, Default::default()).cfgs
     }
 
     /// Reachability as a trivial may-analysis: fact = "block was reached".

@@ -33,10 +33,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
-use crate::cfg::{function_cfgs, Cfg};
+use crate::cfg::Cfg;
 use crate::dataflow::{forward_fixpoint, Analysis, Fixpoint};
 use crate::lexer::{TokKind, Token};
-use crate::rules::{in_spans, FileProfile, Finding, DET_SINKS, DET_SOURCES};
+use crate::rules::{FileView, Finding, DET_SINKS, DET_SOURCES};
 
 /// Structural source kind: iteration over an unordered container.
 pub(crate) const SRC_UNORDERED: &str = "unordered container iteration";
@@ -69,7 +69,7 @@ struct Fact {
 }
 
 /// Per-function summary for the one-call-deep interprocedural step.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default)]
 pub(crate) struct FnSummary {
     /// Function name (merged by name across the workspace, conservatively).
     pub(crate) name: String,
@@ -83,7 +83,7 @@ pub(crate) struct FnSummary {
 }
 
 /// Which interprocedural condition a [`CondFinding`] is waiting on.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub(crate) enum CondKind {
     /// `let x = callee(); ...; sink(x)` — fires iff the callee returns
     /// taint. Carries the sink's name and its persisted-what description.
@@ -94,7 +94,7 @@ pub(crate) enum CondKind {
 }
 
 /// A finding that depends on another function's summary.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub(crate) struct CondFinding {
     pub(crate) file: String,
     pub(crate) line: u32,
@@ -109,7 +109,7 @@ pub(crate) struct CondFinding {
 }
 
 /// Aggregate dataflow statistics for `--stats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DetStats {
     /// Function CFGs built.
     pub cfgs: u64,
@@ -130,35 +130,25 @@ pub(crate) struct DetOutput {
     pub(crate) stats: DetStats,
 }
 
-/// Runs R10/R11/R12 over one file's comment-free token stream. Findings
-/// inside `test_spans` are dropped (bench writers and test fixtures
-/// persist measurement data by design).
-pub(crate) fn run_det(
-    rel_path: &str,
-    code: &[&Token],
-    src: &str,
-    profile: FileProfile,
-    test_spans: &[Range<usize>],
-) -> DetOutput {
+/// Runs R10/R11/R12 over one file's view. Findings inside test code are
+/// dropped (bench writers and test fixtures persist measurement data by
+/// design).
+pub(crate) fn run_det(view: &FileView<'_>) -> DetOutput {
     let mut out = DetOutput::default();
-    let sev = if profile.panic_free { Some("error") } else { None };
-    rule_swallowed_result(rel_path, code, src, test_spans, &mut out.findings);
-    for cfg in function_cfgs(code, src) {
-        if in_spans(cfg.header_start, test_spans) {
-            continue;
-        }
+    rule_swallowed_result(view, &mut out.findings);
+    for cfg in view.live_cfgs() {
         out.stats.cfgs += 1;
         out.stats.blocks += cfg.blocks.len() as u64;
         out.stats.edges += cfg.edge_count() as u64;
         let mut pass = DetPass {
-            code,
-            src,
-            entry: entry_fact(&cfg, code, src),
-            check_index: profile.lossy_cast,
+            code: &view.code,
+            src: view.src,
+            entry: entry_fact(cfg, &view.code, view.src),
+            check_index: view.profile.lossy_cast,
         };
-        let fixpoint: Fixpoint<Fact> = forward_fixpoint(&cfg, &mut pass);
+        let fixpoint: Fixpoint<Fact> = forward_fixpoint(cfg, &mut pass);
         out.stats.fixpoint_iterations += fixpoint.iterations;
-        report_cfg(rel_path, &cfg, &pass, &fixpoint, sev, test_spans, &mut out);
+        report_cfg(view, cfg, &pass, &fixpoint, &mut out);
     }
     out
 }
@@ -274,14 +264,15 @@ struct StmtReport {
 /// Second pass over a solved CFG: re-applies every block's transfer from
 /// its entry fact, this time recording sink hits and summary signals.
 fn report_cfg(
-    rel_path: &str,
+    view: &FileView<'_>,
     cfg: &Cfg,
     pass: &DetPass<'_>,
     fixpoint: &Fixpoint<Fact>,
-    severity_override: Option<&'static str>,
-    test_spans: &[Range<usize>],
     out: &mut DetOutput,
 ) {
+    // R10 severity policy: error in hardened modules, the rule default
+    // (warning) elsewhere.
+    let severity_override = if view.profile.panic_free { Some("error") } else { None };
     let mut report = StmtReport::default();
     for (id, block) in cfg.blocks.iter().enumerate() {
         let mut fact = fixpoint.entry_facts[id].clone();
@@ -312,26 +303,22 @@ fn report_cfg(
     }
     for (tok, rule, message) in report.sites {
         let t = pass.code[tok];
-        if in_spans(t.start, test_spans) {
+        if view.in_test(t.start) {
             continue;
         }
         out.findings.push(Finding {
-            file: rel_path.to_string(),
-            line: t.line,
-            col: t.col,
-            rule,
-            message,
             symbol: Some(cfg.name.clone()),
             severity_override: if rule == "determinism-taint" { severity_override } else { None },
+            ..view.finding(t.line, t.col, rule, message)
         });
     }
     for (tok, callee, kind) in report.conds {
         let t = pass.code[tok];
-        if in_spans(t.start, test_spans) {
+        if view.in_test(t.start) {
             continue;
         }
         out.conds.push(CondFinding {
-            file: rel_path.to_string(),
+            file: view.rel.to_string(),
             line: t.line,
             col: t.col,
             severity_override,
@@ -932,16 +919,11 @@ fn matching_square(code: &[&Token], open: usize, end: usize) -> usize {
 /// R12: a discarded `Result` on a persisted-artifact path. `let _ = <sink
 /// call>;` or `<sink call>.ok()` silently drops an I/O failure on the one
 /// path where a missing artifact corrupts a resume or a CI report.
-fn rule_swallowed_result(
-    rel_path: &str,
-    code: &[&Token],
-    src: &str,
-    test_spans: &[Range<usize>],
-    out: &mut Vec<Finding>,
-) {
+fn rule_swallowed_result(view: &FileView<'_>, out: &mut Vec<Finding>) {
+    let (code, src) = (&view.code, view.src);
     for i in 0..code.len() {
         let t = code[i];
-        if t.kind != TokKind::Ident || in_spans(t.start, test_spans) {
+        if t.kind != TokKind::Ident || view.in_test(t.start) {
             continue;
         }
         let name = t.text(src);
@@ -955,19 +937,16 @@ fn rule_swallowed_result(
         }
         let close = matching_paren(code, i + 1, code.len());
         let flag = |shape: &str, out: &mut Vec<Finding>| {
-            out.push(Finding {
-                file: rel_path.to_string(),
-                line: t.line,
-                col: t.col,
-                rule: "swallowed-result",
-                message: format!(
+            out.push(view.finding(
+                t.line,
+                t.col,
+                "swallowed-result",
+                format!(
                     "{shape} discards the `Result` of persisted-artifact write `{sink}` ({what}); \
                      propagate the error or handle it explicitly (or justify with \
                      `// analyze: allow(swallowed-result) — <why>`)"
                 ),
-                symbol: None,
-                severity_override: None,
-            });
+            ));
         };
         // `<call>.ok();` — swallowed.
         if matches!(code.get(close + 1).map(|t| t.kind), Some(TokKind::Punct('.')))

@@ -7,13 +7,17 @@
 //! happens on tokens, occurrences inside string literals and comments are
 //! never flagged.
 //!
-//! Three layers run over the workspace: token-level rules; graph-aware
-//! rules on a [`symbols::SymbolGraph`] assembled from the item-level
-//! [`parser`] (defs, refs and liveness edges across all crates); and
-//! flow-aware rules on per-function [`cfg`] lowerings driven to fixpoint
-//! by the [`dataflow`] worklist engine ([`det`]). Per-file results are
-//! cacheable as content-hash-keyed artifacts ([`cache`]), and reports
-//! can be gated against an archived [`baseline`].
+//! One pipeline runs over the workspace. Each file is lexed,
+//! comment-filtered, item-parsed ([`parser`]) and CFG-lowered ([`mod@cfg`])
+//! once into a borrowed [`rules::FileView`]; the token-level rules, the
+//! flow-aware rules ([`det`], driven to fixpoint by the [`dataflow`]
+//! worklist engine) and the call-graph fact extraction ([`callgraph`]) all
+//! read that view and leave one in-memory [`rules::FileFacts`] per file.
+//! Two pure resolvers then turn the facts of all files into the cross-file
+//! findings: *flow* (interprocedural taint plus the call-graph rules) and
+//! *dead-API* (liveness on the [`symbols`] graph). Analyzing a
+//! single source is the same path over a one-file slice. Nothing is
+//! persisted between runs.
 //!
 //! Rule catalogue (details in `docs/STATIC_ANALYSIS.md`):
 //!
@@ -67,8 +71,6 @@
 //! themselves errors (`unused-suppression`), so stale allows cannot
 //! accumulate.
 
-pub mod baseline;
-pub mod cache;
 pub mod callgraph;
 pub mod cfg;
 pub mod dataflow;
@@ -80,12 +82,8 @@ pub mod symbols;
 pub mod workspace;
 
 pub use callgraph::CallGraph;
-pub use rules::{analyze_source, FileProfile, Finding};
-pub use symbols::SymbolGraph;
-pub use workspace::{
-    analyze_workspace, analyze_workspace_graph, analyze_workspace_with, AnalysisStats,
-    AnalyzeOptions,
-};
+pub use rules::{analyze_file, analyze_source, FileFacts, FileProfile, FileView, Finding};
+pub use workspace::{analyze_workspace, AnalysisStats};
 
 /// Renders findings one per line as `file:line:col: [rule] message`.
 pub fn render_text(findings: &[Finding]) -> String {
@@ -129,50 +127,6 @@ pub fn render_json(findings: &[Finding]) -> String {
     out
 }
 
-/// Renders findings as a SARIF 2.1.0 log (one run, the full rule
-/// catalogue in the tool driver, one result per finding) so reports
-/// surface in GitHub code scanning.
-pub fn render_sarif(findings: &[Finding]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(
-        "  \"$schema\": \"https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/\
-         Schemata/sarif-schema-2.1.0.json\",\n",
-    );
-    out.push_str("  \"version\": \"2.1.0\",\n  \"runs\": [\n    {\n");
-    out.push_str("      \"tool\": {\n        \"driver\": {\n");
-    out.push_str("          \"name\": \"hoga-analyze\",\n");
-    out.push_str("          \"rules\": [\n");
-    for (i, id) in rules::RULE_IDS.iter().enumerate() {
-        let level = match rules::severity_of(id) {
-            "warning" => "warning",
-            _ => "error",
-        };
-        out.push_str(&format!(
-            "            {{\"id\": {}, \"defaultConfiguration\": {{\"level\": \"{level}\"}}}}{}\n",
-            json_string(id),
-            if i + 1 == rules::RULE_IDS.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("          ]\n        }\n      },\n");
-    out.push_str("      \"results\": [\n");
-    for (i, f) in findings.iter().enumerate() {
-        out.push_str(&format!(
-            "        {{\"ruleId\": {}, \"level\": {}, \"message\": {{\"text\": {}}}, \
-             \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": {}}}, \
-             \"region\": {{\"startLine\": {}, \"startColumn\": {}}}}}}}]}}{}\n",
-            json_string(f.rule),
-            json_string(f.severity()),
-            json_string(&f.message),
-            json_string(&f.file),
-            f.line,
-            f.col,
-            if i + 1 == findings.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("      ]\n    }\n  ]\n}\n");
-    out
-}
-
 pub(crate) fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -196,12 +150,55 @@ pub(crate) fn json_string(s: &str) -> String {
 /// for humans (`cargo run -p hoga-analyze`).
 #[cfg(test)]
 mod gate {
-    use std::path::Path;
+    use std::collections::BTreeSet;
+    use std::path::{Path, PathBuf};
+
+    use crate::parser::ItemKind;
+    use crate::rules::{lock_acquisition, FileView, DET_SINKS, LOCK_ORDER};
+    use crate::workspace::{
+        read_workspace_sources, DECODE_MODULES, HARDENED_MODULES, NUMERIC_MODULES, UNSAFE_ALLOWLIST,
+    };
+
+    fn root() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..")
+    }
+
+    /// A renamed file un-hardens itself without a finding, and a renamed
+    /// lock or sink stops being checked: every name the lint configuration
+    /// mentions must still exist in the workspace it configures.
+    #[test]
+    fn lint_configuration_names_things_that_exist() {
+        let root = root();
+        for list in [HARDENED_MODULES, DECODE_MODULES, NUMERIC_MODULES, UNSAFE_ALLOWLIST] {
+            for entry in list {
+                let path = root.join(entry);
+                let exists = if entry.ends_with('/') { path.is_dir() } else { path.is_file() };
+                assert!(exists, "module list entry `{entry}` matches nothing under the root");
+            }
+        }
+
+        let mut locks = BTreeSet::new();
+        let mut fns = BTreeSet::new();
+        let sources = read_workspace_sources(&root).expect("workspace walk failed");
+        for (rel, src) in sources.iter().filter(|(rel, _)| !rel.starts_with("crates/analyze/")) {
+            let tokens = crate::lexer::lex(src);
+            let view = FileView::new(rel, src, &tokens, Default::default());
+            locks.extend((0..view.code.len()).filter_map(|i| lock_acquisition(&view.code, i, src)));
+            let named = view.items.iter().filter(|item| item.kind == ItemKind::Fn);
+            fns.extend(named.filter_map(|item| item.name.clone()));
+        }
+        for name in LOCK_ORDER {
+            assert!(locks.contains(name), "LOCK_ORDER names `{name}`, which nothing acquires");
+        }
+        for (sink, _) in DET_SINKS {
+            assert!(fns.contains(*sink), "DET_SINKS names `{sink}`, which no `fn` defines");
+        }
+    }
 
     #[test]
     fn workspace_is_clean() {
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
-        let findings = crate::analyze_workspace(&root).expect("workspace walk failed");
+        let root = root();
+        let (findings, ..) = crate::analyze_workspace(&root).expect("workspace walk failed");
         assert!(
             findings.is_empty(),
             "hoga-analyze found {} violation(s):\n{}",
@@ -266,48 +263,5 @@ mod render_tests {
         assert_eq!(rules::severity_of("panic-reachability"), "error");
         assert_eq!(rules::severity_of("lock-order"), "error");
         assert_eq!(rules::severity_of("blocking-under-lock"), "error");
-    }
-
-    #[test]
-    fn sarif_has_required_toplevel_shape() {
-        let sarif = render_sarif(&sample());
-        for key in [
-            "\"$schema\"",
-            "sarif-schema-2.1.0.json",
-            "\"version\": \"2.1.0\"",
-            "\"runs\"",
-            "\"tool\"",
-            "\"driver\"",
-            "\"name\": \"hoga-analyze\"",
-            "\"rules\"",
-            "\"results\"",
-        ] {
-            assert!(sarif.contains(key), "missing {key}: {sarif}");
-        }
-        // Balanced braces/brackets — a cheap structural validity check for
-        // a renderer that never emits braces inside strings unescaped.
-        let opens = sarif.matches('{').count();
-        let closes = sarif.matches('}').count();
-        assert_eq!(opens, closes, "unbalanced braces: {sarif}");
-        assert_eq!(sarif.matches('[').count(), sarif.matches(']').count());
-    }
-
-    #[test]
-    fn sarif_result_carries_rule_level_message_and_location() {
-        let sarif = render_sarif(&sample());
-        assert!(sarif.contains("\"ruleId\": \"panic-free-paths\""), "{sarif}");
-        assert!(sarif.contains("\"level\": \"error\""), "{sarif}");
-        assert!(sarif.contains("\"uri\": \"crates/x/src/lib.rs\""), "{sarif}");
-        assert!(sarif.contains("\"startLine\": 3"), "{sarif}");
-        assert!(sarif.contains("\"startColumn\": 9"), "{sarif}");
-        assert!(sarif.contains("say \\\"no\\\""), "message escaped: {sarif}");
-    }
-
-    #[test]
-    fn sarif_declares_every_rule_in_the_driver() {
-        let sarif = render_sarif(&[]);
-        for id in ["panic-reachability", "lock-order", "blocking-under-lock", "lossy-cast"] {
-            assert!(sarif.contains(&format!("\"id\": \"{id}\"")), "missing rule {id}: {sarif}");
-        }
     }
 }

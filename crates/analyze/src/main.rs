@@ -2,41 +2,26 @@
 //! Command-line front end for the workspace linter.
 //!
 //! ```text
-//! cargo run -p hoga-analyze [--root PATH] [--format text|json|sarif]
-//!     [--report PATH] [--cache DIR] [--baseline PATH] [--fail-on-new]
-//!     [--write-baseline PATH] [--callgraph PATH] [--stats]
+//! cargo run -p hoga-analyze [--root PATH] [--format text|json] [--report PATH] [--stats]
 //! ```
 //!
 //! `--report` additionally writes the JSON findings report to a file (the
 //! artifact CI archives) regardless of the console `--format`; the write
 //! is atomic (temp file + rename) so a killed run never leaves a torn
-//! report. `--cache DIR` keeps per-file analysis artifacts between runs —
-//! unchanged files are not reparsed. `--baseline PATH` compares against an
-//! archived findings report; with `--fail-on-new` the exit code gates on
-//! *new* findings only, so a known inventory can be burned down while CI
-//! still blocks regressions. `--write-baseline PATH` atomically
-//! regenerates the baseline from the current run (replacing hand-edits
-//! when a finding is intentionally accepted). `--callgraph PATH`
-//! atomically dumps the workspace call graph as JSON. `--format sarif`
-//! emits a SARIF 2.1.0 log for GitHub code scanning.
+//! report. Every run analyzes every file from source: there is no state
+//! between runs to configure.
 //!
-//! Exit status: 0 = clean (or baseline-only findings under
-//! `--fail-on-new`), 1 = findings reported (new findings under
-//! `--fail-on-new`), 2 = usage or I/O error.
+//! Exit status: 0 = clean, 1 = findings reported, 2 = usage or I/O error.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use hoga_analyze::baseline::{diff_against_baseline, parse_baseline};
 use hoga_analyze::rules::Finding;
-use hoga_analyze::{
-    analyze_workspace_graph, render_json, render_sarif, render_text, AnalyzeOptions,
-};
+use hoga_analyze::{analyze_workspace, render_json, render_text};
 
 enum Format {
     Text,
     Json,
-    Sarif,
 }
 
 /// Every flag the binary accepts, with its metavar (if any) and help
@@ -45,13 +30,8 @@ enum Format {
 /// new flag cannot be added without documenting it.
 const FLAGS: &[(&str, &str, &str)] = &[
     ("--root", "PATH", "workspace root to analyze (default: this binary's workspace)"),
-    ("--format", "text|json|sarif", "console output format (default: text)"),
+    ("--format", "text|json", "console output format (default: text)"),
     ("--report", "PATH", "also write the JSON findings report atomically to PATH"),
-    ("--cache", "DIR", "reuse per-file analysis artifacts keyed by content hash"),
-    ("--baseline", "PATH", "diff findings against an archived JSON report"),
-    ("--fail-on-new", "", "exit 1 only on findings absent from --baseline"),
-    ("--write-baseline", "PATH", "atomically regenerate the baseline from this run"),
-    ("--callgraph", "PATH", "atomically dump the workspace call graph as JSON"),
     ("--stats", "", "print analysis statistics to stderr"),
     ("--help", "", "show this help"),
 ];
@@ -60,11 +40,6 @@ fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut format = Format::Text;
     let mut report: Option<PathBuf> = None;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
-    let mut callgraph_path: Option<PathBuf> = None;
-    let mut fail_on_new = false;
     let mut show_stats = false;
 
     let mut args = std::env::args().skip(1);
@@ -78,30 +53,12 @@ fn main() -> ExitCode {
                 Some(p) => report = Some(PathBuf::from(p)),
                 None => return usage("--report needs a path"),
             },
-            "--cache" => match args.next() {
-                Some(p) => cache_dir = Some(PathBuf::from(p)),
-                None => return usage("--cache needs a directory"),
-            },
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => return usage("--baseline needs a path"),
-            },
-            "--write-baseline" => match args.next() {
-                Some(p) => write_baseline = Some(PathBuf::from(p)),
-                None => return usage("--write-baseline needs a path"),
-            },
-            "--callgraph" => match args.next() {
-                Some(p) => callgraph_path = Some(PathBuf::from(p)),
-                None => return usage("--callgraph needs a path"),
-            },
-            "--fail-on-new" => fail_on_new = true,
             "--stats" => show_stats = true,
             "--format" => match args.next().as_deref() {
                 Some("text") => format = Format::Text,
                 Some("json") => format = Format::Json,
-                Some("sarif") => format = Format::Sarif,
                 Some(other) => return usage(&format!("unknown format `{other}`")),
-                None => return usage("--format needs `text`, `json`, or `sarif`"),
+                None => return usage("--format needs `text` or `json`"),
             },
             "--help" | "-h" => {
                 print!("{}", help_text());
@@ -111,17 +68,12 @@ fn main() -> ExitCode {
         }
     }
 
-    if fail_on_new && baseline_path.is_none() {
-        return usage("--fail-on-new needs --baseline PATH");
-    }
-
     // Default to the workspace that this binary was built from, so plain
     // `cargo run -p hoga-analyze` does the right thing from any cwd.
     let root =
         root.unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..").join(".."));
 
-    let opts = AnalyzeOptions { cache_dir };
-    let (findings, stats, graph) = match analyze_workspace_graph(&root, &opts) {
+    let (findings, stats, _graph) = match analyze_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("hoga-analyze: error: {e}");
@@ -129,37 +81,12 @@ fn main() -> ExitCode {
         }
     };
 
-    for (path, contents) in [
-        (&report, render_json(&findings)),
-        (&write_baseline, render_json(&findings)),
-        (&callgraph_path, graph.to_json()),
-    ] {
-        let Some(path) = path else { continue };
-        if let Err(e) = write_atomic(path, &contents) {
+    if let Some(path) = &report {
+        if let Err(e) = write_atomic(path, &render_json(&findings)) {
             eprintln!("hoga-analyze: error writing {}: {e}", path.display());
             return ExitCode::from(2);
         }
     }
-
-    let diff = match &baseline_path {
-        None => None,
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("hoga-analyze: error reading {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            match parse_baseline(&text) {
-                Ok(entries) => Some(diff_against_baseline(&findings, &entries)),
-                Err(e) => {
-                    eprintln!("hoga-analyze: {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            }
-        }
-    };
 
     match format {
         Format::Text => {
@@ -169,30 +96,16 @@ fn main() -> ExitCode {
             } else {
                 eprintln!("hoga-analyze: {}", severity_summary(&findings));
             }
-            if let Some(diff) = &diff {
-                eprintln!(
-                    "hoga-analyze: baseline: {} new, {} known, {} fixed",
-                    diff.new.len(),
-                    findings.len() - diff.new.len(),
-                    diff.fixed
-                );
-                for &i in &diff.new {
-                    eprintln!("hoga-analyze: new: {}", findings[i]);
-                }
-            }
         }
         Format::Json => print!("{}", render_json(&findings)),
-        Format::Sarif => print!("{}", render_sarif(&findings)),
     }
 
     if show_stats {
         eprintln!(
-            "hoga-analyze: stats: {} file(s), {} cache hit(s), {} miss(es); \
+            "hoga-analyze: stats: {} file(s); \
              {} cfg(s), {} block(s), {} edge(s), {} fixpoint transfer(s); \
              call graph: {} node(s), {} edge(s), {} scc(s)",
             stats.files,
-            stats.cache_hits,
-            stats.cache_misses,
             stats.cfgs,
             stats.blocks,
             stats.edges,
@@ -203,31 +116,28 @@ fn main() -> ExitCode {
         );
     }
 
-    let failing = match (&diff, fail_on_new) {
-        (Some(d), true) => !d.new.is_empty(),
-        _ => !findings.is_empty(),
-    };
-    if failing {
-        ExitCode::from(1)
-    } else {
+    if findings.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
     }
 }
 
-fn help_text() -> String {
-    let mut out =
-        String::from("hoga-analyze: workspace linter + invariant auditor\n\nUSAGE: hoga-analyze");
-    for (flag, metavar, _) in FLAGS {
-        if *flag == "--help" {
-            continue;
-        }
-        if metavar.is_empty() {
-            out.push_str(&format!(" [{flag}]"));
-        } else {
-            out.push_str(&format!(" [{flag} {metavar}]"));
-        }
+/// ` [--flag METAVAR]` for every flag but `--help`.
+fn synopsis() -> String {
+    let mut out = String::new();
+    for (flag, metavar, _) in FLAGS.iter().filter(|(flag, ..)| *flag != "--help") {
+        let sep = if metavar.is_empty() { "" } else { " " };
+        out.push_str(&format!(" [{flag}{sep}{metavar}]"));
     }
-    out.push_str("\n\nOPTIONS:\n");
+    out
+}
+
+fn help_text() -> String {
+    let mut out = format!(
+        "hoga-analyze: workspace linter + invariant auditor\n\nUSAGE: hoga-analyze{}\n\nOPTIONS:\n",
+        synopsis()
+    );
     for (flag, metavar, help) in FLAGS {
         let left =
             if metavar.is_empty() { (*flag).to_string() } else { format!("{flag} {metavar}") };
@@ -235,8 +145,7 @@ fn help_text() -> String {
     }
     out.push_str(
         "\nWalks every .rs file under the workspace root and reports rule\n\
-         violations as file:line:col diagnostics. Exits 0 when clean (or when\n\
-         all findings are in the --baseline under --fail-on-new), 1 when\n\
+         violations as file:line:col diagnostics. Exits 0 when clean, 1 when\n\
          findings exist, 2 on a usage or I/O error. See docs/STATIC_ANALYSIS.md\n\
          for the rule catalogue.\n",
     );
@@ -258,10 +167,6 @@ fn severity_summary(findings: &[Finding]) -> String {
 }
 
 fn usage(msg: &str) -> ExitCode {
-    eprintln!(
-        "hoga-analyze: {msg}\nUSAGE: hoga-analyze [--root PATH] [--format text|json|sarif] \
-         [--report PATH] [--cache DIR] [--baseline PATH] [--fail-on-new] \
-         [--write-baseline PATH] [--callgraph PATH] [--stats]"
-    );
+    eprintln!("hoga-analyze: {msg}\nUSAGE: hoga-analyze{}", synopsis());
     ExitCode::from(2)
 }

@@ -98,44 +98,41 @@ pub struct Item {
     pub owner: Option<String>,
 }
 
-/// Parses item headers out of a lexed file. `tokens` must come from
+/// Parses item headers out of a file's comment-free token view (see
+/// [`crate::rules::FileView`]); `code` must come from
 /// [`crate::lexer::lex`] over the same `src`.
-pub(crate) fn parse_items(tokens: &[Token], src: &str) -> Vec<Item> {
-    let code: Vec<&Token> = tokens
-        .iter()
-        .filter(|t| !matches!(t.kind, TokKind::LineComment { .. } | TokKind::BlockComment { .. }))
-        .collect();
+pub(crate) fn parse_items(code: &[&Token], src: &str) -> Vec<Item> {
     let mut items = Vec::new();
     // Spans of `impl` bodies seen so far, innermost lookup by containment.
     let mut impl_spans: Vec<(usize, usize, Option<String>)> = Vec::new();
     let mut i = 0;
     while i < code.len() {
-        if !at_item_position(&code, i) {
+        if !at_item_position(code, i) {
             i += 1;
             continue;
         }
         let header_start = code[i].start;
         let mut j = i;
         let mut vis = Visibility::Private;
-        if ident_is(&code, j, src, "pub") {
+        if ident_is(code, j, src, "pub") {
             j += 1;
-            if punct_is(&code, j, '(') {
+            if punct_is(code, j, '(') {
                 vis = Visibility::Restricted;
-                j = skip_delimited(&code, j, '(', ')');
+                j = skip_delimited(code, j, '(', ')');
             } else {
                 vis = Visibility::Public;
             }
         }
         // Modifiers that may precede `fn` (or `trait`, for `unsafe trait`).
         loop {
-            if ident_any(&code, j, src, &["unsafe", "async", "default"])
-                || ((ident_is(&code, j, src, "const") || ident_is(&code, j, src, "extern"))
-                    && ident_is(&code, j + 1, src, "fn"))
+            if ident_any(code, j, src, &["unsafe", "async", "default"])
+                || ((ident_is(code, j, src, "const") || ident_is(code, j, src, "extern"))
+                    && ident_is(code, j + 1, src, "fn"))
             {
                 j += 1;
-            } else if ident_is(&code, j, src, "extern")
+            } else if ident_is(code, j, src, "extern")
                 && matches!(code.get(j + 1).map(|t| t.kind), Some(TokKind::Str))
-                && ident_is(&code, j + 2, src, "fn")
+                && ident_is(code, j + 2, src, "fn")
             {
                 j += 2;
             } else {
@@ -149,9 +146,9 @@ pub(crate) fn parse_items(tokens: &[Token], src: &str) -> Vec<Item> {
         }
         let parsed = match kw.text(src) {
             "fn" => {
-                let name = name_at(&code, j + 1, src);
-                let sig_end = find_at_depth0(&code, j + 1, &['{', ';']);
-                let deps = idents_between(&code, j + 2, sig_end, src);
+                let name = name_at(code, j + 1, src);
+                let sig_end = find_at_depth0(code, j + 1, &['{', ';']);
+                let deps = idents_between(code, j + 2, sig_end, src);
                 let owner = impl_spans
                     .iter()
                     .rev()
@@ -165,57 +162,57 @@ pub(crate) fn parse_items(tokens: &[Token], src: &str) -> Vec<Item> {
                     "trait" => ItemKind::Trait,
                     _ => ItemKind::Struct,
                 };
-                let name = name_at(&code, j + 1, src);
-                let end = item_end(&code, j + 1, src);
-                let deps = idents_between(&code, j + 2, end, src);
+                let name = name_at(code, j + 1, src);
+                let end = item_end(code, j + 1, src);
+                let deps = idents_between(code, j + 2, end, src);
                 Some((kind, name, deps, None, j + 2))
             }
             "const" => {
-                let name = name_at(&code, j + 1, src).filter(|n| n != "_");
-                let end = find_at_depth0(&code, j + 1, &[';', '{']);
-                let deps = idents_between(&code, j + 2, end, src);
+                let name = name_at(code, j + 1, src).filter(|n| n != "_");
+                let end = find_at_depth0(code, j + 1, &[';', '{']);
+                let deps = idents_between(code, j + 2, end, src);
                 Some((ItemKind::Const, name, deps, None, j + 2))
             }
             "static" => {
-                let n = j + 1 + usize::from(ident_is(&code, j + 1, src, "mut"));
-                let name = name_at(&code, n, src);
-                let end = find_at_depth0(&code, n, &[';', '{']);
-                let deps = idents_between(&code, n + 1, end, src);
+                let n = j + 1 + usize::from(ident_is(code, j + 1, src, "mut"));
+                let name = name_at(code, n, src);
+                let end = find_at_depth0(code, n, &[';', '{']);
+                let deps = idents_between(code, n + 1, end, src);
                 Some((ItemKind::Static, name, deps, None, n + 1))
             }
             "type" => {
-                let name = name_at(&code, j + 1, src);
-                let end = find_at_depth0(&code, j + 1, &[';', '{']);
-                let deps = idents_between(&code, j + 2, end, src);
+                let name = name_at(code, j + 1, src);
+                let end = find_at_depth0(code, j + 1, &[';', '{']);
+                let deps = idents_between(code, j + 2, end, src);
                 Some((ItemKind::TypeAlias, name, deps, None, j + 2))
             }
             "mod" => {
-                let name = name_at(&code, j + 1, src);
+                let name = name_at(code, j + 1, src);
                 Some((ItemKind::Mod, name, Vec::new(), None, j + 2))
             }
             "use" => {
-                let end = find_at_depth0(&code, j + 1, &[';']);
+                let end = find_at_depth0(code, j + 1, &[';']);
                 Some((ItemKind::Use, None, Vec::new(), None, end))
             }
             "impl" => {
-                let (subject, body_open) = impl_subject(&code, j + 1, src);
+                let (subject, body_open) = impl_subject(code, j + 1, src);
                 if let Some(open) = body_open {
-                    let end = brace_end_offset(&code, open, src);
+                    let end = brace_end_offset(code, open, src);
                     impl_spans.push((code[open].start, end, subject.clone()));
                     Some((ItemKind::Impl, subject, Vec::new(), None, open + 1))
                 } else {
                     Some((ItemKind::Impl, subject, Vec::new(), None, j + 1))
                 }
             }
-            "macro_rules" if punct_is(&code, j + 1, '!') => {
-                let name = name_at(&code, j + 2, src);
+            "macro_rules" if punct_is(code, j + 1, '!') => {
+                let name = name_at(code, j + 2, src);
                 Some((ItemKind::MacroRules, name, Vec::new(), None, j + 3))
             }
             _ => None,
         };
         match parsed {
             Some((kind, name, dep_names, owner, resume)) => {
-                let pos = if name.is_some() { name_token(&code, kind, j, src) } else { None };
+                let pos = if name.is_some() { name_token(code, kind, j, src) } else { None };
                 let pos = pos.unwrap_or(kw);
                 items.push(Item {
                     kind,
@@ -436,7 +433,8 @@ mod tests {
     use crate::lexer::lex;
 
     fn parse(src: &str) -> Vec<Item> {
-        parse_items(&lex(src), src)
+        let tokens = lex(src);
+        crate::rules::FileView::new("fixture.rs", src, &tokens, Default::default()).items
     }
 
     fn named(items: &[Item], kind: ItemKind) -> Vec<(String, Visibility)> {

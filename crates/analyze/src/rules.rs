@@ -8,7 +8,13 @@
 //! with no justification, an unknown rule id, or one that suppresses
 //! nothing is an error.
 
+use std::collections::BTreeMap;
+
+use crate::callgraph::CallGraph;
+use crate::cfg::{function_cfgs, Cfg};
 use crate::lexer::{lex, TokKind, Token};
+use crate::parser::{parse_items, Item, ItemKind};
+use crate::symbols::{source_unit, SymbolDef};
 
 /// Stable identifiers for every rule the engine can emit. Suppression
 /// comments name these ids.
@@ -30,12 +36,6 @@ pub(crate) const RULE_IDS: &[&str] = &[
     "lock-order",
     "blocking-under-lock",
 ];
-
-/// The interned `'static` rule id for a name, if the engine knows it (the
-/// cache layer round-trips rule ids through text artifacts).
-pub(crate) fn rule_id(name: &str) -> Option<&'static str> {
-    RULE_IDS.iter().find(|id| **id == name).copied()
-}
 
 /// Diagnostic severity of a rule id: `"error"` or `"warning"`. Both fail
 /// the binary; severity is reporting metadata for the JSON consumer.
@@ -124,8 +124,8 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// Which checks apply to a given file (decided by
-/// [`crate::workspace::Config`] from the file's path).
+/// Which checks apply to a given file (decided from the file's path by
+/// `workspace::profile_for`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FileProfile {
     /// R1: ban `panic!` / `unwrap()` / `expect(` / `unreachable!`.
@@ -157,109 +157,192 @@ pub struct FileProfile {
     pub owns_unsafe_module: bool,
 }
 
-/// The per-file analysis before suppression matching. Token-level rules
-/// fill [`FileAnalysis::raw`] immediately; cross-file rules (R6, which
-/// needs the whole workspace symbol graph) append their findings with
-/// [`FileAnalysis::push_raw`] before [`FileAnalysis::finish`] runs the
-/// shared suppression/unused-suppression machinery over everything.
+/// One source file prepared for analysis: lexed by the caller, then
+/// comment-filtered, `#[cfg(test)]`-spanned, item-parsed and CFG-lowered
+/// here, once. Every rule layer (token rules, dataflow, call-graph
+/// extraction, definition/reference collection) reads this borrowed view;
+/// none re-derives any part of it.
+pub struct FileView<'a> {
+    /// Workspace-relative path, used verbatim in diagnostics.
+    pub(crate) rel: &'a str,
+    /// The file's text.
+    pub(crate) src: &'a str,
+    /// Which checks apply to the file.
+    pub(crate) profile: FileProfile,
+    /// Every token, comments included (R4 and suppressions read comments).
+    pub(crate) tokens: &'a [Token],
+    /// The comment-free tokens every other rule matches on.
+    pub code: Vec<&'a Token>,
+    /// Byte spans of `#[cfg(test)]` items.
+    pub(crate) test_spans: Vec<std::ops::Range<usize>>,
+    /// Item headers, in source order.
+    pub(crate) items: Vec<Item>,
+    /// One CFG per `fn` body (none for whole-file test code, where no
+    /// flow rule runs).
+    pub cfgs: Vec<Cfg>,
+}
+
+impl<'a> FileView<'a> {
+    /// Prepares `src`; `tokens` must be `lex(src)`.
+    pub fn new(
+        rel: &'a str,
+        src: &'a str,
+        tokens: &'a [Token],
+        profile: FileProfile,
+    ) -> FileView<'a> {
+        let code: Vec<&Token> = tokens
+            .iter()
+            .filter(|t| {
+                !matches!(t.kind, TokKind::LineComment { .. } | TokKind::BlockComment { .. })
+            })
+            .collect();
+        let test_spans = cfg_test_spans(&code, src);
+        let items = parse_items(&code, src);
+        let cfgs = if profile.all_test { Vec::new() } else { function_cfgs(&code, &items, src) };
+        FileView { rel, src, profile, tokens, code, test_spans, items, cfgs }
+    }
+
+    /// Is byte offset `pos` test code — anywhere in a `tests/` file, or
+    /// inside a `#[cfg(test)]` item elsewhere? R1/R2/R7/R8 and the flow
+    /// rules relax there (R5).
+    pub(crate) fn in_test(&self, pos: usize) -> bool {
+        self.profile.all_test || in_spans(pos, &self.test_spans)
+    }
+
+    /// The CFGs of non-test functions — what the flow rules walk.
+    pub(crate) fn live_cfgs(&self) -> impl Iterator<Item = &Cfg> {
+        self.cfgs.iter().filter(|cfg| !self.in_test(cfg.header_start))
+    }
+
+    /// A finding of `rule` at `line:col` of this file, with no symbol.
+    pub(crate) fn finding(
+        &self,
+        line: u32,
+        col: u32,
+        rule: &'static str,
+        message: String,
+    ) -> Finding {
+        Finding {
+            file: self.rel.to_string(),
+            line,
+            col,
+            rule,
+            message,
+            symbol: None,
+            severity_override: None,
+        }
+    }
+}
+
+/// Everything one file contributes to a report, computed in one pass by
+/// [`analyze_file`]: its local findings and suppressions, and the facts
+/// the cross-file resolvers (`flow_findings`, `symbols::dead_api_findings`)
+/// read. `finish` runs the shared suppression machinery over local and
+/// cross-file findings alike.
 #[derive(Debug)]
-pub struct FileAnalysis {
-    pub(crate) rel_path: String,
+pub struct FileFacts {
+    /// Workspace-relative path.
+    pub(crate) rel: String,
+    /// The file is panic-free-hardened (R13 audits its public API).
+    pub(crate) hardened: bool,
     /// Findings that bypass suppression matching (malformed directives).
-    pub(crate) pre: Vec<Finding>,
-    pub(crate) raw: Vec<Finding>,
-    pub(crate) suppressions: Vec<Suppression>,
-    /// Interprocedural findings awaiting callee summaries (resolved by the
-    /// workspace layer, or against this file's own summaries by
-    /// [`analyze_source`]).
-    pub(crate) conds: Vec<crate::det::CondFinding>,
+    pre: Vec<Finding>,
+    raw: Vec<Finding>,
+    suppressions: Vec<Suppression>,
+    /// Item definitions, for the symbol graph and the call graph's nodes.
+    pub(crate) defs: Vec<SymbolDef>,
+    /// Identifier occurrence counts, for the symbol graph's references.
+    pub(crate) idents: BTreeMap<String, usize>,
+    /// Interprocedural taint findings awaiting callee summaries.
+    conds: Vec<crate::det::CondFinding>,
     /// Per-function taint summaries contributed by this file.
-    pub(crate) summaries: Vec<crate::det::FnSummary>,
+    summaries: Vec<crate::det::FnSummary>,
     /// CFG/fixpoint statistics for this file.
     pub(crate) det_stats: crate::det::DetStats,
     /// Interprocedural facts (panic seeds, blocking sites, call edges,
-    /// lock events) for the workspace call-graph stage.
+    /// lock events) for the call-graph rules.
     pub(crate) cg: crate::callgraph::CgFacts,
 }
 
-/// Runs every token-level rule over one source file. Combine with
-/// [`FileAnalysis::push_raw`] + [`FileAnalysis::finish`], or use
-/// [`analyze_source`] when no cross-file findings apply.
-pub(crate) fn analyze_file(rel_path: &str, src: &str, profile: FileProfile) -> FileAnalysis {
+/// The per-file stage: lexes `src` (the analysis path's only `lex` call),
+/// builds the [`FileView`], runs every rule over it, and collects the
+/// definitions and identifier counts the symbol graph needs.
+pub fn analyze_file(rel_path: &str, src: &str, profile: FileProfile) -> FileFacts {
     let tokens = lex(src);
-    let test_spans = if profile.all_test {
-        std::iter::once(0..src.len()).collect()
-    } else {
-        cfg_test_spans(&tokens, src)
-    };
-    let mut suppressions = collect_suppressions(rel_path, &tokens, src);
-    let mut pre = Vec::new();
+    let view = FileView::new(rel_path, src, &tokens, profile);
+    let mut suppressions = collect_suppressions(&view);
 
     // Suppression parse errors surface regardless of any rule firing.
-    for s in &suppressions {
-        if let Some(msg) = &s.error {
-            pre.push(Finding {
+    let pre = suppressions
+        .iter()
+        .filter_map(|s| Some(view.finding(s.line, s.col, "invalid-suppression", s.error.clone()?)))
+        .collect();
+
+    let mut raw = Vec::new();
+    if profile.panic_free {
+        rule_panic_free(&view, &mut raw);
+    }
+    if profile.lossy_cast {
+        rule_lossy_cast(&view, &mut raw);
+    }
+    rule_unsafe_forbidden(&view, &mut raw);
+    rule_todo_tracker(&view, &mut raw);
+    if profile.numeric {
+        rule_float_equality(&view, &mut raw);
+    }
+    rule_lock_discipline(&view, &mut raw);
+    rule_thread_hygiene(&view, &mut raw);
+
+    // Dataflow rules (R10–R12) and interprocedural fact extraction
+    // (R13–R15). Both walk the view's non-test CFGs, so whole-file test
+    // code contributes nothing: bench and test targets persist measurement
+    // data by design. Flow-local R14/R15 findings (declared-order
+    // violations, blocking ops under a held lock) land in `raw` here; the
+    // cross-file propagation runs in [`flow_findings`].
+    let mut det_out = crate::det::run_det(&view);
+    raw.append(&mut det_out.findings);
+    let cg = crate::callgraph::extract(&view, &mut suppressions, &mut raw);
+
+    let unit = source_unit(rel_path);
+    let defs = view
+        .items
+        .iter()
+        .filter(|item| !matches!(item.kind, ItemKind::Use | ItemKind::Impl))
+        .filter_map(|item| {
+            Some(SymbolDef {
+                name: item.name.clone()?,
+                unit: unit.clone(),
                 file: rel_path.to_string(),
-                line: s.line,
-                col: s.col,
-                rule: "invalid-suppression",
-                message: msg.clone(),
-                symbol: None,
-                severity_override: None,
-            });
+                line: item.line,
+                col: item.col,
+                kind: item.kind,
+                vis: item.vis,
+                in_test_item: in_spans(item.start, &view.test_spans),
+                dep_names: item.dep_names.clone(),
+                owner: item.owner.clone(),
+            })
+        })
+        .collect();
+    let mut idents: BTreeMap<String, usize> = BTreeMap::new();
+    for t in view.code.iter().filter(|t| t.kind == TokKind::Ident) {
+        let text = t.text(src);
+        let text = text.strip_prefix("r#").unwrap_or(text);
+        match idents.get_mut(text) {
+            Some(count) => *count += 1,
+            None => {
+                idents.insert(text.to_string(), 1);
+            }
         }
     }
 
-    let code: Vec<&Token> = tokens
-        .iter()
-        .filter(|t| !matches!(t.kind, TokKind::LineComment { .. } | TokKind::BlockComment { .. }))
-        .collect();
-    let mut raw = Vec::new();
-    if profile.panic_free {
-        rule_panic_free(rel_path, &tokens, src, &test_spans, &mut raw);
-    }
-    if profile.lossy_cast {
-        rule_lossy_cast(rel_path, &tokens, src, &test_spans, &mut raw);
-    }
-    rule_unsafe_forbidden(rel_path, &tokens, src, profile, &mut raw);
-    rule_todo_tracker(rel_path, &tokens, src, &mut raw);
-    if profile.numeric {
-        rule_float_equality(rel_path, &code, src, &test_spans, &mut raw);
-    }
-    rule_lock_discipline(rel_path, &code, src, &test_spans, &mut raw);
-    rule_thread_hygiene(rel_path, &code, src, profile.eval_path, profile.pool_path, &mut raw);
-
-    // Dataflow rules (R10–R12) run everywhere except whole-file test code:
-    // bench and test targets persist measurement data by design.
-    let mut det_out = if profile.all_test {
-        crate::det::DetOutput::default()
-    } else {
-        crate::det::run_det(rel_path, &code, src, profile, &test_spans)
-    };
-    raw.append(&mut det_out.findings);
-
-    // Interprocedural fact extraction (R13–R15). Flow-local findings
-    // (declared-order violations, blocking ops under a held lock) land in
-    // `raw` here; the cross-file propagation runs in the workspace stage.
-    let cg = if profile.all_test {
-        crate::callgraph::CgFacts::default()
-    } else {
-        crate::callgraph::extract(
-            rel_path,
-            &code,
-            src,
-            &test_spans,
-            profile,
-            &mut suppressions,
-            &mut raw,
-        )
-    };
-
-    FileAnalysis {
-        rel_path: rel_path.to_string(),
+    FileFacts {
+        rel: rel_path.to_string(),
+        hardened: profile.panic_free,
         pre,
         raw,
         suppressions,
+        defs,
+        idents,
         conds: det_out.conds,
         summaries: det_out.summaries,
         det_stats: det_out.stats,
@@ -267,35 +350,10 @@ pub(crate) fn analyze_file(rel_path: &str, src: &str, profile: FileProfile) -> F
     }
 }
 
-impl FileAnalysis {
-    /// Reassembles a per-file analysis from cached artifact parts. The
-    /// suppression pass in [`FileAnalysis::finish`] then runs identically
-    /// to a fresh parse, which is what makes cached runs byte-identical.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        rel_path: String,
-        pre: Vec<Finding>,
-        raw: Vec<Finding>,
-        suppressions: Vec<Suppression>,
-        conds: Vec<crate::det::CondFinding>,
-        summaries: Vec<crate::det::FnSummary>,
-        det_stats: crate::det::DetStats,
-        cg: crate::callgraph::CgFacts,
-    ) -> FileAnalysis {
-        FileAnalysis { rel_path, pre, raw, suppressions, conds, summaries, det_stats, cg }
-    }
-
-    /// Adds a finding produced outside the token-level rules (R6). It goes
-    /// through the same suppression matching as everything else, so a
-    /// justified `// analyze: allow(dead-public-api) — why` at the
-    /// definition site works.
-    pub(crate) fn push_raw(&mut self, f: Finding) {
-        self.raw.push(f);
-    }
-
+impl FileFacts {
     /// Applies suppressions, reports unused ones, and returns the final
     /// sorted findings for this file.
-    pub fn finish(mut self) -> Vec<Finding> {
+    fn finish_file(mut self) -> Vec<Finding> {
         let mut findings = self.pre;
 
         // Apply suppressions: a finding is dropped when a valid suppression
@@ -319,7 +377,7 @@ impl FileAnalysis {
         for s in &self.suppressions {
             if s.error.is_none() && !s.used {
                 findings.push(Finding {
-                    file: self.rel_path.clone(),
+                    file: self.rel.clone(),
                     line: s.line,
                     col: s.col,
                     rule: "unused-suppression",
@@ -338,36 +396,47 @@ impl FileAnalysis {
     }
 }
 
-/// Analyzes one source file and returns its findings.
-///
-/// `rel_path` is used verbatim in diagnostics. This is the pure core the
-/// fixture tests drive; [`crate::workspace::analyze_workspace`] wraps it
-/// with file discovery and the workspace symbol graph.
-pub fn analyze_source(rel_path: &str, src: &str, profile: FileProfile) -> Vec<Finding> {
-    let mut fa = analyze_file(rel_path, src, profile);
-    // Single-file mode resolves interprocedural findings against this
-    // file's own summaries (the workspace layer merges all files').
-    let summaries = crate::det::merge_summaries(fa.summaries.iter());
-    for f in crate::det::resolve_conditionals(&fa.conds, &summaries) {
-        fa.push_raw(f);
-    }
-    // Likewise for the call-graph rules: build a one-file graph and
-    // resolve R13/R14/R15 against it (the workspace layer merges all
-    // files' facts into one graph).
-    let input = crate::callgraph::CgFileInput {
-        rel: rel_path.to_string(),
-        hardened: profile.panic_free,
-        defs: crate::callgraph::file_defs(src),
-        facts: fa.cg.clone(),
-    };
-    let mut graph = crate::callgraph::build_graph(std::slice::from_ref(&input));
+/// The *flow* resolver: every cross-file finding that follows values or
+/// control between functions. Taint conditionals (R10) are resolved
+/// against the summaries of all `files` merged by name; the call graph is
+/// built over the same files, propagated, and queried for R13–R15. A pure
+/// function of the facts — a one-element slice is single-file mode.
+pub(crate) fn flow_findings(files: &[FileFacts]) -> (Vec<Finding>, CallGraph) {
+    let summaries = crate::det::merge_summaries(files.iter().flat_map(|f| f.summaries.iter()));
+    let mut findings: Vec<Finding> =
+        files.iter().flat_map(|f| crate::det::resolve_conditionals(&f.conds, &summaries)).collect();
+    let mut graph = crate::callgraph::build_graph(files);
     graph.propagate();
-    for (_, findings) in crate::callgraph::resolve_rules(&graph, std::slice::from_ref(&input)) {
-        for f in findings {
-            fa.push_raw(f);
-        }
+    findings.extend(crate::callgraph::resolve_rules(&graph, files));
+    (findings, graph)
+}
+
+/// Folds the cross-file findings into the files they name, runs each
+/// file's suppression pass — so a justified allow works the same way for
+/// every layer — and returns the report sorted by (file, line, col).
+pub(crate) fn finish(files: Vec<FileFacts>, cross: Vec<Finding>) -> Vec<Finding> {
+    let mut by_file: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
+    for f in cross {
+        by_file.entry(f.file.clone()).or_default().push(f);
     }
-    fa.finish()
+    let mut findings = Vec::new();
+    for mut file in files {
+        file.raw.extend(by_file.remove(&file.rel).unwrap_or_default());
+        findings.extend(file.finish_file());
+    }
+    findings
+        .sort_by(|a, b| (a.file.as_str(), a.line, a.col).cmp(&(b.file.as_str(), b.line, b.col)));
+    findings
+}
+
+/// Analyzes one source file and returns its findings: the per-file stage
+/// plus the flow resolver over that file alone. `rel_path` is used
+/// verbatim in diagnostics. Dead-API (R6) is a workspace question — a
+/// one-file workspace has no "outside the crate" — and is not asked here.
+pub fn analyze_source(rel_path: &str, src: &str, profile: FileProfile) -> Vec<Finding> {
+    let files = vec![analyze_file(rel_path, src, profile)];
+    let (flow, _) = flow_findings(&files);
+    finish(files, flow)
 }
 
 // ---------------------------------------------------------------------------
@@ -387,15 +456,11 @@ pub(crate) struct Suppression {
 /// Extracts `analyze:` directives from plain `//` comments. Doc comments
 /// are deliberately ignored so rule documentation can show the syntax
 /// without creating live suppressions.
-pub(crate) fn collect_suppressions(
-    _rel_path: &str,
-    tokens: &[Token],
-    src: &str,
-) -> Vec<Suppression> {
+fn collect_suppressions(view: &FileView<'_>) -> Vec<Suppression> {
     let mut out = Vec::new();
-    for t in tokens {
+    for t in view.tokens {
         let TokKind::LineComment { doc: false } = t.kind else { continue };
-        let body = t.text(src).trim_start_matches('/').trim();
+        let body = t.text(view.src).trim_start_matches('/').trim();
         let Some(rest) = body.strip_prefix("analyze:") else { continue };
         let rest = rest.trim();
         let mut sup = Suppression { line: t.line, col: t.col, rule: "", used: false, error: None };
@@ -447,27 +512,23 @@ fn parse_allow(s: &str) -> Result<(&str, &str), String> {
 // ---------------------------------------------------------------------------
 
 /// Byte spans covered by items annotated `#[cfg(test)]` (typically
-/// `mod tests { ... }` blocks). R1/R2 findings inside them are dropped;
-/// [`crate::symbols`] uses the same spans to exempt test-only definitions
-/// from R6.
-pub(crate) fn cfg_test_spans(tokens: &[Token], src: &str) -> Vec<std::ops::Range<usize>> {
-    let code: Vec<&Token> = tokens
-        .iter()
-        .filter(|t| !matches!(t.kind, TokKind::LineComment { .. } | TokKind::BlockComment { .. }))
-        .collect();
+/// `mod tests { ... }` blocks). R1/R2 findings inside them are dropped,
+/// and the same spans exempt test-only definitions from R6 and keep them
+/// out of the call graph.
+fn cfg_test_spans(code: &[&Token], src: &str) -> Vec<std::ops::Range<usize>> {
     let mut spans = Vec::new();
     let mut i = 0;
     while i < code.len() {
-        if is_cfg_test_attr(&code, i, src) {
+        if is_cfg_test_attr(code, i, src) {
             // Skip past this attribute, any further attributes, then find
             // the item's opening brace (or `;` for braceless items).
-            let mut j = skip_bracketed(&code, i + 1);
+            let mut j = skip_bracketed(code, i + 1);
             loop {
                 if j + 1 < code.len()
                     && matches!(code[j].kind, TokKind::Punct('#'))
                     && matches!(code[j + 1].kind, TokKind::Punct('['))
                 {
-                    j = skip_bracketed(&code, j + 1);
+                    j = skip_bracketed(code, j + 1);
                     continue;
                 }
                 break;
@@ -478,7 +539,7 @@ pub(crate) fn cfg_test_spans(tokens: &[Token], src: &str) -> Vec<std::ops::Range
                     TokKind::Punct('{') => {
                         if depth == 0 {
                             let start = code[j].start;
-                            let end = matching_brace_end(&code, j, src);
+                            let end = matching_brace_end(code, j, src);
                             spans.push(start..end);
                             break;
                         }
@@ -562,19 +623,10 @@ pub(crate) fn in_spans(pos: usize, spans: &[std::ops::Range<usize>]) -> bool {
 // R1: panic-free-paths
 // ---------------------------------------------------------------------------
 
-fn rule_panic_free(
-    rel_path: &str,
-    tokens: &[Token],
-    src: &str,
-    test_spans: &[std::ops::Range<usize>],
-    out: &mut Vec<Finding>,
-) {
-    let code: Vec<&Token> = tokens
-        .iter()
-        .filter(|t| !matches!(t.kind, TokKind::LineComment { .. } | TokKind::BlockComment { .. }))
-        .collect();
+fn rule_panic_free(view: &FileView<'_>, out: &mut Vec<Finding>) {
+    let (code, src) = (&view.code, view.src);
     for (i, t) in code.iter().enumerate() {
-        if t.kind != TokKind::Ident || in_spans(t.start, test_spans) {
+        if t.kind != TokKind::Ident || view.in_test(t.start) {
             continue;
         }
         let text = t.text(src);
@@ -595,17 +647,14 @@ fn rule_panic_free(
             _ => None,
         };
         if let Some(message) = hit {
-            out.push(Finding {
-                file: rel_path.to_string(),
-                line: t.line,
-                col: t.col,
-                rule: "panic-free-paths",
-                message: message
+            out.push(view.finding(
+                t.line,
+                t.col,
+                "panic-free-paths",
+                message
                     + "; return a typed error (or justify with \
                        `// analyze: allow(panic-free-paths) — <why>`)",
-                symbol: None,
-                severity_override: None,
-            });
+            ));
         }
     }
 }
@@ -616,37 +665,25 @@ fn rule_panic_free(
 
 const LOSSY_TARGETS: &[&str] = &["u32", "usize", "i64"];
 
-fn rule_lossy_cast(
-    rel_path: &str,
-    tokens: &[Token],
-    src: &str,
-    test_spans: &[std::ops::Range<usize>],
-    out: &mut Vec<Finding>,
-) {
-    let code: Vec<&Token> = tokens
-        .iter()
-        .filter(|t| !matches!(t.kind, TokKind::LineComment { .. } | TokKind::BlockComment { .. }))
-        .collect();
+fn rule_lossy_cast(view: &FileView<'_>, out: &mut Vec<Finding>) {
+    let (code, src) = (&view.code, view.src);
     for (i, t) in code.iter().enumerate() {
-        if t.kind != TokKind::Ident || t.text(src) != "as" || in_spans(t.start, test_spans) {
+        if t.kind != TokKind::Ident || t.text(src) != "as" || view.in_test(t.start) {
             continue;
         }
         let Some(next) = code.get(i + 1) else { continue };
         if next.kind == TokKind::Ident && LOSSY_TARGETS.contains(&next.text(src)) {
             let target = next.text(src);
-            out.push(Finding {
-                file: rel_path.to_string(),
-                line: t.line,
-                col: t.col,
-                rule: "lossy-cast",
-                message: format!(
+            out.push(view.finding(
+                t.line,
+                t.col,
+                "lossy-cast",
+                format!(
                     "`as {target}` in a decode path can truncate silently; use \
                      `{target}::try_from(...)` and map the error (or justify with \
                      `// analyze: allow(lossy-cast) — <why>`)"
                 ),
-                symbol: None,
-                severity_override: None,
-            });
+            ));
         }
     }
 }
@@ -655,17 +692,8 @@ fn rule_lossy_cast(
 // R3: unsafe-forbidden
 // ---------------------------------------------------------------------------
 
-fn rule_unsafe_forbidden(
-    rel_path: &str,
-    tokens: &[Token],
-    src: &str,
-    profile: FileProfile,
-    out: &mut Vec<Finding>,
-) {
-    let code: Vec<&Token> = tokens
-        .iter()
-        .filter(|t| !matches!(t.kind, TokKind::LineComment { .. } | TokKind::BlockComment { .. }))
-        .collect();
+fn rule_unsafe_forbidden(view: &FileView<'_>, out: &mut Vec<Finding>) {
+    let (code, src, profile) = (&view.code, view.src, view.profile);
 
     // Crate-root attribute check: `#![forbid(unsafe_code)]`, or
     // `#![deny(unsafe_code)]` on a root that owns an allowlisted unsafe
@@ -684,15 +712,12 @@ fn rule_unsafe_forbidden(
                 && matches!(w[6].kind, TokKind::Punct(')'))
         });
         if !found {
-            out.push(Finding {
-                file: rel_path.to_string(),
-                line: 1,
-                col: 1,
-                rule: "unsafe-forbidden",
-                message: format!("crate root is missing `#![{lint}(unsafe_code)]`"),
-                symbol: None,
-                severity_override: None,
-            });
+            out.push(view.finding(
+                1,
+                1,
+                "unsafe-forbidden",
+                format!("crate root is missing `#![{lint}(unsafe_code)]`"),
+            ));
         }
     }
 
@@ -701,20 +726,19 @@ fn rule_unsafe_forbidden(
     // on occurrences, not on attributes. String literals and comments are
     // separate token kinds and never match.
     if !profile.unsafe_allowlisted {
-        for t in &code {
+        for t in code {
             if t.kind == TokKind::Ident && t.text(src) == "unsafe" {
-                out.push(Finding {
-                    file: rel_path.to_string(),
-                    line: t.line,
-                    col: t.col,
-                    rule: "unsafe-forbidden",
-                    message: "`unsafe` outside the audited allowlist \
-                              (see hoga-analyze workspace::UNSAFE_ALLOWLIST); move the code \
-                              into an allowlisted module or extend the list with an audit"
-                        .to_string(),
-                    symbol: None,
-                    severity_override: None,
-                });
+                out.push(
+                    view.finding(
+                        t.line,
+                        t.col,
+                        "unsafe-forbidden",
+                        "`unsafe` outside the audited allowlist \
+                     (see hoga-analyze workspace::UNSAFE_ALLOWLIST); move the code \
+                     into an allowlisted module or extend the list with an audit"
+                            .to_string(),
+                    ),
+                );
             }
         }
     }
@@ -726,27 +750,24 @@ fn rule_unsafe_forbidden(
 
 const TODO_MARKERS: &[&str] = &["TODO", "FIXME", "HACK"];
 
-fn rule_todo_tracker(rel_path: &str, tokens: &[Token], src: &str, out: &mut Vec<Finding>) {
-    for t in tokens {
+fn rule_todo_tracker(view: &FileView<'_>, out: &mut Vec<Finding>) {
+    for t in view.tokens {
         if !matches!(t.kind, TokKind::LineComment { .. } | TokKind::BlockComment { .. }) {
             continue;
         }
-        let text = t.text(src);
+        let text = t.text(view.src);
         let marker = TODO_MARKERS.iter().find(|m| contains_word(text, m));
         if let Some(marker) = marker {
             if !has_issue_ref(text) {
-                out.push(Finding {
-                    file: rel_path.to_string(),
-                    line: t.line,
-                    col: t.col,
-                    rule: "todo-tracker",
-                    message: format!(
+                out.push(view.finding(
+                    t.line,
+                    t.col,
+                    "todo-tracker",
+                    format!(
                         "`{marker}` comment without an issue reference; write \
                          `{marker}(#<issue>): ...`"
                     ),
-                    symbol: None,
-                    severity_override: None,
-                });
+                ));
             }
         }
     }
@@ -823,13 +844,8 @@ fn float_literal_starts_at(code: &[&Token], i: usize, src: &str) -> bool {
 /// R7: exact `==`/`!=` against a float literal in numeric-path code. Exact
 /// comparison is almost always wrong after arithmetic; use
 /// `hoga_tensor::approx_eq` (ULP-based) or `approx_eq_eps`.
-fn rule_float_equality(
-    rel_path: &str,
-    code: &[&Token],
-    src: &str,
-    test_spans: &[std::ops::Range<usize>],
-    out: &mut Vec<Finding>,
-) {
+fn rule_float_equality(view: &FileView<'_>, out: &mut Vec<Finding>) {
+    let (code, src) = (&view.code, view.src);
     for i in 0..code.len().saturating_sub(1) {
         let (a, b) = (code[i], code[i + 1]);
         let op = match (a.kind, b.kind) {
@@ -844,25 +860,22 @@ fn rule_float_equality(
         if matches!(code.get(i + 2).map(|t| t.kind), Some(TokKind::Punct('='))) {
             continue;
         }
-        if in_spans(a.start, test_spans) {
+        if view.in_test(a.start) {
             continue;
         }
         let lhs_float = i >= 1 && float_literal_ends_at(code, i - 1, src);
         let rhs_float = float_literal_starts_at(code, i + 2, src);
         if lhs_float || rhs_float {
-            out.push(Finding {
-                file: rel_path.to_string(),
-                line: a.line,
-                col: a.col,
-                rule: "float-equality",
-                message: format!(
+            out.push(view.finding(
+                a.line,
+                a.col,
+                "float-equality",
+                format!(
                     "float `{op}` is an exact bitwise comparison; use \
                      `hoga_tensor::approx_eq`/`approx_eq_eps` (or justify an exact check with \
                      `// analyze: allow(float-equality) — <why>`)"
                 ),
-                symbol: None,
-                severity_override: None,
-            });
+            ));
         }
     }
 }
@@ -898,28 +911,16 @@ pub(crate) fn lock_acquisition<'a>(code: &[&Token], i: usize, src: &'a str) -> O
 /// [`crate::callgraph`]); what remains here is the poisoning check: any
 /// `.lock()/.read()/.write()` immediately unwrapped with `.unwrap()` —
 /// poisoning must be handled (`PoisonError::into_inner`) or propagated.
-fn rule_lock_discipline(
-    rel_path: &str,
-    code: &[&Token],
-    src: &str,
-    test_spans: &[std::ops::Range<usize>],
-    out: &mut Vec<Finding>,
-) {
-    for i in 0..code.len() {
-        maybe_flag_lock_unwrap(rel_path, code, i, src, test_spans, out);
+fn rule_lock_discipline(view: &FileView<'_>, out: &mut Vec<Finding>) {
+    for i in 0..view.code.len() {
+        maybe_flag_lock_unwrap(view, i, out);
     }
 }
 
 /// Flags `.lock()/.read()/.write()` (zero-arg, after a dot) chained
 /// directly into `.unwrap()`.
-fn maybe_flag_lock_unwrap(
-    rel_path: &str,
-    code: &[&Token],
-    i: usize,
-    src: &str,
-    test_spans: &[std::ops::Range<usize>],
-    out: &mut Vec<Finding>,
-) {
+fn maybe_flag_lock_unwrap(view: &FileView<'_>, i: usize, out: &mut Vec<Finding>) {
+    let (code, src) = (&view.code, view.src);
     let t = code[i];
     if t.kind != TokKind::Ident || !matches!(t.text(src), "lock" | "read" | "write") {
         return;
@@ -930,20 +931,17 @@ fn maybe_flag_lock_unwrap(
         && matches!(code.get(i + 2).map(|t| t.kind), Some(TokKind::Punct(')')))
         && matches!(code.get(i + 3).map(|t| t.kind), Some(TokKind::Punct('.')))
         && code.get(i + 4).is_some_and(|t| t.kind == TokKind::Ident && t.text(src) == "unwrap");
-    if shape && !in_spans(t.start, test_spans) {
-        out.push(Finding {
-            file: rel_path.to_string(),
-            line: t.line,
-            col: t.col,
-            rule: "lock-discipline",
-            message: format!(
+    if shape && !view.in_test(t.start) {
+        out.push(view.finding(
+            t.line,
+            t.col,
+            "lock-discipline",
+            format!(
                 "`.{}().unwrap()` panics on a poisoned lock; recover with \
                  `.unwrap_or_else(std::sync::PoisonError::into_inner)` or propagate a typed error",
                 t.text(src)
             ),
-            symbol: None,
-            severity_override: None,
-        });
+        ));
     }
 }
 
@@ -980,16 +978,10 @@ pub(crate) fn binding_of(code: &[&Token], i: usize, src: &str) -> Option<(Option
 /// bounded by a `crossbeam::scope`. In `crates/jobs/src` (the supervised
 /// worker pool) join discipline also applies — see
 /// [`rule_join_discipline`].
-fn rule_thread_hygiene(
-    rel_path: &str,
-    code: &[&Token],
-    src: &str,
-    eval_path: bool,
-    pool_path: bool,
-    out: &mut Vec<Finding>,
-) {
-    if pool_path {
-        rule_join_discipline(rel_path, code, src, out);
+fn rule_thread_hygiene(view: &FileView<'_>, out: &mut Vec<Finding>) {
+    let (code, src) = (&view.code, view.src);
+    if view.profile.pool_path {
+        rule_join_discipline(view, out);
     }
     for i in 0..code.len() {
         let t = code[i];
@@ -1003,18 +995,17 @@ fn rule_thread_hygiene(
             && code
                 .get(i.wrapping_sub(3))
                 .is_some_and(|p| p.kind == TokKind::Ident && p.text(src) == "thread");
-        if path_call && eval_path {
-            out.push(Finding {
-                file: rel_path.to_string(),
-                line: t.line,
-                col: t.col,
-                rule: "thread-hygiene",
-                message: "unscoped `std::thread::spawn` in `eval`; use `crossbeam::scope` so \
-                          worker lifetimes are bounded and panics surface at `join`"
-                    .to_string(),
-                symbol: None,
-                severity_override: None,
-            });
+        if path_call && view.profile.eval_path {
+            out.push(
+                view.finding(
+                    t.line,
+                    t.col,
+                    "thread-hygiene",
+                    "unscoped `std::thread::spawn` in `eval`; use `crossbeam::scope` so \
+                 worker lifetimes are bounded and panics surface at `join`"
+                        .to_string(),
+                ),
+            );
             continue;
         }
         // `<receiver>.spawn(...)` used as a bare statement discards the
@@ -1055,18 +1046,17 @@ fn rule_thread_hygiene(
         }
         let discarded = k == 0 || matches!(code[k - 1].kind, TokKind::Punct(';' | '{' | '}'));
         if discarded {
-            out.push(Finding {
-                file: rel_path.to_string(),
-                line: t.line,
-                col: t.col,
-                rule: "thread-hygiene",
-                message: "spawn result discarded; bind the handle and `join()` it so worker \
-                          panics are observed (or justify with \
-                          `// analyze: allow(thread-hygiene) — <why>`)"
-                    .to_string(),
-                symbol: None,
-                severity_override: None,
-            });
+            out.push(
+                view.finding(
+                    t.line,
+                    t.col,
+                    "thread-hygiene",
+                    "spawn result discarded; bind the handle and `join()` it so worker \
+                 panics are observed (or justify with \
+                 `// analyze: allow(thread-hygiene) — <why>`)"
+                        .to_string(),
+                ),
+            );
         }
     }
 }
@@ -1077,21 +1067,19 @@ fn rule_thread_hygiene(
 /// silently erases an engine bug. The payload must be matched and either
 /// re-raised (`std::panic::resume_unwind`) or converted into a structured
 /// incident.
-fn rule_join_discipline(rel_path: &str, code: &[&Token], src: &str, out: &mut Vec<Finding>) {
+fn rule_join_discipline(view: &FileView<'_>, out: &mut Vec<Finding>) {
+    let (code, src) = (&view.code, view.src);
     let flag = |t: &Token, what: &str, out: &mut Vec<Finding>| {
-        out.push(Finding {
-            file: rel_path.to_string(),
-            line: t.line,
-            col: t.col,
-            rule: "thread-hygiene",
-            message: format!(
+        out.push(view.finding(
+            t.line,
+            t.col,
+            "thread-hygiene",
+            format!(
                 "{what} loses the worker's panic payload; match the `join()` result and \
                  re-raise via `std::panic::resume_unwind` or record a structured incident \
                  (or justify with `// analyze: allow(thread-hygiene) — <why>`)"
             ),
-            symbol: None,
-            severity_override: None,
-        });
+        ));
     };
     for i in 0..code.len() {
         let t = code[i];

@@ -1,9 +1,9 @@
 //! The workspace symbol graph — definitions, references and liveness.
 //!
-//! Built from every `.rs` file at once: [`crate::parser`] supplies the
-//! definitions, a second pass counts every identifier occurrence as a
-//! (name, unit) reference, and a worklist propagates liveness along two
-//! kinds of edges:
+//! Built from every file's [`FileFacts`] at once: the per-file stage
+//! supplies the definitions ([`crate::parser`] items) and counts every
+//! identifier occurrence as a (name, unit) reference, and a worklist
+//! propagates liveness along two kinds of edges:
 //!
 //! * **type edges** — a live item keeps every workspace definition named in
 //!   its type positions alive (a caller of `pub fn stats() -> RunStats`
@@ -22,9 +22,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::lexer::{lex, TokKind};
-use crate::parser::{parse_items, ItemKind, Visibility};
-use crate::rules::cfg_test_spans;
+use crate::parser::{ItemKind, Visibility};
+use crate::rules::{FileFacts, Finding};
 
 /// One definition in the workspace.
 #[derive(Debug, Clone)]
@@ -53,7 +52,7 @@ pub struct SymbolDef {
 
 /// The assembled graph plus its liveness fixpoint.
 #[derive(Debug)]
-pub struct SymbolGraph {
+pub(crate) struct SymbolGraph {
     defs: Vec<SymbolDef>,
     live: Vec<bool>,
     /// name → unit → identifier occurrences.
@@ -98,65 +97,19 @@ pub(crate) fn is_src_unit(unit: &str) -> bool {
 }
 
 impl SymbolGraph {
-    /// Builds the graph over `(workspace-relative path, source)` pairs and
-    /// runs the liveness fixpoint.
-    pub fn build(files: &[(String, String)]) -> SymbolGraph {
-        let mut defs: Vec<SymbolDef> = Vec::new();
-        let mut lexed = Vec::with_capacity(files.len());
-        for (rel, src) in files {
-            let tokens = lex(src);
-            let unit = source_unit(rel);
-            let test_spans = cfg_test_spans(&tokens, src);
-            for item in parse_items(&tokens, src) {
-                if matches!(item.kind, ItemKind::Use | ItemKind::Impl) {
-                    continue;
-                }
-                let Some(name) = item.name else { continue };
-                defs.push(SymbolDef {
-                    name,
-                    unit: unit.clone(),
-                    file: rel.clone(),
-                    line: item.line,
-                    col: item.col,
-                    kind: item.kind,
-                    vis: item.vis,
-                    in_test_item: test_spans.iter().any(|s| s.contains(&item.start)),
-                    dep_names: item.dep_names,
-                    owner: item.owner,
-                });
-            }
-            lexed.push((rel, src, tokens));
-        }
-
+    /// Assembles the graph from every file's definitions and identifier
+    /// counts and runs the liveness fixpoint. Reference entries for names
+    /// that define nothing are dropped.
+    pub(crate) fn from_files(files: &[FileFacts]) -> SymbolGraph {
+        let defs: Vec<SymbolDef> = files.iter().flat_map(|f| f.defs.iter().cloned()).collect();
         let names: BTreeSet<&str> = defs.iter().map(|d| d.name.as_str()).collect();
         let mut refs: BTreeMap<String, BTreeMap<String, usize>> = BTreeMap::new();
-        for (rel, src, tokens) in &lexed {
-            let unit = source_unit(rel);
-            for t in tokens.iter().filter(|t| t.kind == TokKind::Ident) {
-                let text = t.text(src);
-                let text = text.strip_prefix("r#").unwrap_or(text);
-                if names.contains(text) {
-                    *refs.entry(text.to_string()).or_default().entry(unit.clone()).or_insert(0) +=
-                        1;
-                }
+        for file in files {
+            let unit = source_unit(&file.rel);
+            for (name, count) in file.idents.iter().filter(|(n, _)| names.contains(n.as_str())) {
+                *refs.entry(name.clone()).or_default().entry(unit.clone()).or_insert(0) += *count;
             }
         }
-
-        SymbolGraph::from_parts(defs, refs)
-    }
-
-    /// Assembles a graph from pre-extracted definitions and reference
-    /// counts and runs the liveness fixpoint. This is the path the
-    /// incremental cache uses: per-file artifacts store defs and raw ident
-    /// counts, and the cross-file stage rebuilds the graph without
-    /// re-lexing anything. Reference entries for names that define nothing
-    /// are dropped, matching what [`SymbolGraph::build`] collects.
-    pub(crate) fn from_parts(
-        defs: Vec<SymbolDef>,
-        mut refs: BTreeMap<String, BTreeMap<String, usize>>,
-    ) -> SymbolGraph {
-        let names: BTreeSet<&str> = defs.iter().map(|d| d.name.as_str()).collect();
-        refs.retain(|name, _| names.contains(name.as_str()));
         let mut graph = SymbolGraph { live: vec![false; defs.len()], defs, refs };
         graph.propagate();
         graph
@@ -203,11 +156,6 @@ impl SymbolGraph {
             .unwrap_or(0)
     }
 
-    /// All definitions.
-    pub fn defs(&self) -> &[SymbolDef] {
-        &self.defs
-    }
-
     /// Dead public API: `pub` definitions in library source units that the
     /// liveness fixpoint never reached. `main`/`mod` definitions and items
     /// inside `#[cfg(test)]` are exempt.
@@ -228,12 +176,42 @@ impl SymbolGraph {
     }
 }
 
+/// The *dead-API* resolver (R6): builds the symbol graph over `files` and
+/// reports every `pub` definition nothing outside its crate keeps alive.
+pub(crate) fn dead_api_findings(files: &[FileFacts]) -> Vec<Finding> {
+    SymbolGraph::from_files(files)
+        .dead_public()
+        .into_iter()
+        .map(|def| Finding {
+            file: def.file.clone(),
+            line: def.line,
+            col: def.col,
+            rule: "dead-public-api",
+            message: format!(
+                "pub {} `{}` has no references outside `{}`; demote to pub(crate)/private, \
+                 delete it, or justify with `// analyze: allow(dead-public-api) — <why>`",
+                def.kind.label(),
+                def.name,
+                def.unit
+            ),
+            symbol: Some(def.name.clone()),
+            severity_override: None,
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn files(list: &[(&str, &str)]) -> Vec<(String, String)> {
-        list.iter().map(|(a, b)| (a.to_string(), b.to_string())).collect()
+    /// The graph over `(path, source)` pairs, through the production
+    /// per-file stage.
+    fn build(list: &[(&str, &str)]) -> SymbolGraph {
+        let files: Vec<FileFacts> = list
+            .iter()
+            .map(|(rel, src)| crate::rules::analyze_file(rel, src, Default::default()))
+            .collect();
+        SymbolGraph::from_files(&files)
     }
 
     #[test]
@@ -254,19 +232,19 @@ mod tests {
 
     #[test]
     fn bin_target_use_counts_as_external() {
-        let g = SymbolGraph::build(&files(&[
+        let g = build(&[
             ("crates/a/src/lib.rs", "pub fn run() {}\n"),
             ("crates/a/src/main.rs", "fn main() { a::run(); }\n"),
-        ]));
+        ]);
         assert!(g.dead_public().is_empty(), "dead: {:?}", g.dead_public());
     }
 
     #[test]
     fn externally_used_pub_fn_is_live_and_unused_one_is_dead() {
-        let g = SymbolGraph::build(&files(&[
+        let g = build(&[
             ("crates/a/src/lib.rs", "pub fn used() {}\npub fn unused() {}\n"),
             ("crates/b/src/lib.rs", "fn f() { a::used(); }\n"),
-        ]));
+        ]);
         let dead: Vec<&str> = g.dead_public().iter().map(|d| d.name.as_str()).collect();
         assert_eq!(dead, ["unused"]);
     }
@@ -274,10 +252,10 @@ mod tests {
     #[test]
     fn use_from_own_tests_dir_counts_as_external() {
         // tests/ is a separate linked crate: demoting the item would break it.
-        let g = SymbolGraph::build(&files(&[
+        let g = build(&[
             ("crates/a/src/lib.rs", "pub fn helper() {}\n"),
             ("crates/a/tests/it.rs", "#[test]\nfn t() { a::helper(); }\n"),
-        ]));
+        ]);
         assert!(g.dead_public().is_empty());
     }
 
@@ -285,44 +263,41 @@ mod tests {
     fn return_type_of_live_fn_is_kept_alive() {
         // `Stats` is never written outside crates/a, but `stats()` is used
         // and returns it — the type edge keeps it alive.
-        let g = SymbolGraph::build(&files(&[
+        let g = build(&[
             (
                 "crates/a/src/lib.rs",
                 "pub struct Stats { pub n: usize }\npub fn stats() -> Stats { Stats { n: 0 } }\n",
             ),
             ("crates/b/src/lib.rs", "fn f() { let s = a::stats(); let _ = s.n; }\n"),
-        ]));
+        ]);
         assert!(g.dead_public().is_empty(), "dead: {:?}", g.dead_public());
     }
 
     #[test]
     fn live_method_keeps_its_impl_subject_alive() {
-        let g = SymbolGraph::build(&files(&[
+        let g = build(&[
             (
                 "crates/a/src/lib.rs",
                 "pub struct Acc;\nimpl Acc {\n    pub fn push(&mut self) {}\n}\n\
                  pub fn acc() -> Acc { Acc }\n",
             ),
             ("crates/b/src/lib.rs", "fn f() { a::acc().push(); }\n"),
-        ]));
+        ]);
         assert!(g.dead_public().is_empty(), "dead: {:?}", g.dead_public());
     }
 
     #[test]
     fn cfg_test_items_and_main_are_exempt() {
-        let g = SymbolGraph::build(&files(&[(
+        let g = build(&[(
             "crates/a/src/main.rs",
             "fn main() {}\n#[cfg(test)]\nmod tests {\n    pub fn fixture() {}\n}\n",
-        )]));
+        )]);
         assert!(g.dead_public().is_empty(), "dead: {:?}", g.dead_public());
     }
 
     #[test]
     fn pub_crate_items_are_never_dead_api() {
-        let g = SymbolGraph::build(&files(&[(
-            "crates/a/src/lib.rs",
-            "pub(crate) fn internal() {}\nfn private() {}\n",
-        )]));
+        let g = build(&[("crates/a/src/lib.rs", "pub(crate) fn internal() {}\nfn private() {}\n")]);
         assert!(g.dead_public().is_empty());
     }
 
@@ -330,10 +305,10 @@ mod tests {
     fn dead_chain_is_not_kept_alive_by_itself() {
         // `only_dead_caller` mentions `Lost` in its signature, but is dead
         // itself — liveness must not leak from dead definitions.
-        let g = SymbolGraph::build(&files(&[(
+        let g = build(&[(
             "crates/a/src/lib.rs",
             "pub struct Lost;\npub fn only_dead_caller() -> Lost { Lost }\n",
-        )]));
+        )]);
         let dead: Vec<&str> = g.dead_public().iter().map(|d| d.name.as_str()).collect();
         assert_eq!(dead, ["Lost", "only_dead_caller"]);
     }

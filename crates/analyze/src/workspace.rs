@@ -1,14 +1,12 @@
 //! Workspace walking: discovers `.rs` files and crate roots, assigns each
 //! file a [`FileProfile`], and folds per-file findings into one report.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::cache::{compute_artifact, load_artifact, profile_bits, store_artifact, FileArtifact};
-use crate::det::merge_summaries;
-use crate::rules::{FileProfile, Finding};
-use crate::symbols::{source_unit, SymbolGraph};
+use crate::callgraph::CallGraph;
+use crate::rules::{analyze_file, finish, flow_findings, FileProfile, Finding};
+use crate::symbols::dead_api_findings;
 
 /// Modules that must stay panic-free on non-test paths (R1). Entries
 /// ending in `/` match every file under that prefix; the rest are exact
@@ -33,7 +31,7 @@ pub(crate) const HARDENED_MODULES: &[&str] = &[
 
 /// Decode/parse files where `as u32`/`as usize`/`as i64` casts must be
 /// checked conversions (R2). Same prefix convention as
-/// [`HARDENED_MODULES`]. The analyzer's own lexer/parser/cache decode
+/// [`HARDENED_MODULES`]. The analyzer's own lexer/parser decode
 /// untrusted bytes, so they hold themselves to the decode rules too.
 pub(crate) const DECODE_MODULES: &[&str] = &[
     "crates/analyze/src/",
@@ -107,8 +105,8 @@ pub fn workspace_rs_files(root: &Path) -> Result<Vec<(String, PathBuf)>, WalkErr
     Ok(out)
 }
 
-/// Reads every workspace `.rs` file into `(relative path, source)` pairs —
-/// the input shape [`SymbolGraph::build`] wants.
+/// Reads every workspace `.rs` file into `(relative path, source)` pairs,
+/// sorted by relative path — the analyzer's one read of the sources.
 pub fn read_workspace_sources(root: &Path) -> Result<Vec<(String, String)>, WalkError> {
     let mut sources = Vec::new();
     for (rel, path) in workspace_rs_files(root)? {
@@ -118,25 +116,12 @@ pub fn read_workspace_sources(root: &Path) -> Result<Vec<(String, String)>, Walk
     Ok(sources)
 }
 
-/// Tuning knobs for [`analyze_workspace_with`].
-#[derive(Debug, Clone, Default)]
-pub struct AnalyzeOptions {
-    /// When set, per-file analysis artifacts are read from and written to
-    /// this directory, keyed by content hash — an unchanged file is never
-    /// re-lexed or re-analyzed.
-    pub cache_dir: Option<PathBuf>,
-}
-
 /// What a workspace run did, for `--stats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct AnalysisStats {
-    /// Files analyzed (hit + miss).
+    /// Files analyzed.
     pub files: usize,
-    /// Files served from the artifact cache without reparsing.
-    pub cache_hits: usize,
-    /// Files analyzed from source this run.
-    pub cache_misses: usize,
-    /// Function CFGs built (or replayed from cache).
+    /// Function CFGs built.
     pub cfgs: u64,
     /// Basic blocks across all CFGs.
     pub blocks: u64,
@@ -152,163 +137,40 @@ pub struct AnalysisStats {
     pub call_sccs: u64,
 }
 
-/// Analyzes every `.rs` file under `root` and returns all findings,
-/// sorted by (file, line, col).
+/// Analyzes every `.rs` file under `root`: the walk, the per-file stage
+/// ([`analyze_file`]) on each source, then the two cross-file resolvers —
+/// *flow* (interprocedural taint, R13–R15 over the call graph) and
+/// *dead-API* (R6 over the symbol graph) — whose findings are folded into
+/// each file's suppression pass so a justified allow at the definition
+/// site works the same way for every layer. Returns the findings sorted by
+/// (file, line, col), the run statistics, and the workspace call graph.
 ///
-/// Three layers run: the per-file token rules (R1–R5, R7–R9), the
-/// CFG-based dataflow rules (R10–R12), and the workspace
-/// [`SymbolGraph`] (R6) plus interprocedural taint resolution, whose
-/// findings are folded into each file's suppression pass so a justified
-/// allow at the definition site works the same way for every layer.
-// analyze: allow(dead-public-api) — cache-free convenience wrapper of the re-exported library surface; exercised by the `workspace_is_clean` gate test, so demoting would trip rustc dead_code in non-test builds
-pub fn analyze_workspace(root: &Path) -> Result<Vec<Finding>, WalkError> {
-    analyze_workspace_with(root, &AnalyzeOptions::default()).map(|(findings, _)| findings)
-}
-
-/// [`analyze_workspace`] with options (artifact cache) and run statistics.
-///
-/// The per-file stage produces a [`FileArtifact`] per source file —
-/// computed fresh or loaded from `cache_dir` when the content hash,
-/// profile, and format version all match. The cross-file stage is a pure
-/// function of the artifacts, so cached and uncached runs produce
-/// byte-identical reports by construction.
-pub fn analyze_workspace_with(
+/// Nothing is kept between runs: the report is a pure function of the
+/// file contents, and a cold run is cheap enough (see "Linter performance"
+/// in `docs/STATIC_ANALYSIS.md`) that persisting anything would cost more
+/// than it saves.
+pub fn analyze_workspace(
     root: &Path,
-    opts: &AnalyzeOptions,
-) -> Result<(Vec<Finding>, AnalysisStats), WalkError> {
-    analyze_workspace_graph(root, opts).map(|(findings, stats, _)| (findings, stats))
-}
-
-/// [`analyze_workspace_with`] that also returns the workspace call graph
-/// (the `--callgraph` CI artifact).
-pub fn analyze_workspace_graph(
-    root: &Path,
-    opts: &AnalyzeOptions,
-) -> Result<(Vec<Finding>, AnalysisStats, crate::callgraph::CallGraph), WalkError> {
+) -> Result<(Vec<Finding>, AnalysisStats, CallGraph), WalkError> {
     let crate_roots = discover_crate_roots(root)?;
     let mut stats = AnalysisStats::default();
-    let mut artifacts = Vec::new();
-    for (rel, path) in workspace_rs_files(root)? {
-        let src = fs::read_to_string(&path).map_err(|source| WalkError { path, source })?;
-        let profile = profile_for(&rel, &crate_roots);
-        let bits = profile_bits(profile);
-        let hash = crate::cache::fnv1a64(src.as_bytes());
-        let cached = opts.cache_dir.as_deref().and_then(|dir| load_artifact(dir, &rel, hash, bits));
-        let art = match cached {
-            Some(art) => {
-                stats.cache_hits += 1;
-                art
-            }
-            None => {
-                stats.cache_misses += 1;
-                let art = compute_artifact(&rel, &src, profile);
-                if let Some(dir) = opts.cache_dir.as_deref() {
-                    // Best effort: a cache write failure costs speed on
-                    // the next run, never correctness on this one.
-                    let _ = store_artifact(dir, &art);
-                }
-                art
-            }
-        };
+    let mut files = Vec::new();
+    for (rel, src) in read_workspace_sources(root)? {
+        let facts = analyze_file(&rel, &src, profile_for(&rel, &crate_roots));
         stats.files += 1;
-        stats.cfgs += art.stats.cfgs;
-        stats.blocks += art.stats.blocks;
-        stats.edges += art.stats.edges;
-        stats.fixpoint_iterations += art.stats.fixpoint_iterations;
-        artifacts.push(art);
+        stats.cfgs += facts.det_stats.cfgs;
+        stats.blocks += facts.det_stats.blocks;
+        stats.edges += facts.det_stats.edges;
+        stats.fixpoint_iterations += facts.det_stats.fixpoint_iterations;
+        files.push(facts);
     }
-    let (findings, graph) = cross_file_stage(&artifacts);
+    let (flow, graph) = flow_findings(&files);
     stats.call_nodes = graph.nodes();
     stats.call_edges = graph.edges();
     stats.call_sccs = graph.sccs();
-    Ok((findings, stats, graph))
-}
-
-/// The cross-file stage: symbol graph + dead-API (R6), interprocedural
-/// taint resolution (R10), call-graph propagation (R13–R15), then the
-/// shared suppression pass per file. A pure function of the artifacts —
-/// this is what guarantees cold and warm cache runs render identically.
-fn cross_file_stage(artifacts: &[FileArtifact]) -> (Vec<Finding>, crate::callgraph::CallGraph) {
-    let mut defs = Vec::new();
-    let mut refs: BTreeMap<String, BTreeMap<String, usize>> = BTreeMap::new();
-    for art in artifacts {
-        defs.extend(art.defs_as_symbols());
-        let unit = source_unit(&art.rel);
-        for (name, count) in &art.refs {
-            *refs.entry(name.clone()).or_default().entry(unit.clone()).or_insert(0) += *count;
-        }
-    }
-    let graph = SymbolGraph::from_parts(defs, refs);
-    let mut dead = dead_api_findings(&graph);
-    let summaries = merge_summaries(artifacts.iter().flat_map(|a| a.sums.iter()));
-
-    // Call-graph inputs: non-test fn defs plus the cached per-file facts.
-    let inputs: Vec<crate::callgraph::CgFileInput> = artifacts
-        .iter()
-        .map(|art| crate::callgraph::CgFileInput {
-            rel: art.rel.clone(),
-            hardened: art.profile_bits & 1 == 1,
-            defs: art
-                .defs
-                .iter()
-                .filter(|d| d.kind == crate::parser::ItemKind::Fn && !d.in_test)
-                .map(|d| crate::callgraph::CgDef {
-                    name: d.name.clone(),
-                    line: d.line,
-                    col: d.col,
-                    public: d.vis == crate::parser::Visibility::Public,
-                })
-                .collect(),
-            facts: art.cg.clone(),
-        })
-        .collect();
-    let mut call_graph = crate::callgraph::build_graph(&inputs);
-    call_graph.propagate();
-    let mut cg_findings = crate::callgraph::resolve_rules(&call_graph, &inputs);
-
-    let mut findings = Vec::new();
-    for art in artifacts {
-        let mut fa = art.to_analysis();
-        for f in crate::det::resolve_conditionals(&art.conds, &summaries) {
-            fa.push_raw(f);
-        }
-        for f in dead.remove(art.rel.as_str()).unwrap_or_default() {
-            fa.push_raw(f);
-        }
-        for f in cg_findings.remove(art.rel.as_str()).unwrap_or_default() {
-            fa.push_raw(f);
-        }
-        findings.extend(fa.finish());
-    }
-    findings
-        .sort_by(|a, b| (a.file.as_str(), a.line, a.col).cmp(&(b.file.as_str(), b.line, b.col)));
-    (findings, call_graph)
-}
-
-/// R6 findings from the symbol graph, grouped by file.
-pub(crate) fn dead_api_findings(
-    graph: &SymbolGraph,
-) -> std::collections::BTreeMap<String, Vec<Finding>> {
-    let mut by_file: std::collections::BTreeMap<String, Vec<Finding>> =
-        std::collections::BTreeMap::new();
-    for def in graph.dead_public() {
-        by_file.entry(def.file.clone()).or_default().push(Finding {
-            file: def.file.clone(),
-            line: def.line,
-            col: def.col,
-            rule: "dead-public-api",
-            message: format!(
-                "pub {} `{}` has no references outside `{}`; demote to pub(crate)/private, \
-                 delete it, or justify with `// analyze: allow(dead-public-api) — <why>`",
-                def.kind.label(),
-                def.name,
-                def.unit
-            ),
-            symbol: Some(def.name.clone()),
-            severity_override: None,
-        });
-    }
-    by_file
+    let mut cross = dead_api_findings(&files);
+    cross.extend(flow);
+    Ok((finish(files, cross), stats, graph))
 }
 
 /// Decides which rules apply to a workspace-relative path.

@@ -2,16 +2,16 @@
 //! file wins, ambiguous names drop), SCC condensation on recursive and
 //! mutually recursive corpora, seed propagation, and byte-identical
 //! `to_json` output regardless of input order — the determinism contract
-//! behind the `--callgraph` CI artifact.
+//! every call-graph finding's witness path rests on.
 
 use std::path::Path;
 
-use hoga_analyze::callgraph::{build_graph, file_input, CgFileInput};
+use hoga_analyze::callgraph::build_graph;
 use hoga_analyze::workspace::read_workspace_sources;
-use hoga_analyze::FileProfile;
+use hoga_analyze::{analyze_file, FileFacts, FileProfile};
 
-fn input(rel: &str, src: &str) -> CgFileInput {
-    file_input(rel, src, FileProfile::default())
+fn input(rel: &str, src: &str) -> FileFacts {
+    analyze_file(rel, src, FileProfile::default())
 }
 
 // ---------------------------------------------------------------------------
@@ -154,7 +154,7 @@ fn test_code_contributes_neither_nodes_nor_seeds() {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism of the --callgraph artifact
+// Determinism of the rendered graph
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -223,8 +223,7 @@ fn analyzer_sources_build_a_deterministic_graph() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let sources = read_workspace_sources(root).expect("read analyzer sources");
     assert!(!sources.is_empty());
-    let inputs: Vec<CgFileInput> =
-        sources.iter().map(|(rel, s)| file_input(rel, s, FileProfile::default())).collect();
+    let inputs: Vec<FileFacts> = sources.iter().map(|(rel, s)| input(rel, s)).collect();
     let mut g1 = build_graph(&inputs);
     let mut g2 = build_graph(&inputs);
     g1.propagate();

@@ -8,9 +8,10 @@
 //! from entry, every edge targets a real block, and every edge position
 //! stays inside the function's span.
 
-use hoga_analyze::cfg::{function_cfgs, Cfg};
+use hoga_analyze::cfg::Cfg;
 use hoga_analyze::dataflow::{forward_fixpoint, Analysis, Fixpoint};
 use hoga_analyze::lexer::{lex, TokKind, Token};
+use hoga_analyze::{FileProfile, FileView};
 
 fn code_tokens(src: &str) -> Vec<Token> {
     lex(src)
@@ -21,21 +22,18 @@ fn cfgs(src: &str) -> (Vec<Cfg>, Vec<Token>) {
     (build(&tokens, src), tokens)
 }
 
+fn view<'a>(tokens: &'a [Token], src: &'a str) -> FileView<'a> {
+    FileView::new("fixture.rs", src, tokens, FileProfile::default())
+}
+
 fn build(tokens: &[Token], src: &str) -> Vec<Cfg> {
-    let code: Vec<&Token> = tokens
-        .iter()
-        .filter(|t| !matches!(t.kind, TokKind::LineComment { .. } | TokKind::BlockComment { .. }))
-        .collect();
-    function_cfgs(&code, src)
+    view(tokens, src).cfgs
 }
 
 fn render(src: &str) -> String {
     let tokens = code_tokens(src);
-    let code: Vec<&Token> = tokens
-        .iter()
-        .filter(|t| !matches!(t.kind, TokKind::LineComment { .. } | TokKind::BlockComment { .. }))
-        .collect();
-    function_cfgs(&code, src).iter().map(|c| c.render(&code, src)).collect::<Vec<_>>().join("\n")
+    let v = view(&tokens, src);
+    v.cfgs.iter().map(|c| c.render(&v.code, src)).collect::<Vec<_>>().join("\n")
 }
 
 // ---------------------------------------------------------------------------
@@ -250,11 +248,8 @@ impl<'a> Analysis for CrossedTry<'a> {
 fn fixpoint_runs_deterministically_over_branching_cfg() {
     let src = "fn f() -> Result<(), E> { if a() { b()?; } else { c(); } d(); Ok(()) }";
     let tokens = code_tokens(src);
-    let code: Vec<&Token> = tokens
-        .iter()
-        .filter(|t| !matches!(t.kind, TokKind::LineComment { .. } | TokKind::BlockComment { .. }))
-        .collect();
-    let cfg = &function_cfgs(&code, src)[0];
+    let FileView { code, cfgs, .. } = view(&tokens, src);
+    let cfg = &cfgs[0];
 
     let run = |()| -> Fixpoint<bool> {
         let mut analysis = CrossedTry { code: code.clone(), src };

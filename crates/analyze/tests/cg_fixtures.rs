@@ -3,7 +3,7 @@
 //!
 //! These rules resolve over the *workspace* call graph, so every fixture
 //! is a small scratch workspace on disk, analyzed in-process through the
-//! same `analyze_workspace_with` entry point the binary uses. Assertions
+//! same `analyze_workspace` entry point the binary uses. Assertions
 //! filter to the rule under test: scratch code may legitimately trip
 //! unrelated warnings (`dead-public-api` on an unused planted API) and
 //! those must not couple these fixtures to other rules' behavior.
@@ -11,7 +11,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use hoga_analyze::{analyze_workspace_with, AnalyzeOptions, Finding};
+use hoga_analyze::{analyze_workspace, Finding};
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("hoga-analyze-cg-{}-{name}", std::process::id()));
@@ -39,8 +39,7 @@ fn analyze(dir: &Path, files: &[(&str, &str)]) -> Vec<Finding> {
         }
         fs::write(path, src).expect("write fixture file");
     }
-    let (findings, _stats) =
-        analyze_workspace_with(dir, &AnalyzeOptions::default()).expect("analyze scratch");
+    let (findings, ..) = analyze_workspace(dir).expect("analyze scratch");
     findings
 }
 
