@@ -7,7 +7,9 @@
 //! the crate's one grain rule, in which case the closure runs once on the
 //! caller. [`parallel_map`] runs indexed tasks and returns their
 //! results in task order, which is the primitive behind the deterministic
-//! fixed-order reductions of `Matrix::matmul_tn` and `CsrMatrix::from_coo`.
+//! fixed-order reductions of `Matrix::matmul_tn` and `CsrMatrix::from_coo`
+//! (the general triplet constructor; the circuit adjacency is laid out by its
+//! own builder and only checked here, `CsrMatrix::from_csr`).
 //!
 //! A caller whose work is already independent per item — the tape-free
 //! forward over node blocks, a data-parallel trainer's shards — opens **one**
@@ -193,7 +195,7 @@ fn join_all(handles: Vec<ScopedJoinHandle<'_, ()>>) {
 /// Callers that reduce the returned values in index order therefore get
 /// bitwise-identical results for every thread count; this is the primitive
 /// behind the deterministic k-chunked reduction of `Matrix::matmul_tn` and
-/// the sharded `CsrMatrix::from_coo` build.
+/// the sharded `CsrMatrix::from_coo` triplet merge.
 pub(crate) fn parallel_map<T, F>(count: usize, f: F) -> Vec<T>
 where
     T: Send,

@@ -6,6 +6,11 @@
 //! ([`CsrMatrix::spmm`]). Row parallelism makes this the fastest part of the
 //! pipeline, matching the paper's observation that feature generation is
 //! negligible next to training.
+//!
+//! Two constructors: [`CsrMatrix::from_coo`] is the general one (any triplet
+//! order, duplicates summed); [`CsrMatrix::from_csr`] takes rows a caller has
+//! already laid out — the circuit adjacency builders count, prefix-sum and
+//! scatter straight from the gate list — and checks them instead of sorting.
 
 use crate::parallel::{kernel_threads, parallel_chunks, parallel_map};
 use crate::Matrix;
@@ -14,6 +19,18 @@ use serde::{Deserialize, Serialize};
 /// Triplet count above which [`CsrMatrix::from_coo`] parallelizes its
 /// counting and per-row merge phases.
 const PARALLEL_NNZ: usize = 1 << 14;
+
+/// Output columns [`CsrMatrix::spmm`] sums in one register tile: the width of
+/// the narrow group left over after the whole groups of this many columns.
+const LANES: usize = 8;
+
+/// Column indices are stored as `u32`; a wider matrix would have them wrap.
+fn assert_cols_fit(cols: usize) {
+    assert!(
+        u32::try_from(cols).is_ok(),
+        "CsrMatrix stores u32 column indices: {cols} columns exceed u32::MAX"
+    );
+}
 
 /// Sorts one row's `(col, value)` entries by column and merges duplicate
 /// columns in place, summing their values.
@@ -64,8 +81,9 @@ impl CsrMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if any coordinate is out of bounds.
+    /// Panics if any coordinate is out of bounds, or if `cols > u32::MAX`.
     pub fn from_coo(rows: usize, cols: usize, triplets: &[(usize, usize, f32)]) -> Self {
+        assert_cols_fit(cols);
         let parallel = triplets.len() >= PARALLEL_NNZ;
         // Phase 1: bounds-check and count entries per row. Sharded over the
         // triplet list for large inputs; per-shard counts merge by integer
@@ -159,6 +177,41 @@ impl CsrMatrix {
         Self { rows, cols, indptr: out_indptr, indices: out_indices, values: out_values }
     }
 
+    /// Builds a CSR matrix from rows the caller has already laid out: row `r`
+    /// holds `indices[indptr[r]..indptr[r + 1]]` with the matching `values`.
+    /// Nothing is sorted or merged; everything the kernels rely on is checked.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cols > u32::MAX`; if `indptr` does not have `rows + 1`
+    /// entries rising monotonically from `0` to `indices.len()`; if
+    /// `indices.len() != values.len()`; or if a row's columns are not
+    /// strictly ascending and below `cols`.
+    pub fn from_csr(
+        rows: usize,
+        cols: usize,
+        indptr: Vec<usize>,
+        indices: Vec<u32>,
+        values: Vec<f32>,
+    ) -> Self {
+        assert_cols_fit(cols);
+        assert_eq!(indptr.len(), rows + 1, "indptr needs one entry per row and one more");
+        assert_eq!(indices.len(), values.len(), "one value per column index");
+        assert_eq!(indptr[0], 0, "indptr must start at 0");
+        assert_eq!(indptr[rows], indices.len(), "indptr must end at the entry count");
+        for (r, w) in indptr.windows(2).enumerate() {
+            assert!(w[0] <= w[1], "indptr falls at row {r}");
+            // indptr rises to its last entry, so `w[1]` is within `indices`.
+            let row = &indices[w[0]..w[1]];
+            assert!(row.windows(2).all(|c| c[0] < c[1]), "row {r}: columns not strictly ascending");
+            assert!(
+                row.last().is_none_or(|&c| (c as usize) < cols),
+                "row {r}: column out of bounds for ({rows}, {cols})"
+            );
+        }
+        Self { rows, cols, indptr, indices, values }
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -206,24 +259,57 @@ impl CsrMatrix {
         if d == 0 || self.rows == 0 {
             return out;
         }
-        let indptr = &self.indptr;
-        let indices = &self.indices;
-        let values = &self.values;
         let xs = x.as_slice();
         parallel_chunks(out.as_mut_slice(), d, self.nnz() * d, |start_row, chunk| {
-            for (i, orow) in chunk.chunks_mut(d).enumerate() {
-                let r = start_row + i;
-                for pos in indptr[r]..indptr[r + 1] {
-                    let c = indices[pos] as usize;
-                    let v = values[pos];
-                    let xrow = &xs[c * d..(c + 1) * d];
-                    for (o, &xv) in orow.iter_mut().zip(xrow) {
-                        *o += v * xv;
+            self.spmm_rows(xs, d, start_row, chunk)
+        });
+        out
+    }
+
+    /// Rows `start_row..` of `self · x` into `chunk`, which arrives zeroed;
+    /// `xs` is `x` row-major, `d` columns wide.
+    ///
+    /// Whole groups of [`LANES`] columns go through the axpy loop. The narrow
+    /// group left over (all of a 7-wide row) would be that loop's scalar
+    /// remainder, so it is summed in a register tile and stored once per row.
+    /// Either way each output element is `((0 + v₀x₀) + v₁x₁) + …` in stored
+    /// entry order.
+    fn spmm_rows(&self, xs: &[f32], d: usize, start_row: usize, chunk: &mut [f32]) {
+        let (indptr, indices, values) = (&self.indptr[start_row..], &self.indices, &self.values);
+        let full = d - d % LANES;
+        let narrow_width = d - full;
+        for (orow, entries) in chunk.chunks_mut(d).zip(indptr.windows(2)) {
+            let (ohead, otail) = orow.split_at_mut(full);
+            let mut tile = [0.0f32; LANES];
+            let row = entries[0]..entries[1];
+            for (&c, &v) in indices[row.clone()].iter().zip(&values[row]) {
+                let at = c as usize * d;
+                for (o, &xv) in ohead.iter_mut().zip(&xs[at..at + full]) {
+                    *o += v * xv;
+                }
+                if narrow_width > 0 {
+                    // A full group where the buffer has one (lanes past the
+                    // row's end are never stored); at the buffer's end the
+                    // exact width, padded, so the tile has one shape and
+                    // stays in registers.
+                    let narrow = &xs[at + full..];
+                    let group = match narrow.first_chunk::<LANES>() {
+                        Some(group) => *group,
+                        None => {
+                            let mut padded = [0.0f32; LANES];
+                            padded[..narrow_width].copy_from_slice(&narrow[..narrow_width]);
+                            padded
+                        }
+                    };
+                    for (t, xv) in tile.iter_mut().zip(group) {
+                        *t += v * xv;
                     }
                 }
             }
-        });
-        out
+            for (o, t) in otail.iter_mut().zip(tile) {
+                *o = t;
+            }
+        }
     }
 
     /// Sparse × dense vector product.
@@ -237,15 +323,29 @@ impl CsrMatrix {
         (0..self.rows).map(|r| self.row_entries(r).map(|(c, v)| v * x[c]).sum()).collect()
     }
 
-    /// Transposed copy (CSR of `selfᵀ`).
+    /// Transposed copy (CSR of `selfᵀ`): a counting sort by column. Rows are
+    /// visited in ascending order, so every output row comes out ascending.
     pub fn transpose(&self) -> Self {
-        let mut triplets = Vec::with_capacity(self.nnz());
+        assert_cols_fit(self.rows);
+        let mut indptr = vec![0usize; self.cols + 1];
+        for &c in &self.indices {
+            indptr[c as usize + 1] += 1;
+        }
+        for c in 0..self.cols {
+            indptr[c + 1] += indptr[c];
+        }
+        let mut cursor = indptr.clone();
+        let mut indices = vec![0u32; self.nnz()];
+        let mut values = vec![0.0f32; self.nnz()];
         for r in 0..self.rows {
-            for (c, v) in self.row_entries(r) {
-                triplets.push((c, r, v));
+            for pos in self.indptr[r]..self.indptr[r + 1] {
+                let slot = &mut cursor[self.indices[pos] as usize];
+                indices[*slot] = r as u32;
+                values[*slot] = self.values[pos];
+                *slot += 1;
             }
         }
-        Self::from_coo(self.cols, self.rows, &triplets)
+        Self { rows: self.cols, cols: self.rows, indptr, indices, values }
     }
 
     /// Dense copy (for tests and small matrices).
@@ -264,34 +364,20 @@ impl CsrMatrix {
         self.indptr.windows(2).map(|w| w[1] - w[0]).collect()
     }
 
-    /// Scales row `r` entries by `s` for every row (`diag(s) · self`).
+    /// Scales row `r` entries by `s` for every row (`diag(s) · self`), in
+    /// place.
     ///
     /// # Panics
     ///
     /// Panics if `scales.len() != self.rows()`.
-    pub fn scale_rows(&self, scales: &[f32]) -> Self {
+    pub fn scale_rows(mut self, scales: &[f32]) -> Self {
         assert_eq!(scales.len(), self.rows, "scale length mismatch");
-        let mut out = self.clone();
-        for (r, &s) in scales.iter().enumerate() {
-            for pos in self.indptr[r]..self.indptr[r + 1] {
-                out.values[pos] *= s;
+        for (w, &s) in self.indptr.windows(2).zip(scales) {
+            for v in &mut self.values[w[0]..w[1]] {
+                *v *= s;
             }
         }
-        out
-    }
-
-    /// Scales column `c` entries by `s` for every column (`self · diag(s)`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scales.len() != self.cols()`.
-    pub fn scale_cols(&self, scales: &[f32]) -> Self {
-        assert_eq!(scales.len(), self.cols, "scale length mismatch");
-        let mut out = self.clone();
-        for (idx, v) in out.values.iter_mut().enumerate() {
-            *v *= scales[out.indices[idx] as usize];
-        }
-        out
+        self
     }
 }
 
@@ -341,14 +427,53 @@ mod tests {
         assert!(a.transpose().to_dense().max_abs_diff(&a.to_dense().transpose()) < 1e-6);
     }
 
+    /// The route `transpose` used to take: every entry as a `(col, row,
+    /// value)` triplet through `from_coo`.
+    fn transpose_via_coo(a: &CsrMatrix) -> CsrMatrix {
+        let mut triplets = Vec::with_capacity(a.nnz());
+        for r in 0..a.rows() {
+            triplets.extend(a.row_entries(r).map(|(c, v)| (c, r, v)));
+        }
+        CsrMatrix::from_coo(a.cols(), a.rows(), &triplets)
+    }
+
     #[test]
-    fn scale_rows_cols() {
-        let a = sample();
-        let sr = a.scale_rows(&[2.0, 3.0, 0.5]);
+    fn transpose_is_bit_equal_to_the_triplet_route() {
+        let mut cases =
+            vec![sample(), CsrMatrix::from_coo(0, 0, &[]), CsrMatrix::from_coo(3, 0, &[])];
+        // Empty rows and columns, a dense row, and enough entries to thread.
+        let mut state = 0x9E37_79B9u32;
+        let mut next = |bound: usize| {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            (state >> 8) as usize % bound
+        };
+        for (rows, cols, nnz) in [(1, 9, 9), (40, 7, 60), (300, 450, 20_000)] {
+            let triplets: Vec<_> =
+                (0..nnz).map(|_| (next(rows), next(cols), next(64) as f32 * 0.37 - 11.0)).collect();
+            cases.push(CsrMatrix::from_coo(rows, cols, &triplets));
+        }
+        for a in &cases {
+            let (t, old) = (a.transpose(), transpose_via_coo(a));
+            assert_eq!((t.rows, t.cols), (a.cols, a.rows));
+            assert_eq!(t.indptr, old.indptr);
+            assert_eq!(t.indices, old.indices);
+            let bits = |m: &CsrMatrix| m.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&t), bits(&old));
+        }
+    }
+
+    #[test]
+    fn scale_rows_scales_in_place() {
+        let sr = sample().scale_rows(&[2.0, 3.0, 0.5]);
         assert_eq!(sr.row_entries(0).collect::<Vec<_>>(), vec![(1, 4.0), (3, 2.0)]);
-        let sc = a.scale_cols(&[10.0, 1.0, 1.0, 2.0]);
-        assert_eq!(sc.row_entries(1).collect::<Vec<_>>(), vec![(0, -10.0)]);
-        assert_eq!(sc.row_entries(0).collect::<Vec<_>>(), vec![(1, 2.0), (3, 2.0)]);
+        assert_eq!(sr.row_entries(1).collect::<Vec<_>>(), vec![(0, -3.0)]);
+        assert_eq!(sr.row_entries(2).collect::<Vec<_>>(), vec![(2, 2.5)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed u32::MAX")]
+    fn more_columns_than_a_u32_index_can_name_are_refused() {
+        CsrMatrix::from_coo(0, u32::MAX as usize + 1, &[]);
     }
 
     #[test]
