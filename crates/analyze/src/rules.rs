@@ -975,7 +975,7 @@ pub(crate) fn binding_of(code: &[&Token], i: usize, src: &str) -> Option<(Option
 /// joined) — a discarded handle silently swallows worker panics until the
 /// scope exit, losing the per-worker recovery point. In `crates/eval/src`
 /// bare `std::thread::spawn` is banned outright: worker lifetimes must be
-/// bounded by a `crossbeam::scope`. In `crates/jobs/src` (the supervised
+/// bounded by a `std::thread::scope`. In `crates/jobs/src` (the supervised
 /// worker pool) join discipline also applies — see
 /// [`rule_join_discipline`].
 fn rule_thread_hygiene(view: &FileView<'_>, out: &mut Vec<Finding>) {
@@ -1001,7 +1001,7 @@ fn rule_thread_hygiene(view: &FileView<'_>, out: &mut Vec<Finding>) {
                     t.line,
                     t.col,
                     "thread-hygiene",
-                    "unscoped `std::thread::spawn` in `eval`; use `crossbeam::scope` so \
+                    "unscoped `std::thread::spawn` in `eval`; use `std::thread::scope` so \
                  worker lifetimes are bounded and panics surface at `join`"
                         .to_string(),
                 ),
@@ -1528,9 +1528,9 @@ mod tests {
     #[test]
     fn discarded_spawn_handle_is_flagged() {
         let src = "fn f() {\n\
-                   crossbeam::scope(|s| {\n\
-                   s.spawn(|_| work());\n\
-                   }).unwrap_or(());\n\
+                   std::thread::scope(|s| {\n\
+                   s.spawn(|| work());\n\
+                   });\n\
                    }\n";
         let f = run_plain(src);
         assert_eq!(rules_of(&f), ["thread-hygiene"]);
@@ -1540,11 +1540,11 @@ mod tests {
     #[test]
     fn bound_or_collected_spawn_handles_are_fine() {
         let src = "fn f() {\n\
-                   crossbeam::scope(|s| {\n\
-                   let h = s.spawn(|_| work());\n\
-                   handles.push(s.spawn(|_| more()));\n\
+                   std::thread::scope(|s| {\n\
+                   let h = s.spawn(|| work());\n\
+                   handles.push(s.spawn(|| more()));\n\
                    h.join().unwrap_or_default();\n\
-                   }).unwrap_or(());\n\
+                   });\n\
                    }\n";
         assert!(run_plain(src).is_empty(), "got: {:?}", run_plain(src));
     }
@@ -1555,7 +1555,7 @@ mod tests {
         let eval = FileProfile { eval_path: true, ..FileProfile::default() };
         let f = analyze_source("crates/eval/src/x.rs", src, eval);
         assert_eq!(rules_of(&f), ["thread-hygiene"]);
-        assert!(f[0].message.contains("crossbeam::scope"));
+        assert!(f[0].message.contains("std::thread::scope"));
         // Outside eval the same code only gets the discard check (the
         // handle IS discarded here, so suppress that case with a binding).
         let bound = "fn f() { let h = std::thread::spawn(|| {}); h.join().unwrap_or(()); }\n";
@@ -1627,10 +1627,10 @@ mod tests {
     #[test]
     fn thread_hygiene_suppression_works() {
         let src = "fn f() {\n\
-                   crossbeam::scope(|s| {\n\
+                   std::thread::scope(|s| {\n\
                    // analyze: allow(thread-hygiene) — fire-and-forget logger, scope join bounds it\n\
-                   s.spawn(|_| log());\n\
-                   }).unwrap_or(());\n\
+                   s.spawn(|| log());\n\
+                   });\n\
                    }\n";
         assert!(run_plain(src).is_empty(), "got: {:?}", run_plain(src));
     }

@@ -1,4 +1,4 @@
-//! First-order optimizers: Adam (the paper's choice, §IV-A) and plain SGD.
+//! The first-order optimizer: Adam (the paper's choice, §IV-A).
 
 use crate::{Gradients, ParamSet};
 use hoga_tensor::Matrix;
@@ -327,79 +327,6 @@ impl LrSchedule {
     }
 }
 
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Option<Matrix>>,
-}
-
-impl Sgd {
-    /// Creates SGD with the given learning rate and zero momentum.
-    pub fn new(lr: f32) -> Self {
-        Self { lr, momentum: 0.0, velocity: Vec::new() }
-    }
-
-    /// Adds classical momentum.
-    // analyze: allow(dead-public-api) — momentum is part of the optimizer's public configuration surface; exercised by the unit tests
-    pub fn with_momentum(mut self, momentum: f32) -> Self {
-        self.momentum = momentum;
-        self
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut ParamSet, grads: &Gradients) {
-        for (id, g) in grads.iter() {
-            let shape = params.value(id).shape();
-            if self.velocity.len() <= id.index() {
-                self.velocity.resize(id.index() + 1, None);
-            }
-            let vel =
-                self.velocity[id.index()].get_or_insert_with(|| Matrix::zeros(shape.0, shape.1));
-            for (vv, &gv) in vel.as_mut_slice().iter_mut().zip(g.as_slice()) {
-                *vv = self.momentum * *vv + gv;
-            }
-            let vel_snapshot: Vec<f32> = vel.as_slice().to_vec();
-            let value = params.value_mut(id);
-            for (pv, &vv) in value.as_mut_slice().iter_mut().zip(&vel_snapshot) {
-                *pv -= self.lr * vv;
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    fn state_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(b"SGD1");
-        put_f32(&mut out, self.lr);
-        put_f32(&mut out, self.momentum);
-        put_slots(&mut out, &self.velocity);
-        out
-    }
-
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let mut r = StateReader::new(bytes);
-        if r.take(4, "tag")? != b"SGD1" {
-            return Err(serr("not SGD state"));
-        }
-        let lr = r.f32("lr")?;
-        let momentum = r.f32("momentum")?;
-        let velocity = r.slots()?;
-        r.finish()?;
-        *self = Self { lr, momentum, velocity };
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,20 +346,6 @@ mod tests {
             opt.step(&mut params, &grads);
         }
         params.value(w)[(0, 0)]
-    }
-
-    #[test]
-    fn sgd_converges() {
-        let mut opt = Sgd::new(0.1);
-        let w = converges_to_three(&mut opt, 200);
-        assert!((w - 3.0).abs() < 1e-3, "sgd ended at {w}");
-    }
-
-    #[test]
-    fn sgd_with_momentum_converges() {
-        let mut opt = Sgd::new(0.05).with_momentum(0.9);
-        let w = converges_to_three(&mut opt, 200);
-        assert!((w - 3.0).abs() < 0.05, "sgd+momentum ended at {w}");
     }
 
     #[test]
@@ -544,25 +457,10 @@ mod tests {
     }
 
     #[test]
-    fn sgd_state_roundtrip_is_bitwise_identical() {
-        let mut opt = Sgd::new(0.1).with_momentum(0.9);
-        let (params, w) = partly_trained(&mut opt, 5);
-        let mut restored = Sgd::new(0.7);
-        restored.restore_state(&opt.state_bytes()).expect("restore");
-        let mut a = params.clone();
-        let mut b = params.clone();
-        one_more_step(&mut a, w, &mut opt);
-        one_more_step(&mut b, w, &mut restored);
-        assert_eq!(a.value(w).as_slice(), b.value(w).as_slice());
-    }
-
-    #[test]
     fn restore_rejects_wrong_or_corrupt_state() {
         let mut adam = Adam::new(0.1);
-        let mut sgd = Sgd::new(0.1);
-        // Cross-type restore fails.
-        assert!(adam.restore_state(&sgd.state_bytes()).is_err());
-        assert!(sgd.restore_state(&adam.state_bytes()).is_err());
+        // State tagged for another optimizer type fails.
+        assert!(adam.restore_state(b"SGD1\0\0\0\0").is_err());
         // Truncation fails.
         let (_, _) = partly_trained(&mut adam, 3);
         let state = adam.state_bytes();

@@ -63,12 +63,6 @@ impl ParamSet {
         self.values.is_empty()
     }
 
-    /// Total number of scalar weights across all parameters.
-    // analyze: allow(dead-public-api) — public capacity-reporting helper for model summaries; exercised by the unit tests
-    pub fn num_weights(&self) -> usize {
-        self.values.iter().map(Matrix::len).sum()
-    }
-
     /// Borrows the value of parameter `id`.
     ///
     /// # Panics
@@ -134,7 +128,6 @@ mod tests {
         let a = p.add("a", Matrix::zeros(2, 3));
         let b = p.add("b", Matrix::identity(2));
         assert_eq!(p.len(), 2);
-        assert_eq!(p.num_weights(), 10);
         assert_eq!(p.find("b"), Some(b));
         assert_eq!(p.find("missing"), None);
         assert_eq!(p.value(a).shape(), (2, 3));

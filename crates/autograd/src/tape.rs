@@ -80,15 +80,6 @@ impl Gradients {
             .sqrt()
     }
 
-    /// Rescales so the global norm does not exceed `max_norm`.
-    // analyze: allow(dead-public-api) — public gradient-clipping utility of the training API; exercised by the unit tests
-    pub fn clip_global_norm(&mut self, max_norm: f32) {
-        let n = self.global_norm();
-        if n > max_norm && n > 0.0 {
-            self.scale(max_norm / n);
-        }
-    }
-
     /// Iterates over `(ParamId, gradient)` pairs that received gradients.
     pub fn iter(&self) -> impl Iterator<Item = (ParamId, &Matrix)> {
         self.grads.iter().enumerate().filter_map(|(i, g)| g.as_ref().map(|g| (ParamId(i), g)))
@@ -1042,20 +1033,6 @@ mod tests {
         assert!(g1.get(w).expect("grad").max_abs_diff(&Matrix::full(1, 2, 2.0)) < 1e-6);
         g1.scale(0.5);
         assert!(g1.get(w).expect("grad").max_abs_diff(&Matrix::full(1, 2, 1.0)) < 1e-6);
-    }
-
-    #[test]
-    fn clip_global_norm_bounds_gradients() {
-        let mut params = ParamSet::new();
-        let w = params.add("w", Matrix::full(1, 4, 5.0));
-        let mut tape = Tape::new();
-        let wv = tape.param(&params, w);
-        let scaled = tape.scale(wv, 10.0);
-        let loss = tape.sum_all(scaled);
-        let mut grads = tape.backward(loss);
-        assert!(grads.global_norm() > 1.0);
-        grads.clip_global_norm(1.0);
-        assert!((grads.global_norm() - 1.0).abs() < 1e-5);
     }
 
     #[test]

@@ -356,28 +356,6 @@ impl Aig {
         remap
     }
 
-    /// Drops every node with index `>= num_nodes`, undoing speculative gate
-    /// construction (used by synthesis passes to roll back rejected
-    /// resyntheses).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_nodes` would remove the constant or a PI, or if any
-    /// primary output references a removed node.
-    // analyze: allow(dead-public-api) — public rollback primitive for speculative synthesis edits; covered by tests
-    pub fn truncate_nodes(&mut self, num_nodes: usize) {
-        assert!(num_nodes > self.num_pis, "cannot truncate PIs");
-        assert!(
-            self.pos.iter().all(|po| (po.node() as usize) < num_nodes),
-            "a PO references a node being truncated"
-        );
-        if num_nodes >= self.nodes.len() {
-            return;
-        }
-        self.nodes.truncate(num_nodes);
-        self.strash.retain(|_, &mut id| (id as usize) < num_nodes);
-    }
-
     /// Directed fanin→gate edge list as `(src, dst, src_complemented)`.
     pub fn edges(&self) -> Vec<(NodeId, NodeId, bool)> {
         let mut out = Vec::with_capacity(self.num_edges());
@@ -534,24 +512,6 @@ mod tests {
             g2.add_pi();
         }));
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn truncate_rolls_back_speculative_gates() {
-        let mut g = Aig::new(2);
-        let (a, b) = (g.pi_lit(0), g.pi_lit(1));
-        let x = g.and(a, b);
-        g.add_po(x);
-        let checkpoint = g.num_nodes();
-        let spec = g.and(!a, !b);
-        assert_eq!(g.num_ands(), 2);
-        g.truncate_nodes(checkpoint);
-        assert_eq!(g.num_ands(), 1);
-        assert!(g.check().is_ok());
-        // Strash no longer resolves the removed gate; a new node is created.
-        let again = g.and(!a, !b);
-        assert_eq!(again.node(), spec.node(), "node index is reused");
-        assert_eq!(g.num_ands(), 2);
     }
 
     #[test]

@@ -55,18 +55,6 @@ pub fn node_features(aig: &Aig) -> Matrix {
     m
 }
 
-/// Appends `extra` constant columns (broadcast to every node) to a feature
-/// matrix — used to condition QoR prediction on the synthesis recipe.
-///
-/// # Panics
-///
-/// Panics if `base` is empty while `extra` is not.
-// analyze: allow(dead-public-api) — public feature-assembly helper mirroring the OpenABC-D pipeline; covered by tests
-pub fn append_global_features(base: &Matrix, extra: &[f32]) -> Matrix {
-    let bcast = Matrix::from_fn(base.rows(), extra.len(), |_, c| extra[c]);
-    base.concat_cols(&bcast)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,19 +84,5 @@ mod tests {
         assert_eq!(f[(1, 1)], 1.0); // pi
         assert_eq!(f[(0, 4)], 1.0);
         assert_eq!(f[(1, 4)], 1.0);
-    }
-
-    #[test]
-    fn global_features_broadcast() {
-        let mut g = Aig::new(1);
-        let a = g.pi_lit(0);
-        g.add_po(a);
-        let f = node_features(&g);
-        let out = append_global_features(&f, &[0.5, -1.0]);
-        assert_eq!(out.cols(), NODE_FEATURE_DIM + 2);
-        for r in 0..out.rows() {
-            assert_eq!(out[(r, NODE_FEATURE_DIM)], 0.5);
-            assert_eq!(out[(r, NODE_FEATURE_DIM + 1)], -1.0);
-        }
     }
 }

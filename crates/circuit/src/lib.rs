@@ -47,4 +47,4 @@ pub mod simulate;
 mod topo;
 
 pub use aig::{Aig, Lit, NodeId, NodeKind};
-pub use topo::{cone_sizes, depth, fanout_counts, levels, stats, AigStats};
+pub use topo::{depth, fanout_counts, levels, stats, AigStats};

@@ -51,17 +51,6 @@ pub fn simulate_pos(aig: &Aig, pi_words: &[u64]) -> Vec<u64> {
     aig.pos().iter().map(|&po| lit_value(&vals, po)).collect()
 }
 
-/// Random 64-pattern signature of every PO, seeded for reproducibility.
-///
-/// Two functionally equivalent AIGs over the same PI order produce equal
-/// signatures for any seed; differing signatures prove inequivalence.
-// analyze: allow(dead-public-api) — public semantic-fingerprint API complementing check_equivalence; covered by tests
-pub fn po_signature(aig: &Aig, seed: u64) -> Vec<u64> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let pi_words: Vec<u64> = (0..aig.num_pis()).map(|_| rng.gen()).collect();
-    simulate_pos(aig, &pi_words)
-}
-
 /// Random 64-pattern signature of every *node* (used by resubstitution to
 /// find candidate equivalences).
 pub fn node_signature(aig: &Aig, seed: u64) -> Vec<u64> {
@@ -235,13 +224,6 @@ mod tests {
             assert_eq!(pos[0] & 1, a ^ b ^ c, "sum at {pattern}");
             assert_eq!(pos[1] & 1, (a & b) | (a & c) | (b & c), "carry at {pattern}");
         }
-    }
-
-    #[test]
-    fn signature_is_deterministic_and_seed_sensitive() {
-        let g = full_adder();
-        assert_eq!(po_signature(&g, 1), po_signature(&g, 1));
-        assert_ne!(po_signature(&g, 1), po_signature(&g, 2));
     }
 
     #[test]

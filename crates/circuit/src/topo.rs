@@ -102,19 +102,6 @@ pub fn stats(aig: &Aig) -> AigStats {
     }
 }
 
-/// Size of each node's transitive fanin cone, capped at `cap` (used by the
-/// refactor pass to pick cone roots).
-// analyze: allow(dead-public-api) — public cone-profiling diagnostic of the topology API; covered by tests
-pub fn cone_sizes(aig: &Aig, cap: usize) -> Vec<usize> {
-    let mut sizes = vec![0usize; aig.num_nodes()];
-    for (id, a, b) in aig.and_gates() {
-        let sa = sizes[a.node() as usize];
-        let sb = sizes[b.node() as usize];
-        sizes[id as usize] = (1 + sa + sb).min(cap);
-    }
-    sizes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,12 +162,5 @@ mod tests {
         assert_eq!(s.ands * 2, s.edges);
         assert_eq!(s.nodes, 1 + s.pis + s.ands);
         assert_eq!(s.pos, 2);
-    }
-
-    #[test]
-    fn cone_sizes_capped() {
-        let g = adder();
-        let sizes = cone_sizes(&g, 3);
-        assert!(sizes.iter().all(|&s| s <= 3));
     }
 }

@@ -17,8 +17,8 @@ use crate::manifest::{
 use hoga_circuit::{adjacency, features, Aig};
 use hoga_gen::ipgen::{generate_ip, IpSpec, OPENABCD_DESIGNS};
 use hoga_synth::{
-    random_recipe, run_recipe_guarded, GuardConfig, GuardedRun, Recipe, SynthError, SynthFault,
-    SynthFaultPlan,
+    random_recipe, run_recipe_guarded, FaultKind, FaultSite, GuardConfig, GuardedRun, JobFaultPlan,
+    Recipe, SynthError,
 };
 use hoga_tensor::{CsrMatrix, Matrix};
 use rand::{Rng, SeedableRng};
@@ -211,7 +211,7 @@ fn synthesize_sample(
     config: &QorDatasetConfig,
     design_name: &str,
     r: usize,
-    faults: &SynthFaultPlan,
+    faults: &JobFaultPlan,
 ) -> Result<(QorSample, GuardedRun), SynthError> {
     let recipe = random_recipe(config.recipe_len, recipe_seed(config, design_name, r));
     let lint_findings: Vec<String> =
@@ -261,7 +261,7 @@ pub fn build_qor_dataset(config: &QorDatasetConfig) -> QorDataset {
         let design_idx = designs.len();
         for r in 0..config.recipes_per_design {
             let (sample, _run) =
-                synthesize_sample(&aig, design_idx, config, spec.name, r, &SynthFaultPlan::none())
+                synthesize_sample(&aig, design_idx, config, spec.name, r, &JobFaultPlan::none())
                     .expect("no faults injected and guard validated");
             if spec.train {
                 train.push(sample);
@@ -278,9 +278,10 @@ pub fn build_qor_dataset(config: &QorDatasetConfig) -> QorDataset {
 // Resumable generation
 // ---------------------------------------------------------------------------
 
-/// A deliberate fault targeting one `(design, recipe, step)` of a sweep —
-/// the dataset-level face of [`SynthFaultPlan`], used to prove the guard,
-/// quarantine, and resume machinery end to end.
+/// A deliberate fault targeting one `(design, recipe, step)` of a sweep,
+/// used to prove the guard, quarantine, and resume machinery end to end.
+/// The design *name* is a coordinate no numeric step site carries, so the
+/// sweep turns each into a `Step` site of that one recipe's plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QorFault {
     /// Table-1 design name.
@@ -289,8 +290,9 @@ pub struct QorFault {
     pub recipe_index: usize,
     /// 0-based step index within the recipe.
     pub step: usize,
-    /// What to do to that step.
-    pub fault: SynthFault,
+    /// What to do to that step: `Corrupt` miscompiles it, `Stall` spends
+    /// its budget (see [`run_recipe_guarded`]).
+    pub kind: FaultKind,
 }
 
 /// Options for [`build_qor_dataset_resumable`] beyond the dataset config.
@@ -452,10 +454,11 @@ pub fn build_qor_dataset_resumable(
                 continue;
             }
             let aig = aig.get_or_insert_with(|| generate_ip(spec, config.scale_divisor));
-            let mut faults = SynthFaultPlan::none();
+            let mut faults = JobFaultPlan::none();
             for f in &opts.faults {
                 if f.design == spec.name && f.recipe_index == r {
-                    faults = faults.inject(f.step, f.fault);
+                    let site = FaultSite::Step { unit: 0, step: f.step as u64, lane: 0 };
+                    faults = faults.inject(site, f.kind);
                 }
             }
             let (sample, run) = synthesize_sample(aig, design_idx, config, spec.name, r, &faults)?;

@@ -8,7 +8,7 @@ use hoga_datasets::openabcd::{
     build_qor_dataset_resumable, QorBuildError, QorDatasetConfig, QorFault, QorSweepOptions,
 };
 use hoga_gen::ipgen::OPENABCD_DESIGNS;
-use hoga_synth::{GuardConfig, PassBudget, SynthFault};
+use hoga_synth::{FaultKind, GuardConfig, PassBudget};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -110,7 +110,7 @@ fn injected_miscompile_is_quarantined_and_sweep_completes() {
             design: victim.to_string(),
             recipe_index: 0,
             step: 1,
-            fault: SynthFault::Miscompile,
+            kind: FaultKind::Corrupt,
         }],
     };
     let report = build_qor_dataset_resumable(&cfg, &dir, &opts).expect("sweep");
@@ -173,7 +173,7 @@ fn stall_fault_times_out_deterministically_and_quarantines() {
             design: victim.to_string(),
             recipe_index: 1,
             step: 0,
-            fault: SynthFault::Stall,
+            kind: FaultKind::Stall { millis: 0 },
         }],
     };
     let report = build_qor_dataset_resumable(&cfg, &dir, &opts).expect("sweep");
@@ -206,7 +206,7 @@ fn invalid_guard_and_out_of_range_fault_are_typed_errors() {
             design: first_design(&cfg).to_string(),
             recipe_index: 0,
             step: cfg.recipe_len + 5,
-            fault: SynthFault::Miscompile,
+            kind: FaultKind::Corrupt,
         }],
     };
     match build_qor_dataset_resumable(&cfg, &dir, &opts) {

@@ -1,4 +1,4 @@
-//! Fault-tolerance vocabulary for the training stack.
+//! Recovery vocabulary for the training stack.
 //!
 //! The paper's headline claim is *scalable* training (Figure 5's
 //! near-linear multi-worker speedup on OpenABC-D-scale data). At that
@@ -10,19 +10,21 @@
 //! workers so a dead or corrupted shard is recomputed rather than fatal
 //! (see [`crate::parallel_train`]).
 //!
-//! Everything here is deterministic: a [`FaultPlan`] injects the same
-//! faults at the same `(epoch, step, worker)` coordinates every run, which
+//! What goes wrong on purpose is not defined here: the trainers take a
+//! [`hoga_jobs::JobFaultPlan`] and claim its `Step { epoch, step, worker }`
+//! and `Loss { epoch, step }` sites from a [`hoga_jobs::FaultInjector`].
+//! A plan injects the same faults at the same coordinates every run, which
 //! is what lets the tests assert that a faulted run converges to the
 //! *bitwise-identical* model of a fault-free run.
 
 use hoga_autograd::Gradients;
 use hoga_datasets::io::CheckpointError;
+use hoga_jobs::{FaultKind, FaultSite, JobFaultPlan};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Typed error from the fault-tolerant training entry points.
 ///
@@ -85,175 +87,28 @@ impl From<CheckpointError> for TrainError {
     }
 }
 
-/// One injected fault at deterministic `(epoch, step[, worker])`
-/// coordinates. Each fault fires at most once per run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fault {
-    /// The given worker panics before computing its gradient shard.
-    WorkerPanic {
-        /// Epoch of the fault.
-        epoch: usize,
-        /// Optimizer step within the epoch.
-        step: usize,
-        /// Worker (shard) index.
-        worker: usize,
-    },
-    /// The given worker stalls for `millis` before computing (a
-    /// straggler; the supervisor must tolerate it without changing the
-    /// result).
-    WorkerDelay {
-        /// Epoch of the fault.
-        epoch: usize,
-        /// Optimizer step within the epoch.
-        step: usize,
-        /// Worker (shard) index.
-        worker: usize,
-        /// Stall duration in milliseconds.
-        millis: u64,
-    },
-    /// The given worker's gradient shard is overwritten with NaNs after
-    /// computation (simulates a corrupted all-reduce input; detected by
-    /// the supervisor's finiteness check).
-    CorruptGradient {
-        /// Epoch of the fault.
-        epoch: usize,
-        /// Optimizer step within the epoch.
-        step: usize,
-        /// Worker (shard) index.
-        worker: usize,
-    },
-    /// The (sequential) training loss is replaced by NaN, exercising
-    /// divergence recovery.
-    NanLoss {
-        /// Epoch of the fault.
-        epoch: usize,
-        /// Optimizer step within the epoch.
-        step: usize,
-    },
-}
-
-/// A deterministic, seed-driven fault-injection plan.
-///
-/// Build one explicitly with [`FaultPlan::new`] or sample one with
-/// [`FaultPlan::random`]; pass it to
-/// [`train_reasoning_parallel_supervised`](crate::parallel_train::train_reasoning_parallel_supervised)
-/// or [`train_reasoning_resilient`](crate::resilient::train_reasoning_resilient).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultPlan {
-    faults: Vec<Fault>,
-}
-
-impl FaultPlan {
-    /// A plan that injects exactly `faults`.
-    pub fn new(faults: Vec<Fault>) -> Self {
-        Self { faults }
-    }
-
-    /// Samples `count` worker faults uniformly over
-    /// `epochs × steps × workers` coordinates, deterministically in
-    /// `seed`. Fault kinds cycle panic → delay → corrupt.
-    pub fn random(seed: u64, epochs: usize, steps: usize, workers: usize, count: usize) -> Self {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let faults = (0..count)
-            .map(|k| {
-                let epoch = rng.gen_range(0..epochs.max(1));
-                let step = rng.gen_range(0..steps.max(1));
-                let worker = rng.gen_range(0..workers.max(1));
-                match k % 3 {
-                    0 => Fault::WorkerPanic { epoch, step, worker },
-                    1 => Fault::WorkerDelay { epoch, step, worker, millis: 5 },
-                    _ => Fault::CorruptGradient { epoch, step, worker },
-                }
-            })
-            .collect();
-        Self { faults }
-    }
-
-    /// The planned faults.
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
-    }
-
-    /// Projects the engine's unified fault vocabulary
-    /// ([`hoga_jobs::JobFaultPlan`]) onto trainer coordinates: a
-    /// `Step { unit, step, lane }` site maps to `(epoch, step, worker)`,
-    /// with `Panic` → [`Fault::WorkerPanic`], `Stall` →
-    /// [`Fault::WorkerDelay`], and `Corrupt` → [`Fault::CorruptGradient`].
-    /// `Attempt`-site faults are engine-level and not projected — the job
-    /// engine injects those itself before the trainer runs.
-    pub fn from_job_plan(plan: &hoga_jobs::JobFaultPlan) -> Self {
-        use hoga_jobs::{FaultKind, FaultSite};
-        let faults = plan
-            .faults()
-            .iter()
-            .filter_map(|planned| match planned.site {
-                FaultSite::Step { unit, step, lane } => {
-                    let (epoch, step, worker) = (unit as usize, step as usize, lane as usize);
-                    Some(match planned.kind {
-                        FaultKind::Panic => Fault::WorkerPanic { epoch, step, worker },
-                        FaultKind::Stall { millis } => {
-                            Fault::WorkerDelay { epoch, step, worker, millis }
-                        }
-                        FaultKind::Corrupt => Fault::CorruptGradient { epoch, step, worker },
-                    })
-                }
-                // Attempt faults are engine-level; serve faults belong to
-                // the inference server. Neither projects onto trainer steps.
-                FaultSite::Attempt { .. } | FaultSite::Serve(_) => None,
-            })
-            .collect();
-        Self { faults }
-    }
-}
-
-/// Arms a [`FaultPlan`] for one run: tracks which faults have fired so
-/// each fires at most once, even across rollback retries.
-#[derive(Debug)]
-pub struct FaultInjector {
-    faults: Vec<Fault>,
-    fired: Vec<AtomicBool>,
-}
-
-impl FaultInjector {
-    /// Arms `plan`.
-    pub fn new(plan: &FaultPlan) -> Self {
-        Self {
-            faults: plan.faults.clone(),
-            fired: plan.faults.iter().map(|_| AtomicBool::new(false)).collect(),
-        }
-    }
-
-    fn claim(&self, matches: impl Fn(&Fault) -> bool) -> Vec<Fault> {
-        let mut out = Vec::new();
-        for (k, f) in self.faults.iter().enumerate() {
-            if matches(f) && !self.fired[k].swap(true, Ordering::SeqCst) {
-                out.push(*f);
-            }
-        }
-        out
-    }
-
-    /// Claims (at most once each) the worker faults scheduled for this
-    /// `(epoch, step, worker)` coordinate.
-    pub(crate) fn worker_faults(&self, epoch: usize, step: usize, worker: usize) -> Vec<Fault> {
-        self.claim(|f| match *f {
-            Fault::WorkerPanic { epoch: e, step: s, worker: w }
-            | Fault::WorkerDelay { epoch: e, step: s, worker: w, .. }
-            | Fault::CorruptGradient { epoch: e, step: s, worker: w } => {
-                e == epoch && s == step && w == worker
-            }
-            Fault::NanLoss { .. } => false,
-        })
-    }
-
-    /// Claims a NaN-loss fault scheduled for this `(epoch, step)`, if any.
-    pub(crate) fn nan_loss(&self, epoch: usize, step: usize) -> bool {
-        !self
-            .claim(
-                |f| matches!(*f, Fault::NanLoss { epoch: e, step: s } if e == epoch && s == step),
-            )
-            .is_empty()
-    }
+/// Samples `count` worker faults uniformly over `epochs × steps × workers`
+/// step sites, deterministically in `seed`. Fault kinds cycle
+/// panic → stall (5 ms) → corrupt.
+pub fn random_worker_faults(
+    seed: u64,
+    epochs: usize,
+    steps: usize,
+    workers: usize,
+    count: usize,
+) -> JobFaultPlan {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    (0..count).fold(JobFaultPlan::none(), |plan, k| {
+        let unit = rng.gen_range(0..epochs.max(1)) as u64;
+        let step = rng.gen_range(0..steps.max(1)) as u64;
+        let lane = rng.gen_range(0..workers.max(1)) as u64;
+        let kind = match k % 3 {
+            0 => FaultKind::Panic,
+            1 => FaultKind::Stall { millis: 5 },
+            _ => FaultKind::Corrupt,
+        };
+        plan.inject(FaultSite::Step { unit, step, lane }, kind)
+    })
 }
 
 /// One recovery action taken by a fault-tolerant trainer.
@@ -400,48 +255,12 @@ mod tests {
 
     #[test]
     fn random_plans_are_deterministic_in_seed() {
-        let a = FaultPlan::random(9, 4, 6, 3, 5);
-        let b = FaultPlan::random(9, 4, 6, 3, 5);
-        let c = FaultPlan::random(10, 4, 6, 3, 5);
+        let a = random_worker_faults(9, 4, 6, 3, 5);
+        let b = random_worker_faults(9, 4, 6, 3, 5);
+        let c = random_worker_faults(10, 4, 6, 3, 5);
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(a.faults().len(), 5);
-    }
-
-    #[test]
-    fn injector_fires_each_fault_once() {
-        let plan = FaultPlan::new(vec![
-            Fault::WorkerPanic { epoch: 1, step: 0, worker: 2 },
-            Fault::NanLoss { epoch: 0, step: 3 },
-        ]);
-        let inj = FaultInjector::new(&plan);
-        assert!(inj.worker_faults(0, 0, 0).is_empty());
-        assert_eq!(inj.worker_faults(1, 0, 2).len(), 1);
-        // Second claim of the same coordinate finds it already fired.
-        assert!(inj.worker_faults(1, 0, 2).is_empty());
-        assert!(inj.nan_loss(0, 3));
-        assert!(!inj.nan_loss(0, 3));
-        assert!(!inj.nan_loss(1, 3));
-    }
-
-    #[test]
-    fn job_plan_projects_onto_trainer_coordinates() {
-        use hoga_jobs::{FaultKind, FaultSite, JobFaultPlan};
-        let unified = JobFaultPlan::none()
-            .inject(FaultSite::Step { unit: 1, step: 2, lane: 0 }, FaultKind::Panic)
-            .inject(FaultSite::Step { unit: 0, step: 0, lane: 1 }, FaultKind::Stall { millis: 7 })
-            .inject(FaultSite::Step { unit: 3, step: 1, lane: 2 }, FaultKind::Corrupt)
-            // Engine-level; must not leak into the trainer plan.
-            .inject(FaultSite::Attempt { attempt: 1 }, FaultKind::Panic);
-        let plan = FaultPlan::from_job_plan(&unified);
-        assert_eq!(
-            plan.faults(),
-            &[
-                Fault::WorkerPanic { epoch: 1, step: 2, worker: 0 },
-                Fault::WorkerDelay { epoch: 0, step: 0, worker: 1, millis: 7 },
-                Fault::CorruptGradient { epoch: 3, step: 1, worker: 2 },
-            ]
-        );
     }
 
     #[test]

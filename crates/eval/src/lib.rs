@@ -9,9 +9,9 @@
 //! * [`parallel_train`] — thread-based data-parallel gradients for that
 //!   loop, reproducing the DDP scaling experiment (Figure 5), supervised so
 //!   worker faults are recovered instead of fatal.
-//! * [`fault`] — the fault-tolerance vocabulary: [`fault::TrainError`],
-//!   deterministic [`fault::FaultPlan`] injection, and the
-//!   [`fault::TrainReport`] recovery log.
+//! * [`fault`] — the recovery vocabulary: [`fault::TrainError`],
+//!   [`fault::RecoveryPolicy`] and the [`fault::TrainReport`] recovery log
+//!   (what gets injected is a [`hoga_jobs::JobFaultPlan`]).
 //! * [`resilient`] — the same loop under a caller-chosen recovery policy
 //!   and fault plan, returning the log of every rollback.
 //! * [`sched`] — loom-style deterministic schedule explorer: enumerates
@@ -40,7 +40,13 @@ pub(crate) mod testutil {
     //! so the tiny QoR dataset is built once per test binary.
 
     use hoga_datasets::openabcd::{build_qor_dataset, QorDataset, QorDatasetConfig};
+    use hoga_jobs::{FaultKind, FaultSite, JobFaultPlan};
     use std::sync::OnceLock;
+
+    /// A plan whose one fault makes the loss of `(epoch, step)` read NaN.
+    pub fn nan_loss(epoch: u64, step: u64) -> JobFaultPlan {
+        JobFaultPlan::none().inject(FaultSite::Loss { unit: epoch, step }, FaultKind::Corrupt)
+    }
 
     /// The tiny QoR dataset, built on first use.
     pub fn tiny_qor_dataset() -> &'static QorDataset {

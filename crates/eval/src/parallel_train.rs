@@ -16,7 +16,8 @@
 //! supervisor catches the unwind at `join`, recomputes the lost shard
 //! in-place, and accumulates in the original shard order, so the resulting
 //! gradient is *bitwise-identical* to the fault-free run. Faults can be
-//! injected deterministically via [`FaultPlan`] to test exactly that.
+//! injected deterministically at a [`JobFaultPlan`]'s
+//! `Step { epoch, step, worker }` sites to test exactly that.
 
 use hoga_autograd::Gradients;
 use hoga_core::heads::NodeClassifier;
@@ -24,11 +25,10 @@ use hoga_core::hopfeat::hop_stack;
 use hoga_core::model::{Aggregator, HogaModel};
 use hoga_datasets::gamora::ReasoningGraph;
 use hoga_datasets::splits::shard_ranges;
+use hoga_jobs::{FaultKind, JobFaultPlan};
 use std::time::Duration;
 
-use crate::fault::{
-    gradients_finite, Fault, FaultPlan, RecoveryEvent, RecoveryPolicy, TrainError, TrainReport,
-};
+use crate::fault::{gradients_finite, RecoveryEvent, RecoveryPolicy, TrainError, TrainReport};
 use crate::trainer::{
     fit, hoga_reps, reasoning_class_weights, reasoning_hoga, tape_step, Step, TrainConfig,
     TrainStats,
@@ -107,7 +107,7 @@ pub fn train_reasoning_parallel(
     workers: usize,
 ) -> Result<(HogaModel, NodeClassifier, ParallelRunStats), TrainError> {
     let (model, cls, stats, _) =
-        train_reasoning_parallel_supervised(graph, cfg, workers, &FaultPlan::default())?;
+        train_reasoning_parallel_supervised(graph, cfg, workers, &JobFaultPlan::none())?;
     Ok((model, cls, stats))
 }
 
@@ -129,7 +129,7 @@ pub fn train_reasoning_parallel_supervised(
     graph: &ReasoningGraph,
     cfg: &TrainConfig,
     workers: usize,
-    plan: &FaultPlan,
+    plan: &JobFaultPlan,
 ) -> Result<(HogaModel, NodeClassifier, ParallelRunStats, TrainReport), TrainError> {
     if workers == 0 {
         return Err(TrainError::NoWorkers);
@@ -150,7 +150,7 @@ pub fn train_reasoning_parallel_supervised(
 /// minibatch, joined and summed in shard order.
 fn all_reduce(task: ShardTask<'_>, workers: usize, run: &mut Step<'_>) -> (f32, Gradients) {
     let (epoch, step, batch) = (run.epoch, run.step, run.batch);
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(workers);
         for (worker, &(lo, hi)) in shard_ranges(batch.len(), workers).iter().enumerate() {
             if lo == hi {
@@ -161,9 +161,9 @@ fn all_reduce(task: ShardTask<'_>, workers: usize, run: &mut Step<'_>) -> (f32, 
             // Claim injected faults on the supervisor thread at spawn time
             // so the claim order is deterministic.
             let (mut delay_ms, mut inject_panic, mut inject_corrupt) = (0u64, false, false);
-            for f in run.faults.worker_faults(epoch, step, worker) {
-                match f {
-                    Fault::WorkerDelay { millis, .. } => {
+            while let Some(kind) = run.faults.claim_step(epoch as u64, step as u64, worker as u64) {
+                match kind {
+                    FaultKind::Stall { millis } => {
                         delay_ms = millis;
                         run.events.push(RecoveryEvent::WorkerDelayed {
                             epoch,
@@ -172,12 +172,11 @@ fn all_reduce(task: ShardTask<'_>, workers: usize, run: &mut Step<'_>) -> (f32, 
                             millis,
                         });
                     }
-                    Fault::WorkerPanic { .. } => inject_panic = true,
-                    Fault::CorruptGradient { .. } => inject_corrupt = true,
-                    Fault::NanLoss { .. } => {}
+                    FaultKind::Panic => inject_panic = true,
+                    FaultKind::Corrupt => inject_corrupt = true,
                 }
             }
-            let handle = s.spawn(move |_| {
+            let handle = s.spawn(move || {
                 if delay_ms > 0 {
                     std::thread::sleep(Duration::from_millis(delay_ms));
                 }
@@ -200,6 +199,8 @@ fn all_reduce(task: ShardTask<'_>, workers: usize, run: &mut Step<'_>) -> (f32, 
         }
         let mut total = Gradients::new();
         let mut loss_sum = 0.0f32;
+        // Every handle is joined here, so the scope has no panic left to
+        // re-raise when it ends.
         for (worker, handle, nodes, share) in handles {
             let (loss, grads) = match handle.join() {
                 Ok((loss, grads, spent)) if loss.is_finite() && gradients_finite(&grads) => {
@@ -223,8 +224,6 @@ fn all_reduce(task: ShardTask<'_>, workers: usize, run: &mut Step<'_>) -> (f32, 
         }
         (loss_sum, total)
     })
-    // analyze: allow(panic-free-paths) — scope result is Ok by construction: every join is consumed above
-    .expect("all worker panics are consumed via join")
 }
 
 #[cfg(test)]
@@ -232,6 +231,7 @@ mod tests {
     use super::*;
     use crate::trainer::{eval_reasoning, ReasonModel};
     use hoga_datasets::gamora::{build_reasoning_graph, MultiplierKind, ReasoningConfig};
+    use hoga_jobs::FaultSite;
 
     fn tiny_graph() -> ReasoningGraph {
         build_reasoning_graph(
@@ -313,9 +313,10 @@ mod tests {
         let g = tiny_graph();
         let mut cfg = tiny_cfg();
         cfg.epochs = 2;
-        let clean = train_reasoning_parallel_supervised(&g, &cfg, 2, &FaultPlan::default())
+        let clean = train_reasoning_parallel_supervised(&g, &cfg, 2, &JobFaultPlan::none())
             .expect("clean run");
-        let plan = FaultPlan::new(vec![Fault::CorruptGradient { epoch: 1, step: 0, worker: 1 }]);
+        let plan = JobFaultPlan::none()
+            .inject(FaultSite::Step { unit: 1, step: 0, lane: 1 }, FaultKind::Corrupt);
         let faulted = train_reasoning_parallel_supervised(&g, &cfg, 2, &plan).expect("faulted run");
         assert_eq!(
             faulted.3.events,
@@ -334,10 +335,10 @@ mod tests {
         let g = tiny_graph();
         let mut cfg = tiny_cfg();
         cfg.epochs = 1;
-        let clean = train_reasoning_parallel_supervised(&g, &cfg, 2, &FaultPlan::default())
+        let clean = train_reasoning_parallel_supervised(&g, &cfg, 2, &JobFaultPlan::none())
             .expect("clean run");
-        let plan =
-            FaultPlan::new(vec![Fault::WorkerDelay { epoch: 0, step: 0, worker: 0, millis: 10 }]);
+        let plan = JobFaultPlan::none()
+            .inject(FaultSite::Step { unit: 0, step: 0, lane: 0 }, FaultKind::Stall { millis: 10 });
         let faulted = train_reasoning_parallel_supervised(&g, &cfg, 2, &plan).expect("delayed run");
         assert_eq!(faulted.3.events.len(), 1);
         assert_eq!(faulted.3.recoveries(), 0, "a delay needs no recovery");

@@ -1,20 +1,21 @@
 //! Divergence-recovering HOGA training under an explicit policy: the
 //! guarded loop every trainer runs ([`crate::trainer`]), with the
-//! [`RecoveryPolicy`] and [`FaultPlan`] chosen by the caller and the
+//! [`RecoveryPolicy`] and [`JobFaultPlan`] chosen by the caller and the
 //! [`TrainReport`] of every rollback handed back.
 
 use hoga_core::heads::NodeClassifier;
 use hoga_core::model::{Aggregator, HogaModel};
 use hoga_datasets::gamora::ReasoningGraph;
 
-use crate::fault::{FaultPlan, RecoveryPolicy, TrainError, TrainReport};
+use crate::fault::{RecoveryPolicy, TrainError, TrainReport};
 use crate::trainer::{fit_hopwise, hoga_reps, reasoning_hoga, TrainConfig, TrainStats};
+use hoga_jobs::JobFaultPlan;
 
 /// Trains HOGA for node classification, recovering from divergence as
 /// `policy` says: a non-finite loss or a gradient norm above the limit
 /// rolls the epoch back, scales the learning rate by `policy.lr_backoff`
 /// and replays the same batches. `plan` may inject NaN losses at chosen
-/// `(epoch, step)` coordinates (each fires once) to exercise that path. A
+/// `Loss { epoch, step }` sites (each fires once) to exercise that path. A
 /// run that never diverges is bitwise-identical to
 /// [`crate::trainer::train_reasoning`] with the same config.
 ///
@@ -27,7 +28,7 @@ pub fn train_reasoning_resilient(
     graph: &ReasoningGraph,
     cfg: &TrainConfig,
     policy: &RecoveryPolicy,
-    plan: &FaultPlan,
+    plan: &JobFaultPlan,
 ) -> Result<(HogaModel, NodeClassifier, TrainStats, TrainReport), TrainError> {
     let (mut model, cls) = reasoning_hoga(graph, cfg, Aggregator::GatedSelfAttention);
     let (stats, report) = fit_hopwise(graph, &mut model, &cls, hoga_reps, cfg, policy, plan)?;
@@ -37,7 +38,8 @@ pub fn train_reasoning_resilient(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{Fault, RecoveryEvent};
+    use crate::fault::RecoveryEvent;
+    use crate::testutil::nan_loss;
     use hoga_datasets::gamora::{build_reasoning_graph, MultiplierKind, ReasoningConfig};
 
     fn tiny_graph() -> ReasoningGraph {
@@ -68,7 +70,7 @@ mod tests {
     fn nan_loss_rolls_back_and_completes() {
         let g = tiny_graph();
         let cfg = tiny_cfg();
-        let plan = FaultPlan::new(vec![Fault::NanLoss { epoch: 2, step: 0 }]);
+        let plan = nan_loss(2, 0);
         let (model, _, stats, report) =
             train_reasoning_resilient(&g, &cfg, &RecoveryPolicy::default(), &plan)
                 .expect("run must survive the injected NaN");
@@ -88,7 +90,7 @@ mod tests {
         // An impossible gradient-norm limit diverges every step.
         let policy =
             RecoveryPolicy { max_retries: 2, grad_norm_limit: 1e-12, ..RecoveryPolicy::default() };
-        match train_reasoning_resilient(&g, &cfg, &policy, &FaultPlan::default()) {
+        match train_reasoning_resilient(&g, &cfg, &policy, &JobFaultPlan::none()) {
             Err(TrainError::Diverged { retries, .. }) => assert_eq!(retries, 2),
             other => panic!("expected Diverged, got {:?}", other.map(|_| ())),
         }
@@ -102,7 +104,7 @@ mod tests {
         // params AND Adam moments, not just params.
         let g = tiny_graph();
         let cfg = tiny_cfg();
-        let plan = FaultPlan::new(vec![Fault::NanLoss { epoch: 0, step: 0 }]);
+        let plan = nan_loss(0, 0);
         let (model, _, _, report) =
             train_reasoning_resilient(&g, &cfg, &RecoveryPolicy::default(), &plan)
                 .expect("survives");
@@ -114,7 +116,7 @@ mod tests {
             &g,
             &halved,
             &RecoveryPolicy::default(),
-            &FaultPlan::default(),
+            &JobFaultPlan::none(),
         )
         .expect("clean run");
         assert!(ref_report.events.is_empty());

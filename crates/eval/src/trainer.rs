@@ -30,10 +30,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::fault::{
-    FaultInjector, FaultPlan, RecoveryEvent, RecoveryPolicy, TrainError, TrainReport,
-};
+use crate::fault::{RecoveryEvent, RecoveryPolicy, TrainError, TrainReport};
 use crate::metrics::{accuracy, argmax_rows, mape};
+use hoga_jobs::{FaultInjector, JobFaultPlan};
 
 /// Common hyperparameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -311,8 +310,9 @@ pub(crate) fn tape_step(
 /// norm above `policy.grad_norm_limit` it restores the in-memory snapshot
 /// taken when the epoch began, scales the rate by `policy.lr_backoff` and
 /// runs the epoch again — the same batches, since their order is a pure
-/// function of `(seed, epoch)`. `plan` can inject NaN losses (each fires
-/// once) to exercise that path.
+/// function of `(seed, epoch)`. A `Loss { epoch, step }` site in `plan` makes
+/// that step's loss read NaN (each fires once) to exercise that path; its
+/// `Step` sites are the gradient provider's to claim.
 ///
 /// # Errors
 ///
@@ -327,7 +327,7 @@ pub(crate) fn fit<M: Trainable>(
     items: usize,
     batch_size: usize,
     policy: &RecoveryPolicy,
-    plan: &FaultPlan,
+    plan: &JobFaultPlan,
     mut grad: impl FnMut(&M, &mut Step<'_>) -> (f32, Gradients),
 ) -> Result<(TrainStats, TrainReport), TrainError> {
     let mut opt = Adam::new(cfg.lr);
@@ -358,7 +358,7 @@ pub(crate) fn fit<M: Trainable>(
                     faults: &faults,
                 },
             );
-            if faults.nan_loss(epoch, step) {
+            if faults.claim_loss(epoch as u64, step as u64).is_some() {
                 loss = f32::NAN;
             }
             let norm = grads.global_norm();
@@ -506,7 +506,7 @@ pub fn try_train_reasoning(
     kind: ReasonModelKind,
     cfg: &TrainConfig,
 ) -> Result<(ReasonModel, TrainStats), TrainError> {
-    let (policy, plan) = (RecoveryPolicy::default(), FaultPlan::default());
+    let (policy, plan) = (RecoveryPolicy::default(), JobFaultPlan::none());
     match kind {
         ReasonModelKind::Hoga(aggregator) => {
             let (mut model, cls) = reasoning_hoga(graph, cfg, aggregator);
@@ -542,7 +542,7 @@ pub(crate) fn fit_hopwise<M: Trainable>(
     forward: impl Fn(&M, &mut Tape, &Matrix, usize) -> Var,
     cfg: &TrainConfig,
     policy: &RecoveryPolicy,
-    plan: &FaultPlan,
+    plan: &JobFaultPlan,
 ) -> Result<(TrainStats, TrainReport), TrainError> {
     let labels = graph.label_indices();
     let weights = reasoning_class_weights(&labels);
@@ -568,7 +568,7 @@ fn fit_sage(
     sampled: bool,
     cfg: &TrainConfig,
     policy: &RecoveryPolicy,
-    plan: &FaultPlan,
+    plan: &JobFaultPlan,
 ) -> Result<(TrainStats, TrainReport), TrainError> {
     let labels = graph.label_indices();
     let weights = reasoning_class_weights(&labels);
@@ -761,7 +761,7 @@ pub fn try_train_qor_with_target(
         return Err(TrainError::InvalidConfig("the dataset has no designs".into()));
     };
     let feat_dim = first.features.cols();
-    let (policy, plan) = (RecoveryPolicy::default(), FaultPlan::default());
+    let (policy, plan) = (RecoveryPolicy::default(), JobFaultPlan::none());
     match kind {
         QorModelKind::Hoga { num_hops } => {
             if num_hops + 1 > first.hops.len() {
@@ -840,7 +840,7 @@ fn fit_qor<M: Trainable>(
     cfg: &TrainConfig,
     target: QorTarget,
     policy: &RecoveryPolicy,
-    plan: &FaultPlan,
+    plan: &JobFaultPlan,
 ) -> Result<(GraphRegressor, TrainStats, TrainReport), TrainError> {
     if ds.train.is_empty() {
         return Err(TrainError::InvalidConfig("the dataset's training split is empty".into()));
@@ -941,7 +941,7 @@ pub fn average_mape(evals: &[QorEval]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::Fault;
+    use crate::testutil::nan_loss;
     use hoga_datasets::gamora::{build_reasoning_graph, MultiplierKind, ReasoningConfig};
     use hoga_datasets::openabcd::{build_qor_dataset, QorDatasetConfig};
 
@@ -1109,7 +1109,7 @@ mod tests {
     /// `run(cfg, policy, plan)`: an injected NaN loss rolls back parameters
     /// *and* Adam moments, the backoff sticks, the run completes; a run that
     /// keeps diverging gives up after `max_retries`.
-    fn assert_guarded(run: impl Fn(&TrainConfig, &RecoveryPolicy, &FaultPlan) -> GuardedRun) {
+    fn assert_guarded(run: impl Fn(&TrainConfig, &RecoveryPolicy, &JobFaultPlan) -> GuardedRun) {
         let cfg = tiny_cfg();
         let policy = RecoveryPolicy::default();
         let flat = |p: &ParamSet| -> Vec<u32> {
@@ -1118,7 +1118,7 @@ mod tests {
 
         // A NaN at the very first step: the finished run must be the clean
         // run that started at the backed-off rate.
-        let plan = FaultPlan::new(vec![Fault::NanLoss { epoch: 0, step: 0 }]);
+        let plan = nan_loss(0, 0);
         let (stats, report, params) = run(&cfg, &policy, &plan).expect("survives the NaN");
         assert_eq!((stats.retries, report.retries), (1, 1));
         assert_eq!(stats.epochs_run, cfg.epochs);
@@ -1128,14 +1128,14 @@ mod tests {
         assert_eq!(report.final_lr, cfg.lr * policy.lr_backoff);
         let halved = TrainConfig { lr: cfg.lr * policy.lr_backoff, ..cfg.clone() };
         let (clean_stats, clean_report, clean_params) =
-            run(&halved, &policy, &FaultPlan::default()).expect("clean run");
+            run(&halved, &policy, &JobFaultPlan::none()).expect("clean run");
         assert!(clean_report.events.is_empty());
         assert_eq!(clean_stats.retries, 0);
         assert_eq!(flat(&params), flat(&clean_params), "rollback must restore params and moments");
         assert_eq!(stats.final_loss.to_bits(), clean_stats.final_loss.to_bits());
 
         // Mid-run: the rollback goes to the start of the faulted epoch.
-        let plan = FaultPlan::new(vec![Fault::NanLoss { epoch: 2, step: 0 }]);
+        let plan = nan_loss(2, 0);
         let (stats, report, params) = run(&cfg, &policy, &plan).expect("survives the NaN");
         assert!(matches!(report.events[1], RecoveryEvent::RolledBack { to_epoch: 2, retry: 1 }));
         assert_eq!(stats.epochs_run, cfg.epochs);
@@ -1143,7 +1143,7 @@ mod tests {
 
         // An impossible gradient-norm limit diverges every step.
         let strict = RecoveryPolicy { max_retries: 2, grad_norm_limit: 1e-12, ..policy };
-        match run(&cfg, &strict, &FaultPlan::default()) {
+        match run(&cfg, &strict, &JobFaultPlan::none()) {
             Err(TrainError::Diverged { epoch: 0, retries: 2, last_loss }) => {
                 assert!(last_loss.is_finite(), "the norm exploded, not the loss");
             }

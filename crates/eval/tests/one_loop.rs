@@ -18,13 +18,14 @@ use hoga_datasets::openabcd::{
     build_qor_dataset, QorDataset, QorDatasetConfig, QorDesign, QorSample, RECIPE_ENCODING_WIDTH,
 };
 use hoga_datasets::splits::minibatches;
-use hoga_eval::fault::{FaultPlan, RecoveryPolicy};
+use hoga_eval::fault::RecoveryPolicy;
 use hoga_eval::parallel_train::train_reasoning_parallel;
 use hoga_eval::resilient::train_reasoning_resilient;
 use hoga_eval::trainer::{
     train_qor, train_reasoning, QorModel, QorModelKind, ReasonModel, ReasonModelKind, TrainConfig,
 };
 use hoga_gen::reason::NodeClass;
+use hoga_jobs::JobFaultPlan;
 use hoga_tensor::Matrix;
 use std::collections::BTreeMap;
 
@@ -137,7 +138,7 @@ fn hoga_entry_points_match_the_hand_written_loop() {
     assert_eq!(bits(stats.final_loss, &model.params), want, "train_reasoning");
 
     let (model, _, stats, report) =
-        train_reasoning_resilient(&g, &cfg, &RecoveryPolicy::default(), &FaultPlan::default())
+        train_reasoning_resilient(&g, &cfg, &RecoveryPolicy::default(), &JobFaultPlan::none())
             .expect("clean run");
     assert!(report.events.is_empty());
     assert_eq!(bits(stats.final_loss, &model.params), want, "train_reasoning_resilient");

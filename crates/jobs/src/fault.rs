@@ -1,21 +1,20 @@
-//! Unified fault-injection vocabulary.
+//! The workspace's one fault-injection vocabulary and its one claim-once
+//! injector.
 //!
-//! Every fault the workspace knows how to inject — trainer worker panics
-//! (`eval::fault::FaultPlan`), synthesis miscompiles and stalls
-//! (`synth::guard::SynthFaultPlan`), engine-level attempt faults, and the
-//! inference server's degradation modes (`serve`) — is a `(site, kind)`
-//! pair from this module. The domain crates expose `from_job_plan`
-//! adapters that *project* a [`JobFaultPlan`] onto their own coordinates,
-//! so one plan drives fault injection end to end:
+//! Every fault the workspace knows how to inject is a `(site, kind)` pair in
+//! a [`JobFaultPlan`], and every consumer — the engine, the jobs it runs, the
+//! trainers in `hoga-eval`, the synthesis guard in `hoga-synth`, the
+//! inference server — reads that plan directly. What a kind *means* depends
+//! on who claims the site; this table is the contract:
 //!
-//! | kind \ consumer | engine (attempt site)       | eval trainer (step site)  | synth guard (step site) |
-//! |-----------------|-----------------------------|---------------------------|-------------------------|
-//! | `Panic`         | panic inside `catch_unwind` | `WorkerPanic`             | ignored (guard never panics) |
-//! | `Stall`         | sleep, then proceed         | `WorkerDelay`             | `SynthFault::Stall`     |
-//! | `Corrupt`       | retryable incident          | `CorruptGradient`         | `SynthFault::Miscompile`|
+//! | kind \ consumer | engine (`Attempt`), [`crate::JobContext::apply_step_fault`] (`Step`) | data-parallel trainer (`Step` = epoch/step/worker) | synthesis guard (`Step`, `step` = recipe step) | every trainer (`Loss` = epoch/step) |
+//! |-----------------|------------------------------|----------------------------------|----------------------------------|----------------|
+//! | `Panic`         | panic inside `catch_unwind`  | the worker panics                | refused with a typed error       | loss reads NaN |
+//! | `Stall`         | cancellable sleep, then run  | the worker sleeps first          | the pass's work meter is spent   | loss reads NaN |
+//! | `Corrupt`       | retryable incident           | the worker's gradients read NaN  | the pass output is miscompiled   | loss reads NaN |
 //!
 //! Serve-path sites ([`ServeSite`], claimed via
-//! [`FaultInjector::claim_serve`]) map onto the same kinds:
+//! [`FaultInjector::claim_serve`]):
 //!
 //! | site               | meaning when claimed                                   |
 //! |--------------------|--------------------------------------------------------|
@@ -24,10 +23,11 @@
 //! | `CorruptCheckpoint`| checkpoint bytes are flipped before CRC verification   |
 //! | `StallReload`      | hot reload stalls after load, before the registry swap |
 //!
-//! A [`FaultInjector`] arms a plan for one job run; each fault fires
-//! **exactly once** (claim-once semantics via an atomic swap), so a retried
-//! attempt does not re-trip the fault that killed its predecessor — which is
-//! precisely what lets resume-after-fault converge.
+//! A [`FaultInjector`] arms a plan for one run; each fault fires **exactly
+//! once** (claim-once semantics via an atomic swap), so a retried attempt or
+//! a rolled-back epoch does not re-trip the fault that stopped its
+//! predecessor — which is precisely what lets resume-after-fault converge.
+//! Faults planned at the same site fire one per claim, in plan order.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -47,10 +47,15 @@ pub enum FaultKind {
 pub enum FaultSite {
     /// Engine-level: at the start of the given attempt (1-based).
     Attempt { attempt: u32 },
-    /// Domain-level step coordinates, claimed by the job itself.
-    /// The meaning of the axes is per-job (trainer: epoch/step/worker;
-    /// dataset sweep: chunk/0/0; synth: 0/recipe-step/0).
+    /// Domain-level step coordinates, claimed by whoever runs the step.
+    /// The meaning of the axes is per consumer (trainer: epoch/step/worker;
+    /// dataset sweep: chunk/0/0; synthesis guard: `step` is the recipe step
+    /// and the other two are not read).
     Step { unit: u64, step: u64, lane: u64 },
+    /// The loss of optimizer step `step` of epoch `unit`, as opposed to one
+    /// worker's share of it: claimed by the training loop after the step's
+    /// gradients are in.
+    Loss { unit: u64, step: u64 },
     /// Inference-server degradation point, claimed by `crates/serve`.
     Serve(ServeSite),
 }
@@ -79,7 +84,7 @@ pub struct PlannedFault {
     pub kind: FaultKind,
 }
 
-/// A deterministic list of faults to inject into one job run.
+/// A deterministic list of faults to inject into one run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JobFaultPlan {
     faults: Vec<PlannedFault>,
@@ -100,10 +105,6 @@ impl JobFaultPlan {
     pub fn faults(&self) -> &[PlannedFault] {
         &self.faults
     }
-
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
 }
 
 /// An armed [`JobFaultPlan`]: hands each fault out exactly once.
@@ -120,9 +121,9 @@ impl FaultInjector {
         Self { faults, fired }
     }
 
-    fn claim(&self, matches: impl Fn(&FaultSite) -> bool) -> Option<FaultKind> {
+    fn claim(&self, site: FaultSite) -> Option<FaultKind> {
         for (i, f) in self.faults.iter().enumerate() {
-            if matches(&f.site) && !self.fired[i].swap(true, Ordering::SeqCst) {
+            if f.site == site && !self.fired[i].swap(true, Ordering::SeqCst) {
                 return Some(f.kind);
             }
         }
@@ -130,27 +131,25 @@ impl FaultInjector {
     }
 
     /// Claim the fault planned for the start of `attempt`, if any.
-    /// Crate-internal: the engine claims attempt faults; jobs claim step
-    /// faults through [`crate::JobContext`].
+    /// Crate-internal: only the engine runs attempts.
     pub(crate) fn claim_attempt(&self, attempt: u32) -> Option<FaultKind> {
-        self.claim(|s| matches!(s, FaultSite::Attempt { attempt: a } if *a == attempt))
+        self.claim(FaultSite::Attempt { attempt })
     }
 
-    /// Claim the fault planned at domain coordinates `(unit, step, lane)`.
-    /// Crate-internal: exposed to jobs via
-    /// [`crate::JobContext::claim_step_fault`].
-    pub(crate) fn claim_step(&self, unit: u64, step: u64, lane: u64) -> Option<FaultKind> {
-        self.claim(|s| {
-            matches!(s, FaultSite::Step { unit: u, step: t, lane: l }
-                     if *u == unit && *t == step && *l == lane)
-        })
+    /// Claim the next unfired fault planned at step coordinates
+    /// `(unit, step, lane)`; call until `None` to take all of them.
+    pub fn claim_step(&self, unit: u64, step: u64, lane: u64) -> Option<FaultKind> {
+        self.claim(FaultSite::Step { unit, step, lane })
+    }
+
+    /// Claim the next unfired fault planned on the loss of `(unit, step)`.
+    pub fn claim_loss(&self, unit: u64, step: u64) -> Option<FaultKind> {
+        self.claim(FaultSite::Loss { unit, step })
     }
 
     /// Claim the fault planned at the given serve-path site, if any.
-    /// Public: the serving layer sits outside this crate and injects at
-    /// connection scope, not job scope, so it claims directly.
     pub fn claim_serve(&self, site: ServeSite) -> Option<FaultKind> {
-        self.claim(|s| matches!(s, FaultSite::Serve(p) if *p == site))
+        self.claim(FaultSite::Serve(site))
     }
 
     /// How many planned faults have not fired yet.
@@ -167,14 +166,20 @@ mod tests {
     fn faults_fire_exactly_once() {
         let plan = JobFaultPlan::none()
             .inject(FaultSite::Attempt { attempt: 1 }, FaultKind::Panic)
-            .inject(FaultSite::Step { unit: 2, step: 0, lane: 1 }, FaultKind::Corrupt);
+            .inject(FaultSite::Step { unit: 2, step: 0, lane: 1 }, FaultKind::Corrupt)
+            .inject(FaultSite::Loss { unit: 0, step: 3 }, FaultKind::Corrupt);
         let inj = FaultInjector::new(&plan);
-        assert_eq!(inj.remaining(), 2);
+        assert_eq!(inj.remaining(), 3);
         assert_eq!(inj.claim_attempt(1), Some(FaultKind::Panic));
         assert_eq!(inj.claim_attempt(1), None, "claim-once: retry must not re-trip");
+        assert_eq!(inj.claim_step(0, 0, 0), None, "unplanned coordinate");
         assert_eq!(inj.claim_step(2, 0, 0), None, "lane mismatch");
+        assert_eq!(inj.claim_step(0, 3, 0), None, "a loss site is not a step site");
         assert_eq!(inj.claim_step(2, 0, 1), Some(FaultKind::Corrupt));
         assert_eq!(inj.claim_step(2, 0, 1), None);
+        assert_eq!(inj.claim_loss(1, 3), None, "epoch mismatch");
+        assert_eq!(inj.claim_loss(0, 3), Some(FaultKind::Corrupt));
+        assert_eq!(inj.claim_loss(0, 3), None, "claim-once: the replayed epoch stays clean");
         assert_eq!(inj.remaining(), 0);
     }
 
@@ -194,6 +199,7 @@ mod tests {
         let inj = FaultInjector::default();
         assert_eq!(inj.claim_attempt(1), None);
         assert_eq!(inj.claim_step(0, 0, 0), None);
+        assert_eq!(inj.claim_loss(0, 0), None);
         assert_eq!(inj.claim_serve(ServeSite::SlowClient), None);
         assert_eq!(inj.remaining(), 0);
     }

@@ -136,28 +136,21 @@ impl JobContext {
         });
     }
 
-    /// Claim (once) the fault planned at these step coordinates, emitting a
-    /// `FaultInjected` event if one fires. Jobs that need custom handling
-    /// (e.g. projecting into a domain fault plan) use this directly;
-    /// everything else uses [`Self::apply_step_fault`].
-    // analyze: allow(dead-public-api) — documented extension hook for jobs with domain-specific fault semantics; its generic consumer is apply_step_fault directly below
-    pub fn claim_step_fault(&self, unit: u64, step: u64, lane: u64) -> Option<FaultKind> {
-        let kind = self.faults.claim_step(unit, step, lane)?;
+    /// Claim (once) the fault planned at these step coordinates and apply
+    /// it, emitting a `FaultInjected` event if one fires: `Panic` unwinds
+    /// the attempt (the engine catches it), `Stall` sleeps in cancellable
+    /// slices, `Corrupt` becomes a retryable incident.
+    pub fn apply_step_fault(&self, unit: u64, step: u64, lane: u64) -> Result<(), JobError> {
+        let Some(kind) = self.faults.claim_step(unit, step, lane) else {
+            return Ok(());
+        };
         self.events.emit(&JobEvent::FaultInjected {
             job: self.job_id,
             attempt: self.attempt,
             description: format!("{kind:?} at step site ({unit}, {step}, {lane})"),
         });
-        Some(kind)
-    }
-
-    /// Claim and apply the planned fault the generic way: `Panic` unwinds
-    /// the attempt (the engine catches it), `Stall` sleeps in cancellable
-    /// slices, `Corrupt` becomes a retryable incident.
-    pub fn apply_step_fault(&self, unit: u64, step: u64, lane: u64) -> Result<(), JobError> {
-        match self.claim_step_fault(unit, step, lane) {
-            None => Ok(()),
-            Some(FaultKind::Stall { millis }) => {
+        match kind {
+            FaultKind::Stall { millis } => {
                 let deadline = Instant::now() + Duration::from_millis(millis);
                 while Instant::now() < deadline {
                     self.check_interrupt()?;
@@ -165,11 +158,11 @@ impl JobContext {
                 }
                 Ok(())
             }
-            Some(FaultKind::Panic) => {
+            FaultKind::Panic => {
                 // analyze: allow(panic-free-paths) — deliberate injected fault; the engine's catch_unwind converts it into a retryable incident
                 panic!("injected fault: panic at step site ({unit}, {step}, {lane})")
             }
-            Some(FaultKind::Corrupt) => Err(JobError::Retryable(format!(
+            FaultKind::Corrupt => Err(JobError::Retryable(format!(
                 "injected fault: corrupt state at step site ({unit}, {step}, {lane})"
             ))),
         }

@@ -18,10 +18,10 @@
 //!   the process;
 //! * **load shedding**: the submission queue is bounded and overflow is the
 //!   typed error [`Overloaded`], never an unbounded pile-up;
-//! * a unified, seed-addressable **fault plan** ([`JobFaultPlan`]) that the
-//!   engine injects at attempt boundaries and jobs claim at domain step
-//!   coordinates — `eval::fault::FaultPlan` and `synth::guard::SynthFaultPlan`
-//!   are projections of this one vocabulary;
+//! * the workspace's one **fault plan** ([`JobFaultPlan`]) and claim-once
+//!   [`FaultInjector`]: the engine injects at attempt boundaries, jobs claim
+//!   at domain step coordinates, and the trainers, the synthesis guard and
+//!   the server read the same `(site, kind)` pairs (see [`fault`]);
 //! * a **progress event stream** ([`JobEvent`]) rendered one line per event
 //!   for the CLI and CI artifacts.
 //!

@@ -15,9 +15,9 @@
 //! * **Pass budgets** — every pass runs under a deterministic work budget
 //!   (and an optional wall-clock deadline) tracked by a [`WorkMeter`];
 //!   exhaustion rolls the pass back instead of hanging the sweep.
-//! * **Fault injection** — [`SynthFaultPlan`] deliberately miscompiles or
-//!   stalls selected steps so tests can prove the guard actually fires,
-//!   mirroring `hoga_eval`'s trainer-side `FaultPlan`.
+//! * **Fault injection** — the `Step` sites of a [`hoga_jobs::JobFaultPlan`]
+//!   deliberately miscompile (`Corrupt`) or stall (`Stall`) selected steps
+//!   so tests can prove the guard actually fires.
 //!
 //! Wall-clock deadlines are inherently nondeterministic, so dataset
 //! generation keeps them disabled (`timeout_ms == 0`) and relies on
@@ -167,12 +167,19 @@ pub enum SynthError {
         /// Human-readable reason.
         reason: &'static str,
     },
-    /// A [`SynthFaultPlan`] targets a step index past the end of the recipe.
+    /// A fault plan targets a step index past the end of the recipe.
     FaultOutOfRange {
         /// The offending step index.
         step: usize,
         /// Number of steps in the recipe.
         steps: usize,
+    },
+    /// A fault plan aims a `Panic` at a recipe step. The guarded runner
+    /// never panics by design; panic injection belongs to the job engine's
+    /// `catch_unwind` layer (an `Attempt` site).
+    PanicFault {
+        /// The targeted step index.
+        step: usize,
     },
 }
 
@@ -183,82 +190,17 @@ impl fmt::Display for SynthError {
             SynthError::FaultOutOfRange { step, steps } => {
                 write!(f, "fault injected at step {step} but the recipe has {steps} steps")
             }
+            SynthError::PanicFault { step } => {
+                write!(
+                    f,
+                    "panic injected at step {step}: a recipe step can only stall or miscompile"
+                )
+            }
         }
     }
 }
 
 impl std::error::Error for SynthError {}
-
-/// A deliberately injected pass fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SynthFault {
-    /// Complement the first PO of the pass output — a miscompile the
-    /// equivalence guard must catch.
-    Miscompile,
-    /// Pre-exhaust the pass's [`WorkMeter`] — a deterministic stand-in for
-    /// a hung or runaway pass, exercising the timeout path.
-    Stall,
-}
-
-/// Deterministic per-step fault schedule, mirroring the trainer-side
-/// `hoga_eval::fault::FaultPlan`.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SynthFaultPlan {
-    faults: Vec<(usize, SynthFault)>,
-}
-
-impl SynthFaultPlan {
-    /// A plan with no faults.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Adds a fault at `step` (0-based recipe step index).
-    pub fn inject(mut self, step: usize, fault: SynthFault) -> Self {
-        self.faults.push((step, fault));
-        self
-    }
-
-    /// The fault scheduled for `step`, if any.
-    pub(crate) fn fault_at(&self, step: usize) -> Option<SynthFault> {
-        self.faults.iter().find(|(s, _)| *s == step).map(|(_, f)| *f)
-    }
-
-    /// Whether the plan schedules no faults at all.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// Projects the engine's unified fault vocabulary
-    /// ([`hoga_jobs::JobFaultPlan`]) onto recipe steps: a
-    /// `Step { step, .. }` site maps to that 0-based recipe step, with
-    /// `Corrupt` → [`SynthFault::Miscompile`] and `Stall` →
-    /// [`SynthFault::Stall`]. `Panic` and `Attempt`-site faults are
-    /// engine-level and not projected — the guarded runner never panics by
-    /// design, so panic injection belongs to the job engine's
-    /// `catch_unwind` layer.
-    pub fn from_job_plan(plan: &hoga_jobs::JobFaultPlan) -> Self {
-        use hoga_jobs::{FaultKind, FaultSite};
-        let mut out = Self::none();
-        for planned in plan.faults() {
-            if let FaultSite::Step { step, .. } = planned.site {
-                match planned.kind {
-                    FaultKind::Corrupt => {
-                        out = out.inject(step as usize, SynthFault::Miscompile);
-                    }
-                    FaultKind::Stall { .. } => out = out.inject(step as usize, SynthFault::Stall),
-                    FaultKind::Panic => {}
-                }
-            }
-        }
-        out
-    }
-
-    /// The largest targeted step index, if any.
-    pub(crate) fn max_step(&self) -> Option<usize> {
-        self.faults.iter().map(|(s, _)| *s).max()
-    }
-}
 
 /// How thoroughly an applied pass was verified.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -410,8 +352,8 @@ pub(crate) fn verify_step(
     Ok(Verification::SimOnly)
 }
 
-/// Applies `fault` to a pass output (`Stall` is handled by the runner
-/// before the pass executes).
+/// Complements the first PO of a pass output — the miscompile the
+/// equivalence guard must catch.
 pub(crate) fn inject_miscompile(aig: &mut Aig) {
     if aig.num_pos() > 0 {
         let po = aig.pos()[0];
@@ -501,33 +443,6 @@ mod tests {
     fn zero_sim_rounds_is_invalid() {
         let cfg = GuardConfig { sim_rounds: 0, ..GuardConfig::default() };
         assert!(matches!(cfg.validate(), Err(SynthError::InvalidConfig { .. })));
-    }
-
-    #[test]
-    fn fault_plan_lookup() {
-        let plan =
-            SynthFaultPlan::none().inject(2, SynthFault::Miscompile).inject(5, SynthFault::Stall);
-        assert_eq!(plan.fault_at(2), Some(SynthFault::Miscompile));
-        assert_eq!(plan.fault_at(5), Some(SynthFault::Stall));
-        assert_eq!(plan.fault_at(0), None);
-        assert_eq!(plan.max_step(), Some(5));
-        assert!(SynthFaultPlan::none().is_empty());
-    }
-
-    #[test]
-    fn job_plan_projects_onto_recipe_steps() {
-        use hoga_jobs::{FaultKind, FaultSite, JobFaultPlan};
-        let unified = JobFaultPlan::none()
-            .inject(FaultSite::Step { unit: 0, step: 2, lane: 0 }, FaultKind::Corrupt)
-            .inject(FaultSite::Step { unit: 0, step: 5, lane: 0 }, FaultKind::Stall { millis: 3 })
-            // Engine-level kinds/sites; must not reach the guard.
-            .inject(FaultSite::Step { unit: 0, step: 1, lane: 0 }, FaultKind::Panic)
-            .inject(FaultSite::Attempt { attempt: 2 }, FaultKind::Corrupt);
-        let plan = SynthFaultPlan::from_job_plan(&unified);
-        assert_eq!(plan.fault_at(2), Some(SynthFault::Miscompile));
-        assert_eq!(plan.fault_at(5), Some(SynthFault::Stall));
-        assert_eq!(plan.fault_at(1), None);
-        assert_eq!(plan.max_step(), Some(5));
     }
 
     #[test]

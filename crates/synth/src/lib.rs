@@ -26,9 +26,10 @@
 //! input (random-simulation filter plus an optional bounded SAT arbiter),
 //! rolls back refuted or over-budget steps, and records each rejection as
 //! a structured [`Incident`] instead of panicking. [`run_recipe`] is the
-//! same runner with the default guard. The [`guard`] module also provides
-//! deliberate fault injection ([`SynthFaultPlan`]) so the guard's
-//! detection path is itself testable end to end.
+//! same runner with the default guard. The guarded runner also takes a
+//! fault plan ([`JobFaultPlan`], the workspace's one vocabulary) whose step
+//! sites deliberately miscompile or stall a pass, so the guard's detection
+//! path is itself testable end to end.
 //!
 //! # Examples
 //!
@@ -65,13 +66,15 @@ mod runner;
 
 pub use balance::balance;
 pub use guard::{
-    GuardConfig, Incident, IncidentKind, PassBudget, PassOutcome, SynthError, SynthFault,
-    SynthFaultPlan, Verification,
+    GuardConfig, Incident, IncidentKind, PassBudget, PassOutcome, SynthError, Verification,
 };
+/// The fault vocabulary [`run_recipe_guarded`] reads, re-exported for
+/// callers that reach `hoga-jobs` only through this crate.
+pub use hoga_jobs::{FaultKind, FaultSite, JobFaultPlan};
 pub use recipe::{
     random_recipe, ParseRecipeError, Recipe, RecipeLint, SynthStep, RESUB_SEED_BASE, STEP_BUDGET,
 };
 pub use refactor::{build_from_tt, refactor};
-pub use resub::{resub, signature_classes};
+pub use resub::resub;
 pub use rewrite::rewrite;
 pub use runner::{run_recipe, run_recipe_guarded, GuardedRun, SynthesisResult};

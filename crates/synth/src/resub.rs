@@ -13,7 +13,7 @@ use hoga_circuit::simulate::{
     exhaustive_equivalent, exhaustive_node_signatures, node_signature, probably_equivalent,
     EXHAUSTIVE_PI_LIMIT,
 };
-use hoga_circuit::{Aig, Lit, NodeKind};
+use hoga_circuit::{Aig, Lit};
 use std::collections::HashMap;
 
 /// Number of independent signature rounds required before merging
@@ -152,20 +152,6 @@ pub(crate) fn resub_bounded(
     }
 }
 
-/// Counts structurally distinct simulation classes — a diagnostic used by
-/// tests and by the dataset generator to gauge redundancy.
-// analyze: allow(dead-public-api) — public redundancy diagnostic re-exported by the crate root; covered by tests
-pub fn signature_classes(aig: &Aig, seed: u64) -> usize {
-    let sig = node_signature(aig, seed);
-    let mut classes: HashMap<u64, ()> = HashMap::new();
-    for (i, &s) in sig.iter().enumerate() {
-        if matches!(aig.node(i as u32), NodeKind::And(_, _)) {
-            classes.insert(s.min(!s), ());
-        }
-    }
-    classes.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,17 +252,5 @@ mod tests {
                 "seed {seed} produced a non-equivalent resubstitution"
             );
         }
-    }
-
-    #[test]
-    fn signature_classes_bounded_by_gate_count() {
-        let mut g = Aig::new(3);
-        let (a, b, c) = (g.pi_lit(0), g.pi_lit(1), g.pi_lit(2));
-        let x = g.xor(a, b);
-        let s = g.xor(x, c);
-        g.add_po(s);
-        let classes = signature_classes(&g, 0);
-        assert!(classes <= g.num_ands());
-        assert!(classes > 0);
     }
 }

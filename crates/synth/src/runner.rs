@@ -2,10 +2,11 @@
 
 use crate::guard::{
     inject_miscompile, verify_step, GuardConfig, Incident, IncidentKind, PassOutcome, SynthError,
-    SynthFault, SynthFaultPlan, WorkMeter,
+    WorkMeter,
 };
 use crate::{balance, recipe, refactor, resub, rewrite, Recipe, SynthStep};
 use hoga_circuit::Aig;
+use hoga_jobs::{FaultKind, FaultSite, JobFaultPlan};
 use serde::{Deserialize, Serialize};
 
 /// Outcome of running a [`Recipe`] on a circuit.
@@ -68,24 +69,49 @@ impl GuardedRun {
 /// Resubstitution seeds are derived from the step index so the whole run
 /// is deterministic (given `cfg.budget.timeout_ms == 0`).
 ///
+/// `faults` is read at its `Step { step, .. }` sites, `step` being the
+/// 0-based recipe step (the other two axes and every other site are not
+/// this runner's): `Corrupt` complements the first PO of that pass's
+/// output, `Stall` starts the pass with its work meter spent. Every fault
+/// planned on a step applies, whatever their order in the plan.
+///
 /// # Errors
 ///
-/// [`SynthError::InvalidConfig`] if `cfg` is inconsistent, and
+/// [`SynthError::InvalidConfig`] if `cfg` is inconsistent,
 /// [`SynthError::FaultOutOfRange`] if `faults` targets a step the recipe
-/// does not have. A valid configuration never panics.
+/// does not have, and [`SynthError::PanicFault`] if it aims a `Panic` at a
+/// step. A valid configuration never panics.
 pub fn run_recipe_guarded(
     aig: &Aig,
     recipe: &Recipe,
     cfg: &GuardConfig,
-    faults: &SynthFaultPlan,
+    faults: &JobFaultPlan,
 ) -> Result<GuardedRun, SynthError> {
     cfg.validate()?;
     let steps = recipe.steps();
-    if let Some(step) = faults.max_step() {
+    // (recipe step, kind) of every step-site fault; the other sites are not
+    // this runner's.
+    let step_faults: Vec<(usize, FaultKind)> = faults
+        .faults()
+        .iter()
+        .filter_map(|f| match f.site {
+            FaultSite::Step { step, .. } => {
+                Some((usize::try_from(step).unwrap_or(usize::MAX), f.kind))
+            }
+            _ => None,
+        })
+        .collect();
+    for &(step, kind) in &step_faults {
         if step >= steps.len() {
             return Err(SynthError::FaultOutOfRange { step, steps: steps.len() });
         }
+        if kind == FaultKind::Panic {
+            return Err(SynthError::PanicFault { step });
+        }
     }
+    let planned = |idx: usize, wanted: fn(FaultKind) -> bool| {
+        step_faults.iter().any(|&(step, kind)| step == idx && wanted(kind))
+    };
     let mut current = aig.clone();
     current.compact();
     let initial_ands = current.num_ands();
@@ -93,7 +119,7 @@ pub fn run_recipe_guarded(
     let mut outcomes = Vec::with_capacity(steps.len());
     for (idx, step) in steps.iter().enumerate() {
         let mut meter = WorkMeter::new(&cfg.budget);
-        if faults.fault_at(idx) == Some(SynthFault::Stall) {
+        if planned(idx, |k| matches!(k, FaultKind::Stall { .. })) {
             meter.exhaust();
         }
         let attempted = match *step {
@@ -118,7 +144,7 @@ pub fn run_recipe_guarded(
             },
             Ok(mut next) => {
                 next.compact();
-                if faults.fault_at(idx) == Some(SynthFault::Miscompile) {
+                if planned(idx, |k| k == FaultKind::Corrupt) {
                     inject_miscompile(&mut next);
                 }
                 match verify_step(&current, &next, cfg, idx, *step) {
@@ -153,7 +179,7 @@ pub fn run_recipe_guarded(
 /// faults; the passes are sound, so results are unchanged from the
 /// historical unguarded runner.
 pub fn run_recipe(aig: &Aig, recipe: &Recipe) -> SynthesisResult {
-    match run_recipe_guarded(aig, recipe, &GuardConfig::default(), &SynthFaultPlan::none()) {
+    match run_recipe_guarded(aig, recipe, &GuardConfig::default(), &JobFaultPlan::none()) {
         Ok(run) => run.result,
         // The default config is valid and the empty plan targets no steps.
         Err(e) => unreachable!("default guard config rejected: {e}"),
@@ -167,6 +193,12 @@ mod tests {
     use hoga_circuit::simulate::probably_equivalent;
     use hoga_circuit::{Aig, Lit};
     use rand::{Rng, SeedableRng};
+
+    const STALL: FaultKind = FaultKind::Stall { millis: 0 };
+
+    fn at_step(step: u64, kind: FaultKind) -> JobFaultPlan {
+        JobFaultPlan::none().inject(FaultSite::Step { unit: 0, step, lane: 0 }, kind)
+    }
 
     fn random_circuit(n_pis: usize, gates: usize, pos: usize, seed: u64) -> Aig {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
@@ -246,7 +278,7 @@ mod tests {
         let recipe = Recipe::resyn2();
         let legacy = run_recipe(&g, &recipe);
         let guarded =
-            run_recipe_guarded(&g, &recipe, &GuardConfig::default(), &SynthFaultPlan::none())
+            run_recipe_guarded(&g, &recipe, &GuardConfig::default(), &JobFaultPlan::none())
                 .expect("valid config");
         assert!(guarded.is_clean());
         assert_eq!(guarded.result, legacy);
@@ -257,7 +289,7 @@ mod tests {
     fn injected_miscompile_is_caught_and_rolled_back() {
         let g = random_circuit(8, 120, 4, 33);
         let recipe: Recipe = "b; rw; rf; rs".parse().expect("valid");
-        let faults = SynthFaultPlan::none().inject(1, SynthFault::Miscompile);
+        let faults = at_step(1, FaultKind::Corrupt);
         let run = run_recipe_guarded(&g, &recipe, &GuardConfig::default(), &faults)
             .expect("valid config");
         assert!(!run.is_clean());
@@ -275,7 +307,7 @@ mod tests {
     fn stall_fault_times_out_and_rolls_back() {
         let g = random_circuit(8, 100, 3, 41);
         let recipe: Recipe = "b; rw".parse().expect("valid");
-        let faults = SynthFaultPlan::none().inject(0, SynthFault::Stall);
+        let faults = at_step(0, STALL);
         let run = run_recipe_guarded(&g, &recipe, &GuardConfig::default(), &faults)
             .expect("valid config");
         assert!(matches!(run.outcomes[0], PassOutcome::TimedOut { .. }));
@@ -291,7 +323,7 @@ mod tests {
         let recipe: Recipe = "b; rw; rf; rs".parse().expect("valid");
         let cfg = GuardConfig { budget: PassBudget::with_max_work(1), ..GuardConfig::default() };
         let run =
-            run_recipe_guarded(&g, &recipe, &cfg, &SynthFaultPlan::none()).expect("valid config");
+            run_recipe_guarded(&g, &recipe, &cfg, &JobFaultPlan::none()).expect("valid config");
         assert!(run.outcomes.iter().all(|o| matches!(o, PassOutcome::TimedOut { .. })));
         // All steps rolled back: the output is the compacted input.
         assert_eq!(run.result.final_ands, run.result.initial_ands);
@@ -304,7 +336,7 @@ mod tests {
         let recipe: Recipe = "b".parse().expect("valid");
         let cfg = GuardConfig { conflict_budget: 1_000_000, ..GuardConfig::default() };
         let run =
-            run_recipe_guarded(&g, &recipe, &cfg, &SynthFaultPlan::none()).expect("valid config");
+            run_recipe_guarded(&g, &recipe, &cfg, &JobFaultPlan::none()).expect("valid config");
         assert!(matches!(
             run.outcomes[0],
             PassOutcome::Applied { verification: Verification::Proved, .. }
@@ -315,17 +347,50 @@ mod tests {
     fn fault_past_recipe_end_is_a_typed_error() {
         let g = random_circuit(4, 10, 1, 71);
         let recipe: Recipe = "b; rw".parse().expect("valid");
-        let faults = SynthFaultPlan::none().inject(5, SynthFault::Miscompile);
+        let faults = at_step(5, FaultKind::Corrupt);
         let err = run_recipe_guarded(&g, &recipe, &GuardConfig::default(), &faults)
             .expect_err("step 5 of a 2-step recipe");
         assert_eq!(err, SynthError::FaultOutOfRange { step: 5, steps: 2 });
     }
 
     #[test]
+    fn panic_aimed_at_a_recipe_step_is_a_typed_error() {
+        let g = random_circuit(4, 10, 1, 71);
+        let recipe: Recipe = "b; rw".parse().expect("valid");
+        let err =
+            run_recipe_guarded(&g, &recipe, &GuardConfig::default(), &at_step(1, FaultKind::Panic))
+                .expect_err("the guard never panics, so it cannot be told to");
+        assert_eq!(err, SynthError::PanicFault { step: 1 });
+        // Sites that are not recipe steps are not this runner's to judge.
+        let engine_level =
+            JobFaultPlan::none().inject(FaultSite::Attempt { attempt: 1 }, FaultKind::Panic);
+        let run = run_recipe_guarded(&g, &recipe, &GuardConfig::default(), &engine_level)
+            .expect("attempt sites are ignored");
+        assert!(run.is_clean());
+    }
+
+    #[test]
+    fn two_faults_on_one_step_do_not_depend_on_plan_order() {
+        let g = random_circuit(8, 120, 4, 33);
+        let recipe: Recipe = "b; rw; rf; rs".parse().expect("valid");
+        let site = FaultSite::Step { unit: 0, step: 1, lane: 0 };
+        for kinds in [[STALL, FaultKind::Corrupt], [FaultKind::Corrupt, STALL]] {
+            let faults = JobFaultPlan::none().inject(site, kinds[0]).inject(site, kinds[1]);
+            let run = run_recipe_guarded(&g, &recipe, &GuardConfig::default(), &faults)
+                .expect("valid config");
+            // The stall applies even when planned second: the pass runs out
+            // of budget before there is an output to miscompile.
+            assert!(matches!(run.outcomes[1], PassOutcome::TimedOut { .. }), "{kinds:?}");
+            assert_eq!(run.incidents().count(), 1, "{kinds:?}");
+            assert!(probably_equivalent(&g, &run.result.aig, 4, 1));
+        }
+    }
+
+    #[test]
     fn guarded_run_is_deterministic_including_outcomes() {
         let g = random_circuit(8, 100, 3, 81);
         let recipe: Recipe = "rs; b; rw; rs".parse().expect("valid");
-        let faults = SynthFaultPlan::none().inject(2, SynthFault::Miscompile);
+        let faults = at_step(2, FaultKind::Corrupt);
         let cfg = GuardConfig { conflict_budget: 10_000, ..GuardConfig::default() };
         let a = run_recipe_guarded(&g, &recipe, &cfg, &faults).expect("valid");
         let b = run_recipe_guarded(&g, &recipe, &cfg, &faults).expect("valid");

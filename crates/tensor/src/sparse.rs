@@ -312,17 +312,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Sparse × dense vector product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != x.len()`.
-    // analyze: allow(dead-public-api) — sparse mat-vec product of the public CSR API; covered by tests
-    pub fn spmv(&self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(self.cols, x.len(), "shape mismatch in spmv");
-        (0..self.rows).map(|r| self.row_entries(r).map(|(c, v)| v * x[c]).sum()).collect()
-    }
-
     /// Transposed copy (CSR of `selfᵀ`): a counting sort by column. Rows are
     /// visited in ascending order, so every output row comes out ascending.
     pub fn transpose(&self) -> Self {
@@ -410,15 +399,6 @@ mod tests {
         let sparse = a.spmm(&x);
         let dense = a.to_dense().matmul(&x);
         assert!(sparse.max_abs_diff(&dense) < 1e-6);
-    }
-
-    #[test]
-    fn spmv_matches_spmm() {
-        let a = sample();
-        let x = vec![1.0, 2.0, 3.0, 4.0];
-        let y = a.spmv(&x);
-        let ym = a.spmm(&Matrix::from_vec(4, 1, x));
-        assert_eq!(y, ym.into_vec());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!                     [--checkpoint-every N] [--target depth] [--scale N]
 //!                     [--recipes N] [--recipe-len N] [--max-nodes N]
 //! hoga-repro qor-dataset --out DIR [--scale N] [--recipes N] [--max-nodes N]
-//!                        [--stop-after N] [--chunk N] [--inject D:R:S[:stall]]
+//!                        [--stop-after N] [--chunk N] [--inject D:R:S[:kind]]
 //!                        [--conflict-budget N] [--max-work N]
 //! hoga-repro serve    --checkpoint PATH [--addr HOST:PORT] [--hops N]
 //!                     [--workers N] [--queue N] [--max-conns N]
@@ -131,8 +131,9 @@ const USAGE: &str =
   --seed N         dataset master seed (default 0xABC0)
   --stop-after N   qor-dataset: stop after N new records (resume by rerunning)
   --chunk N        qor-dataset: records per supervised chunk (default 0 = all)
-  --inject D:R:S[:stall]  qor-dataset: inject a miscompile (or stall) at
-                   design D, recipe R, step S — proves the guard fires
+  --inject D:R:S[:kind[:millis]]  qor-dataset: inject a miscompile (kind
+                   corrupt, the default) or a stall at design D, recipe R,
+                   step S — proves the guard fires
   --conflict-budget N  qor-dataset: SAT-arbiter conflict budget (0 = sim only)
   --max-work N     qor-dataset: per-pass work budget (0 = unlimited)
   --checkpoint PATH    train: checkpoint file (required; resume point)
@@ -141,7 +142,8 @@ const USAGE: &str =
   --retries N      max attempts per job (default 2)
   --deadline-ms N  wall-clock budget per attempt chain (0 = none)
   --inject-job attempt:A:kind[:millis] | step:U:S:L:kind[:millis]
-                   inject an engine-level fault (kind: panic|stall|corrupt)
+                   inject an engine-level fault (kind: panic|stall|corrupt;
+                   millis only after stall, default 50)
   --events PATH    write the rendered job event stream to PATH
   serve flags:
   --checkpoint PATH    serve: QoR checkpoint to load (CRC-verified; required)
@@ -228,54 +230,56 @@ fn engine_cfg(flags: &HashMap<String, String>, workers: usize, seed: u64) -> Eng
     }
 }
 
-/// Parses an `--inject-job` spec:
-/// `attempt:A:kind[:millis]` or `step:U:S:L:kind[:millis]`.
-fn parse_inject_job(spec: &str) -> Result<(FaultSite, FaultKind), String> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    let bad = || {
-        format!("--inject-job expects attempt:A:kind[:millis] or step:U:S:L:kind[:millis], got `{spec}`")
-    };
-    let index = |s: &str| s.parse::<u64>().map_err(|_| format!("bad index `{s}` in `{spec}`"));
-    let kind = |k: &str, millis: Option<&str>| -> Result<FaultKind, String> {
-        match (k, millis) {
-            ("panic", None) => Ok(FaultKind::Panic),
-            ("corrupt", None) => Ok(FaultKind::Corrupt),
-            ("stall", m) => {
-                let millis = m
-                    .map(|v| v.parse().map_err(|_| format!("bad stall millis `{v}` in `{spec}`")))
-                    .transpose()?
-                    .unwrap_or(50);
-                Ok(FaultKind::Stall { millis })
-            }
-            _ => Err(format!("unknown fault kind `{k}` in `{spec}` (panic|stall|corrupt)")),
-        }
-    };
-    match parts.as_slice() {
-        ["attempt", a, k] => Ok((FaultSite::Attempt { attempt: index(a)? as u32 }, kind(k, None)?)),
-        ["attempt", a, k, m] => {
-            Ok((FaultSite::Attempt { attempt: index(a)? as u32 }, kind(k, Some(m))?))
-        }
-        ["step", u, s, l, k] => Ok((
-            FaultSite::Step { unit: index(u)?, step: index(s)?, lane: index(l)? },
-            kind(k, None)?,
+/// Parses the `kind[:millis]` tail every `--inject*` spec ends in:
+/// `panic`, `corrupt`, `stall` (50 ms) or `stall:millis`.
+fn parse_fault_kind(tail: &[&str], spec: &str) -> Result<FaultKind, String> {
+    match tail {
+        ["panic"] => Ok(FaultKind::Panic),
+        ["corrupt"] => Ok(FaultKind::Corrupt),
+        ["stall"] => Ok(FaultKind::Stall { millis: 50 }),
+        ["stall", m] => match m.parse() {
+            Ok(millis) => Ok(FaultKind::Stall { millis }),
+            Err(_) => Err(format!("bad stall millis `{m}` in `{spec}`")),
+        },
+        _ => Err(format!(
+            "unknown fault kind `{}` in `{spec}` (panic|stall[:millis]|corrupt)",
+            tail.join(":")
         )),
-        ["step", u, s, l, k, m] => Ok((
-            FaultSite::Step { unit: index(u)?, step: index(s)?, lane: index(l)? },
-            kind(k, Some(m))?,
-        )),
-        _ => Err(bad()),
     }
 }
 
-/// Builds the job fault plan from the `--inject-job` flag.
-fn inject_job_plan(flags: &HashMap<String, String>) -> Result<JobFaultPlan, CliError> {
-    match flags.get("inject-job") {
-        None => Ok(JobFaultPlan::none()),
-        Some(spec) => {
-            let (site, kind) = parse_inject_job(spec).map_err(CliError::Usage)?;
-            Ok(JobFaultPlan::none().inject(site, kind))
-        }
+/// Parses an `--inject-job` spec:
+/// `attempt:A:kind[:millis]` or `step:U:S:L:kind[:millis]`.
+fn parse_inject_job(spec: &str) -> Result<(FaultSite, FaultKind), String> {
+    fn index<T: std::str::FromStr>(s: &str, spec: &str) -> Result<T, String> {
+        s.parse().map_err(|_| format!("bad index `{s}` in `{spec}`"))
     }
+    let parts: Vec<&str> = spec.split(':').collect();
+    let (site, tail) = match parts.as_slice() {
+        ["attempt", a, tail @ ..] => (FaultSite::Attempt { attempt: index(a, spec)? }, tail),
+        ["step", u, s, l, tail @ ..] => {
+            let (unit, step, lane) = (index(u, spec)?, index(s, spec)?, index(l, spec)?);
+            (FaultSite::Step { unit, step, lane }, tail)
+        }
+        _ => {
+            return Err(format!(
+                "--inject-job expects attempt:A:kind[:millis] or step:U:S:L:kind[:millis], \
+                 got `{spec}`"
+            ));
+        }
+    };
+    Ok((site, parse_fault_kind(tail, spec)?))
+}
+
+/// Builds the one-fault plan `--<flag> SPEC` asks for (no flag: no faults).
+fn inject_plan(
+    flags: &HashMap<String, String>,
+    flag: &str,
+    parse: fn(&str) -> Result<(FaultSite, FaultKind), String>,
+) -> Result<JobFaultPlan, CliError> {
+    let Some(spec) = flags.get(flag) else { return Ok(JobFaultPlan::none()) };
+    let (site, kind) = parse(spec).map_err(CliError::Usage)?;
+    Ok(JobFaultPlan::none().inject(site, kind))
 }
 
 /// Writes the rendered event stream to `--events PATH` when requested.
@@ -294,8 +298,8 @@ fn run_supervised<J: Job + 'static>(
     flags: &HashMap<String, String>,
     seed: u64,
     job: J,
+    plan: JobFaultPlan,
 ) -> Result<J::Output, CliError> {
-    let plan = inject_job_plan(flags)?;
     let sink = CliSink::new();
     let engine = Engine::with_sink(engine_cfg(flags, 1, seed), sink.clone())
         .map_err(|e| CliError::failed(format!("cannot start job engine: {e}")))?;
@@ -444,22 +448,21 @@ fn cmd_synth(flags: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parses an `--inject design:recipe:step[:stall]` spec.
+/// Parses an `--inject design:recipe:step[:kind[:millis]]` spec; without a
+/// kind (or with its older name, `miscompile`) the step is miscompiled.
 fn parse_inject(spec: &str) -> Result<hoga_repro::datasets::openabcd::QorFault, String> {
     use hoga_repro::datasets::openabcd::QorFault;
-    use hoga_repro::synth::SynthFault;
     let parts: Vec<&str> = spec.split(':').collect();
-    if parts.len() < 3 || parts.len() > 4 {
-        return Err(format!("--inject expects design:recipe:step[:stall], got `{spec}`"));
-    }
-    let recipe_index = parts[1].parse().map_err(|_| format!("bad recipe index in `{spec}`"))?;
-    let step = parts[2].parse().map_err(|_| format!("bad step index in `{spec}`"))?;
-    let fault = match parts.get(3).copied() {
-        None | Some("miscompile") => SynthFault::Miscompile,
-        Some("stall") => SynthFault::Stall,
-        Some(other) => return Err(format!("unknown fault kind `{other}` in `{spec}`")),
+    let [design, recipe, step, tail @ ..] = parts.as_slice() else {
+        return Err(format!("--inject expects design:recipe:step[:kind[:millis]], got `{spec}`"));
     };
-    Ok(QorFault { design: parts[0].to_string(), recipe_index, step, fault })
+    let recipe_index = recipe.parse().map_err(|_| format!("bad recipe index in `{spec}`"))?;
+    let step = step.parse().map_err(|_| format!("bad step index in `{spec}`"))?;
+    let kind = match tail {
+        [] | ["miscompile"] => FaultKind::Corrupt,
+        _ => parse_fault_kind(tail, spec)?,
+    };
+    Ok(QorFault { design: design.to_string(), recipe_index, step, kind })
 }
 
 /// Builds the QoR sweep configuration shared by `qor-dataset` and
@@ -500,6 +503,7 @@ fn cmd_qor_dataset(flags: &HashMap<String, String>) -> Result<(), CliError> {
         .map_err(CliError::Usage)?
         .into_iter()
         .collect();
+    let plan = inject_plan(flags, "inject-job", parse_inject_job)?;
     let cfg = qor_dataset_cfg(flags, hoga_repro::synth::STEP_BUDGET);
     let seed = cfg.seed;
     let job = QorDatasetJob {
@@ -511,7 +515,7 @@ fn cmd_qor_dataset(flags: &HashMap<String, String>) -> Result<(), CliError> {
         },
         chunk: get(flags, "chunk", 0),
     };
-    let report = run_supervised(flags, seed, job)?;
+    let report = run_supervised(flags, seed, job, plan)?;
     println!(
         "qor-dataset: {} samples total, {} written, {} skipped (resume), \
          {} quarantined{}",
@@ -537,6 +541,8 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
             return Err(CliError::usage(format!("unknown --target `{other}` (gates|depth)")));
         }
     };
+    // Before the dataset is built: a malformed spec must not start a run.
+    let plan = inject_plan(flags, "inject-job", parse_inject_job)?;
     let ds_cfg = qor_dataset_cfg(flags, 8);
     let seed = ds_cfg.seed;
     let kind = QorModelKind::Hoga { num_hops: ds_cfg.num_hops };
@@ -555,7 +561,7 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
         ds.test.len()
     );
     let job = TrainJob { ds, kind, target, cfg };
-    let (_model, stats) = run_supervised(flags, seed, job)?;
+    let (_model, stats) = run_supervised(flags, seed, job, plan)?;
     println!(
         "train: final loss {:.6} after {} epoch(s); checkpoint at {ckpt}",
         stats.final_loss, stats.epochs_run
@@ -592,7 +598,7 @@ fn cmd_sched(flags: &HashMap<String, String>) -> Result<(), CliError> {
     );
     // Both policies run concurrently on the engine pool; reports print in
     // a fixed order regardless of completion order.
-    let plan = inject_job_plan(flags)?;
+    let plan = inject_plan(flags, "inject-job", parse_inject_job)?;
     let sink = CliSink::new();
     let engine = Engine::with_sink(engine_cfg(flags, 2, cfg.seed), sink.clone())
         .map_err(|e| CliError::failed(format!("cannot start job engine: {e}")))?;
@@ -616,14 +622,10 @@ fn cmd_sched(flags: &HashMap<String, String>) -> Result<(), CliError> {
 fn parse_inject_serve(spec: &str) -> Result<(FaultSite, FaultKind), String> {
     use hoga_repro::jobs::ServeSite;
     let parts: Vec<&str> = spec.split(':').collect();
-    let (site_name, kind_name, millis) = match parts.as_slice() {
-        [s, k] => (*s, *k, None),
-        [s, k, m] => (*s, *k, Some(*m)),
-        _ => {
-            return Err(format!("--inject-serve expects SITE:kind[:millis], got `{spec}`"));
-        }
+    let [site_name, tail @ ..] = parts.as_slice() else {
+        return Err(format!("--inject-serve expects SITE:kind[:millis], got `{spec}`"));
     };
-    let site = match site_name {
+    let site = match *site_name {
         "slow-client" => ServeSite::SlowClient,
         "corrupt-frame" => ServeSite::CorruptFrame,
         "corrupt-checkpoint" => ServeSite::CorruptCheckpoint,
@@ -635,17 +637,7 @@ fn parse_inject_serve(spec: &str) -> Result<(FaultSite, FaultKind), String> {
             ));
         }
     };
-    let kind = match (kind_name, millis) {
-        ("corrupt", None) => FaultKind::Corrupt,
-        ("stall", m) => FaultKind::Stall {
-            millis: m
-                .map(|v| v.parse().map_err(|_| format!("bad stall millis `{v}` in `{spec}`")))
-                .transpose()?
-                .unwrap_or(50),
-        },
-        _ => return Err(format!("unknown fault kind `{kind_name}` in `{spec}` (stall|corrupt)")),
-    };
-    Ok((FaultSite::Serve(site), kind))
+    Ok((FaultSite::Serve(site), parse_fault_kind(tail, spec)?))
 }
 
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
@@ -653,11 +645,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let Some(checkpoint) = flags.get("checkpoint") else {
         return Err(CliError::usage("serve requires --checkpoint PATH"));
     };
-    let mut serve_faults = JobFaultPlan::none();
-    if let Some(spec) = flags.get("inject-serve") {
-        let (site, kind) = parse_inject_serve(spec).map_err(CliError::Usage)?;
-        serve_faults = serve_faults.inject(site, kind);
-    }
+    let serve_faults = inject_plan(flags, "inject-serve", parse_inject_serve)?;
     let defaults = ServerConfig::default();
     let config = ServerConfig {
         addr: flags.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:7878".into()),
@@ -671,7 +659,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
         default_deadline_ms: get(flags, "deadline-ms", defaults.default_deadline_ms),
         cache_bytes: get(flags, "cache-bytes", defaults.cache_bytes),
         serve_faults,
-        job_faults: inject_job_plan(flags)?,
+        job_faults: inject_plan(flags, "inject-job", parse_inject_job)?,
         ..defaults
     };
     let handle = Server::start(config).map_err(|e| CliError::failed(e.to_string()))?;
@@ -761,32 +749,15 @@ mod tests {
 
     #[test]
     fn parse_inject_accepts_both_fault_kinds() {
-        use hoga_repro::synth::SynthFault;
         let f = parse_inject("spi:3:1").expect("default kind");
         assert_eq!((f.design.as_str(), f.recipe_index, f.step), ("spi", 3, 1));
-        assert_eq!(f.fault, SynthFault::Miscompile);
-        assert_eq!(parse_inject("spi:0:2:stall").expect("stall").fault, SynthFault::Stall);
+        assert_eq!(f.kind, FaultKind::Corrupt);
+        assert_eq!(parse_inject("spi:3:1:miscompile").expect("older name"), f);
+        let stall = parse_inject("spi:0:2:stall").expect("stall");
+        assert!(matches!(stall.kind, FaultKind::Stall { .. }));
         assert!(parse_inject("spi:0").is_err());
         assert!(parse_inject("spi:x:2").is_err());
         assert!(parse_inject("spi:0:2:frob").is_err());
-    }
-
-    #[test]
-    fn parse_inject_job_accepts_both_sites_and_all_kinds() {
-        let (site, kind) = parse_inject_job("attempt:1:panic").expect("attempt panic");
-        assert_eq!(site, FaultSite::Attempt { attempt: 1 });
-        assert_eq!(kind, FaultKind::Panic);
-
-        let (site, kind) = parse_inject_job("attempt:2:stall:75").expect("attempt stall");
-        assert_eq!(site, FaultSite::Attempt { attempt: 2 });
-        assert_eq!(kind, FaultKind::Stall { millis: 75 });
-
-        let (site, kind) = parse_inject_job("step:3:0:1:corrupt").expect("step corrupt");
-        assert_eq!(site, FaultSite::Step { unit: 3, step: 0, lane: 1 });
-        assert_eq!(kind, FaultKind::Corrupt);
-
-        let (_, kind) = parse_inject_job("step:0:0:0:stall").expect("default stall millis");
-        assert_eq!(kind, FaultKind::Stall { millis: 50 });
     }
 
     #[test]
@@ -826,8 +797,32 @@ mod tests {
             "step:1:2:3:panic:extra:more",
             "step:a:b:c:panic",
             "epoch:1:panic",
+            // 2^32 + 1: an `as u32` would arm attempt 1.
+            "attempt:4294967297:panic",
         ] {
             assert!(parse_inject_job(bad).is_err(), "`{bad}` must be rejected");
+        }
+    }
+
+    #[test]
+    fn every_inject_flag_reads_the_same_kind_tails() {
+        let cases = [
+            ("panic", Some(FaultKind::Panic)),
+            ("corrupt", Some(FaultKind::Corrupt)),
+            ("stall", Some(FaultKind::Stall { millis: 50 })),
+            ("stall:7", Some(FaultKind::Stall { millis: 7 })),
+            ("stall:x", None),
+            ("boom", None),
+        ];
+        let attempt = FaultSite::Attempt { attempt: 2 };
+        let step = FaultSite::Step { unit: 3, step: 0, lane: 1 };
+        for (tail, want) in cases {
+            let sweep = parse_inject(&format!("spi:0:1:{tail}")).ok().map(|f| f.kind);
+            let serve = parse_inject_serve(&format!("slow-client:{tail}")).ok().map(|(_, k)| k);
+            assert_eq!([sweep, serve], [want; 2], "`{tail}`");
+            let job = |spec: String| parse_inject_job(&spec).ok();
+            assert_eq!(job(format!("attempt:2:{tail}")), want.map(|k| (attempt, k)), "`{tail}`");
+            assert_eq!(job(format!("step:3:0:1:{tail}")), want.map(|k| (step, k)), "`{tail}`");
         }
     }
 

@@ -38,6 +38,9 @@ fn usage_errors_exit_2_and_print_usage() {
         &["train", "--checkpoint", "x", "--target", "frob"],
         &["qor-dataset", "--out", "d", "--inject", "bogus"],
         &["qor-dataset", "--out", "d", "--inject-job", "bogus"],
+        // Refused before any dataset is built or checkpoint written.
+        &["train", "--checkpoint", "x", "--inject-job", "attempt:4294967297:panic"],
+        &["train", "--checkpoint", "x", "--inject-job", "step:1:0:0:boom"],
     ] {
         let out = run(args);
         assert_eq!(exit_code(&out), 2, "{args:?} must be a usage error: {}", stderr(&out));

@@ -12,11 +12,12 @@
 //!    is absorbed without perturbing the trained weights.
 
 use hoga_repro::datasets::gamora::{build_reasoning_graph, MultiplierKind, ReasoningConfig};
-use hoga_repro::eval::fault::{Fault, FaultPlan, RecoveryEvent, RecoveryPolicy};
+use hoga_repro::eval::fault::{random_worker_faults, RecoveryEvent, RecoveryPolicy};
 use hoga_repro::eval::parallel_train::train_reasoning_parallel_supervised;
 use hoga_repro::eval::resilient::train_reasoning_resilient;
 use hoga_repro::eval::trainer::TrainConfig;
 use hoga_repro::hoga::model::HogaModel;
+use hoga_repro::jobs::{FaultKind, FaultSite, JobFaultPlan};
 
 fn tiny_graph() -> hoga_repro::datasets::gamora::ReasoningGraph {
     build_reasoning_graph(
@@ -49,11 +50,12 @@ fn panicked_worker_converges_to_the_fault_free_model() {
     let workers = 2;
 
     let (clean_model, _, _, clean_report) =
-        train_reasoning_parallel_supervised(&graph, &cfg, workers, &FaultPlan::default())
+        train_reasoning_parallel_supervised(&graph, &cfg, workers, &JobFaultPlan::none())
             .expect("fault-free run");
     assert_eq!(clean_report.recoveries(), 0);
 
-    let plan = FaultPlan::new(vec![Fault::WorkerPanic { epoch: 1, step: 0, worker: 0 }]);
+    let plan = JobFaultPlan::none()
+        .inject(FaultSite::Step { unit: 1, step: 0, lane: 0 }, FaultKind::Panic);
     let (model, _, _, report) = train_reasoning_parallel_supervised(&graph, &cfg, workers, &plan)
         .expect("supervised run survives a worker panic");
 
@@ -77,7 +79,8 @@ fn panicked_worker_converges_to_the_fault_free_model() {
 fn nan_loss_rolls_back_backs_off_and_completes() {
     let graph = tiny_graph();
     let cfg = tiny_cfg();
-    let plan = FaultPlan::new(vec![Fault::NanLoss { epoch: 1, step: 0 }]);
+    let plan =
+        JobFaultPlan::none().inject(FaultSite::Loss { unit: 1, step: 0 }, FaultKind::Corrupt);
     let (model, _, stats, report) =
         train_reasoning_resilient(&graph, &cfg, &RecoveryPolicy::default(), &plan)
             .expect("resilient run completes despite the NaN");
@@ -103,12 +106,12 @@ fn random_fault_barrage_does_not_perturb_the_model() {
     let workers = 3;
 
     let (clean_model, _, _, _) =
-        train_reasoning_parallel_supervised(&graph, &cfg, workers, &FaultPlan::default())
+        train_reasoning_parallel_supervised(&graph, &cfg, workers, &JobFaultPlan::none())
             .expect("fault-free run");
 
     // Six deterministic faults cycling panic → delay → corrupt across the
     // run. Same seed ⇒ same plan ⇒ reproducible test.
-    let plan = FaultPlan::random(0xFA117, cfg.epochs, 1, workers, 6);
+    let plan = random_worker_faults(0xFA117, cfg.epochs, 1, workers, 6);
     assert_eq!(plan.faults().len(), 6);
     let (model, _, _, report) = train_reasoning_parallel_supervised(&graph, &cfg, workers, &plan)
         .expect("supervised run absorbs the barrage");
@@ -117,11 +120,8 @@ fn random_fault_barrage_does_not_perturb_the_model() {
     // are. Random coordinates may collide (two faults on one worker/step
     // merge into a single recovery), so the exact count is bounded, not
     // fixed.
-    let injected_recoveries = plan
-        .faults()
-        .iter()
-        .filter(|f| !matches!(f, Fault::WorkerDelay { .. } | Fault::NanLoss { .. }))
-        .count();
+    let injected_recoveries =
+        plan.faults().iter().filter(|f| !matches!(f.kind, FaultKind::Stall { .. })).count();
     let recovered = report.recoveries();
     assert!(
         (1..=injected_recoveries).contains(&recovered),
