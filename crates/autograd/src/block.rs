@@ -1,11 +1,12 @@
 //! A batch's backward as a loop over node blocks: where a block sits in its
 //! batch ([`NodeBlock`]), what its sweep hands back ([`BlockGrads`]), and
 //! the reduction that finishes the batch's gradients in the whole-batch
-//! sweep's order ([`Gradients::from_blocks`]).
+//! sweep's order ([`BlockFold`]).
 
 use crate::params::ParamId;
 use crate::tape::{accumulate, Gradients};
-use hoga_tensor::Matrix;
+use hoga_tensor::recycle::give_back;
+use hoga_tensor::{Matrix, TnFold};
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -32,6 +33,17 @@ impl NodeBlock {
         (0..batch.div_ceil(size)).map(move |index| NodeBlock { index, size, batch })
     }
 
+    /// `values`, `width` of them per node in node order, cut into `blocks`'
+    /// runs: the disjoint outputs of a loop over blocks.
+    pub fn runs<'v, T>(blocks: &[Self], mut values: &'v mut [T], width: usize) -> Vec<&'v mut [T]> {
+        let mut cut = |block: &Self| {
+            let (run, rest) = std::mem::take(&mut values).split_at_mut(block.nodes().len() * width);
+            values = rest;
+            run
+        };
+        blocks.iter().map(&mut cut).collect()
+    }
+
     /// The block's nodes, as positions in the batch.
     pub fn nodes(&self) -> Range<usize> {
         let first = self.index * self.size;
@@ -53,90 +65,84 @@ impl NodeBlock {
 pub(crate) enum RowSum {
     /// The block's chunk partial of the batch's `matmul_tn`.
     Chunk(Matrix),
-    /// The block's rows of both `matmul_tn` operands.
-    Tn(Matrix, Matrix),
+    /// The block's rows of both `matmul_tn` operands, and the batch's rows.
+    Tn(Matrix, Matrix, usize),
     /// The block's rows of a column sum.
     Cols(Matrix),
 }
 
 impl RowSum {
-    /// `lhsᵀ · gy` over `block`'s rows as the block's chunk partial, when
-    /// the block is one of the batch's `matmul_tn` chunks; `None` when the
-    /// sum must be handed back as the rows themselves.
-    pub(crate) fn chunk(lhs: &Matrix, gy: &Matrix, block: NodeBlock) -> Option<Self> {
+    /// `lhsᵀ · gy` over `block`'s rows: the block's chunk partial of the
+    /// batch's `matmul_tn` when the block is one of its chunks, the rows of
+    /// both operands otherwise.
+    pub(crate) fn matmul(lhs: &Matrix, gy: Matrix, block: NodeBlock) -> Self {
         let per_node = block.rows_per_node(gy.rows());
         let (run, total) = (block.size * per_node, block.batch * per_node);
-        lhs.matmul_tn_chunk(gy, run, block.index, total).map(RowSum::Chunk)
-    }
-
-    /// The batch's sum from every block's part, in block order.
-    fn reduce(parts: Vec<RowSum>) -> Matrix {
-        let (mut chunks, mut lhs, mut gy, mut cols) = (vec![], vec![], vec![], vec![]);
-        for part in parts {
-            match part {
-                RowSum::Chunk(partial) => chunks.push(partial),
-                RowSum::Tn(a, g) => {
-                    lhs.push(a);
-                    gy.push(g);
-                }
-                RowSum::Cols(rows) => cols.push(rows),
+        match lhs.matmul_tn_chunk(&gy, run, block.index, total) {
+            Some(partial) => {
+                give_back(gy);
+                RowSum::Chunk(partial)
             }
-        }
-        let kinds = [chunks.len(), gy.len(), cols.len()];
-        assert!(
-            kinds.iter().filter(|&&n| n > 0).count() == 1,
-            "the blocks of a batch reduce a parameter one way"
-        );
-        if !chunks.is_empty() {
-            sum_partials(chunks)
-        } else if !gy.is_empty() {
-            let runs: Vec<(&Matrix, &Matrix)> = lhs.iter().zip(&gy).collect();
-            Matrix::matmul_tn_stacked(&runs)
-        } else {
-            column_sums(cols)
+            None => RowSum::Tn(lhs.clone(), gy, total),
         }
     }
 
     fn is_finite(&self) -> bool {
         match self {
             RowSum::Chunk(m) | RowSum::Cols(m) => m.is_finite(),
-            RowSum::Tn(a, g) => a.is_finite() && g.is_finite(),
+            RowSum::Tn(a, g, _) => a.is_finite() && g.is_finite(),
         }
     }
 
     /// Scales the sum this part contributes by `s`.
     fn scale(&mut self, s: f32) {
         match self {
-            RowSum::Chunk(m) | RowSum::Cols(m) | RowSum::Tn(_, m) => m.map_inplace(|x| x * s),
+            RowSum::Chunk(m) | RowSum::Cols(m) | RowSum::Tn(_, m, _) => m.map_inplace(|x| x * s),
         }
     }
 }
 
-/// `matmul_tn`'s reduction of its chunk partials: added into zeros in
-/// ascending chunk order.
-fn sum_partials(partials: Vec<Matrix>) -> Matrix {
-    let (m, n) = partials.first().map_or((0, 0), Matrix::shape);
-    let mut sum = Matrix::zeros(m, n);
-    for partial in &partials {
-        for (s, &p) in sum.as_mut_slice().iter_mut().zip(partial.as_slice()) {
-            *s += p;
-        }
-    }
-    sum
+/// A parameter's sum over the batch's rows, folded block by block: a
+/// matmul weight's chunk partials added into zeros in ascending order,
+/// `matmul_tn`'s own reduction; its rows folded into `matmul_tn`'s chunk
+/// chains ([`TnFold`]); a column sum's one chain per column from zero, row
+/// after row, block after block.
+enum Fold {
+    Chunks(Matrix),
+    Tn(TnFold),
+    Cols(Matrix),
 }
 
-/// `Matrix::col_sums` of the blocks' rows stacked, without the stacking:
-/// one chain per column from zero, row after row, block after block.
-fn column_sums(blocks: Vec<Matrix>) -> Matrix {
-    let mut sum = Matrix::zeros(1, blocks.first().map_or(0, Matrix::cols));
-    for rows in &blocks {
-        for r in 0..rows.rows() {
-            for (s, &x) in sum.as_mut_slice().iter_mut().zip(rows.row(r)) {
-                *s += x;
+impl Fold {
+    fn new(part: &RowSum) -> Self {
+        match part {
+            RowSum::Chunk(m) => Fold::Chunks(Matrix::zeros(m.rows(), m.cols())),
+            RowSum::Tn(a, g, total) => Fold::Tn(TnFold::new(a.cols(), g.cols(), *total)),
+            RowSum::Cols(rows) => Fold::Cols(Matrix::zeros(1, rows.cols())),
+        }
+    }
+
+    fn push(&mut self, part: RowSum) {
+        match (self, part) {
+            (Fold::Chunks(sum), RowSum::Chunk(partial)) => sum.axpy(1.0, &partial),
+            (Fold::Tn(fold), RowSum::Tn(a, g, _)) => fold.push(&a, &g),
+            (Fold::Cols(sum), RowSum::Cols(rows)) => {
+                for r in 0..rows.rows() {
+                    for (s, &x) in sum.as_mut_slice().iter_mut().zip(rows.row(r)) {
+                        *s += x;
+                    }
+                }
             }
+            _ => panic!("the blocks of a batch reduce a parameter one way"),
         }
     }
-    sum
+
+    fn finish(self) -> Matrix {
+        match self {
+            Fold::Chunks(sum) | Fold::Cols(sum) => sum,
+            Fold::Tn(fold) => fold.finish(),
+        }
+    }
 }
 
 /// A block's part of parameter `id`'s gradient, for the tape node `node`
@@ -172,40 +178,38 @@ impl BlockGrads {
     }
 }
 
-impl Gradients {
-    /// The batch's gradients from its blocks' parts, given in block order.
-    ///
-    /// A matmul weight's chunk partials are added into zeros in ascending
-    /// order, which is `matmul_tn`'s own reduction; a matmul weight handed
-    /// back as rows gets `matmul_tn` of the blocks' rows stacked
-    /// ([`Matrix::matmul_tn_stacked`]); a column sum
-    /// continues one chain row after row, block after block. Each
-    /// parameter then receives its sums in the order the whole-batch sweep
-    /// adds them, so every bit is [`Tape::backward`]'s on the whole batch.
+/// A batch's gradients, folded from its blocks' parts as they are handed
+/// over in block order, so that a step holds no block's rows past its
+/// turn. Each parameter receives its sums in the order the whole-batch
+/// sweep adds them, so every bit is [`Tape::backward`]'s on the whole batch.
+#[derive(Default)]
+pub struct BlockFold {
+    sums: Vec<(usize, ParamId, Fold)>,
+}
+
+impl BlockFold {
+    /// Folds in the next block's parts.
     ///
     /// # Panics
     ///
     /// Panics if the blocks did not record the same tape.
-    pub fn from_blocks(blocks: Vec<BlockGrads>) -> Self {
-        let mut blocks: Vec<_> = blocks.into_iter().map(|b| b.sums.into_iter()).collect();
+    pub fn push(&mut self, block: BlockGrads) {
+        if self.sums.is_empty() {
+            self.sums = block.sums.iter().map(|s| (s.node, s.id, Fold::new(&s.part))).collect();
+        }
+        assert_eq!(self.sums.len(), block.sums.len(), "the blocks of a batch record one tape");
+        for ((node, id, fold), sum) in self.sums.iter_mut().zip(block.sums) {
+            assert!((*node, *id) == (sum.node, sum.id), "the blocks of a batch record one tape");
+            fold.push(sum.part);
+        }
+    }
+
+    /// The batch's gradients.
+    pub fn finish(self) -> Gradients {
         // Per receiving node, in the whole-batch sweep's arrival order.
         let mut slots: BTreeMap<usize, (ParamId, Option<Matrix>)> = BTreeMap::new();
-        if let Some((first, rest)) = blocks.split_first_mut() {
-            for sum in first {
-                let mut parts = vec![sum.part];
-                for other in rest.iter_mut() {
-                    let other = other.next();
-                    let same = other.as_ref().is_some_and(|o| (o.node, o.id) == (sum.node, sum.id));
-                    assert!(same, "the blocks of a batch record one tape");
-                    parts.extend(other.map(|o| o.part));
-                }
-                let slot = slots.entry(sum.node).or_insert((sum.id, None));
-                accumulate(&mut slot.1, RowSum::reduce(parts));
-            }
-            assert!(
-                rest.iter_mut().all(|b| b.next().is_none()),
-                "the blocks of a batch record one tape"
-            );
+        for (node, id, fold) in self.sums {
+            accumulate(&mut slots.entry(node).or_insert((id, None)).1, fold.finish());
         }
         // The whole-batch sweep reaches parameter nodes last to first.
         let mut out = Gradients::new();

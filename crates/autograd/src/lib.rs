@@ -17,9 +17,12 @@
 //!   all-reduce of PyTorch DDP.
 //! * [`Tape::backward_block`] runs the sweep of one node block of a batch
 //!   from its logits and hands each parameter's gradient back unreduced;
-//!   [`Gradients::from_blocks`] finishes them in the whole-batch sweep's
+//!   [`BlockFold`] finishes them block by block in the whole-batch sweep's
 //!   order, so a batch trained block by block ([`WeightedCrossEntropy`]
 //!   for its loss) gets the whole-batch gradients bit for bit.
+//! * [`Tape::backward_to`] also hands back the gradient that reaches one
+//!   chosen constant, so a head recorded over values computed elsewhere
+//!   can seed the blocks that computed them.
 //! * [`optim`] provides Adam and SGD; [`gradcheck`] provides a
 //!   finite-difference checker used heavily by this crate's tests.
 //!
@@ -58,7 +61,7 @@ pub mod optim;
 mod params;
 mod tape;
 
-pub use block::{BlockGrads, NodeBlock};
+pub use block::{BlockFold, BlockGrads, NodeBlock};
 pub use loss::WeightedCrossEntropy;
 pub use ops::Ops;
 pub use params::{ParamId, ParamSet};

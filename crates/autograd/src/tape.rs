@@ -313,6 +313,21 @@ impl Tape {
         self.sweep(loss, Matrix::full(1, 1, 1.0), None).0
     }
 
+    /// [`Tape::backward`], also handing back the gradient that reaches
+    /// `constant` (zeros if none does): the sweep treats it as a value with
+    /// a parameter upstream, so it gets that value's bits.
+    pub fn backward_to(&mut self, loss: Var, constant: Var) -> (Gradients, Matrix) {
+        assert!(matches!(self.nodes[constant.0].op, Op::Constant), "not a constant");
+        self.nodes[constant.0].needs_grad = true;
+        for i in constant.0 + 1..self.nodes.len() {
+            self.nodes[i].needs_grad |=
+                self.nodes[i].op.inputs().any(|v| self.nodes[v.0].needs_grad);
+        }
+        let (grads, _, reached) = self.sweep(loss, Matrix::full(1, 1, 1.0), None);
+        let (rows, cols) = self.nodes[constant.0].value.shape();
+        (grads, reached.unwrap_or_else(|| Matrix::zeros(rows, cols)))
+    }
+
     /// Runs the reverse sweep of one node block of a batch from `from`,
     /// given the loss's gradient with respect to it, `seed`, and hands back
     /// each parameter's gradient unreduced.
@@ -322,7 +337,7 @@ impl Tape {
     /// parameters must enter only as a matmul's right operand, a bias, or
     /// LayerNorm's gain and shift. Then every parameter's gradient is a sum
     /// over the batch's rows, and the sweep leaves that sum to
-    /// [`Gradients::from_blocks`]: for a matmul's weight it hands back the
+    /// [`BlockFold`]: for a matmul's weight it hands back the
     /// block's chunk partial of the batch's `matmul_tn` when the block is
     /// one of its chunks ([`Matrix::matmul_tn_chunk`]), and the block's
     /// rows of both operands otherwise; for a column sum, the block's rows.
@@ -342,16 +357,18 @@ impl Tape {
     /// sweep (`block` is `None`) reduces every parameter's gradient into
     /// the returned [`Gradients`]; a block sweep returns each one's
     /// [`RowSum`] instead, in the order the whole-batch sweep sums them.
+    /// Last comes the gradient that reached a constant, if one did.
     fn sweep(
         &mut self,
         from: Var,
         seed: Matrix,
         block: Option<NodeBlock>,
-    ) -> (Gradients, Vec<ParamSum>) {
+    ) -> (Gradients, Vec<ParamSum>, Option<Matrix>) {
         let mut grads: Vec<Option<Matrix>> = (0..self.nodes.len()).map(|_| None).collect();
         grads[from.0] = Some(seed);
         let mut out = Gradients::new();
         let mut sums = Vec::new();
+        let mut reached = None;
 
         for i in (0..self.nodes.len()).rev() {
             let Some(mut gy) = grads[i].take() else { continue };
@@ -420,7 +437,7 @@ impl Tape {
                 }};
             }
             match &self.nodes[i].op {
-                Op::Constant => give_back(gy),
+                Op::Constant => reached = Some(gy),
                 Op::Param(id) => {
                     assert!(
                         block.is_none(),
@@ -460,14 +477,7 @@ impl Tape {
                     acc!(a, gy.matmul_nt(&self.nodes[b.0].value));
                     match block.filter(|_| self.nodes[b.0].needs_grad) {
                         Some(block) => {
-                            let part = match RowSum::chunk(&self.nodes[a.0].value, &gy, block) {
-                                Some(partial) => {
-                                    give_back(gy);
-                                    partial
-                                }
-                                None => RowSum::Tn(self.nodes[a.0].value.clone(), gy),
-                            };
-                            hand_back!(b, part);
+                            hand_back!(b, RowSum::matmul(&self.nodes[a.0].value, gy, block));
                         }
                         None => {
                             acc!(b, self.nodes[a.0].value.matmul_tn(&gy));
@@ -591,7 +601,7 @@ impl Tape {
                 }
             }
         }
-        (out, sums)
+        (out, sums, reached)
     }
 }
 
@@ -991,6 +1001,37 @@ mod tests {
         let grads = tape.backward(loss);
         // Mean over 2 rows: each row receives 1/2.
         assert!(grads.get(x).expect("grad").max_abs_diff(&Matrix::full(4, 2, 0.5)) < 1e-6);
+    }
+
+    #[test]
+    fn a_constant_receives_the_gradient_a_computed_value_would() {
+        // The head over `x = input · w` on one tape, and over `x` as a
+        // constant on another: the constant's gradient finishes `w`'s as
+        // the first sweep does, and the head's own gradients agree.
+        let mut params = ParamSet::new();
+        let w = params.add("w", Init::SmallUniform.matrix(3, 4, 5));
+        let head = params.add("head", Init::SmallUniform.matrix(4, 2, 6));
+        let input = Init::SmallUniform.matrix(5, 3, 7);
+        let tail = |tape: &mut Tape, x: Var| {
+            let pooled = tape.segment_mean(x, vec![(0, 5), (0, 5), (1, 4)]);
+            let hv = tape.param(&params, head);
+            let out = tape.matmul(pooled, hv);
+            tape.mse_loss(out, &Matrix::full(3, 2, 0.25))
+        };
+        let mut whole = Tape::new();
+        let (iv, wv) = (whole.constant(input.clone()), whole.param(&params, w));
+        let x = whole.matmul(iv, wv);
+        let x_value = whole.value(x).clone();
+        let loss = tail(&mut whole, x);
+        let want = whole.backward(loss);
+        let mut split = Tape::new();
+        let xv = split.constant(x_value);
+        let loss = tail(&mut split, xv);
+        let (grads, dx) = split.backward_to(loss, xv);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&input.matmul_tn(&dx)), bits(want.get(w).expect("w")));
+        assert_eq!(bits(grads.get(head).expect("head")), bits(want.get(head).expect("head")));
+        assert!(grads.get(w).is_none());
     }
 
     #[test]

@@ -45,8 +45,10 @@ pub struct QorDatasetConfig {
     pub recipe_len: usize,
     /// Hops `K` for hop-feature precomputation (paper: 5).
     pub num_hops: usize,
-    /// Nodes sampled per graph for graph-level pooling (keeps CPU training
-    /// tractable; 0 = all nodes).
+    /// Nodes per design whose mean HOGA's QoR head trains on (0, the
+    /// default, = every node; a sample's mean is an unbiased estimate of
+    /// the design's). Evaluation and serving pool every node whatever this
+    /// is.
     pub nodes_per_graph: usize,
     /// Ignore designs whose *scaled* node count exceeds this (0 = no limit).
     pub max_scaled_nodes: usize,
@@ -67,7 +69,7 @@ impl Default for QorDatasetConfig {
             recipes_per_design: 24,
             recipe_len: hoga_synth::STEP_BUDGET,
             num_hops: 5,
-            nodes_per_graph: 256,
+            nodes_per_graph: 0,
             max_scaled_nodes: 0,
             seed: 0xABC0,
             guard: GuardConfig::default(),
@@ -87,7 +89,7 @@ impl QorDatasetConfig {
             recipes_per_design: 3,
             recipe_len: 6,
             num_hops: 3,
-            nodes_per_graph: 64,
+            nodes_per_graph: 0,
             max_scaled_nodes: 800,
             seed: 0xABC0,
             guard: GuardConfig::default(),
@@ -107,7 +109,8 @@ pub struct QorDesign {
     pub features: Matrix,
     /// Precomputed hop features `X^(0..K)` (Eq. 3).
     pub hops: Vec<Matrix>,
-    /// Node indices used for graph-level pooling.
+    /// The nodes HOGA's QoR training pools (every node unless
+    /// [`QorDatasetConfig::nodes_per_graph`] samples them).
     pub pooled_nodes: Vec<usize>,
 }
 

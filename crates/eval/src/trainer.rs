@@ -12,7 +12,7 @@
 
 use hoga_autograd::optim::{Adam, LrSchedule, Optimizer};
 use hoga_autograd::{
-    BlockGrads, Gradients, NodeBlock, Ops, ParamSet, Tape, Var, WeightedCrossEntropy,
+    BlockFold, BlockGrads, Gradients, NodeBlock, Ops, ParamSet, Tape, Var, WeightedCrossEntropy,
 };
 use hoga_baselines::gcn::Gcn;
 use hoga_baselines::sage::GraphSage;
@@ -20,7 +20,7 @@ use hoga_baselines::saint::random_walk_sample;
 use hoga_baselines::sign::Sign;
 use hoga_core::heads::{GraphRegressor, NodeClassifier};
 use hoga_core::hopfeat::hop_stack;
-use hoga_core::infer::{block_nodes, NoTape};
+use hoga_core::infer::{block_nodes, NoTape, Precision};
 use hoga_core::model::{Aggregator, HogaConfig, HogaModel};
 use hoga_datasets::gamora::ReasoningGraph;
 use hoga_datasets::io::{load_checkpoint, save_checkpoint, Checkpoint, CheckpointError};
@@ -637,35 +637,65 @@ type BlockOut = (BlockGrads, Matrix);
 
 impl<M: Hopwise> HopwiseTask<'_, M> {
     /// One training step on the nodes `run.batch`, run as a loop over
-    /// blocks of [`block_nodes`] nodes in one parallel region, each block
-    /// built in a list of `pool`.
+    /// blocks of [`block_nodes`] nodes in parallel regions of up to
+    /// sixteen blocks, each block built in a list of `pool`.
     ///
     /// After Eq. 3 nothing couples nodes but the loss: its weight sum,
     /// fixed by the batch's labels before any forward, and the sums over
     /// rows that make the parameter gradients. So each block runs gather,
     /// forward, classifier, the loss's gradient and
-    /// [`Tape::backward_block`] back to back on one tape, and after the
-    /// region [`Gradients::from_blocks`] and [`WeightedCrossEntropy::loss`]
-    /// finish those sums in the whole-batch order. Loss and gradients are
-    /// one whole-batch tape's bit for bit, at any batch and thread count.
-    /// The blocks' forward and backward time, summed over workers, and the
-    /// reduction's time, as backward, go to `run.stats`.
+    /// [`Tape::backward_block`] back to back on one tape, and after each
+    /// region [`BlockFold`] folds its blocks' parts, which
+    /// [`WeightedCrossEntropy::loss`] and the fold finish in the
+    /// whole-batch order. Loss and gradients are one whole-batch tape's bit
+    /// for bit, at any batch and thread count. The blocks' forward and
+    /// backward time, summed over workers, and the reduction's time, as
+    /// backward, go to `run.stats`.
     ///
     /// A `Step { epoch, step, lane }` fault of `run`'s plan hits block
-    /// `lane`, claimed here in block order before the region (a stall is
-    /// logged then, slept in its block). A block that unwound or handed back
-    /// non-finite parts is recomputed here in block order, one event each,
-    /// so a fault costs time, never a bit. Blocks are scanned only when a
-    /// fault was claimed or a block unwound; a block whose own arithmetic
-    /// went non-finite is left to [`fit`]'s guard.
+    /// `lane`, claimed here in block order before the first region (a stall
+    /// is logged then, slept in its block). A block that unwound or handed
+    /// back non-finite parts is recomputed after its region in block order,
+    /// one event each, so a fault costs time, never a bit. Blocks are
+    /// scanned only when a fault was claimed or a block unwound; a block
+    /// whose own arithmetic went non-finite is left to [`fit`]'s guard.
     ///
     /// # Panics
     ///
     /// Panics if the batch names a node without a label or hop rows.
     pub fn step(&self, run: &mut Step<'_>, pool: &Pool) -> BlockedStep {
-        let (batch, epoch, step) = (run.batch, run.epoch, run.step);
-        let batch_labels: Vec<usize> = batch.iter().map(|&i| self.labels[i]).collect();
+        let batch_labels: Vec<usize> = run.batch.iter().map(|&i| self.labels[i]).collect();
         let ce = WeightedCrossEntropy::new(&batch_labels, self.class_weights, self.cls.num_classes);
+        let seed = Seed::Labels(self.cls, &ce);
+        NodeBlocks { model: self.model, params: self.params, hops: self.hops, seed }.step(run, pool)
+    }
+}
+
+/// Where a block's sweep starts, and the step's loss.
+enum Seed<'s> {
+    /// The classifier's logits, seeded with the cross-entropy's rows.
+    Labels(&'s NodeClassifier, &'s WeightedCrossEntropy<'s>),
+    /// The representations, every row seeded with a pooled head's `grad`.
+    Pooled { loss: f32, grad: &'s [f32] },
+}
+
+/// Blocks per parallel region of a step: a step holds the rows its blocks
+/// hand back for at most this many blocks at once. A 512-node reasoning
+/// batch at the paper's shapes, sixteen 32-node blocks, is one region.
+const WAVE_BLOCKS: usize = 16;
+
+/// [`HopwiseTask::step`]'s blocks, for any [`Seed`].
+struct NodeBlocks<'a, M> {
+    model: &'a M,
+    params: &'a ParamSet,
+    hops: &'a [Matrix],
+    seed: Seed<'a>,
+}
+
+impl<M: Hopwise> NodeBlocks<'_, M> {
+    /// [`HopwiseTask::step`].
+    fn step(&self, run: &mut Step<'_>, pool: &Pool) -> BlockedStep {
+        let (batch, epoch, step) = (run.batch, run.epoch, run.step);
         let size = block_nodes(self.hops.len(), self.model.hidden_dim());
         let blocks: Vec<NodeBlock> = NodeBlock::cover(batch.len(), size).collect();
         let (e, s) = (epoch as u64, step as u64);
@@ -678,30 +708,44 @@ impl<M: Hopwise> HopwiseTask<'_, M> {
                 }
             }
         }
-        let work = blocks.iter().copied().zip(&faults).collect();
-        let mut outs = blocked(run.stats, pool, work, |(block, kinds)| {
-            for &kind in kinds {
-                if let FaultKind::Stall { millis } = kind {
-                    std::thread::sleep(Duration::from_millis(millis));
-                } else if kind == FaultKind::Panic {
-                    // analyze: allow(panic-free-paths) — deliberate fault injection; the step catches the unwind and recomputes the block
-                    panic!("injected block panic (fault plan)");
+        let (mut fold, mut label_probs, mut chunk_partials) = (BlockFold::default(), vec![], 0);
+        for (wave, wave_faults) in blocks.chunks(WAVE_BLOCKS).zip(faults.chunks(WAVE_BLOCKS)) {
+            let work = wave.iter().copied().zip(wave_faults).collect();
+            let mut outs = blocked(run.stats, pool, work, |(block, kinds)| {
+                for &kind in kinds {
+                    if let FaultKind::Stall { millis } = kind {
+                        std::thread::sleep(Duration::from_millis(millis));
+                    } else if kind == FaultKind::Panic {
+                        // analyze: allow(panic-free-paths) — deliberate fault injection; the step catches the unwind and recomputes the block
+                        panic!("injected block panic (fault plan)");
+                    }
                 }
+                let ((mut grads, label_probs), times) = self.block(block, batch);
+                if kinds.contains(&FaultKind::Corrupt) {
+                    grads.scale(f32::NAN);
+                }
+                ((grads, label_probs), times)
+            });
+            if wave_faults.iter().any(|kinds| !kinds.is_empty()) || outs.iter().any(Option::is_none)
+            {
+                self.recover(run, pool, wave, &mut outs);
             }
-            let ((mut grads, label_probs), times) = self.block(block, batch, &ce);
-            if kinds.contains(&FaultKind::Corrupt) {
-                grads.scale(f32::NAN);
-            }
-            ((grads, label_probs), times)
-        });
-        if faults.iter().any(|kinds| !kinds.is_empty()) || outs.iter().any(Option::is_none) {
-            self.recover(run, pool, &blocks, &mut outs, &ce);
+            reduced(run.stats, outs, |outs| {
+                for (grads, probs) in outs {
+                    chunk_partials += grads.chunk_partials();
+                    fold.push(grads);
+                    label_probs.push(probs);
+                }
+            });
         }
-        reduced(run.stats, outs, |outs| {
-            let loss = ce.loss(outs.iter().flat_map(|(_, probs)| probs.as_slice().iter().copied()));
-            let grads: Vec<BlockGrads> = outs.into_iter().map(|(grads, _)| grads).collect();
-            let chunk_partials = grads.iter().map(BlockGrads::chunk_partials).sum();
-            BlockedStep { loss, grads: Gradients::from_blocks(grads), chunk_partials }
+        timed(&mut run.stats.backward_time, || {
+            let loss = match self.seed {
+                Seed::Labels(_, ce) => {
+                    ce.loss(label_probs.iter().flat_map(|probs| probs.as_slice().iter().copied()))
+                }
+                Seed::Pooled { loss, .. } => loss,
+            };
+            BlockedStep { loss, grads: fold.finish(), chunk_partials }
         })
     }
 
@@ -714,7 +758,6 @@ impl<M: Hopwise> HopwiseTask<'_, M> {
         pool: &Pool,
         blocks: &[NodeBlock],
         outs: &mut [Option<BlockOut>],
-        ce: &WeightedCrossEntropy<'_>,
     ) {
         let finite = |(grads, probs): &BlockOut| grads.is_finite() && probs.is_finite();
         let (epoch, step) = (run.epoch, run.step);
@@ -726,7 +769,7 @@ impl<M: Hopwise> HopwiseTask<'_, M> {
                 }
                 Some(_) => continue,
             };
-            let (fresh, [forward, backward]) = pool.run(|| self.block(block, run.batch, ce));
+            let (fresh, [forward, backward]) = pool.run(|| self.block(block, run.batch));
             run.stats.forward_time += forward;
             run.stats.backward_time += backward;
             if out.is_none() || finite(&fresh) {
@@ -739,22 +782,26 @@ impl<M: Hopwise> HopwiseTask<'_, M> {
     /// One block of a step: its gradient parts and its rows' probabilities
     /// of their labels, and its forward and backward time (the hop-stack
     /// gather is neither).
-    fn block(
-        &self,
-        block: NodeBlock,
-        batch: &[usize],
-        ce: &WeightedCrossEntropy<'_>,
-    ) -> (BlockOut, [Duration; 2]) {
+    fn block(&self, block: NodeBlock, batch: &[usize]) -> (BlockOut, [Duration; 2]) {
         let nodes = block.nodes();
         let stack = hop_stack(self.hops, &batch[nodes.clone()]);
         let start = Instant::now();
         let mut tape = Tape::new();
         let reps = self.model.reps(&mut tape, &stack, nodes.len());
-        let logits = self.cls.logits(&mut tape, self.params, reps);
-        let (seed, label_probs) = ce.rows(tape.value(logits), nodes);
+        let (from, seed, label_probs) = match self.seed {
+            Seed::Labels(cls, ce) => {
+                let logits = cls.logits(&mut tape, self.params, reps);
+                let (seed, label_probs) = ce.rows(tape.value(logits), nodes);
+                (logits, seed, label_probs)
+            }
+            Seed::Pooled { grad, .. } => {
+                let seed = Matrix::from_fn(nodes.len(), grad.len(), |_, c| grad[c]);
+                (reps, seed, Matrix::zeros(0, 0))
+            }
+        };
         let forward = start.elapsed();
         let start = Instant::now();
-        let grads = tape.backward_block(logits, seed, block);
+        let grads = tape.backward_block(from, seed, block);
         ((grads, label_probs), [forward, start.elapsed()])
     }
 }
@@ -873,16 +920,17 @@ fn predict_hopwise<M: Trainable + Hopwise>(
     model: &M,
     cls: &NodeClassifier,
 ) -> Vec<usize> {
-    let nodes: Vec<usize> = (0..graph.aig.num_nodes()).collect();
-    let size = block_nodes(graph.hops.len(), model.hidden_dim());
-    let mut pred = vec![0; nodes.len()];
+    let n = graph.aig.num_nodes();
+    let blocks: Vec<NodeBlock> =
+        NodeBlock::cover(n, block_nodes(graph.hops.len(), model.hidden_dim())).collect();
+    let mut pred = vec![0; n];
+    let work = blocks.iter().copied().zip(NodeBlock::runs(&blocks, &mut pred, 1)).collect();
     let pool = Pool::default();
-    let blocks = nodes.chunks(size).zip(pred.chunks_mut(size)).collect();
-    parallel_blocks(blocks, |(block, pred)| {
+    parallel_blocks(work, |(block, pred)| {
         pool.run(|| {
-            let stack = hop_stack(&graph.hops, block);
+            let stack = hop_stack(&graph.hops, &block.nodes().collect::<Vec<_>>());
             let mut ops = NoTape::new();
-            let reps = model.reps(&mut ops, &stack, block.len());
+            let reps = model.reps(&mut ops, &stack, pred.len());
             let logits = cls.logits(&mut ops, model.params(), reps);
             pred.copy_from_slice(&argmax_rows(ops.value(logits)));
         });
@@ -1007,37 +1055,19 @@ pub fn try_train_qor_with_target(
             }
             let hcfg = HogaConfig::new(feat_dim, cfg.hidden_dim, num_hops);
             let mut model = HogaModel::new(&hcfg, cfg.seed);
-            let (reg, stats, _) = fit_qor(ds, &mut model, cfg, target, &policy, &plan)?;
+            let pool = Pool::default();
+            let (reg, stats, _) =
+                fit_qor(ds, &mut model, cfg, target, &policy, &plan, |m, run, head| {
+                    let out = head.hoga_step(m, run, &pool);
+                    (out.loss, out.grads)
+                })?;
             Ok((QorModel::Hoga(Box::new(model), reg), stats))
         }
         QorModelKind::Gcn { layers } => {
             let mut model = Gcn::new(feat_dim, cfg.hidden_dim, layers, cfg.seed);
-            let (reg, stats, _) = fit_qor(ds, &mut model, cfg, target, &policy, &plan)?;
+            let (reg, stats, _) = fit_qor(ds, &mut model, cfg, target, &policy, &plan, gcn_step)?;
             Ok((QorModel::Gcn(Box::new(model), reg), stats))
         }
-    }
-}
-
-/// A QoR model (HOGA, GCN): its representations of the nodes of a design
-/// the regressor pools, recorded on a tape or computed tape-free.
-pub(crate) trait DesignReps: Trainable {
-    /// The representations and how many rows they have.
-    fn design_reps<'m, O: Ops<'m>>(&'m self, ops: &mut O, design: &QorDesign) -> (O::Var, usize);
-}
-
-impl DesignReps for HogaModel {
-    /// The design's sampled pooled nodes.
-    fn design_reps<'m, O: Ops<'m>>(&'m self, ops: &mut O, design: &QorDesign) -> (O::Var, usize) {
-        let n = design.pooled_nodes.len();
-        let stack = hop_stack(&design.hops[..=self.config().num_hops], &design.pooled_nodes);
-        (self.forward(ops, &stack, n).representations, n)
-    }
-}
-
-impl DesignReps for Gcn {
-    /// All of the design's nodes (full-graph message passing).
-    fn design_reps<'m, O: Ops<'m>>(&'m self, ops: &mut O, design: &QorDesign) -> (O::Var, usize) {
-        (self.forward(ops, &design.adj, &design.features), design.aig.num_nodes())
     }
 }
 
@@ -1052,34 +1082,18 @@ fn group_by_design<'a>(
     by_design
 }
 
-/// The predicted ratio of every sample in `group`, all of them recipes run
-/// on `design`, as one column, on a tape or tape-free.
-fn predict_group<'m, M: DesignReps, O: Ops<'m>>(
-    ops: &mut O,
-    model: &'m M,
-    reg: &GraphRegressor,
-    design: &QorDesign,
-    group: &[&QorSample],
-) -> O::Var {
-    let (reps, n) = model.design_reps(ops, design);
-    // All samples of the group share the node representations; each gets
-    // its own recipe vector via identical pooling segments.
-    let segments: Vec<(usize, usize)> = group.iter().map(|_| (0, n)).collect();
-    let extra =
-        Matrix::from_fn(group.len(), RECIPE_ENCODING_WIDTH, |r, c| group[r].recipe_encoding[c]);
-    reg.predict_with_extra(ops, model.params(), reps, segments, &extra)
-}
-
 /// [`fit`] for a QoR model: registers the pooled regressor on `model` and
-/// trains both on minibatches of training samples — one tape per involved
-/// design, gradients summed (identical math to a single joint tape).
-fn fit_qor<M: DesignReps>(
+/// trains both on minibatches of training samples. A step groups its
+/// samples by design, in design order, and sums `design_step`'s loss and
+/// gradients over the designs' [`DesignHead`]s.
+fn fit_qor<M: Trainable>(
     ds: &QorDataset,
     model: &mut M,
     cfg: &TrainConfig,
     target: QorTarget,
     policy: &RecoveryPolicy,
     plan: &JobFaultPlan,
+    design_step: impl Fn(&M, &mut Step<'_>, &DesignHead<'_>) -> (f32, Gradients),
 ) -> Result<(GraphRegressor, TrainStats, TrainReport), TrainError> {
     if ds.train.is_empty() {
         return Err(TrainError::InvalidConfig("the dataset's training split is empty".into()));
@@ -1098,18 +1112,94 @@ fn fit_qor<M: DesignReps>(
             let mut total_grads = Gradients::new();
             for (design_idx, group) in by_design {
                 let design = &ds.designs[design_idx];
-                let target_m = Matrix::from_fn(group.len(), 1, |r, _| target.ratio(group[r]));
-                let (loss, grads) = tape_step(step.stats, |tape| {
-                    let pred = predict_group(tape, model, &reg, design, &group);
-                    let loss = tape.mse_loss(pred, &target_m);
-                    tape.scale(loss, weight)
-                });
+                let target = Matrix::from_fn(group.len(), 1, |r, _| target.ratio(group[r]));
+                let extra = recipe_rows(&group);
+                let head = DesignHead { reg: &reg, design, extra, target, weight };
+                let (loss, grads) = design_step(model, step, &head);
                 total_loss += loss;
                 total_grads.accumulate(&grads);
             }
             (total_loss, total_grads)
         })?;
     Ok((reg, stats, report))
+}
+
+/// The encoded recipes of `group`, one row per sample.
+fn recipe_rows(group: &[&QorSample]) -> Matrix {
+    Matrix::from_fn(group.len(), RECIPE_ENCODING_WIDTH, |r, c| group[r].recipe_encoding[c])
+}
+
+/// One design's share of a QoR step: its samples' recipes and targets.
+pub struct DesignHead<'a> {
+    /// The pooled regressor.
+    pub reg: &'a GraphRegressor,
+    /// The design.
+    pub design: &'a QorDesign,
+    /// The encoded recipe of each sample.
+    pub extra: Matrix,
+    /// Their target ratios, one column.
+    pub target: Matrix,
+    /// The weight of their loss in the step's.
+    pub weight: f32,
+}
+
+impl DesignHead<'_> {
+    /// The weighted loss over the design's `n` node representations: each
+    /// sample pools every node (one `(0, n)` segment each).
+    fn record(&self, tape: &mut Tape, params: &ParamSet, reps: Var, n: usize) -> Var {
+        let segments = vec![(0, n); self.extra.rows()];
+        let pred = self.reg.predict_with_extra(tape, params, reps, segments, &self.extra);
+        let loss = tape.mse_loss(pred, &self.target);
+        tape.scale(loss, self.weight)
+    }
+
+    /// HOGA's share, over the design's pooled nodes (every node by default)
+    /// with no tape larger than one node block. Pass one runs the forward
+    /// tape-free at `Exact` in the model's blocks (the tape's bits) and
+    /// records the head alone over those rows; [`Tape::backward_to`] hands
+    /// back the gradient that reaches them, one row summed over the samples
+    /// in a whole-design tape's order. Pass two is [`HopwiseTask::step`]'s
+    /// blocks, every row seeded with that row. Loss and gradients are the
+    /// whole-design tape's bit for bit. The blocks take `run`'s epoch, step,
+    /// statistics and events, not its batch, and claim no `Step` fault site.
+    pub fn hoga_step(&self, model: &HogaModel, run: &mut Step<'_>, pool: &Pool) -> BlockedStep {
+        let batch = &self.design.pooled_nodes;
+        let reps = timed(&mut run.stats.forward_time, || design_reps(model, self.design, batch));
+        let n = reps.rows();
+        let mut tape = Tape::new();
+        let reps = tape.constant(reps);
+        let loss =
+            timed(&mut run.stats.forward_time, || self.record(&mut tape, &model.params, reps, n));
+        let loss_value = tape.value(loss)[(0, 0)];
+        let (head_grads, grad) =
+            timed(&mut run.stats.backward_time, || tape.backward_to(loss, reps));
+        let seed = Seed::Pooled { loss: loss_value, grad: grad.row(0) };
+        let hops = &self.design.hops[..=model.config().num_hops];
+        let blocks = NodeBlocks { model, params: &model.params, hops, seed };
+        let faults = &FaultInjector::new(&JobFaultPlan::none());
+        let (epoch, step, stats, events) = (run.epoch, run.step, &mut *run.stats, &mut *run.events);
+        let mut out = blocks.step(&mut Step { epoch, step, batch, stats, events, faults }, pool);
+        out.grads.accumulate(&head_grads);
+        out
+    }
+}
+
+/// GCN's share of a QoR step: one tape over the whole design (full-graph
+/// message passing, the paper's baseline).
+fn gcn_step(model: &Gcn, run: &mut Step<'_>, head: &DesignHead<'_>) -> (f32, Gradients) {
+    tape_step(run.stats, |tape| {
+        let reps = model.forward(tape, &head.design.adj, &head.design.features);
+        head.record(tape, &model.params, reps, head.design.aig.num_nodes())
+    })
+}
+
+/// The representations of `nodes` of `design` under HOGA, tape-free at
+/// `Exact` in the model's node blocks: the tape's bits.
+fn design_reps(model: &HogaModel, design: &QorDesign, nodes: &[usize]) -> Matrix {
+    let stack = hop_stack(&design.hops[..=model.config().num_hops], nodes);
+    let out = model.try_infer(&stack, nodes.len(), Precision::Exact);
+    // analyze: allow(panic-free-paths) — the stack is cut from the design's own hops at the model's hop count, so its shape is the model's
+    out.expect("a design's hop stack fits the model trained on it").representations
 }
 
 /// Per-design evaluation record: `(design name, truths, predictions)` in
@@ -1138,8 +1228,11 @@ pub fn eval_qor(ds: &QorDataset, model: &QorModel, use_train: bool) -> Vec<QorEv
 }
 
 /// Evaluates a QoR model for an explicit [`QorTarget`], tape-free at
-/// `Exact`: each design's group is [`fit_qor`]'s forward without the tape,
-/// so its predictions are the training arithmetic's bits.
+/// `Exact`: each design's representations of every node, [`fit_qor`]'s
+/// forward without the tape, are pooled once and scored against each
+/// sample's recipe by [`GraphRegressor::score`], as serving scores a
+/// circuit, so a prediction is the served ratio and, unless
+/// `nodes_per_graph` samples the training mean, the training arithmetic's.
 pub fn eval_qor_with_target(
     ds: &QorDataset,
     model: &QorModel,
@@ -1150,12 +1243,20 @@ pub fn eval_qor_with_target(
     let mut out = Vec::new();
     for (design_idx, group) in group_by_design(samples) {
         let design = &ds.designs[design_idx];
-        let mut ops = NoTape::new();
-        let pred = match model {
-            QorModel::Hoga(m, reg) => predict_group(&mut ops, &**m, reg, design, &group),
-            QorModel::Gcn(m, reg) => predict_group(&mut ops, &**m, reg, design, &group),
+        let (reps, reg, params) = match model {
+            QorModel::Hoga(m, reg) => {
+                let every_node: Vec<usize> = (0..design.aig.num_nodes()).collect();
+                (design_reps(m, design, &every_node), reg, &m.params)
+            }
+            QorModel::Gcn(m, reg) => {
+                let mut ops = NoTape::new();
+                let reps = m.forward(&mut ops, &design.adj, &design.features);
+                (ops.value(reps).clone(), reg, &m.params)
+            }
         };
-        let pred_ratios = ops.value(pred);
+        let scored = reg.score(params, &reps, &recipe_rows(&group));
+        // analyze: allow(panic-free-paths) — the trainer built the head for the model's width plus the recipe encoding
+        let pred_ratios = scored.expect("the head takes the model's pooled width");
         let truth: Vec<f32> = group.iter().map(|s| target.truth(s)).collect();
         let pred: Vec<f32> = group
             .iter()
@@ -1420,16 +1521,20 @@ mod tests {
         let ds = crate::testutil::tiny_qor_dataset();
         assert!(!ds.train.is_empty());
         let feat_dim = ds.designs[0].features.cols();
+        let target = QorTarget::GateCount;
         assert_guarded(|cfg, policy, plan| {
             let mut model = HogaModel::new(&HogaConfig::new(feat_dim, cfg.hidden_dim, 2), cfg.seed);
-            let target = QorTarget::GateCount;
-            let (_, stats, report) = fit_qor(ds, &mut model, cfg, target, policy, plan)?;
+            let pool = Pool::default();
+            let (_, stats, report) =
+                fit_qor(ds, &mut model, cfg, target, policy, plan, |m, run, head| {
+                    let out = head.hoga_step(m, run, &pool);
+                    (out.loss, out.grads)
+                })?;
             Ok((stats, report, model.params))
         });
         assert_guarded(|cfg, policy, plan| {
             let mut model = Gcn::new(feat_dim, cfg.hidden_dim, 2, cfg.seed);
-            let target = QorTarget::GateCount;
-            let (_, stats, report) = fit_qor(ds, &mut model, cfg, target, policy, plan)?;
+            let (_, stats, report) = fit_qor(ds, &mut model, cfg, target, policy, plan, gcn_step)?;
             Ok((stats, report, model.params))
         });
     }

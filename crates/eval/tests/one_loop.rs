@@ -243,6 +243,12 @@ fn reference_qor<M>(
     bits(final_loss, params(&mut model))
 }
 
+/// A design's node count and the hop stack of every node, for HOGA-2.
+fn every_node(design: &QorDesign) -> (usize, Matrix) {
+    let n = design.aig.num_nodes();
+    (n, hop_stack(&design.hops[..=2], &(0..n).collect::<Vec<_>>()))
+}
+
 #[test]
 fn qor_trainers_match_the_hand_written_loop() {
     let ds = build_qor_dataset(&QorDatasetConfig::tiny());
@@ -252,8 +258,7 @@ fn qor_trainers_match_the_hand_written_loop() {
 
     let hoga = HogaModel::new(&HogaConfig::new(feat_dim, cfg.hidden_dim, 2), cfg.seed);
     let want = reference_qor(&ds, &cfg, hoga, hoga_params, |model, tape, design| {
-        let n = design.pooled_nodes.len();
-        let stack = hop_stack(&design.hops[..=2], &design.pooled_nodes);
+        let (n, stack) = every_node(design);
         (model.forward(tape, &stack, n).representations, n)
     });
     let (model, stats) = train_qor(&ds, QorModelKind::Hoga { num_hops: 2 }, &cfg);
@@ -324,8 +329,7 @@ fn tape_free_evaluation_has_the_tapes_bits() {
     let QorModel::Hoga(model, reg) = &hoga else { unreachable!() };
     for (use_train, samples) in splits {
         let want = taped_qor_predictions(&ds, samples, |tape, design, group| {
-            let n = design.pooled_nodes.len();
-            let stack = hop_stack(&design.hops[..=2], &design.pooled_nodes);
+            let (n, stack) = every_node(design);
             let reps = model.forward(tape, &stack, n).representations;
             taped_head(tape, reg, &model.params, reps, n, group)
         });

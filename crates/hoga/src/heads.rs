@@ -102,17 +102,12 @@ impl GraphRegressor {
         self.mlp.run(ops, params, cat)
     }
 
-    /// Tape-free scoring for the serving path: the MLP of
-    /// [`GraphRegressor::predict_with_extra`] on a [`NoTape`] at `Exact`.
-    /// `pooled_with_extra` is the mean-pooled graph embedding
-    /// ([`Matrix::segment_mean`]) with any side information (encoded recipe)
-    /// already concatenated, one row per graph; the result is `(rows, 1)`
-    /// scores, bitwise identical to [`GraphRegressor::predict_with_extra`]
-    /// over the same node set — the serving layer's
-    /// byte-identical-response guarantee rests on this. The node set is the
-    /// caller's: serving pools every node of the request's circuit, while
-    /// HOGA's QoR training and evaluation pool a design's sampled nodes, so
-    /// a served ratio need not equal evaluation's for the same design.
+    /// Tape-free scoring: the MLP of [`GraphRegressor::predict_with_extra`]
+    /// on a [`NoTape`] at `Exact`. `pooled_with_extra` is the mean-pooled
+    /// graph embedding ([`Matrix::segment_mean`]) with any side information
+    /// (encoded recipe) already concatenated, one row per graph; the result
+    /// is `(rows, 1)` scores, bitwise identical to
+    /// [`GraphRegressor::predict_with_extra`] over the same node set.
     ///
     /// # Errors
     ///
@@ -132,6 +127,25 @@ impl GraphRegressor {
         let x = ops.constant(pooled_with_extra.clone());
         let out = self.mlp.run(&mut ops, params, x);
         Ok(ops.value(out).clone())
+    }
+
+    /// [`GraphRegressor::infer`] of one graph against each row of `extra`
+    /// (one encoded recipe a row), pooling the graph's node representations
+    /// `reps` once: row `r` is [`GraphRegressor::predict_with_extra`]'s over
+    /// one `(0, reps.rows())` segment, bit for bit. Evaluation, serving and
+    /// the reload canary score through here.
+    ///
+    /// # Errors
+    ///
+    /// As [`GraphRegressor::infer`]; panics if `reps` has no rows.
+    pub fn score(
+        &self,
+        params: &ParamSet,
+        reps: &Matrix,
+        extra: &Matrix,
+    ) -> Result<Matrix, HeadShapeError> {
+        let pooled = reps.segment_mean(&[(0, reps.rows())]);
+        self.infer(params, &pooled.select_rows(&vec![0; extra.rows()]).concat_cols(extra))
     }
 }
 

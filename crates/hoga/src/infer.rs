@@ -23,7 +23,7 @@
 //! identical inputs).
 
 use crate::model::{Aggregator, HogaModel};
-use hoga_autograd::{Ops, ParamId, ParamSet};
+use hoga_autograd::{NodeBlock, Ops, ParamId, ParamSet};
 use hoga_tensor::recycle::{give_back, retire};
 use hoga_tensor::{
     layernorm_forward, layernorm_rows_fast, parallel_blocks, qmatmul, softmax_rows,
@@ -251,17 +251,18 @@ impl HogaModel {
         // The Sum ablation has no readout scores: zero score columns.
         let scored = self.config.aggregator != Aggregator::Sum;
         let k = if scored { self.config.num_hops } else { 0 };
-        let block = block_nodes(k1, d);
+        let blocks: Vec<NodeBlock> = NodeBlock::cover(batch, block_nodes(k1, d)).collect();
         let mut reps = Matrix::zeros(batch, d);
         let mut scores = Matrix::zeros(batch, k);
-        // One item per block: its first node and its rows of the two outputs.
-        let mut score_rows = scores.as_mut_slice().chunks_mut((block * k).max(1));
-        let blocks = reps.as_mut_slice().chunks_mut(block * d).enumerate();
-        let blocks =
-            blocks.map(|(i, rows)| (i * block, rows, score_rows.next().unwrap_or_default()));
-        parallel_blocks(blocks.collect(), |(first, reps, scores)| {
+        // One item per block: its nodes and its rows of the two outputs.
+        let (reps_runs, score_runs) = (
+            NodeBlock::runs(&blocks, reps.as_mut_slice(), d),
+            NodeBlock::runs(&blocks, scores.as_mut_slice(), k),
+        );
+        let work = blocks.into_iter().zip(reps_runs).zip(score_runs).collect();
+        parallel_blocks(work, |((block, reps), scores)| {
             self.pool.run(|| {
-                let nodes = reps.len() / d;
+                let (first, nodes) = (block.nodes().start, block.nodes().len());
                 let rows = first * k1 * width..(first + nodes) * k1 * width;
                 let rows = hop_stack.as_slice().get(rows).unwrap_or_default();
                 // `zeros` draws from the lent list; a `to_vec` would not.

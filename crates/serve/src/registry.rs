@@ -367,13 +367,14 @@ fn canary(bundle: &ModelBundle, num_hops: usize) -> Result<(), ReloadError> {
     if drift.is_nan() || drift > CANARY_TOLERANCE {
         return Err(fail(format!("exact/fast drift {drift} exceeds tolerance {CANARY_TOLERANCE}")));
     }
-    // Head: mean-pool + the pinned resyn2 recipe, exactly the serving path
-    // (the canary circuit, like every AIG, has at least its constant node).
-    let pooled = exact.representations.segment_mean(&[(0, nodes.len())]);
+    // Head: the serving path's score with the pinned resyn2 recipe (the
+    // canary circuit, like every AIG, has at least its constant node).
     let encoded = Recipe::resyn2().encode(RECIPE_ENCODING_WIDTH);
-    let row = pooled.concat_cols(&Matrix::from_vec(1, encoded.len(), encoded));
-    let score =
-        bundle.head.infer(&bundle.model.params, &row).map_err(|e| fail(format!("head: {e}")))?;
+    let extra = Matrix::from_vec(1, encoded.len(), encoded);
+    let score = bundle
+        .head
+        .score(&bundle.model.params, &exact.representations, &extra)
+        .map_err(|e| fail(format!("head: {e}")))?;
     let value = score.as_slice().first().copied().unwrap_or(f32::NAN);
     if !value.is_finite() {
         return Err(fail(format!("non-finite head score {value}")));

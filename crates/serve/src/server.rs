@@ -524,12 +524,11 @@ impl Job for PredictJob {
         };
 
         ctx.check_interrupt()?;
-        // Mean-pool every node of the circuit, as a tape pools its segment;
-        // the segment is never empty, since every AIG has its constant node.
-        let pooled = output.representations.segment_mean(&[(0, aig.num_nodes())]);
+        // Every node of the circuit is pooled, as evaluation pools a design;
+        // there is one at least, since every AIG has its constant node.
         let encoded = recipe.encode(RECIPE_ENCODING_WIDTH);
-        let row = pooled.concat_cols(&Matrix::from_vec(1, encoded.len(), encoded));
-        let score = match bundle.head.infer(&bundle.model.params, &row) {
+        let extra = Matrix::from_vec(1, encoded.len(), encoded);
+        let score = match bundle.head.score(&bundle.model.params, &output.representations, &extra) {
             Ok(s) => s,
             Err(e) => {
                 self.state.counters.failures.fetch_add(1, Ordering::Relaxed);

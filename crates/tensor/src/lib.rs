@@ -61,7 +61,7 @@ pub use kernels::{
     layernorm_backward, layernorm_forward, layernorm_rows_fast, log_softmax_rows,
     softmax_backward_rows, softmax_rows, softmax_rows_fast, LayerNormCache,
 };
-pub use matrix::Matrix;
+pub use matrix::{Matrix, TnFold};
 pub use parallel::{available_threads, parallel_blocks, set_threads, with_threads};
 pub use quant::{qmatmul, QuantizedMatrix, QuantizedWeights};
 pub use sparse::CsrMatrix;

@@ -49,24 +49,6 @@ fn tn_chunk_count(m: usize, k: usize, n: usize) -> usize {
     }
 }
 
-/// The rows in `range` of stacked `runs` (each an `m`-column and an
-/// `n`-column operand of equal height), as one `(a rows, b rows, count)`
-/// per run they touch, in order.
-fn run_pieces<'r>(
-    runs: &'r [(&Matrix, &Matrix)],
-    m: usize,
-    n: usize,
-    range: Range<usize>,
-) -> impl Iterator<Item = (&'r [f32], &'r [f32], usize)> {
-    let mut start = 0;
-    runs.iter().filter_map(move |(a, b)| {
-        let (first, end) = (start, start + a.rows);
-        start = end;
-        let (lo, hi) = (range.start.max(first) - first, range.end.min(end).saturating_sub(first));
-        (lo < hi).then(|| (&a.data[lo * m..hi * m], &b.data[lo * n..hi * n], hi - lo))
-    })
-}
-
 /// A dense, row-major `f32` matrix.
 ///
 /// `Matrix` is the single tensor type used throughout the HOGA stack. Batched
@@ -574,41 +556,20 @@ impl Matrix {
     ///
     /// Panics if `self.rows() != other.rows()`.
     pub fn matmul_tn(&self, other: &Self) -> Self {
-        Self::matmul_tn_stacked(&[(self, other)])
+        dispatch!(B => self.matmul_tn_impl::<B>(other))
     }
 
-    /// [`Matrix::matmul_tn`] of row runs stacked, without stacking them:
-    /// `Σᵢ aᵢᵀ · bᵢ` over consecutive runs `(aᵢ, bᵢ)` of two operands' rows
-    /// (the node blocks of a training step), with `matmul_tn`'s bits. Its
-    /// chunks are cut from the stacked row count, and a chunk's chain runs
-    /// on through whichever runs its rows sit in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `runs` is empty, a run's two operands differ in row count,
-    /// or the runs differ in width.
-    pub fn matmul_tn_stacked(runs: &[(&Self, &Self)]) -> Self {
-        dispatch!(B => Self::matmul_tn_impl::<B>(runs))
-    }
-
-    fn matmul_tn_impl<B: KernelBackend>(runs: &[(&Self, &Self)]) -> Self {
-        assert!(!runs.is_empty(), "matmul_tn needs at least one run of rows");
-        let (m, n) = (runs[0].0.cols, runs[0].1.cols);
-        for (a, b) in runs {
-            assert!(
-                a.rows == b.rows && (a.cols, b.cols) == (m, n),
-                "shape mismatch in matmul_tn: ({}, {})^T x ({}, {})",
-                a.rows,
-                a.cols,
-                b.rows,
-                b.cols
-            );
-        }
-        let k = runs.iter().map(|(a, _)| a.rows).sum();
+    fn matmul_tn_impl<B: KernelBackend>(&self, other: &Self) -> Self {
+        assert_eq!(
+            self.rows, other.rows,
+            "shape mismatch in matmul_tn: ({}, {})^T x ({}, {})",
+            self.rows, self.cols, other.rows, other.cols
+        );
+        let (m, k, n) = (self.cols, self.rows, other.cols);
         let chunks = tn_chunk_count(m, k, n);
         if chunks <= 1 {
             let mut out = Self::zeros(m, n);
-            Self::tn_runs::<B>(runs, m, n, 0..k, &mut out.data);
+            Self::tn_rows::<B>(self, other, 0..k, &mut out.data);
             return out;
         }
         let rows_per = k.div_ceil(chunks);
@@ -616,7 +577,7 @@ impl Matrix {
             let lo = ci * rows_per;
             let hi = ((ci + 1) * rows_per).min(k);
             let mut partial = vec![0.0f32; m * n];
-            Self::tn_runs::<B>(runs, m, n, lo..hi, &mut partial);
+            Self::tn_rows::<B>(self, other, lo..hi, &mut partial);
             partial
         });
         // Reduce the partials in ascending chunk order — parallel_map returns
@@ -671,59 +632,40 @@ impl Matrix {
             return None;
         }
         let mut out = Self::zeros(m, n);
-        Self::tn_runs::<B>(&[(self, other)], m, n, 0..self.rows, &mut out.data);
+        Self::tn_rows::<B>(self, other, 0..self.rows, &mut out.data);
         Some(out)
     }
 
-    /// `out += aᵀ · b` over rows `range` of the stacked `runs`, for the
-    /// `m × n` `out`: every element one multiply and one add per row, in
-    /// ascending order, bitwise-zero coefficients of `a` skipped, `out`
-    /// carrying the chain. A `k`-chunk of [`Matrix::matmul_tn`] (and a
-    /// [`Matrix::matmul_tn_chunk`]).
-    fn tn_runs<B: KernelBackend>(
-        runs: &[(&Self, &Self)],
-        m: usize,
-        n: usize,
-        range: Range<usize>,
-        out: &mut [f32],
-    ) {
+    /// `out += aᵀ · b` over rows `range` of `a` and `b`, for the `m × n`
+    /// `out`: every element one multiply and one add per row, in ascending
+    /// order, bitwise-zero coefficients of `a` skipped, `out` carrying the
+    /// chain. A `k`-chunk of [`Matrix::matmul_tn`] (and a
+    /// [`Matrix::matmul_tn_chunk`], and a run of a [`TnFold`]).
+    fn tn_rows<B: KernelBackend>(a: &Self, b: &Self, range: Range<usize>, out: &mut [f32]) {
+        let (m, n) = (a.cols, b.cols);
         if out.is_empty() || range.is_empty() {
             return;
         }
+        let (a, b) = (&a.data[range.start * m..range.end * m], &b.data[range.start * n..]);
         if n < 16 {
-            for (a, b, _) in run_pieces(runs, m, n, range) {
-                Self::tn_narrow::<B>(a, b, m, n, out);
-            }
+            Self::tn_narrow::<B>(a, &b[..range.len() * n], m, n, out);
             return;
         }
         // At least one full 16-column tile: the register-tiled panels of
         // `matmul` run on the rows' transpose, one cache panel of rows at a
         // time so the transposed slice (`m × 64` floats at the trainer's
-        // shapes, 16 KiB) is still in L1 when the panel reads it. A panel
-        // that spans runs is gathered: its pieces transposed side by side,
-        // their `b` rows copied one below the other.
+        // shapes, 16 KiB) is still in L1 when the panel reads it.
         let panel = matmul_panel_len(n);
         let mut at = vec![0.0f32; m * panel.min(range.len())];
-        let mut gathered = Vec::new();
-        for kb in range.clone().step_by(panel) {
-            let len = panel.min(range.end - kb);
+        for kb in (0..range.len()).step_by(panel) {
+            let len = panel.min(range.len() - kb);
             let at = &mut at[..m * len];
-            let (mut whole, mut off) = (None, 0);
-            for (a, b, rows) in run_pieces(runs, m, n, kb..kb + len) {
-                B::transpose(a, rows, m, &mut at[off..], len);
-                if rows == len {
-                    whole = Some(b);
-                } else {
-                    gathered.extend_from_slice(b);
-                }
-                off += rows;
-            }
-            Self::panel_rows::<B, false>(at, len, whole.unwrap_or(&gathered), n, out);
-            gathered.clear();
+            B::transpose(&a[kb * m..(kb + len) * m], len, m, at, len);
+            Self::panel_rows::<B, false>(at, len, &b[kb * n..(kb + len) * n], n, out);
         }
     }
 
-    /// [`Self::tn_runs`] for an output narrower than one 16-column tile (the
+    /// [`Self::tn_rows`] for an output narrower than one 16-column tile (the
     /// classifier head's dW, a matrix–vector gradient) over one run's rows
     /// `a` and `b`: the panels have no full tile and `fma_row` over `n`-float
     /// rows is a backend call per `n` multiply-adds, so the contract is
@@ -1298,6 +1240,62 @@ impl fmt::Debug for Matrix {
     }
 }
 
+/// [`Matrix::matmul_tn`] of two `total`-row operands handed over run by run
+/// in row order (the node blocks of a training step), with its bits: each
+/// run's rows go onto the chains of the chunks they sit in as they arrive,
+/// so only the chunk partials are held, never the rows.
+#[derive(Debug, Clone)]
+pub struct TnFold {
+    rows_per: usize,
+    next: usize,
+    partials: Vec<Matrix>,
+}
+
+impl TnFold {
+    /// An empty fold of `m`-column by `n`-column operands of `total` rows.
+    pub fn new(m: usize, n: usize, total: usize) -> Self {
+        let chunks = tn_chunk_count(m, total, n).max(1);
+        let partials = (0..chunks).map(|_| Matrix::zeros(m, n)).collect();
+        Self { rows_per: total.div_ceil(chunks).max(1), next: 0, partials }
+    }
+
+    /// Folds in the next run of rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run's widths or row counts disagree with the fold's,
+    /// or it runs past `total`.
+    pub fn push(&mut self, a: &Matrix, b: &Matrix) {
+        let (m, n) = (self.partials[0].rows, self.partials[0].cols);
+        assert!(a.rows == b.rows && (a.cols, b.cols) == (m, n), "run shape mismatch in TnFold");
+        let (start, end) = (self.next, self.next + a.rows);
+        let mut lo = start;
+        while lo < end {
+            let partial = &mut self.partials[lo / self.rows_per];
+            let hi = end.min((lo / self.rows_per + 1) * self.rows_per);
+            let range = lo - start..hi - start;
+            dispatch!(B => Matrix::tn_rows::<B>(a, b, range, &mut partial.data));
+            lo = hi;
+        }
+        self.next = end;
+    }
+
+    /// The product: the one chain, or the partials added into zeros in
+    /// ascending chunk order, as `matmul_tn` reduces them.
+    pub fn finish(mut self) -> Matrix {
+        if self.partials.len() == 1 {
+            return self.partials.swap_remove(0);
+        }
+        let mut out = Matrix::zeros(self.partials[0].rows, self.partials[0].cols);
+        for partial in &self.partials {
+            for (o, &p) in out.data.iter_mut().zip(&partial.data) {
+                *o += p;
+            }
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1334,7 +1332,7 @@ mod tests {
     }
 
     #[test]
-    fn row_runs_give_matmul_tn_bitwise_as_chunk_partials_and_stacked() {
+    fn row_runs_give_matmul_tn_bitwise_as_chunk_partials_and_folded() {
         let bits = |m: &Matrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let rows = |m: &Matrix, lo: usize, hi: usize| m.select_rows(&(lo..hi).collect::<Vec<_>>());
         // 512 nodes × 9 hops at d = 64: sixteen chunks of 288 rows.
@@ -1348,7 +1346,9 @@ mod tests {
             let runs: Vec<(Matrix, Matrix)> =
                 cuts.windows(2).map(|w| (rows(&a, w[0], w[1]), rows(&b, w[0], w[1]))).collect();
             let runs: Vec<(&Matrix, &Matrix)> = runs.iter().map(|(a, b)| (a, b)).collect();
-            assert_eq!(bits(&Matrix::matmul_tn_stacked(&runs)), whole, "n = {n}, stacked");
+            let mut fold = TnFold::new(m, n, k);
+            runs.iter().for_each(|(a, b)| fold.push(a, b));
+            assert_eq!(bits(&fold.finish()), whole, "n = {n}, folded");
             // 512 rows in runs of 32, the classifier's shape at n = 4: one
             // chain through all sixteen runs at n ≤ 4, four chunks of four
             // runs at n = 64; no run is a chunk.
@@ -1358,7 +1358,9 @@ mod tests {
                 .collect();
             let runs: Vec<(&Matrix, &Matrix)> = runs.iter().map(|(a, b)| (a, b)).collect();
             let short = bits(&a512.matmul_tn(&b512));
-            assert_eq!(bits(&Matrix::matmul_tn_stacked(&runs)), short, "n = {n}, 512 rows");
+            let mut fold = TnFold::new(m, n, 512);
+            runs.iter().for_each(|(a, b)| fold.push(a, b));
+            assert_eq!(bits(&fold.finish()), short, "n = {n}, 512 rows folded");
             assert!(runs[0].0.matmul_tn_chunk(runs[0].1, 32, 0, 512).is_none());
             let mut sum = Matrix::zeros(m, n);
             for index in 0..16 {
