@@ -26,8 +26,8 @@ use crate::model::{Aggregator, HogaModel};
 use hoga_autograd::{NodeBlock, Ops, ParamId, ParamSet};
 use hoga_tensor::recycle::{give_back, retire};
 use hoga_tensor::{
-    layernorm_forward, layernorm_rows_fast, parallel_blocks, qmatmul, softmax_rows,
-    softmax_rows_fast, CsrMatrix, Matrix, QuantizedMatrix, QuantizedWeights,
+    layernorm_rows, layernorm_rows_fast, parallel_blocks, qmatmul, softmax_rows, softmax_rows_fast,
+    CsrMatrix, Matrix, QuantizedMatrix, QuantizedWeights,
 };
 use std::borrow::Cow;
 use std::error::Error;
@@ -422,9 +422,7 @@ impl<'p> Ops<'p> for NoTape<'p> {
         let (x, gamma, beta) = (self.value(x), self.value(gamma), self.value(beta));
         assert_eq!((gamma.rows(), beta.rows()), (1, 1), "gamma/beta must be row vectors");
         let v = if self.exact() {
-            let (normed, cache) = layernorm_forward(x, gamma.row(0), beta.row(0));
-            give_back(cache.normalized);
-            normed
+            layernorm_rows(x, gamma.row(0), beta.row(0))
         } else {
             layernorm_rows_fast(x, gamma.row(0), beta.row(0))
         };

@@ -168,12 +168,28 @@ fn parse_head(head: &[u8]) -> Result<Head, HttpError> {
     Ok((method, path, headers))
 }
 
+/// The body length the head declares: 0 without a `Content-Length`, else
+/// its one value. A value is digits only (`u64::from_str` would also take a
+/// leading `+`), and every `Content-Length` field, or comma-separated item
+/// of one, must carry the same value: conflicting lengths make the framing
+/// ambiguous, so they are a 400 rather than a guess (RFC 9112 §6.3).
 fn content_length(headers: &[(String, String)]) -> Result<usize, HttpError> {
-    let Some((_, v)) = headers.iter().find(|(n, _)| n == "content-length") else {
-        return Ok(0);
-    };
-    let n: u64 = v.parse().map_err(|_| HttpError::Bad(format!("bad Content-Length: {v:?}")))?;
-    usize::try_from(n).map_err(|_| HttpError::TooLarge("Content-Length exceeds usize"))
+    let mut length = None;
+    let values = headers.iter().filter(|(n, _)| n == "content-length");
+    for item in values.flat_map(|(_, v)| v.split(',')).map(str::trim) {
+        let digits = !item.is_empty() && item.bytes().all(|b| b.is_ascii_digit());
+        let n: u64 = item
+            .parse()
+            .ok()
+            .filter(|_| digits)
+            .ok_or_else(|| HttpError::Bad(format!("bad Content-Length: {item:?}")))?;
+        if length.is_some_and(|seen| seen != n) {
+            return Err(HttpError::Bad("conflicting Content-Length values".into()));
+        }
+        length = Some(n);
+    }
+    usize::try_from(length.unwrap_or(0))
+        .map_err(|_| HttpError::TooLarge("Content-Length exceeds usize"))
 }
 
 /// One response to write. Always closed after writing (`Connection: close`
@@ -306,6 +322,21 @@ mod tests {
         assert!(content_length(&bad).is_err());
         let nan = vec![("content-length".to_string(), "twelve".to_string())];
         assert!(content_length(&nan).is_err());
+    }
+
+    #[test]
+    fn content_length_rejects_a_sign_and_conflicting_values() {
+        let field = |v: &str| ("content-length".to_string(), v.to_string());
+        let bad = |e: Result<usize, HttpError>| matches!(e, Err(HttpError::Bad(_)));
+        assert!(bad(content_length(&[field("+12")])), "a leading + is not a length");
+        assert!(bad(content_length(&[field("")])));
+        assert!(bad(content_length(&[field("12"), field("13")])), "first of two won");
+        assert!(bad(content_length(&[field("12, 13")])));
+        assert!(bad(content_length(&[field("12"), field("+12")])));
+        // Repeats of one value are one length (RFC 9112 §6.3).
+        assert_eq!(content_length(&[field("12"), field("12")]), Ok(12));
+        assert_eq!(content_length(&[field("12, 12")]), Ok(12));
+        assert_eq!(content_length(&[field("007")]), Ok(7));
     }
 
     #[test]

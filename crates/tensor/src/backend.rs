@@ -2,7 +2,7 @@
 //!
 //! Every hot kernel in this crate ([`crate::Matrix::matmul`] and friends,
 //! `softmax_rows`, `layernorm_forward`) routes its inner loop through the
-//! [`KernelBackend`] trait. Two implementations exist:
+//! [`KernelBackend`] trait. Three implementations exist:
 //!
 //! * [`ScalarKernels`] — the plain loops (the trait defaults); the
 //!   semantic reference for everything else, and what runs on a CPU
@@ -10,13 +10,16 @@
 //! * `Avx2Kernels` (in `crate::simd`, compiled on `x86_64`) — `std::arch`
 //!   AVX2 intrinsics, selected at runtime when the CPU reports `avx2` +
 //!   `fma`.
+//! * `Avx512Kernels` (the same module) — `Avx2Kernels` with a 6 × 32 zmm
+//!   register tile in front of the matmul panel's 16-column ymm tile,
+//!   selected at runtime when the CPU also reports `avx512f`.
 //!
 //! # Determinism contract per path
 //!
 //! Training-path methods (`fma_row`, `fma_row4`, `fma_panel6`,
-//! `score_tile`, `transpose`, `sum`, `sq_diff_sum`, and the element-wise
-//! ops) are **bitwise
-//! identical** across both backends: element-wise lanes perform exactly
+//! `score_tile`, `transpose`, `sum`, the eight-lane `sum8`,
+//! `sq_diff_sum8` and `matvec8`, and the element-wise ops) are **bitwise
+//! identical** across all backends: element-wise lanes perform exactly
 //! the scalar `mul` + `add` per element (never a fused multiply-add) and
 //! reductions keep the scalar ascending order. The
 //! `*_fast` methods are inference-only: they reduce through a fixed
@@ -29,34 +32,42 @@
 //!
 //! [`resolved`] observes the CPU; nothing selects a backend in product
 //! code. [`set_backend`] exists so the differential suites can pin the
-//! scalar loops as the bitwise reference.
+//! scalar loops as the bitwise reference, and the AVX2 tile on a CPU that
+//! would pick the AVX-512 one.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Which kernel backend the process requests (see [`set_backend`]).
+/// Which kernel backend the process requests (see [`set_backend`]). Each
+/// request is a ceiling: the CPU still has to report what a backend needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum Backend {
     /// The plain scalar loops: the reference the differential tests pin.
     Scalar,
-    /// AVX2 when the CPU reports `avx2` + `fma`, the scalar loops
-    /// otherwise (default).
+    /// AVX2 when the CPU reports `avx2` + `fma`, even if it also reports
+    /// `avx512f`; the scalar loops otherwise. The differential suites'
+    /// handle on the AVX2 tile of an AVX-512 host.
+    Avx2,
+    /// The widest backend the CPU reports: AVX-512, AVX2 or the scalar
+    /// loops (default).
     Simd,
 }
 
-static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
+static REQUEST: AtomicU8 = AtomicU8::new(Backend::Simd as u8);
 
 /// Selects the kernel backend for all subsequent kernel calls.
 ///
 /// Results are bitwise identical across backends (module docs), so this
 /// affects wall-clock time only; it is the differential tests' handle on
-/// the scalar reference loops.
+/// the scalar reference loops and the AVX2 tile.
 pub fn set_backend(b: Backend) {
-    FORCE_SCALAR.store(b == Backend::Scalar, Ordering::Relaxed);
+    REQUEST.store(b as u8, Ordering::Relaxed);
 }
 
-/// The name of the implementation kernels currently run on: `"scalar"`
-/// or `"simd-avx2"`. Benchmark reports and the server record this so a
-/// number is never attributed to a backend the CPU did not provide.
+/// The name of the implementation kernels currently run on: `"scalar"`,
+/// `"simd-avx2"` or `"simd-avx512"`. Benchmark reports and the server
+/// record this so a number is never attributed to a backend the CPU did
+/// not provide.
 pub fn active_backend() -> &'static str {
     dispatch!(B => B::NAME)
 }
@@ -69,14 +80,24 @@ pub(crate) enum ResolvedBackend {
     /// `crate::simd::Avx2Kernels`.
     #[cfg(target_arch = "x86_64")]
     Avx2,
+    /// `crate::simd::Avx512Kernels`.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
-/// AVX2 when the CPU reports `avx2` + `fma` (and no test pinned the
-/// scalar reference), the scalar loops otherwise.
+/// The widest backend both the CPU and the [`set_backend`] request allow:
+/// AVX-512 when the CPU reports `avx512f` besides `avx2` + `fma`, AVX2
+/// when it reports those two, the scalar loops otherwise.
 pub(crate) fn resolved() -> ResolvedBackend {
     #[cfg(target_arch = "x86_64")]
-    if !FORCE_SCALAR.load(Ordering::Relaxed) && crate::simd::avx2_available() {
-        return ResolvedBackend::Avx2;
+    {
+        let request = REQUEST.load(Ordering::Relaxed);
+        if request == Backend::Simd as u8 && crate::simd::avx512_available() {
+            return ResolvedBackend::Avx512;
+        }
+        if request != Backend::Scalar as u8 && crate::simd::avx2_available() {
+            return ResolvedBackend::Avx2;
+        }
     }
     ResolvedBackend::Scalar
 }
@@ -98,6 +119,11 @@ macro_rules! dispatch {
             #[cfg(target_arch = "x86_64")]
             $crate::backend::ResolvedBackend::Avx2 => {
                 type $B = $crate::simd::Avx2Kernels;
+                $body
+            }
+            #[cfg(target_arch = "x86_64")]
+            $crate::backend::ResolvedBackend::Avx512 => {
+                type $B = $crate::simd::Avx512Kernels;
                 $body
             }
         }
@@ -279,12 +305,6 @@ pub(crate) trait KernelBackend {
         acc
     }
 
-    /// Ascending-order `Σ (x - mean)²` (training path; the LayerNorm
-    /// variance reduction).
-    fn sq_diff_sum(xs: &[f32], mean: f32) -> f32 {
-        xs.iter().map(|&v| (v - mean) * (v - mean)).sum()
-    }
-
     /// Inference-only `Σ (x - mean)²` through the fixed lane tree.
     fn sq_diff_sum_fast(xs: &[f32], mean: f32) -> f32 {
         let chunks = xs.chunks_exact(8);
@@ -302,6 +322,49 @@ pub(crate) trait KernelBackend {
             acc = d.mul_add(d, acc);
         }
         acc
+    }
+
+    /// Eight ascending-order sums abreast (training path): `xt` is a block
+    /// of eight rows transposed, `xt.len() / 8` rows of eight lanes with
+    /// source row `r` in lane `r`, and lane `r` of the result is
+    /// [`KernelBackend::sum`] of row `r` — the same `-0.0`-seeded chain.
+    fn sum8(xt: &[f32]) -> [f32; 8] {
+        let mut sums = [-0.0f32; 8];
+        for x8 in xt.chunks_exact(8) {
+            for (s, &v) in sums.iter_mut().zip(x8) {
+                *s += v;
+            }
+        }
+        sums
+    }
+
+    /// The LayerNorm variance reductions of eight rows abreast (training
+    /// path), over a transposed block as in [`KernelBackend::sum8`]: lane
+    /// `r` is the ascending, `-0.0`-seeded `Σ (x - mean[r])²` of row `r`.
+    fn sq_diff_sum8(xt: &[f32], mean: [f32; 8]) -> [f32; 8] {
+        let mut sums = [-0.0f32; 8];
+        for x8 in xt.chunks_exact(8) {
+            for ((s, &v), &m) in sums.iter_mut().zip(x8).zip(&mean) {
+                *s += (v - m) * (v - m);
+            }
+        }
+        sums
+    }
+
+    /// Eight rows of a one-column product (training path): `at` is the
+    /// rows' transpose, `x.len()` rows of eight lanes with row `r` in lane
+    /// `r`, and `acc[r] += at[kk·8 + r] · x[kk]` for each `kk` ascending —
+    /// one multiply and one add, bitwise-zero coefficients skipped, the
+    /// chain of [`KernelBackend::fma_row`] down one output column.
+    fn matvec8(acc: &mut [f32; 8], at: &[f32], x: &[f32]) {
+        for (a8, &xv) in at.chunks_exact(8).zip(x) {
+            for (s, &av) in acc.iter_mut().zip(a8) {
+                // analyze: allow(float-equality) — exact-zero sparsity fast path; skipping only bitwise zeros cannot change the accumulated sum
+                if av != 0.0 {
+                    *s += av * xv;
+                }
+            }
+        }
     }
 
     /// `row[i] *= s` (element-wise, bitwise identical on every backend).
@@ -406,18 +469,26 @@ mod tests {
     }
 
     /// The only test in this binary that calls `set_backend`, so its first
-    /// line sees the process as a product binary does.
+    /// line sees the process as a product binary does. The expected names
+    /// follow what the CPU reports, so an AVX-512 host and an AVX2 one
+    /// both check their own default.
     #[test]
     fn backend_request_roundtrip() {
         #[cfg(target_arch = "x86_64")]
-        let cpu_has_avx2 = std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("fma");
+        let (cpu_has_avx2, cpu_has_avx512) = {
+            let avx2 = std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma");
+            (avx2, avx2 && std::arch::is_x86_feature_detected!("avx512f"))
+        };
         #[cfg(not(target_arch = "x86_64"))]
-        let cpu_has_avx2 = false;
-        let cpu_choice = if cpu_has_avx2 { "simd-avx2" } else { "scalar" };
+        let (cpu_has_avx2, cpu_has_avx512) = (false, false);
+        let avx2_choice = if cpu_has_avx2 { "simd-avx2" } else { "scalar" };
+        let cpu_choice = if cpu_has_avx512 { "simd-avx512" } else { avx2_choice };
         assert_eq!(active_backend(), cpu_choice, "default backend must be what the CPU reports");
         set_backend(Backend::Scalar);
         assert_eq!(active_backend(), "scalar");
+        set_backend(Backend::Avx2);
+        assert_eq!(active_backend(), avx2_choice);
         set_backend(Backend::Simd);
         assert_eq!(active_backend(), cpu_choice);
     }

@@ -205,50 +205,90 @@ pub struct LayerNormCache {
 ///
 /// Panics if `gamma` or `beta` length differs from `x.cols()`.
 pub fn layernorm_forward(x: &Matrix, gamma: &[f32], beta: &[f32]) -> (Matrix, LayerNormCache) {
-    dispatch!(B => layernorm_forward_impl::<B, false>(x, gamma, beta))
+    let mut normalized = Matrix::zeros(x.rows(), x.cols());
+    let (out, inv_std) =
+        dispatch!(B => layernorm_impl::<B, false>(x, gamma, beta, Some(&mut normalized)));
+    (out, LayerNormCache { inv_std, normalized })
+}
+
+/// Tape-free LayerNorm: the output of [`layernorm_forward`], bit for bit,
+/// without building the backward cache.
+///
+/// # Panics
+///
+/// Panics if `gamma` or `beta` length differs from `x.cols()`.
+pub fn layernorm_rows(x: &Matrix, gamma: &[f32], beta: &[f32]) -> Matrix {
+    dispatch!(B => layernorm_impl::<B, false>(x, gamma, beta, None)).0
 }
 
 /// Inference-only LayerNorm: identical contract to [`layernorm_forward`]
-/// but with lane-parallel mean/variance reductions and no backward cache —
-/// its storage goes to the calling thread's free list
-/// ([`crate::recycle::give_back`]). Output is within a documented ULP bound
-/// of the training kernel.
+/// but with lane-parallel mean/variance reductions and no backward cache.
+/// Output is within a documented ULP bound of the training kernel.
 pub fn layernorm_rows_fast(x: &Matrix, gamma: &[f32], beta: &[f32]) -> Matrix {
-    let (out, cache) = dispatch!(B => layernorm_forward_impl::<B, true>(x, gamma, beta));
-    crate::recycle::give_back(cache.normalized);
-    out
+    dispatch!(B => layernorm_impl::<B, true>(x, gamma, beta, None)).0
 }
 
-fn layernorm_forward_impl<B: KernelBackend, const FAST: bool>(
+/// Rows of eight whose statistics [`layernorm_impl`] reduces abreast.
+const LN_ROWS: usize = 8;
+
+/// The LayerNorm forward: the output and each row's `inv_std`, with `x̂`
+/// written to `normalized` when the caller keeps it for the backward pass.
+/// Per row the statistics are ascending, `-0.0`-seeded chains — the sum,
+/// then `Σ (x - mean)²` — which the training path runs eight rows abreast
+/// on a transposed block ([`KernelBackend::sum8`],
+/// [`KernelBackend::sq_diff_sum8`]); each row keeps its own chain, so its
+/// bits do not depend on the row's position. `FAST` takes the lane-tree
+/// reductions one row at a time.
+fn layernorm_impl<B: KernelBackend, const FAST: bool>(
     x: &Matrix,
     gamma: &[f32],
     beta: &[f32],
-) -> (Matrix, LayerNormCache) {
-    let d = x.cols();
+    mut normalized: Option<&mut Matrix>,
+) -> (Matrix, Vec<f32>) {
+    let (rows, d) = x.shape();
     assert_eq!(gamma.len(), d, "gamma length mismatch");
     assert_eq!(beta.len(), d, "beta length mismatch");
-    let mut out = Matrix::zeros(x.rows(), d);
-    let mut normalized = Matrix::zeros(x.rows(), d);
+    let mut out = Matrix::zeros(rows, d);
     if d == 0 {
         // Width-0 rows have no features to normalize; `sum / d` would make
         // mean (and then inv_std) NaN. Mirror the softmax kernels and make
         // this a well-defined no-op: empty rows out, a finite placeholder
         // inv_std so the backward pass stays NaN-free.
-        return (out, LayerNormCache { inv_std: vec![1.0; x.rows()], normalized });
+        return (out, vec![1.0; rows]);
     }
-    let mut inv_std = Vec::with_capacity(x.rows());
-    for r in 0..x.rows() {
-        let row = x.row(r);
-        let sum = if FAST { B::sum_fast(row) } else { B::sum(row) };
-        let mean = sum / d as f32;
-        let sq = if FAST { B::sq_diff_sum_fast(row, mean) } else { B::sq_diff_sum(row, mean) };
-        let var = sq / d as f32;
-        let is = 1.0 / (var + LN_EPS).sqrt();
-        inv_std.push(is);
-        B::normalize_row(normalized.row_mut(r), row, mean, is);
-        B::affine_row(out.row_mut(r), normalized.row(r), gamma, beta);
+    let over_d = |v: f32| v / d as f32;
+    let inv_std_of = |sq: f32| 1.0 / (over_d(sq) + LN_EPS).sqrt();
+    let mut inv_std = Vec::with_capacity(rows);
+    let mut xt = if FAST { Vec::new() } else { vec![0.0f32; LN_ROWS * d] };
+    let mut xhat = if normalized.is_some() { Vec::new() } else { vec![0.0f32; d] };
+    for r0 in (0..rows).step_by(LN_ROWS) {
+        let n = LN_ROWS.min(rows - r0);
+        let (mut mean, mut is) = ([0.0f32; LN_ROWS], [0.0f32; LN_ROWS]);
+        if FAST {
+            for i in 0..n {
+                let row = x.row(r0 + i);
+                mean[i] = over_d(B::sum_fast(row));
+                is[i] = inv_std_of(B::sq_diff_sum_fast(row, mean[i]));
+            }
+        } else {
+            // Lanes from `n` on hold the previous block's rows (or zeros);
+            // their statistics are computed and dropped.
+            B::transpose(&x.as_slice()[r0 * d..(r0 + n) * d], n, d, &mut xt, LN_ROWS);
+            mean = B::sum8(&xt).map(over_d);
+            is = B::sq_diff_sum8(&xt, mean).map(inv_std_of);
+        }
+        for i in 0..n {
+            let r = r0 + i;
+            let xh = match normalized.as_deref_mut() {
+                Some(m) => m.row_mut(r),
+                None => &mut xhat[..],
+            };
+            B::normalize_row(xh, x.row(r), mean[i], is[i]);
+            B::affine_row(out.row_mut(r), xh, gamma, beta);
+        }
+        inv_std.extend_from_slice(&is[..n]);
     }
-    (out, LayerNormCache { inv_std, normalized })
+    (out, inv_std)
 }
 
 /// Backward pass of [`layernorm_forward`].

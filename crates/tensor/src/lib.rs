@@ -22,7 +22,7 @@
 //! against the `*_reference` oracles.
 //!
 //! Unsafe code is confined to one audited module: only `src/simd.rs`
-//! (runtime-detected AVX2 intrinsics) opts out of the crate-level `deny`.
+//! (runtime-detected AVX2 and AVX-512 intrinsics) opts out of the crate-level `deny`.
 //!
 //! # Examples
 //!
@@ -58,7 +58,7 @@ pub use backend::{active_backend, set_backend, Backend};
 pub use error::ShapeError;
 pub use init::Init;
 pub use kernels::{
-    layernorm_backward, layernorm_forward, layernorm_rows_fast, log_softmax_rows,
+    layernorm_backward, layernorm_forward, layernorm_rows, layernorm_rows_fast, log_softmax_rows,
     softmax_backward_rows, softmax_rows, softmax_rows_fast, LayerNormCache,
 };
 pub use matrix::{Matrix, TnFold};

@@ -410,7 +410,7 @@ impl Matrix {
         let b = &other.data;
         if n == 1 && k > 0 && !FAST {
             parallel_chunks(&mut out.data, 1, m * k, |row_start, chunk| {
-                Self::matvec_rows(&a[row_start * k..], k, b, chunk)
+                Self::matvec_rows::<B>(&a[row_start * k..], k, b, chunk)
             });
             return out;
         }
@@ -493,19 +493,21 @@ impl Matrix {
     /// [`Matrix::matmul`] of a one-column right-hand side (the readout's
     /// `[Ĥ₀ ‖ Ĥₖ]·α`, Eq. 10). The panel kernel tiles sixteen output columns
     /// and walks a lone one element at a time down a single dependency
-    /// chain; here eight rows advance together, each on the chain the
-    /// kernel contract fixes — one multiply and one add per `k`, ascending,
-    /// bitwise-zero coefficients skipped — so the bits are the panel's.
-    fn matvec_rows(a: &[f32], k: usize, x: &[f32], out: &mut [f32]) {
+    /// chain; here each block of eight rows is transposed so that the rows
+    /// sit in the eight lanes of [`KernelBackend::matvec8`], each lane on
+    /// the chain the kernel contract fixes — one multiply and one add per
+    /// `k`, ascending, bitwise-zero coefficients skipped — so the bits are
+    /// the panel's.
+    fn matvec_rows<B: KernelBackend>(a: &[f32], k: usize, x: &[f32], out: &mut [f32]) {
         const ROWS: usize = 8;
+        let mut at = vec![0.0f32; ROWS * k];
         for (block, arows) in out.chunks_mut(ROWS).zip(a.chunks(ROWS * k)) {
-            for (kk, &xv) in x.iter().enumerate() {
-                for (acc, arow) in block.iter_mut().zip(arows.chunks_exact(k)) {
-                    let av = arow[kk];
-                    // analyze: allow(float-equality) — exact-zero sparsity fast path; skipping only bitwise zeros cannot change the accumulated sum
-                    *acc = if av == 0.0 { *acc } else { *acc + av * xv };
-                }
-            }
+            let rows = block.len();
+            B::transpose(&arows[..rows * k], rows, k, &mut at, ROWS);
+            let mut acc = [0.0f32; ROWS];
+            acc[..rows].copy_from_slice(block);
+            B::matvec8(&mut acc, &at, x);
+            block.copy_from_slice(&acc[..rows]);
         }
     }
 

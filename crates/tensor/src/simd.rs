@@ -1,5 +1,5 @@
-//! AVX2 kernel backend: what `backend::resolved()` picks on an `x86_64`
-//! CPU that reports `avx2` + `fma`.
+//! AVX2 and AVX-512 kernel backends: what `backend::resolved()` picks on
+//! an `x86_64` CPU that reports `avx2` + `fma`, and `avx512f` besides.
 //!
 //! This is the **only module in the workspace allowed to contain
 //! `unsafe`** — it is the audited entry in `hoga-analyze`'s
@@ -12,36 +12,45 @@
 //! Every `unsafe` block here is one of exactly three shapes:
 //!
 //! 1. A call to a `#[target_feature(...)]` function. Sound because the
-//!    only call sites are behind [`avx2_available`], which caches
-//!    `is_x86_feature_detected!("avx2") && ("fma")` — the instructions
-//!    are never executed on a CPU that lacks them.
+//!    only call sites are behind one of two detection gates:
+//!    [`avx2_available`], which caches `is_x86_feature_detected!("avx2")
+//!    && ("fma")`, for the `avx2,fma` functions, and [`avx512_available`],
+//!    which caches that and `is_x86_feature_detected!("avx512f")`, for the
+//!    `avx512f` one ([`fma_panel6_avx512`], reached only through
+//!    [`Avx512Kernels`], which `backend::resolved()` returns only when the
+//!    second gate holds). The instructions are never executed on a CPU
+//!    that lacks them.
 //! 2. `_mm256_loadu_ps` / `_mm256_storeu_ps` on pointers derived from
 //!    `chunks_exact(8)` / `chunks_exact_mut(8)` slices. Sound because the
 //!    iterator guarantees exactly 8 in-bounds, initialized `f32`s, and
 //!    the unaligned variants carry no alignment requirement.
 //! 3. Unaligned loads/stores at explicitly computed offsets inside the
-//!    register-tiled kernels ([`fma_panel6_avx2`], [`score_rows`],
-//!    [`transpose8x8`]), each carrying a `SAFETY:` comment proving the
-//!    offset plus the vector width stays inside the borrowed slice.
+//!    register-tiled kernels (`panel6_tile!`, [`score_rows`],
+//!    [`transpose8x8`], [`lanes8_avx2`]), each carrying a `SAFETY:` comment
+//!    proving the offset plus the vector width stays inside the borrowed
+//!    slice.
 //!
 //! # Scope and determinism
 //!
-//! The backend overrides the training-path methods only, with
-//! `_mm256_mul_ps` + `_mm256_add_ps` — the same two IEEE roundings per
-//! element as the scalar loops, in the same per-element order (the
-//! transpose only moves floats) — so every override is bitwise identical to
+//! The backends override the training-path methods only, with
+//! `vmulps` + `vaddps` (ymm, and zmm in the AVX-512 panel tile) — the same
+//! two IEEE roundings per element as the scalar loops, in the same
+//! per-element order (the transpose only moves floats, and a masked lane
+//! keeps its value exactly as the scalar zero skip does) — so every
+//! override is bitwise identical to
 //! [`ScalarKernels`](crate::backend::ScalarKernels). The inference-only
 //! `*_fast` methods and the int8 product are not overridden: they have
 //! one implementation, the scalar one (`docs/PERFORMANCE.md`, "What the
-//! AVX2 backend covers").
+//! SIMD backends cover").
 
 #![allow(unsafe_code)]
 
 use crate::backend::{KernelBackend, TRANSPOSE_TILE};
 use std::arch::x86_64::{
-    _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_permute2f128_ps, _mm256_set1_ps,
-    _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm256_unpackhi_ps,
-    _mm256_unpacklo_ps,
+    _mm256_add_ps, _mm256_blendv_ps, _mm256_cmp_ps, _mm256_loadu_ps, _mm256_mul_ps,
+    _mm256_permute2f128_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_ps,
+    _mm256_sub_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps, _mm512_add_ps, _mm512_loadu_ps,
+    _mm512_mul_ps, _mm512_set1_ps, _mm512_storeu_ps, _CMP_NEQ_UQ,
 };
 use std::sync::OnceLock;
 
@@ -54,11 +63,26 @@ pub(crate) fn avx2_available() -> bool {
     })
 }
 
-/// The AVX2 implementation of the kernel inner loops.
-pub(crate) struct Avx2Kernels;
+/// Whether this CPU can run the AVX-512 backend (`avx512f` besides
+/// [`avx2_available`]), cached after the first query.
+pub(crate) fn avx512_available() -> bool {
+    static AVAILABLE: OnceLock<bool> = OnceLock::new();
+    *AVAILABLE.get_or_init(|| avx2_available() && std::arch::is_x86_feature_detected!("avx512f"))
+}
 
-impl KernelBackend for Avx2Kernels {
-    const NAME: &'static str = "simd-avx2";
+/// The SIMD implementations of the kernel inner loops: `ZMM` puts a 6 × 32
+/// zmm tile in front of [`KernelBackend::fma_panel6`]'s ymm tile; every
+/// other method is the AVX2 one.
+pub(crate) struct SimdKernels<const ZMM: bool>;
+
+/// The AVX2 backend (gate: [`avx2_available`]).
+pub(crate) type Avx2Kernels = SimdKernels<false>;
+
+/// The AVX-512 backend (gate: [`avx512_available`]).
+pub(crate) type Avx512Kernels = SimdKernels<true>;
+
+impl<const ZMM: bool> KernelBackend for SimdKernels<ZMM> {
+    const NAME: &'static str = if ZMM { "simd-avx512" } else { "simd-avx2" };
 
     fn fma_row(acc: &mut [f32], a: f32, b: &[f32]) {
         // analyze: allow(float-equality) — exact-zero sparsity fast path; skipping only bitwise zeros cannot change the accumulated sum
@@ -81,8 +105,14 @@ impl KernelBackend for Avx2Kernels {
     }
 
     fn fma_panel6(acc: [&mut [f32]; 6], a: [&[f32]; 6], b: &[f32], n: usize) {
-        // SAFETY: gated on avx2_available() by backend::resolved().
-        unsafe { fma_panel6_avx2(acc, a, b, n) }
+        if ZMM {
+            // SAFETY: SimdKernels<true> is gated on avx512_available() by
+            // backend::resolved().
+            unsafe { fma_panel6_avx512(acc, a, b, n) }
+        } else {
+            // SAFETY: gated on avx2_available() by backend::resolved().
+            unsafe { fma_panel6_avx2(acc, a, b, n) }
+        }
     }
 
     fn score_tile(out: &mut [f32], cols: usize, q: &[f32], d: usize, kt: &[f32], stride: usize) {
@@ -93,6 +123,21 @@ impl KernelBackend for Avx2Kernels {
     fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32], stride: usize) {
         // SAFETY: gated on avx2_available() by backend::resolved().
         unsafe { transpose_avx2(src, rows, cols, dst, stride) }
+    }
+
+    fn sum8(xt: &[f32]) -> [f32; 8] {
+        // SAFETY: gated on avx2_available() by backend::resolved().
+        unsafe { lanes8_avx2::<false>(xt, [0.0; 8]) }
+    }
+
+    fn sq_diff_sum8(xt: &[f32], mean: [f32; 8]) -> [f32; 8] {
+        // SAFETY: gated on avx2_available() by backend::resolved().
+        unsafe { lanes8_avx2::<true>(xt, mean) }
+    }
+
+    fn matvec8(acc: &mut [f32; 8], at: &[f32], x: &[f32]) {
+        // SAFETY: gated on avx2_available() by backend::resolved().
+        unsafe { matvec8_avx2(acc, at, x) }
     }
 
     fn scale(row: &mut [f32], s: f32) {
@@ -155,6 +200,112 @@ unsafe fn fma_row4_avx2(acc: &mut [f32], a: [f32; 4], b: [&[f32]; 4]) {
     }
 }
 
+/// One `+= a · b` step of a tile row: two vectors of `b` times one
+/// broadcast a-value, multiply then add (never fused).
+macro_rules! tile_step {
+    ($set1:ident, $add:ident, $mul:ident; $av:expr, $b0:ident, $b1:ident, $lo:ident, $hi:ident) => {{
+        let va = $set1($av);
+        $lo = $add($lo, $mul(va, $b0));
+        $hi = $add($hi, $mul(va, $b1));
+    }};
+}
+
+/// [`tile_step!`] for row `$r` at a flagged k-step: skipped when that
+/// row's a-value is a bitwise zero.
+macro_rules! tile_step_skip_zero {
+    ($set1:ident, $add:ident, $mul:ident; $ap:ident, $r:literal, $dk:ident,
+     $b0:ident, $b1:ident, $lo:ident, $hi:ident) => {{
+        // SAFETY: $dk < klen and every a row is klen long.
+        let av = *$ap[$r].add($dk);
+        // analyze: allow(float-equality) — exact-zero sparsity fast path; skipping only bitwise zeros cannot change the accumulated sum
+        if av != 0.0 {
+            tile_step!($set1, $add, $mul; av, $b0, $b1, $lo, $hi);
+        }
+    }};
+}
+
+/// Advances `$j` over every whole `2 · $lanes`-column group of the panel
+/// from `$j` on, each through a 6-row × `2 · $lanes`-column accumulator
+/// tile in twelve registers of `$lanes` floats, loaded once and stored
+/// once per panel. Expanded in a function that enables the intrinsics'
+/// target features, after [`panel6_operands`] has checked the shapes.
+///
+/// The tile must live in twelve *named* registers: with `[__m256; 6]`
+/// arrays the allocator spills the tile to the stack and the kernel runs
+/// at half speed, so the unroll is written out.
+macro_rules! panel6_tile {
+    ($lanes:literal, $load:ident, $store:ident, $set1:ident, $add:ident, $mul:ident;
+     $acc:ident, $ap:ident, $zmask:ident, $klen:ident, $b:ident, $n:ident, $j:ident) => {
+        while $j + 2 * $lanes <= $n {
+            let j = $j;
+            // SAFETY: j + 2·lanes <= n and every acc row is exactly n long.
+            let mut lo0 = $load($acc[0].as_ptr().add(j));
+            let mut hi0 = $load($acc[0].as_ptr().add(j + $lanes));
+            let mut lo1 = $load($acc[1].as_ptr().add(j));
+            let mut hi1 = $load($acc[1].as_ptr().add(j + $lanes));
+            let mut lo2 = $load($acc[2].as_ptr().add(j));
+            let mut hi2 = $load($acc[2].as_ptr().add(j + $lanes));
+            let mut lo3 = $load($acc[3].as_ptr().add(j));
+            let mut hi3 = $load($acc[3].as_ptr().add(j + $lanes));
+            let mut lo4 = $load($acc[4].as_ptr().add(j));
+            let mut hi4 = $load($acc[4].as_ptr().add(j + $lanes));
+            let mut lo5 = $load($acc[5].as_ptr().add(j));
+            let mut hi5 = $load($acc[5].as_ptr().add(j + $lanes));
+            // Iterate maximal zero-free runs of k so the hot loop is twelve
+            // unconditional multiply-adds with no branch diamond — a per-step
+            // flag test makes the allocator shuffle the tile through the
+            // stack. Flagged k-steps (some a-value is bitwise zero) run one
+            // at a time between runs with the per-row skip.
+            let mut dk = 0;
+            while dk < $klen {
+                let end = dk + clean_run(&$zmask, dk, $klen);
+                for kk in dk..end {
+                    // SAFETY: b holds klen * n floats, so row kk spans
+                    // [kk * n, kk * n + n) and j + 2·lanes <= n keeps both
+                    // loads inside it; kk < klen and every a row is klen long.
+                    let brow = $b.as_ptr().add(kk * $n + j);
+                    let b0 = $load(brow);
+                    let b1 = $load(brow.add($lanes));
+                    tile_step!($set1, $add, $mul; *$ap[0].add(kk), b0, b1, lo0, hi0);
+                    tile_step!($set1, $add, $mul; *$ap[1].add(kk), b0, b1, lo1, hi1);
+                    tile_step!($set1, $add, $mul; *$ap[2].add(kk), b0, b1, lo2, hi2);
+                    tile_step!($set1, $add, $mul; *$ap[3].add(kk), b0, b1, lo3, hi3);
+                    tile_step!($set1, $add, $mul; *$ap[4].add(kk), b0, b1, lo4, hi4);
+                    tile_step!($set1, $add, $mul; *$ap[5].add(kk), b0, b1, lo5, hi5);
+                }
+                dk = end;
+                if dk < $klen {
+                    // SAFETY: same bounds as above for row dk.
+                    let brow = $b.as_ptr().add(dk * $n + j);
+                    let b0 = $load(brow);
+                    let b1 = $load(brow.add($lanes));
+                    tile_step_skip_zero!($set1, $add, $mul; $ap, 0, dk, b0, b1, lo0, hi0);
+                    tile_step_skip_zero!($set1, $add, $mul; $ap, 1, dk, b0, b1, lo1, hi1);
+                    tile_step_skip_zero!($set1, $add, $mul; $ap, 2, dk, b0, b1, lo2, hi2);
+                    tile_step_skip_zero!($set1, $add, $mul; $ap, 3, dk, b0, b1, lo3, hi3);
+                    tile_step_skip_zero!($set1, $add, $mul; $ap, 4, dk, b0, b1, lo4, hi4);
+                    tile_step_skip_zero!($set1, $add, $mul; $ap, 5, dk, b0, b1, lo5, hi5);
+                    dk += 1;
+                }
+            }
+            // SAFETY: same bounds as the loads above.
+            $store($acc[0].as_mut_ptr().add(j), lo0);
+            $store($acc[0].as_mut_ptr().add(j + $lanes), hi0);
+            $store($acc[1].as_mut_ptr().add(j), lo1);
+            $store($acc[1].as_mut_ptr().add(j + $lanes), hi1);
+            $store($acc[2].as_mut_ptr().add(j), lo2);
+            $store($acc[2].as_mut_ptr().add(j + $lanes), hi2);
+            $store($acc[3].as_mut_ptr().add(j), lo3);
+            $store($acc[3].as_mut_ptr().add(j + $lanes), hi3);
+            $store($acc[4].as_mut_ptr().add(j), lo4);
+            $store($acc[4].as_mut_ptr().add(j + $lanes), hi4);
+            $store($acc[5].as_mut_ptr().add(j), lo5);
+            $store($acc[5].as_mut_ptr().add(j + $lanes), hi5);
+            $j += 2 * $lanes;
+        }
+    };
+}
+
 /// The register-tiled heart of the row-blocked training matmul: a 6-row ×
 /// 16-column accumulator tile lives in twelve ymm registers for the whole
 /// k-panel, so the output touches memory once per panel instead of once
@@ -164,14 +315,58 @@ unsafe fn fma_row4_avx2(acc: &mut [f32], a: [f32; 4], b: [&[f32]; 4]) {
 /// six [`KernelBackend::fma_row`] sweeps, load/store traffic 16× lower.
 #[target_feature(enable = "avx2,fma")]
 unsafe fn fma_panel6_avx2(mut acc: [&mut [f32]; 6], a: [&[f32]; 6], b: &[f32], n: usize) {
+    let (ap, zmask, klen) = panel6_operands(&acc, &a, b, n);
+    let mut j = 0;
+    panel6_tile!(
+        8, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_set1_ps, _mm256_add_ps, _mm256_mul_ps;
+        acc, ap, zmask, klen, b, n, j
+    );
+    panel6_columns(&mut acc, &a, b, n, j);
+}
+
+/// [`fma_panel6_avx2`] with a 6-row × 32-column tile in twelve zmm
+/// registers in front: the same chains, the same zero-run mask and skip,
+/// twice the columns per `vmulps` + `vaddps`. The ymm tile takes a
+/// 16-column group left over, and the scalar chains the last columns.
+///
+/// # Safety
+///
+/// The CPU has AVX-512F besides AVX2 and FMA ([`avx512_available`]).
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn fma_panel6_avx512(mut acc: [&mut [f32]; 6], a: [&[f32]; 6], b: &[f32], n: usize) {
+    let (ap, zmask, klen) = panel6_operands(&acc, &a, b, n);
+    let mut j = 0;
+    panel6_tile!(
+        16, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_set1_ps, _mm512_add_ps, _mm512_mul_ps;
+        acc, ap, zmask, klen, b, n, j
+    );
+    panel6_tile!(
+        8, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_set1_ps, _mm256_add_ps, _mm256_mul_ps;
+        acc, ap, zmask, klen, b, n, j
+    );
+    panel6_columns(&mut acc, &a, b, n, j);
+}
+
+/// Checks a panel's shapes for the tiles' unchecked loads and returns the
+/// six row pointers of `a`, the panel's zero mask and its length. One
+/// zero-scan per panel instead of six compares per k-step: bit dk of the
+/// mask is set when any of the six a-values at that k is a bitwise zero,
+/// sending only those (rare, for dense operands) k-steps down the per-row
+/// skip branch. Inlined, like [`panel6_columns`], into the tile functions
+/// and their target features.
+#[inline(always)]
+fn panel6_operands(
+    acc: &[&mut [f32]; 6],
+    a: &[&[f32]; 6],
+    b: &[f32],
+    n: usize,
+) -> ([*const f32; 6], [u64; 8], usize) {
     let klen = a[0].len();
-    for ar in &a {
+    for ar in a {
         assert_eq!(ar.len(), klen, "fma_panel6: uneven a-row lengths");
     }
-    // One zero-scan per panel instead of six compares per k-step: bit dk
-    // of the mask is set when any of the six a-values at that k is a
-    // bitwise zero, sending only those (rare, for dense operands) k-steps
-    // down the per-row skip branch.
+    assert!(acc.iter().all(|r| r.len() == n), "fma_panel6: acc rows are not n long");
+    assert!(b.len() >= klen * n, "fma_panel6: b holds fewer than klen rows of n");
     assert!(klen <= 512, "fma_panel6: k-panel longer than the zero-mask (512)");
     let mut zmask = [0u64; 8];
     for dk in 0..klen {
@@ -180,97 +375,14 @@ unsafe fn fma_panel6_avx2(mut acc: [&mut [f32]; 6], a: [&[f32]; 6], b: &[f32], n
             zmask[dk / 64] |= 1 << (dk % 64);
         }
     }
-    let ap =
-        [a[0].as_ptr(), a[1].as_ptr(), a[2].as_ptr(), a[3].as_ptr(), a[4].as_ptr(), a[5].as_ptr()];
-    // The 6×16 accumulator tile must live in twelve *named* ymm registers:
-    // with `[__m256; 6]` arrays the allocator spills the tile to the stack
-    // and the kernel runs at half speed, so the unroll is written out.
-    macro_rules! tile_step {
-        ($av:expr, $b0:ident, $b1:ident, $lo:ident, $hi:ident) => {{
-            let va = _mm256_set1_ps($av);
-            $lo = _mm256_add_ps($lo, _mm256_mul_ps(va, $b0));
-            $hi = _mm256_add_ps($hi, _mm256_mul_ps(va, $b1));
-        }};
-    }
-    macro_rules! tile_step_skip_zero {
-        ($r:literal, $dk:ident, $b0:ident, $b1:ident, $lo:ident, $hi:ident) => {{
-            // SAFETY: $dk < klen and every a row is klen long.
-            let av = *ap[$r].add($dk);
-            // analyze: allow(float-equality) — exact-zero sparsity fast path; skipping only bitwise zeros cannot change the accumulated sum
-            if av != 0.0 {
-                tile_step!(av, $b0, $b1, $lo, $hi);
-            }
-        }};
-    }
-    let mut j = 0;
-    while j + 16 <= n {
-        // SAFETY: j + 16 <= n and every acc row is exactly n long.
-        let mut lo0 = _mm256_loadu_ps(acc[0].as_ptr().add(j));
-        let mut hi0 = _mm256_loadu_ps(acc[0].as_ptr().add(j + 8));
-        let mut lo1 = _mm256_loadu_ps(acc[1].as_ptr().add(j));
-        let mut hi1 = _mm256_loadu_ps(acc[1].as_ptr().add(j + 8));
-        let mut lo2 = _mm256_loadu_ps(acc[2].as_ptr().add(j));
-        let mut hi2 = _mm256_loadu_ps(acc[2].as_ptr().add(j + 8));
-        let mut lo3 = _mm256_loadu_ps(acc[3].as_ptr().add(j));
-        let mut hi3 = _mm256_loadu_ps(acc[3].as_ptr().add(j + 8));
-        let mut lo4 = _mm256_loadu_ps(acc[4].as_ptr().add(j));
-        let mut hi4 = _mm256_loadu_ps(acc[4].as_ptr().add(j + 8));
-        let mut lo5 = _mm256_loadu_ps(acc[5].as_ptr().add(j));
-        let mut hi5 = _mm256_loadu_ps(acc[5].as_ptr().add(j + 8));
-        // Iterate maximal zero-free runs of k so the hot loop is twelve
-        // unconditional multiply-adds with no branch diamond — a per-step
-        // flag test makes the allocator shuffle the tile through the
-        // stack. Flagged k-steps (some a-value is bitwise zero) run one
-        // at a time between runs with the per-row skip.
-        let mut dk = 0;
-        while dk < klen {
-            let end = dk + clean_run(&zmask, dk, klen);
-            for kk in dk..end {
-                // SAFETY: b holds klen * n floats, so row kk spans
-                // [kk * n, kk * n + n) and j + 16 <= n keeps both loads
-                // inside it; kk < klen and every a row is klen long.
-                let brow = b.as_ptr().add(kk * n + j);
-                let b0 = _mm256_loadu_ps(brow);
-                let b1 = _mm256_loadu_ps(brow.add(8));
-                tile_step!(*ap[0].add(kk), b0, b1, lo0, hi0);
-                tile_step!(*ap[1].add(kk), b0, b1, lo1, hi1);
-                tile_step!(*ap[2].add(kk), b0, b1, lo2, hi2);
-                tile_step!(*ap[3].add(kk), b0, b1, lo3, hi3);
-                tile_step!(*ap[4].add(kk), b0, b1, lo4, hi4);
-                tile_step!(*ap[5].add(kk), b0, b1, lo5, hi5);
-            }
-            dk = end;
-            if dk < klen {
-                // SAFETY: same bounds as above for row dk.
-                let brow = b.as_ptr().add(dk * n + j);
-                let b0 = _mm256_loadu_ps(brow);
-                let b1 = _mm256_loadu_ps(brow.add(8));
-                tile_step_skip_zero!(0, dk, b0, b1, lo0, hi0);
-                tile_step_skip_zero!(1, dk, b0, b1, lo1, hi1);
-                tile_step_skip_zero!(2, dk, b0, b1, lo2, hi2);
-                tile_step_skip_zero!(3, dk, b0, b1, lo3, hi3);
-                tile_step_skip_zero!(4, dk, b0, b1, lo4, hi4);
-                tile_step_skip_zero!(5, dk, b0, b1, lo5, hi5);
-                dk += 1;
-            }
-        }
-        // SAFETY: same bounds as the loads above.
-        _mm256_storeu_ps(acc[0].as_mut_ptr().add(j), lo0);
-        _mm256_storeu_ps(acc[0].as_mut_ptr().add(j + 8), hi0);
-        _mm256_storeu_ps(acc[1].as_mut_ptr().add(j), lo1);
-        _mm256_storeu_ps(acc[1].as_mut_ptr().add(j + 8), hi1);
-        _mm256_storeu_ps(acc[2].as_mut_ptr().add(j), lo2);
-        _mm256_storeu_ps(acc[2].as_mut_ptr().add(j + 8), hi2);
-        _mm256_storeu_ps(acc[3].as_mut_ptr().add(j), lo3);
-        _mm256_storeu_ps(acc[3].as_mut_ptr().add(j + 8), hi3);
-        _mm256_storeu_ps(acc[4].as_mut_ptr().add(j), lo4);
-        _mm256_storeu_ps(acc[4].as_mut_ptr().add(j + 8), hi4);
-        _mm256_storeu_ps(acc[5].as_mut_ptr().add(j), lo5);
-        _mm256_storeu_ps(acc[5].as_mut_ptr().add(j + 8), hi5);
-        j += 16;
-    }
-    // Column tail (< 16): scalar k-ascending chains, one element at a time
-    // through a register — bitwise the same chain as the vector tile.
+    (a.map(<[f32]>::as_ptr), zmask, klen)
+}
+
+/// Columns `j..n` of a panel (fewer than one tile): scalar k-ascending
+/// chains, one element at a time through a register — bitwise the same
+/// chain as the vector tiles.
+#[inline(always)]
+fn panel6_columns(acc: &mut [&mut [f32]; 6], a: &[&[f32]; 6], b: &[f32], n: usize, j: usize) {
     for (accr, arow) in acc.iter_mut().zip(a) {
         for jj in j..n {
             let mut x = accr[jj];
@@ -567,6 +679,53 @@ unsafe fn affine_row_avx2(dst: &mut [f32], xhat: &[f32], gamma: &[f32], beta: &[
     }
 }
 
+/// `KernelBackend::sum8` (`SQ = false`) and `sq_diff_sum8` (`SQ = true`):
+/// lane `r` of one ymm register carries row `r`'s chain from `-0.0`, one
+/// `vaddps` per row of the transposed block (after `vsubps` + `vmulps` of
+/// `mean[r]` under `SQ`) — the scalar default's per-lane chain.
+///
+/// # Safety
+///
+/// The CPU has AVX2 and FMA.
+#[target_feature(enable = "avx2,fma")]
+unsafe fn lanes8_avx2<const SQ: bool>(xt: &[f32], mean: [f32; 8]) -> [f32; 8] {
+    let vmean = _mm256_loadu_ps(mean.as_ptr());
+    let mut acc = _mm256_set1_ps(-0.0);
+    for x8 in xt.chunks_exact(8) {
+        // SAFETY: the chunk is exactly 8 contiguous f32s.
+        let mut v = _mm256_loadu_ps(x8.as_ptr());
+        if SQ {
+            v = _mm256_sub_ps(v, vmean);
+            v = _mm256_mul_ps(v, v);
+        }
+        acc = _mm256_add_ps(acc, v);
+    }
+    let mut out = [0.0f32; 8];
+    _mm256_storeu_ps(out.as_mut_ptr(), acc);
+    out
+}
+
+/// `KernelBackend::matvec8`: the eight rows' accumulators in one ymm
+/// register, one `vmulps` + `vaddps` per `kk`, and a blend that keeps the
+/// old value in every lane whose coefficient is a bitwise zero (`±0.0`
+/// compares equal to zero, NaN does not) — the scalar skip, lane by lane.
+///
+/// # Safety
+///
+/// The CPU has AVX2 and FMA.
+#[target_feature(enable = "avx2,fma")]
+unsafe fn matvec8_avx2(acc: &mut [f32; 8], at: &[f32], x: &[f32]) {
+    let zero = _mm256_setzero_ps();
+    let mut v = _mm256_loadu_ps(acc.as_ptr());
+    for (a8, &xv) in at.chunks_exact(8).zip(x) {
+        // SAFETY: the chunk is exactly 8 contiguous f32s.
+        let a = _mm256_loadu_ps(a8.as_ptr());
+        let sum = _mm256_add_ps(v, _mm256_mul_ps(a, _mm256_set1_ps(xv)));
+        v = _mm256_blendv_ps(v, sum, _mm256_cmp_ps::<_CMP_NEQ_UQ>(a, zero));
+    }
+    _mm256_storeu_ps(acc.as_mut_ptr(), v);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -678,11 +837,25 @@ mod tests {
     }
 
     #[test]
-    fn avx2_fma_panel6_matches_scalar_bitwise_at_awkward_shapes() {
+    fn simd_fma_panel6_matches_scalar_bitwise_at_awkward_shapes() {
         if !avx2_available() {
             return;
         }
-        for (klen, n) in [(1usize, 5usize), (3, 16), (4, 15), (7, 37), (64, 33), (64, 48)] {
+        // Widths with no whole tile, one ymm tile, a zmm group and the
+        // ymm tile and scalar columns behind it, and two zmm groups.
+        let shapes: [(usize, usize); 10] = [
+            (1, 5),
+            (3, 16),
+            (4, 15),
+            (7, 37),
+            (64, 33),
+            (64, 48),
+            (9, 63),
+            (64, 64),
+            (5, 80),
+            (64, 95),
+        ];
+        for (klen, n) in shapes {
             let bpanel: Vec<f32> =
                 (0..klen * n).map(|i| ((i * 31 % 29) as f32 - 14.0) * 0.27).collect();
             let arows: Vec<Vec<f32>> = (0..6)
@@ -708,8 +881,6 @@ mod tests {
                 &arows[5][..],
             ];
             let start: Vec<f32> = (0..n).map(|j| (j as f32) * 0.11 - 1.0).collect();
-            let mut scalar_rows = vec![start.clone(); 6];
-            let mut avx_rows = vec![start.clone(); 6];
             fn split6(rows: &mut [Vec<f32>]) -> [&mut [f32]; 6] {
                 let (r0, rest) = rows.split_at_mut(1);
                 let (r1, rest) = rest.split_at_mut(1);
@@ -718,15 +889,55 @@ mod tests {
                 let (r4, r5) = rest.split_at_mut(1);
                 [&mut r0[0], &mut r1[0], &mut r2[0], &mut r3[0], &mut r4[0], &mut r5[0]]
             }
-            ScalarKernels::fma_panel6(split6(&mut scalar_rows), a6, &bpanel, n);
-            Avx2Kernels::fma_panel6(split6(&mut avx_rows), a6, &bpanel, n);
-            for r in 0..6 {
-                assert_eq!(
-                    scalar_rows[r].iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    avx_rows[r].iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    "fma_panel6 klen={klen} n={n} row {r}"
-                );
+            type Panel6 = fn([&mut [f32]; 6], [&[f32]; 6], &[f32], usize);
+            let run = |panel6: Panel6| {
+                let mut rows = vec![start.clone(); 6];
+                panel6(split6(&mut rows), a6, &bpanel, n);
+                rows.iter().map(|r| r.iter().map(|x| x.to_bits()).collect()).collect::<Vec<_>>()
+            };
+            let scalar: Vec<Vec<u32>> = run(ScalarKernels::fma_panel6);
+            assert_eq!(scalar, run(Avx2Kernels::fma_panel6), "avx2 klen={klen} n={n}");
+            if avx512_available() {
+                assert_eq!(scalar, run(Avx512Kernels::fma_panel6), "avx512 klen={klen} n={n}");
             }
+        }
+    }
+
+    #[test]
+    fn avx2_row_abreast_reductions_match_scalar_bitwise() {
+        if !avx2_available() {
+            return;
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for d in [0, 1, 7, 8, 33, 64] {
+            let (a, b) = vecs(8 * d);
+            // Lane 0 all -0.0, lane 1 with a non-finite entry and a NaN
+            // coefficient, lane 2 all +0.0 coefficients.
+            let mut xt = a.clone();
+            let mut at = b.clone();
+            for kk in 0..d {
+                xt[kk * 8] = -0.0;
+                at[kk * 8 + 2] = 0.0;
+                at[kk * 8 + 3] = if kk % 3 == 0 { -0.0 } else { at[kk * 8 + 3] };
+            }
+            if d > 2 {
+                at[8 + 1] = f32::INFINITY;
+                at[16 + 1] = f32::NAN;
+                xt[8 + 5] = f32::NEG_INFINITY;
+            }
+            let mean = [0.25f32, -1.5, 0.0, -0.0, 3.0, 0.5, -0.75, 1.0];
+            let x: Vec<f32> = (0..d).map(|i| (i as f32) * 0.37 - 2.0).collect();
+            assert_eq!(bits(&ScalarKernels::sum8(&xt)), bits(&Avx2Kernels::sum8(&xt)), "sum8 {d}");
+            assert_eq!(
+                bits(&ScalarKernels::sq_diff_sum8(&xt, mean)),
+                bits(&Avx2Kernels::sq_diff_sum8(&xt, mean)),
+                "sq_diff_sum8 {d}"
+            );
+            let start = [1.0f32, -0.0, 0.0, -2.5, 0.125, 7.0, -0.0, 0.0];
+            let (mut acc_s, mut acc_v) = (start, start);
+            ScalarKernels::matvec8(&mut acc_s, &at, &x);
+            Avx2Kernels::matvec8(&mut acc_v, &at, &x);
+            assert_eq!(bits(&acc_s), bits(&acc_v), "matvec8 {d}");
         }
     }
 }

@@ -10,8 +10,8 @@
 //! through a score tile that must be `batched_matmul_nt_reference` exactly:
 //! `+0.0`, then `+= q·k` per `k`, ascending, no fused multiply-add and no
 //! zero skip. Both are checked at 1, 2 and 3 kernel threads on the scalar
-//! and the default backend, with signed zeros, infinities and NaNs in
-//! either operand.
+//! backend, the AVX2 one and the default (the widest the CPU reports), with
+//! signed zeros, infinities and NaNs in either operand.
 
 use hoga_tensor::{set_backend, set_threads, Backend, Matrix};
 use std::ops::Range;
@@ -47,11 +47,11 @@ fn operand(rows: usize, cols: usize, salt: usize, specials: bool) -> Matrix {
     })
 }
 
-/// Runs `op` on both backends at 1, 2 and 3 kernel threads and asserts
+/// Runs `op` on every backend request at 1, 2 and 3 kernel threads and asserts
 /// every run is bitwise `want`.
 fn assert_grid(label: &str, want: &Matrix, op: impl Fn() -> Matrix) {
     let _guard = lock();
-    for backend in [Backend::Scalar, Backend::Simd] {
+    for backend in [Backend::Scalar, Backend::Avx2, Backend::Simd] {
         for threads in [1, 2, 3] {
             set_backend(backend);
             set_threads(threads);

@@ -1,5 +1,6 @@
-//! Differential tests of the optimized matmul-family kernels against their
-//! naive `*_reference` oracles, plus bitwise thread-count-invariance checks.
+//! Differential tests of the optimized matmul-family and LayerNorm kernels
+//! against their naive `*_reference` oracles, plus bitwise
+//! thread-count-invariance checks.
 //!
 //! The determinism contract under test: every kernel's output is a pure
 //! function of its inputs — chunk decompositions depend only on shapes and
@@ -8,8 +9,8 @@
 
 use hoga_check::cases;
 use hoga_tensor::{
-    active_backend, approx_eq_eps, approx_eq_ulps, qmatmul, set_backend, set_threads, Backend,
-    CsrMatrix, Matrix, QuantizedMatrix, QuantizedWeights,
+    active_backend, approx_eq_eps, approx_eq_ulps, layernorm_forward, layernorm_rows, qmatmul,
+    set_backend, set_threads, Backend, CsrMatrix, Matrix, QuantizedMatrix, QuantizedWeights,
 };
 use rand::Rng;
 use std::collections::BTreeMap;
@@ -311,37 +312,50 @@ fn dense_rough(rows: usize, cols: usize, salt: usize) -> Matrix {
     })
 }
 
-/// The two sides of every cross-backend comparison below: the pinned
-/// scalar reference and the default, which the CPU resolves. Prints what
-/// the pair resolved to once per run (call with [`thread_lock`] held), so a
-/// scalar-vs-scalar — vacuous — grid on a host without AVX2 is visible in
-/// the log. Callers leave the default, [`Backend::Simd`], selected.
-fn backends() -> [Backend; 2] {
+/// The sides of every cross-backend comparison below: the pinned scalar
+/// reference, then every SIMD tile this host can run — the AVX2 one when
+/// the default resolves wider — ending on the default, which the CPU
+/// resolves. Prints what the sides resolved to once per run (call with
+/// [`thread_lock`] held), so a scalar-vs-scalar — vacuous — grid on a host
+/// without AVX2 is visible in the log. Callers leave the default,
+/// [`Backend::Simd`], selected.
+fn backends() -> Vec<Backend> {
     static PRINTED: Once = Once::new();
+    let name = |backend| {
+        set_backend(backend);
+        active_backend()
+    };
+    let mut sides = vec![Backend::Scalar];
+    if name(Backend::Avx2) != name(Backend::Simd) {
+        sides.push(Backend::Avx2);
+    }
+    sides.push(Backend::Simd);
     PRINTED.call_once(|| {
-        set_backend(Backend::Scalar);
-        let reference = active_backend();
-        set_backend(Backend::Simd);
-        eprintln!("cross-backend grids compare {reference} vs {}", active_backend());
+        let names: Vec<_> = sides.iter().map(|&b| name(b)).collect();
+        eprintln!("cross-backend grids compare {}", names.join(" vs "));
     });
-    [Backend::Scalar, Backend::Simd]
+    set_backend(Backend::Simd);
+    sides
 }
 
-/// Runs `op` under both backend requests and asserts bitwise-identical
+/// Runs `op` under every backend request and asserts bitwise-identical
 /// output — the training-path contract: the backend may change *how* a row
 /// is computed, never *what* is computed.
 fn assert_backend_invariant(label: &str, op: impl Fn() -> Matrix) -> Matrix {
     let _guard = thread_lock();
     // In order, so the default (`Backend::Simd`) is what stays selected.
-    let [scalar, simd] = backends().map(|backend| {
+    let mut runs = backends().into_iter().map(|backend| {
         set_backend(backend);
-        op()
+        (backend, op())
     });
-    assert_eq!(
-        bits(&scalar),
-        bits(&simd),
-        "{label}: SIMD backend output differs bitwise from scalar on the training path"
-    );
+    let (_, scalar) = runs.next().expect("the scalar reference runs first");
+    for (backend, simd) in runs {
+        assert_eq!(
+            bits(&scalar),
+            bits(&simd),
+            "{label}: {backend:?} backend output differs bitwise from scalar on the training path"
+        );
+    }
     scalar
 }
 
@@ -408,7 +422,7 @@ fn matmul_nt_is_bitwise_the_reference_and_matmul_of_the_transpose() {
 
 #[test]
 fn training_path_is_backend_and_thread_invariant_jointly() {
-    // The full 2×3 grid: {scalar, simd} × {1, 3, 8 threads} must agree
+    // The full grid: {scalar, each SIMD tile} × {1, 3, 8 threads} must agree
     // bitwise — lane-level and thread-level partitioning compose without
     // changing a single bit on the training path.
     let a = dense_rough(130, 70, 8);
@@ -431,6 +445,73 @@ fn training_path_is_backend_and_thread_invariant_jointly() {
     }
     set_backend(Backend::Simd);
     set_threads(0);
+}
+
+/// LayerNorm one row at a time, as its contract states it: the sum and
+/// then `Σ (x - mean)²`, each an ascending `-0.0`-seeded `Iterator::sum`,
+/// divided by `d`; `inv_std = 1 / sqrt(var + 1e-5)`; `x̂ = (x - mean) ·
+/// inv_std`; `y = x̂ · γ + β`. Returns `(y, inv_std, x̂)`.
+fn layernorm_per_row(x: &Matrix, gamma: &[f32], beta: &[f32]) -> (Matrix, Vec<f32>, Matrix) {
+    let d = x.cols();
+    let (mut out, mut normalized) = (Matrix::zeros(x.rows(), d), Matrix::zeros(x.rows(), d));
+    let mut inv_std = Vec::new();
+    for r in 0..x.rows() {
+        let row = x.row(r);
+        let mean = row.iter().sum::<f32>() / d as f32;
+        let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
+        let is = 1.0 / (var + 1e-5).sqrt();
+        inv_std.push(is);
+        for c in 0..d {
+            let xh = (row[c] - mean) * is;
+            normalized[(r, c)] = xh;
+            out[(r, c)] = xh * gamma[c] + beta[c];
+        }
+    }
+    (out, inv_std, normalized)
+}
+
+#[test]
+fn layernorm_is_bitwise_the_per_row_reference_on_every_backend() {
+    // Row counts around the eight rows the statistics reduce abreast, and
+    // widths around the 8-wide lanes; row 2 is all `-0.0` (its sum stays
+    // `-0.0` only on a `-0.0`-seeded chain), row 3 all `+0.0` and row 4
+    // constant.
+    for rows in [1, 3, 7, 8, 9, 17, 23] {
+        for d in [1, 5, 8, 32, 37, 64] {
+            let mut x = dense_rough(rows, d, rows * 7 + d);
+            for (r, fill) in [(2, -0.0f32), (3, 0.0), (4, 1.75)] {
+                if r < rows {
+                    x.row_mut(r).fill(fill);
+                }
+            }
+            let gamma: Vec<f32> = (0..d).map(|c| 0.5 + 0.03 * c as f32).collect();
+            let beta: Vec<f32> = (0..d).map(|c| 0.02 * c as f32 - 0.3).collect();
+            let (want, want_inv_std, want_xhat) = layernorm_per_row(&x, &gamma, &beta);
+            let label = format!("layernorm {rows}x{d}");
+            let _guard = thread_lock();
+            for backend in backends() {
+                set_backend(backend);
+                let (out, cache) = layernorm_forward(&x, &gamma, &beta);
+                assert_eq!(bits(&out), bits(&want), "{label} at {backend:?}: output");
+                assert_eq!(bits(&cache.normalized), bits(&want_xhat), "{label} at {backend:?}: x̂");
+                let inv_std: Vec<u32> = cache.inv_std.iter().map(|v| v.to_bits()).collect();
+                let want_inv: Vec<u32> = want_inv_std.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(inv_std, want_inv, "{label} at {backend:?}: inv_std");
+                let tape_free = layernorm_rows(&x, &gamma, &beta);
+                assert_eq!(bits(&tape_free), bits(&want), "{label} at {backend:?}: tape-free");
+            }
+        }
+    }
+    // Width 0: no features to normalize, a finite placeholder inv_std.
+    let _guard = thread_lock();
+    for backend in backends() {
+        set_backend(backend);
+        let x = Matrix::zeros(9, 0);
+        let (out, cache) = layernorm_forward(&x, &[], &[]);
+        assert_eq!((out.shape(), cache.normalized.shape()), ((9, 0), (9, 0)));
+        assert_eq!(cache.inv_std, vec![1.0; 9], "width 0 at {backend:?}");
+        assert_eq!(layernorm_rows(&x, &[], &[]).shape(), (9, 0));
+    }
 }
 
 #[test]
@@ -577,29 +658,34 @@ fn batched_kernels_match_references() {
     });
 }
 
-/// Every width class around the 8-wide lane boundary (remainders 0..=7)
-/// must keep the scalar-vs-SIMD training contract bitwise and the fast
-/// path inside tolerance.
+/// Every width class around the lane boundaries (remainders 0..=7 of the
+/// 8-wide ymm and the 16-wide zmm lanes) and every row remainder of the
+/// six-row panel must keep the scalar-vs-SIMD training contract bitwise
+/// and the fast path inside tolerance. Up to 80 columns, one product can
+/// run a 32-column zmm group, a 16-column ymm tile and the scalar tail.
 #[test]
 fn backend_contract_holds_at_any_lane_remainder() {
     cases(256, |rng| {
-        let (m, k, n) = (rng.gen_range(1..=4), rng.gen_range(1..=20), rng.gen_range(1..=20));
+        let (m, k, n) = (rng.gen_range(1..=14), rng.gen_range(1..=80), rng.gen_range(1..=80));
         let seed = rng.gen_range(0..1000usize);
         let (a, b) = (dense_rough(m, k, seed), dense_rough(k, n, seed + 1));
         let _guard = thread_lock();
         // In order, so the default (`Backend::Simd`) is what stays selected.
-        let [(train_scalar, fast_scalar), (train_simd, fast_simd)] = backends().map(|backend| {
-            set_backend(backend);
-            (a.matmul(&b), a.matmul_fast(&b))
-        });
+        let runs: Vec<_> = backends()
+            .into_iter()
+            .map(|backend| {
+                set_backend(backend);
+                (backend, a.matmul(&b), a.matmul_fast(&b))
+            })
+            .collect();
         drop(_guard);
-        assert_eq!(bits(&train_scalar), bits(&train_simd));
         let reference = a.matmul_reference(&b);
-        for (fast, label) in [(&fast_scalar, "scalar"), (&fast_simd, "simd")] {
+        for (backend, train, fast) in &runs {
+            assert_eq!(bits(&runs[0].1), bits(train), "{m}x{k}x{n} at {backend:?}");
             for (&w, &g) in reference.as_slice().iter().zip(fast.as_slice()) {
                 assert!(
                     approx_eq_ulps(w, g, 1024) || approx_eq_eps(w, g, 1e-5),
-                    "{label} fast path outside tolerance: {w} vs {g}"
+                    "{backend:?} fast path outside tolerance: {w} vs {g}"
                 );
             }
         }
