@@ -1,36 +1,27 @@
-//! Interprocedural layer: the workspace call graph and the two rules
-//! built on it (R13 panic-reachability, R14 lock-order).
+//! Interprocedural layer: the workspace call graph and the rule built on
+//! it (R13 panic-reachability).
 //!
 //! The layer is split the same way the rest of the analyzer is:
 //!
-//! * **Per-file extraction** ([`extract`]) walks each function CFG and
-//!   records *facts* — panic seeds, call sites, and lock-order edges.
-//!   Facts are plain data ([`CgFacts`]), one value per file.
+//! * **Per-file extraction** ([`extract`]) splits each non-test function
+//!   body into statements at `;`, `{` and `}` and records *facts* — panic
+//!   seeds and call sites. Facts are plain data ([`CgFacts`]), one value
+//!   per file.
 //! * **Cross-file resolution** ([`build_graph`] + [`resolve_rules`]) is a
-//!   pure function of the per-file facts: it merges definitions by name
-//!   (the same conservative heuristic `det.rs` uses for its one-hop
-//!   summaries), condenses the graph with an iterative Tarjan SCC pass,
-//!   propagates may-panic over the condensation in reverse topological
-//!   order, and renders shortest witness paths via BFS.
+//!   pure function of the per-file facts: it merges definitions by name,
+//!   condenses the graph with an iterative Tarjan SCC pass, propagates
+//!   may-panic over the condensation in reverse topological order, and
+//!   renders shortest witness paths via BFS.
 //!
 //! Seed policy for R13: panic seeds are only harvested from files that are
 //! *not* themselves panic-free-hardened — R1 already polices local panic
 //! sites in hardened modules (and justified suppressions there mean the
 //! site was audited). R13 closes the other loophole: a hardened public API
 //! calling out into a panicky helper elsewhere in the workspace.
-//!
-//! Lockset for R14 is a *must*-analysis encoded as two grow-only sets
-//! so it runs on the existing may-join worklist engine: `may` holds guard
-//! records seen on some path, `unheld` holds lock names released (or never
-//! acquired) on some path; a lock is must-held iff it is in `may` and not
-//! in `unheld`. Both components only grow under join, which keeps
-//! [`crate::dataflow::forward_fixpoint`]'s monotonicity contract.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Range;
 
-use crate::cfg::{BlockId, Cfg};
-use crate::dataflow::{forward_fixpoint, Analysis};
 use crate::lexer::{TokKind, Token};
 use crate::parser::{ItemKind, Visibility};
 use crate::rules::{FileFacts, FileView, Finding, Suppression};
@@ -55,19 +46,6 @@ pub struct CgSite {
     pub what: String,
 }
 
-/// One lock-order edge: `to` was acquired while `from` was must-held.
-#[derive(Debug)]
-pub struct LockEdge {
-    /// 1-based line of the acquisition of `to`.
-    pub line: u32,
-    /// 1-based column of the acquisition of `to`.
-    pub col: u32,
-    /// The lock already held.
-    pub from: String,
-    /// The lock being acquired.
-    pub to: String,
-}
-
 /// Every interprocedural fact extracted from one file.
 #[derive(Debug, Default)]
 pub struct CgFacts {
@@ -75,22 +53,20 @@ pub struct CgFacts {
     pub panics: Vec<CgSite>,
     /// Call sites, deduplicated per `(func, callee)` keeping the earliest.
     pub calls: Vec<CgSite>,
-    /// Lock-order edges observed under the must-lockset dataflow.
-    pub lock_edges: Vec<LockEdge>,
 }
 
 /// The file's non-test `fn` definitions — its call-graph nodes (methods
-/// by bare name, like `det.rs` summaries).
+/// by bare name).
 fn fn_defs(file: &FileFacts) -> impl Iterator<Item = &SymbolDef> {
     file.defs.iter().filter(|d| d.kind == ItemKind::Fn && !d.in_test_item)
 }
 
 // ---------------------------------------------------------------------------
-// Extraction: per-file CFG walk
+// Extraction: per-file statement walk
 // ---------------------------------------------------------------------------
 
 /// Idents whose presence in a statement marks every ident in it as
-/// bounds-audited (the soft-seed gate borrows R11's philosophy).
+/// bounds-audited (the soft-seed gate).
 const GUARD_CALLS: &[&str] = &[
     "min",
     "max",
@@ -108,24 +84,20 @@ const GUARD_CALLS: &[&str] = &[
 const ASSERT_MACROS: &[&str] =
     &["assert", "assert_eq", "assert_ne", "debug_assert", "debug_assert_eq", "debug_assert_ne"];
 
-/// Walks every non-test function CFG in a file and extracts the
-/// interprocedural facts, pushing any flow-local R14 findings
-/// (re-acquired locks) into `raw` so they ride the normal per-file
-/// suppression machinery.
+/// Walks every non-test function body in a file and extracts the
+/// interprocedural facts.
 ///
 /// Seeds honour suppressions at the *seed site*: an
 /// `// analyze: allow(panic-reachability)` on (or above) a panic site
 /// stops the site from seeding the graph — the downstream findings would
 /// otherwise land in distant files where no annotation could reach them.
 /// The matched suppression is marked used so it does not read as stale.
-pub(crate) fn extract(
-    view: &FileView<'_>,
-    sups: &mut [Suppression],
-    raw: &mut Vec<Finding>,
-) -> CgFacts {
+pub(crate) fn extract(view: &FileView<'_>, sups: &mut [Suppression]) -> CgFacts {
     let mut facts = CgFacts::default();
-    for cfg in view.live_cfgs() {
-        extract_fn(view, cfg, &mut facts, sups, raw);
+    for item in view.items.iter().filter(|item| !view.in_test(item.start)) {
+        if let (ItemKind::Fn, Some(name), Some(body)) = (item.kind, &item.name, &item.body) {
+            extract_fn(view, name, body.clone(), &mut facts, sups);
+        }
     }
     facts
 }
@@ -143,16 +115,46 @@ fn seed_allowed(sups: &mut [Suppression], rule: &str, line: u32) -> bool {
     hit
 }
 
+/// Keywords that open a statement of their own: a condition or scrutinee
+/// is a statement apart from the `let` it initialises.
+const CONTROL: &[&str] = &["if", "match", "while", "for", "loop"];
+
+/// The statements of a body: the maximal token runs between `;`, `{`, `}`
+/// and a match arm's `=>`, each control keyword starting a new one. A
+/// nested function's statements are also its parent's, as a closure's are.
+fn statements(code: &[&Token], src: &str, body: Range<usize>) -> Vec<Range<usize>> {
+    let mut out = Vec::new();
+    let mut start = body.start;
+    for i in body.clone() {
+        let t = code[i];
+        let arrow = i > body.start && punct_at(code, i - 1, '=') && code[i - 1].end == t.start;
+        // Where the next statement starts if `code[i]` ends this one.
+        let next = match t.kind {
+            TokKind::Punct(';' | '{' | '}') => i + 1,
+            TokKind::Punct('>') if arrow => i + 1,
+            TokKind::Ident if CONTROL.contains(&t.text(src)) => i,
+            _ => continue,
+        };
+        if start < i {
+            out.push(start..i);
+        }
+        start = next;
+    }
+    if start < body.end {
+        out.push(start..body.end);
+    }
+    out
+}
+
 fn extract_fn(
     view: &FileView<'_>,
-    cfg: &Cfg,
+    func: &str,
+    body: Range<usize>,
     facts: &mut CgFacts,
     sups: &mut [Suppression],
-    raw: &mut Vec<Finding>,
 ) {
     let (code, src) = (&view.code[..], view.src);
-    let stmts: Vec<Range<usize>> =
-        cfg.blocks.iter().flat_map(|b| b.stmts.iter().cloned()).collect();
+    let stmts = statements(code, src, body);
     let bounded = bounded_idents(code, src, &stmts);
 
     let mut seen_calls: BTreeSet<String> = BTreeSet::new();
@@ -163,19 +165,17 @@ fn extract_fn(
             if !view.profile.panic_free {
                 if let Some(what) = panic_seed_at(code, src, i, &bounded, guarded) {
                     if !seed_allowed(sups, "panic-reachability", t.line) {
-                        facts.panics.push(site(t, &cfg.name, what));
+                        facts.panics.push(site(t, func, what));
                     }
                 }
             }
             if let Some(callee) = call_at(code, src, i) {
                 if seen_calls.insert(callee.to_string()) {
-                    facts.calls.push(site(t, &cfg.name, callee.to_string()));
+                    facts.calls.push(site(t, func, callee.to_string()));
                 }
             }
         }
     }
-
-    lockset_fn(view, cfg, facts, raw);
 }
 
 fn site(t: &Token, func: &str, what: String) -> CgSite {
@@ -387,8 +387,7 @@ fn matching_square(code: &[&Token], open: usize) -> Option<usize> {
 }
 
 /// A call site at `code[i]`: `name(` that is not a definition, a macro,
-/// or a control keyword. Method calls match by bare name, same as
-/// `det.rs` summaries.
+/// or a control keyword. Method calls match by bare name.
 fn call_at<'a>(code: &[&Token], src: &'a str, i: usize) -> Option<&'a str> {
     let t = code.get(i)?;
     if t.kind != TokKind::Ident || !punct_at(code, i + 1, '(') {
@@ -406,239 +405,6 @@ fn call_at<'a>(code: &[&Token], src: &'a str, i: usize) -> Option<&'a str> {
         return None;
     }
     Some(name)
-}
-
-// ---------------------------------------------------------------------------
-// Must-lockset dataflow (R14 flow facts)
-// ---------------------------------------------------------------------------
-
-/// An acquisition site: `<name> . lock|read|write ( )` with `name` taken
-/// from the token directly before the dot (field or variable name). Any
-/// receiver counts — the must-lockset pass discovers the order in which
-/// every lock is taken.
-fn lock_acquisition<'a>(code: &[&Token], i: usize, src: &'a str) -> Option<&'a str> {
-    let t = code.get(i)?;
-    if t.kind != TokKind::Ident || !matches!(t.text(src), "lock" | "read" | "write") {
-        return None;
-    }
-    let dotted = i >= 1 && punct_at(code, i - 1, '.');
-    let zero_arg = punct_at(code, i + 1, '(') && punct_at(code, i + 2, ')');
-    if !(dotted && zero_arg) {
-        return None;
-    }
-    let recv = code.get(i.checked_sub(2)?)?;
-    if recv.kind != TokKind::Ident {
-        return None;
-    }
-    Some(recv.text(src))
-}
-
-/// `Some(bound variable)` when the statement containing the acquisition at
-/// `code[i]` is a `let` (the variable is `None` for a pattern that does not
-/// start with a plain name); `None` for a transient, unbound acquisition.
-fn let_binding(code: &[&Token], i: usize, src: &str) -> Option<Option<String>> {
-    // Walk back to the statement boundary.
-    let mut j = i;
-    while j > 0 && !matches!(code[j - 1].kind, TokKind::Punct(';' | '{' | '}')) {
-        j -= 1;
-    }
-    if !ident_is(code, j, src, "let") {
-        return None;
-    }
-    let k = if ident_is(code, j + 1, src, "mut") { j + 2 } else { j + 1 };
-    Some(code.get(k).filter(|t| t.kind == TokKind::Ident).map(|t| t.text(src).to_string()))
-}
-
-/// A guard record: the lock name, the byte offset where its lexical scope
-/// ends, and the variable it is bound to (if any).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct Guard {
-    name: String,
-    scope_end: usize,
-    var: Option<String>,
-}
-
-/// The two-set encoding of the must-lockset (see module docs): both
-/// components only grow under join; must-held = names(may) − unheld.
-#[derive(Debug, Clone, PartialEq, Default)]
-struct LockFact {
-    may: BTreeSet<Guard>,
-    unheld: BTreeSet<String>,
-}
-
-impl LockFact {
-    fn must_held(&self) -> Vec<String> {
-        let mut out: Vec<String> =
-            self.may.iter().map(|g| g.name.clone()).filter(|n| !self.unheld.contains(n)).collect();
-        out.dedup();
-        out
-    }
-}
-
-struct LockPass<'a> {
-    code: &'a [&'a Token],
-    src: &'a str,
-    universe: BTreeSet<String>,
-}
-
-impl Analysis for LockPass<'_> {
-    type Fact = LockFact;
-
-    fn bottom(&self) -> LockFact {
-        LockFact::default()
-    }
-
-    fn entry(&self) -> LockFact {
-        LockFact { may: BTreeSet::new(), unheld: self.universe.clone() }
-    }
-
-    fn join(&self, into: &mut LockFact, other: &LockFact) {
-        into.may.extend(other.may.iter().cloned());
-        into.unheld.extend(other.unheld.iter().cloned());
-    }
-
-    fn transfer(&mut self, cfg: &Cfg, id: BlockId, fact: &mut LockFact) {
-        for stmt in &cfg.blocks[id].stmts {
-            apply_lock_stmt(self.code, self.src, stmt, fact, None);
-        }
-    }
-}
-
-/// Applies one statement to the lockset fact; when `edges` is set, also
-/// records a lock-order edge from every must-held lock to each acquisition.
-fn apply_lock_stmt(
-    code: &[&Token],
-    src: &str,
-    stmt: &Range<usize>,
-    fact: &mut LockFact,
-    mut edges: Option<&mut Vec<LockEdge>>,
-) {
-    for i in stmt.clone() {
-        let t = code[i];
-        // Scope exits at or before this token release their guards. The
-        // check is per-token because a block in expression position (a
-        // closure body, `let x = { .. };`) stays inside one CFG stmt range.
-        let dead: Vec<Guard> =
-            fact.may.iter().filter(|g| g.scope_end <= t.start).cloned().collect();
-        for g in dead {
-            fact.unheld.insert(g.name.clone());
-            fact.may.remove(&g);
-        }
-        // `drop(guard)` releases early.
-        if t.kind == TokKind::Ident && t.text(src) == "drop" && punct_at(code, i + 1, '(') {
-            if let Some(arg) = code.get(i + 2).filter(|a| a.kind == TokKind::Ident) {
-                let arg = arg.text(src);
-                let dropped: Vec<Guard> =
-                    fact.may.iter().filter(|g| g.var.as_deref() == Some(arg)).cloned().collect();
-                for g in dropped {
-                    fact.unheld.insert(g.name.clone());
-                    fact.may.remove(&g);
-                }
-            }
-            continue;
-        }
-        let Some(name) = lock_acquisition(code, i, src) else { continue };
-        if let Some(edges) = edges.as_deref_mut() {
-            for from in fact.must_held() {
-                edges.push(LockEdge { line: t.line, col: t.col, from, to: name.to_string() });
-            }
-        }
-        let binding = let_binding(code, i, src);
-        let scope_end = if binding.is_some() {
-            enclosing_scope_end(code, i)
-        } else {
-            // A guard temporary lives to the end of its own expression
-            // statement — not the (possibly much coarser) CFG stmt range,
-            // which can pack a whole `if`/`else` chain into one range and
-            // would keep the guard "held" across exclusive branches.
-            expr_stmt_end(code, i)
-        };
-        fact.may.insert(Guard { name: name.to_string(), scope_end, var: binding.flatten() });
-        fact.unheld.remove(name);
-    }
-}
-
-/// Byte offset where the expression statement containing `code[i]` ends:
-/// the first `;` at brace depth zero (inclusive), or the start of the `}`
-/// / `{` that closes or opens a block at depth zero first (a temporary in
-/// an `if` condition does not outlive the condition).
-fn expr_stmt_end(code: &[&Token], i: usize) -> usize {
-    for t in &code[i..] {
-        match t.kind {
-            TokKind::Punct(';') => return t.end,
-            TokKind::Punct('{') | TokKind::Punct('}') => return t.start,
-            _ => {}
-        }
-    }
-    code.last().map(|t| t.end).unwrap_or(usize::MAX)
-}
-
-/// Byte offset of the `}` closing the block that contains `code[i]` (the
-/// end of a bound guard's lexical scope).
-fn enclosing_scope_end(code: &[&Token], i: usize) -> usize {
-    let mut depth = 0usize;
-    let mut k = i;
-    while k < code.len() {
-        match code[k].kind {
-            TokKind::Punct('{') => depth += 1,
-            TokKind::Punct('}') => {
-                if depth == 0 {
-                    return code[k].start;
-                }
-                depth -= 1;
-            }
-            _ => {}
-        }
-        k += 1;
-    }
-    code.last().map(|t| t.end).unwrap_or(usize::MAX)
-}
-
-/// Runs the must-lockset pass over one function: fixpoint, then a
-/// deterministic reporting walk from the stabilized entry facts.
-fn lockset_fn(view: &FileView<'_>, cfg: &Cfg, facts: &mut CgFacts, raw: &mut Vec<Finding>) {
-    let (code, src) = (&view.code[..], view.src);
-    let mut universe = BTreeSet::new();
-    for b in &cfg.blocks {
-        for stmt in &b.stmts {
-            for i in stmt.clone() {
-                if let Some(name) = lock_acquisition(code, i, src) {
-                    universe.insert(name.to_string());
-                }
-            }
-        }
-    }
-    if universe.is_empty() {
-        return;
-    }
-    let mut pass = LockPass { code, src, universe };
-    let fx = forward_fixpoint(cfg, &mut pass);
-    let mut edges = Vec::new();
-    for (id, b) in cfg.blocks.iter().enumerate() {
-        let mut fact = fx.entry_facts[id].clone();
-        for stmt in &b.stmts {
-            apply_lock_stmt(code, src, stmt, &mut fact, Some(&mut edges));
-        }
-    }
-    raw.extend(edges.iter().filter_map(|e| reacquire_finding(view, e)));
-    facts.lock_edges.append(&mut edges);
-}
-
-/// The flow-local R14 check: acquiring a lock whose guard is still held.
-fn reacquire_finding(view: &FileView<'_>, e: &LockEdge) -> Option<Finding> {
-    if e.from != e.to {
-        return None;
-    }
-    let message = format!(
-        "acquiring `{}` while a guard for it is still held re-acquires a non-reentrant \
-         lock and deadlocks; release the first guard (or justify with \
-         `// analyze: allow(lock-order) — <why>`)",
-        e.to
-    );
-    Some(Finding {
-        symbol: Some(e.to.clone()),
-        ..view.finding(e.line, e.col, "lock-order", message)
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -831,8 +597,7 @@ impl CallGraph {
 /// order.
 pub fn build_graph(inputs: &[FileFacts]) -> CallGraph {
     // Node order: sorted (file, name) pairs. Two same-name defs in one
-    // file (e.g. `new` on two types) merge into one node — the per-file
-    // grain is the same conservative merge `det.rs` applies.
+    // file (e.g. `new` on two types) merge into one node.
     let mut keys: BTreeSet<(String, String)> = BTreeSet::new();
     for input in inputs {
         for d in fn_defs(input) {
@@ -963,16 +728,14 @@ fn tarjan(succs: &[Vec<usize>]) -> (Vec<usize>, usize) {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-file resolution: R13 / R14-cycles
+// Cross-file resolution: R13
 // ---------------------------------------------------------------------------
 
-/// Resolves the cross-file rules against a propagated graph. The findings
-/// still have to pass each file's suppression machinery (like R6's
-/// dead-API findings).
+/// R13: the hardened public APIs that can transitively reach a panic in a
+/// propagated graph. The findings still have to pass each file's
+/// suppression machinery (like R6's dead-API findings).
 pub(crate) fn resolve_rules(graph: &CallGraph, inputs: &[FileFacts]) -> Vec<Finding> {
     let mut out = Vec::new();
-
-    // R13: hardened public APIs that can transitively reach a panic.
     for input in inputs {
         if !input.hardened {
             continue;
@@ -996,127 +759,8 @@ pub(crate) fn resolve_rules(graph: &CallGraph, inputs: &[FileFacts]) -> Vec<Find
                     graph.render_witness(&path)
                 ),
                 symbol: Some(d.name.clone()),
-                severity_override: None,
             });
         }
     }
-
-    // R14 (cross-file): cycles in the workspace lock-order graph.
-    out.extend(lock_cycle_findings(inputs));
     out
-}
-
-/// Builds the workspace lock-order graph (lock names as nodes, observed
-/// held→acquired pairs as edges) and reports every cycle of two or more
-/// locks; a lock re-acquired under its own guard is a flow-local finding.
-fn lock_cycle_findings(inputs: &[FileFacts]) -> Vec<Finding> {
-    // (from, to) -> earliest site, skipping self-edges (flagged per-file).
-    let mut edges: BTreeMap<(String, String), (String, u32, u32)> = BTreeMap::new();
-    for input in inputs {
-        for e in &input.cg.lock_edges {
-            if e.from == e.to {
-                continue;
-            }
-            let site = (input.rel.clone(), e.line, e.col);
-            let key = (e.from.clone(), e.to.clone());
-            match edges.get(&key) {
-                Some(existing) if *existing <= site => {}
-                _ => {
-                    edges.insert(key, site);
-                }
-            }
-        }
-    }
-    let mut locks: BTreeSet<String> = BTreeSet::new();
-    for (from, to) in edges.keys() {
-        locks.insert(from.clone());
-        locks.insert(to.clone());
-    }
-    let locks: Vec<String> = locks.into_iter().collect();
-    let index: BTreeMap<&str, usize> =
-        locks.iter().enumerate().map(|(i, n)| (n.as_str(), i)).collect();
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); locks.len()];
-    for (from, to) in edges.keys() {
-        if let (Some(&f), Some(&t)) = (index.get(from.as_str()), index.get(to.as_str())) {
-            succs[f].push(t);
-        }
-    }
-    let (scc_of, scc_count) = tarjan(&succs);
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); scc_count];
-    for v in 0..locks.len() {
-        members[scc_of[v]].push(v);
-    }
-    let mut out = Vec::new();
-    for group in &members {
-        if group.len() < 2 {
-            continue;
-        }
-        // Render the cycle through the component's smallest lock name.
-        let rep = group[0];
-        let cycle = cycle_through(&succs, &scc_of, rep);
-        let mut parts: Vec<String> = Vec::new();
-        let mut anchor: Option<(String, u32, u32)> = None;
-        for pair in cycle.windows(2) {
-            let (a, b) = (&locks[pair[0]], &locks[pair[1]]);
-            let site = edges.get(&(a.clone(), b.clone()));
-            let rendered = match site {
-                Some((f, l, c)) => {
-                    if anchor.as_ref().map(|s| s > &(f.clone(), *l, *c)).unwrap_or(true) {
-                        anchor = Some((f.clone(), *l, *c));
-                    }
-                    format!("{a} -> {b} ({f}:{l}:{c})")
-                }
-                None => format!("{a} -> {b}"),
-            };
-            parts.push(rendered);
-        }
-        let Some((file, line, col)) = anchor else { continue };
-        out.push(Finding {
-            file,
-            line,
-            col,
-            rule: "lock-order",
-            message: format!(
-                "workspace lock-order cycle: {}; impose a single acquisition order (or justify \
-                 with `// analyze: allow(lock-order) — <why>`)",
-                parts.join(", ")
-            ),
-            symbol: Some(locks[rep].clone()),
-            severity_override: None,
-        });
-    }
-    out
-}
-
-/// A cycle `rep → … → rep` through SCC-internal edges (BFS, deterministic
-/// because successor lists are in insertion order over sorted edge keys).
-fn cycle_through(succs: &[Vec<usize>], scc_of: &[usize], rep: usize) -> Vec<usize> {
-    let n = succs.len();
-    let mut parent = vec![usize::MAX; n];
-    let mut queue = VecDeque::new();
-    queue.push_back(rep);
-    while let Some(v) = queue.pop_front() {
-        for &w in &succs[v] {
-            if scc_of[w] != scc_of[rep] {
-                continue;
-            }
-            if w == rep {
-                let mut path = vec![rep];
-                let mut cur = v;
-                while cur != rep {
-                    path.push(cur);
-                    cur = parent[cur];
-                }
-                path.push(rep);
-                path.reverse();
-                return path;
-            }
-            if parent[w] != usize::MAX {
-                continue;
-            }
-            parent[w] = v;
-            queue.push_back(w);
-        }
-    }
-    vec![rep, rep]
 }

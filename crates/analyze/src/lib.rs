@@ -8,14 +8,13 @@
 //! never flagged.
 //!
 //! One pipeline runs over the workspace. Each file is lexed,
-//! comment-filtered, item-parsed ([`parser`]) and CFG-lowered ([`mod@cfg`])
-//! once into a borrowed [`rules::FileView`]; the token-level rules, the
-//! flow-aware rules ([`det`], driven to fixpoint by the [`dataflow`]
-//! worklist engine) and the call-graph fact extraction ([`callgraph`]) all
-//! read that view and leave one in-memory [`rules::FileFacts`] per file.
-//! Two pure resolvers then turn the facts of all files into the cross-file
-//! findings: *flow* (interprocedural taint plus the call-graph rules) and
-//! *dead-API* (liveness on the [`symbols`] graph). Analyzing a
+//! comment-filtered and item-parsed ([`parser`]) once into a borrowed
+//! `rules::FileView`; the token-level rules and the call-graph fact
+//! extraction ([`callgraph`], which splits each function body into
+//! statements on the token stream) read that view and leave one in-memory
+//! [`rules::FileFacts`] per file. Two pure resolvers then turn the facts of
+//! all files into the cross-file findings: *flow* (R13 over the call
+//! graph) and *dead-API* (liveness on the [`symbols`] graph). Analyzing a
 //! single source is the same path over a one-file slice. Nothing is
 //! persisted between runs.
 //!
@@ -33,19 +32,9 @@
 //!   use `hoga_tensor::approx_eq`.
 //! * `thread-hygiene` — every `spawn` handle is joined; no bare
 //!   `std::thread::spawn` in `eval`.
-//! * `determinism-taint` — values influenced by clocks, env reads, or
-//!   unordered-container iteration must not reach persisted sinks
-//!   (checkpoints, manifests, the job event stream); error severity in
-//!   hardened modules.
-//! * `unchecked-index` — arithmetic-derived indices in decode paths must
-//!   be bounds-checked (or `.get`/modulo/`min`/`clamp` bounded) before
-//!   `[...]`.
 //! * `panic-reachability` — a `pub` API in a hardened module must not
 //!   *transitively* reach a panic site elsewhere in the workspace; each
 //!   finding renders a shortest call-graph witness path ([`callgraph`]).
-//! * `lock-order` — the flow-aware must-lockset pass flags
-//!   re-acquisition of a held lock and reports any cycle in the
-//!   discovered workspace lock-order graph.
 //!
 //! Every rule shows a catch on a seeded copy of the real workspace
 //! (`tests/zoo.rs`). The `unsafe` allowlist
@@ -64,9 +53,6 @@
 //! accumulate.
 
 pub mod callgraph;
-pub mod cfg;
-pub mod dataflow;
-pub mod det;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
@@ -74,7 +60,7 @@ pub mod symbols;
 pub mod workspace;
 
 pub use callgraph::CallGraph;
-pub use rules::{analyze_file, analyze_source, FileFacts, FileProfile, FileView, Finding};
+pub use rules::{analyze_file, FileFacts, FileProfile, Finding};
 pub use workspace::{analyze_workspace, AnalysisStats};
 
 /// Renders findings one per line as `file:line:col: [rule] message`.
@@ -142,22 +128,17 @@ pub(crate) fn json_string(s: &str) -> String {
 /// for humans (`cargo run -p hoga-analyze`).
 #[cfg(test)]
 mod gate {
-    use std::collections::BTreeSet;
     use std::path::{Path, PathBuf};
 
-    use crate::parser::ItemKind;
-    use crate::rules::{FileView, DET_SINKS};
-    use crate::workspace::{
-        read_workspace_sources, DECODE_MODULES, HARDENED_MODULES, NUMERIC_MODULES, UNSAFE_ALLOWLIST,
-    };
+    use crate::workspace::{DECODE_MODULES, HARDENED_MODULES, NUMERIC_MODULES, UNSAFE_ALLOWLIST};
 
     fn root() -> PathBuf {
         Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..")
     }
 
-    /// A renamed file un-hardens itself without a finding, and a renamed
-    /// sink stops being checked: every name the lint configuration
-    /// mentions must still exist in the workspace it configures.
+    /// A renamed file un-hardens itself without a finding: every path the
+    /// lint configuration mentions must still exist in the workspace it
+    /// configures.
     #[test]
     fn lint_configuration_names_things_that_exist() {
         let root = root();
@@ -167,18 +148,6 @@ mod gate {
                 let exists = if entry.ends_with('/') { path.is_dir() } else { path.is_file() };
                 assert!(exists, "module list entry `{entry}` matches nothing under the root");
             }
-        }
-
-        let mut fns = BTreeSet::new();
-        let sources = read_workspace_sources(&root).expect("workspace walk failed");
-        for (rel, src) in sources.iter().filter(|(rel, _)| !rel.starts_with("crates/analyze/")) {
-            let tokens = crate::lexer::lex(src);
-            let view = FileView::new(rel, src, &tokens, Default::default());
-            let named = view.items.iter().filter(|item| item.kind == ItemKind::Fn);
-            fns.extend(named.filter_map(|item| item.name.clone()));
-        }
-        for (sink, _) in DET_SINKS {
-            assert!(fns.contains(*sink), "DET_SINKS names `{sink}`, which no `fn` defines");
         }
     }
 
@@ -207,7 +176,6 @@ mod render_tests {
             rule: "panic-free-paths",
             message: "say \"no\"\tto panics".to_string(),
             symbol: None,
-            severity_override: None,
         }]
     }
 
@@ -244,9 +212,7 @@ mod render_tests {
     #[test]
     fn severity_splits_warnings_from_errors() {
         assert_eq!(rules::severity_of("dead-public-api"), "warning");
-        assert_eq!(rules::severity_of("determinism-taint"), "warning");
         assert_eq!(rules::severity_of("float-equality"), "error");
         assert_eq!(rules::severity_of("panic-reachability"), "error");
-        assert_eq!(rules::severity_of("lock-order"), "error");
     }
 }

@@ -102,17 +102,8 @@ fn main() -> ExitCode {
 
     if show_stats {
         eprintln!(
-            "hoga-analyze: stats: {} file(s); \
-             {} cfg(s), {} block(s), {} edge(s), {} fixpoint transfer(s); \
-             call graph: {} node(s), {} edge(s), {} scc(s)",
-            stats.files,
-            stats.cfgs,
-            stats.blocks,
-            stats.edges,
-            stats.fixpoint_iterations,
-            stats.call_nodes,
-            stats.call_edges,
-            stats.call_sccs
+            "hoga-analyze: stats: {} file(s); call graph: {} node(s), {} edge(s), {} scc(s)",
+            stats.files, stats.call_nodes, stats.call_edges, stats.call_sccs
         );
     }
 

@@ -7,9 +7,12 @@
 //! syntactically possible (after `;`, `{`, `}`, `]` or at the start of the
 //! file). That is enough to recover every definition with its span,
 //! visibility and enclosing `impl` subject, which is what the
-//! [`crate::symbols`] graph needs. Bodies are scanned through, so nested
+//! [`crate::symbols`] graph needs, and every `fn`'s body range, which
+//! [`crate::callgraph`] splits into statements. Bodies are scanned through, so nested
 //! items (a `static` inside a `fn`, methods inside an `impl`) are found
 //! too.
+
+use std::ops::Range;
 
 use crate::lexer::{TokKind, Token};
 
@@ -96,6 +99,9 @@ pub struct Item {
     /// For `fn` items inside an `impl` block: the impl subject, so a used
     /// method keeps its type alive.
     pub owner: Option<String>,
+    /// For `fn` items with a body: the token-index range strictly inside
+    /// the body's braces (`None` for a trait-method declaration).
+    pub body: Option<Range<usize>>,
 }
 
 /// Parses item headers out of a file's comment-free token view (see
@@ -144,10 +150,14 @@ pub(crate) fn parse_items(code: &[&Token], src: &str) -> Vec<Item> {
             i += 1;
             continue;
         }
+        let mut body = None;
         let parsed = match kw.text(src) {
             "fn" => {
                 let name = name_at(code, j + 1, src);
                 let sig_end = find_at_depth0(code, j + 1, &['{', ';']);
+                if punct_is(code, sig_end, '{') {
+                    body = Some(sig_end + 1..brace_end_index(code, sig_end));
+                }
                 let deps = idents_between(code, j + 2, sig_end, src);
                 let owner = impl_spans
                     .iter()
@@ -223,6 +233,7 @@ pub(crate) fn parse_items(code: &[&Token], src: &str) -> Vec<Item> {
                     col: pos.col,
                     dep_names,
                     owner,
+                    body,
                 });
                 i = resume.max(i + 1);
             }

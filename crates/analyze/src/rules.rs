@@ -11,7 +11,6 @@
 use std::collections::BTreeMap;
 
 use crate::callgraph::CallGraph;
-use crate::cfg::{function_cfgs, Cfg};
 use crate::lexer::{lex, TokKind, Token};
 use crate::parser::{parse_items, Item, ItemKind};
 use crate::symbols::{source_unit, SymbolDef};
@@ -26,52 +25,17 @@ pub(crate) const RULE_IDS: &[&str] = &[
     "dead-public-api",
     "float-equality",
     "thread-hygiene",
-    "determinism-taint",
-    "unchecked-index",
     "panic-reachability",
-    "lock-order",
 ];
 
 /// Diagnostic severity of a rule id: `"error"` or `"warning"`. Both fail
 /// the binary; severity is reporting metadata for the JSON consumer.
-/// `determinism-taint` defaults to `warning` and is overridden to `error`
-/// in hardened modules (see [`Finding::severity_override`]).
 pub(crate) fn severity_of(rule: &str) -> &'static str {
     match rule {
-        "dead-public-api" | "determinism-taint" => "warning",
+        "dead-public-api" => "warning",
         _ => "error",
     }
 }
-
-/// The declared nondeterminism source lattice for R10 (`determinism-taint`).
-/// Path patterns (`A::b`) match the qualified call; bare names match any
-/// identifier occurrence. Two structural kinds are detected on top of this
-/// table: unordered-container iteration ([`crate::det::SRC_UNORDERED`]) and
-/// reassociated float reduction ([`crate::det::SRC_REASSOC`]).
-pub(crate) const DET_SOURCES: &[(&str, &str)] = &[
-    ("Instant::now", "monotonic clock read"),
-    ("SystemTime::now", "wall-clock read"),
-    ("UNIX_EPOCH", "wall-clock epoch arithmetic"),
-    ("RandomState", "hash-seed randomization"),
-    ("env::var", "environment read"),
-    ("env::vars", "environment read"),
-    ("env::var_os", "environment read"),
-    ("thread::current", "thread identity"),
-    ("available_parallelism", "machine parallelism"),
-];
-
-/// The declared persisted-sink set for R10: callables whose output
-/// lands in a durable artifact (checkpoints, manifest records, the job
-/// event stream, atomically written report/bench files). A tainted value
-/// reaching any of these is a determinism-contract violation.
-pub(crate) const DET_SINKS: &[(&str, &str)] = &[
-    ("encode_checkpoint", "checkpoint bytes"),
-    ("encode_params", "checkpoint parameter block"),
-    ("encode", "binary record encoding"),
-    ("write_record", "manifest record"),
-    ("write_atomic", "atomically persisted file"),
-    ("emit", "job event stream"),
-];
 
 /// One diagnostic: a rule violation at a source position.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,17 +53,12 @@ pub struct Finding {
     /// The symbol the finding is about, when the rule knows one (R6 names
     /// the dead definition; token-level rules leave this `None`).
     pub symbol: Option<String>,
-    /// Per-finding severity override. R10 reports `error` in hardened
-    /// modules and the rule default (`warning`) elsewhere; every other
-    /// rule leaves this `None`.
-    pub severity_override: Option<&'static str>,
 }
 
 impl Finding {
-    /// `"error"` or `"warning"` (see [`severity_of`] and
-    /// [`Finding::severity_override`]).
+    /// `"error"` or `"warning"` (see [`severity_of`]).
     pub fn severity(&self) -> &'static str {
-        self.severity_override.unwrap_or_else(|| severity_of(self.rule))
+        severity_of(self.rule)
     }
 }
 
@@ -133,11 +92,11 @@ pub struct FileProfile {
 }
 
 /// One source file prepared for analysis: lexed by the caller, then
-/// comment-filtered, `#[cfg(test)]`-spanned, item-parsed and CFG-lowered
-/// here, once. Every rule layer (token rules, dataflow, call-graph
-/// extraction, definition/reference collection) reads this borrowed view;
-/// none re-derives any part of it.
-pub struct FileView<'a> {
+/// comment-filtered, `#[cfg(test)]`-spanned and item-parsed here, once.
+/// Every rule layer (token rules, call-graph extraction,
+/// definition/reference collection) reads this borrowed view; none
+/// re-derives any part of it.
+pub(crate) struct FileView<'a> {
     /// Workspace-relative path, used verbatim in diagnostics.
     pub(crate) rel: &'a str,
     /// The file's text.
@@ -147,19 +106,16 @@ pub struct FileView<'a> {
     /// Every token, comments included (suppressions live in comments).
     pub(crate) tokens: &'a [Token],
     /// The comment-free tokens every other rule matches on.
-    pub code: Vec<&'a Token>,
+    pub(crate) code: Vec<&'a Token>,
     /// Byte spans of `#[cfg(test)]` items.
     pub(crate) test_spans: Vec<std::ops::Range<usize>>,
     /// Item headers, in source order.
     pub(crate) items: Vec<Item>,
-    /// One CFG per `fn` body (none for whole-file test code, where no
-    /// flow rule runs).
-    pub cfgs: Vec<Cfg>,
 }
 
 impl<'a> FileView<'a> {
     /// Prepares `src`; `tokens` must be `lex(src)`.
-    pub fn new(
+    pub(crate) fn new(
         rel: &'a str,
         src: &'a str,
         tokens: &'a [Token],
@@ -173,20 +129,14 @@ impl<'a> FileView<'a> {
             .collect();
         let test_spans = cfg_test_spans(&code, src);
         let items = parse_items(&code, src);
-        let cfgs = if profile.all_test { Vec::new() } else { function_cfgs(&code, &items, src) };
-        FileView { rel, src, profile, tokens, code, test_spans, items, cfgs }
+        FileView { rel, src, profile, tokens, code, test_spans, items }
     }
 
     /// Is byte offset `pos` test code — anywhere in a `tests/` file, or
-    /// inside a `#[cfg(test)]` item elsewhere? R1/R2/R7 and the flow
-    /// rules relax there (R5).
+    /// inside a `#[cfg(test)]` item elsewhere? R1/R2/R7 relax there (R5),
+    /// and R13 harvests nothing there.
     pub(crate) fn in_test(&self, pos: usize) -> bool {
         self.profile.all_test || in_spans(pos, &self.test_spans)
-    }
-
-    /// The CFGs of non-test functions — what the flow rules walk.
-    pub(crate) fn live_cfgs(&self) -> impl Iterator<Item = &Cfg> {
-        self.cfgs.iter().filter(|cfg| !self.in_test(cfg.header_start))
     }
 
     /// A finding of `rule` at `line:col` of this file, with no symbol.
@@ -197,15 +147,7 @@ impl<'a> FileView<'a> {
         rule: &'static str,
         message: String,
     ) -> Finding {
-        Finding {
-            file: self.rel.to_string(),
-            line,
-            col,
-            rule,
-            message,
-            symbol: None,
-            severity_override: None,
-        }
+        Finding { file: self.rel.to_string(), line, col, rule, message, symbol: None }
     }
 }
 
@@ -228,14 +170,7 @@ pub struct FileFacts {
     pub(crate) defs: Vec<SymbolDef>,
     /// Identifier occurrence counts, for the symbol graph's references.
     pub(crate) idents: BTreeMap<String, usize>,
-    /// Interprocedural taint findings awaiting callee summaries.
-    conds: Vec<crate::det::CondFinding>,
-    /// Per-function taint summaries contributed by this file.
-    summaries: Vec<crate::det::FnSummary>,
-    /// CFG/fixpoint statistics for this file.
-    pub(crate) det_stats: crate::det::DetStats,
-    /// Interprocedural facts (panic seeds, call edges, lock events) for the
-    /// call-graph rules.
+    /// Interprocedural facts (panic seeds, call edges) for R13.
     pub(crate) cg: crate::callgraph::CgFacts,
 }
 
@@ -265,14 +200,9 @@ pub fn analyze_file(rel_path: &str, src: &str, profile: FileProfile) -> FileFact
     }
     rule_thread_hygiene(&view, &mut raw);
 
-    // Dataflow rules (R10, R11) and interprocedural fact extraction
-    // (R13, R14). Both walk the view's non-test CFGs, so whole-file test
-    // code contributes nothing: bench and test targets persist measurement
-    // data by design. Flow-local R14 findings (re-acquired locks) land in
-    // `raw` here; the cross-file propagation runs in [`flow_findings`].
-    let mut det_out = crate::det::run_det(&view);
-    raw.append(&mut det_out.findings);
-    let cg = crate::callgraph::extract(&view, &mut suppressions, &mut raw);
+    // Call-graph fact extraction (R13) walks the non-test function bodies
+    // only; the propagation runs in [`flow_findings`].
+    let cg = crate::callgraph::extract(&view, &mut suppressions);
 
     let unit = source_unit(rel_path);
     let defs = view
@@ -314,9 +244,6 @@ pub fn analyze_file(rel_path: &str, src: &str, profile: FileProfile) -> FileFact
         suppressions,
         defs,
         idents,
-        conds: det_out.conds,
-        summaries: det_out.summaries,
-        det_stats: det_out.stats,
         cg,
     }
 }
@@ -357,7 +284,6 @@ impl FileFacts {
                         s.rule
                     ),
                     symbol: None,
-                    severity_override: None,
                 });
             }
         }
@@ -367,19 +293,13 @@ impl FileFacts {
     }
 }
 
-/// The *flow* resolver: every cross-file finding that follows values or
-/// control between functions. Taint conditionals (R10) are resolved
-/// against the summaries of all `files` merged by name; the call graph is
-/// built over the same files, propagated, and queried for R13 and R14. A pure
-/// function of the facts — a one-element slice is single-file mode.
+/// The *flow* resolver: the call graph is built over all `files`,
+/// propagated, and queried for R13. A pure function of the facts — a
+/// one-element slice is single-file mode.
 pub(crate) fn flow_findings(files: &[FileFacts]) -> (Vec<Finding>, CallGraph) {
-    let summaries = crate::det::merge_summaries(files.iter().flat_map(|f| f.summaries.iter()));
-    let mut findings: Vec<Finding> =
-        files.iter().flat_map(|f| crate::det::resolve_conditionals(&f.conds, &summaries)).collect();
     let mut graph = crate::callgraph::build_graph(files);
     graph.propagate();
-    findings.extend(crate::callgraph::resolve_rules(&graph, files));
-    (findings, graph)
+    (crate::callgraph::resolve_rules(&graph, files), graph)
 }
 
 /// Folds the cross-file findings into the files they name, runs each
@@ -404,7 +324,9 @@ pub(crate) fn finish(files: Vec<FileFacts>, cross: Vec<Finding>) -> Vec<Finding>
 /// plus the flow resolver over that file alone. `rel_path` is used
 /// verbatim in diagnostics. Dead-API (R6) is a workspace question — a
 /// one-file workspace has no "outside the crate" — and is not asked here.
-pub fn analyze_source(rel_path: &str, src: &str, profile: FileProfile) -> Vec<Finding> {
+/// The rule fixtures below drive it.
+#[cfg(test)]
+fn analyze_source(rel_path: &str, src: &str, profile: FileProfile) -> Vec<Finding> {
     let files = vec![analyze_file(rel_path, src, profile)];
     let (flow, _) = flow_findings(&files);
     finish(files, flow)
@@ -1001,10 +923,14 @@ mod tests {
 
     #[test]
     fn suppression_with_unknown_rule_is_invalid() {
-        let src = "fn f() {\n// analyze: allow(no-such-rule) — because\nlet x = 1;\n}\n";
-        let f = run(src);
-        assert_eq!(rules_of(&f), ["invalid-suppression"]);
-        assert!(f[0].message.contains("no-such-rule"));
+        // A retired rule's id is unknown too: an allow left behind for one
+        // is an error, not a silent no-op.
+        for rule in ["no-such-rule", "determinism-taint", "unchecked-index", "lock-order"] {
+            let src = format!("fn f() {{\n// analyze: allow({rule}) — because\nlet x = 1;\n}}\n");
+            let f = run(&src);
+            assert_eq!(rules_of(&f), ["invalid-suppression"], "{rule}");
+            assert!(f[0].message.contains(rule), "{rule}: {}", f[0].message);
+        }
     }
 
     #[test]
@@ -1139,58 +1065,10 @@ mod tests {
         assert!(run_numeric(src).is_empty(), "got: {:?}", run_numeric(src));
     }
 
-    // --- R14: lock-order (flow-local half) ---------------------------------
-
-    /// Plain profile: only the always-on rules run, so lock and thread
-    /// fixtures don't also trip R1's unwrap check.
+    /// Plain profile: only the always-on rules run, so thread fixtures
+    /// don't also trip R1's unwrap check.
     fn run_plain(src: &str) -> Vec<Finding> {
         analyze_source("fixture.rs", src, FileProfile::default())
-    }
-
-    #[test]
-    fn reacquiring_a_held_lock_is_flagged() {
-        let src = "fn f(s: &Shared) {\n\
-                   let a = s.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);\n\
-                   let b = s.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);\n\
-                   }\n";
-        let f = run_plain(src);
-        assert_eq!(rules_of(&f), ["lock-order"]);
-        assert!(f[0].message.contains("re-acquires"), "got: {}", f[0].message);
-    }
-
-    #[test]
-    fn guard_release_by_scope_or_drop_clears_the_order_state() {
-        // Each release is followed by re-acquiring the same lock, and each
-        // quiet case is checked beside its unreleased twin: a guard tracker
-        // that never (or always) lets guards die fails one of the two.
-        let reacquired = |src: &str| {
-            let f = run_plain(src);
-            rules_of(&f) == ["lock-order"] && f[0].message.contains("re-acquires")
-        };
-        let scoped = "fn f(s: &Shared) {\n\
-                      {\n\
-                      let a = s.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);\n\
-                      }\n\
-                      let b = s.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);\n\
-                      }\n";
-        assert!(run_plain(scoped).is_empty(), "scope release: {:?}", run_plain(scoped));
-        let unscoped = scoped.replacen("\n{\n", "\n", 1).replacen("\n}\n", "\n", 1);
-        assert!(reacquired(&unscoped), "no scope: {:?}", run_plain(&unscoped));
-        let dropped = "fn f(s: &Shared) {\n\
-                       let a = s.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);\n\
-                       drop(a);\n\
-                       let b = s.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);\n\
-                       }\n";
-        assert!(run_plain(dropped).is_empty(), "drop release: {:?}", run_plain(dropped));
-        let kept = dropped.replace("drop(a);\n", "");
-        assert!(reacquired(&kept), "no drop: {:?}", run_plain(&kept));
-    }
-
-    #[test]
-    fn read_with_arguments_is_not_a_lock() {
-        let src =
-            "fn f(r: &mut impl std::io::Read, buf: &mut [u8]) { let _ = r.read(buf).unwrap(); }\n";
-        assert!(run_plain(src).is_empty(), "got: {:?}", run_plain(src));
     }
 
     // --- R9: thread-hygiene ------------------------------------------------

@@ -195,7 +195,6 @@ pub(crate) fn dead_api_findings(files: &[FileFacts]) -> Vec<Finding> {
                 def.unit
             ),
             symbol: Some(def.name.clone()),
-            severity_override: None,
         })
         .collect()
 }

@@ -104,14 +104,6 @@ pub fn read_workspace_sources(root: &Path) -> Result<Vec<(String, String)>, Walk
 pub struct AnalysisStats {
     /// Files analyzed.
     pub files: usize,
-    /// Function CFGs built.
-    pub cfgs: u64,
-    /// Basic blocks across all CFGs.
-    pub blocks: u64,
-    /// CFG edges across all CFGs.
-    pub edges: u64,
-    /// Worklist transfers executed across all dataflow fixpoints.
-    pub fixpoint_iterations: u64,
     /// Function nodes in the workspace call graph.
     pub call_nodes: u64,
     /// Call edges in the workspace call graph (name-level, deduplicated).
@@ -122,7 +114,7 @@ pub struct AnalysisStats {
 
 /// Analyzes every `.rs` file under `root`: the walk, the per-file stage
 /// ([`analyze_file`]) on each source, then the two cross-file resolvers —
-/// *flow* (interprocedural taint, R13 and R14 over the call graph) and
+/// *flow* (R13 over the call graph) and
 /// *dead-API* (R6 over the symbol graph) — whose findings are folded into
 /// each file's suppression pass so a justified allow at the definition
 /// site works the same way for every layer. Returns the findings sorted by
@@ -135,21 +127,17 @@ pub struct AnalysisStats {
 pub fn analyze_workspace(
     root: &Path,
 ) -> Result<(Vec<Finding>, AnalysisStats, CallGraph), WalkError> {
-    let mut stats = AnalysisStats::default();
-    let mut files = Vec::new();
-    for (rel, src) in read_workspace_sources(root)? {
-        let facts = analyze_file(&rel, &src, profile_for(&rel));
-        stats.files += 1;
-        stats.cfgs += facts.det_stats.cfgs;
-        stats.blocks += facts.det_stats.blocks;
-        stats.edges += facts.det_stats.edges;
-        stats.fixpoint_iterations += facts.det_stats.fixpoint_iterations;
-        files.push(facts);
-    }
+    let files: Vec<_> = read_workspace_sources(root)?
+        .iter()
+        .map(|(rel, src)| analyze_file(rel, src, profile_for(rel)))
+        .collect();
     let (flow, graph) = flow_findings(&files);
-    stats.call_nodes = graph.nodes();
-    stats.call_edges = graph.edges();
-    stats.call_sccs = graph.sccs();
+    let stats = AnalysisStats {
+        files: files.len(),
+        call_nodes: graph.nodes(),
+        call_edges: graph.edges(),
+        call_sccs: graph.sccs(),
+    };
     let mut cross = dead_api_findings(&files);
     cross.extend(flow);
     Ok((finish(files, cross), stats, graph))

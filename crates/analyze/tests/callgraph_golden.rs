@@ -137,6 +137,34 @@ fn test_code_contributes_neither_nodes_nor_seeds() {
     assert_eq!(g.nodes(), 1, "only the non-test definition");
 }
 
+/// Soft seeds are judged per statement. A condition is a statement apart
+/// from the `let` it initialises, so its `>` bounds `span`, not `s`.
+#[test]
+fn a_condition_does_not_bound_the_let_it_initialises() {
+    let src = "fn ratio(span: f32, lo: f32) -> f32 {\n\
+                   let (s, z) = if span > 0.0 { (span, 1.0) } else { (1.0, 0.0) };\n\
+                   lo / s + z\n\
+               }\n";
+    let mut g = build_graph(&[input("src/a.rs", src)]);
+    g.propagate();
+    assert!(g.may_panic("src/a.rs", "ratio"), "`lo / s` is an unchecked divisor");
+}
+
+/// A match arm's `=>` ends a statement and is no comparison: it bounds
+/// nothing on either side.
+#[test]
+fn a_match_arrow_is_not_a_comparison() {
+    let src = "fn pick(k: u8, rows: usize) -> f32 {\n\
+                   match k {\n\
+                       0 => 0.0,\n\
+                       _ => 2.0 / rows as f32,\n\
+                   }\n\
+               }\n";
+    let mut g = build_graph(&[input("src/a.rs", src)]);
+    g.propagate();
+    assert!(g.may_panic("src/a.rs", "pick"), "`2.0 / rows` is an unchecked divisor");
+}
+
 // ---------------------------------------------------------------------------
 // Determinism of the rendered graph
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
-//! True-positive / true-negative fixtures for the interprocedural rules
-//! (R13 panic-reachability, R14 lock-order).
+//! True-positive / true-negative fixtures for the interprocedural rule
+//! (R13 panic-reachability).
 //!
-//! These rules resolve over the *workspace* call graph, so every fixture
+//! The rule resolves over the *workspace* call graph, so every fixture
 //! is a small scratch workspace on disk, analyzed in-process through the
 //! same `analyze_workspace` entry point the binary uses. Assertions
 //! filter to the rule under test: scratch code may legitimately trip
@@ -127,106 +127,4 @@ fn r13_quiet_when_the_panic_lives_in_test_code() {
         &[("crates/tensor/src/matrix.rs", HARDENED_API), ("src/decode.rs", test_only)],
     );
     assert_eq!(of(&findings, "panic-reachability").len(), 0, "findings: {findings:#?}");
-}
-
-// ---------------------------------------------------------------------------
-// R14: lock-order
-// ---------------------------------------------------------------------------
-
-/// Whether `findings` hold exactly one `lock-order` finding, a re-acquire.
-fn reacquire_flagged(findings: &[Finding]) -> bool {
-    let hits = of(findings, "lock-order");
-    hits.len() == 1 && hits[0].message.contains("re-acquires a non-reentrant lock")
-}
-
-#[test]
-fn r14_scoped_release_then_acquire_is_quiet() {
-    // The first guard dies with its block, so re-acquiring the same lock
-    // happens lock-free. Without the block it is a re-acquire.
-    let src = "pub(crate) fn tick(shared: &Shared) {\n\
-                   {\n\
-                       let a = shared.event_log.lock();\n\
-                       note(&a);\n\
-                   }\n\
-                   let b = shared.event_log.lock();\n\
-                   note(b);\n\
-               }\n";
-    let dir = scratch("r14-scope");
-    let findings = analyze(&dir, &[("src/tick.rs", src)]);
-    assert_eq!(of(&findings, "lock-order").len(), 0, "findings: {findings:#?}");
-    let unscoped = src.replacen("\n{\n", "\n", 1).replacen("\n}\n", "\n", 1);
-    let findings = analyze(&dir, &[("src/tick.rs", &unscoped)]);
-    assert!(reacquire_flagged(&findings), "no scope: {findings:#?}");
-}
-
-#[test]
-fn r14_drop_release_then_acquire_is_quiet() {
-    let src = "pub(crate) fn tick(shared: &Shared) {\n\
-                   let a = shared.event_log.lock();\n\
-                   note(&a);\n\
-                   drop(a);\n\
-                   let b = shared.event_log.lock();\n\
-                   note(b);\n\
-               }\n";
-    let dir = scratch("r14-drop");
-    let findings = analyze(&dir, &[("src/tick.rs", src)]);
-    assert_eq!(of(&findings, "lock-order").len(), 0, "findings: {findings:#?}");
-    let kept = src.replace("drop(a);\n", "");
-    let findings = analyze(&dir, &[("src/tick.rs", &kept)]);
-    assert!(reacquire_flagged(&findings), "no drop: {findings:#?}");
-}
-
-#[test]
-fn r14_reacquiring_a_held_lock_is_flagged() {
-    let src = "pub(crate) fn tick(shared: &Shared) {\n\
-                   let a = shared.event_log.lock();\n\
-                   let b = shared.event_log.lock();\n\
-                   use_both(a, b);\n\
-               }\n";
-    let dir = scratch("r14-reacquire");
-    let findings = analyze(&dir, &[("src/tick.rs", src)]);
-    let hits = of(&findings, "lock-order");
-    assert_eq!(hits.len(), 1, "findings: {findings:#?}");
-    assert!(hits[0].message.contains("re-acquires a non-reentrant lock"));
-}
-
-#[test]
-fn r14_cross_file_lock_order_cycle_is_flagged() {
-    // Two locks acquired in opposite orders in two files: only the
-    // workspace lock-order graph can see the cycle.
-    let ab = "pub(crate) fn forward(shared: &Shared) {\n\
-                  let a = shared.alpha_mu.lock();\n\
-                  let b = shared.beta_mu.lock();\n\
-                  use_both(a, b);\n\
-              }\n";
-    let ba = "pub(crate) fn backward(shared: &Shared) {\n\
-                  let b = shared.beta_mu.lock();\n\
-                  let a = shared.alpha_mu.lock();\n\
-                  use_both(a, b);\n\
-              }\n";
-    let dir = scratch("r14-cycle");
-    let findings = analyze(&dir, &[("src/fwd.rs", ab), ("src/bwd.rs", ba)]);
-    let hits = of(&findings, "lock-order");
-    assert_eq!(hits.len(), 1, "one finding per cycle, not per edge: {findings:#?}");
-    let f = hits[0];
-    assert!(f.message.contains("workspace lock-order cycle"), "message: {}", f.message);
-    assert!(f.message.contains("alpha_mu -> beta_mu"), "message: {}", f.message);
-    assert!(f.message.contains("beta_mu -> alpha_mu"), "message: {}", f.message);
-}
-
-#[test]
-fn r14_same_order_in_both_files_is_quiet() {
-    let ab = "pub(crate) fn forward(shared: &Shared) {\n\
-                  let a = shared.alpha_mu.lock();\n\
-                  let b = shared.beta_mu.lock();\n\
-                  use_both(a, b);\n\
-              }\n";
-    let ab2 = "pub(crate) fn backward(shared: &Shared) {\n\
-                   let a = shared.alpha_mu.lock();\n\
-                   let b = shared.beta_mu.lock();\n\
-                   use_both(a, b);\n\
-               }\n";
-    let dir = scratch("r14-consistent");
-    let findings = analyze(&dir, &[("src/fwd.rs", ab), ("src/bwd.rs", ab2)]);
-    assert_eq!(of(&findings, "lock-order").len(), 0, "findings: {findings:#?}");
 }

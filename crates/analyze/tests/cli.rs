@@ -16,16 +16,13 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-const TAINTED: &str = "use std::collections::HashMap;\n\
-                       pub(crate) fn save(w: &HashMap<u32, f32>) -> Vec<u8> {\n\
-                           let mut blob = Vec::new();\n\
-                           for (k, v) in w.iter() {\n\
-                               blob.push((*k, *v));\n\
-                           }\n\
-                           encode_checkpoint(&blob)\n\
-                       }\n";
+const DISCARDED: &str = "pub(crate) fn fan_out() {\n\
+                             std::thread::scope(|s| {\n\
+                                 s.spawn(|| work());\n\
+                             });\n\
+                         }\n";
 
-/// One-finding workspace: the planted HashMap-into-checkpoint fixture.
+/// One-finding workspace: a scoped spawn whose handle is discarded.
 fn write_dirty_workspace(root: &Path) {
     fs::create_dir_all(root.join("src")).expect("mkdir src");
     fs::write(
@@ -33,9 +30,9 @@ fn write_dirty_workspace(root: &Path) {
         "[package]\nname = \"scratch\"\nversion = \"0.1.0\"\nedition = \"2021\"\n",
     )
     .expect("write manifest");
-    fs::write(root.join("src/lib.rs"), "#![forbid(unsafe_code)]\nmod tainted;\n")
+    fs::write(root.join("src/lib.rs"), "#![forbid(unsafe_code)]\nmod worker;\n")
         .expect("write lib.rs");
-    fs::write(root.join("src/tainted.rs"), TAINTED).expect("write tainted.rs");
+    fs::write(root.join("src/worker.rs"), DISCARDED).expect("write worker.rs");
 }
 
 fn write_clean_workspace(root: &Path) {
@@ -85,7 +82,7 @@ fn findings_without_baseline_exit_one() {
     let out = analyze(&["--root", root.to_str().expect("utf-8 path")]);
     assert_eq!(code(&out), 1, "stderr: {}", stderr(&out));
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(stdout.contains("determinism-taint"), "stdout: {stdout}");
+    assert!(stdout.contains("thread-hygiene"), "stdout: {stdout}");
 }
 
 #[test]
@@ -147,8 +144,8 @@ fn report_is_a_pure_function_of_file_contents() {
     let dir = scratch("order");
     let mut files = [
         ("Cargo.toml", "[package]\nname = \"scratch\"\nversion = \"0.1.0\"\nedition = \"2021\"\n"),
-        ("src/lib.rs", "#![forbid(unsafe_code)]\nmod tainted;\npub fn unused() {}\n"),
-        ("src/tainted.rs", TAINTED),
+        ("src/lib.rs", "#![forbid(unsafe_code)]\nmod worker;\npub fn unused() {}\n"),
+        ("src/worker.rs", DISCARDED),
         ("src/zeta.rs", "pub(crate) fn top(v: Option<u32>) -> u32 {\n    v.unwrap()\n}\n"),
     ];
     let render = |name: &str, files: &[(&str, &str)]| {
@@ -164,7 +161,7 @@ fn report_is_a_pure_function_of_file_contents() {
     let forward = render("fwd", &files);
     files.reverse();
     let backward = render("rev", &files);
-    assert!(forward.contains("determinism-taint") && forward.contains("dead-public-api"));
+    assert!(forward.contains("thread-hygiene") && forward.contains("dead-public-api"));
     assert_eq!(forward, backward, "file-creation order must not reach the report");
 }
 

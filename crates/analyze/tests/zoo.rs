@@ -54,8 +54,9 @@ fn analyze_copy(case: &str, edit: Option<(&str, Seed<'_>)>) -> Vec<Finding> {
     findings
 }
 
-/// Seeds `file` and asserts the copy is caught, by `rule` alone.
-fn assert_unique_catch(rule: &str, case: &str, file: &str, seed: Seed<'_>) {
+/// Seeds `file`, asserts the copy is caught, by `rule` alone, and returns
+/// the findings.
+fn assert_unique_catch(rule: &str, case: &str, file: &str, seed: Seed<'_>) -> Vec<Finding> {
     let findings = analyze_copy(case, Some((file, seed)));
     assert!(!findings.is_empty(), "{case}: `{rule}` missed the defect seeded into {file}");
     assert!(
@@ -63,6 +64,7 @@ fn assert_unique_catch(rule: &str, case: &str, file: &str, seed: Seed<'_>) {
         "{case}: the catch is not `{rule}`'s alone:\n{}",
         render_text(&findings)
     );
+    findings
 }
 
 /// The harness guard: an unseeded copy is as clean as the tree it copies,
@@ -113,72 +115,34 @@ fn r9_thread_hygiene() {
     assert_unique_catch("thread-hygiene", "r9", "crates/tensor/src/parallel.rs", seed);
 }
 
-const SAVE_CHECKPOINT: &str = "write_atomic(path, &encode_checkpoint(ck))";
-
-#[test]
-fn r10_determinism_taint() {
-    let seed = Seed::Replace {
-        anchor: SAVE_CHECKPOINT,
-        with: "let stamp = std::time::Instant::now();\n    \
-               let marked = derive(stamp);\n    \
-               write_atomic(path, &encode_checkpoint(&marked))",
-    };
-    assert_unique_catch("determinism-taint", "r10", "crates/datasets/src/io.rs", seed);
-}
-
-/// The same clock read as above, one bare block deeper: the block's
-/// statements are statements of the body, not one opaque range.
-#[test]
-fn r10_determinism_taint_inside_a_bare_block() {
-    let seed = Seed::Replace {
-        anchor: SAVE_CHECKPOINT,
-        with: "{\n        \
-               let stamp = std::time::Instant::now();\n        \
-               let marked = derive(stamp);\n        \
-               write_atomic(path, &encode_checkpoint(&marked))\n    \
-               }",
-    };
-    assert_unique_catch("determinism-taint", "r10-block", "crates/datasets/src/io.rs", seed);
-}
-
-/// R11 watches decode modules only: the same function in a hardened,
-/// non-decode module (`crates/eval/src/trainer.rs`) is not caught by any
-/// rule — a recorded gap, not a case.
-#[test]
-fn r11_unchecked_index() {
-    let seed = Seed::Append(
-        "\nfn zoo_peek(b: &[u8], off: usize) -> u8 {\n    let i = off + 4;\n    b[i]\n}\n",
-    );
-    assert_unique_catch("unchecked-index", "r11", "crates/datasets/src/io.rs", seed);
-}
-
+/// Pinned to the exact set of flagged APIs, not only "some R13 finding":
+/// a change to how R13 harvests seeds and calls must reproduce it.
 #[test]
 fn r13_panic_reachability() {
     let seed = Seed::Replace {
         anchor: "let d = hops[0].cols();",
         with: "let d = hops.first().expect(\"need at least X^(0)\").cols();",
     };
-    assert_unique_catch("panic-reachability", "r13", "crates/hoga/src/hopfeat.rs", seed);
-}
-
-#[test]
-fn r14_lock_order() {
-    let inversion = "\nfn zoo_forward(s: &Shared) {\n    \
-                     let a = s.alpha.lock();\n    \
-                     let b = s.beta.lock();\n    \
-                     use_both(a, b);\n\
-                     }\n\
-                     fn zoo_backward(s: &Shared) {\n    \
-                     let b = s.beta.lock();\n    \
-                     let a = s.alpha.lock();\n    \
-                     use_both(a, b);\n\
-                     }\n";
-    let file = "crates/serve/src/registry.rs";
-    assert_unique_catch("lock-order", "r14-cycle", file, Seed::Append(inversion));
-    let reacquire = "\nfn zoo_twice(s: &Shared) {\n    \
-                     let a = s.alpha.lock();\n    \
-                     let b = s.alpha.lock();\n    \
-                     use_both(a, b);\n\
-                     }\n";
-    assert_unique_catch("lock-order", "r14-reacquire", file, Seed::Append(reacquire));
+    let findings =
+        assert_unique_catch("panic-reachability", "r13", "crates/hoga/src/hopfeat.rs", seed);
+    let flagged: Vec<(&str, &str)> =
+        findings.iter().map(|f| (f.file.as_str(), f.symbol.as_deref().unwrap_or(""))).collect();
+    let trainer = "crates/eval/src/trainer.rs";
+    let expected = [
+        (trainer, "train_reasoning"),
+        (trainer, "try_train_reasoning"),
+        (trainer, "step"),
+        (trainer, "eval_reasoning"),
+        (trainer, "predict_reasoning"),
+        (trainer, "train_qor"),
+        (trainer, "train_qor_with_target"),
+        (trainer, "try_train_qor_with_target"),
+        (trainer, "hoga_step"),
+        (trainer, "eval_qor"),
+        (trainer, "eval_qor_with_target"),
+        ("crates/serve/src/registry.rs", "open"),
+        ("crates/serve/src/registry.rs", "reload"),
+        ("crates/serve/src/server.rs", "start"),
+    ];
+    assert_eq!(flagged, expected, "r13: the flagged APIs moved:\n{}", render_text(&findings));
 }

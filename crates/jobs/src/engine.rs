@@ -316,7 +316,7 @@ fn supervise(shared: &Shared, mut sub: Submission) {
         shared.events.emit(&JobEvent::Started { job: sub.id, attempt });
         let body = &mut sub.attempt_body;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            // analyze: allow(determinism-taint) — ctx carries the deadline clock only for cancellation checks; fault events record job id and attempt, never clock values
+            // ctx carries the deadline clock only for cancellation checks; fault events record job id and attempt, never clock values
             apply_attempt_fault(&ctx)?;
             ctx.check_interrupt()?;
             body(&ctx)

@@ -17,8 +17,8 @@
 //!   unboundedly.
 //!
 //! The recency counter is a plain `u64` bumped per access — deterministic,
-//! no clocks (which also keeps the determinism-taint rule R10 trivially
-//! satisfied in this hardened module).
+//! no clocks: eviction depends on the order of accesses, never on their
+//! timing.
 
 use hoga_tensor::Matrix;
 use std::collections::HashMap;

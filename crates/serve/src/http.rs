@@ -288,6 +288,7 @@ pub(crate) fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     #[test]
     fn parse_head_splits_request_line_and_headers() {
@@ -372,5 +373,94 @@ mod tests {
     fn find_blank_line_locates_header_end() {
         assert_eq!(find_blank_line(b"a\r\n\r\nbody"), Some(1));
         assert_eq!(find_blank_line(b"no marker"), None);
+    }
+
+    /// `Content-Length` field values a client might send: valid, padded,
+    /// zero-led, signed, empty, comma lists and one past `u64::MAX`.
+    const LENGTHS: &[&str] = &[
+        "12",
+        "0",
+        " 12 ",
+        "007",
+        "+12",
+        "-4",
+        "",
+        "12, 12",
+        "12, 13",
+        "12,",
+        "1 2",
+        "18446744073709551616",
+        "twelve",
+    ];
+
+    /// A well-formed request head with zero to three `Content-Length`
+    /// fields drawn from [`LENGTHS`] (repeats, conflicts and mixed case
+    /// included), in its wire form without the blank line.
+    fn valid_head(rng: &mut impl Rng) -> Vec<u8> {
+        let mut head = String::from("POST /v1/predict HTTP/1.1\r\nHost: localhost\r\n");
+        for _ in 0..rng.gen_range(0..4usize) {
+            let name = ["Content-Length", "content-length", "CONTENT-LENGTH "][rng.gen_range(0..3)];
+            let value = LENGTHS[rng.gen_range(0..LENGTHS.len())];
+            head.push_str(&format!("{name}:{value}\r\n"));
+        }
+        head.push_str("X-Recipe: b; rw; rf");
+        head.into_bytes()
+    }
+
+    /// One or two edits: a byte flip, a truncation, a non-UTF-8 byte or
+    /// a header line's `:` removed.
+    fn mutate(rng: &mut impl Rng, head: &mut Vec<u8>) {
+        for _ in 0..rng.gen_range(1..3) {
+            let at = rng.gen_range(0..=head.len());
+            match rng.gen_range(0..4) {
+                0 if at < head.len() => head[at] ^= rng.gen::<u8>(),
+                1 => head.truncate(at),
+                2 => head.insert(at, [0xFF, 0xC3, 0x80][rng.gen_range(0..3)]),
+                _ => {
+                    let colons: Vec<usize> = (0..head.len()).filter(|&i| head[i] == b':').collect();
+                    if !colons.is_empty() {
+                        head.remove(colons[rng.gen_range(0..colons.len())]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every `Content-Length` item a parsed head carries, read
+    /// independently of [`content_length`]: `None` for an item that is not
+    /// a plain decimal `u64`.
+    fn declared_lengths(headers: &[(String, String)]) -> Vec<Option<u64>> {
+        let fields = headers.iter().filter(|(n, _)| n == "content-length");
+        let items = fields.flat_map(|(_, v)| v.split(',')).map(str::trim);
+        items
+            .map(|i| i.bytes().all(|b| b.is_ascii_digit()).then(|| i.parse().ok()).flatten())
+            .collect()
+    }
+
+    /// Valid and mutated heads never panic the parser, and the length it
+    /// frames a body with is the one length every field agrees on: two
+    /// differing values, or one that is not a plain number, are a 400.
+    #[test]
+    fn mutated_heads_parse_or_fail_typed() {
+        hoga_check::cases(2_000, |rng| {
+            let mut head = valid_head(rng);
+            if rng.gen_bool(0.5) {
+                mutate(rng, &mut head);
+            }
+            let _ = find_blank_line(&head);
+            let Ok((_, _, headers)) = parse_head(&head) else { return };
+            let declared = declared_lengths(&headers);
+            let distinct: std::collections::BTreeSet<u64> =
+                declared.iter().flatten().copied().collect();
+            let got = content_length(&headers);
+            let text = String::from_utf8_lossy(&head);
+            if distinct.len() > 1 || declared.contains(&None) {
+                assert!(matches!(got, Err(HttpError::Bad(_))), "{text:?} framed as {got:?}");
+            } else {
+                let want = usize::try_from(distinct.first().copied().unwrap_or(0))
+                    .map_err(|_| HttpError::TooLarge("Content-Length exceeds usize"));
+                assert_eq!(got, want, "{text:?}");
+            }
+        });
     }
 }
