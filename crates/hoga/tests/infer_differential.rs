@@ -125,6 +125,52 @@ fn int8_plan_reuse_is_deterministic() {
     assert_eq!(bits(&r1.representations), bits(&r3.representations), "plan rebuild drifted");
 }
 
+/// One NaN in one node's hop rows reaches that node and no other. Int8
+/// leaves NaN exactly where Exact does: under the `Sum` aggregator that is
+/// the node's whole representation; the attention aggregators pass it
+/// through ReLU (`f32::max(NaN, 0) = 0`) and may end finite. Every other
+/// node's representation is finite and bitwise what the clean stack gives.
+/// Int8 once read the NaN as a 0 and returned a finite `Sum` representation.
+#[test]
+fn a_nan_hop_row_poisons_its_node_only() {
+    let (batch, k1, poisoned_node) = (5, 5, 2);
+    // The attention aggregators pass the NaN through a softmax, which trips
+    // a debug assertion by design (`hoga_tensor::softmax_rows`), so they run
+    // in release builds only (`cargo test --release`).
+    let aggregators: &[Aggregator] = if cfg!(debug_assertions) {
+        &[Aggregator::Sum]
+    } else {
+        &[Aggregator::Sum, Aggregator::GatedSelfAttention, Aggregator::GateOnly]
+    };
+    let nan_at = |row: &[f32]| row.iter().map(|v| v.is_nan()).collect::<Vec<_>>();
+    for (i, &aggregator) in aggregators.iter().enumerate() {
+        let cfg = HogaConfig::new(7, 16, k1 - 1).with_aggregator(aggregator);
+        let model = HogaModel::new(&cfg, 51 + i as u64);
+        let plan = model.int8_plan();
+        let clean = toy_stack(batch, k1, 7, 52);
+        let mut stack = clean.clone();
+        stack.row_mut(poisoned_node * k1 + 3)[1] = f32::NAN;
+        let exact = |s| infer(&model, s, batch, Precision::Exact).representations;
+        let int8 = |s| infer_int8(&model, &plan, s, batch).representations;
+        for (label, want, got) in
+            [("exact", exact(&clean), exact(&stack)), ("int8", int8(&clean), int8(&stack))]
+        {
+            for node in (0..batch).filter(|&node| node != poisoned_node) {
+                let (w, g) =
+                    (Matrix::from_rows(&[want.row(node)]), Matrix::from_rows(&[got.row(node)]));
+                assert!(g.is_finite(), "{aggregator:?} {label}: node {node} is not finite");
+                assert_eq!(bits(&w), bits(&g), "{aggregator:?} {label}: node {node} moved");
+            }
+        }
+        let (e, q) = (exact(&stack), int8(&stack));
+        let (e, q) = (e.row(poisoned_node), q.row(poisoned_node));
+        assert_eq!(nan_at(e), nan_at(q), "{aggregator:?}: exact {e:?}, int8 {q:?}");
+        if aggregator == Aggregator::Sum {
+            assert!(q.iter().all(|v| v.is_nan()), "Sum int8: {q:?}");
+        }
+    }
+}
+
 #[test]
 fn exact_inference_covers_sum_ablation_end_to_end() {
     let cfg = HogaConfig::new(5, 8, 3).with_aggregator(Aggregator::Sum);

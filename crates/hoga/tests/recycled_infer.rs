@@ -59,17 +59,16 @@ fn an_inference_on_recycled_storage_is_bitwise_one_on_a_fresh_model() {
     for aggregator in [Aggregator::GatedSelfAttention, Aggregator::GateOnly, Aggregator::Sum] {
         let served = model(aggregator);
         // First the junk: NaN rows through every precision. Debug builds
-        // refuse a NaN attention logit, so the attention model's f32 modes
-        // get rows of 1e16 instead, which stay finite through its softmax;
-        // Int8 quantizes NaN to zero, so every model takes the NaN rows there.
-        let nan = stack(4 * block, 3, Some(f32::NAN));
-        served.0.try_infer_int8(&served.1, &nan, 4 * block).expect("valid shapes");
-        let f32_junk = match aggregator {
+        // refuse a NaN attention logit, and Int8 carries a NaN row through
+        // as NaN as the f32 modes do, so the attention model gets rows of
+        // 1e16 instead, which stay finite through its softmax.
+        let junk = match aggregator {
             Aggregator::GatedSelfAttention => stack(4 * block, 3, Some(1e16)),
-            Aggregator::GateOnly | Aggregator::Sum => nan,
+            Aggregator::GateOnly | Aggregator::Sum => stack(4 * block, 3, Some(f32::NAN)),
         };
+        served.0.try_infer_int8(&served.1, &junk, 4 * block).expect("valid shapes");
         for precision in [Precision::Exact, Precision::Fast] {
-            served.0.try_infer(&f32_junk, 4 * block, precision).expect("valid shapes");
+            served.0.try_infer(&junk, 4 * block, precision).expect("valid shapes");
         }
         // Then clean stacks: full blocks, a ragged last block, full again.
         for (i, nodes) in [4 * block, block + 5, 4 * block].into_iter().enumerate() {

@@ -82,7 +82,8 @@ impl Request {
     }
 }
 
-/// Reads and parses one request from `stream`.
+/// Reads and parses one request from `stream`: a socket in the server, a
+/// byte slice in the tests that feed it mutated requests.
 ///
 /// The caller is expected to have set socket read timeouts; a timeout
 /// surfaces as [`HttpError::Timeout`].
@@ -91,7 +92,7 @@ impl Request {
 ///
 /// Any [`HttpError`] variant; the connection loop maps them to 400/408/413
 /// responses or a silent close.
-pub(crate) fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<Request, HttpError> {
+pub(crate) fn read_request(stream: &mut impl Read, limits: &Limits) -> Result<Request, HttpError> {
     let (head, mut leftover) = read_head(stream, limits)?;
     let (method, path, headers) = parse_head(&head)?;
     let body_len = content_length(&headers)?;
@@ -118,7 +119,7 @@ pub(crate) fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<Re
 
 /// Reads until the end-of-headers marker, returning `(head, leftover)`
 /// where `leftover` is any body prefix that arrived in the same read.
-fn read_head(stream: &mut TcpStream, limits: &Limits) -> Result<(Vec<u8>, Vec<u8>), HttpError> {
+fn read_head(stream: &mut impl Read, limits: &Limits) -> Result<(Vec<u8>, Vec<u8>), HttpError> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 1024];
     loop {
@@ -286,7 +287,7 @@ pub(crate) fn json_escape(s: &str) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::Rng;
 
@@ -408,8 +409,8 @@ mod tests {
     }
 
     /// One or two edits: a byte flip, a truncation, a non-UTF-8 byte or
-    /// a header line's `:` removed.
-    fn mutate(rng: &mut impl Rng, head: &mut Vec<u8>) {
+    /// a header line's `:` removed. The reload fuzz in `server` reuses it.
+    pub(crate) fn mutate(rng: &mut impl Rng, head: &mut Vec<u8>) {
         for _ in 0..rng.gen_range(1..3) {
             let at = rng.gen_range(0..=head.len());
             match rng.gen_range(0..4) {

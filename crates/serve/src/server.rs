@@ -173,6 +173,27 @@ impl Server {
     /// [`StartError::Model`] on checkpoint refusal, [`StartError::Io`] on
     /// bind/spawn failure.
     pub fn start(config: ServerConfig) -> Result<ServerHandle, StartError> {
+        let addr = config.addr.clone();
+        let state = Arc::new(ServeState::new(config)?);
+        let listener = TcpListener::bind(&addr).map_err(StartError::Io)?;
+        let addr = listener.local_addr().map_err(StartError::Io)?;
+
+        let stop = Arc::new(AtomicBool::new(false));
+        let accept_state = Arc::clone(&state);
+        let accept_stop = Arc::clone(&stop);
+        let accept_thread = std::thread::Builder::new()
+            .name("serve-accept".into())
+            .spawn(move || accept_loop(&listener, &accept_state, &accept_stop))
+            .map_err(StartError::Io)?;
+
+        Ok(ServerHandle { addr, stop, accept_thread: Some(accept_thread), state })
+    }
+}
+
+impl ServeState {
+    /// The model, engine and counters of a server: everything but its
+    /// listener.
+    fn new(config: ServerConfig) -> Result<Self, StartError> {
         let serve_faults = FaultInjector::new(&config.serve_faults);
         // Startup loads with an unarmed injector: CorruptCheckpoint and
         // StallReload model *hot-reload* faults, and arming them must not
@@ -192,10 +213,7 @@ impl Server {
             seed: 0x5E12E,
         })
         .map_err(StartError::Io)?;
-        let listener = TcpListener::bind(&config.addr).map_err(StartError::Io)?;
-        let addr = listener.local_addr().map_err(StartError::Io)?;
-
-        let state = Arc::new(ServeState {
+        Ok(Self {
             registry,
             cache: HopCache::new(config.cache_bytes),
             engine,
@@ -207,17 +225,7 @@ impl Server {
             write_timeout_ms: config.write_timeout_ms,
             active_connections: AtomicUsize::new(0),
             max_connections: config.max_connections.max(1),
-        });
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_state = Arc::clone(&state);
-        let accept_stop = Arc::clone(&stop);
-        let accept_thread = std::thread::Builder::new()
-            .name("serve-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_state, &accept_stop))
-            .map_err(StartError::Io)?;
-
-        Ok(ServerHandle { addr, stop, accept_thread: Some(accept_thread), state })
+        })
     }
 }
 
@@ -315,24 +323,29 @@ fn serve_connection(mut stream: TcpStream, state: &Arc<ServeState>) {
 
     let request = read_with_faults(&mut stream, state);
     let fully_read = request.is_ok();
-    let response = match request {
+    let Some(response) = respond(request, state) else { return };
+    let _ = http::write_response(&mut stream, &response);
+    if !fully_read {
+        linger_close(&mut stream);
+    }
+}
+
+/// The answer to one read: the routed response, a typed error status, or
+/// nothing when no client is left to answer.
+fn respond(request: Result<Request, HttpError>, state: &Arc<ServeState>) -> Option<Response> {
+    Some(match request {
         Ok(req) => route(req, state),
         Err(HttpError::Timeout) => {
             state.counters.client_timeouts.fetch_add(1, Ordering::Relaxed);
             Response::error(408, "request read timed out")
         }
-        Err(HttpError::Closed) => return, // nobody left to answer
+        Err(HttpError::Closed | HttpError::Io(_)) => return None,
         Err(HttpError::TooLarge(what)) => Response::error(413, what),
         Err(HttpError::Bad(why)) => {
             state.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
             Response::error(400, &why)
         }
-        Err(HttpError::Io(_)) => return,
-    };
-    let _ = http::write_response(&mut stream, &response);
-    if !fully_read {
-        linger_close(&mut stream);
-    }
+    })
 }
 
 /// Lingering close for responses written *before* the request was fully
@@ -397,9 +410,13 @@ fn route(request: Request, state: &Arc<ServeState>) -> Response {
 /// `X-Checkpoint`. Typed refusals map to distinct status codes; the old
 /// model serves throughout.
 fn reload(request: &Request, state: &ServeState) -> Response {
-    let Some(path) = request.header("x-checkpoint") else {
+    let mut named = request.headers.iter().filter(|(n, _)| n == "x-checkpoint");
+    let Some((_, path)) = named.next() else {
         return Response::error(400, "missing X-Checkpoint header");
     };
+    if named.any(|(_, other)| other != path) {
+        return Response::error(400, "conflicting X-Checkpoint headers");
+    }
     match state.registry.reload(std::path::Path::new(path), &state.serve_faults) {
         Ok(epoch) => Response::json(200, format!("{{\"reloaded\":true,\"epoch\":{epoch}}}")),
         Err(ReloadError::Busy) => Response::error(409, &ReloadError::Busy.to_string()),
@@ -606,4 +623,164 @@ fn stats_json(state: &ServeState) -> String {
         cache.bytes,
         cache.entries,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hoga_core::heads::GraphRegressor;
+    use hoga_core::model::{HogaConfig, HogaModel};
+    use hoga_datasets::io::{save_checkpoint, Checkpoint};
+    use rand::Rng;
+    use std::path::Path;
+
+    /// A checkpoint the registry accepts at `K = 3`: HOGA and its QoR head.
+    fn write_checkpoint(path: &Path, seed: u64, epoch: u64) {
+        let mut model = HogaModel::new(&HogaConfig::new(7, 8, 3), seed);
+        let _head =
+            GraphRegressor::new(&mut model.params, 8 + RECIPE_ENCODING_WIDTH, 8, seed ^ 0xD);
+        let ck = Checkpoint { epoch, seed, lr_scale: 1.0, params: model.params, opt_state: vec![] };
+        save_checkpoint(path, &ck).expect("write checkpoint");
+    }
+
+    /// The reload fuzz's files: two intact checkpoints at epochs 2 and 3,
+    /// one whose bytes fail the CRC (the registry quarantines it, so it is
+    /// rewritten whenever it is gone) and a path with nothing behind it.
+    struct Files {
+        intact: [(String, u64); 2],
+        corrupt: String,
+        missing: String,
+    }
+
+    impl Files {
+        fn restore_corrupt(&self) {
+            let path = Path::new(&self.corrupt);
+            if !path.exists() {
+                write_checkpoint(path, 13, 4);
+                let mut bytes = std::fs::read(path).expect("read checkpoint");
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0x5A;
+                std::fs::write(path, bytes).expect("corrupt checkpoint");
+            }
+        }
+    }
+
+    /// A reload request in its wire form: a method and path near
+    /// `POST /admin/reload`, zero to two `X-Checkpoint` fields naming an
+    /// intact, corrupt or missing checkpoint, or carrying a NUL, an
+    /// oversize, a non-UTF-8 or an empty value, and a body whose declared
+    /// length is right, short or long; then, in three cases of ten, `http`'s
+    /// head mutator.
+    fn reload_request(rng: &mut impl Rng, files: &Files) -> Vec<u8> {
+        let pick = |rng: &mut dyn rand::RngCore, options: &[&str]| {
+            options[rng.gen_range(0..options.len())].to_string()
+        };
+        let method = pick(rng, &["POST", "POST", "POST", "POST", "GET", "PUT", "post"]);
+        let target =
+            pick(rng, &["/admin/reload", "/admin/reload", "/admin/reload", "/admin/reloa"]);
+        let mut head = format!("{method} {target} HTTP/1.1\r\nHost: localhost\r\n").into_bytes();
+        let value = |rng: &mut dyn rand::RngCore| -> Vec<u8> {
+            let intact = &files.intact[rng.gen_range(0..2)].0;
+            match rng.gen_range(0..10) {
+                0..=3 => intact.clone().into_bytes(),
+                4 => files.corrupt.clone().into_bytes(),
+                5 => files.missing.clone().into_bytes(),
+                6 => intact.replacen('/', "/\0", 1).into_bytes(),
+                7 => format!("{intact}{}", "/x".repeat(rng.gen_range(200..5_000))).into_bytes(),
+                8 => [intact.as_bytes(), &[0xFF, 0xC3]].concat(),
+                _ => Vec::new(),
+            }
+        };
+        let fields = [0, 1, 1, 1, 2][rng.gen_range(0..5)];
+        let first = value(rng);
+        for i in 0..fields {
+            let value = if i == 1 && rng.gen_bool(0.5) { value(rng) } else { first.clone() };
+            let name = ["X-Checkpoint", "x-checkpoint"][rng.gen_range(0..2)];
+            head.extend_from_slice(format!("{name}: ").as_bytes());
+            head.extend_from_slice(&value);
+            head.extend_from_slice(b"\r\n");
+        }
+        let body_len = rng.gen_range(0..40usize);
+        let declared = body_len as i64 + [0, 0, 0, 0, -1, 1][rng.gen_range(0..6)];
+        if declared > 0 {
+            head.extend_from_slice(format!("Content-Length: {declared}\r\n").as_bytes());
+        }
+        head.extend_from_slice(b"Accept: */*");
+        if rng.gen_bool(0.3) {
+            http::tests::mutate(rng, &mut head);
+        }
+        head.extend_from_slice(b"\r\n\r\n");
+        head.extend((0..body_len).map(|_| rng.gen::<u8>()));
+        head
+    }
+
+    /// The epoch a parsed request must leave behind, read independently of
+    /// `route` and `reload`: an intact checkpoint's when the request is
+    /// `POST /admin/reload` and every `X-Checkpoint` field names that one
+    /// file, and otherwise none.
+    fn reloads_to(request: &Request, files: &Files) -> Option<u64> {
+        if (request.method.as_str(), request.path.as_str()) != ("POST", "/admin/reload") {
+            return None;
+        }
+        let named: Vec<&str> = request
+            .headers
+            .iter()
+            .filter(|(n, _)| n == "x-checkpoint")
+            .map(|(_, v)| v.as_str())
+            .collect();
+        let path = named.first().filter(|p| named.iter().all(|q| q == *p))?;
+        files.intact.iter().find(|(file, _)| file == path).map(|&(_, epoch)| epoch)
+    }
+
+    /// 2 000 mutated `/admin/reload` requests through the server's own read
+    /// and answer path (`read_request`, then `respond`), against a registry
+    /// over a temp dir. Every request gets a status or a typed read error,
+    /// none panics, and the model epoch moves only for an intact
+    /// checkpoint at the one path the request names.
+    #[test]
+    fn mutated_reload_requests_answer_typed_and_reload_only_intact_checkpoints() {
+        let dir = std::env::temp_dir().join(format!("hoga-serve-reload-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let at = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        let files = Files {
+            intact: [(at("a.bin"), 2), (at("b.bin"), 3)],
+            corrupt: at("corrupt.bin"),
+            missing: at("missing.bin"),
+        };
+        write_checkpoint(Path::new(&at("start.bin")), 10, 1);
+        write_checkpoint(Path::new(&files.intact[0].0), 11, 2);
+        write_checkpoint(Path::new(&files.intact[1].0), 12, 3);
+        let config = ServerConfig {
+            checkpoint: at("start.bin").into(),
+            num_hops: 3,
+            workers: 1,
+            queue_capacity: 2,
+            ..ServerConfig::default()
+        };
+        let state = Arc::new(ServeState::new(config).expect("the start checkpoint loads"));
+        let reloads = AtomicUsize::new(0);
+        hoga_check::cases(2_000, |rng| {
+            files.restore_corrupt();
+            let before = state.registry.current().epoch();
+            let bytes = reload_request(rng, &files);
+            let request = http::read_request(&mut bytes.as_slice(), &state.limits);
+            let want = request.as_ref().ok().and_then(|r| reloads_to(r, &files));
+            let text = String::from_utf8_lossy(&bytes[..bytes.len().min(300)]).into_owned();
+            let status = respond(request, &state).map(|r| r.status);
+            let after = state.registry.current().epoch();
+            match want {
+                Some(epoch) => {
+                    reloads.fetch_add(1, Ordering::Relaxed);
+                    assert_eq!((status, after), (Some(200), epoch), "{text:?}");
+                }
+                None => {
+                    assert_ne!(status, Some(200), "{text:?} answered 200 without a reload");
+                    assert_eq!(after, before, "{text:?} moved the epoch");
+                }
+            }
+        });
+        let reloads = reloads.into_inner();
+        assert!(reloads > 50, "only {reloads} of 2 000 cases reloaded an intact checkpoint");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

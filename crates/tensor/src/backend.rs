@@ -10,9 +10,11 @@
 //! * `Avx2Kernels` (in `crate::simd`, compiled on `x86_64`) — `std::arch`
 //!   AVX2 intrinsics, selected at runtime when the CPU reports `avx2` +
 //!   `fma`.
-//! * `Avx512Kernels` (the same module) — `Avx2Kernels` with a 6 × 32 zmm
-//!   register tile in front of the matmul panel's 16-column ymm tile,
-//!   selected at runtime when the CPU also reports `avx512f`.
+//! * `Avx512Kernels` (the same module) — `Avx2Kernels` with zmm in front:
+//!   a 6 × 32 register tile before the matmul panel's 16-column ymm tile,
+//!   and 64-column groups before the int8 product row's 32-column ones,
+//!   selected at runtime when the CPU also reports `avx512f` and
+//!   `avx512bw`.
 //!
 //! # Determinism contract per path
 //!
@@ -26,9 +28,13 @@
 //! 8-lane tree and fuse multiply-adds, which reassociates the float sums
 //! within a documented ULP bound of the training-path result (see
 //! `docs/PERFORMANCE.md`). No backend overrides them — the trait
-//! defaults are their one implementation, as the scalar loop in
-//! `qmatmul` is the int8 product's — so they too are a pure function of
-//! their inputs, never of the machine or thread count.
+//! defaults are their one implementation — so they too are a pure
+//! function of their inputs, never of the machine or thread count.
+//!
+//! The int8 methods (`qdot_row`, `quantize_row`) are bitwise identical
+//! across backends as well: the product row sums exact `i32` products, and
+//! the quantizer's divide, round-half-away-from-zero, zero-point add and
+//! saturation are each one IEEE operation or an exact selection per lane.
 //!
 //! [`resolved`] observes the CPU; nothing selects a backend in product
 //! code. [`set_backend`] exists so the differential suites can pin the
@@ -86,8 +92,8 @@ pub(crate) enum ResolvedBackend {
 }
 
 /// The widest backend both the CPU and the [`set_backend`] request allow:
-/// AVX-512 when the CPU reports `avx512f` besides `avx2` + `fma`, AVX2
-/// when it reports those two, the scalar loops otherwise.
+/// AVX-512 when the CPU reports `avx512f` and `avx512bw` besides `avx2` +
+/// `fma`, AVX2 when it reports those two, the scalar loops otherwise.
 pub(crate) fn resolved() -> ResolvedBackend {
     #[cfg(target_arch = "x86_64")]
     {
@@ -388,6 +394,86 @@ pub(crate) trait KernelBackend {
             *d = xh * g + bt;
         }
     }
+
+    /// One output row of the int8 product, `acc[j] = Σ_kk qa[kk] · q[kk][j]`
+    /// for `j < acc.len() = n`, over weights packed in pairs of rows:
+    /// `pairs[(p·n + j)·2 + t] = q[2p + t][j]`, zero-padded to an even `k`.
+    /// Each pair step is two `i16` products and their sum, the shape of
+    /// `vpmaddwd`; every partial fits an `i32` (module docs of `quant`), so
+    /// the sum is exact in any order and every implementation gives these
+    /// bits.
+    fn qdot_row(acc: &mut [i32], qa: &[i8], pairs: &[i16]) {
+        let n = acc.len();
+        acc.fill(0);
+        if n == 0 {
+            return;
+        }
+        for (a2, prow) in qa.chunks(2).zip(pairs.chunks_exact(2 * n)) {
+            let (a0, a1) = split_pair(a2);
+            for (x, w2) in acc.iter_mut().zip(prow.chunks_exact(2)) {
+                *x += a0 * i32::from(w2[0]) + a1 * i32::from(w2[1]);
+            }
+        }
+    }
+
+    /// Quantizes one activation row into `q` and returns its `(scale,
+    /// zero_point)`: the range scan, then [`quant_params`], then
+    /// [`quantize_value`] per element. A row holding NaN or ±∞ gets a NaN
+    /// scale (its codes are all 0), so its products are NaN, as the f32
+    /// product's are.
+    fn quantize_row(q: &mut [i8], row: &[f32]) -> (f32, i32) {
+        let (mut lo, mut hi, mut finite) = (0.0f32, 0.0f32, true);
+        for &v in row {
+            if v < lo {
+                lo = v;
+            }
+            if v > hi {
+                hi = v;
+            }
+            finite &= v.is_finite();
+        }
+        let (s, zp) = quant_params(lo, hi, finite);
+        for (qv, &v) in q.iter_mut().zip(row) {
+            *qv = quantize_value(v, s, zp as f32);
+        }
+        (s, zp)
+    }
+}
+
+/// The two activation codes of one pair step, widened; an odd row's last
+/// step pairs its code with 0.
+#[inline]
+pub(crate) fn split_pair(a2: &[i8]) -> (i32, i32) {
+    let mut it = a2.iter().map(|&v| i32::from(v));
+    (it.next().unwrap_or(0), it.next().unwrap_or(0))
+}
+
+/// A row's affine map from its range scan: `lo ≤ 0 ≤ hi` (the range widened
+/// through zero, so zero quantizes exactly) onto `[-128, 127]`, as
+/// `(scale, zero_point)`. A constant row (`hi == lo == 0`) gets `(1, 0)`; a
+/// row that is not all finite gets `(NaN, 0)`. The zero point saturates
+/// into `i8` range, which bounds it only for scales that underflowed to 0.
+pub(crate) fn quant_params(lo: f32, hi: f32, finite: bool) -> (f32, i32) {
+    if !finite {
+        return (f32::NAN, 0);
+    }
+    let span = hi - lo;
+    if span > 0.0 {
+        let s = span / 255.0;
+        // analyze: allow(panic-reachability) — f32 division: s = span/255 ≥ 0, and float /0 is inf or NaN, never a panic
+        (s, i32::from((-128.0 - lo / s).round() as i8))
+    } else {
+        (1.0, 0)
+    }
+}
+
+/// One activation code: `round(v / s) + zp`, rounded half away from zero
+/// (`f32::round`), saturated into `[-128, 127]`, NaN to 0 (`as i8`). For a
+/// finite `v` in its row's range `|v / s| ≤ 255`, so the sum is exact.
+#[inline]
+pub(crate) fn quantize_value(v: f32, s: f32, zp: f32) -> i8 {
+    // analyze: allow(panic-reachability) — f32 division: float /0 is inf or NaN, never a panic
+    ((v / s).round() + zp) as i8
 }
 
 /// Reduces 8 lane accumulators in one fixed order,
@@ -478,7 +564,9 @@ mod tests {
         let (cpu_has_avx2, cpu_has_avx512) = {
             let avx2 = std::arch::is_x86_feature_detected!("avx2")
                 && std::arch::is_x86_feature_detected!("fma");
-            (avx2, avx2 && std::arch::is_x86_feature_detected!("avx512f"))
+            let avx512 = std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512bw");
+            (avx2, avx2 && avx512)
         };
         #[cfg(not(target_arch = "x86_64"))]
         let (cpu_has_avx2, cpu_has_avx512) = (false, false);

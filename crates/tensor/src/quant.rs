@@ -25,8 +25,12 @@
 //! Like every kernel in this crate, the output is a pure function of the
 //! inputs: quantization parameters derive only from the data, and the i32
 //! dot product is exact regardless of association, so results never depend
-//! on the thread count.
+//! on the thread count. The quantizer row and the product row are
+//! [`KernelBackend`] methods (`quantize_row`, `qdot_row`): the scalar
+//! defaults are the reference, and the AVX2 and AVX-512 overrides in
+//! `simd.rs` match them bit for bit on every input, NaN and ±∞ included.
 
+use crate::backend::{dispatch, KernelBackend};
 use crate::matrix::Matrix;
 use crate::parallel::parallel_chunks;
 
@@ -45,48 +49,23 @@ impl QuantizedMatrix {
     /// Quantizes `x` row by row.
     ///
     /// Each row maps its `[min, max]` range (always widened to include
-    /// `0.0`, so the zero-point is exact) onto `[-128, 127]`. A constant
-    /// row degenerates to a symmetric map so that the single value is
-    /// still representable.
+    /// `0.0`, so the zero-point is exact) onto `[-128, 127]`. A row of
+    /// zeros gets scale `1.0` and zero-point `0`. A row holding NaN or ±∞
+    /// gets a NaN scale, so its products with [`qmatmul`] are NaN, as the
+    /// f32 product's are. One kernel backend runs every row.
     pub fn quantize(x: &Matrix) -> Self {
+        dispatch!(B => Self::quantize_impl::<B>(x))
+    }
+
+    fn quantize_impl<B: KernelBackend>(x: &Matrix) -> Self {
         let (rows, cols) = (x.rows(), x.cols());
         let mut q = vec![0i8; rows * cols];
-        let mut scale = vec![1.0f32; rows];
-        let mut zero_point = vec![0i32; rows];
+        let mut scale = Vec::with_capacity(rows);
+        let mut zero_point = Vec::with_capacity(rows);
         for r in 0..rows {
-            let row = x.row(r);
-            // Widen the range to include zero so zero quantizes exactly —
-            // ReLU outputs and padded rows stay exactly zero after
-            // round-tripping.
-            let (mut lo, mut hi) = (0.0f32, 0.0f32);
-            for &v in row {
-                if v < lo {
-                    lo = v;
-                }
-                if v > hi {
-                    hi = v;
-                }
-            }
-            let span = hi - lo;
-            let (s, zp) = if span > 0.0 {
-                let s = span / 255.0;
-                // zero_point = qmin − lo/s, rounded; lo ≤ 0 ≤ hi keeps it
-                // inside [-128, 127].
-                // analyze: allow(panic-reachability) — f32 division: s = span/255 > 0 here, and float /0 is inf, never a panic
-                (s, (-128.0 - lo / s).round() as i32)
-            } else {
-                // Constant row: hi == lo == 0 here because the range was
-                // widened through zero, so everything quantizes to 0.
-                (1.0, 0)
-            };
-            scale[r] = s;
-            zero_point[r] = zp;
-            let qrow = &mut q[r * cols..(r + 1) * cols];
-            for (qv, &v) in qrow.iter_mut().zip(row) {
-                // analyze: allow(panic-reachability) — f32 division: s > 0 on both branches above; float /0 is inf, never a panic
-                let t = (v / s).round() as i32 + zp;
-                *qv = t.clamp(-128, 127) as i8;
-            }
+            let (s, zp) = B::quantize_row(&mut q[r * cols..(r + 1) * cols], x.row(r));
+            scale.push(s);
+            zero_point.push(zp);
         }
         Self { q, rows, cols, scale, zero_point }
     }
@@ -94,6 +73,15 @@ impl QuantizedMatrix {
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
+    }
+
+    /// Row `r`'s codes, scale and zero point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= self.rows()`.
+    pub fn row_codes(&self, r: usize) -> (&[i8], f32, i32) {
+        (&self.q[r * self.cols..(r + 1) * self.cols], self.scale[r], self.zero_point[r])
     }
 
     /// Number of columns.
@@ -106,24 +94,23 @@ impl QuantizedMatrix {
     /// never rematerializes activations.
     #[cfg(test)]
     fn dequantize(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        for r in 0..self.rows {
-            let qrow = &self.q[r * self.cols..(r + 1) * self.cols];
-            let (s, zp) = (self.scale[r], self.zero_point[r]);
-            for (o, &qv) in out.row_mut(r).iter_mut().zip(qrow) {
-                *o = s * (qv as i32 - zp) as f32;
-            }
-        }
-        out
+        Matrix::from_fn(self.rows, self.cols, |r, c| {
+            let (codes, s, zp) = self.row_codes(r);
+            s * (i32::from(codes[c]) - zp) as f32
+        })
     }
 }
 
 /// A `k × n` weight matrix quantized column-wise to `i8` with a symmetric
 /// map `w ≈ scale[c] · q`, plus precomputed per-column sums of `q` for the
 /// zero-point correction in [`qmatmul`].
+///
+/// The codes are stored once, packed in pairs of rows for the product row
+/// (`vpmaddwd` multiplies two `i16` pairs and adds them):
+/// `pairs[(p·n + j)·2 + t] = q[2p + t][j]`, zero-padded to an even `k`.
 #[derive(Debug, Clone)]
 pub struct QuantizedWeights {
-    q: Vec<i8>,
+    pairs: Vec<i16>,
     k: usize,
     n: usize,
     scale: Vec<f32>,
@@ -149,19 +136,16 @@ impl QuantizedWeights {
         }
         let scale: Vec<f32> =
             max_abs.iter().map(|&m| if m > 0.0 { m / 127.0 } else { 1.0 }).collect();
-        let mut q = vec![0i8; k * n];
+        let mut pairs = vec![0i16; k.div_ceil(2) * 2 * n];
         let mut col_sums = vec![0i32; n];
         for r in 0..k {
-            let wrow = w.row(r);
-            let qrow = &mut q[r * n..(r + 1) * n];
-            for c in 0..n {
-                let t = (wrow[c] / scale[c]).round() as i32;
-                let qv = t.clamp(-127, 127) as i8;
-                qrow[c] = qv;
-                col_sums[c] += qv as i32;
+            for (c, &v) in w.row(r).iter().enumerate() {
+                let qv = ((v / scale[c]).round() as i32).clamp(-127, 127);
+                pairs[((r / 2) * n + c) * 2 + r % 2] = qv as i16;
+                col_sums[c] += qv;
             }
         }
-        Self { q, k, n, scale, col_sums }
+        Self { pairs, k, n, scale, col_sums }
     }
 
     /// Shared (inner) dimension `k`.
@@ -178,28 +162,21 @@ impl QuantizedWeights {
     /// [`QuantizedMatrix::dequantize`]).
     #[cfg(test)]
     fn dequantize(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.k, self.n);
-        for r in 0..self.k {
-            let qrow = &self.q[r * self.n..(r + 1) * self.n];
-            for (c, (o, &qv)) in out.row_mut(r).iter_mut().zip(qrow).enumerate() {
-                *o = self.scale[c] * qv as f32;
-            }
-        }
-        out
+        Matrix::from_fn(self.k, self.n, |r, c| {
+            self.scale[c] * f32::from(self.pairs[((r / 2) * self.n + c) * 2 + r % 2])
+        })
     }
 }
 
 /// Int8 matrix product `a · w` with dequantized `f32` output.
 ///
-/// The inner loop accumulates `i8 × i8` products in `i32` (exact — see the
-/// module docs), then applies the per-row/per-column affine correction
-/// once per output element. Rows of the output are independent, so the
-/// product parallelizes over row chunks exactly like `Matrix::matmul`;
-/// the integer accumulation is association-free, making the result
-/// thread-count invariant bit for bit.
-///
-/// The same loop runs on every CPU: the AVX2 backend covers the
-/// bitwise-pinned training-path kernels only (`docs/PERFORMANCE.md`).
+/// Each output row is one `KernelBackend::qdot_row` — `i8 × i8`
+/// products accumulated in `i32`, exact (see the module docs) — followed
+/// by the per-row/per-column affine correction once per element. Rows of
+/// the output are independent, so the product parallelizes over row
+/// chunks exactly like `Matrix::matmul`; the integer accumulation is
+/// association-free, making the result thread-count and backend invariant
+/// bit for bit. The backend is resolved once per call.
 ///
 /// # Panics
 ///
@@ -210,32 +187,24 @@ pub fn qmatmul(a: &QuantizedMatrix, w: &QuantizedWeights) -> Matrix {
         "shape mismatch in qmatmul: ({}, {}) x ({}, {})",
         a.rows, a.cols, w.k, w.n
     );
+    dispatch!(B => qmatmul_impl::<B>(a, w))
+}
+
+fn qmatmul_impl<B: KernelBackend>(a: &QuantizedMatrix, w: &QuantizedWeights) -> Matrix {
     let (m, k, n) = (a.rows, a.cols, w.n);
     let mut out = Matrix::zeros(m, n);
     if m * n == 0 {
         return out;
     }
     let work = |row_start: usize, chunk: &mut [f32]| {
-        let rows_here = chunk.len() / n;
         let mut acc = vec![0i32; n];
-        for i in 0..rows_here {
+        for (i, orow) in chunk.chunks_exact_mut(n).enumerate() {
             let r = row_start + i;
-            let qarow = &a.q[r * k..(r + 1) * k];
-            acc.fill(0);
-            for (kk, &qa) in qarow.iter().enumerate() {
-                if qa == 0 {
-                    continue;
-                }
-                let qa = qa as i32;
-                let wrow = &w.q[kk * n..(kk + 1) * n];
-                for (av, &qw) in acc.iter_mut().zip(wrow) {
-                    *av += qa * qw as i32;
-                }
-            }
+            B::qdot_row(&mut acc, &a.q[r * k..(r + 1) * k], &w.pairs);
             let (sa, za) = (a.scale[r], a.zero_point[r]);
-            let orow = &mut chunk[i * n..(i + 1) * n];
-            for (j, o) in orow.iter_mut().enumerate() {
-                *o = sa * w.scale[j] * (acc[j] - za * w.col_sums[j]) as f32;
+            let columns = w.scale.iter().zip(&w.col_sums);
+            for ((o, &x), (&sw, &cs)) in orow.iter_mut().zip(&acc).zip(columns) {
+                *o = sa * sw * (x - za * cs) as f32;
             }
         }
     };
@@ -309,6 +278,32 @@ mod tests {
                 crate::approx::approx_eq_eps(*e, *g, 1e-4),
                 "affine algebra mismatch: {e} vs {g}"
             );
+        }
+    }
+
+    fn bits(row: &[f32]) -> Vec<u32> {
+        row.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A row holding NaN or ±∞ quantizes to a NaN scale, so its product
+    /// row is NaN, where the f32 product's is not finite either; the other
+    /// rows keep the bits they have alone. Scanning past the NaN once read
+    /// it as a 0 and returned a finite row.
+    #[test]
+    fn a_non_finite_row_multiplies_to_nan_and_leaves_the_others_alone() {
+        let w = sample(4, 3, 2);
+        let qw = QuantizedWeights::quantize(&w);
+        let clean: &[f32] = &[0.125, -0.75, 0.5, 0.25];
+        let alone = qmatmul(&QuantizedMatrix::quantize(&Matrix::from_rows(&[clean])), &qw);
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let x = Matrix::from_rows(&[&[0.5, bad, -0.25, 1.0], clean]);
+            let qx = QuantizedMatrix::quantize(&x);
+            let (codes, s, zp) = qx.row_codes(0);
+            assert!(s.is_nan() && zp == 0 && codes == [0; 4], "{bad}: ({codes:?}, {s}, {zp})");
+            let got = qmatmul(&qx, &qw);
+            assert!(got.row(0).iter().all(|v| v.is_nan()), "{bad}: {:?}", got.row(0));
+            assert!(x.matmul(&w).row(0).iter().all(|v| !v.is_finite()), "{bad}: f32 product");
+            assert_eq!(bits(got.row(1)), bits(alone.row(0)), "{bad}: the clean row moved");
         }
     }
 

@@ -1,5 +1,6 @@
 //! AVX2 and AVX-512 kernel backends: what `backend::resolved()` picks on
-//! an `x86_64` CPU that reports `avx2` + `fma`, and `avx512f` besides.
+//! an `x86_64` CPU that reports `avx2` + `fma`, and `avx512f` + `avx512bw`
+//! besides.
 //!
 //! This is the **only module in the workspace allowed to contain
 //! `unsafe`** — it is the audited entry in `hoga-analyze`'s
@@ -15,42 +16,60 @@
 //!    only call sites are behind one of two detection gates:
 //!    [`avx2_available`], which caches `is_x86_feature_detected!("avx2")
 //!    && ("fma")`, for the `avx2,fma` functions, and [`avx512_available`],
-//!    which caches that and `is_x86_feature_detected!("avx512f")`, for the
-//!    `avx512f` one ([`fma_panel6_avx512`], reached only through
-//!    [`Avx512Kernels`], which `backend::resolved()` returns only when the
-//!    second gate holds). The instructions are never executed on a CPU
-//!    that lacks them.
-//! 2. `_mm256_loadu_ps` / `_mm256_storeu_ps` on pointers derived from
-//!    `chunks_exact(8)` / `chunks_exact_mut(8)` slices. Sound because the
-//!    iterator guarantees exactly 8 in-bounds, initialized `f32`s, and
-//!    the unaligned variants carry no alignment requirement.
+//!    which caches that and `is_x86_feature_detected!("avx512f") &&
+//!    ("avx512bw")`, for the two AVX-512 ones ([`fma_panel6_avx512`] and
+//!    [`qdot_row_avx512`], reached only through [`Avx512Kernels`], which
+//!    `backend::resolved()` returns only when the second gate holds). The
+//!    instructions are never executed on a CPU that lacks them.
+//! 2. Unaligned loads/stores on pointers derived from `chunks_exact(8)` /
+//!    `chunks_exact_mut(8)` slices (`f32` lanes, and the eight `i8` codes
+//!    `_mm_storel_epi64` writes in [`quantize_row_avx2`]). Sound because
+//!    the iterator guarantees exactly 8 in-bounds, initialized elements,
+//!    and the unaligned variants carry no alignment requirement.
 //! 3. Unaligned loads/stores at explicitly computed offsets inside the
-//!    register-tiled kernels (`panel6_tile!`, [`score_rows`],
+//!    register-tiled kernels (`panel6_tile!`, `qdot_cols!`, [`score_rows`],
 //!    [`transpose8x8`], [`lanes8_avx2`]), each carrying a `SAFETY:` comment
 //!    proving the offset plus the vector width stays inside the borrowed
-//!    slice.
+//!    slice, after an assertion on the operand shapes ([`panel6_operands`],
+//!    [`qdot_operands`] and the kernels' own).
 //!
 //! # Scope and determinism
 //!
-//! The backends override the training-path methods only, with
-//! `vmulps` + `vaddps` (ymm, and zmm in the AVX-512 panel tile) — the same
-//! two IEEE roundings per element as the scalar loops, in the same
-//! per-element order (the transpose only moves floats, and a masked lane
-//! keeps its value exactly as the scalar zero skip does) — so every
-//! override is bitwise identical to
-//! [`ScalarKernels`](crate::backend::ScalarKernels). The inference-only
-//! `*_fast` methods and the int8 product are not overridden: they have
-//! one implementation, the scalar one (`docs/PERFORMANCE.md`, "What the
-//! SIMD backends cover").
+//! The backends override the training-path methods with `vmulps` +
+//! `vaddps` (ymm, and zmm in the AVX-512 panel tile) — the same two IEEE
+//! roundings per element as the scalar loops, in the same per-element
+//! order (the transpose only moves floats, and a masked lane keeps its
+//! value exactly as the scalar zero skip does) — so every override is
+//! bitwise identical to [`ScalarKernels`](crate::backend::ScalarKernels).
+//!
+//! They override the two int8 methods as well, bit for bit on every
+//! input:
+//! - `qdot_row`, the integer product row, runs `vpmaddwd` + `vpaddd` over
+//!   the pair-packed weights (ymm, and zmm groups in front on AVX-512);
+//!   every partial sum is an exact `i32`.
+//! - `quantize_row` scans the row with `vminps`/`vmaxps`, then per lane
+//!   divides, rounds half away from zero (truncate, then a blended step of
+//!   ±1 on the exact fraction), adds the zero point and saturates.
+//!
+//! The inference-only `*_fast` methods are not overridden: they have one
+//! implementation, the scalar one (`docs/PERFORMANCE.md`, "What the SIMD
+//! backends cover").
 
 #![allow(unsafe_code)]
 
-use crate::backend::{KernelBackend, TRANSPOSE_TILE};
+use crate::backend::{quant_params, quantize_value, split_pair, KernelBackend, TRANSPOSE_TILE};
 use std::arch::x86_64::{
-    _mm256_add_ps, _mm256_blendv_ps, _mm256_cmp_ps, _mm256_loadu_ps, _mm256_mul_ps,
-    _mm256_permute2f128_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_ps,
-    _mm256_sub_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps, _mm512_add_ps, _mm512_loadu_ps,
-    _mm512_mul_ps, _mm512_set1_ps, _mm512_storeu_ps, _CMP_NEQ_UQ,
+    _mm256_add_epi32, _mm256_add_ps, _mm256_and_ps, _mm256_andnot_ps, _mm256_blendv_ps,
+    _mm256_castsi256_si128, _mm256_cmp_ps, _mm256_cvtps_epi32, _mm256_div_ps, _mm256_loadu_ps,
+    _mm256_loadu_si256, _mm256_madd_epi16, _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps,
+    _mm256_or_ps, _mm256_packs_epi16, _mm256_packs_epi32, _mm256_permute2f128_ps,
+    _mm256_permutevar8x32_epi32, _mm256_round_ps, _mm256_set1_epi32, _mm256_set1_ps,
+    _mm256_setr_epi32, _mm256_setzero_ps, _mm256_setzero_si256, _mm256_shuffle_ps,
+    _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps,
+    _mm512_add_epi32, _mm512_add_ps, _mm512_loadu_ps, _mm512_loadu_si512, _mm512_madd_epi16,
+    _mm512_mul_ps, _mm512_set1_epi32, _mm512_set1_ps, _mm512_setzero_si512, _mm512_storeu_ps,
+    _mm512_storeu_si512, _mm_storel_epi64, _CMP_GE_OQ, _CMP_NEQ_UQ, _CMP_ORD_Q, _MM_FROUND_NO_EXC,
+    _MM_FROUND_TO_ZERO,
 };
 use std::sync::OnceLock;
 
@@ -63,16 +82,22 @@ pub(crate) fn avx2_available() -> bool {
     })
 }
 
-/// Whether this CPU can run the AVX-512 backend (`avx512f` besides
+/// Whether this CPU can run the AVX-512 backend (`avx512f` for the panel
+/// tile and `avx512bw` for the int8 product row, besides
 /// [`avx2_available`]), cached after the first query.
 pub(crate) fn avx512_available() -> bool {
     static AVAILABLE: OnceLock<bool> = OnceLock::new();
-    *AVAILABLE.get_or_init(|| avx2_available() && std::arch::is_x86_feature_detected!("avx512f"))
+    *AVAILABLE.get_or_init(|| {
+        avx2_available()
+            && std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+    })
 }
 
 /// The SIMD implementations of the kernel inner loops: `ZMM` puts a 6 × 32
-/// zmm tile in front of [`KernelBackend::fma_panel6`]'s ymm tile; every
-/// other method is the AVX2 one.
+/// zmm tile in front of [`KernelBackend::fma_panel6`]'s ymm tile and
+/// 64-column zmm groups in front of [`KernelBackend::qdot_row`]'s ymm ones;
+/// every other method is the AVX2 one.
 pub(crate) struct SimdKernels<const ZMM: bool>;
 
 /// The AVX2 backend (gate: [`avx2_available`]).
@@ -153,6 +178,22 @@ impl<const ZMM: bool> KernelBackend for SimdKernels<ZMM> {
     fn affine_row(dst: &mut [f32], xhat: &[f32], gamma: &[f32], beta: &[f32]) {
         // SAFETY: gated on avx2_available() by backend::resolved().
         unsafe { affine_row_avx2(dst, xhat, gamma, beta) }
+    }
+
+    fn qdot_row(acc: &mut [i32], qa: &[i8], pairs: &[i16]) {
+        if ZMM {
+            // SAFETY: SimdKernels<true> is gated on avx512_available() by
+            // backend::resolved().
+            unsafe { qdot_row_avx512(acc, qa, pairs) }
+        } else {
+            // SAFETY: gated on avx2_available() by backend::resolved().
+            unsafe { qdot_row_avx2(acc, qa, pairs) }
+        }
+    }
+
+    fn quantize_row(q: &mut [i8], row: &[f32]) -> (f32, i32) {
+        // SAFETY: gated on avx2_available() by backend::resolved().
+        unsafe { quantize_row_avx2(q, row) }
     }
 }
 
@@ -724,6 +765,185 @@ unsafe fn matvec8_avx2(acc: &mut [f32; 8], at: &[f32], x: &[f32]) {
         v = _mm256_blendv_ps(v, sum, _mm256_cmp_ps::<_CMP_NEQ_UQ>(a, zero));
     }
     _mm256_storeu_ps(acc.as_mut_ptr(), v);
+}
+
+/// Advances `$j` over every whole `$v · $lanes`-column group of an int8
+/// product row from `$j` on (`ymm`: 8 lanes, `zmm`: 16): `$v` registers of
+/// `$lanes` `i32` sums, one `vpmaddwd` + `vpaddd` per register per pair of
+/// k-steps, stored once per group. Expanded in a function that enables the
+/// intrinsics' target features, after [`qdot_operands`] has checked the
+/// shapes.
+macro_rules! qdot_cols {
+    (ymm, $v:literal; $($operands:tt)*) => {
+        qdot_cols!(8, $v, _mm256_setzero_si256, _mm256_set1_epi32, _mm256_loadu_si256,
+            _mm256_storeu_si256, _mm256_madd_epi16, _mm256_add_epi32; $($operands)*)
+    };
+    (zmm, $v:literal; $($operands:tt)*) => {
+        qdot_cols!(16, $v, _mm512_setzero_si512, _mm512_set1_epi32, _mm512_loadu_si512,
+            _mm512_storeu_si512, _mm512_madd_epi16, _mm512_add_epi32; $($operands)*)
+    };
+    ($lanes:literal, $v:literal, $zero:ident, $set1:ident, $load:ident, $store:ident,
+     $madd:ident, $add:ident; $acc:ident, $qa:ident, $pairs:ident, $j:ident) => {
+        let n = $acc.len();
+        while $j + $v * $lanes <= n {
+            let mut sums = [$zero(); $v];
+            for (p, a2) in $qa.chunks(2).enumerate() {
+                let va = $set1(pair_word(a2));
+                // SAFETY: pairs holds ceil(k/2) rows of 2n i16, so pair row p
+                // spans [2pn, 2pn + 2n); register v reads 2·lanes i16 from
+                // 2(pn + j + lanes·v), inside it since j + v·lanes + lanes <= n.
+                let row = $pairs.as_ptr().add(2 * (p * n + $j));
+                for (v, sum) in sums.iter_mut().enumerate() {
+                    *sum = $add(*sum, $madd(va, $load(row.add(2 * $lanes * v).cast())));
+                }
+            }
+            for (v, sum) in sums.iter().enumerate() {
+                // SAFETY: j + lanes·v + lanes <= n = acc.len().
+                $store($acc.as_mut_ptr().add($j + $lanes * v).cast(), *sum);
+            }
+            $j += $v * $lanes;
+        }
+    };
+}
+
+/// `KernelBackend::qdot_row` on ymm: 32-column groups of four registers,
+/// then 8-column ones, then the scalar columns. Every sum is exact, so the
+/// order of the additions does not show in the bits.
+///
+/// # Safety
+///
+/// The CPU has AVX2 and FMA.
+#[target_feature(enable = "avx2,fma")]
+unsafe fn qdot_row_avx2(acc: &mut [i32], qa: &[i8], pairs: &[i16]) {
+    qdot_operands(acc, qa, pairs);
+    let mut j = 0;
+    qdot_cols!(ymm, 4; acc, qa, pairs, j);
+    qdot_cols!(ymm, 1; acc, qa, pairs, j);
+    qdot_columns(acc, qa, pairs, j);
+}
+
+/// [`qdot_row_avx2`] with 64- and 16-column zmm groups in front.
+///
+/// # Safety
+///
+/// The CPU has AVX-512F and AVX-512BW besides AVX2 and FMA
+/// ([`avx512_available`]).
+#[target_feature(enable = "avx512f,avx512bw,avx2,fma")]
+unsafe fn qdot_row_avx512(acc: &mut [i32], qa: &[i8], pairs: &[i16]) {
+    qdot_operands(acc, qa, pairs);
+    let mut j = 0;
+    qdot_cols!(zmm, 4; acc, qa, pairs, j);
+    qdot_cols!(zmm, 1; acc, qa, pairs, j);
+    qdot_cols!(ymm, 1; acc, qa, pairs, j);
+    qdot_columns(acc, qa, pairs, j);
+}
+
+/// Checks an int8 product row's shapes for [`qdot_cols!`]'s unchecked
+/// loads.
+#[inline(always)]
+fn qdot_operands(acc: &[i32], qa: &[i8], pairs: &[i16]) {
+    assert!(
+        pairs.len() >= qa.len().div_ceil(2) * 2 * acc.len(),
+        "qdot_row: pairs hold fewer than k/2 pair rows of n"
+    );
+}
+
+/// Columns `j0..n` of an int8 product row (fewer than one vector): the
+/// scalar pair sums, column by column.
+#[inline(always)]
+fn qdot_columns(acc: &mut [i32], qa: &[i8], pairs: &[i16], j0: usize) {
+    let n = acc.len();
+    for (j, x) in acc.iter_mut().enumerate().skip(j0) {
+        *x = 0;
+        for (p, a2) in qa.chunks(2).enumerate() {
+            let (a0, a1) = split_pair(a2);
+            let at = 2 * (p * n + j);
+            *x += a0 * i32::from(pairs[at]) + a1 * i32::from(pairs[at + 1]);
+        }
+    }
+}
+
+/// One pair step's two activation codes as `vpmaddwd` reads them from each
+/// 32-bit lane: the first in the low `i16`, the second in the high one.
+#[inline(always)]
+fn pair_word(a2: &[i8]) -> i32 {
+    let (a0, a1) = split_pair(a2);
+    i32::from(a0 as i16 as u16) | i32::from(a1 as i16 as u16) << 16
+}
+
+/// `KernelBackend::quantize_row`, eight lanes at a time, the tail through
+/// the scalar helpers:
+/// - the range scan keeps `vminps(v, lo)` / `vmaxps(v, hi)`, which return
+///   the accumulator for NaN and for equal zeros as the scalar `v < lo` /
+///   `v > hi` tests do, and `Σ v·0`, which turns NaN on the first NaN or ±∞;
+/// - each code is `vdivps`, then `f32::round` as truncate plus a step of
+///   ±1 where the exact fraction `x − trunc(x)` is at least one half
+///   (blended, so `−0.0` stays `−0.0`), then the zero-point add, NaN to 0
+///   and the clamp, which leave an integral value `vcvtps2dq` converts
+///   exactly.
+///
+/// # Safety
+///
+/// The CPU has AVX2 and FMA.
+#[target_feature(enable = "avx2,fma")]
+unsafe fn quantize_row_avx2(q: &mut [i8], row: &[f32]) -> (f32, i32) {
+    assert_eq!(q.len(), row.len(), "quantize_row: code and value rows differ in length");
+    let zero = _mm256_setzero_ps();
+    let (mut lo8, mut hi8, mut nan8) = (zero, zero, zero);
+    let chunks = row.chunks_exact(8);
+    let tail = chunks.remainder();
+    for x8 in chunks {
+        // SAFETY: the chunk is exactly 8 contiguous f32s.
+        let v = _mm256_loadu_ps(x8.as_ptr());
+        lo8 = _mm256_min_ps(v, lo8);
+        hi8 = _mm256_max_ps(v, hi8);
+        nan8 = _mm256_add_ps(nan8, _mm256_mul_ps(v, zero));
+    }
+    let [mut lanes_lo, mut lanes_hi, mut lanes_nan] = [[0.0f32; 8]; 3];
+    // SAFETY: each array holds exactly 8 f32s.
+    _mm256_storeu_ps(lanes_lo.as_mut_ptr(), lo8);
+    _mm256_storeu_ps(lanes_hi.as_mut_ptr(), hi8);
+    _mm256_storeu_ps(lanes_nan.as_mut_ptr(), nan8);
+    let (mut lo, mut hi, mut finite) = (0.0f32, 0.0f32, true);
+    for ((&l, &h), &z) in lanes_lo.iter().zip(&lanes_hi).zip(&lanes_nan) {
+        lo = if l < lo { l } else { lo };
+        hi = if h > hi { h } else { hi };
+        finite &= !z.is_nan();
+    }
+    for &v in tail {
+        lo = if v < lo { v } else { lo };
+        hi = if v > hi { v } else { hi };
+        finite &= v.is_finite();
+    }
+    let (s, zp) = quant_params(lo, hi, finite);
+    let (vs, vzp) = (_mm256_set1_ps(s), _mm256_set1_ps(zp as f32));
+    let (sign, one, half) = (_mm256_set1_ps(-0.0), _mm256_set1_ps(1.0), _mm256_set1_ps(0.5));
+    let (qmin, qmax) = (_mm256_set1_ps(-128.0), _mm256_set1_ps(127.0));
+    let gather = _mm256_setr_epi32(0, 4, 0, 0, 0, 0, 0, 0);
+    let mut tail_at = 0;
+    for (q8, x8) in q.chunks_exact_mut(8).zip(row.chunks_exact(8)) {
+        // SAFETY: the chunk is exactly 8 contiguous f32s.
+        let x = _mm256_div_ps(_mm256_loadu_ps(x8.as_ptr()), vs);
+        let t = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(x);
+        let away = _mm256_cmp_ps::<_CMP_GE_OQ>(_mm256_andnot_ps(sign, _mm256_sub_ps(x, t)), half);
+        let step = _mm256_or_ps(_mm256_and_ps(x, sign), one);
+        let y = _mm256_add_ps(_mm256_blendv_ps(t, _mm256_add_ps(t, step), away), vzp);
+        let y = _mm256_and_ps(y, _mm256_cmp_ps::<_CMP_ORD_Q>(y, y));
+        let codes = _mm256_cvtps_epi32(_mm256_max_ps(_mm256_min_ps(y, qmax), qmin));
+        // After the two packs the low half's first dword holds the codes of
+        // lanes 0-3 and the high half's those of lanes 4-7; the permute
+        // puts the two dwords side by side.
+        let words = _mm256_packs_epi32(codes, codes);
+        let bytes = _mm256_permutevar8x32_epi32(_mm256_packs_epi16(words, words), gather);
+        // SAFETY: the chunk is exactly 8 contiguous i8s, and the store
+        // writes the low 8 bytes of the register.
+        _mm_storel_epi64(q8.as_mut_ptr().cast(), _mm256_castsi256_si128(bytes));
+        tail_at += 8;
+    }
+    for (qv, &v) in q[tail_at..].iter_mut().zip(&row[tail_at..]) {
+        *qv = quantize_value(v, s, zp as f32);
+    }
+    (s, zp)
 }
 
 #[cfg(test)]

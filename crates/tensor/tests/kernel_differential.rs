@@ -519,10 +519,8 @@ fn int8_qmatmul_is_backend_and_thread_invariant_bitwise() {
     // The int8 product accumulates exactly in i32 and dequantizes with one
     // fixed float expression, so *every* backend × thread combination must
     // agree bitwise — a stronger contract than the f32 training path, which
-    // only promises invariance for a fixed association order. One loop
-    // implements it on every backend today; the grid stays so a backend
-    // that ever overrides it meets the contract. Sizes cross the parallel
-    // threshold.
+    // only promises invariance for a fixed association order. Sizes cross
+    // the parallel threshold.
     let qa = QuantizedMatrix::quantize(&dense_rough(67, 70, 13));
     let qw = QuantizedWeights::quantize(&dense_rough(70, 51, 14));
     let _guard = thread_lock();
@@ -543,6 +541,104 @@ fn int8_qmatmul_is_backend_and_thread_invariant_bitwise() {
     }
     set_backend(Backend::Simd);
     set_threads(0);
+}
+
+/// The int8 product row on every backend over the shapes around its
+/// vector groups: `k` odd and even (a zero-padded last pair), `n` on both
+/// sides of the 8-, 16-, 32- and 64-column groups, an all-zero row (every
+/// code 0) and an all-`−1` row (every code `−128`). Every sum is an exact
+/// `i32`, so the scalar loop is the reference bit for bit.
+#[test]
+fn int8_product_rows_are_backend_invariant_bitwise() {
+    for k in [0usize, 1, 2, 7, 63, 64, 65, 1024] {
+        for n in [1usize, 7, 15, 16, 17, 31, 32, 64, 65] {
+            let mut a = dense_rough(5, k, k + n);
+            a.row_mut(1).fill(0.0);
+            a.row_mut(3).fill(-1.0);
+            let qa = QuantizedMatrix::quantize(&a);
+            let qw = QuantizedWeights::quantize(&dense_rough(k, n, 7 * k + n));
+            assert_backend_invariant(&format!("qmatmul {k}x{n}"), || qmatmul(&qa, &qw));
+        }
+    }
+    // The extreme codes, −128 × −127, at every step of k = 1024: the widest
+    // sum a HOGA width meets, exact in i32, and a·w = 1024 back in f32.
+    let qa = QuantizedMatrix::quantize(&Matrix::from_fn(3, 1024, |_, _| -1.0));
+    let qw = QuantizedWeights::quantize(&Matrix::from_fn(1024, 65, |_, _| -1.0));
+    assert!(qa.row_codes(2).0.iter().all(|&c| c == -128), "−1 is the row minimum, code −128");
+    let got = assert_backend_invariant("qmatmul extreme codes", || qmatmul(&qa, &qw));
+    for &v in got.as_slice() {
+        assert!((v - 1024.0).abs() < 1e-3, "extreme codes dequantize to {v}, not 1024");
+    }
+}
+
+/// Quantizer rows whose codes a vector lane could get wrong, each cycled
+/// to widths on both sides of the 8-lane vector: exact `.5` ties after
+/// the divide (`f32::round` rounds them away from zero), `±0.0`,
+/// subnormals (alone, a scale that underflows to 0), a span that overflows
+/// to `∞`, `±∞` and NaN in the body and in the tail, constant and all-zero
+/// rows. Codes, scale bits and zero point agree on every backend.
+#[test]
+fn int8_quantizer_rows_are_backend_invariant_bitwise() {
+    let tiny = f32::from_bits(1);
+    let (inf, nan) = (f32::INFINITY, f32::NAN);
+    let patterns: [&[f32]; 12] = [
+        &[127.5, -127.5, 0.5, -0.5, 2.5, -2.5, 126.5, 1.5, -1.5, 0.0, -0.0],
+        &[255.0, -255.0, 1.0, -1.0, 3.0, -5.0, 7.0, 253.0, -253.0],
+        &[0.0, -0.0],
+        &[0.0],
+        &[3.0],
+        &[-2.0, -2.0, -2.0],
+        &[tiny, -tiny, 0.0, 3.0 * tiny],
+        &[f32::MIN_POSITIVE, tiny, -f32::MIN_POSITIVE / 3.0, 1e-30],
+        &[f32::MAX, -f32::MAX, 1.0],
+        &[1.0, -0.5, inf, 0.25],
+        &[-inf, 0.75],
+        &[0.5, nan, -0.125],
+    ];
+    let widths = [1usize, 7, 8, 9, 15, 16, 17, 31, 33, 64, 65];
+    for width in widths {
+        let mut rows: Vec<Vec<f32>> =
+            patterns.iter().map(|p| (0..width).map(|i| p[i % p.len()]).collect()).collect();
+        // A NaN at every position of a rough row: in a vector body or a tail.
+        let rough = dense_rough(1, width, width);
+        for at in 0..width {
+            let mut row = rough.row(0).to_vec();
+            row[at] = nan;
+            rows.push(row);
+        }
+        rows.push(rough.row(0).to_vec());
+        let m = Matrix::from_fn(rows.len(), width, |r, c| rows[r][c]);
+        let quantized = |q: &QuantizedMatrix| -> Vec<(Vec<i8>, u32, i32)> {
+            (0..q.rows())
+                .map(|r| q.row_codes(r))
+                .map(|(c, s, z)| (c.to_vec(), s.to_bits(), z))
+                .collect()
+        };
+        let _guard = thread_lock();
+        let mut runs = backends().into_iter().map(|backend| {
+            set_backend(backend);
+            (backend, quantized(&QuantizedMatrix::quantize(&m)))
+        });
+        let (_, scalar) = runs.next().expect("the scalar reference runs first");
+        for (backend, simd) in runs {
+            for (r, (want, got)) in scalar.iter().zip(&simd).enumerate() {
+                assert_eq!(want, got, "width {width} row {r} {:?} at {backend:?}", rows[r]);
+            }
+        }
+        // Ties round away from zero: with ±127.5 both in the row, scale 1
+        // and zero point round(−0.5) = −1.
+        if width >= 2 {
+            let ties = [127i8, -128, 0, -2, 2, -4, 126, 1, -3, -1, -1];
+            assert_eq!(scalar[0].0, ties.iter().cycle().take(width).copied().collect::<Vec<_>>());
+            assert_eq!((f32::from_bits(scalar[0].1), scalar[0].2), (1.0, -1));
+        }
+        for (r, (codes, scale, zp)) in scalar.iter().enumerate() {
+            if !rows[r].iter().all(|v| v.is_finite()) {
+                assert!(f32::from_bits(*scale).is_nan() && *zp == 0, "row {r}: {:?}", rows[r]);
+                assert!(codes.iter().all(|&c| c == 0), "row {r}: {codes:?}");
+            }
+        }
+    }
 }
 
 #[test]
