@@ -809,3 +809,144 @@ fn from_coo_matches_btreemap_oracle() {
         }
     });
 }
+
+// ---------------------------------------------------------------------------
+// The product bits, pinned
+// ---------------------------------------------------------------------------
+
+/// The three operand layouts of a dense product.
+#[derive(Clone, Copy, Debug)]
+enum Layout {
+    /// `a · b`.
+    Nn,
+    /// `a · bᵀ`.
+    Nt,
+    /// `aᵀ · b`.
+    Tn,
+}
+
+/// `a` op `b` at `layout`: one product of the whole operands (`batch` is
+/// `None`) or of `batch` stacked blocks, fused where `fused`. `None` for a
+/// combination with no fused form (unbatched `a · bᵀ`, and `aᵀ · b`).
+fn pinned_product(
+    layout: Layout,
+    batch: Option<usize>,
+    fused: bool,
+    a: &Matrix,
+    b: &Matrix,
+) -> Option<Matrix> {
+    Some(match (layout, batch, fused) {
+        (Layout::Nn, None, false) => a.matmul(b),
+        (Layout::Nn, None, true) => a.matmul_fast(b),
+        (Layout::Nt, None, false) => a.matmul_nt(b),
+        (Layout::Tn, None, false) => a.matmul_tn(b),
+        (Layout::Nn, Some(batch), false) => a.batched_matmul(b, batch),
+        (Layout::Nn, Some(batch), true) => a.batched_matmul_fast(b, batch),
+        (Layout::Nt, Some(batch), false) => a.batched_matmul_nt(b, batch),
+        (Layout::Nt, Some(batch), true) => a.batched_matmul_nt_fast(b, batch),
+        (Layout::Tn, Some(batch), false) => a.batched_matmul_tn(b, batch),
+        (Layout::Nt | Layout::Tn, _, true) => return None,
+    })
+}
+
+/// Irregular values with signed zeros sprinkled in and, when `specials`,
+/// rows of `0.0`, rows of `−0.0`, and rows holding one `+∞`, `−∞` or NaN.
+fn pinned_operand(rows: usize, cols: usize, salt: usize, specials: bool) -> Matrix {
+    let mut m = Matrix::from_fn(rows, cols, |r, c| {
+        let h = r.wrapping_mul(53).wrapping_add(c.wrapping_mul(19)).wrapping_add(salt * 211);
+        match h % 29 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => ((h % 23) as f32) * 0.137 - 1.41,
+        }
+    });
+    if specials && cols > 0 {
+        for r in 0..rows {
+            let at = (r * 7 + salt) % cols;
+            match (r + salt) % 13 {
+                1 => m.row_mut(r).fill(0.0),
+                2 => m.row_mut(r).fill(-0.0),
+                3 => m[(r, at)] = f32::INFINITY,
+                4 => m[(r, at)] = f32::NEG_INFINITY,
+                5 => m[(r, at)] = f32::NAN,
+                _ => {}
+            }
+        }
+    }
+    m
+}
+
+/// FNV-1a over the shape and the output bits of every product the crate
+/// exposes: the three layouts, unbatched and in 1, 3 and 64 blocks, exact
+/// and fused where a fused form exists, at widths n ∈ {1, 7, 16, 33} and
+/// shared dimensions k ∈ {0, 1, 5, 130}, on finite operands and on
+/// operands with signed-zero rows, ±∞ and NaN, plus one unbatched `aᵀ · b`
+/// above the 2¹⁸-multiply-add chunk bound. Every NaN hashes as one
+/// pattern, so the hash fixes where NaNs are, not their payloads.
+fn product_hash() -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |word: u32| {
+        for byte in word.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let mut eat_matrix = |m: &Matrix| {
+        eat(m.rows() as u32);
+        eat(m.cols() as u32);
+        for v in m.as_slice() {
+            eat(if v.is_nan() { 0x7fc0_0000 } else { v.to_bits() });
+        }
+    };
+    for specials in [false, true] {
+        for n in [1usize, 7, 16, 33] {
+            for k in [0usize, 1, 5, 130] {
+                for batch in [None, Some(1usize), Some(3), Some(64)] {
+                    // Rows of one block of `a · b`: unbatched products run
+                    // the six-row panels and their remainder and split
+                    // across threads at the largest shapes.
+                    let (blocks, m) = match batch {
+                        None => (1, 70),
+                        Some(batch) => (batch, 7),
+                    };
+                    let salt = n * 1000 + k * 10 + blocks;
+                    for layout in [Layout::Nn, Layout::Nt, Layout::Tn] {
+                        let (a, b) = match layout {
+                            Layout::Nn => ((blocks * m, k), (blocks * k, n)),
+                            Layout::Nt => ((blocks * m, k), (blocks * n, k)),
+                            Layout::Tn => ((blocks * k, m), (blocks * k, n)),
+                        };
+                        let a = pinned_operand(a.0, a.1, salt, specials);
+                        let b = pinned_operand(b.0, b.1, salt + 1, specials);
+                        for fused in [false, true] {
+                            if let Some(out) = pinned_product(layout, batch, fused, &a, &b) {
+                                eat_matrix(&out);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // 40 · 600 · 44 multiply-adds: five k-chunks.
+        let a = pinned_operand(600, 40, 5, specials);
+        let b = pinned_operand(600, 44, 6, specials);
+        eat_matrix(&pinned_product(Layout::Tn, None, false, &a, &b).expect("exact"));
+    }
+    hash
+}
+
+/// The product bits, fixed on every backend at one and at eight threads.
+#[test]
+fn product_bits_are_pinned_and_backend_invariant() {
+    const PINNED: u64 = 0xbd91_54b8_9a85_ec6f;
+    let _guard = thread_lock();
+    for backend in backends() {
+        for threads in [1usize, 8] {
+            set_backend(backend);
+            set_threads(threads);
+            let got = product_hash();
+            assert_eq!(got, PINNED, "{backend:?} x {threads} threads: {got:#018x}");
+        }
+    }
+    set_backend(Backend::Simd);
+    set_threads(0);
+}
