@@ -63,9 +63,9 @@ impl NodeBlock {
 
 /// One block's part of a parameter's sum over the batch's rows.
 pub(crate) enum RowSum {
-    /// The block's chunk partial of the batch's `matmul_tn`.
+    /// The block's chunk partial of the batch's `aᵀ · gy` (`Gemm::TN`).
     Chunk(Matrix),
-    /// The block's rows of both `matmul_tn` operands, and the batch's rows.
+    /// The block's rows of both `aᵀ · gy` operands, and the batch's rows.
     Tn(Matrix, Matrix, usize),
     /// The block's rows of a column sum.
     Cols(Matrix),
@@ -73,7 +73,7 @@ pub(crate) enum RowSum {
 
 impl RowSum {
     /// `lhsᵀ · gy` over `block`'s rows: the block's chunk partial of the
-    /// batch's `matmul_tn` when the block is one of its chunks, the rows of
+    /// batch's `aᵀ · gy` when the block is one of its chunks, the rows of
     /// both operands otherwise.
     pub(crate) fn matmul(lhs: &Matrix, gy: Matrix, block: NodeBlock) -> Self {
         let per_node = block.rows_per_node(gy.rows());
@@ -103,10 +103,10 @@ impl RowSum {
 }
 
 /// A parameter's sum over the batch's rows, folded block by block: a
-/// matmul weight's chunk partials added into zeros in ascending order,
-/// `matmul_tn`'s own reduction; its rows folded into `matmul_tn`'s chunk
-/// chains ([`TnFold`]); a column sum's one chain per column from zero, row
-/// after row, block after block.
+/// matmul weight's chunk partials added into zeros in ascending order, the
+/// unbatched `aᵀ · gy`'s own reduction; its rows folded into that
+/// product's chunk chains ([`TnFold`]); a column sum's one chain per column
+/// from zero, row after row, block after block.
 enum Fold {
     Chunks(Matrix),
     Tn(TnFold),

@@ -1,6 +1,6 @@
 //! Finite-difference gradient checking.
 //!
-//! Every exotic op in the tape (batched attention products, LayerNorm,
+//! Every exotic op in the tape (every dense product layout, LayerNorm,
 //! segment pooling, the readout gather) is validated against central
 //! differences here and in the model crates' test suites.
 
@@ -95,7 +95,7 @@ pub fn check_gradients(
 mod tests {
     use super::*;
     use crate::Ops;
-    use hoga_tensor::{CsrMatrix, Init};
+    use hoga_tensor::{CsrMatrix, Gemm, Init, Layout};
     use std::sync::Arc;
 
     #[test]
@@ -168,6 +168,27 @@ mod tests {
             tape.sum_all(out)
         });
         assert!(report.passes(3e-2), "{report:?}");
+    }
+
+    #[test]
+    fn every_gemm_layout_checks() {
+        // One gradient table serves every layout, unbatched and over
+        // blocks, with a parameter on each side of the product.
+        for (batch, rows, cols) in [(None, 4, 4), (Some(2), 4, 2)] {
+            for layout in [Layout::Nn, Layout::Nt, Layout::Tn] {
+                let g = Gemm { layout, batch, fused: false };
+                let mut params = ParamSet::new();
+                let a = params.add("a", Init::SmallUniform.matrix(rows, cols, 50).scale(5.0));
+                let b = params.add("b", Init::SmallUniform.matrix(rows, cols, 51).scale(5.0));
+                let report = check_gradients(&mut params, 1e-2, |tape, params| {
+                    let (av, bv) = (tape.param(params, a), tape.param(params, b));
+                    let y = tape.gemm(av, bv, g);
+                    let s = tape.sigmoid(y);
+                    tape.sum_all(s)
+                });
+                assert!(report.passes(2e-2), "{g:?}: {report:?}");
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,11 @@
 //! * [`Ops`] is the forward's vocabulary (e.g. [`Ops::matmul`],
 //!   [`Ops::softmax_rows`], [`Ops::layer_norm`], [`Ops::batched_matmul_nt`]),
 //!   written once over a holder of values: a model generic over it trains
-//!   on a tape and serves on `hoga_core::infer`'s tape-free holder.
+//!   on a tape and serves on `hoga_core::infer`'s tape-free holder. Every
+//!   dense product is one required op, [`Ops::gemm`] over a
+//!   [`hoga_tensor::Gemm`] descriptor; `matmul` and the batched products
+//!   are provided on top of it, so a model still reads as the paper's
+//!   equations, and a holder implements one product.
 //! * [`Tape`] records a computation graph as an arena of nodes; every op
 //!   on the tape appends one node and returns a lightweight [`Var`] handle.
 //! * [`Tape::backward`] runs the reverse sweep from a scalar loss and returns

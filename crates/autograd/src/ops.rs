@@ -2,7 +2,7 @@
 //! values.
 
 use crate::params::{ParamId, ParamSet};
-use hoga_tensor::{CsrMatrix, Matrix};
+use hoga_tensor::{CsrMatrix, Gemm, Matrix};
 use std::sync::Arc;
 
 /// The forward ops of the models, over a holder of their values (dfdx's
@@ -34,15 +34,26 @@ pub trait Ops<'p> {
     /// Adds the `1 × d` bias row `bias` to every row of `x`.
     fn add_bias(&mut self, x: Self::Var, bias: Self::Var) -> Self::Var;
 
-    /// Matrix product `a · b`.
-    fn matmul(&mut self, a: Self::Var, b: Self::Var) -> Self::Var;
+    /// The dense product `g` describes — `a · b`, `a · bᵀ` or `aᵀ · b`, of
+    /// the whole operands or of stacked blocks (see [`Matrix::gemm`]). A
+    /// tape differentiates it exactly whatever `g.fused` says.
+    fn gemm(&mut self, a: Self::Var, b: Self::Var, g: Gemm) -> Self::Var;
 
-    /// Batched block-diagonal product (see [`Matrix::batched_matmul`]).
-    fn batched_matmul(&mut self, a: Self::Var, b: Self::Var, batch: usize) -> Self::Var;
+    /// Matrix product `a · b` (the projections of Eq. 5).
+    fn matmul(&mut self, a: Self::Var, b: Self::Var) -> Self::Var {
+        self.gemm(a, b, Gemm::NN)
+    }
+
+    /// Batched block-diagonal product `a_i · b_i` — Eq. 7's `S·V`.
+    fn batched_matmul(&mut self, a: Self::Var, b: Self::Var, batch: usize) -> Self::Var {
+        self.gemm(a, b, Gemm::NN.batched(batch))
+    }
 
     /// Batched product `a_i · b_iᵀ` — the per-node attention logits `QKᵀ` of
-    /// Eq. 7 (see [`Matrix::batched_matmul_nt`]).
-    fn batched_matmul_nt(&mut self, a: Self::Var, b: Self::Var, batch: usize) -> Self::Var;
+    /// Eq. 7.
+    fn batched_matmul_nt(&mut self, a: Self::Var, b: Self::Var, batch: usize) -> Self::Var {
+        self.gemm(a, b, Gemm::NT.batched(batch))
+    }
 
     /// Rectified linear unit.
     fn relu(&mut self, x: Self::Var) -> Self::Var;

@@ -6,8 +6,8 @@ use crate::ops::Ops;
 use crate::params::{ParamId, ParamSet};
 use hoga_tensor::recycle::{give_back, retire};
 use hoga_tensor::{
-    layernorm_backward, layernorm_forward, softmax_backward_rows, softmax_rows, CsrMatrix,
-    LayerNormCache, Matrix,
+    layernorm_backward, layernorm_forward, softmax_backward_rows, softmax_rows, CsrMatrix, Gemm,
+    LayerNormCache, Layout, Matrix,
 };
 use std::ops::Range;
 use std::sync::Arc;
@@ -109,9 +109,7 @@ enum Op {
     Hadamard(Var, Var),
     Scale(Var, f32),
     AddBias { x: Var, bias: Var },
-    Matmul(Var, Var),
-    BatchedMatmul { a: Var, b: Var, batch: usize },
-    BatchedMatmulNT { a: Var, b: Var, batch: usize },
+    Gemm { a: Var, b: Var, g: Gemm },
     Relu(Var),
     Sigmoid(Var),
     SoftmaxRows(Var),
@@ -144,11 +142,9 @@ impl Op {
             | Op::CrossEntropyMean { logits: x, .. } => [Some(x), None, None],
             Op::Add(a, b)
             | Op::Hadamard(a, b)
-            | Op::Matmul(a, b)
+            | Op::Gemm { a, b, .. }
             | Op::ConcatCols(a, b)
-            | Op::AddBias { x: a, bias: b }
-            | Op::BatchedMatmul { a, b, .. }
-            | Op::BatchedMatmulNT { a, b, .. } => [Some(a), Some(b), None],
+            | Op::AddBias { x: a, bias: b } => [Some(a), Some(b), None],
             Op::LayerNorm { x, gamma, beta, .. } => [Some(x), Some(gamma), Some(beta)],
         };
         vars.into_iter().flatten()
@@ -334,11 +330,11 @@ impl Tape {
     ///
     /// The tape must hold a node-wise forward over `block`'s nodes (HOGA's,
     /// SIGN's: every value `r` rows per node, no row mixing nodes), and its
-    /// parameters must enter only as a matmul's right operand, a bias, or
-    /// LayerNorm's gain and shift. Then every parameter's gradient is a sum
-    /// over the batch's rows, and the sweep leaves that sum to
-    /// [`BlockFold`]: for a matmul's weight it hands back the
-    /// block's chunk partial of the batch's `matmul_tn` when the block is
+    /// parameters must enter only as an unbatched `a · b`'s right operand,
+    /// a bias, or LayerNorm's gain and shift. Then every parameter's
+    /// gradient is a sum over the batch's rows, and the sweep leaves that sum
+    /// to [`BlockFold`]: for a weight it hands back the block's chunk
+    /// partial of the batch's `aᵀ · dY` ([`Gemm::TN`]) when the block is
     /// one of its chunks ([`Matrix::matmul_tn_chunk`]), and the block's
     /// rows of both operands otherwise; for a column sum, the block's rows.
     /// Everything else is per row, so it is computed here exactly as the
@@ -441,8 +437,8 @@ impl Tape {
                 Op::Param(id) => {
                     assert!(
                         block.is_none(),
-                        "a block sweep reached parameter {} other than through a matmul's \
-                         right operand, a bias, or LayerNorm's gain and shift",
+                        "a block sweep reached parameter {} other than through an unbatched \
+                         a·b's right operand, a bias, or LayerNorm's gain and shift",
                         id.index()
                     );
                     out.add(*id, gy);
@@ -472,30 +468,39 @@ impl Tape {
                     row_sum!(bias, gy.col_sums(), RowSum::Cols(gy.clone()));
                     acc_last!(x, gy);
                 }
-                Op::Matmul(a, b) => {
-                    let (a, b) = (*a, *b);
-                    acc!(a, gy.matmul_nt(&self.nodes[b.0].value));
-                    match block.filter(|_| self.nodes[b.0].needs_grad) {
-                        Some(block) => {
-                            hand_back!(b, RowSum::matmul(&self.nodes[a.0].value, gy, block));
+                Op::Gemm { a, b, g } => {
+                    let (a, b, g) = (*a, *b, *g);
+                    let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+                    // Both gradients are exact products over the forward's
+                    // blocks: y = a·b gives dA = gy·bᵀ and dB = aᵀ·gy,
+                    // y = a·bᵀ gives dA = gy·b and dB = gyᵀ·a, and y = aᵀ·b
+                    // gives dA = b·gyᵀ and dB = a·gy.
+                    let of = |layout| Gemm { layout, batch: g.batch, fused: false };
+                    match g.layout {
+                        Layout::Nn => {
+                            acc!(a, gy.gemm(bv, of(Layout::Nt)));
+                            // An unbatched weight's gradient is a sum over
+                            // the batch's rows: a block hands its part back.
+                            let weight = g.batch.is_none() && self.nodes[b.0].needs_grad;
+                            match block.filter(|_| weight) {
+                                Some(block) => hand_back!(b, RowSum::matmul(av, gy, block)),
+                                None => {
+                                    acc!(b, av.gemm(&gy, of(Layout::Tn)));
+                                    give_back(gy);
+                                }
+                            }
                         }
-                        None => {
-                            acc!(b, self.nodes[a.0].value.matmul_tn(&gy));
+                        Layout::Nt => {
+                            acc!(a, gy.gemm(bv, of(Layout::Nn)));
+                            acc!(b, gy.gemm(av, of(Layout::Tn)));
+                            give_back(gy);
+                        }
+                        Layout::Tn => {
+                            acc!(a, bv.gemm(&gy, of(Layout::Nt)));
+                            acc!(b, av.gemm(&gy, of(Layout::Nn)));
                             give_back(gy);
                         }
                     }
-                }
-                Op::BatchedMatmul { a, b, batch } => {
-                    let (a, b, batch) = (*a, *b, *batch);
-                    acc!(a, gy.batched_matmul_nt(&self.nodes[b.0].value, batch));
-                    acc!(b, self.nodes[a.0].value.batched_matmul_tn(&gy, batch));
-                    give_back(gy);
-                }
-                Op::BatchedMatmulNT { a, b, batch } => {
-                    let (a, b, batch) = (*a, *b, *batch);
-                    acc!(a, gy.batched_matmul(&self.nodes[b.0].value, batch));
-                    acc!(b, gy.batched_matmul_tn(&self.nodes[a.0].value, batch));
-                    give_back(gy);
                 }
                 Op::Relu(x) => {
                     let x = *x;
@@ -632,19 +637,9 @@ impl<'p> Ops<'p> for Tape {
         self.push(v, Op::AddBias { x, bias })
     }
 
-    fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.nodes[a.0].value.matmul(&self.nodes[b.0].value);
-        self.push(v, Op::Matmul(a, b))
-    }
-
-    fn batched_matmul(&mut self, a: Var, b: Var, batch: usize) -> Var {
-        let v = self.nodes[a.0].value.batched_matmul(&self.nodes[b.0].value, batch);
-        self.push(v, Op::BatchedMatmul { a, b, batch })
-    }
-
-    fn batched_matmul_nt(&mut self, a: Var, b: Var, batch: usize) -> Var {
-        let v = self.nodes[a.0].value.batched_matmul_nt(&self.nodes[b.0].value, batch);
-        self.push(v, Op::BatchedMatmulNT { a, b, batch })
+    fn gemm(&mut self, a: Var, b: Var, g: Gemm) -> Var {
+        let v = self.nodes[a.0].value.gemm(&self.nodes[b.0].value, g);
+        self.push(v, Op::Gemm { a, b, g })
     }
 
     fn relu(&mut self, x: Var) -> Var {
@@ -718,7 +713,7 @@ mod tests {
 
         // d/dW mean((xW - t)^2) = (2/n) x^T (xW - t)
         let resid = &x.matmul(params.value(w)) - &t;
-        let expected = x.matmul_tn(&resid).scale(2.0 / 2.0);
+        let expected = x.gemm(&resid, Gemm::TN).scale(2.0 / 2.0);
         assert!(grads.get(w).expect("grad").max_abs_diff(&expected) < 1e-5);
     }
 
@@ -864,6 +859,9 @@ mod tests {
             ("matmul", Box::new(|t, a, b| t.matmul(a, b))),
             ("batched_matmul", Box::new(|t, a, b| t.batched_matmul(a, b, 1))),
             ("batched_matmul_nt", Box::new(|t, a, b| t.batched_matmul_nt(a, b, 2))),
+            ("gemm a·bᵀ", Box::new(|t, a, b| t.gemm(a, b, Gemm::NT))),
+            ("gemm aᵀ·b", Box::new(|t, a, b| t.gemm(a, b, Gemm::TN))),
+            ("gemm batched aᵀ·b", Box::new(|t, a, b| t.gemm(a, b, Gemm::TN.batched(2)))),
             ("concat_cols", Box::new(|t, a, b| t.concat_cols(a, b))),
         ];
         for (name, op) in &binary {
@@ -1029,7 +1027,7 @@ mod tests {
         let loss = tail(&mut split, xv);
         let (grads, dx) = split.backward_to(loss, xv);
         let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&input.matmul_tn(&dx)), bits(want.get(w).expect("w")));
+        assert_eq!(bits(&input.gemm(&dx, Gemm::TN)), bits(want.get(w).expect("w")));
         assert_eq!(bits(grads.get(head).expect("head")), bits(want.get(head).expect("head")));
         assert!(grads.get(w).is_none());
     }

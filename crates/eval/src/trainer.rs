@@ -627,8 +627,9 @@ pub struct BlockedStep {
     pub loss: f32,
     /// The batch's parameter gradients.
     pub grads: Gradients,
-    /// Parameter gradients the blocks handed back as in-block `matmul_tn`
-    /// chunk partials, summed over blocks; the rest came back as rows.
+    /// Parameter gradients the blocks handed back as in-block `aᵀ · dY`
+    /// chunk partials (`Matrix::matmul_tn_chunk`), summed over blocks; the
+    /// rest came back as rows.
     pub chunk_partials: usize,
 }
 

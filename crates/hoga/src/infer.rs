@@ -5,8 +5,8 @@
 //! * [`Precision::Exact`] — the tape's kernels, so the representations are
 //!   **bitwise identical** to `forward`'s on a tape. This is the oracle the
 //!   differential tests pin the other modes against.
-//! * [`Precision::Fast`] — the matmul family through the `*_fast` kernels
-//!   (fused multiply-add, lane-parallel reductions) and the
+//! * [`Precision::Fast`] — every dense product fused (`Gemm::fused`:
+//!   fused multiply-add, lane-parallel reductions) and the
 //!   softmax/LayerNorm rows through their fast variants. Results carry the
 //!   documented ULP-level bound of `docs/PERFORMANCE.md` instead of bit
 //!   equality.
@@ -27,7 +27,7 @@ use hoga_autograd::{NodeBlock, Ops, ParamId, ParamSet};
 use hoga_tensor::recycle::{give_back, retire};
 use hoga_tensor::{
     layernorm_rows, layernorm_rows_fast, parallel_blocks, qmatmul, softmax_rows, softmax_rows_fast,
-    CsrMatrix, Matrix, QuantizedMatrix, QuantizedWeights,
+    CsrMatrix, Gemm, Matrix, QuantizedMatrix, QuantizedWeights,
 };
 use std::borrow::Cow;
 use std::error::Error;
@@ -378,31 +378,13 @@ impl<'p> Ops<'p> for NoTape<'p> {
         self.computed(v)
     }
 
-    fn matmul(&mut self, a: Slot, b: Slot) -> Slot {
+    fn gemm(&mut self, a: Slot, b: Slot, g: Gemm) -> Slot {
         let v = match self.values[b.0].columns {
-            Some(w) => {
+            Some(w) if g == Gemm::NN => {
                 let a = &mut self.values[a.0];
                 qmatmul(a.rows.get_or_insert_with(|| QuantizedMatrix::quantize(&a.matrix)), w)
             }
-            None if self.exact() => self.value(a).matmul(self.value(b)),
-            None => self.value(a).matmul_fast(self.value(b)),
-        };
-        self.computed(v)
-    }
-
-    fn batched_matmul(&mut self, a: Slot, b: Slot, batch: usize) -> Slot {
-        let (a, b) = (self.value(a), self.value(b));
-        let v =
-            if self.exact() { a.batched_matmul(b, batch) } else { a.batched_matmul_fast(b, batch) };
-        self.computed(v)
-    }
-
-    fn batched_matmul_nt(&mut self, a: Slot, b: Slot, batch: usize) -> Slot {
-        let (a, b) = (self.value(a), self.value(b));
-        let v = if self.exact() {
-            a.batched_matmul_nt(b, batch)
-        } else {
-            a.batched_matmul_nt_fast(b, batch)
+            _ => self.value(a).gemm(self.value(b), Gemm { fused: g.fused || !self.exact(), ..g }),
         };
         self.computed(v)
     }

@@ -1,6 +1,6 @@
 //! Kernel backend selection: the CPU picks the inner loops.
 //!
-//! Every hot kernel in this crate ([`crate::Matrix::matmul`] and friends,
+//! Every hot kernel in this crate (every dense product, [`crate::Matrix::gemm`];
 //! `softmax_rows`, `layernorm_forward`) routes its inner loop through the
 //! [`KernelBackend`] trait. Three implementations exist:
 //!
@@ -230,7 +230,7 @@ pub(crate) trait KernelBackend {
     /// in lane `j`. Each output element is `+0.0`, then `+= q·k` for each
     /// `kk` in ascending order — one multiply and one add, no fused
     /// multiply-add and **no zero skip** — so every implementation is
-    /// bitwise the naive `Matrix::batched_matmul_nt_reference`, NaN and ∞
+    /// bitwise the naive `Matrix::gemm_reference` of `Gemm::NT.batched(..)`, NaN and ∞
     /// included. `stride` is a multiple of 8 and at least `cols`, so a SIMD
     /// override can load whole 8-lane groups; lanes from `cols` on are
     /// read, never stored.

@@ -60,12 +60,6 @@ impl Init {
         };
         Matrix::from_vec(rows, cols, data)
     }
-
-    /// Materializes a length-`n` vector using this scheme and `seed`.
-    // analyze: allow(dead-public-api) — vector-shaped companion of Init::matrix in the public init API; covered by tests
-    pub fn vector(self, n: usize, seed: u64) -> Vec<f32> {
-        self.matrix(1, n, seed).into_vec()
-    }
 }
 
 /// Box–Muller standard normal sampler (avoids pulling in `rand_distr`).
@@ -115,7 +109,7 @@ mod tests {
 
     #[test]
     fn zeros_ones_vectors() {
-        assert!(Init::Zeros.vector(5, 0).iter().all(|&x| x == 0.0));
-        assert!(Init::Ones.vector(5, 0).iter().all(|&x| x == 1.0));
+        assert!(Init::Zeros.matrix(1, 5, 0).as_slice().iter().all(|&x| x == 0.0));
+        assert!(Init::Ones.matrix(1, 5, 0).as_slice().iter().all(|&x| x == 1.0));
     }
 }

@@ -125,43 +125,6 @@ fn softmax_rows_impl<B: KernelBackend, const FAST: bool>(logits: &Matrix) -> Mat
     out
 }
 
-/// Row-wise numerically stable log-softmax, used by the cross-entropy loss.
-// analyze: allow(dead-public-api) — numerically-stable companion of softmax_rows in the public kernel API; covered by tests
-pub fn log_softmax_rows(logits: &Matrix) -> Matrix {
-    let mut out = logits.clone();
-    let width = out.cols();
-    for r in 0..out.rows() {
-        let row = out.row_mut(r);
-        if row.is_empty() {
-            continue;
-        }
-        match scan_logits(row) {
-            RowScan::HasNan => {
-                // Same contract as softmax_rows: deterministic whole-NaN
-                // row, loud in debug builds (module docs).
-                debug_assert!(
-                    row.iter().all(|x| !x.is_nan()),
-                    "NaN logit reached log_softmax_rows (row {r}); \
-                     release builds propagate a whole-NaN row"
-                );
-                row.fill(f32::NAN);
-            }
-            RowScan::AllMasked => {
-                // Fully masked row: return the log of the uniform
-                // distribution instead of `-inf - (-inf) = NaN` per entry.
-                row.fill(-(width as f32).ln());
-            }
-            RowScan::Finite(max) => {
-                let log_sum = row.iter().map(|&x| (x - max).exp()).sum::<f32>().ln() + max;
-                for x in row.iter_mut() {
-                    *x -= log_sum;
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Backward pass of [`softmax_rows`].
 ///
 /// Given the forward output `y` and the upstream gradient `dy`, returns the
@@ -405,7 +368,7 @@ mod tests {
     #[test]
     #[cfg(debug_assertions)]
     fn nan_logit_trips_debug_assert() {
-        for kernel in [softmax_rows, log_softmax_rows, softmax_rows_fast] {
+        for kernel in [softmax_rows, softmax_rows_fast] {
             let x = Matrix::from_rows(&[&[0.0, f32::NAN, 1.0]]);
             let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| kernel(&x)))
                 .expect_err("NaN logit must panic in debug builds");
@@ -423,7 +386,7 @@ mod tests {
     #[test]
     #[cfg(not(debug_assertions))]
     fn nan_logit_poisons_whole_row_deterministically() {
-        for kernel in [softmax_rows, log_softmax_rows, softmax_rows_fast] {
+        for kernel in [softmax_rows, softmax_rows_fast] {
             let x = Matrix::from_rows(&[&[0.0, f32::NAN, 1.0], &[0.5, 0.25, -1.0]]);
             let y = kernel(&x);
             assert!(y.row(0).iter().all(|v| v.is_nan()), "row 0 not fully NaN: {y:?}");
@@ -436,37 +399,14 @@ mod tests {
         }
     }
 
-    /// Regression: log-softmax on a fully masked row used to be all-NaN; it
-    /// now returns the log of the uniform distribution.
-    #[test]
-    fn log_softmax_fully_masked_row_is_log_uniform() {
-        let x = Matrix::from_rows(&[&[f32::NEG_INFINITY, f32::NEG_INFINITY]]);
-        let y = log_softmax_rows(&x);
-        assert!(y.is_finite(), "masked log-softmax produced non-finite output: {y:?}");
-        for &v in y.row(0) {
-            assert!((v - (-(2.0f32).ln())).abs() < 1e-6);
-        }
-    }
-
-    /// Regression: width-0 rows used to hit `1.0 / 0.0` (softmax) and
-    /// `0.0.ln()` (log-softmax); both must now be well-defined no-ops.
+    /// Regression: width-0 rows used to hit `1.0 / 0.0`; they must now be
+    /// well-defined no-ops.
     #[test]
     fn softmax_width_zero_rows_are_noops() {
         let x = Matrix::zeros(3, 0);
         let y = softmax_rows(&x);
         assert_eq!(y.shape(), (3, 0));
         assert!(y.is_finite());
-        let ly = log_softmax_rows(&x);
-        assert_eq!(ly.shape(), (3, 0));
-        assert!(ly.is_finite());
-    }
-
-    #[test]
-    fn log_softmax_consistent_with_softmax() {
-        let x = Matrix::from_fn(3, 5, |r, c| (r as f32 - c as f32) * 0.7);
-        let y = softmax_rows(&x);
-        let ly = log_softmax_rows(&x);
-        assert!(y.map(|v| v.ln()).max_abs_diff(&ly) < 1e-5);
     }
 
     /// Finite-difference check of the softmax Jacobian.

@@ -17,9 +17,10 @@
 //! the CPU resolved to — because chunk decompositions depend only on shapes,
 //! partial results are reduced in a fixed order, and SIMD lanes replay the
 //! identical per-element operations (see `docs/PERFORMANCE.md`). The
-//! inference-only `*_fast` kernels trade that bitwise contract for fused
-//! multiply-adds and lane-parallel reductions with a documented ULP bound
-//! against the `*_reference` oracles.
+//! inference-only fused kernels (`Gemm::fused`, the `*_fast` rows) trade
+//! that bitwise contract for fused multiply-adds and lane-parallel
+//! reductions with a documented ULP bound against the naive oracles
+//! (`Matrix::gemm_reference` for every dense product).
 //!
 //! Unsafe code is confined to one audited module: only `src/simd.rs`
 //! (runtime-detected AVX2 and AVX-512 intrinsics) opts out of the crate-level `deny`.
@@ -58,10 +59,10 @@ pub use backend::{active_backend, set_backend, Backend};
 pub use error::ShapeError;
 pub use init::Init;
 pub use kernels::{
-    layernorm_backward, layernorm_forward, layernorm_rows, layernorm_rows_fast, log_softmax_rows,
+    layernorm_backward, layernorm_forward, layernorm_rows, layernorm_rows_fast,
     softmax_backward_rows, softmax_rows, softmax_rows_fast, LayerNormCache,
 };
-pub use matrix::{Matrix, TnFold};
+pub use matrix::{Gemm, Layout, Matrix, TnFold};
 pub use parallel::{available_threads, parallel_blocks, set_threads, with_threads};
 pub use quant::{qmatmul, QuantizedMatrix, QuantizedWeights};
 pub use sparse::CsrMatrix;

@@ -3,16 +3,15 @@ use crate::parallel::{parallel_chunks, parallel_map};
 use crate::{recycle, ShapeError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::ops::Range;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
-/// Rows of the shared dimension per cache panel in [`Matrix::matmul`]. The
+/// Rows of the shared dimension per cache panel of an `a · b`. The
 /// panel keeps `MATMUL_K_PANEL` rows of `other` hot while sweeping the output
 /// rows of a chunk; per-row accumulation order over `k` stays ascending, so
 /// results are bitwise identical to the unblocked loop.
 const MATMUL_K_PANEL: usize = 64;
 
-/// Picks the k-panel length for [`Matrix::matmul`] so the `other` panel
+/// Picks the k-panel length of an `a · b` so the `b` panel
 /// (`len · n · 4` bytes) stays L1-resident: the register-tiled SIMD kernel
 /// sweeps the panel once per 16-column tile with a row-length stride, and
 /// a panel that spills to L2 turns every sweep into demand misses. Panel
@@ -23,22 +22,22 @@ fn matmul_panel_len(n: usize) -> usize {
     (PANEL_BYTES / (4 * n.max(1))).clamp(8, MATMUL_K_PANEL)
 }
 
-/// Rows of the shared dimension per partial accumulator in
-/// [`Matrix::matmul_tn`].
+/// Rows of the shared dimension per partial accumulator of an unbatched
+/// `aᵀ · b` ([`Gemm::TN`]).
 const TN_K_CHUNK: usize = 128;
 
-/// Upper bound on the number of `matmul_tn` partial accumulators; bounds the
+/// Upper bound on the number of `aᵀ · b` partial accumulators; bounds the
 /// `chunks × m × n` scratch memory.
 const TN_MAX_CHUNKS: usize = 16;
 
-/// Work, in multiply-adds, up to which [`Matrix::matmul_tn`] accumulates in
+/// Work, in multiply-adds, up to which an unbatched `aᵀ · b` accumulates in
 /// one `k`-chunk. This is part of the numeric contract — it decides float
 /// association, so changing it moves every trained bit — and is therefore a
 /// constant of its own: it equals `parallel::PARALLEL_MACS` by history, not
 /// by reference, and the grain bound can be retuned without touching it.
 const TN_SINGLE_CHUNK_MACS: usize = 1 << 18;
 
-/// Number of `k`-chunks `matmul_tn` decomposes into — a pure function of the
+/// Number of `k`-chunks an unbatched `aᵀ · b` decomposes into — a pure function of the
 /// operand shapes, never of the thread count, so the fixed-order reduction
 /// over chunk partials yields bitwise-identical floats at any parallelism.
 fn tn_chunk_count(m: usize, k: usize, n: usize) -> usize {
@@ -46,6 +45,87 @@ fn tn_chunk_count(m: usize, k: usize, n: usize) -> usize {
         1
     } else {
         k.div_ceil(TN_K_CHUNK).clamp(1, TN_MAX_CHUNKS)
+    }
+}
+
+/// The operand layout of a dense product.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// `a · b`: the linear layer and Eq. 7's `S·V`.
+    Nn,
+    /// `a · bᵀ`: Eq. 7's `QKᵀ` and the backward's `dX = dY·Wᵀ`.
+    Nt,
+    /// `aᵀ · b`: the backward's `dW = Xᵀ·dY`.
+    Tn,
+}
+
+/// One dense product, described for [`Matrix::gemm`]: its operand
+/// [`Layout`], whether it multiplies the whole operands (`batch` is
+/// `None`) or `batch` stacked blocks of each (block `i` of the result is
+/// block `i` of `a` times block `i` of `b`, Eq. 7's per-node products), and
+/// whether its multiply-adds may fuse (inference only). Build one from
+/// [`Gemm::NN`], [`Gemm::NT`] or [`Gemm::TN`]:
+///
+/// ```
+/// use hoga_tensor::{Gemm, Matrix};
+///
+/// let q = Matrix::from_fn(4, 3, |r, c| (r + c) as f32);
+/// let scores = q.gemm(&q, Gemm::NT.batched(2)); // two 2 × 2 tiles of QKᵀ
+/// assert_eq!(scores.shape(), (4, 2));
+/// assert_eq!(scores, q.gemm_reference(&q, Gemm::NT.batched(2)));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Gemm {
+    /// Which operand, if any, enters transposed.
+    pub layout: Layout,
+    /// `None` for one product of the whole operands; `Some(b)` for `b`
+    /// products of stacked blocks. The bodies differ: an unbatched `a · bᵀ`
+    /// skips zero coefficients as `a · b` does, and an unbatched `aᵀ · b`
+    /// sums chunk partials, so `Some(1)` is not `None`.
+    pub batch: Option<usize>,
+    /// Whether multiply-adds may fuse (`a · b` and batched `a · bᵀ`; the
+    /// unbatched `a · bᵀ` is `a · b` over a transposed copy, and `aᵀ · b`
+    /// has no fused body and computes exactly).
+    pub fused: bool,
+}
+
+impl Gemm {
+    /// `a · b`, unbatched, exact.
+    pub const NN: Self = Self { layout: Layout::Nn, batch: None, fused: false };
+    /// `a · bᵀ`, unbatched, exact.
+    pub const NT: Self = Self { layout: Layout::Nt, batch: None, fused: false };
+    /// `aᵀ · b`, unbatched, exact.
+    pub const TN: Self = Self { layout: Layout::Tn, batch: None, fused: false };
+
+    /// This product over `batch` stacked blocks.
+    pub const fn batched(self, batch: usize) -> Self {
+        Self { batch: Some(batch), ..self }
+    }
+
+    /// This product with fused multiply-adds.
+    pub const fn fused(self) -> Self {
+        Self { fused: true, ..self }
+    }
+
+    /// `(blocks, m, k, n)` of the product of `a` and `b`: `blocks` results
+    /// of `m × n`, each summing over `k`.
+    fn dims(self, a: &Matrix, b: &Matrix) -> (usize, usize, usize, usize) {
+        let blocks = self.batch.unwrap_or(1);
+        assert!(blocks > 0, "batch must be positive");
+        assert_eq!(a.rows % blocks, 0, "lhs rows {} not divisible by batch {blocks}", a.rows);
+        assert_eq!(b.rows % blocks, 0, "rhs rows {} not divisible by batch {blocks}", b.rows);
+        let (ra, rb) = (a.rows / blocks, b.rows / blocks);
+        let (m, k, kb, n) = match self.layout {
+            Layout::Nn => (ra, a.cols, rb, b.cols),
+            Layout::Nt => (ra, a.cols, b.cols, rb),
+            Layout::Tn => (a.cols, ra, rb, b.cols),
+        };
+        assert_eq!(
+            k, kb,
+            "shape mismatch in gemm {self:?}: ({}, {}) x ({}, {})",
+            a.rows, a.cols, b.rows, b.cols
+        );
+        (blocks, m, k, n)
     }
 }
 
@@ -368,56 +448,156 @@ impl Matrix {
         out
     }
 
-    /// Matrix product `self · other`, parallelized over row chunks for large
-    /// operands and cache-blocked over `MATMUL_K_PANEL`-row panels of `other`.
+    /// The dense product `g` describes: `self · other`, `self · otherᵀ` or
+    /// `selfᵀ · other`, of the whole operands or of `batch` stacked blocks
+    /// (see [`Gemm`]). Shapes are checked once, the backend is dispatched
+    /// once, and each layout runs one body:
     ///
-    /// Per output row the accumulation order over the shared dimension stays
-    /// ascending, so results are bitwise identical for every panel size and
-    /// thread count.
+    /// * `a · b` runs cache panels of `b` over the rows of `a` (one
+    ///   exact column: eight rows abreast over their transpose).
+    /// * `a · bᵀ` unbatched is `a · b` over `b`'s transposed copy; a block
+    ///   is a score tile over its `b` transposed (fused: one lane-parallel
+    ///   dot product per element).
+    /// * `aᵀ · b` unbatched sums fixed `k`-chunk partials in ascending
+    ///   order; a block is one chunk.
+    ///
+    /// Exact, every output element is `+0.0`, then one multiply and one add
+    /// per `k`, ascending — bitwise-zero coefficients skipped, except in a
+    /// batched `a · bᵀ`, which skips nothing and so is
+    /// [`Matrix::gemm_reference`] bit for bit on every input — and the
+    /// unbatched `aᵀ · b` of more than 2¹⁸ multiply-adds adds its chunk
+    /// partials in fixed order. Every path is bitwise the same at any thread
+    /// count and on every backend; fused, the multiply-adds may fuse, within
+    /// the ULP bound of `docs/PERFORMANCE.md`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` is zero or does not divide both operands' rows, or
+    /// the blocks' shared dimensions differ.
+    pub fn gemm(&self, other: &Self, g: Gemm) -> Self {
+        let dims = g.dims(self, other);
+        dispatch!(B => if g.fused {
+            self.gemm_with::<B, true>(other, g, dims)
+        } else {
+            self.gemm_with::<B, false>(other, g, dims)
+        })
+    }
+
+    /// The linear layer's `self · other`: [`Matrix::gemm`] at [`Gemm::NN`].
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != other.rows()`.
     pub fn matmul(&self, other: &Self) -> Self {
-        dispatch!(B => self.matmul_impl::<B, false>(other))
+        self.gemm(other, Gemm::NN)
     }
 
-    /// Inference-only `self · other`: same shape contract as
-    /// [`Matrix::matmul`], but the inner loop may fuse multiply-adds, so
-    /// results are ULP-bounded against [`Matrix::matmul_reference`] instead
-    /// of bitwise identical (see `docs/PERFORMANCE.md`). Still a pure
-    /// function of the operands for a fixed backend resolution.
+    /// `self · other` with fused multiply-adds: [`Matrix::gemm`] at
+    /// `Gemm::NN.fused()`.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != other.rows()`.
     pub fn matmul_fast(&self, other: &Self) -> Self {
-        dispatch!(B => self.matmul_impl::<B, true>(other))
+        self.gemm(other, Gemm::NN.fused())
     }
 
-    fn matmul_impl<B: KernelBackend, const FAST: bool>(&self, other: &Self) -> Self {
-        assert_eq!(
-            self.cols, other.rows,
-            "shape mismatch in matmul: ({}, {}) x ({}, {})",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = Self::zeros(m, n);
+    /// `self_i · other_iᵀ` over `batch` blocks: [`Matrix::gemm`] at
+    /// `Gemm::NT.batched(batch)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the conditions of [`Matrix::gemm`].
+    pub fn batched_matmul_nt(&self, other: &Self, batch: usize) -> Self {
+        self.gemm(other, Gemm::NT.batched(batch))
+    }
+
+    fn gemm_with<B: KernelBackend, const FUSED: bool>(
+        &self,
+        other: &Self,
+        g: Gemm,
+        (blocks, m, k, n): (usize, usize, usize, usize),
+    ) -> Self {
+        let mut out = Self::zeros(blocks * m, n);
         if out.data.is_empty() {
             return out;
         }
-        let a = &self.data;
-        let b = &other.data;
-        if n == 1 && k > 0 && !FAST {
-            parallel_chunks(&mut out.data, 1, m * k, |row_start, chunk| {
-                Self::matvec_rows::<B>(&a[row_start * k..], k, b, chunk)
-            });
-            return out;
+        let (a, b) = (&self.data[..], &other.data[..]);
+        match (g.layout, g.batch) {
+            (Layout::Nn, None) => parallel_chunks(&mut out.data, n, m * k * n, |first, rows| {
+                Self::nn_rows::<B, FUSED>(&a[first * k..], k, b, n, rows, &mut Vec::new());
+            }),
+            (Layout::Nt, None) => {
+                let bt = other.transpose();
+                parallel_chunks(&mut out.data, n, m * k * n, |first, rows| {
+                    let a = &a[first * k..];
+                    Self::nn_rows::<B, FUSED>(a, k, &bt.data, n, rows, &mut Vec::new());
+                });
+            }
+            (Layout::Tn, None) => {
+                let chunks = tn_chunk_count(m, k, n);
+                if chunks <= 1 {
+                    Self::tn_rows::<B>(a, m, b, n, &mut out.data, &mut Vec::new());
+                    return out;
+                }
+                let rows_per = k.div_ceil(chunks);
+                let partials: Vec<Vec<f32>> = parallel_map(chunks, |ci| {
+                    let (lo, hi) = (ci * rows_per, ((ci + 1) * rows_per).min(k));
+                    let mut partial = vec![0.0f32; m * n];
+                    let (a, b) = (&a[lo * m..hi * m], &b[lo * n..hi * n]);
+                    Self::tn_rows::<B>(a, m, b, n, &mut partial, &mut Vec::new());
+                    partial
+                });
+                // Ascending chunk order: parallel_map returns the partials in
+                // task order, so the sum never depends on scheduling.
+                for partial in &partials {
+                    for (o, &p) in out.data.iter_mut().zip(partial) {
+                        *o += p;
+                    }
+                }
+            }
+            (layout, Some(_)) => {
+                // Blocks are independent: block-aligned chunks, each block
+                // through its layout's body, one scratch per region.
+                let (a_block, b_block) = (a.len() / blocks, b.len() / blocks);
+                parallel_chunks(&mut out.data, m * n, blocks * m * k * n, |first, region| {
+                    let mut scratch = Vec::new();
+                    for (bi, block) in region.chunks_mut(m * n).enumerate() {
+                        let bi = first + bi;
+                        let a = &a[bi * a_block..(bi + 1) * a_block];
+                        let b = &b[bi * b_block..(bi + 1) * b_block];
+                        match layout {
+                            Layout::Nn => {
+                                Self::nn_rows::<B, FUSED>(a, k, b, n, block, &mut scratch);
+                            }
+                            Layout::Nt => {
+                                Self::nt_block::<B, FUSED>(a, k, b, n, block, &mut scratch)
+                            }
+                            Layout::Tn => Self::tn_rows::<B>(a, m, b, n, block, &mut scratch),
+                        }
+                    }
+                });
+            }
         }
-        parallel_chunks(&mut out.data, n, m * k * n, |row_start, chunk| {
-            Self::panel_rows::<B, FAST>(&a[row_start * k..], k, b, n, chunk)
-        });
         out
+    }
+
+    /// `out += a · b` for the `out.len() / n` rows of `out`, row `i` of `a`
+    /// being `a[i·k..(i+1)·k]` and `b` being `k × n`: the cache panels, or,
+    /// for one exact column, [`Self::matvec_rows`] over `scratch`.
+    fn nn_rows<B: KernelBackend, const FUSED: bool>(
+        a: &[f32],
+        k: usize,
+        b: &[f32],
+        n: usize,
+        out: &mut [f32],
+        scratch: &mut Vec<f32>,
+    ) {
+        if n == 1 && k > 0 && !FUSED {
+            Self::matvec_rows::<B>(a, k, b, out, scratch);
+        } else {
+            Self::panel_rows::<B, FUSED>(a, k, b, n, out);
+        }
     }
 
     /// `out += a · b` over cache panels of `b`: the row body of every dense
@@ -490,118 +670,70 @@ impl Matrix {
     }
 
     /// `out[i] += a_i · x` for consecutive `k`-float rows `a_i` of `a`: the
-    /// [`Matrix::matmul`] of a one-column right-hand side (the readout's
-    /// `[Ĥ₀ ‖ Ĥₖ]·α`, Eq. 10). The panel kernel tiles sixteen output columns
-    /// and walks a lone one element at a time down a single dependency
-    /// chain; here each block of eight rows is transposed so that the rows
-    /// sit in the eight lanes of [`KernelBackend::matvec8`], each lane on
-    /// the chain the kernel contract fixes — one multiply and one add per
-    /// `k`, ascending, bitwise-zero coefficients skipped — so the bits are
-    /// the panel's.
-    fn matvec_rows<B: KernelBackend>(a: &[f32], k: usize, x: &[f32], out: &mut [f32]) {
+    /// `a · b` of a one-column `b` (the readout's `[Ĥ₀ ‖ Ĥₖ]·α`, Eq. 10).
+    /// The panel kernel tiles sixteen output columns and walks a lone one
+    /// element at a time down a single dependency chain; here each block of
+    /// eight rows is transposed into `at` so that the rows sit in the eight
+    /// lanes of [`KernelBackend::matvec8`], each lane on the chain the
+    /// kernel contract fixes — one multiply and one add per `k`, ascending,
+    /// bitwise-zero coefficients skipped — so the bits are the panel's.
+    fn matvec_rows<B: KernelBackend>(
+        a: &[f32],
+        k: usize,
+        x: &[f32],
+        out: &mut [f32],
+        at: &mut Vec<f32>,
+    ) {
         const ROWS: usize = 8;
-        let mut at = vec![0.0f32; ROWS * k];
+        at.resize(ROWS * k, 0.0);
         for (block, arows) in out.chunks_mut(ROWS).zip(a.chunks(ROWS * k)) {
             let rows = block.len();
-            B::transpose(&arows[..rows * k], rows, k, &mut at, ROWS);
+            B::transpose(&arows[..rows * k], rows, k, at, ROWS);
             let mut acc = [0.0f32; ROWS];
             acc[..rows].copy_from_slice(block);
-            B::matvec8(&mut acc, &at, x);
+            B::matvec8(&mut acc, at, x);
             block.copy_from_slice(&acc[..rows]);
         }
     }
 
-    /// Matrix product `self · otherᵀ` — the `dX = dY·Wᵀ` kernel of every
-    /// linear layer's backward pass.
-    ///
-    /// `out[i][j] = Σ_k self[i][k]·other[j][k]` with `k` ascending is,
-    /// element for element, `self.matmul(&other.transpose())`, so the
-    /// transposed copy (`other.len()` floats, paid back over `self.rows()`
-    /// output rows) goes through the register-tiled panels of
-    /// [`Matrix::matmul`] and inherits its thread and backend invariance.
-    /// Bitwise equal to [`Matrix::matmul_nt_reference`] on finite inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != other.cols()`.
-    pub fn matmul_nt(&self, other: &Self) -> Self {
-        dispatch!(B => self.matmul_nt_impl::<B>(other))
-    }
-
-    fn matmul_nt_impl<B: KernelBackend>(&self, other: &Self) -> Self {
-        assert_eq!(
-            self.cols, other.cols,
-            "shape mismatch in matmul_nt: ({}, {}) x ({}, {})^T",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        self.matmul_impl::<B, false>(&other.transpose())
-    }
-
-    /// Matrix product `selfᵀ · other`.
-    ///
-    /// This is the `dW = Xᵀ·dY` kernel in every linear layer's backward pass.
-    /// Because the output is only `cols × other.cols` while the reduction runs
-    /// over all `rows`, it parallelizes over the *shared* dimension: the `k`
-    /// rows are split into [`tn_chunk_count`] fixed chunks (a pure function of
-    /// the shapes), each chunk accumulates its own partial `m × n` buffer, and
-    /// the partials are summed in **ascending chunk order**. Fixing both the
-    /// chunk decomposition and the reduction order makes the float
-    /// reassociation independent of the thread count, so results are bitwise
-    /// identical whether one thread or sixteen ran the chunks. A chunk
-    /// transposes its slice of `self` and runs the register-tiled panels of
-    /// [`Matrix::matmul`] on it; outputs narrower than one 16-column tile
-    /// take a loop of their own. Both give every element the same chain:
-    /// one multiply and one add per row, ascending, bitwise-zero
-    /// coefficients skipped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows() != other.rows()`.
-    pub fn matmul_tn(&self, other: &Self) -> Self {
-        dispatch!(B => self.matmul_tn_impl::<B>(other))
-    }
-
-    fn matmul_tn_impl<B: KernelBackend>(&self, other: &Self) -> Self {
-        assert_eq!(
-            self.rows, other.rows,
-            "shape mismatch in matmul_tn: ({}, {})^T x ({}, {})",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (m, k, n) = (self.cols, self.rows, other.cols);
-        let chunks = tn_chunk_count(m, k, n);
-        if chunks <= 1 {
-            let mut out = Self::zeros(m, n);
-            Self::tn_rows::<B>(self, other, 0..k, &mut out.data);
-            return out;
-        }
-        let rows_per = k.div_ceil(chunks);
-        let partials: Vec<Vec<f32>> = parallel_map(chunks, |ci| {
-            let lo = ci * rows_per;
-            let hi = ((ci + 1) * rows_per).min(k);
-            let mut partial = vec![0.0f32; m * n];
-            Self::tn_rows::<B>(self, other, lo..hi, &mut partial);
-            partial
-        });
-        // Reduce the partials in ascending chunk order — parallel_map returns
-        // them in task order, so this sum order never depends on scheduling.
-        let mut out = Self::zeros(m, n);
-        for partial in &partials {
-            for (ov, &pv) in out.data.iter_mut().zip(partial) {
-                *ov += pv;
+    /// One block of `a · bᵀ` into the `out.len() / n`-row `out`, `a` and
+    /// `b` holding `k`-float rows, `b` `n` of them (Eq. 7's per-node `QKᵀ`).
+    /// Exact, `b` is transposed into `kt` — column `j` in lane `j` of rows
+    /// padded to whole 8-lane groups, the pad lanes zero — for
+    /// [`KernelBackend::score_tile`]; fused, each element is one
+    /// [`KernelBackend::dot_fast`].
+    fn nt_block<B: KernelBackend, const FUSED: bool>(
+        a: &[f32],
+        k: usize,
+        b: &[f32],
+        n: usize,
+        out: &mut [f32],
+        kt: &mut Vec<f32>,
+    ) {
+        if FUSED {
+            for (i, orow) in out.chunks_exact_mut(n).enumerate() {
+                let arow = &a[i * k..(i + 1) * k];
+                for (j, o) in orow.iter_mut().enumerate() {
+                    *o = B::dot_fast(arow, &b[j * k..(j + 1) * k]);
+                }
             }
+            return;
         }
-        out
+        let stride = n.next_multiple_of(8);
+        kt.resize(k * stride, 0.0);
+        B::transpose(b, n, k, kt, stride);
+        B::score_tile(out, n, a, k, kt, stride);
     }
 
-    /// One of [`Matrix::matmul_tn`]'s chunk partials, for a caller that
-    /// holds the operands as runs of rows (the node blocks of a training
-    /// step). `self` and `other` are rows `index · rows ..` of two
-    /// `total`-row operands. When `matmul_tn` of those operands sums more
+    /// One of `aᵀ · b`'s chunk partials (`Gemm::TN`, unbatched), for a
+    /// caller that holds the operands as runs of rows (the node blocks of a
+    /// training step). `self` and `other` are rows `index · rows ..` of two
+    /// `total`-row operands. When the product of those operands sums more
     /// than one chunk and its chunks are exactly the consecutive runs of
     /// `rows` rows, this is chunk `index`'s partial: added into zeros in
-    /// ascending `index` order with `+=`, the partials are `matmul_tn`'s
-    /// result bit for bit. Otherwise it is `None`, for every `index` alike,
-    /// so all runs of one product take the same path.
+    /// ascending `index` order with `+=`, the partials are the product bit
+    /// for bit. Otherwise it is `None`, for every `index` alike, so all runs
+    /// of one product take the same path.
     ///
     /// # Panics
     ///
@@ -614,74 +746,77 @@ impl Matrix {
         index: usize,
         total: usize,
     ) -> Option<Self> {
-        dispatch!(B => self.matmul_tn_chunk_impl::<B>(other, rows, index, total))
-    }
-
-    fn matmul_tn_chunk_impl<B: KernelBackend>(
-        &self,
-        other: &Self,
-        rows: usize,
-        index: usize,
-        total: usize,
-    ) -> Option<Self> {
         assert_eq!(self.rows, other.rows, "row mismatch in matmul_tn_chunk");
         let run = rows.min(total.saturating_sub(index * rows));
         assert_eq!(self.rows, run, "rows are not run {index} of {total} in runs of {rows}");
         let (m, n) = (self.cols, other.cols);
         let chunks = tn_chunk_count(m, total, n);
-        // Every chunk one run, none empty: matmul_tn's chunks are the runs.
+        // Every chunk one run, none empty: the product's chunks are the runs.
         if chunks <= 1 || total.div_ceil(chunks) != rows || total.div_ceil(rows) != chunks {
             return None;
         }
         let mut out = Self::zeros(m, n);
-        Self::tn_rows::<B>(self, other, 0..self.rows, &mut out.data);
+        let (a, b) = (&self.data, &other.data);
+        dispatch!(B => Self::tn_rows::<B>(a, m, b, n, &mut out.data, &mut Vec::new()));
         Some(out)
     }
 
-    /// `out += aᵀ · b` over rows `range` of `a` and `b`, for the `m × n`
-    /// `out`: every element one multiply and one add per row, in ascending
-    /// order, bitwise-zero coefficients of `a` skipped, `out` carrying the
-    /// chain. A `k`-chunk of [`Matrix::matmul_tn`] (and a
-    /// [`Matrix::matmul_tn_chunk`], and a run of a [`TnFold`]).
-    fn tn_rows<B: KernelBackend>(a: &Self, b: &Self, range: Range<usize>, out: &mut [f32]) {
-        let (m, n) = (a.cols, b.cols);
-        if out.is_empty() || range.is_empty() {
+    /// `out += aᵀ · b` for the `m × n` `out`, `a` and `b` holding the same
+    /// number of `m`- and `n`-float rows: every element one multiply and one
+    /// add per row, in ascending order, bitwise-zero coefficients of `a`
+    /// skipped, `out` carrying the chain. A `k`-chunk or a block of
+    /// `Gemm::TN` (and a [`Matrix::matmul_tn_chunk`], and a run of a
+    /// [`TnFold`]); `scratch` holds the transposes.
+    fn tn_rows<B: KernelBackend>(
+        a: &[f32],
+        m: usize,
+        b: &[f32],
+        n: usize,
+        out: &mut [f32],
+        scratch: &mut Vec<f32>,
+    ) {
+        if out.is_empty() || a.is_empty() {
             return;
         }
-        let (a, b) = (&a.data[range.start * m..range.end * m], &b.data[range.start * n..]);
+        let rows = a.len() / m;
         if n < 16 {
-            Self::tn_narrow::<B>(a, &b[..range.len() * n], m, n, out);
+            Self::tn_narrow::<B>(a, b, m, n, out, scratch);
             return;
         }
-        // At least one full 16-column tile: the register-tiled panels of
-        // `matmul` run on the rows' transpose, one cache panel of rows at a
-        // time so the transposed slice (`m × 64` floats at the trainer's
-        // shapes, 16 KiB) is still in L1 when the panel reads it.
+        // At least one full 16-column tile: the register-tiled panels run on
+        // the rows' transpose, one cache panel of rows at a time so the
+        // transposed slice (`m × 64` floats at the trainer's shapes, 16 KiB)
+        // is still in L1 when the panel reads it.
         let panel = matmul_panel_len(n);
-        let mut at = vec![0.0f32; m * panel.min(range.len())];
-        for kb in (0..range.len()).step_by(panel) {
-            let len = panel.min(range.len() - kb);
-            let at = &mut at[..m * len];
+        scratch.resize(m * panel.min(rows), 0.0);
+        for kb in (0..rows).step_by(panel) {
+            let len = panel.min(rows - kb);
+            let at = &mut scratch[..m * len];
             B::transpose(&a[kb * m..(kb + len) * m], len, m, at, len);
             Self::panel_rows::<B, false>(at, len, &b[kb * n..(kb + len) * n], n, out);
         }
     }
 
     /// [`Self::tn_rows`] for an output narrower than one 16-column tile (the
-    /// classifier head's dW, a matrix–vector gradient) over one run's rows
-    /// `a` and `b`: the panels have no full tile and `fma_row` over `n`-float
-    /// rows is a backend call per `n` multiply-adds, so the contract is
-    /// spelled out here instead, one output column at a time into `outᵀ`
-    /// (which is `out` for one column): the `m` outputs a row updates are
-    /// then contiguous, as is `a`'s row.
-    fn tn_narrow<B: KernelBackend>(a: &[f32], b: &[f32], m: usize, n: usize, out: &mut [f32]) {
-        let mut scratch = Vec::new();
+    /// classifier head's dW, a matrix–vector gradient): the panels have no
+    /// full tile and `fma_row` over `n`-float rows is a backend call per `n`
+    /// multiply-adds, so the contract is spelled out here instead, one
+    /// output column at a time into `outᵀ` (which is `out` for one column):
+    /// the `m` outputs a row updates are then contiguous, as is `a`'s row.
+    fn tn_narrow<B: KernelBackend>(
+        a: &[f32],
+        b: &[f32],
+        m: usize,
+        n: usize,
+        out: &mut [f32],
+        scratch: &mut Vec<f32>,
+    ) {
         let acc_t = if n == 1 {
             &mut *out
         } else {
             scratch.resize(n * m, 0.0);
-            B::transpose(out, m, n, &mut scratch, m);
-            &mut scratch[..]
+            B::transpose(out, m, n, scratch, m);
+            &mut scratch[..n * m]
         };
         for (j, acc) in acc_t.chunks_exact_mut(m).enumerate() {
             for (arow, &bv) in a.chunks_exact(m).zip(b[j..].iter().step_by(n)) {
@@ -692,384 +827,38 @@ impl Matrix {
             }
         }
         if n > 1 {
-            B::transpose(&scratch, n, m, out, n);
+            B::transpose(&scratch[..n * m], n, m, out, n);
         }
     }
 
-    /// Batched matrix product over `batch` stacked blocks.
-    ///
-    /// `self` is interpreted as `batch` stacked `(rows/batch) × cols` blocks
-    /// and `other` as `batch` stacked `(other.rows/batch) × other.cols`
-    /// blocks; block `i` of the result is `self_i · other_i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either operand's row count is not divisible by `batch`, or
-    /// if the per-block inner dimensions disagree.
-    pub fn batched_matmul(&self, other: &Self, batch: usize) -> Self {
-        dispatch!(B => self.batched_matmul_impl::<B, false>(other, batch))
-    }
-
-    /// Inference-only batched product: same shape contract as
-    /// [`Matrix::batched_matmul`], but the inner loop may fuse
-    /// multiply-adds, so results are ULP-bounded against
-    /// [`Matrix::batched_matmul_reference`] instead of bitwise identical.
+    /// The naive oracle of [`Matrix::gemm`]: per block, every element is
+    /// `0.0` plus one product per `k` in ascending order, nothing skipped and
+    /// nothing fused (`g.fused` is ignored: this is the chain a fused
+    /// product is bounded against).
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`Matrix::batched_matmul`].
-    pub fn batched_matmul_fast(&self, other: &Self, batch: usize) -> Self {
-        dispatch!(B => self.batched_matmul_impl::<B, true>(other, batch))
-    }
-
-    fn batched_matmul_impl<B: KernelBackend, const FAST: bool>(
-        &self,
-        other: &Self,
-        batch: usize,
-    ) -> Self {
-        assert!(batch > 0, "batch must be positive");
-        assert_eq!(self.rows % batch, 0, "lhs rows {} not divisible by batch {batch}", self.rows);
-        assert_eq!(other.rows % batch, 0, "rhs rows {} not divisible by batch {batch}", other.rows);
-        let br_a = self.rows / batch;
-        let br_b = other.rows / batch;
-        assert_eq!(
-            self.cols, br_b,
-            "shape mismatch in batched_matmul: block ({br_a}, {}) x ({br_b}, {})",
-            self.cols, other.cols
-        );
-        let n = other.cols;
-        let k = self.cols;
-        let mut out = Self::zeros(batch * br_a, n);
-        if out.data.is_empty() {
-            return out;
-        }
-        // Blocks are independent, so parallelize with block-aligned chunks;
-        // per-block arithmetic is unchanged, making the result thread-count
-        // invariant bit for bit.
-        let block_elems = br_a * n;
-        let a = &self.data;
-        let b = &other.data;
-        let work = |block_start: usize, region: &mut [f32]| {
-            for (bo, block) in region.chunks_mut(block_elems).enumerate() {
-                let bi = block_start + bo;
-                for i in 0..br_a {
-                    let arow = &a[(bi * br_a + i) * k..(bi * br_a + i + 1) * k];
-                    let orow = &mut block[i * n..(i + 1) * n];
-                    if FAST {
-                        for (kk, &av) in arow.iter().enumerate() {
-                            let brow = &b[(bi * br_b + kk) * n..(bi * br_b + kk + 1) * n];
-                            B::fma_row_fast(orow, av, brow);
-                        }
-                    } else {
-                        for (kk, &av) in arow.iter().enumerate() {
-                            let brow = &b[(bi * br_b + kk) * n..(bi * br_b + kk + 1) * n];
-                            B::fma_row(orow, av, brow);
-                        }
-                    }
-                }
-            }
-        };
-        parallel_chunks(&mut out.data, block_elems, batch * br_a * k * n, work);
-        out
-    }
-
-    /// Batched product `self_i · other_iᵀ` over `batch` stacked blocks.
-    ///
-    /// Every element is `+0.0`, then one multiply and one add per `k`,
-    /// ascending, with no zero skip: bitwise
-    /// [`Matrix::batched_matmul_nt_reference`] on every input, NaN and ∞
-    /// included, at any thread count and on either backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same divisibility conditions as
-    /// [`Matrix::batched_matmul`], or if the operands' column counts differ.
-    pub fn batched_matmul_nt(&self, other: &Self, batch: usize) -> Self {
-        dispatch!(B => self.batched_matmul_nt_impl::<B, false>(other, batch))
-    }
-
-    /// Inference-only `self_i · other_iᵀ`: the dot products run on the
-    /// backend's lane-parallel fast reduction, ULP-bounded against
-    /// [`Matrix::batched_matmul_nt_reference`].
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Matrix::batched_matmul_nt`].
-    pub fn batched_matmul_nt_fast(&self, other: &Self, batch: usize) -> Self {
-        dispatch!(B => self.batched_matmul_nt_impl::<B, true>(other, batch))
-    }
-
-    fn batched_matmul_nt_impl<B: KernelBackend, const FAST: bool>(
-        &self,
-        other: &Self,
-        batch: usize,
-    ) -> Self {
-        assert!(batch > 0, "batch must be positive");
-        assert_eq!(self.rows % batch, 0, "lhs rows {} not divisible by batch {batch}", self.rows);
-        assert_eq!(other.rows % batch, 0, "rhs rows {} not divisible by batch {batch}", other.rows);
-        assert_eq!(
-            self.cols, other.cols,
-            "shape mismatch in batched_matmul_nt: inner dims {} vs {}",
-            self.cols, other.cols
-        );
-        let br_a = self.rows / batch;
-        let br_b = other.rows / batch;
-        let k = self.cols;
-        let mut out = Self::zeros(batch * br_a, br_b);
-        if out.data.is_empty() {
-            return out;
-        }
-        // Per-step QKᵀ of Eq. 7: each block is an independent (K+1)×(K+1)
-        // score tile, so parallelize over block-aligned chunks. Every
-        // element is computed identically at any thread count.
-        let block_elems = br_a * br_b;
-        let a = &self.data;
-        let b = &other.data;
-        // The exact path reads each K block transposed (see
-        // `KernelBackend::score_tile`): column `j` in lane `j` of rows padded
-        // to whole 8-lane groups, in one scratch per region whose pad lanes
-        // stay zero.
-        let stride = br_b.next_multiple_of(8);
-        let work = |block_start: usize, region: &mut [f32]| {
-            let mut kt = if FAST { Vec::new() } else { vec![0.0f32; k * stride] };
-            for (bo, block) in region.chunks_mut(block_elems).enumerate() {
-                let bi = block_start + bo;
-                let qb = &a[bi * br_a * k..(bi + 1) * br_a * k];
-                let kb = &b[bi * br_b * k..(bi + 1) * br_b * k];
-                if !FAST {
-                    B::transpose(kb, br_b, k, &mut kt, stride);
-                    B::score_tile(block, br_b, qb, k, &kt, stride);
-                    continue;
-                }
-                for i in 0..br_a {
-                    let arow = &qb[i * k..(i + 1) * k];
-                    for j in 0..br_b {
-                        block[i * br_b + j] = B::dot_fast(arow, &kb[j * k..(j + 1) * k]);
-                    }
-                }
-            }
-        };
-        parallel_chunks(&mut out.data, block_elems, batch * br_a * k * br_b, work);
-        out
-    }
-
-    /// Batched product `self_iᵀ · other_i` over `batch` stacked blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operands' per-block row counts differ or rows are not
-    /// divisible by `batch`.
-    pub fn batched_matmul_tn(&self, other: &Self, batch: usize) -> Self {
-        dispatch!(B => self.batched_matmul_tn_impl::<B>(other, batch))
-    }
-
-    fn batched_matmul_tn_impl<B: KernelBackend>(&self, other: &Self, batch: usize) -> Self {
-        assert!(batch > 0, "batch must be positive");
-        assert_eq!(self.rows % batch, 0, "lhs rows {} not divisible by batch {batch}", self.rows);
-        assert_eq!(other.rows % batch, 0, "rhs rows {} not divisible by batch {batch}", other.rows);
-        let br_a = self.rows / batch;
-        let br_b = other.rows / batch;
-        assert_eq!(br_a, br_b, "shape mismatch in batched_matmul_tn: block rows {br_a} vs {br_b}");
-        let n = other.cols;
-        let cols = self.cols;
-        let mut out = Self::zeros(batch * cols, n);
-        if out.data.is_empty() {
-            return out;
-        }
-        // Backward of the batched attention products: blocks are independent,
-        // so parallelize over block-aligned chunks; within a block the shared
-        // dimension is swept in ascending order exactly as before.
-        let block_elems = cols * n;
-        let a = &self.data;
-        let b = &other.data;
-        let work = |block_start: usize, region: &mut [f32]| {
-            for (bo, block) in region.chunks_mut(block_elems).enumerate() {
-                let bi = block_start + bo;
-                for kk in 0..br_a {
-                    let arow = &a[(bi * br_a + kk) * cols..(bi * br_a + kk + 1) * cols];
-                    let brow = &b[(bi * br_b + kk) * n..(bi * br_b + kk + 1) * n];
-                    for (i, &av) in arow.iter().enumerate() {
-                        let orow = &mut block[i * n..(i + 1) * n];
-                        B::fma_row(orow, av, brow);
-                    }
-                }
-            }
-        };
-        parallel_chunks(&mut out.data, block_elems, batch * br_a * cols * n, work);
-        out
-    }
-
-    /// Naive triple-loop `self · other` kept as the differential-testing
-    /// oracle for the blocked, parallel [`Matrix::matmul`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != other.rows()`.
-    pub fn matmul_reference(&self, other: &Self) -> Self {
-        assert_eq!(
-            self.cols, other.rows,
-            "shape mismatch in matmul_reference: ({}, {}) x ({}, {})",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = Self::zeros(m, n);
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for kk in 0..k {
-                    acc += self.data[i * k + kk] * other.data[kk * n + j];
-                }
-                out.data[i * n + j] = acc;
-            }
-        }
-        out
-    }
-
-    /// Naive `self · otherᵀ` oracle for [`Matrix::matmul_nt`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != other.cols()`.
-    pub fn matmul_nt_reference(&self, other: &Self) -> Self {
-        assert_eq!(
-            self.cols, other.cols,
-            "shape mismatch in matmul_nt_reference: ({}, {}) x ({}, {})^T",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        let mut out = Self::zeros(m, n);
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for kk in 0..k {
-                    acc += self.data[i * k + kk] * other.data[j * k + kk];
-                }
-                out.data[i * n + j] = acc;
-            }
-        }
-        out
-    }
-
-    /// Naive `selfᵀ · other` oracle for the k-chunked [`Matrix::matmul_tn`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows() != other.rows()`.
-    pub fn matmul_tn_reference(&self, other: &Self) -> Self {
-        assert_eq!(
-            self.rows, other.rows,
-            "shape mismatch in matmul_tn_reference: ({}, {})^T x ({}, {})",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (m, k, n) = (self.cols, self.rows, other.cols);
-        let mut out = Self::zeros(m, n);
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for kk in 0..k {
-                    acc += self.data[kk * m + i] * other.data[kk * n + j];
-                }
-                out.data[i * n + j] = acc;
-            }
-        }
-        out
-    }
-
-    /// Naive per-block oracle for [`Matrix::batched_matmul`].
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same shape conditions as [`Matrix::batched_matmul`].
-    pub fn batched_matmul_reference(&self, other: &Self, batch: usize) -> Self {
-        assert!(batch > 0, "batch must be positive");
-        assert_eq!(self.rows % batch, 0, "lhs rows {} not divisible by batch {batch}", self.rows);
-        assert_eq!(other.rows % batch, 0, "rhs rows {} not divisible by batch {batch}", other.rows);
-        let br_a = self.rows / batch;
-        let br_b = other.rows / batch;
-        assert_eq!(
-            self.cols, br_b,
-            "shape mismatch in batched_matmul_reference: block ({br_a}, {}) x ({br_b}, {})",
-            self.cols, other.cols
-        );
-        let n = other.cols;
-        let mut out = Self::zeros(batch * br_a, n);
-        for bi in 0..batch {
-            for i in 0..br_a {
+    /// Panics under the conditions of [`Matrix::gemm`].
+    pub fn gemm_reference(&self, other: &Self, g: Gemm) -> Self {
+        let (blocks, m, k, n) = g.dims(self, other);
+        let (a, b) = (&self.data, &other.data);
+        let mut out = Self::zeros(blocks * m, n);
+        for bi in 0..blocks {
+            for i in 0..m {
                 for j in 0..n {
-                    let mut acc = 0.0f32;
-                    for kk in 0..br_b {
-                        acc += self.data[(bi * br_a + i) * self.cols + kk]
-                            * other.data[(bi * br_b + kk) * n + j];
-                    }
-                    out.data[(bi * br_a + i) * n + j] = acc;
-                }
-            }
-        }
-        out
-    }
-
-    /// Naive per-block oracle for [`Matrix::batched_matmul_nt`].
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same shape conditions as
-    /// [`Matrix::batched_matmul_nt`].
-    pub fn batched_matmul_nt_reference(&self, other: &Self, batch: usize) -> Self {
-        assert!(batch > 0, "batch must be positive");
-        assert_eq!(self.rows % batch, 0, "lhs rows {} not divisible by batch {batch}", self.rows);
-        assert_eq!(other.rows % batch, 0, "rhs rows {} not divisible by batch {batch}", other.rows);
-        assert_eq!(
-            self.cols, other.cols,
-            "shape mismatch in batched_matmul_nt_reference: inner dims {} vs {}",
-            self.cols, other.cols
-        );
-        let br_a = self.rows / batch;
-        let br_b = other.rows / batch;
-        let k = self.cols;
-        let mut out = Self::zeros(batch * br_a, br_b);
-        for bi in 0..batch {
-            for i in 0..br_a {
-                for j in 0..br_b {
                     let mut acc = 0.0f32;
                     for kk in 0..k {
-                        acc += self.data[(bi * br_a + i) * k + kk]
-                            * other.data[(bi * br_b + j) * k + kk];
+                        let av = match g.layout {
+                            Layout::Nn | Layout::Nt => a[(bi * m + i) * k + kk],
+                            Layout::Tn => a[(bi * k + kk) * m + i],
+                        };
+                        let bv = match g.layout {
+                            Layout::Nn | Layout::Tn => b[(bi * k + kk) * n + j],
+                            Layout::Nt => b[(bi * n + j) * k + kk],
+                        };
+                        acc += av * bv;
                     }
-                    out.data[(bi * br_a + i) * br_b + j] = acc;
-                }
-            }
-        }
-        out
-    }
-
-    /// Naive per-block oracle for [`Matrix::batched_matmul_tn`].
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same shape conditions as
-    /// [`Matrix::batched_matmul_tn`].
-    pub fn batched_matmul_tn_reference(&self, other: &Self, batch: usize) -> Self {
-        assert!(batch > 0, "batch must be positive");
-        assert_eq!(self.rows % batch, 0, "lhs rows {} not divisible by batch {batch}", self.rows);
-        assert_eq!(other.rows % batch, 0, "rhs rows {} not divisible by batch {batch}", other.rows);
-        let br_a = self.rows / batch;
-        let br_b = other.rows / batch;
-        assert_eq!(
-            br_a, br_b,
-            "shape mismatch in batched_matmul_tn_reference: block rows {br_a} vs {br_b}"
-        );
-        let n = other.cols;
-        let cols = self.cols;
-        let mut out = Self::zeros(batch * cols, n);
-        for bi in 0..batch {
-            for i in 0..cols {
-                for j in 0..n {
-                    let mut acc = 0.0f32;
-                    for kk in 0..br_a {
-                        acc += self.data[(bi * br_a + kk) * cols + i]
-                            * other.data[(bi * br_b + kk) * n + j];
-                    }
-                    out.data[(bi * cols + i) * n + j] = acc;
+                    out.data[(bi * m + i) * n + j] = acc;
                 }
             }
         }
@@ -1242,10 +1031,11 @@ impl fmt::Debug for Matrix {
     }
 }
 
-/// [`Matrix::matmul_tn`] of two `total`-row operands handed over run by run
-/// in row order (the node blocks of a training step), with its bits: each
-/// run's rows go onto the chains of the chunks they sit in as they arrive,
-/// so only the chunk partials are held, never the rows.
+/// The unbatched `aᵀ · b` ([`Gemm::TN`]) of two `total`-row operands
+/// handed over run by run in row order (the node blocks of a training
+/// step), with its bits: each run's rows go onto the chains of the chunks
+/// they sit in as they arrive, so only the chunk partials are held, never
+/// the rows.
 #[derive(Debug, Clone)]
 pub struct TnFold {
     rows_per: usize,
@@ -1271,19 +1061,21 @@ impl TnFold {
         let (m, n) = (self.partials[0].rows, self.partials[0].cols);
         assert!(a.rows == b.rows && (a.cols, b.cols) == (m, n), "run shape mismatch in TnFold");
         let (start, end) = (self.next, self.next + a.rows);
+        let mut scratch = Vec::new();
         let mut lo = start;
         while lo < end {
             let partial = &mut self.partials[lo / self.rows_per];
             let hi = end.min((lo / self.rows_per + 1) * self.rows_per);
-            let range = lo - start..hi - start;
-            dispatch!(B => Matrix::tn_rows::<B>(a, b, range, &mut partial.data));
+            let (r0, r1) = (lo - start, hi - start);
+            let (ra, rb) = (&a.data[r0 * m..r1 * m], &b.data[r0 * n..r1 * n]);
+            dispatch!(B => Matrix::tn_rows::<B>(ra, m, rb, n, &mut partial.data, &mut scratch));
             lo = hi;
         }
         self.next = end;
     }
 
     /// The product: the one chain, or the partials added into zeros in
-    /// ascending chunk order, as `matmul_tn` reduces them.
+    /// ascending chunk order, as [`Matrix::gemm`] reduces them.
     pub fn finish(mut self) -> Matrix {
         if self.partials.len() == 1 {
             return self.partials.swap_remove(0);
@@ -1313,14 +1105,14 @@ mod tests {
     fn matmul_matches_naive() {
         let a = Matrix::from_fn(7, 5, |r, c| ((r * 31 + c * 7) % 11) as f32 - 5.0);
         let b = Matrix::from_fn(5, 9, |r, c| ((r * 13 + c * 3) % 7) as f32 - 3.0);
-        assert!(a.matmul(&b).max_abs_diff(&a.matmul_reference(&b)) < 1e-5);
+        assert!(a.matmul(&b).max_abs_diff(&a.gemm_reference(&b, Gemm::NN)) < 1e-5);
     }
 
     #[test]
     fn large_matmul_parallel_path_matches_naive() {
         let a = Matrix::from_fn(130, 70, |r, c| ((r + 3 * c) % 17) as f32 * 0.25 - 2.0);
         let b = Matrix::from_fn(70, 90, |r, c| ((5 * r + c) % 13) as f32 * 0.5 - 3.0);
-        assert!(a.matmul(&b).max_abs_diff(&a.matmul_reference(&b)) < 1e-3);
+        assert!(a.matmul(&b).max_abs_diff(&a.gemm_reference(&b, Gemm::NN)) < 1e-3);
     }
 
     #[test]
@@ -1330,7 +1122,7 @@ mod tests {
         let a = Matrix::from_fn(600, 40, |r, c| ((r * 7 + c * 3) % 23) as f32 * 0.125 - 1.0);
         let b = Matrix::from_fn(600, 40, |r, c| ((r * 5 + c * 11) % 19) as f32 * 0.25 - 2.0);
         assert!(tn_chunk_count(40, 600, 40) > 1);
-        assert!(a.matmul_tn(&b).max_abs_diff(&a.matmul_tn_reference(&b)) < 1e-2);
+        assert!(a.gemm(&b, Gemm::TN).max_abs_diff(&a.gemm_reference(&b, Gemm::TN)) < 1e-2);
     }
 
     #[test]
@@ -1342,7 +1134,7 @@ mod tests {
         let a = Matrix::from_fn(k, m, |r, c| ((r * 31 + c * 17) % 97) as f32 * 0.013 - 0.6);
         for n in [64, 4, 1] {
             let b = Matrix::from_fn(k, n, |r, c| ((r * 13 + c * 29) % 89) as f32 * 0.017 - 0.7);
-            let whole = bits(&a.matmul_tn(&b));
+            let whole = bits(&a.gemm(&b, Gemm::TN));
             // Runs of a block's rows, the last one short, and one row long.
             let cuts = [0, 288, 576, 1000, 1001, 2304, 4600, k];
             let runs: Vec<(Matrix, Matrix)> =
@@ -1359,7 +1151,7 @@ mod tests {
                 .map(|i| (rows(&a512, 32 * i, 32 * i + 32), rows(&b512, 32 * i, 32 * i + 32)))
                 .collect();
             let runs: Vec<(&Matrix, &Matrix)> = runs.iter().map(|(a, b)| (a, b)).collect();
-            let short = bits(&a512.matmul_tn(&b512));
+            let short = bits(&a512.gemm(&b512, Gemm::TN));
             let mut fold = TnFold::new(m, n, 512);
             runs.iter().for_each(|(a, b)| fold.push(a, b));
             assert_eq!(bits(&fold.finish()), short, "n = {n}, 512 rows folded");
@@ -1391,9 +1183,9 @@ mod tests {
     fn matmul_nt_and_tn_match_transpose() {
         let a = Matrix::from_fn(4, 6, |r, c| (r as f32 - c as f32) * 0.5);
         let b = Matrix::from_fn(5, 6, |r, c| (r * c) as f32 * 0.1);
-        assert!(a.matmul_nt(&b).max_abs_diff(&a.matmul(&b.transpose())) < 1e-5);
+        assert!(a.gemm(&b, Gemm::NT).max_abs_diff(&a.matmul(&b.transpose())) < 1e-5);
         let c = Matrix::from_fn(4, 3, |r, c| (r + 2 * c) as f32);
-        assert!(a.matmul_tn(&c).max_abs_diff(&a.transpose().matmul(&c)) < 1e-5);
+        assert!(a.gemm(&c, Gemm::TN).max_abs_diff(&a.transpose().matmul(&c)) < 1e-5);
     }
 
     #[test]
@@ -1401,7 +1193,7 @@ mod tests {
         let batch = 3;
         let a = Matrix::from_fn(batch * 2, 4, |r, c| ((r * 5 + c) % 7) as f32 - 3.0);
         let b = Matrix::from_fn(batch * 4, 3, |r, c| ((r * 3 + c) % 5) as f32 - 2.0);
-        let out = a.batched_matmul(&b, batch);
+        let out = a.gemm(&b, Gemm::NN.batched(batch));
         for bi in 0..batch {
             let ab = a.select_rows(&[bi * 2, bi * 2 + 1]);
             let bb = b.select_rows(&(bi * 4..bi * 4 + 4).collect::<Vec<_>>());
@@ -1416,8 +1208,8 @@ mod tests {
         let batch = 2;
         let a = Matrix::from_fn(batch * 3, 4, |r, c| (r as f32 + c as f32).sin());
         let b = Matrix::from_fn(batch * 3, 4, |r, c| (r as f32 * c as f32).cos());
-        let nt = a.batched_matmul_nt(&b, batch);
-        let tn = a.batched_matmul_tn(&b, batch);
+        let nt = a.gemm(&b, Gemm::NT.batched(batch));
+        let tn = a.gemm(&b, Gemm::TN.batched(batch));
         for bi in 0..batch {
             let idx: Vec<usize> = (bi * 3..bi * 3 + 3).collect();
             let ab = a.select_rows(&idx);
@@ -1471,7 +1263,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "shape mismatch in matmul")]
+    #[should_panic(expected = "shape mismatch in gemm")]
     fn matmul_shape_mismatch_panics() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(4, 2);

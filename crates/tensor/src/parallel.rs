@@ -7,7 +7,7 @@
 //! the crate's one grain rule, in which case the closure runs once on the
 //! caller. [`parallel_map`] runs indexed tasks and returns their
 //! results in task order, which is the primitive behind the deterministic
-//! fixed-order reductions of `Matrix::matmul_tn` and `CsrMatrix::from_coo`
+//! fixed-order reductions of `Matrix::gemm`'s `aᵀ · b` and `CsrMatrix::from_coo`
 //! (the general triplet constructor; the circuit adjacency is laid out by its
 //! own builder and only checked here, `CsrMatrix::from_csr`).
 //!
@@ -143,7 +143,7 @@ pub fn parallel_blocks<T: Send>(blocks: Vec<T>, f: impl Fn(T) + Sync) {
 /// Work, in multiply-adds, at or below which a kernel region costs less than
 /// the spawn that would split it: the one grain rule of the crate, applied by
 /// [`parallel_chunks`]. It only ever decides which thread writes a row, so
-/// retuning it cannot move a result (`Matrix::matmul_tn`'s reduction tree
+/// retuning it cannot move a result (the `aᵀ · b` reduction tree
 /// has a constant of its own).
 pub(crate) const PARALLEL_MACS: usize = 1 << 18;
 
@@ -194,7 +194,7 @@ fn join_all(handles: Vec<ScopedJoinHandle<'_, ()>>) {
 /// it runs exactly once and the result order is a pure function of `count`.
 /// Callers that reduce the returned values in index order therefore get
 /// bitwise-identical results for every thread count; this is the primitive
-/// behind the deterministic k-chunked reduction of `Matrix::matmul_tn` and
+/// behind the deterministic k-chunked reduction of `Matrix::gemm`'s `aᵀ · b` and
 /// the sharded `CsrMatrix::from_coo` triplet merge.
 pub(crate) fn parallel_map<T, F>(count: usize, f: F) -> Vec<T>
 where

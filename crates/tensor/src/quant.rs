@@ -216,6 +216,7 @@ fn qmatmul_impl<B: KernelBackend>(a: &QuantizedMatrix, w: &QuantizedWeights) -> 
 mod tests {
     use super::*;
     use crate::init::Init;
+    use crate::matrix::Gemm;
 
     fn sample(rows: usize, cols: usize, seed: u64) -> Matrix {
         Init::XavierUniform.matrix(rows, cols, seed)
@@ -272,7 +273,7 @@ mod tests {
         let qa = QuantizedMatrix::quantize(&a);
         let qw = QuantizedWeights::quantize(&w);
         let got = qmatmul(&qa, &qw);
-        let emulated = qa.dequantize().matmul_reference(&qw.dequantize());
+        let emulated = qa.dequantize().gemm_reference(&qw.dequantize(), Gemm::NN);
         for (e, g) in emulated.as_slice().iter().zip(got.as_slice()) {
             assert!(
                 crate::approx::approx_eq_eps(*e, *g, 1e-4),

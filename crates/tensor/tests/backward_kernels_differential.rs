@@ -13,7 +13,7 @@
 //! backend, the AVX2 one and the default (the widest the CPU reports), with
 //! signed zeros, infinities and NaNs in either operand.
 
-use hoga_tensor::{set_backend, set_threads, Backend, Matrix};
+use hoga_tensor::{set_backend, set_threads, Backend, Gemm, Matrix};
 use std::ops::Range;
 use std::sync::{Mutex, MutexGuard};
 
@@ -131,7 +131,7 @@ fn matmul_tn_is_bitwise_the_parents_chunk_loop() {
                     let a = operand(k, m, m * 31 + n, specials);
                     let b = operand(k, n, n * 17 + m + 1, specials);
                     let label = format!("matmul_tn {k}x{m}ᵀ·{k}x{n} ({chunks} chunks)");
-                    assert_grid(&label, &tn_parent(&a, &b), || a.matmul_tn(&b));
+                    assert_grid(&label, &tn_parent(&a, &b), || a.gemm(&b, Gemm::TN));
                 }
             }
         }
@@ -155,7 +155,7 @@ fn matmul_tn_keeps_non_finite_values_out_of_skipped_rows() {
             b[(kk, n / 2)] = if kk == 150 { f32::NAN } else { f32::INFINITY };
         }
         let want = tn_parent(&a, &b);
-        assert_grid(&format!("matmul_tn skip, n = {n}"), &want, || a.matmul_tn(&b));
+        assert_grid(&format!("matmul_tn skip, n = {n}"), &want, || a.gemm(&b, Gemm::TN));
         let mut hit = 0;
         for i in 0..9 {
             hit += usize::from(!want[(i, n / 2)].is_finite());
@@ -174,14 +174,14 @@ fn batched_matmul_nt_is_bitwise_the_reference() {
                 let q = operand(batch * tile, d, tile * 7 + d, specials);
                 let k = operand(batch * tile, d, tile + d * 3 + 1, specials);
                 let label = format!("batched_matmul_nt {batch} x {tile}x{d}");
-                let want = q.batched_matmul_nt_reference(&k, batch);
-                assert_grid(&label, &want, || q.batched_matmul_nt(&k, batch));
+                let want = q.gemm_reference(&k, Gemm::NT.batched(batch));
+                assert_grid(&label, &want, || q.gemm(&k, Gemm::NT.batched(batch)));
             }
         }
     }
     // Blocks of different heights on the two sides: the tile is
     // `rows × cols`, not square.
     let (q, k) = (operand(batch * 3, 33, 5, true), operand(batch * 11, 33, 6, true));
-    let want = q.batched_matmul_nt_reference(&k, batch);
-    assert_grid("batched_matmul_nt 3 x 11 blocks", &want, || q.batched_matmul_nt(&k, batch));
+    let want = q.gemm_reference(&k, Gemm::NT.batched(batch));
+    assert_grid("batched_matmul_nt 3 x 11 blocks", &want, || q.gemm(&k, Gemm::NT.batched(batch)));
 }

@@ -1,6 +1,6 @@
-//! Differential tests of the optimized matmul-family and LayerNorm kernels
-//! against their naive `*_reference` oracles, plus bitwise
-//! thread-count-invariance checks.
+//! Differential tests of the dense products (`Matrix::gemm`, against its
+//! one naive oracle `Matrix::gemm_reference`), the LayerNorm, sparse and
+//! int8 kernels, plus bitwise thread-count- and backend-invariance checks.
 //!
 //! The determinism contract under test: every kernel's output is a pure
 //! function of its inputs — chunk decompositions depend only on shapes and
@@ -10,7 +10,8 @@
 use hoga_check::cases;
 use hoga_tensor::{
     active_backend, approx_eq_eps, approx_eq_ulps, layernorm_forward, layernorm_rows, qmatmul,
-    set_backend, set_threads, Backend, CsrMatrix, Matrix, QuantizedMatrix, QuantizedWeights,
+    set_backend, set_threads, Backend, CsrMatrix, Gemm, Layout, Matrix, QuantizedMatrix,
+    QuantizedWeights,
 };
 use rand::Rng;
 use std::collections::BTreeMap;
@@ -61,62 +62,114 @@ fn dense(rows: usize, cols: usize, salt: usize) -> Matrix {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel kernels vs naive references at trainer-like shapes
+// Every dense product against the one oracle
 // ---------------------------------------------------------------------------
 
-#[test]
-fn matmul_parallel_is_thread_invariant_and_matches_reference() {
-    let a = dense(130, 70, 1);
-    let b = dense(70, 90, 2);
-    let out = assert_thread_invariant("matmul", || a.matmul(&b));
-    assert!(out.max_abs_diff(&a.matmul_reference(&b)) < 1e-3);
+/// `to_bits` of every element with every NaN read as one pattern: which
+/// NaN an operation returns is the code generator's choice, so "bitwise"
+/// fixes where NaNs are, not their payloads.
+fn canonical_bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| if v.is_nan() { 0x7fc0_0000 } else { v.to_bits() }).collect()
 }
 
-#[test]
-fn matmul_nt_parallel_is_thread_invariant_and_matches_reference() {
-    let a = dense(130, 70, 3);
-    let b = dense(90, 70, 4);
-    let out = assert_thread_invariant("matmul_nt", || a.matmul_nt(&b));
-    assert!(out.max_abs_diff(&a.matmul_nt_reference(&b)) < 1e-3);
+/// `(rows, cols)` of `a` and of `b` for `blocks` blocks of an `m × n`
+/// product over `k` at `layout`.
+fn operand_shapes(
+    layout: Layout,
+    blocks: usize,
+    (m, k, n): (usize, usize, usize),
+) -> ((usize, usize), (usize, usize)) {
+    match layout {
+        Layout::Nn => ((blocks * m, k), (blocks * k, n)),
+        Layout::Nt => ((blocks * m, k), (blocks * n, k)),
+        Layout::Tn => ((blocks * k, m), (blocks * k, n)),
+    }
 }
 
-#[test]
-fn matmul_tn_chunked_is_thread_invariant_and_matches_reference() {
-    // 40 × 600 · 600 × 44 exceeds the parallel threshold, so the shared
-    // 600-row dimension splits into several fixed k-chunks.
-    let a = dense(600, 40, 5);
-    let b = dense(600, 44, 6);
-    let out = assert_thread_invariant("matmul_tn", || a.matmul_tn(&b));
-    assert!(out.max_abs_diff(&a.matmul_tn_reference(&b)) < 2e-2);
+/// Asserts `a.gemm(b, g)` is bitwise the same at 1, 3 and 8 threads and
+/// is `gemm_reference` — bit for bit (NaN positions included) when
+/// `tolerance` is 0, within it otherwise.
+fn assert_is_the_oracle(g: Gemm, a: &Matrix, b: &Matrix, tolerance: f32) {
+    let label = format!("{g:?} of {:?} and {:?}", a.shape(), b.shape());
+    let got = assert_thread_invariant(&label, || a.gemm(b, g));
+    let want = a.gemm_reference(b, g);
+    assert_eq!(got.shape(), want.shape(), "{label}: shape");
+    if tolerance == 0.0 {
+        assert_eq!(canonical_bits(&got), canonical_bits(&want), "{label}");
+    } else {
+        assert!(got.max_abs_diff(&want) < tolerance, "{label}");
+    }
 }
 
+/// One property over layout × batch × shape. An exact product adds one
+/// product per `k`, ascending, to a `+0.0` accumulator; its zero skip is a
+/// bitwise no-op on finite operands (the accumulator is never `−0.0`), so
+/// there every exact product is the naive oracle bit for bit — except an
+/// unbatched `aᵀ · b` of more than 2¹⁸ multiply-adds, which sums chunk
+/// partials (within today's 2e-2 at 600 rows). A batched `a · bᵀ` skips
+/// nothing, so it is the oracle on every input, `−0.0` rows, `±∞` and NaN
+/// included. Each product is also checked at 1, 3 and 8 threads: the
+/// trainer's shapes here cross the parallel threshold.
 #[test]
-fn batched_matmul_at_trainer_shape_is_thread_invariant() {
-    // The S·V product of Eq. 7 at trainer shape: batch 512, K+1 = 5, d = 64.
-    let batch = 512;
-    let s = dense(batch * 5, 5, 7);
-    let v = dense(batch * 5, 64, 8);
-    let out = assert_thread_invariant("batched_matmul", || s.batched_matmul(&v, batch));
-    assert!(out.max_abs_diff(&s.batched_matmul_reference(&v, batch)) < 1e-3);
-}
-
-#[test]
-fn batched_matmul_nt_at_trainer_shape_is_thread_invariant() {
-    // The QKᵀ product of Eq. 7 at trainer shape: batch 512, K+1 = 5, d = 64.
-    let batch = 512;
-    let q = dense(batch * 5, 64, 9);
-    let k = dense(batch * 5, 64, 10);
-    let out = assert_thread_invariant("batched_matmul_nt", || q.batched_matmul_nt(&k, batch));
-    assert!(out.max_abs_diff(&q.batched_matmul_nt_reference(&k, batch)) < 1e-3);
-}
-
-#[test]
-fn batched_matmul_tn_at_trainer_shape_is_thread_invariant() {
-    let batch = 512;
-    let s = dense(batch * 5, 5, 11);
-    let dy = dense(batch * 5, 64, 12);
-    let out = assert_thread_invariant("batched_matmul_tn", || s.batched_matmul_tn(&dy, batch));
-    assert!(out.max_abs_diff(&s.batched_matmul_tn_reference(&dy, batch)) < 1e-3);
+fn gemm_is_the_oracle_on_every_layout_batch_and_shape() {
+    // The trainer's shapes: a linear layer, its dX = dY·Wᵀ and its
+    // chunked dW = Xᵀ·dY, and Eq. 7's products at batch 512, K + 1 = 5,
+    // d = 64.
+    let trainer = [
+        (Gemm::NN, dense(130, 70, 1), dense(70, 90, 2), 0.0),
+        (Gemm::NT, dense(130, 70, 3), dense(90, 70, 4), 0.0),
+        (Gemm::TN, dense(600, 40, 5), dense(600, 44, 6), 2e-2),
+        (Gemm::NN.batched(512), dense(512 * 5, 5, 7), dense(512 * 5, 64, 8), 0.0),
+        (Gemm::NT.batched(512), dense(512 * 5, 64, 9), dense(512 * 5, 64, 10), 0.0),
+        (Gemm::TN.batched(512), dense(512 * 5, 5, 11), dense(512 * 5, 64, 12), 0.0),
+    ];
+    for (g, a, b, tolerance) in &trainer {
+        assert_is_the_oracle(*g, a, b, *tolerance);
+    }
+    let forms = |layout| {
+        let g = Gemm { layout, batch: None, fused: false };
+        [g, g.batched(1), g.batched(4)]
+    };
+    // Zero dimensions: an empty sum is `+0.0`, and an empty side gives an
+    // empty result of the right shape.
+    let sizes = [0usize, 2, 3, 4, 5, 6];
+    let shapes = sizes.map(|m| sizes.map(|k| sizes.map(|n| (m, k, n))));
+    for layout in [Layout::Nn, Layout::Nt, Layout::Tn] {
+        for g in forms(layout) {
+            for (m, k, n) in shapes.as_flattened().as_flattened() {
+                if m * k * n > 0 {
+                    continue;
+                }
+                let ((ar, ac), (br, bc)) =
+                    operand_shapes(layout, g.batch.unwrap_or(1), (*m, *k, *n));
+                assert_is_the_oracle(g, &dense(ar, ac, m + k), &dense(br, bc, *n), 0.0);
+            }
+        }
+    }
+    cases(256, |rng| {
+        let layout = [Layout::Nn, Layout::Nt, Layout::Tn][rng.gen_range(0..3)];
+        let g = forms(layout)[rng.gen_range(0..3)];
+        let g = if g.batch == Some(4) { g.batched(rng.gen_range(2..4)) } else { g };
+        let (m, k, n) = (rng.gen_range(1..=8), rng.gen_range(1..=8), rng.gen_range(1..=8));
+        let ((ar, ac), (br, bc)) = operand_shapes(layout, g.batch.unwrap_or(1), (m, k, n));
+        let a = Matrix::from_fn(ar, ac, |_, _| rng.gen_range(-3.0..3.0));
+        let b = Matrix::from_fn(br, bc, |_, _| rng.gen_range(-3.0..3.0));
+        assert_is_the_oracle(g, &a, &b, 0.0);
+        if layout == Layout::Nt && g.batch.is_some() {
+            // Signed-zero rows and non-finite entries, on both sides.
+            let mut special = |m: &Matrix| {
+                let mut m = m.clone();
+                let r = rng.gen_range(0..m.rows());
+                let fill = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+                m.row_mut(r).fill(fill[rng.gen_range(0..2)]);
+                let (r, c) = (rng.gen_range(0..m.rows()), rng.gen_range(0..m.cols()));
+                m[(r, c)] = fill[rng.gen_range(0..5)];
+                m
+            };
+            let (a, b) = (special(&a), special(&b));
+            assert_is_the_oracle(g, &a, &b, 0.0);
+        }
+    });
 }
 
 /// A `rows × 300` adjacency with five entries a row.
@@ -137,7 +190,7 @@ fn spmm_is_thread_invariant() {
     let a = banded_csr(2000);
     let x = dense(300, 48, 13);
     let out = assert_thread_invariant("spmm", || a.spmm(&x));
-    assert!(out.max_abs_diff(&a.to_dense().matmul_reference(&x)) < 1e-3);
+    assert!(out.max_abs_diff(&a.to_dense().gemm_reference(&x, Gemm::NN)) < 1e-3);
 }
 
 #[test]
@@ -164,77 +217,11 @@ fn spmm_is_bitwise_the_row_by_row_reference_on_both_sides_of_the_grain_bound() {
 
 #[test]
 fn transpose_tiled_matches_reference_on_awkward_shapes() {
-    for (r, c) in [(1, 1), (31, 33), (32, 32), (64, 1), (1, 64), (45, 70), (100, 3)] {
+    for (r, c) in [(0, 5), (5, 0), (1, 1), (31, 33), (32, 32), (64, 1), (1, 64), (45, 70), (100, 3)]
+    {
         let a = dense(r, c, r * 100 + c);
         assert_eq!(a.transpose(), a.transpose_reference(), "transpose mismatch at ({r}, {c})");
     }
-}
-
-// ---------------------------------------------------------------------------
-// Zero-dimension edges
-// ---------------------------------------------------------------------------
-
-#[test]
-fn matmul_family_handles_zero_dims() {
-    // (0, 5) · (5, 3) → (0, 3)
-    assert_eq!(Matrix::zeros(0, 5).matmul(&dense(5, 3, 1)).shape(), (0, 3));
-    // (5, 0) · (0, 3) → all-zero (5, 3)
-    let z = Matrix::zeros(5, 0).matmul(&Matrix::zeros(0, 3));
-    assert_eq!(z.shape(), (5, 3));
-    assert_eq!(z, Matrix::zeros(5, 3));
-    // (5, 3) · (3, 0) → (5, 0)
-    assert_eq!(dense(5, 3, 2).matmul(&Matrix::zeros(3, 0)).shape(), (5, 0));
-
-    // matmul_nt: (0, 4) · (6, 4)ᵀ and (3, 0) · (2, 0)ᵀ
-    assert_eq!(Matrix::zeros(0, 4).matmul_nt(&dense(6, 4, 3)).shape(), (0, 6));
-    let znt = dense(3, 0, 4).matmul_nt(&Matrix::zeros(2, 0));
-    assert_eq!(znt.shape(), (3, 2));
-    assert_eq!(znt, Matrix::zeros(3, 2));
-    // `==` cannot see the sign of a zero: an empty sum must be `+0.0`, as
-    // it is for matmul, matmul_tn and the reference.
-    assert_eq!(bits(&znt), bits(&Matrix::zeros(3, 2)), "empty matmul_nt sum is not +0.0");
-    assert_eq!(bits(&znt), bits(&dense(3, 0, 4).matmul_nt_reference(&Matrix::zeros(2, 0))));
-
-    // matmul_tn: (5, 0)ᵀ · (5, 4) → (0, 4); (5, 3)ᵀ · (5, 0) → (3, 0);
-    // (0, 3)ᵀ · (0, 4) → all-zero (3, 4).
-    assert_eq!(Matrix::zeros(5, 0).matmul_tn(&dense(5, 4, 5)).shape(), (0, 4));
-    assert_eq!(dense(5, 3, 6).matmul_tn(&Matrix::zeros(5, 0)).shape(), (3, 0));
-    let ztn = Matrix::zeros(0, 3).matmul_tn(&Matrix::zeros(0, 4));
-    assert_eq!(ztn.shape(), (3, 4));
-    assert_eq!(ztn, Matrix::zeros(3, 4));
-}
-
-#[test]
-fn batched_family_handles_zero_dims() {
-    let batch = 4;
-    // Zero-width value matrix → (batch·br_a, 0).
-    let s = dense(batch * 3, 3, 7);
-    let v = Matrix::zeros(batch * 3, 0);
-    assert_eq!(s.batched_matmul(&v, batch).shape(), (batch * 3, 0));
-    // Zero-row blocks on both sides.
-    let e = Matrix::zeros(0, 5);
-    assert_eq!(e.batched_matmul_nt(&Matrix::zeros(0, 5), batch).shape(), (0, 0));
-    // Zero-width features with rows, and a row whose every product is
-    // −0.0: both sums are +0.0, as in the reference and the rest of the
-    // family (`f32: Sum` starts at −0.0, and the old dot loop used it).
-    // `==` cannot see the sign of a zero, so compare bits.
-    let (q0, k0) = (dense(batch * 3, 0, 9), Matrix::zeros(batch * 2, 0));
-    let empty = q0.batched_matmul_nt(&k0, batch);
-    assert_eq!(bits(&empty), bits(&Matrix::zeros(batch * 3, 2)), "empty score is not +0.0");
-    assert_eq!(bits(&empty), bits(&q0.batched_matmul_nt_reference(&k0, batch)));
-    let mut q = dense(batch * 3, 4, 10);
-    q.row_mut(0).fill(-0.0);
-    let k = Matrix::full(batch * 2, 4, 0.5);
-    let scores = q.batched_matmul_nt(&k, batch);
-    assert_eq!(bits(&scores), bits(&q.batched_matmul_nt_reference(&k, batch)));
-    assert_eq!(&bits(&scores)[..2], &[0, 0], "an all-(−0.0) score is not +0.0");
-    // Zero-column lhs in the tn product → (0, n).
-    let a0 = Matrix::zeros(batch * 3, 0);
-    let b0 = dense(batch * 3, 4, 8);
-    assert_eq!(a0.batched_matmul_tn(&b0, batch).shape(), (0, 4));
-    // transpose of degenerate shapes.
-    assert_eq!(Matrix::zeros(0, 5).transpose().shape(), (5, 0));
-    assert_eq!(Matrix::zeros(5, 0).transpose().shape(), (0, 5));
 }
 
 // ---------------------------------------------------------------------------
@@ -380,17 +367,17 @@ fn training_matmul_family_is_backend_invariant_bitwise() {
     let b = dense_rough(70, 51, 2);
     assert_backend_invariant("matmul", || a.matmul(&b));
     let bt = dense_rough(51, 70, 3);
-    assert_backend_invariant("matmul_nt", || a.matmul_nt(&bt));
+    assert_backend_invariant("matmul_nt", || a.gemm(&bt, Gemm::NT));
     let a2 = dense_rough(70, 37, 4);
-    assert_backend_invariant("matmul_tn", || a2.matmul_tn(&b));
+    assert_backend_invariant("matmul_tn", || a2.gemm(&b, Gemm::TN));
 
     let batch = 16;
     let s = dense_rough(batch * 5, 5, 5);
     let v = dense_rough(batch * 5, 27, 6);
-    assert_backend_invariant("batched_matmul", || s.batched_matmul(&v, batch));
+    assert_backend_invariant("batched_matmul", || s.gemm(&v, Gemm::NN.batched(batch)));
     let q = dense_rough(batch * 5, 27, 7);
-    assert_backend_invariant("batched_matmul_nt", || q.batched_matmul_nt(&v, batch));
-    assert_backend_invariant("batched_matmul_tn", || s.batched_matmul_tn(&v, batch));
+    assert_backend_invariant("batched_matmul_nt", || q.gemm(&v, Gemm::NT.batched(batch)));
+    assert_backend_invariant("batched_matmul_tn", || s.gemm(&v, Gemm::TN.batched(batch)));
 }
 
 #[test]
@@ -406,10 +393,10 @@ fn matmul_nt_is_bitwise_the_reference_and_matmul_of_the_transpose() {
             let a = make(m, k, m + n);
             let b = make(n, k, k + n + 1);
             let label = format!("matmul_nt {m}x{k}x{n} on {name} operands");
-            let want = bits(&a.matmul_nt_reference(&b));
-            let threaded = assert_thread_invariant(&label, || a.matmul_nt(&b));
+            let want = bits(&a.gemm_reference(&b, Gemm::NT));
+            let threaded = assert_thread_invariant(&label, || a.gemm(&b, Gemm::NT));
             assert_eq!(bits(&threaded), want, "{label}: differs bitwise from the reference");
-            let scalar = assert_backend_invariant(&label, || a.matmul_nt(&b));
+            let scalar = assert_backend_invariant(&label, || a.gemm(&b, Gemm::NT));
             assert_eq!(bits(&scalar), want, "{label}: scalar differs bitwise from the reference");
             assert_eq!(
                 bits(&a.matmul(&b.transpose())),
@@ -651,16 +638,20 @@ fn fast_kernels_are_ulp_bounded_against_references() {
     let _guard = thread_lock();
     for backend in backends() {
         set_backend(backend);
-        assert_fast_close("matmul_fast", &a.matmul_reference(&b), &a.matmul_fast(&b));
+        assert_fast_close(
+            "matmul_fast",
+            &a.gemm_reference(&b, Gemm::NN),
+            &a.gemm(&b, Gemm::NN.fused()),
+        );
         assert_fast_close(
             "batched_matmul_fast",
-            &s.batched_matmul_reference(&v, batch),
-            &s.batched_matmul_fast(&v, batch),
+            &s.gemm_reference(&v, Gemm::NN.batched(batch)),
+            &s.gemm(&v, Gemm::NN.batched(batch).fused()),
         );
         assert_fast_close(
             "batched_matmul_nt_fast",
-            &v.batched_matmul_nt_reference(&v, batch),
-            &v.batched_matmul_nt_fast(&v, batch),
+            &v.gemm_reference(&v, Gemm::NT.batched(batch)),
+            &v.gemm(&v, Gemm::NT.batched(batch).fused()),
         );
     }
     set_backend(Backend::Simd);
@@ -679,8 +670,8 @@ fn fast_kernels_are_thread_invariant_for_fixed_backend() {
     for backend in backends() {
         set_backend(backend);
         for (label, op) in [
-            ("matmul_fast", Box::new(|| a.matmul_fast(&b)) as Box<dyn Fn() -> Matrix>),
-            ("batched_matmul_nt_fast", Box::new(|| q.batched_matmul_nt_fast(&q, batch))),
+            ("matmul_fast", Box::new(|| a.gemm(&b, Gemm::NN.fused())) as Box<dyn Fn() -> Matrix>),
+            ("batched_matmul_nt_fast", Box::new(|| q.gemm(&q, Gemm::NT.batched(batch).fused()))),
         ] {
             set_threads(1);
             let single = op();
@@ -702,58 +693,6 @@ fn fast_kernels_are_thread_invariant_for_fixed_backend() {
 // Property-based differentials vs the naive references
 // ---------------------------------------------------------------------------
 
-/// A pair of matrices with a shared inner dimension.
-fn matmul_pair(rng: &mut impl Rng) -> (Matrix, Matrix) {
-    let (m, k, n) = (rng.gen_range(1..=8), rng.gen_range(1..=8), rng.gen_range(1..=8));
-    let a = Matrix::from_fn(m, k, |_, _| rng.gen_range(-3.0..3.0));
-    (a, Matrix::from_fn(k, n, |_, _| rng.gen_range(-3.0..3.0)))
-}
-
-#[test]
-fn matmul_matches_reference() {
-    cases(256, |rng| {
-        let (a, b) = matmul_pair(rng);
-        assert!(a.matmul(&b).max_abs_diff(&a.matmul_reference(&b)) < 1e-4);
-    });
-}
-
-#[test]
-fn matmul_nt_matches_reference() {
-    cases(256, |rng| {
-        let (a, b) = matmul_pair(rng);
-        let bt = b.transpose();
-        assert!(a.matmul_nt(&bt).max_abs_diff(&a.matmul_nt_reference(&bt)) < 1e-4);
-    });
-}
-
-#[test]
-fn matmul_tn_matches_reference() {
-    cases(256, |rng| {
-        let (a, b) = matmul_pair(rng);
-        let at = a.transpose();
-        assert!(at.matmul_tn(&b).max_abs_diff(&at.matmul_tn_reference(&b)) < 1e-4);
-    });
-}
-
-#[test]
-fn batched_kernels_match_references() {
-    cases(256, |rng| {
-        let (a, b) = matmul_pair(rng);
-        let batch = rng.gen_range(1..4usize);
-        let ba = Matrix::from_vec(batch * a.rows(), a.cols(), a.as_slice().repeat(batch));
-        let bb = Matrix::from_vec(batch * b.rows(), b.cols(), b.as_slice().repeat(batch));
-        let pairs = [
-            (ba.batched_matmul(&bb, batch), ba.batched_matmul_reference(&bb, batch)),
-            // nt/tn need equal block-row counts; reuse `ba` against itself.
-            (ba.batched_matmul_nt(&ba, batch), ba.batched_matmul_nt_reference(&ba, batch)),
-            (ba.batched_matmul_tn(&ba, batch), ba.batched_matmul_tn_reference(&ba, batch)),
-        ];
-        for (kernel, reference) in pairs {
-            assert!(kernel.max_abs_diff(&reference) < 1e-4);
-        }
-    });
-}
-
 /// Every width class around the lane boundaries (remainders 0..=7 of the
 /// 8-wide ymm and the 16-wide zmm lanes) and every row remainder of the
 /// six-row panel must keep the scalar-vs-SIMD training contract bitwise
@@ -771,11 +710,11 @@ fn backend_contract_holds_at_any_lane_remainder() {
             .into_iter()
             .map(|backend| {
                 set_backend(backend);
-                (backend, a.matmul(&b), a.matmul_fast(&b))
+                (backend, a.matmul(&b), a.gemm(&b, Gemm::NN.fused()))
             })
             .collect();
         drop(_guard);
-        let reference = a.matmul_reference(&b);
+        let reference = a.gemm_reference(&b, Gemm::NN);
         for (backend, train, fast) in &runs {
             assert_eq!(bits(&runs[0].1), bits(train), "{m}x{k}x{n} at {backend:?}");
             for (&w, &g) in reference.as_slice().iter().zip(fast.as_slice()) {
@@ -814,20 +753,9 @@ fn from_coo_matches_btreemap_oracle() {
 // The product bits, pinned
 // ---------------------------------------------------------------------------
 
-/// The three operand layouts of a dense product.
-#[derive(Clone, Copy, Debug)]
-enum Layout {
-    /// `a · b`.
-    Nn,
-    /// `a · bᵀ`.
-    Nt,
-    /// `aᵀ · b`.
-    Tn,
-}
-
 /// `a` op `b` at `layout`: one product of the whole operands (`batch` is
 /// `None`) or of `batch` stacked blocks, fused where `fused`. `None` for a
-/// combination with no fused form (unbatched `a · bᵀ`, and `aᵀ · b`).
+/// combination with no fused body (unbatched `a · bᵀ`, and `aᵀ · b`).
 fn pinned_product(
     layout: Layout,
     batch: Option<usize>,
@@ -835,18 +763,8 @@ fn pinned_product(
     a: &Matrix,
     b: &Matrix,
 ) -> Option<Matrix> {
-    Some(match (layout, batch, fused) {
-        (Layout::Nn, None, false) => a.matmul(b),
-        (Layout::Nn, None, true) => a.matmul_fast(b),
-        (Layout::Nt, None, false) => a.matmul_nt(b),
-        (Layout::Tn, None, false) => a.matmul_tn(b),
-        (Layout::Nn, Some(batch), false) => a.batched_matmul(b, batch),
-        (Layout::Nn, Some(batch), true) => a.batched_matmul_fast(b, batch),
-        (Layout::Nt, Some(batch), false) => a.batched_matmul_nt(b, batch),
-        (Layout::Nt, Some(batch), true) => a.batched_matmul_nt_fast(b, batch),
-        (Layout::Tn, Some(batch), false) => a.batched_matmul_tn(b, batch),
-        (Layout::Nt | Layout::Tn, _, true) => return None,
-    })
+    let has_body = !fused || layout == Layout::Nn || (layout == Layout::Nt && batch.is_some());
+    has_body.then(|| a.gemm(b, Gemm { layout, batch, fused }))
 }
 
 /// Irregular values with signed zeros sprinkled in and, when `specials`,

@@ -6,7 +6,7 @@
 //! skipped — so those loops must reproduce, bit for bit, column 0 of the same
 //! product with a second column appended, which runs the general kernels.
 
-use hoga_tensor::{set_backend, set_threads, Backend, Matrix};
+use hoga_tensor::{set_backend, set_threads, Backend, Gemm, Matrix};
 use std::sync::{Mutex, MutexGuard};
 
 /// Serializes the tests here: backend and thread count are process-global.
@@ -59,17 +59,17 @@ fn one_column_products_are_bitwise_column_zero_of_the_general_kernels() {
         set_backend(Backend::Scalar);
         set_threads(1);
         let want_mv = column_bits(&a.matmul(&x2), 0);
-        let want_tn = column_bits(&a.matmul_tn(&g2), 0);
+        let want_tn = column_bits(&a.gemm(&g2, Gemm::TN), 0);
         for backend in BACKENDS {
             for threads in [1, 3, 8] {
                 set_backend(backend);
                 set_threads(threads);
                 let label = format!("{m}x{k} at {backend:?} x {threads} threads");
                 assert_eq!(column_bits(&a.matmul(&x), 0), want_mv, "matmul, {label}");
-                assert_eq!(column_bits(&a.matmul_tn(&g), 0), want_tn, "matmul_tn, {label}");
+                assert_eq!(column_bits(&a.gemm(&g, Gemm::TN), 0), want_tn, "matmul_tn, {label}");
                 // `matmul_nt` against a one-row matrix is the same product.
                 assert_eq!(
-                    column_bits(&a.matmul_nt(&x.transpose()), 0),
+                    column_bits(&a.gemm(&x.transpose(), Gemm::NT), 0),
                     want_mv,
                     "matmul_nt, {label}"
                 );
@@ -104,7 +104,7 @@ fn one_column_matmul_is_bitwise_the_reference_with_zeros_and_non_finite_rows() {
                 _ => {}
             }
         }
-        let want = column_bits(&a.matmul_reference(&x), 0);
+        let want = column_bits(&a.gemm_reference(&x, Gemm::NN), 0);
         for backend in BACKENDS {
             for threads in [1, 3, 8] {
                 set_backend(backend);

@@ -2,7 +2,7 @@
 //! hold for arbitrary shapes and values.
 
 use hoga_check::cases;
-use hoga_tensor::{softmax_rows, CsrMatrix, Matrix};
+use hoga_tensor::{softmax_rows, CsrMatrix, Gemm, Matrix};
 use rand::Rng;
 
 /// A matrix with bounded dimensions and tame values.
@@ -41,10 +41,10 @@ fn matmul_transpose_identity() {
 fn matmul_nt_tn_consistency() {
     cases(256, |rng| {
         let (a, b) = matmul_pair(rng);
-        let nt = a.matmul_nt(&b.transpose());
+        let nt = a.gemm(&b.transpose(), Gemm::NT);
         let direct = a.matmul(&b);
         assert!(nt.max_abs_diff(&direct) < 1e-4);
-        let tn = a.transpose().matmul_tn(&b);
+        let tn = a.transpose().gemm(&b, Gemm::TN);
         assert!(tn.max_abs_diff(&direct) < 1e-4);
     });
 }
@@ -104,7 +104,7 @@ fn batched_matmul_equals_per_block() {
         // Tile the pair `batch` times and compare against the blockwise result.
         let ba = Matrix::from_vec(batch * a.rows(), a.cols(), a.as_slice().repeat(batch));
         let bb = Matrix::from_vec(batch * b.rows(), b.cols(), b.as_slice().repeat(batch));
-        let out = ba.batched_matmul(&bb, batch);
+        let out = ba.gemm(&bb, Gemm::NN.batched(batch));
         let single = a.matmul(&b);
         for bi in 0..batch {
             let rows: Vec<usize> = (bi * a.rows()..(bi + 1) * a.rows()).collect();
