@@ -36,7 +36,7 @@ pub trait Ops<'p> {
 
     /// The dense product `g` describes — `a · b`, `a · bᵀ` or `aᵀ · b`, of
     /// the whole operands or of stacked blocks (see [`Matrix::gemm`]). A
-    /// tape differentiates it exactly whatever `g.fused` says.
+    /// tape's backward runs exact products whatever `g.fused` says.
     fn gemm(&mut self, a: Self::Var, b: Self::Var, g: Gemm) -> Self::Var;
 
     /// Matrix product `a · b` (the projections of Eq. 5).

@@ -524,14 +524,11 @@ impl Matrix {
         }
         let (a, b) = (&self.data[..], &other.data[..]);
         match (g.layout, g.batch) {
-            (Layout::Nn, None) => parallel_chunks(&mut out.data, n, m * k * n, |first, rows| {
-                Self::nn_rows::<B, FUSED>(&a[first * k..], k, b, n, rows, &mut Vec::new());
-            }),
-            (Layout::Nt, None) => {
-                let bt = other.transpose();
+            (Layout::Nn | Layout::Nt, None) => {
+                let bt = (g.layout == Layout::Nt).then(|| other.transpose());
+                let b = bt.as_ref().map_or(b, |bt| &bt.data[..]);
                 parallel_chunks(&mut out.data, n, m * k * n, |first, rows| {
-                    let a = &a[first * k..];
-                    Self::nn_rows::<B, FUSED>(a, k, &bt.data, n, rows, &mut Vec::new());
+                    Self::nn_rows::<B, FUSED>(&a[first * k..], k, b, n, rows, &mut Vec::new());
                 });
             }
             (Layout::Tn, None) => {
