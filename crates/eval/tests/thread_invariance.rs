@@ -46,8 +46,9 @@ impl MiniModel {
     }
 }
 
-/// One forward/backward pass at the shapes where matmul, matmul_tn (chunked),
-/// batched_matmul and batched_matmul_nt all take their parallel paths.
+/// One forward/backward pass at the shapes where every `gemm` the tape runs
+/// — `a·b`, `a·bᵀ`, the chunked `aᵀ·b`, and the batched products — takes
+/// its parallel path.
 fn loss_and_grads(model: &MiniModel, stack: &Matrix, target: &Matrix) -> (f32, Gradients) {
     let mut tape = Tape::new();
     let x = tape.constant(stack.clone());
