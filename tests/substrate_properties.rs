@@ -7,9 +7,10 @@
 
 use hoga_check::cases;
 use hoga_repro::circuit::simulate::{probably_equivalent, simulate_pos};
-use hoga_repro::circuit::{Aig, Lit};
+use hoga_repro::circuit::{Aig, Lit, NodeId};
 use hoga_repro::gen::multiplier::{booth_multiplier, csa_multiplier};
 use hoga_repro::gen::techmap::lut_map;
+use hoga_repro::synth::cuts::enumerate_cuts;
 use hoga_repro::synth::{balance, refactor, resub, rewrite, run_recipe, Recipe};
 use rand::Rng;
 
@@ -93,6 +94,60 @@ fn compact_preserves_function() {
         c.compact();
         assert!(probably_equivalent(aig, &c, 3, 7));
         assert!(c.num_ands() <= aig.num_ands());
+    });
+}
+
+/// The priority-cut algorithm written plainly: every node merges each
+/// fanin cut (plus the fanin's trivial cut) with each of the other fanin's,
+/// drops unions over `k` leaves, keeps a union only if no kept cut is a
+/// subset of it (and drops the kept cuts it is a subset of), then keeps the
+/// 16 smallest in a stable sort by size.
+fn reference_cuts(aig: &Aig, k: usize) -> Vec<Vec<Vec<NodeId>>> {
+    let subset = |s: &[NodeId], t: &[NodeId]| s.iter().all(|l| t.contains(l));
+    let mut cuts: Vec<Vec<Vec<NodeId>>> = vec![Vec::new(); aig.num_nodes()];
+    for (id, a, b) in aig.and_gates() {
+        let with_trivial = |n: NodeId| {
+            let mut v = cuts[n as usize].clone();
+            v.push(vec![n]);
+            v
+        };
+        let (ca, cb) = (with_trivial(a.node()), with_trivial(b.node()));
+        let mut mine: Vec<Vec<NodeId>> = Vec::new();
+        for x in &ca {
+            for y in &cb {
+                let mut merged: Vec<NodeId> = x.iter().chain(y).copied().collect();
+                merged.sort_unstable();
+                merged.dedup();
+                if merged.len() > k || mine.iter().any(|c| subset(c, &merged)) {
+                    continue;
+                }
+                mine.retain(|c| !subset(&merged, c));
+                mine.push(merged);
+            }
+        }
+        mine.sort_by_key(Vec::len);
+        mine.truncate(16);
+        cuts[id as usize] = mine;
+    }
+    cuts
+}
+
+/// The cut engine returns the reference's cuts, in its order, for every
+/// node and every cut size its callers use.
+#[test]
+fn priority_cuts_match_the_naive_reference() {
+    cases(24, |rng| {
+        let aig = random_aig(rng, 8, 150);
+        for k in [2, 3, 4, 6] {
+            let cuts = enumerate_cuts(&aig, k);
+            for (n, want) in reference_cuts(&aig, k).iter().enumerate() {
+                let mut got: Vec<Vec<NodeId>> = Vec::new();
+                for cut in cuts.cuts_of(n as NodeId) {
+                    got.push(cut.leaves().to_vec());
+                }
+                assert_eq!(&got, want, "node {n} at k = {k}");
+            }
+        }
     });
 }
 
