@@ -19,7 +19,7 @@
 //! longer available.
 
 use hoga_circuit::{Aig, NodeId, NodeKind};
-use hoga_synth::cuts::{cone_nodes, cut_truth_table, enumerate_cuts};
+use hoga_synth::cuts::{enumerate_cuts, ConeWalk};
 use serde::{Deserialize, Serialize};
 
 /// Functional class of a node (the prediction target of the reasoning task).
@@ -145,8 +145,13 @@ fn flip_inputs(tt: u64, n: usize, phase: u64) -> u64 {
 /// detection; 3 suffices for XOR3/MAJ3 and larger values only add cost
 /// (4 is a good default after technology mapping, where a sum root's
 /// minimal cut can have an extra leaf).
+///
+/// # Panics
+///
+/// Panics if `k > 6`.
 pub fn label_nodes(aig: &Aig, k: usize) -> Vec<NodeClass> {
     let cuts = enumerate_cuts(aig, k.max(3));
+    let mut walk = ConeWalk::default();
     let n = aig.num_nodes();
     let mut is_maj_root = vec![false; n];
     let mut is_xor_root = vec![false; n];
@@ -161,7 +166,7 @@ pub fn label_nodes(aig: &Aig, k: usize) -> Vec<NodeClass> {
             if cut.size() > 3 || cut.leaves().contains(&id) {
                 continue;
             }
-            let tt = cut_truth_table(aig, id, cut);
+            let tt = walk.truth_table(aig, id, cut.leaves());
             let (xor_hit, maj_hit) = match cut.size() {
                 2 => (matches_function(tt, 2, TT_XOR2), false),
                 3 => (matches_function(tt, 3, TT_XOR3), matches_function(tt, 3, TT_MAJ3)),
@@ -174,7 +179,7 @@ pub fn label_nodes(aig: &Aig, k: usize) -> Vec<NodeClass> {
                 if maj_hit {
                     is_maj_root[id as usize] = true;
                 }
-                for inner in cone_nodes(aig, id, cut) {
+                for &inner in walk.cone_nodes(aig, id, cut.leaves()) {
                     if inner != id {
                         if xor_hit {
                             in_xor_cone[inner as usize] = true;

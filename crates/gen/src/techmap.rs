@@ -18,7 +18,7 @@
 
 use hoga_circuit::{Aig, Lit, NodeId, NodeKind};
 use hoga_synth::build_from_tt;
-use hoga_synth::cuts::{cut_truth_table, enumerate_cuts, Cut};
+use hoga_synth::cuts::{enumerate_cuts, ConeWalk, Cut};
 use std::collections::HashMap;
 
 /// Result of technology mapping.
@@ -42,6 +42,7 @@ pub struct MappedCircuit {
 pub fn lut_map(aig: &Aig, k: usize) -> MappedCircuit {
     assert!((2..=6).contains(&k), "LUT size must be in 2..=6");
     let cuts = enumerate_cuts(aig, k);
+    let mut walk = ConeWalk::default();
 
     // Phase 1: choose the cover. A node is "needed" if it drives a PO or is
     // a leaf of a chosen LUT. Process in reverse topological order so every
@@ -60,12 +61,9 @@ pub fn lut_map(aig: &Aig, k: usize) -> MappedCircuit {
         // (deterministic). This is what makes larger k give coarser covers.
         let cut = cuts
             .cuts_of(id)
-            .iter()
             .filter(|c| !c.leaves().contains(&id))
-            .max_by_key(|c| {
-                (hoga_synth::cuts::cone_size_capped(aig, id, c, 64), usize::MAX - c.size())
-            })
-            .cloned()
+            .max_by_key(|c| (walk.cone_size_capped(aig, id, c.leaves(), 64), usize::MAX - c.size()))
+            .map(|c| c.to_cut())
             .unwrap_or_else(|| {
                 // Fall back to the fanin cut.
                 let NodeKind::And(a, b) = aig.node(id) else { unreachable!() };
@@ -96,7 +94,7 @@ pub fn lut_map(aig: &Aig, k: usize) -> MappedCircuit {
             .iter()
             .map(|&l| *root_map.get(&l).expect("leaf is a covered root or PI"))
             .collect();
-        let tt = cut_truth_table(aig, id, cut);
+        let tt = walk.truth_table(aig, id, cut.leaves());
         let lit = build_from_tt(&mut out, tt, &leaf_lits, &mut memo);
         root_map.insert(id, lit);
         num_luts += 1;

@@ -6,19 +6,10 @@
 //! AIG is accepted only if it has fewer gates than the input after dead-node
 //! removal, making `refactor` monotone in gate count.
 
-use crate::cuts::{cut_truth_table, enumerate_cuts, CutSet};
+use crate::cuts::{enumerate_cuts, ConeWalk, CutRef, CutSet, TT_MASKS};
 use crate::guard::{PassExhausted, WorkMeter};
 use hoga_circuit::{Aig, Lit, NodeId};
 use std::collections::HashMap;
-
-const TT_MASKS: [u64; 6] = [
-    0xAAAA_AAAA_AAAA_AAAA,
-    0xCCCC_CCCC_CCCC_CCCC,
-    0xF0F0_F0F0_F0F0_F0F0,
-    0xFF00_FF00_FF00_FF00,
-    0xFFFF_0000_FFFF_0000,
-    0xFFFF_FFFF_0000_0000,
-];
 
 /// Returns a refactored copy of `aig`, never with more gates than a
 /// compacted copy of the input.
@@ -66,11 +57,34 @@ fn resynthesize_all(aig: &Aig, meter: &mut WorkMeter) -> Result<Aig, PassExhaust
         map[aig.pi_lit(i).node() as usize] = Some(out.pi_lit(i));
     }
     let mut tt_memo: HashMap<(u64, Vec<Lit>), Lit> = HashMap::new();
+    let mut walk = ConeWalk::default();
     // Nodes are in topo order; build every node bottom-up so leaves are
     // always mapped before roots.
     for (id, a, b) in aig.and_gates() {
         meter.charge(1)?;
-        let lit = build_node(aig, id, (a, b), &cuts, &mut out, &mut map, &mut tt_memo);
+        let lit = match best_cut(aig, id, &cuts, &mut walk) {
+            Some(cut) => {
+                let leaf_lits: Vec<Lit> = cut
+                    .leaves()
+                    .iter()
+                    .map(|&l| map[l as usize].expect("leaf precedes root in topo order"))
+                    .collect();
+                let tt = walk.truth_table(aig, id, cut.leaves());
+                build_from_tt(&mut out, tt, &leaf_lits, &mut tt_memo)
+            }
+            // Fall back to direct translation.
+            None => {
+                let tr = |l: Lit| {
+                    let base = map[l.node() as usize].expect("fanin mapped");
+                    if l.is_complemented() {
+                        !base
+                    } else {
+                        base
+                    }
+                };
+                out.and(tr(a), tr(b))
+            }
+        };
         map[id as usize] = Some(lit);
     }
     for &po in aig.pos() {
@@ -80,44 +94,20 @@ fn resynthesize_all(aig: &Aig, meter: &mut WorkMeter) -> Result<Aig, PassExhaust
     Ok(out)
 }
 
-fn build_node(
+/// The cut of `id` to resynthesize from, if it has one with two or more
+/// leaves.
+fn best_cut<'a>(
     aig: &Aig,
     id: NodeId,
-    fanins: (Lit, Lit),
-    cuts: &CutSet,
-    out: &mut Aig,
-    map: &mut [Option<Lit>],
-    tt_memo: &mut HashMap<(u64, Vec<Lit>), Lit>,
-) -> Lit {
+    cuts: &'a CutSet,
+    walk: &mut ConeWalk,
+) -> Option<CutRef<'a>> {
     // Prefer the cut covering the largest cone — the deepest resynthesis
     // scope — rather than the one with the most leaves (an or-tree root's
     // 6-leaf cut of its immediate operands covers almost nothing).
-    let best = cuts
-        .cuts_of(id)
-        .iter()
-        .filter(|c| c.size() >= 2 && c.size() <= 6 && !c.leaves().contains(&id))
-        .max_by_key(|c| crate::cuts::cone_size_capped(aig, id, c, 24));
-    if let Some(cut) = best {
-        let leaf_lits: Vec<Lit> = cut
-            .leaves()
-            .iter()
-            .map(|&l| map[l as usize].expect("leaf precedes root in topo order"))
-            .collect();
-        let tt = cut_truth_table(aig, id, cut);
-        return build_from_tt(out, tt, &leaf_lits, tt_memo);
-    }
-    // Fall back to direct translation.
-    let tr = |map: &[Option<Lit>], l: Lit| {
-        let base = map[l.node() as usize].expect("fanin mapped");
-        if l.is_complemented() {
-            !base
-        } else {
-            base
-        }
-    };
-    let na = tr(map, fanins.0);
-    let nb = tr(map, fanins.1);
-    out.and(na, nb)
+    cuts.cuts_of(id)
+        .filter(|c| c.size() >= 2 && !c.leaves().contains(&id))
+        .max_by_key(|c| walk.cone_size_capped(aig, id, c.leaves(), 24))
 }
 
 /// Builds the function `tt` over `vars` via memoized Shannon decomposition.
