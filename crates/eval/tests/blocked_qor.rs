@@ -6,7 +6,7 @@
 //! one `(0, n)` segment per sample, and the weighted mean-squared error.
 //! HOGA-2 and HOGA-5 × the three aggregators, on designs of one node fewer
 //! than a block, one block, three blocks and a ragged tail, and sixteen
-//! blocks (each one of `matmul_tn`'s chunks), pooling every node, and on
+//! blocks (each one of `Gemm::TN`'s chunks), pooling every node, and on
 //! the sixteen-block design pooling every third node (a
 //! `nodes_per_graph` sample), at 1, 2 and 3 kernel threads.
 //! Each case prints its blocks and how many parameter gradients they handed

@@ -3,7 +3,7 @@
 //!
 //! HOGA × 3 aggregators, and SIGN, at the paper's reasoning shapes (CSA-8,
 //! `K = 8`, `d = 64`), on batches of 512 nodes (sixteen 32-node blocks, each
-//! one of `matmul_tn`'s chunks), 96 (an epoch's partial last batch), 33 (a
+//! one of `Gemm::TN`'s chunks), 96 (an epoch's partial last batch), 33 (a
 //! one-node last block), 1 and 1000, at 1, 2 and 3 kernel threads. Each case
 //! prints how many parameter gradients its blocks handed back as in-block
 //! chunk partials; CI checks that the 512-node cases take them, so the suite

@@ -1099,30 +1099,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_matches_naive() {
-        let a = Matrix::from_fn(7, 5, |r, c| ((r * 31 + c * 7) % 11) as f32 - 5.0);
-        let b = Matrix::from_fn(5, 9, |r, c| ((r * 13 + c * 3) % 7) as f32 - 3.0);
-        assert!(a.matmul(&b).max_abs_diff(&a.gemm_reference(&b, Gemm::NN)) < 1e-5);
-    }
-
-    #[test]
-    fn large_matmul_parallel_path_matches_naive() {
-        let a = Matrix::from_fn(130, 70, |r, c| ((r + 3 * c) % 17) as f32 * 0.25 - 2.0);
-        let b = Matrix::from_fn(70, 90, |r, c| ((5 * r + c) % 13) as f32 * 0.5 - 3.0);
-        assert!(a.matmul(&b).max_abs_diff(&a.gemm_reference(&b, Gemm::NN)) < 1e-3);
-    }
-
-    #[test]
-    fn chunked_matmul_tn_matches_reference() {
-        // 40 × 600 · 600 × 40 exceeds TN_SINGLE_CHUNK_MACS, so matmul_tn decomposes
-        // the 600-row shared dimension into multiple fixed chunks.
-        let a = Matrix::from_fn(600, 40, |r, c| ((r * 7 + c * 3) % 23) as f32 * 0.125 - 1.0);
-        let b = Matrix::from_fn(600, 40, |r, c| ((r * 5 + c * 11) % 19) as f32 * 0.25 - 2.0);
-        assert!(tn_chunk_count(40, 600, 40) > 1);
-        assert!(a.gemm(&b, Gemm::TN).max_abs_diff(&a.gemm_reference(&b, Gemm::TN)) < 1e-2);
-    }
-
-    #[test]
     fn row_runs_give_matmul_tn_bitwise_as_chunk_partials_and_folded() {
         let bits = |m: &Matrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let rows = |m: &Matrix, lo: usize, hi: usize| m.select_rows(&(lo..hi).collect::<Vec<_>>());
@@ -1174,47 +1150,6 @@ mod tests {
         // A shape that is not a multiple of the tile edge in either dimension.
         let a = Matrix::from_fn(45, 70, |r, c| (r * 70 + c) as f32);
         assert_eq!(a.transpose(), a.transpose_reference());
-    }
-
-    #[test]
-    fn matmul_nt_and_tn_match_transpose() {
-        let a = Matrix::from_fn(4, 6, |r, c| (r as f32 - c as f32) * 0.5);
-        let b = Matrix::from_fn(5, 6, |r, c| (r * c) as f32 * 0.1);
-        assert!(a.gemm(&b, Gemm::NT).max_abs_diff(&a.matmul(&b.transpose())) < 1e-5);
-        let c = Matrix::from_fn(4, 3, |r, c| (r + 2 * c) as f32);
-        assert!(a.gemm(&c, Gemm::TN).max_abs_diff(&a.transpose().matmul(&c)) < 1e-5);
-    }
-
-    #[test]
-    fn batched_matmul_matches_per_block() {
-        let batch = 3;
-        let a = Matrix::from_fn(batch * 2, 4, |r, c| ((r * 5 + c) % 7) as f32 - 3.0);
-        let b = Matrix::from_fn(batch * 4, 3, |r, c| ((r * 3 + c) % 5) as f32 - 2.0);
-        let out = a.gemm(&b, Gemm::NN.batched(batch));
-        for bi in 0..batch {
-            let ab = a.select_rows(&[bi * 2, bi * 2 + 1]);
-            let bb = b.select_rows(&(bi * 4..bi * 4 + 4).collect::<Vec<_>>());
-            let expect = ab.matmul(&bb);
-            let got = out.select_rows(&[bi * 2, bi * 2 + 1]);
-            assert!(got.max_abs_diff(&expect) < 1e-5);
-        }
-    }
-
-    #[test]
-    fn batched_nt_tn_match_per_block() {
-        let batch = 2;
-        let a = Matrix::from_fn(batch * 3, 4, |r, c| (r as f32 + c as f32).sin());
-        let b = Matrix::from_fn(batch * 3, 4, |r, c| (r as f32 * c as f32).cos());
-        let nt = a.gemm(&b, Gemm::NT.batched(batch));
-        let tn = a.gemm(&b, Gemm::TN.batched(batch));
-        for bi in 0..batch {
-            let idx: Vec<usize> = (bi * 3..bi * 3 + 3).collect();
-            let ab = a.select_rows(&idx);
-            let bb = b.select_rows(&idx);
-            assert!(nt.select_rows(&idx).max_abs_diff(&ab.matmul(&bb.transpose())) < 1e-5);
-            let tn_idx: Vec<usize> = (bi * 4..bi * 4 + 4).collect();
-            assert!(tn.select_rows(&tn_idx).max_abs_diff(&ab.transpose().matmul(&bb)) < 1e-5);
-        }
     }
 
     #[test]

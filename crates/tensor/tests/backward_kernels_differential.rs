@@ -1,13 +1,13 @@
 //! The backward kernels against the chains they promise, bit for bit.
 //!
-//! `matmul_tn` runs each `k`-chunk through `matmul`'s register-tiled panels
+//! `Gemm::TN` runs each `k`-chunk through `matmul`'s register-tiled panels
 //! (on the chunk's transpose) or, for outputs narrower than one 16-column
 //! tile, through a loop of its own; both must reproduce the loop they
 //! replaced — kept here as `tn_parent` — on every input: the same
 //! `tn_chunk_count` decomposition, per element one multiply and one add per
 //! `k`, ascending, bitwise-zero coefficients skipped, and the partials
-//! summed in ascending chunk order. `batched_matmul_nt` runs each block
-//! through a score tile that must be `batched_matmul_nt_reference` exactly:
+//! summed in ascending chunk order. `Gemm::NT.batched(b)` runs each block
+//! through a score tile that must be `gemm_reference`'s exactly:
 //! `+0.0`, then `+= q·k` per `k`, ascending, no fused multiply-add and no
 //! zero skip. Both are checked at 1, 2 and 3 kernel threads on the scalar
 //! backend, the AVX2 one and the default (the widest the CPU reports), with
@@ -74,7 +74,7 @@ fn tn_chunk_count(m: usize, k: usize, n: usize) -> usize {
     }
 }
 
-/// The parent's `matmul_tn`: `fma_row` per `(kk, i)` into a `+0.0` partial
+/// The loop `Gemm::TN` replaced: `fma_row` per `(kk, i)` into a `+0.0` partial
 /// per chunk, partials summed in ascending chunk order.
 fn tn_parent(a: &Matrix, b: &Matrix) -> Matrix {
     let (m, k, n) = (a.cols(), a.rows(), b.cols());
@@ -130,7 +130,7 @@ fn matmul_tn_is_bitwise_the_parents_chunk_loop() {
                 for specials in [false, true] {
                     let a = operand(k, m, m * 31 + n, specials);
                     let b = operand(k, n, n * 17 + m + 1, specials);
-                    let label = format!("matmul_tn {k}x{m}ᵀ·{k}x{n} ({chunks} chunks)");
+                    let label = format!("Gemm::TN {k}x{m}ᵀ·{k}x{n} ({chunks} chunks)");
                     assert_grid(&label, &tn_parent(&a, &b), || a.gemm(&b, Gemm::TN));
                 }
             }
@@ -155,7 +155,7 @@ fn matmul_tn_keeps_non_finite_values_out_of_skipped_rows() {
             b[(kk, n / 2)] = if kk == 150 { f32::NAN } else { f32::INFINITY };
         }
         let want = tn_parent(&a, &b);
-        assert_grid(&format!("matmul_tn skip, n = {n}"), &want, || a.gemm(&b, Gemm::TN));
+        assert_grid(&format!("Gemm::TN skip, n = {n}"), &want, || a.gemm(&b, Gemm::TN));
         let mut hit = 0;
         for i in 0..9 {
             hit += usize::from(!want[(i, n / 2)].is_finite());
@@ -173,7 +173,7 @@ fn batched_matmul_nt_is_bitwise_the_reference() {
             for specials in [false, true] {
                 let q = operand(batch * tile, d, tile * 7 + d, specials);
                 let k = operand(batch * tile, d, tile + d * 3 + 1, specials);
-                let label = format!("batched_matmul_nt {batch} x {tile}x{d}");
+                let label = format!("Gemm::NT.batched({batch}) {tile}x{d}");
                 let want = q.gemm_reference(&k, Gemm::NT.batched(batch));
                 assert_grid(&label, &want, || q.gemm(&k, Gemm::NT.batched(batch)));
             }
@@ -183,5 +183,7 @@ fn batched_matmul_nt_is_bitwise_the_reference() {
     // `rows × cols`, not square.
     let (q, k) = (operand(batch * 3, 33, 5, true), operand(batch * 11, 33, 6, true));
     let want = q.gemm_reference(&k, Gemm::NT.batched(batch));
-    assert_grid("batched_matmul_nt 3 x 11 blocks", &want, || q.gemm(&k, Gemm::NT.batched(batch)));
+    assert_grid("Gemm::NT.batched(40) 3 x 11 blocks", &want, || {
+        q.gemm(&k, Gemm::NT.batched(batch))
+    });
 }

@@ -126,6 +126,20 @@ fn gemm_is_the_oracle_on_every_layout_batch_and_shape() {
     for (g, a, b, tolerance) in &trainer {
         assert_is_the_oracle(*g, a, b, *tolerance);
     }
+    // Small fixed shapes on every layout, unbatched and batched: a 9-wide
+    // product crosses the 8-lane remainder, and the blocks are not square.
+    let small = [
+        (Gemm::NN, (7, 5, 9)),
+        (Gemm::NT, (4, 6, 5)),
+        (Gemm::TN, (6, 4, 3)),
+        (Gemm::NN.batched(3), (2, 4, 3)),
+        (Gemm::NT.batched(2), (3, 4, 3)),
+        (Gemm::TN.batched(2), (4, 3, 4)),
+    ];
+    for (g, mkn) in small {
+        let ((ar, ac), (br, bc)) = operand_shapes(g.layout, g.batch.unwrap_or(1), mkn);
+        assert_is_the_oracle(g, &dense(ar, ac, ar + 1), &dense(br, bc, bc + 2), 0.0);
+    }
     let forms = |layout| {
         let g = Gemm { layout, batch: None, fused: false };
         [g, g.batched(1), g.batched(4)]
@@ -367,22 +381,22 @@ fn training_matmul_family_is_backend_invariant_bitwise() {
     let b = dense_rough(70, 51, 2);
     assert_backend_invariant("matmul", || a.matmul(&b));
     let bt = dense_rough(51, 70, 3);
-    assert_backend_invariant("matmul_nt", || a.gemm(&bt, Gemm::NT));
+    assert_backend_invariant("Gemm::NT", || a.gemm(&bt, Gemm::NT));
     let a2 = dense_rough(70, 37, 4);
-    assert_backend_invariant("matmul_tn", || a2.gemm(&b, Gemm::TN));
+    assert_backend_invariant("Gemm::TN", || a2.gemm(&b, Gemm::TN));
 
     let batch = 16;
     let s = dense_rough(batch * 5, 5, 5);
     let v = dense_rough(batch * 5, 27, 6);
-    assert_backend_invariant("batched_matmul", || s.gemm(&v, Gemm::NN.batched(batch)));
+    assert_backend_invariant("Gemm::NN.batched", || s.gemm(&v, Gemm::NN.batched(batch)));
     let q = dense_rough(batch * 5, 27, 7);
-    assert_backend_invariant("batched_matmul_nt", || q.gemm(&v, Gemm::NT.batched(batch)));
-    assert_backend_invariant("batched_matmul_tn", || s.gemm(&v, Gemm::TN.batched(batch)));
+    assert_backend_invariant("Gemm::NT.batched", || q.gemm(&v, Gemm::NT.batched(batch)));
+    assert_backend_invariant("Gemm::TN.batched", || s.gemm(&v, Gemm::TN.batched(batch)));
 }
 
 #[test]
 fn matmul_nt_is_bitwise_the_reference_and_matmul_of_the_transpose() {
-    // `matmul_nt` is `matmul` over a transposed copy, and `matmul` adds one
+    // `Gemm::NT` is `matmul` over a transposed copy, and `matmul` adds one
     // product per k, ascending, to a +0.0 accumulator, skipping only
     // bitwise-zero multipliers — on finite inputs that is the naive oracle
     // bit for bit, at every thread count and on both backends. Shapes are
@@ -392,7 +406,7 @@ fn matmul_nt_is_bitwise_the_reference_and_matmul_of_the_transpose() {
         for (name, make) in [("dense", dense as fn(_, _, _) -> _), ("dense_rough", dense_rough)] {
             let a = make(m, k, m + n);
             let b = make(n, k, k + n + 1);
-            let label = format!("matmul_nt {m}x{k}x{n} on {name} operands");
+            let label = format!("Gemm::NT {m}x{k}x{n} on {name} operands");
             let want = bits(&a.gemm_reference(&b, Gemm::NT));
             let threaded = assert_thread_invariant(&label, || a.gemm(&b, Gemm::NT));
             assert_eq!(bits(&threaded), want, "{label}: differs bitwise from the reference");

@@ -1,6 +1,6 @@
 //! A one-column right-hand side takes its own loops in `Matrix::matmul`
 //! (eight rows abreast, in the lanes of one vector over the rows'
-//! transpose) and `Matrix::matmul_tn` (no backend call per
+//! transpose) and `Matrix::gemm` at `Gemm::TN` (no backend call per
 //! multiply-add). The kernel contract fixes every output element's chain —
 //! one multiply and one add per `k`, ascending, bitwise-zero coefficients
 //! skipped — so those loops must reproduce, bit for bit, column 0 of the same
@@ -39,7 +39,7 @@ fn column_bits(m: &Matrix, col: usize) -> Vec<u32> {
 fn one_column_products_are_bitwise_column_zero_of_the_general_kernels() {
     let _guard = lock();
     // (rows, k) of the left operand: remainders of the eight-row blocks, the
-    // trainer's readout (4096 × 128, chunked in `matmul_tn` with one column
+    // trainer's readout (4096 × 128, chunked in `Gemm::TN` with one column
     // and with two), an inner dimension of one, and empty operands.
     for (m, k) in [(1, 1), (7, 5), (8, 64), (29, 70), (4096, 128), (5, 1), (0, 4), (6, 0)] {
         let a = rough(m, k, m + k);
@@ -66,12 +66,12 @@ fn one_column_products_are_bitwise_column_zero_of_the_general_kernels() {
                 set_threads(threads);
                 let label = format!("{m}x{k} at {backend:?} x {threads} threads");
                 assert_eq!(column_bits(&a.matmul(&x), 0), want_mv, "matmul, {label}");
-                assert_eq!(column_bits(&a.gemm(&g, Gemm::TN), 0), want_tn, "matmul_tn, {label}");
-                // `matmul_nt` against a one-row matrix is the same product.
+                assert_eq!(column_bits(&a.gemm(&g, Gemm::TN), 0), want_tn, "Gemm::TN, {label}");
+                // `Gemm::NT` against a one-row matrix is the same product.
                 assert_eq!(
                     column_bits(&a.gemm(&x.transpose(), Gemm::NT), 0),
                     want_mv,
-                    "matmul_nt, {label}"
+                    "Gemm::NT, {label}"
                 );
             }
         }
@@ -83,7 +83,7 @@ fn one_column_products_are_bitwise_column_zero_of_the_general_kernels() {
 #[test]
 fn one_column_matmul_is_bitwise_the_reference_with_zeros_and_non_finite_rows() {
     let _guard = lock();
-    // `matmul_reference` adds every product to a `+0.0` accumulator with no
+    // `gemm_reference` adds every product to a `+0.0` accumulator with no
     // skip. With a finite, non-zero right-hand side a skipped `±0.0 · x` is
     // a bitwise no-op there (the accumulator is never `-0.0`), so the
     // reference is the one-column kernel's bits even for rows of zeros of
