@@ -49,11 +49,6 @@ pub(crate) const TT_MASKS: [u64; MAX_LEAVES] = [
     0xFFFF_FFFF_0000_0000,
 ];
 
-/// The signature bit of one leaf.
-fn leaf_bit(leaf: NodeId) -> u64 {
-    1 << (leaf % 64)
-}
-
 /// An owned cut: sorted leaf node ids. Only callers that keep a chosen cut
 /// past the [`CutSet`] it came from need one.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -76,15 +71,16 @@ impl Cut {
 }
 
 /// A cut borrowed from a [`CutSet`]: sorted leaves and their signature.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct CutRef<'a> {
     leaves: &'a [NodeId],
     sig: u64,
 }
 
 impl<'a> CutRef<'a> {
+    /// The cut over sorted `leaves`, with its signature.
     fn new(leaves: &'a [NodeId]) -> Self {
-        Self { leaves, sig: leaves.iter().fold(0, |s, &l| s | leaf_bit(l)) }
+        Self { leaves, sig: leaves.iter().fold(0, |s, &l| s | 1 << (l % 64)) }
     }
 
     /// The sorted leaf node ids.
@@ -189,7 +185,7 @@ pub struct CutSet {
 
 impl CutSet {
     /// The non-trivial cuts of `node`, best (smallest) first.
-    pub fn cuts_of(&self, node: NodeId) -> impl ExactSizeIterator<Item = CutRef<'_>> + Clone {
+    pub fn cuts_of(&self, node: NodeId) -> impl ExactSizeIterator<Item = CutRef<'_>> {
         let (lo, hi) = self.nodes[node as usize];
         self.cuts[lo as usize..hi as usize].iter().map(|e| CutRef {
             leaves: &self.leaves[e.start as usize..(e.start + e.len) as usize],
