@@ -19,8 +19,8 @@
 //! list grow. The signature sets bit `leaf % 64` for every leaf; the
 //! popcount of a union's signature is a lower bound on the union's size,
 //! and a cut whose signature has a bit outside another's is not its
-//! subset, so both checks reject exactly what the leaf walks they guard
-//! would reject.
+//! subset, so both checks only reject what the leaf walks they guard would
+//! reject too, and skip those walks.
 //!
 //! The cone between a root and a cut is walked by a [`ConeWalk`] that a
 //! pass creates once and reuses for every node: visit marks are a `Vec` of
