@@ -165,10 +165,10 @@ struct Node {
 /// [`Tape::backward`] once on the final scalar. See the
 /// [crate-level docs](crate) for a complete example.
 ///
-/// A tape keeps its thread's memory warm: when it drops, the storage of
-/// its values and op caches goes to [`hoga_tensor::recycle`] rather than to
-/// the allocator, and the next tape on the thread — a training step repeats
-/// its shapes — is built in the same buffers.
+/// A tape keeps its memory warm inside a [`hoga_tensor::recycle::Pool`]
+/// run: when it drops, the storage of its values and op caches goes to the
+/// lent list rather than to the allocator, and the next tape in the pool —
+/// a training step repeats its shapes — is built in the same buffers.
 #[derive(Default)]
 pub struct Tape {
     nodes: Vec<Node>,

@@ -1,13 +1,14 @@
-//! The tape hands its storage to `hoga_tensor::recycle` and the next tape on
-//! the thread is built in it. Two properties keep that invisible: nothing a
-//! previous owner wrote is ever read, and reuse really happens.
+//! Inside `hoga_tensor::recycle::Pool::run` the tape hands its storage to
+//! the lent list and the next tape in the run is built in it. Two
+//! properties keep that invisible: nothing a previous owner wrote is ever
+//! read, and reuse really happens.
 //!
-//! Every shape here is at or above the list's floor (32 768 floats), and
-//! every scenario runs on a thread of its own, i.e. against an empty list.
+//! Every scenario runs in a fresh pool on a thread of its own, i.e. against
+//! an empty list.
 
 use hoga_autograd::gradcheck::check_gradients;
 use hoga_autograd::{Ops, ParamId, ParamSet, Tape, Var};
-use hoga_tensor::recycle::give_back;
+use hoga_tensor::recycle::{give_back, Pool};
 use hoga_tensor::{CsrMatrix, Init, Matrix};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -20,11 +21,11 @@ const BATCH: usize = 32;
 const SEGMENTS: usize = 256;
 
 fn isolated<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    std::thread::spawn(f).join().expect("scenario panicked")
+    std::thread::spawn(|| Pool::default().run(f)).join().expect("scenario panicked")
 }
 
 /// Puts NaN-filled buffers of every size the graphs below allocate (and a
-/// few between) on the calling thread's list, several of each.
+/// few between) on the lent list, several of each.
 fn poison_the_list() {
     for floats in [ROWS * COLS, ROWS * COLS + 1, ROWS * COLS * 3 / 2, 2 * ROWS * COLS] {
         for _ in 0..12 {
@@ -143,8 +144,8 @@ fn stale_storage_never_reaches_a_value_or_a_gradient() {
 
 #[test]
 fn gradcheck_holds_on_recycled_storage() {
-    // `COLS × 4` parameters keep the check to a few hundred forwards while
-    // every intermediate stays on the list's side of the floor.
+    // `COLS × 4` parameters keep the check to a few hundred forwards; every
+    // intermediate is `ROWS × COLS` floats.
     let run = |poison: bool| {
         isolated(move || {
             if poison {

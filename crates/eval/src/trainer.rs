@@ -304,6 +304,9 @@ pub struct Step<'a> {
     pub events: &'a mut Vec<RecoveryEvent>,
     /// The run's armed fault plan.
     pub faults: &'a FaultInjector,
+    /// The run's recycled storage: [`fit`] runs every step in one of its
+    /// lists, and a blocked step runs each block in one.
+    pub pool: &'a Pool,
 }
 
 /// Records `forward` on a fresh tape, reads the loss it returns and
@@ -320,6 +323,8 @@ pub(crate) fn tape_step(
 
 /// Trains `model` with Adam for `cfg.epochs` epochs of minibatches over
 /// `items` indices; `grad` turns a step's batch into its loss and gradients.
+/// Every `grad` call runs in one [`Pool`] the run owns (`Step::pool`), so a
+/// step is built in the storage the step before it gave back.
 ///
 /// The loop owns everything the trainers share. It resumes from
 /// `cfg.resume_from`, sets each epoch's rate to the scheduled (or base)
@@ -351,6 +356,7 @@ pub(crate) fn fit<M: Trainable>(
     let mut opt = Adam::new(cfg.lr);
     let (start_epoch, mut lr_scale) = resume_state(cfg, model.params_mut(), &mut opt)?;
     let faults = FaultInjector::new(plan);
+    let pool = Pool::default();
     let mut report = TrainReport {
         resumed_from_epoch: (start_epoch > 0).then_some(start_epoch),
         ..TrainReport::default()
@@ -365,17 +371,16 @@ pub(crate) fn fit<M: Trainable>(
         for (step, batch) in
             minibatches(items, batch_size, cfg.seed, epoch as u64).iter().enumerate()
         {
-            let (mut loss, grads) = grad(
-                model,
-                &mut Step {
-                    epoch,
-                    step,
-                    batch,
-                    stats: &mut stats,
-                    events: &mut report.events,
-                    faults: &faults,
-                },
-            );
+            let mut run = Step {
+                epoch,
+                step,
+                batch,
+                stats: &mut stats,
+                events: &mut report.events,
+                faults: &faults,
+                pool: &pool,
+            };
+            let (mut loss, grads) = pool.run(|| grad(model, &mut run));
             if faults.claim_loss(epoch as u64, step as u64).is_some() {
                 loss = f32::NAN;
             }
@@ -576,8 +581,7 @@ pub fn try_train_reasoning(
 }
 
 /// [`fit`] for a model over hop features (HOGA, SIGN): every step is
-/// [`HopwiseTask::step`], a loop over node blocks, with the blocks'
-/// storage kept warm from step to step in one [`Pool`].
+/// [`HopwiseTask::step`], a loop over node blocks.
 pub(crate) fn fit_hopwise<M: Trainable + Hopwise>(
     graph: &ReasoningGraph,
     model: &mut M,
@@ -588,7 +592,6 @@ pub(crate) fn fit_hopwise<M: Trainable + Hopwise>(
 ) -> Result<(TrainStats, TrainReport), TrainError> {
     let labels = graph.label_indices();
     let weights = reasoning_class_weights(&labels);
-    let pool = Pool::default();
     fit(model, cfg, graph.aig.num_nodes(), cfg.batch_nodes, policy, plan, |model, step| {
         let task = HopwiseTask {
             model,
@@ -598,7 +601,7 @@ pub(crate) fn fit_hopwise<M: Trainable + Hopwise>(
             labels: &labels,
             class_weights: &weights,
         };
-        let out = task.step(step, &pool);
+        let out = task.step(step);
         (out.loss, out.grads)
     })
 }
@@ -639,7 +642,7 @@ type BlockOut = (BlockGrads, Matrix);
 impl<M: Hopwise> HopwiseTask<'_, M> {
     /// One training step on the nodes `run.batch`, run as a loop over
     /// blocks of [`block_nodes`] nodes in parallel regions of up to
-    /// sixteen blocks, each block built in a list of `pool`.
+    /// sixteen blocks, each block built in a list of `run.pool`.
     ///
     /// After Eq. 3 nothing couples nodes but the loss: its weight sum,
     /// fixed by the batch's labels before any forward, and the sums over
@@ -664,11 +667,11 @@ impl<M: Hopwise> HopwiseTask<'_, M> {
     /// # Panics
     ///
     /// Panics if the batch names a node without a label or hop rows.
-    pub fn step(&self, run: &mut Step<'_>, pool: &Pool) -> BlockedStep {
+    pub fn step(&self, run: &mut Step<'_>) -> BlockedStep {
         let batch_labels: Vec<usize> = run.batch.iter().map(|&i| self.labels[i]).collect();
         let ce = WeightedCrossEntropy::new(&batch_labels, self.class_weights, self.cls.num_classes);
         let seed = Seed::Labels(self.cls, &ce);
-        NodeBlocks { model: self.model, params: self.params, hops: self.hops, seed }.step(run, pool)
+        NodeBlocks { model: self.model, params: self.params, hops: self.hops, seed }.step(run)
     }
 }
 
@@ -695,7 +698,7 @@ struct NodeBlocks<'a, M> {
 
 impl<M: Hopwise> NodeBlocks<'_, M> {
     /// [`HopwiseTask::step`].
-    fn step(&self, run: &mut Step<'_>, pool: &Pool) -> BlockedStep {
+    fn step(&self, run: &mut Step<'_>) -> BlockedStep {
         let (batch, epoch, step) = (run.batch, run.epoch, run.step);
         let size = block_nodes(self.hops.len(), self.model.hidden_dim());
         let blocks: Vec<NodeBlock> = NodeBlock::cover(batch.len(), size).collect();
@@ -712,7 +715,7 @@ impl<M: Hopwise> NodeBlocks<'_, M> {
         let (mut fold, mut label_probs, mut chunk_partials) = (BlockFold::default(), vec![], 0);
         for (wave, wave_faults) in blocks.chunks(WAVE_BLOCKS).zip(faults.chunks(WAVE_BLOCKS)) {
             let work = wave.iter().copied().zip(wave_faults).collect();
-            let mut outs = blocked(run.stats, pool, work, |(block, kinds)| {
+            let mut outs = blocked(run, work, |(block, kinds)| {
                 for &kind in kinds {
                     if let FaultKind::Stall { millis } = kind {
                         std::thread::sleep(Duration::from_millis(millis));
@@ -729,7 +732,7 @@ impl<M: Hopwise> NodeBlocks<'_, M> {
             });
             if wave_faults.iter().any(|kinds| !kinds.is_empty()) || outs.iter().any(Option::is_none)
             {
-                self.recover(run, pool, wave, &mut outs);
+                self.recover(run, wave, &mut outs);
             }
             reduced(run.stats, outs, |outs| {
                 for (grads, probs) in outs {
@@ -753,13 +756,7 @@ impl<M: Hopwise> NodeBlocks<'_, M> {
     /// Recomputes here, in block order, each block that unwound or handed
     /// back non-finite parts, and logs those it recovers (a block whose own
     /// arithmetic went non-finite is left to [`fit`]'s guard).
-    fn recover(
-        &self,
-        run: &mut Step<'_>,
-        pool: &Pool,
-        blocks: &[NodeBlock],
-        outs: &mut [Option<BlockOut>],
-    ) {
+    fn recover(&self, run: &mut Step<'_>, blocks: &[NodeBlock], outs: &mut [Option<BlockOut>]) {
         let finite = |(grads, probs): &BlockOut| grads.is_finite() && probs.is_finite();
         let (epoch, step) = (run.epoch, run.step);
         for (&block, out) in blocks.iter().zip(outs) {
@@ -770,7 +767,7 @@ impl<M: Hopwise> NodeBlocks<'_, M> {
                 }
                 Some(_) => continue,
             };
-            let (fresh, [forward, backward]) = pool.run(|| self.block(block, run.batch));
+            let (fresh, [forward, backward]) = run.pool.run(|| self.block(block, run.batch));
             run.stats.forward_time += forward;
             run.stats.backward_time += backward;
             if out.is_none() || finite(&fresh) {
@@ -807,24 +804,24 @@ impl<M: Hopwise> NodeBlocks<'_, M> {
     }
 }
 
-/// Runs every block in one parallel region, each in a list of `pool` and
-/// under `catch_unwind` (an unwind cannot take its worker's other blocks
-/// down), and hands back their outputs in block order, `None` for one that
-/// unwound; their forward and backward time go to `stats`, summed.
+/// Runs every block in one parallel region, each in a list of `run.pool`
+/// and under `catch_unwind` (an unwind cannot take its worker's other
+/// blocks down), and hands back their outputs in block order, `None` for one
+/// that unwound; their forward and backward time go to `run.stats`, summed.
 fn blocked<T: Send, B: Send>(
-    stats: &mut TrainStats,
-    pool: &Pool,
+    run: &mut Step<'_>,
     blocks: Vec<T>,
-    run: impl Fn(T) -> (B, [Duration; 2]) + Sync,
+    block_out: impl Fn(T) -> (B, [Duration; 2]) + Sync,
 ) -> Vec<Option<B>> {
     let mut outs: Vec<Option<(B, [Duration; 2])>> = blocks.iter().map(|_| None).collect();
     let work = blocks.into_iter().zip(outs.iter_mut()).collect();
+    let pool = run.pool;
     parallel_blocks(work, |(block, out)| {
-        *out = pool.run(|| catch_unwind(AssertUnwindSafe(|| run(block)))).ok();
+        *out = pool.run(|| catch_unwind(AssertUnwindSafe(|| block_out(block)))).ok();
     });
     let mut phases = |(out, [forward, backward]): (B, [Duration; 2])| {
-        stats.forward_time += forward;
-        stats.backward_time += backward;
+        run.stats.forward_time += forward;
+        run.stats.backward_time += backward;
         out
     };
     outs.into_iter().map(|out| out.map(&mut phases)).collect()
@@ -1056,10 +1053,9 @@ pub fn try_train_qor_with_target(
             }
             let hcfg = HogaConfig::new(feat_dim, cfg.hidden_dim, num_hops);
             let mut model = HogaModel::new(&hcfg, cfg.seed);
-            let pool = Pool::default();
             let (reg, stats, _) =
                 fit_qor(ds, &mut model, cfg, target, &policy, &plan, |m, run, head| {
-                    let out = head.hoga_step(m, run, &pool);
+                    let out = head.hoga_step(m, run);
                     (out.loss, out.grads)
                 })?;
             Ok((QorModel::Hoga(Box::new(model), reg), stats))
@@ -1163,7 +1159,7 @@ impl DesignHead<'_> {
     /// blocks, every row seeded with that row. Loss and gradients are the
     /// whole-design tape's bit for bit. The blocks take `run`'s epoch, step,
     /// statistics and events, not its batch, and claim no `Step` fault site.
-    pub fn hoga_step(&self, model: &HogaModel, run: &mut Step<'_>, pool: &Pool) -> BlockedStep {
+    pub fn hoga_step(&self, model: &HogaModel, run: &mut Step<'_>) -> BlockedStep {
         let batch = &self.design.pooled_nodes;
         let reps = timed(&mut run.stats.forward_time, || design_reps(model, self.design, batch));
         let n = reps.rows();
@@ -1179,7 +1175,8 @@ impl DesignHead<'_> {
         let blocks = NodeBlocks { model, params: &model.params, hops, seed };
         let faults = &FaultInjector::new(&JobFaultPlan::none());
         let (epoch, step, stats, events) = (run.epoch, run.step, &mut *run.stats, &mut *run.events);
-        let mut out = blocks.step(&mut Step { epoch, step, batch, stats, events, faults }, pool);
+        let pool = run.pool;
+        let mut out = blocks.step(&mut Step { epoch, step, batch, stats, events, faults, pool });
         out.grads.accumulate(&head_grads);
         out
     }
@@ -1525,10 +1522,9 @@ mod tests {
         let target = QorTarget::GateCount;
         assert_guarded(|cfg, policy, plan| {
             let mut model = HogaModel::new(&HogaConfig::new(feat_dim, cfg.hidden_dim, 2), cfg.seed);
-            let pool = Pool::default();
             let (_, stats, report) =
                 fit_qor(ds, &mut model, cfg, target, policy, plan, |m, run, head| {
-                    let out = head.hoga_step(m, run, &pool);
+                    let out = head.hoga_step(m, run);
                     (out.loss, out.grads)
                 })?;
             Ok((stats, report, model.params))
@@ -1542,16 +1538,23 @@ mod tests {
 
     #[test]
     fn blocked_steps_report_both_phases_and_count_the_reduction_as_backward() {
-        let mut stats = TrainStats::default();
+        let (mut stats, mut events) = (TrainStats::default(), vec![]);
         let (forward, backward) = (Duration::from_millis(2), Duration::from_millis(3));
         let reduction = Duration::from_millis(20);
-        let pool = Pool::default();
-        let run = |i: u32| {
+        let mut run = Step {
+            epoch: 0,
+            step: 0,
+            batch: &[],
+            stats: &mut stats,
+            events: &mut events,
+            faults: &FaultInjector::new(&JobFaultPlan::none()),
+            pool: &Pool::default(),
+        };
+        let block = |i: u32| {
             assert!(i != 3, "block {i} unwinds");
             (i, [forward, backward])
         };
-        let outs =
-            hoga_tensor::with_threads(2, || blocked(&mut stats, &pool, (1..=4).collect(), run));
+        let outs = hoga_tensor::with_threads(2, || blocked(&mut run, (1..=4).collect(), block));
         assert_eq!(outs, [Some(1), Some(2), None, Some(4)], "the unwind took no other block down");
         assert_eq!(stats.forward_time, forward * 3, "the blocks' forward, summed over workers");
         assert_eq!(stats.backward_time, backward * 3);
@@ -1569,6 +1572,28 @@ mod tests {
             let both = stats.forward_time > Duration::ZERO && stats.backward_time > Duration::ZERO;
             assert!(both, "{kind:?}: {}", stats.phases_line());
         }
+    }
+
+    #[test]
+    fn fit_builds_every_step_in_the_storage_the_step_before_gave_back() {
+        let cfg = TrainConfig { epochs: 3, ..tiny_cfg() };
+        let mut model = Sign::new(4, cfg.hidden_dim, 2, cfg.seed);
+        let (policy, plan) = (RecoveryPolicy::default(), JobFaultPlan::none());
+        let (mut given_back, mut decoys) = (None, vec![]);
+        let (stats, _) = fit(&mut model, &cfg, 4, 1, &policy, &plan, |_, _| {
+            let m = Matrix::zeros(64, 64);
+            let at = m.as_slice().as_ptr();
+            if let Some(before) = given_back {
+                assert_eq!(at, before, "a step's storage went to the allocator");
+            }
+            given_back = Some(at);
+            hoga_tensor::recycle::give_back(m);
+            // Storage the allocator got back would be taken here.
+            decoys.push(vec![1.0f32; 64 * 64]);
+            (1.0, Gradients::new())
+        })
+        .expect("nothing diverges");
+        assert_eq!(stats.steps, 12);
     }
 
     #[test]

@@ -114,9 +114,10 @@ fn blocked_qor_step_is_bitwise_the_whole_design_tape() {
                 for threads in [1, 2, 3] {
                     let (mut stats, mut events) = (TrainStats::default(), Vec::new());
                     let (stats, events) = (&mut stats, &mut events);
+                    let (faults, pool) = (&faults, &pool);
                     let mut run =
-                        Step { epoch: 0, step: 0, batch: &[], stats, events, faults: &faults };
-                    let out = with_threads(threads, || head.hoga_step(&model, &mut run, &pool));
+                        Step { epoch: 0, step: 0, batch: &[], stats, events, faults, pool };
+                    let out = with_threads(threads, || head.hoga_step(&model, &mut run));
                     assert!(run.events.is_empty(), "a fault-free step logs nothing");
                     let name = format!("hoga-{hops}-{agg_name} nodes {n} pooled {pooled}");
                     let blocks = pooled.div_ceil(block);

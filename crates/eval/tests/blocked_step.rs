@@ -86,8 +86,9 @@ fn check<M: Hopwise>(
         for threads in [1, 2, 3] {
             let (mut stats, mut events) = (TrainStats::default(), Vec::new());
             let (stats, events) = (&mut stats, &mut events);
-            let mut run = Step { epoch: 0, step: 0, batch: &batch, stats, events, faults: &faults };
-            let out = with_threads(threads, || task.step(&mut run, &pool));
+            let (faults, pool) = (&faults, &pool);
+            let mut run = Step { epoch: 0, step: 0, batch: &batch, stats, events, faults, pool };
+            let out = with_threads(threads, || task.step(&mut run));
             assert!(run.events.is_empty(), "a fault-free step logs nothing");
             println!("{name} batch {n} threads {threads}: {} chunk partials", out.chunk_partials);
             assert!(

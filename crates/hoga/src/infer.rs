@@ -284,13 +284,14 @@ impl HogaModel {
 /// The tape-free holder: each [`Ops`] call computes its value at the
 /// holder's precision (see the [module docs](self)) without recording
 /// anything, and parameters are borrowed, never copied. A value's storage
-/// goes back to the thread's free list (`hoga_tensor::recycle`) when the
-/// forward releases it after its last reader; what is left goes back when
-/// the holder drops, and the holder retires, as a [`hoga_autograd::Tape`]
-/// does. [`NoTape::new`] computes at `Exact`, so a forward on it has the
-/// tape's bits: evaluation runs GCN, GraphSAGE and the graph heads on it
-/// that way. The sparse product and the segment mean run the tape's kernels
-/// at every precision.
+/// is given back (`hoga_tensor::recycle`) when the forward releases it
+/// after its last reader; what is left is given back when the holder drops,
+/// and the holder retires, as a [`hoga_autograd::Tape`] does. Inside a
+/// `Pool::run` that storage goes on the lent list; outside one it is freed.
+/// [`NoTape::new`] computes at `Exact`, so a forward on it has the tape's
+/// bits: evaluation runs GCN, GraphSAGE and the graph heads on it that way.
+/// The sparse product and the segment mean run the tape's kernels at every
+/// precision.
 #[derive(Default)]
 pub struct NoTape<'p> {
     values: Vec<Value<'p>>,

@@ -1,26 +1,25 @@
 //! One full HOGA training step — hop stack, gated self-attention, readout,
 //! classifier, weighted cross-entropy, backward — on storage recycled from
-//! `hoga_tensor::recycle`: every bit of the loss and of every gradient
-//! equals a run on a thread whose list is empty, whether the list was seeded
-//! with NaN-filled buffers or with what earlier steps (a partial minibatch
-//! among them) left behind.
+//! `hoga_tensor::recycle`'s lent list: every bit of the loss and of every
+//! gradient equals a run on fresh storage, whether the list was seeded with
+//! NaN-filled buffers or with what earlier steps (a partial minibatch among
+//! them) left behind.
 
 use hoga_autograd::Tape;
 use hoga_core::heads::NodeClassifier;
 use hoga_core::model::{Aggregator, HogaConfig, HogaModel};
-use hoga_tensor::recycle::give_back;
+use hoga_tensor::recycle::{give_back, Pool};
 use hoga_tensor::{Init, Matrix};
 
 const HOPS: usize = 8;
 const INPUT: usize = 8;
 const HIDDEN: usize = 16;
 const CLASSES: usize = 4;
-/// `BATCH · (HOPS + 1) · HIDDEN` = 73 728 floats a node value: above the
-/// list's 32 768-float floor, as are the readout's gathers.
+/// `BATCH · (HOPS + 1) · HIDDEN` = 73 728 floats a node value.
 const BATCH: usize = 512;
 
 fn isolated<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    std::thread::spawn(f).join().expect("scenario panicked")
+    std::thread::spawn(|| Pool::default().run(f)).join().expect("scenario panicked")
 }
 
 /// Loss bits and `(parameter, gradient bits)` of one step over `batch`

@@ -1,54 +1,29 @@
-//! Recycled [`Matrix`] storage: a thread-local free list of `Vec<f32>`
-//! buffers that the allocating constructors draw from and that an owner of
-//! many same-shaped, short-lived matrices — the autograd tape, a block of
-//! the tape-free forward — gives back to.
+//! Recycled [`Matrix`] storage. Inside [`Pool::run`] the calling thread
+//! holds one of the pool's free lists: the allocating constructors take the
+//! listed buffer that fits best by capacity — emptied or re-filled first,
+//! so nothing a previous owner wrote is readable — and [`give_back`] puts a
+//! buffer on it. Outside a run there is no list: [`give_back`] frees,
+//! [`retire`] does nothing, and the constructors allocate.
 //!
-//! A whole-batch training step allocates some twenty megabyte-sized
-//! matrices, drops them all, and the next step asks for the same sizes
-//! again. Left to the allocator, every one of those buffers is returned to
-//! the kernel and faulted back in, page by page, a step later
-//! (`docs/PERFORMANCE.md`, "The training step keeps its memory"). Here the
-//! buffers wait on a list instead: [`give_back`] puts one on it,
-//! `Matrix::zeros` and the other constructors take the best fit by capacity
-//! — re-filled or emptied first, so nothing a previous owner wrote is ever
-//! readable — and fall back to a plain allocation when nothing fits. There
-//! is no `Drop` on `Matrix`: a matrix nobody gives back is freed as before,
-//! which keeps set-up garbage and one-off shapes off the list.
-//!
-//! Retention has no byte cap and needs none. [`retire`] marks the end of
-//! an owner's lifetime, and a buffer that no owner asked for through two
-//! whole lifetimes in a row is freed, so a list holds at most what its two
-//! most recent owners touched. The list is per thread, so it needs no lock;
-//! a thread's list dies with the thread.
-//!
-//! Work that runs on threads spawned per call — the node blocks of a
-//! training step and of the tape-free forward — borrows a list from a
-//! [`Pool`] instead, which outlives the threads: the training step's pool
-//! lives as long as its `fit` call, the forward's as long as its model.
-//! An inference block's tape-free holder gives its values back and
-//! retires when the block ends, as a tape does.
+//! Only owners of many same-shaped, short-lived matrices give back — the
+//! autograd tape, a block of the tape-free forward — so a training step is
+//! built in the buffers the step before it used instead of faulting them in
+//! again (`docs/PERFORMANCE.md`, "The training step keeps its memory");
+//! there is no `Drop` on `Matrix`. [`retire`] ends an owner's lifetime, and
+//! a buffer no owner asked for through two lifetimes in a row is freed, so
+//! a list needs no byte cap.
 
 use crate::Matrix;
 use std::cell::RefCell;
 use std::sync::{Mutex, PoisonError};
 
-/// Smallest buffer a thread's own list keeps or looks for, in floats: 128
-/// KiB, the size from which glibc serves a request with `mmap` and hands it
-/// back with `munmap`. Anything smaller comes out of the allocator's own
-/// bins without a system call, so a whole-batch step's biases, weights and
-/// scalars skip the list entirely.
-const MIN_FLOATS: usize = 32 * 1024;
-
-/// Smallest buffer a [`Pool`]'s list keeps, in floats: one page, which is
-/// also the least storage it hands out. A node block's values are far below
-/// [`MIN_FLOATS`] (72 KiB at the paper's shapes) and its thread frees them
-/// all at once when the block ends, which is enough for glibc to trim the
-/// heap and fault the pages in again for the next block. And a block's
-/// small results end on another thread: a chunk of 1 KiB or less
-/// freed there waits in that thread's cache instead of going back to its
-/// arena, and keeps the arena from trimming (5–10 MiB left resident after
-/// a `train_reasoning` call, against about 1 with nothing that small).
-const POOL_FLOOR: usize = 1024;
+/// Smallest buffer a list keeps, in floats: one page, which is also the
+/// least storage it hands out. A block's small results end on another
+/// thread, and a chunk of 1 KiB or less freed there waits in that thread's
+/// cache instead of going back to its arena, which keeps the arena from
+/// trimming (5–10 MiB left resident after a `train_reasoning` call, against
+/// about 1 with nothing that small).
+const FLOOR: usize = 1024;
 
 /// Whole lifetimes a buffer may sit on the list unused before [`retire`]
 /// frees it. Two, not one: an epoch's partial last minibatch is one small
@@ -65,35 +40,19 @@ struct Slot {
     idle: u8,
 }
 
-/// A free list, its buffers in give-back order: a thread's own, or one of a
-/// [`Pool`]'s. A thread's list leaves requests below its floor to the
-/// allocator; a pool's list serves them too, with storage of exactly its
-/// floor, which only such requests reuse (so a bias never borrows a block's
+/// One of a [`Pool`]'s free lists, its buffers in give-back order. It
+/// serves requests below its floor too, with storage of exactly its floor,
+/// which only such requests reuse (so a bias never borrows a block's
 /// buffer).
 struct List {
     slots: Vec<Slot>,
-    pooled: bool,
 }
 
 impl List {
-    const fn own() -> Self {
-        List { slots: Vec::new(), pooled: false }
-    }
-
-    /// A pool's list, with room for a block's buffers — and so never a
-    /// chunk small enough for the allocator's per-thread cache when the
-    /// pool frees it (see [`POOL_FLOOR`]).
-    fn pooled() -> Self {
-        List { slots: Vec::with_capacity(64), pooled: true }
-    }
-
-    /// The smallest buffer the list keeps.
-    fn floor(&self) -> usize {
-        if self.pooled {
-            POOL_FLOOR
-        } else {
-            MIN_FLOATS
-        }
+    /// Room for a block's buffers, and so never a chunk small enough for
+    /// the allocator's per-thread cache (see [`FLOOR`]).
+    fn new() -> Self {
+        List { slots: Vec::with_capacity(64) }
     }
 
     /// Removes the listed buffer with the least capacity that holds `len`
@@ -102,11 +61,8 @@ impl List {
     /// repeated sequence of requests lands in the storage it had the time
     /// before. `None` leaves the request to the allocator.
     fn take(&mut self, len: usize) -> Option<Vec<f32>> {
-        let small = len < self.floor();
-        if small && !self.pooled {
-            return None;
-        }
-        let exact = if small { self.floor() } else { len };
+        let small = len < FLOOR;
+        let exact = len.max(FLOOR);
         // The list is in give-back order, so the first minimum from its end;
         // nothing beats a buffer of exactly the size asked for.
         let mut best: Option<(usize, usize)> = None;
@@ -132,18 +88,19 @@ impl List {
 }
 
 thread_local! {
-    static FREE: RefCell<List> = const { RefCell::new(List::own()) };
+    /// The list [`Pool::run`] lent the calling thread, if it is in a run.
+    static LENT: RefCell<Option<List>> = const { RefCell::new(None) };
 }
 
-/// [`List::take`] on the calling thread's list.
-fn take(len: usize) -> Option<Vec<f32>> {
-    // `try_with`: during thread teardown the list may already be gone.
-    FREE.try_with(|free| free.borrow_mut().take(len)).ok().flatten()
+/// Runs `f` on the calling thread's lent list; `None` outside a run and
+/// while the thread is shutting down.
+fn with_lent<R>(f: impl FnOnce(&mut List) -> R) -> Option<R> {
+    LENT.try_with(|lent| lent.borrow_mut().as_mut().map(f)).ok().flatten()
 }
 
 /// `len` copies of `value`, in recycled storage when a buffer fits.
 pub(crate) fn filled(len: usize, value: f32) -> Vec<f32> {
-    match take(len) {
+    match with_lent(|list| list.take(len)).flatten() {
         Some(mut buf) => {
             buf.resize(len, value);
             buf
@@ -155,87 +112,80 @@ pub(crate) fn filled(len: usize, value: f32) -> Vec<f32> {
 /// An empty vector that holds `capacity` floats without reallocating, in
 /// recycled storage when a buffer fits.
 pub(crate) fn empty(capacity: usize) -> Vec<f32> {
-    take(capacity).unwrap_or_else(|| Vec::with_capacity(capacity))
+    with_lent(|list| list.take(capacity)).flatten().unwrap_or_else(|| Vec::with_capacity(capacity))
 }
 
-/// Hands `matrix`'s storage to the calling thread's free list, where the
+/// Hands `matrix`'s storage to the calling thread's lent list, where the
 /// next [`Matrix`] constructor asking for that much or less finds it. The
-/// contents are never read again. Storage below the list's floor, or given
-/// back while the thread is shutting down, is simply freed; the thread that
-/// gives a buffer back need not be the one that allocated it.
+/// contents are never read again. Outside a [`Pool::run`], or below the
+/// list's floor, the storage is simply freed; the thread that gives a
+/// buffer back need not be the one that allocated it.
 pub fn give_back(matrix: Matrix) {
     let buf = matrix.into_vec();
-    if buf.capacity() >= POOL_FLOOR {
-        // A failed `try_with` drops the closure, and the buffer with it.
-        let _ = FREE.try_with(|free| {
-            let mut free = free.borrow_mut();
-            if buf.capacity() >= free.floor() {
-                free.slots.push(Slot { buf, idle: 0 });
-            }
-        });
+    if buf.capacity() >= FLOOR {
+        // Without a list the closure is dropped, and the buffer with it.
+        with_lent(|list| list.slots.push(Slot { buf, idle: 0 }));
     }
 }
 
-/// Ends a lifetime on the calling thread: an owner gives back what it
-/// holds, then retires. Every listed buffer that has now sat out
+/// Ends a lifetime on the calling thread's lent list: an owner gives back
+/// what it holds, then retires. Every listed buffer that has now sat out
 /// `IDLE_LIFETIMES` lifetimes in a row — nothing in them asked for it — is
-/// freed.
+/// freed. Outside a [`Pool::run`] it does nothing.
 pub fn retire() {
-    let _ = FREE.try_with(|free| {
-        free.borrow_mut().slots.retain_mut(|slot| {
+    with_lent(|list| {
+        list.slots.retain_mut(|slot| {
             slot.idle += 1;
             slot.idle <= IDLE_LIFETIMES
         });
     });
 }
 
-/// Free lists for work a caller spreads over threads it does not keep: the
-/// node blocks of a training step or of a tape-free forward run on workers
-/// spawned for that call, so a thread's own list would die with every call,
-/// and a block's values are below its floor anyway. [`Pool::run`] lends one
-/// of the pool's lists to the calling thread for one call; a block is then
-/// built in the storage an earlier block gave back, whichever thread ran
-/// either. A list is lent to one thread at a time, so a pool holds as many
-/// lists as calls ever overlapped, and they are freed with the pool.
+/// Free lists that outlive the calls they are lent to: `fit`'s pool lives as
+/// long as the training run, the tape-free forward's as long as its model,
+/// so a step or a block on a worker spawned for one call is built in what
+/// an earlier one gave back. A list is lent to one thread at a time, so a
+/// pool holds as many lists as calls ever overlapped, freed with the pool.
 pub struct Pool {
     idle: Mutex<Vec<List>>,
 }
 
 impl Default for Pool {
     /// An empty pool, its bookkeeping allocated on the thread that will
-    /// free it (see [`POOL_FLOOR`] on small chunks freed elsewhere).
+    /// free it (see [`FLOOR`] on small chunks freed elsewhere).
     fn default() -> Self {
         Pool { idle: Mutex::new(Vec::with_capacity(64)) }
     }
 }
 
 impl Pool {
-    /// Runs `f` with one of the pool's lists as the calling thread's free
-    /// list (a new one when every list is lent out); the thread's own list
-    /// comes back on every way out, an unwind included.
+    /// Runs `f` with one of the pool's lists lent to the calling thread (a
+    /// new one when every list is lent out). Whatever the thread held before
+    /// — nothing, or another run's list — comes back on every way out, an
+    /// unwind included.
     pub fn run<R>(&self, f: impl FnOnce() -> R) -> R {
         let lent = self.idle.lock().unwrap_or_else(PoisonError::into_inner).pop();
-        let _lend = Lend { pool: self, own: swap(lent.unwrap_or_else(List::pooled)) };
+        let _lend = Lend { pool: self, before: swap(Some(lent.unwrap_or_else(List::new))) };
         f()
     }
 }
 
-/// Puts `list` in place of the calling thread's list and returns that one;
-/// `None` (and `list` freed) while the thread is shutting down.
-fn swap(list: List) -> Option<List> {
-    FREE.try_with(|free| std::mem::replace(&mut *free.borrow_mut(), list)).ok()
+/// Puts `list` in place of the calling thread's lent list and returns that
+/// one; `None` (and `list` freed) while the thread is shutting down.
+fn swap(list: Option<List>) -> Option<Option<List>> {
+    LENT.try_with(|lent| std::mem::replace(&mut *lent.borrow_mut(), list)).ok()
 }
 
-/// A list lent by [`Pool::run`]: dropping it gives the thread its own list
-/// back and the lent one back to the pool.
+/// A list lent by [`Pool::run`]: dropping it gives the thread what it held
+/// before and the lent list back to the pool.
 struct Lend<'a> {
     pool: &'a Pool,
-    own: Option<List>,
+    before: Option<Option<List>>,
 }
 
 impl Drop for Lend<'_> {
     fn drop(&mut self) {
-        if let Some(lent) = self.own.take().and_then(swap) {
+        if let Some(Some(lent)) = self.before.take().and_then(swap) {
             self.pool.idle.lock().unwrap_or_else(PoisonError::into_inner).push(lent);
         }
     }
@@ -245,20 +195,23 @@ impl Drop for Lend<'_> {
 mod tests {
     use super::*;
 
-    /// Capacities on this thread's list, ascending.
+    /// Capacities on this thread's lent list, ascending; empty outside a
+    /// run.
     fn listed() -> Vec<usize> {
         let mut caps: Vec<usize> =
-            FREE.with(|free| free.borrow().slots.iter().map(|slot| slot.buf.capacity()).collect());
+            with_lent(|list| list.slots.iter().map(|slot| slot.buf.capacity()).collect())
+                .unwrap_or_default();
         caps.sort_unstable();
         caps
     }
 
-    /// Runs `f` on a thread of its own, i.e. against an empty list.
+    /// Runs `f` on a thread of its own, in a fresh pool's run, i.e. against
+    /// an empty list.
     fn isolated(f: impl FnOnce() + Send + 'static) {
-        std::thread::spawn(f).join().expect("test thread panicked");
+        std::thread::spawn(|| Pool::default().run(f)).join().expect("test thread panicked");
     }
 
-    const N: usize = MIN_FLOATS;
+    const N: usize = 32 * FLOOR;
 
     #[test]
     fn best_fit_by_capacity_and_plain_allocation_when_nothing_fits() {
@@ -277,14 +230,19 @@ mod tests {
     }
 
     #[test]
-    fn small_storage_never_touches_the_list() {
-        isolated(|| {
-            give_back(Matrix::zeros(1, N - 1));
-            assert_eq!(listed(), [0usize; 0]);
+    fn outside_a_run_nothing_is_listed_and_storage_is_plain() {
+        std::thread::spawn(|| {
             give_back(Matrix::zeros(1, 2 * N));
-            let small = Matrix::zeros(1, N - 1);
-            assert_eq!((small.into_vec().capacity(), listed()), (N - 1, vec![2 * N]));
-        });
+            retire();
+            assert_eq!(listed(), [0usize; 0]);
+            // Fresh storage of exactly the size asked for, big or small.
+            assert_eq!(Matrix::zeros(1, N).into_vec().capacity(), N);
+            assert_eq!(Matrix::zeros(1, 3).into_vec().capacity(), 3);
+            // What was given back went to the allocator, not to a list.
+            Pool::default().run(|| assert_eq!(listed(), [0usize; 0]));
+        })
+        .join()
+        .expect("test thread panicked");
     }
 
     #[test]
@@ -368,13 +326,12 @@ mod tests {
     }
 
     #[test]
-    fn a_pool_list_keeps_block_storage_across_threads_and_leaves_the_thread_list_alone() {
+    fn a_pool_list_keeps_block_storage_across_threads() {
         let pool = Pool::default();
-        let block = POOL_FLOOR * 18;
+        let block = FLOOR * 18;
         // A block's storage, given back on one short-lived thread …
         std::thread::scope(|s| {
             let worker = s.spawn(|| {
-                give_back(Matrix::zeros(1, 2 * N));
                 pool.run(|| {
                     give_back(Matrix::zeros(1, block));
                     // A small matrix gets a page of its own, not the block's
@@ -382,45 +339,45 @@ mod tests {
                     let bias = Matrix::zeros(1, 3);
                     assert_eq!((bias.len(), listed()), (3, vec![block]));
                     give_back(bias);
-                    assert_eq!(listed(), [POOL_FLOOR, block]);
+                    assert_eq!(listed(), [FLOOR, block]);
                     retire();
                 });
-                assert_eq!(listed(), [2 * N], "the thread got its own list back");
+                assert_eq!(listed(), [0usize; 0], "the list went back with the run");
             });
             worker.join().expect("worker thread panicked");
         });
         // … is what the next block, on another thread, is built in.
-        isolated(move || {
+        std::thread::spawn(move || {
             pool.run(|| {
                 let m = Matrix::zeros(1, block - 1);
                 assert_eq!(m.into_vec().capacity(), block);
-                assert_eq!(Matrix::full(2, 5, 1.0).into_vec().capacity(), POOL_FLOOR);
+                assert_eq!(Matrix::full(2, 5, 1.0).into_vec().capacity(), FLOOR);
                 assert_eq!(listed(), [0usize; 0]);
             });
-            assert_eq!(listed(), [0usize; 0]);
-            give_back(Matrix::zeros(1, block));
-            assert_eq!(listed(), [0usize; 0], "a thread's own list keeps its own floor");
-            assert_eq!(Matrix::zeros(1, 3).into_vec().capacity(), 3);
-        });
+        })
+        .join()
+        .expect("test thread panicked");
     }
 
     #[test]
     fn lent_lists_come_back_on_an_unwind_and_overlapping_calls_get_lists_of_their_own() {
         let pool = Pool::default();
-        isolated(move || {
+        std::thread::spawn(move || {
             let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 pool.run(|| {
-                    give_back(Matrix::zeros(1, POOL_FLOOR));
+                    give_back(Matrix::zeros(1, FLOOR));
                     pool.run(|| assert_eq!(listed(), [0usize; 0], "a second list, not the first"));
                     panic!("block failed");
                 })
             }));
             assert!(unwound.is_err());
-            assert_eq!(listed(), [0usize; 0], "the unwind restored the thread's own list");
+            assert!(with_lent(|_| ()).is_none(), "the unwind took the lent list back");
             let lists = pool.idle.lock().unwrap_or_else(PoisonError::into_inner).len();
             assert_eq!(lists, 2, "both lent lists went back to the pool");
-            pool.run(|| assert_eq!(listed(), [POOL_FLOOR], "the last list back is lent first"));
-        });
+            pool.run(|| assert_eq!(listed(), [FLOOR], "the last list back is lent first"));
+        })
+        .join()
+        .expect("test thread panicked");
     }
 
     /// Capacities on each list `pool` holds, each ascending.
@@ -476,24 +433,27 @@ mod tests {
         struct GivesBackOnDrop(Option<Matrix>);
         impl Drop for GivesBackOnDrop {
             fn drop(&mut self) {
-                give_back(self.0.take().expect("dropped once"));
-                retire();
-                let _ = Matrix::zeros(1, N);
+                let m = self.0.take().expect("dropped once");
+                Pool::default().run(|| {
+                    give_back(m);
+                    retire();
+                    let _ = Matrix::zeros(1, N);
+                });
+                give_back(Matrix::zeros(1, N));
             }
         }
         thread_local! {
             static LATE: RefCell<Option<GivesBackOnDrop>> = const { RefCell::new(None) };
         }
-        isolated(|| {
-            // Thread-local destructors run in an unspecified order, so
-            // register the late giver after the list here and before it
-            // below.
-            give_back(Matrix::zeros(1, N));
-            LATE.with(|late| *late.borrow_mut() = Some(GivesBackOnDrop(Some(Matrix::zeros(1, N)))));
-        });
-        isolated(|| {
-            LATE.with(|late| *late.borrow_mut() = Some(GivesBackOnDrop(Some(Matrix::zeros(1, N)))));
-            give_back(Matrix::zeros(1, N));
-        });
+        let late = || Some(GivesBackOnDrop(Some(Matrix::zeros(1, N))));
+        // Thread-local destructors run in an unspecified order, so register
+        // the late giver after the lent list here and before it below.
+        isolated(move || LATE.with(|slot| *slot.borrow_mut() = late()));
+        std::thread::spawn(move || {
+            LATE.with(|slot| *slot.borrow_mut() = late());
+            Pool::default().run(|| give_back(Matrix::zeros(1, N)));
+        })
+        .join()
+        .expect("test thread panicked");
     }
 }
