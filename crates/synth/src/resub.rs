@@ -1,12 +1,20 @@
 //! Simulation-driven resubstitution (ABC `resub`).
 //!
-//! Two nodes whose 64-bit random simulation signatures agree on several
-//! independent seeds are functionally equivalent with overwhelming
-//! probability; resubstitution redirects all fanouts of the later node to
-//! the earlier one (or its complement), letting dead-code removal reclaim
-//! the duplicate cone. As a hard safeguard the whole pass is verified with
-//! fresh random patterns and rolled back if any PO changed — the pass is
-//! deterministic and sound by construction.
+//! Two nodes whose simulation signatures agree are merged: the later node's
+//! fanouts are redirected to the earlier one (or its complement), and
+//! dead-code removal reclaims the duplicate cone. What a merge rests on
+//! depends on the AIG's input count:
+//! - up to [`EXHAUSTIVE_PI_LIMIT`] inputs the signatures cover every input
+//!   pattern, so each merge is proven, and the pass is checked exhaustively;
+//! - above that limit a merge rests on 512 random patterns (8 × 64,
+//!   near-constant signatures excluded), and the pass is re-checked on 512
+//!   fresh ones and rolled back if any output changed. That is a filter,
+//!   not a proof: cones that differ only where no sample looked are merged.
+//!
+//! A recipe's result then meets the label guard (`crate::guard`): 2 × 64
+//! more random patterns, and a SAT miter only when its conflict budget is
+//! set, which it is not by default. ROADMAP item 18 found default Table 2
+//! labels computed on circuits a SAT miter refutes at an `rs` step.
 
 use crate::guard::{PassExhausted, WorkMeter};
 use hoga_circuit::simulate::{
@@ -29,8 +37,9 @@ const MIN_SIGNATURE_ACTIVITY: u32 = 8;
 
 /// Returns a resubstituted copy of `aig` (PI/PO interface preserved).
 ///
-/// `seed` controls the random simulation patterns; any seed yields a valid
-/// (verified) result, different seeds may find different merges.
+/// `seed` controls the random simulation patterns; different seeds may
+/// find different merges. Above [`EXHAUSTIVE_PI_LIMIT`] inputs the result
+/// is checked on random patterns only (see the module docs).
 pub fn resub(aig: &Aig, seed: u64) -> Aig {
     let mut meter = WorkMeter::unlimited();
     resub_bounded(aig, seed, &mut meter).unwrap_or_else(|_| unreachable!("unlimited meter"))
