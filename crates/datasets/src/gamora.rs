@@ -31,7 +31,10 @@ pub struct ReasoningConfig {
     pub lut_k: usize,
     /// Hops `K` for hop features (paper: 8).
     pub num_hops: usize,
-    /// Cut size for the functional labeler.
+    /// Cut size the functional labeler enumerates at (3 to 6). The labels
+    /// are the same for every value — the labeler classifies cuts of at
+    /// most three leaves, which every size enumerates alike — so a value
+    /// above 3 only costs enumeration time (see `label_nodes`).
     pub label_k: usize,
 }
 

@@ -898,10 +898,14 @@ pub fn predict_reasoning(model: &ReasonModel, graph: &ReasoningGraph) -> Vec<usi
         ReasonModel::Sage(m, cls) => {
             let mean_adj = Arc::new(hoga_circuit::adjacency::normalized_mean(&graph.aig));
             let mean_adj_t = Arc::new(mean_adj.transpose());
-            let mut ops = NoTape::new();
-            let reps = m.forward(&mut ops, &mean_adj, &mean_adj_t, &graph.features);
-            let logits = cls.logits(&mut ops, &m.params, reps);
-            argmax_rows(ops.value(logits))
+            // In a pool, so each value the holder gives back after its last
+            // reader is storage for a later one.
+            Pool::default().run(|| {
+                let mut ops = NoTape::new();
+                let reps = m.forward(&mut ops, &mean_adj, &mean_adj_t, &graph.features);
+                let logits = cls.logits(&mut ops, &m.params, reps);
+                argmax_rows(ops.value(logits))
+            })
         }
     }
 }
@@ -1239,6 +1243,9 @@ pub fn eval_qor_with_target(
 ) -> Vec<QorEval> {
     let samples = if use_train { &ds.train } else { &ds.test };
     let mut out = Vec::new();
+    // The GCN's whole-design forwards run in one pool, as the HOGA blocks
+    // run in the model's.
+    let pool = Pool::default();
     for (design_idx, group) in group_by_design(samples) {
         let design = &ds.designs[design_idx];
         let (reps, reg, params) = match model {
@@ -1247,9 +1254,12 @@ pub fn eval_qor_with_target(
                 (design_reps(m, design, &every_node), reg, &m.params)
             }
             QorModel::Gcn(m, reg) => {
-                let mut ops = NoTape::new();
-                let reps = m.forward(&mut ops, &design.adj, &design.features);
-                (ops.value(reps).clone(), reg, &m.params)
+                let reps = pool.run(|| {
+                    let mut ops = NoTape::new();
+                    let reps = m.forward(&mut ops, &design.adj, &design.features);
+                    ops.value(reps).clone()
+                });
+                (reps, reg, &m.params)
             }
         };
         let scored = reg.score(params, &reps, &recipe_rows(&group));

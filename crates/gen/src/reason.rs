@@ -141,10 +141,12 @@ fn flip_inputs(tt: u64, n: usize, phase: u64) -> u64 {
 
 /// Labels every node of `aig` by exhaustive cut-function detection.
 ///
-/// Returns one [`NodeClass`] per node. `k` is the cut size used for
-/// detection; 3 suffices for XOR3/MAJ3 and larger values only add cost
-/// (4 is a good default after technology mapping, where a sum root's
-/// minimal cut can have an extra leaf).
+/// Returns one [`NodeClass`] per node. `k` is the cut size the cuts are
+/// enumerated at, but only cuts of two or three leaves are classified
+/// (XOR2, XOR3, MAJ3), and those are the same for every `k` from 3 on: a
+/// cut that small merges from children's cuts as small, which every `k`
+/// enumerates first. So the labels never depend on `k` (a property test
+/// holds this for `k` in 3..=6); a `k` above 3 only adds enumeration cost.
 ///
 /// # Panics
 ///

@@ -21,9 +21,11 @@
 //! Training-path methods (`fma_row`, `fma_row4`, `fma_panel6`,
 //! `score_tile`, `transpose`, `sum`, the eight-lane `sum8`,
 //! `sq_diff_sum8` and `matvec8`, and the element-wise ops) are **bitwise
-//! identical** across all backends: element-wise lanes perform exactly
-//! the scalar `mul` + `add` per element (never a fused multiply-add) and
-//! reductions keep the scalar ascending order. The
+//! identical** across all backends. A dense product's step is one
+//! correctly rounded fused multiply-add per `k` (`f32::mul_add` here,
+//! `vfmadd` in the SIMD lanes), in ascending `k`; the element-wise ops
+//! and the LayerNorm reductions keep a separate multiply and add, and
+//! every reduction keeps the scalar ascending order. The
 //! `*_fast` methods are inference-only: they reduce through a fixed
 //! 8-lane tree and fuse multiply-adds, which reassociates the float sums
 //! within a documented ULP bound of the training-path result (see
@@ -145,8 +147,8 @@ pub(crate) trait KernelBackend {
     /// Implementation name for bench/report labels.
     const NAME: &'static str;
 
-    /// `acc[i] += a * b[i]` (training path; exactly one multiply and one
-    /// add per element, in index order). Skips the whole row when `a` is
+    /// `acc[i] = a.mul_add(b[i], acc[i])` (training path; exactly one
+    /// fused multiply-add, one rounding, per element). Skips the whole row when `a` is
     /// bitwise zero — the sparsity fast path the matmul family relies on;
     /// the skip must live here because adding `±0.0 * b[i]` is *not* a
     /// bitwise no-op (`-0.0 + 0.0 == +0.0`, and `b[i]` may be non-finite).
@@ -156,13 +158,13 @@ pub(crate) trait KernelBackend {
             return;
         }
         for (x, &y) in acc.iter_mut().zip(b) {
-            *x += a * y;
+            *x = a.mul_add(y, *x);
         }
     }
 
     /// Four consecutive [`KernelBackend::fma_row`] steps with one
-    /// accumulator load/store per element: per element the operation
-    /// sequence `(((acc + a0·b0) + a1·b1) + a2·b2) + a3·b3` is exactly
+    /// accumulator load/store per element: per element the chain of four
+    /// fused steps, `a0·b0 + acc` first and `a3·b3 + …` last, is exactly
     /// the four separate passes, so results stay bitwise identical while
     /// the memory traffic on `acc` drops 4×.
     fn fma_row4(acc: &mut [f32], a: [f32; 4], b: [&[f32]; 4]) {
@@ -175,13 +177,14 @@ pub(crate) trait KernelBackend {
         }
         let (b0, b1, b2, b3) = (b[0], b[1], b[2], b[3]);
         for (j, x) in acc.iter_mut().enumerate() {
-            *x = (((*x + a[0] * b0[j]) + a[1] * b1[j]) + a[2] * b2[j]) + a[3] * b3[j];
+            let x01 = a[1].mul_add(b1[j], a[0].mul_add(b0[j], *x));
+            *x = a[3].mul_add(b3[j], a[2].mul_add(b2[j], x01));
         }
     }
 
-    /// Inference-only `acc[i] += a * b[i]` that may fuse the multiply and
-    /// add (`f32::mul_add`, correctly rounded). Keeps the bitwise-zero
-    /// skip.
+    /// Inference-only `acc[i] += a * b[i]`, fused (`f32::mul_add`,
+    /// correctly rounded), with the bitwise-zero skip: the chain of
+    /// [`KernelBackend::fma_row`], kept as the fused product's own row.
     fn fma_row_fast(acc: &mut [f32], a: f32, b: &[f32]) {
         // analyze: allow(float-equality) — exact-zero sparsity fast path; skipping only bitwise zeros cannot change the accumulated sum
         if a == 0.0 {
@@ -198,7 +201,7 @@ pub(crate) trait KernelBackend {
     /// all six rows — blocking rows over one panel is what lets a SIMD
     /// override keep the accumulators in registers for the whole panel
     /// instead of spilling them every few k-steps. Per output element the
-    /// operation sequence is still one mul + one add per `dk` in
+    /// operation sequence is still one fused multiply-add per `dk` in
     /// ascending order (with the bitwise-zero skip), so every
     /// implementation is bitwise identical to six
     /// [`KernelBackend::fma_row`] sweeps.
@@ -227,9 +230,9 @@ pub(crate) trait KernelBackend {
     /// One block of the batched `Q·Kᵀ` (Eq. 7's score tile; training
     /// path). `out` is `rows × cols`, `q` is `rows × d`, and `kt` is the
     /// block's K transposed: `d` rows of `stride` floats, tile column `j`
-    /// in lane `j`. Each output element is `+0.0`, then `+= q·k` for each
-    /// `kk` in ascending order — one multiply and one add, no fused
-    /// multiply-add and **no zero skip** — so every implementation is
+    /// in lane `j`. Each output element is `+0.0`, then `q.mul_add(k, ..)`
+    /// for each `kk` in ascending order — one fused multiply-add and **no
+    /// zero skip** — so every implementation is
     /// bitwise the naive `Matrix::gemm_reference` of `Gemm::NT.batched(..)`, NaN and ∞
     /// included. `stride` is a multiple of 8 and at least `cols`, so a SIMD
     /// override can load whole 8-lane groups; lanes from `cols` on are
@@ -240,7 +243,7 @@ pub(crate) trait KernelBackend {
             for kk in 0..d {
                 let qv = q[i * d + kk];
                 for (o, &kv) in orow.iter_mut().zip(&kt[kk * stride..]) {
-                    *o += qv * kv;
+                    *o = qv.mul_add(kv, *o);
                 }
             }
         }
@@ -359,15 +362,15 @@ pub(crate) trait KernelBackend {
 
     /// Eight rows of a one-column product (training path): `at` is the
     /// rows' transpose, `x.len()` rows of eight lanes with row `r` in lane
-    /// `r`, and `acc[r] += at[kk·8 + r] · x[kk]` for each `kk` ascending —
-    /// one multiply and one add, bitwise-zero coefficients skipped, the
+    /// `r`, and `acc[r] = at[kk·8 + r].mul_add(x[kk], acc[r])` for each `kk`
+    /// ascending — one fused multiply-add, bitwise-zero coefficients skipped, the
     /// chain of [`KernelBackend::fma_row`] down one output column.
     fn matvec8(acc: &mut [f32; 8], at: &[f32], x: &[f32]) {
         for (a8, &xv) in at.chunks_exact(8).zip(x) {
             for (s, &av) in acc.iter_mut().zip(a8) {
                 // analyze: allow(float-equality) — exact-zero sparsity fast path; skipping only bitwise zeros cannot change the accumulated sum
                 if av != 0.0 {
-                    *s += av * xv;
+                    *s = av.mul_add(xv, *s);
                 }
             }
         }

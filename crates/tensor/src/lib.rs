@@ -16,10 +16,12 @@
 //! its inputs — never of the thread count or the [`Backend`]
 //! the CPU resolved to — because chunk decompositions depend only on shapes,
 //! partial results are reduced in a fixed order, and SIMD lanes replay the
-//! identical per-element operations (see `docs/PERFORMANCE.md`). The
+//! identical per-element operations — one fused multiply-add per `k` in
+//! every dense product (see `docs/PERFORMANCE.md`). The
 //! inference-only fused kernels (`Gemm::fused`, the `*_fast` rows) trade
-//! that bitwise contract for fused multiply-adds and lane-parallel
-//! reductions with a documented ULP bound against the naive oracles
+//! that bitwise contract for lane-parallel reductions (and fused
+//! multiply-adds where the exact kernels keep a separate multiply and
+//! add) with a documented ULP bound against the naive oracles
 //! (`Matrix::gemm_reference` for every dense product).
 //!
 //! Unsafe code is confined to one audited module: only `src/simd.rs`

@@ -63,7 +63,7 @@ pub enum Layout {
 /// [`Layout`], whether it multiplies the whole operands (`batch` is
 /// `None`) or `batch` stacked blocks of each (block `i` of the result is
 /// block `i` of `a` times block `i` of `b`, Eq. 7's per-node products), and
-/// whether its multiply-adds may fuse (inference only). Build one from
+/// whether it may reassociate for speed (inference only). Build one from
 /// [`Gemm::NN`], [`Gemm::NT`] or [`Gemm::TN`]:
 ///
 /// ```
@@ -83,9 +83,18 @@ pub struct Gemm {
     /// skips zero coefficients as `a · b` does, and an unbatched `aᵀ · b`
     /// sums chunk partials, so `Some(1)` is not `None`.
     pub batch: Option<usize>,
-    /// Whether multiply-adds may fuse (`a · b` and batched `a · bᵀ`; the
-    /// unbatched `a · bᵀ` is `a · b` over a transposed copy, and `aᵀ · b`
-    /// has no fused body and computes exactly).
+    /// Whether the product may reassociate for speed (`a · b` and batched
+    /// `a · bᵀ`; the unbatched `a · bᵀ` is `a · b` over a transposed copy,
+    /// and `aᵀ · b` has no fused body and computes exactly). A batched
+    /// `a · bᵀ` then runs lane-parallel dot products. The fused `a · b`
+    /// runs the exact chain — one fused multiply-add per `k`, ascending,
+    /// zero coefficients skipped — one row at a time without the
+    /// register tile, so it gives [`Gemm::NN`]'s bits far more slowly
+    /// (about 75× at the trainer's shapes). It stays as it is because the
+    /// benchmark's `batch_infer_fast` workload runs it through
+    /// [`Matrix::matmul_fast`]: routed to the tile, that workload would
+    /// move further in one change than its run-to-run comparison can
+    /// judge (ROADMAP, fact 3).
     pub fused: bool,
 }
 
@@ -461,8 +470,8 @@ impl Matrix {
     /// * `aᵀ · b` unbatched sums fixed `k`-chunk partials in ascending
     ///   order; a block is one chunk.
     ///
-    /// Exact, every output element is `+0.0`, then one multiply and one add
-    /// per `k`, ascending — bitwise-zero coefficients skipped, except in a
+    /// Exact, every output element is `+0.0`, then one correctly rounded
+    /// fused multiply-add per `k`, ascending — bitwise-zero coefficients skipped, except in a
     /// batched `a · bᵀ`, which skips nothing and so is
     /// [`Matrix::gemm_reference`] bit for bit on every input — and the
     /// unbatched `aᵀ · b` of more than 2¹⁸ multiply-adds adds its chunk
@@ -600,9 +609,10 @@ impl Matrix {
     /// `out += a · b` over cache panels of `b`: the row body of every dense
     /// product. `out` holds `out.len() / n` rows of `n` floats, row `i` of
     /// `a` is `a[i·k..(i+1)·k]`, and `b` is `k × n`. Per output element the
-    /// chain is one multiply and one add per `k` (one fused multiply-add
-    /// under `FAST`), ascending, bitwise-zero coefficients skipped — for
-    /// any panel length, row grouping or backend.
+    /// chain is one fused multiply-add per `k`, ascending, bitwise-zero
+    /// coefficients skipped — for any panel length, row grouping or
+    /// backend, and under `FAST` too, whose rows run the same chain through
+    /// [`KernelBackend::fma_row_fast`].
     fn panel_rows<B: KernelBackend, const FAST: bool>(
         a: &[f32],
         k: usize,
@@ -672,7 +682,7 @@ impl Matrix {
     /// element at a time down a single dependency chain; here each block of
     /// eight rows is transposed into `at` so that the rows sit in the eight
     /// lanes of [`KernelBackend::matvec8`], each lane on the chain the
-    /// kernel contract fixes — one multiply and one add per `k`, ascending,
+    /// kernel contract fixes — one fused multiply-add per `k`, ascending,
     /// bitwise-zero coefficients skipped — so the bits are the panel's.
     fn matvec_rows<B: KernelBackend>(
         a: &[f32],
@@ -759,8 +769,8 @@ impl Matrix {
     }
 
     /// `out += aᵀ · b` for the `m × n` `out`, `a` and `b` holding the same
-    /// number of `m`- and `n`-float rows: every element one multiply and one
-    /// add per row, in ascending order, bitwise-zero coefficients of `a`
+    /// number of `m`- and `n`-float rows: every element one fused
+    /// multiply-add per row, in ascending order, bitwise-zero coefficients of `a`
     /// skipped, `out` carrying the chain. A `k`-chunk or a block of
     /// `Gemm::TN` (and a [`Matrix::matmul_tn_chunk`], and a run of a
     /// [`TnFold`]); `scratch` holds the transposes.
@@ -819,7 +829,7 @@ impl Matrix {
             for (arow, &bv) in a.chunks_exact(m).zip(b[j..].iter().step_by(n)) {
                 for (o, &av) in acc.iter_mut().zip(arow) {
                     // analyze: allow(float-equality) — exact-zero sparsity fast path; skipping only bitwise zeros cannot change the accumulated sum
-                    *o = if av == 0.0 { *o } else { *o + av * bv };
+                    *o = if av == 0.0 { *o } else { av.mul_add(bv, *o) };
                 }
             }
         }
@@ -829,9 +839,9 @@ impl Matrix {
     }
 
     /// The naive oracle of [`Matrix::gemm`]: per block, every element is
-    /// `0.0` plus one product per `k` in ascending order, nothing skipped and
-    /// nothing fused (`g.fused` is ignored: this is the chain a fused
-    /// product is bounded against).
+    /// `0.0`, then one fused multiply-add (`f32::mul_add`) per `k` in
+    /// ascending order, nothing skipped (`g.fused` is ignored: this is the
+    /// chain a fused product is bounded against).
     ///
     /// # Panics
     ///
@@ -853,7 +863,7 @@ impl Matrix {
                             Layout::Nn | Layout::Tn => b[(bi * k + kk) * n + j],
                             Layout::Nt => b[(bi * n + j) * k + kk],
                         };
-                        acc += av * bv;
+                        acc = av.mul_add(bv, acc);
                     }
                     out.data[(bi * m + i) * n + j] = acc;
                 }

@@ -35,11 +35,13 @@
 //!
 //! # Scope and determinism
 //!
-//! The backends override the training-path methods with `vmulps` +
-//! `vaddps` (ymm, and zmm in the AVX-512 panel tile) — the same two IEEE
-//! roundings per element as the scalar loops, in the same per-element
-//! order (the transpose only moves floats, and a masked lane keeps its
-//! value exactly as the scalar zero skip does) — so every override is
+//! The backends override the dense-product methods with `vfmadd` (ymm,
+//! and zmm in the AVX-512 panel tile) — one correctly rounded fused
+//! multiply-add per element and `k`, as the scalar loops' `f32::mul_add`,
+//! in the same per-element order (a masked lane keeps its value exactly
+//! as the scalar zero skip does) — and the element-wise and LayerNorm
+//! methods with `vmulps`, `vaddps` and `vsubps` as the scalar loops
+//! spell them (the transpose only moves floats), so every override is
 //! bitwise identical to [`ScalarKernels`](crate::backend::ScalarKernels).
 //!
 //! They override the two int8 methods as well, bit for bit on every
@@ -60,16 +62,15 @@
 use crate::backend::{quant_params, quantize_value, split_pair, KernelBackend, TRANSPOSE_TILE};
 use std::arch::x86_64::{
     _mm256_add_epi32, _mm256_add_ps, _mm256_and_ps, _mm256_andnot_ps, _mm256_blendv_ps,
-    _mm256_castsi256_si128, _mm256_cmp_ps, _mm256_cvtps_epi32, _mm256_div_ps, _mm256_loadu_ps,
-    _mm256_loadu_si256, _mm256_madd_epi16, _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps,
-    _mm256_or_ps, _mm256_packs_epi16, _mm256_packs_epi32, _mm256_permute2f128_ps,
+    _mm256_castsi256_si128, _mm256_cmp_ps, _mm256_cvtps_epi32, _mm256_div_ps, _mm256_fmadd_ps,
+    _mm256_loadu_ps, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_max_ps, _mm256_min_ps,
+    _mm256_mul_ps, _mm256_or_ps, _mm256_packs_epi16, _mm256_packs_epi32, _mm256_permute2f128_ps,
     _mm256_permutevar8x32_epi32, _mm256_round_ps, _mm256_set1_epi32, _mm256_set1_ps,
     _mm256_setr_epi32, _mm256_setzero_ps, _mm256_setzero_si256, _mm256_shuffle_ps,
     _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps,
-    _mm512_add_epi32, _mm512_add_ps, _mm512_loadu_ps, _mm512_loadu_si512, _mm512_madd_epi16,
-    _mm512_mul_ps, _mm512_set1_epi32, _mm512_set1_ps, _mm512_setzero_si512, _mm512_storeu_ps,
-    _mm512_storeu_si512, _mm_storel_epi64, _CMP_GE_OQ, _CMP_NEQ_UQ, _CMP_ORD_Q, _MM_FROUND_NO_EXC,
-    _MM_FROUND_TO_ZERO,
+    _mm512_add_epi32, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_loadu_si512, _mm512_madd_epi16,
+    _mm512_set1_epi32, _mm512_set1_ps, _mm512_setzero_si512, _mm512_storeu_ps, _mm512_storeu_si512,
+    _mm_storel_epi64, _CMP_GE_OQ, _CMP_NEQ_UQ, _CMP_ORD_Q, _MM_FROUND_NO_EXC, _MM_FROUND_TO_ZERO,
 };
 use std::sync::OnceLock;
 
@@ -208,12 +209,12 @@ unsafe fn fma_row_avx2(acc: &mut [f32], a: f32, b: &[f32]) {
         // SAFETY: both chunks are exactly 8 contiguous f32s.
         let x = _mm256_loadu_ps(x8.as_ptr());
         let y = _mm256_loadu_ps(y8.as_ptr());
-        // mul + add (not fmadd): two roundings, matching the scalar loop.
-        _mm256_storeu_ps(x8.as_mut_ptr(), _mm256_add_ps(x, _mm256_mul_ps(va, y)));
+        // One rounding per element, as the scalar loop's mul_add.
+        _mm256_storeu_ps(x8.as_mut_ptr(), _mm256_fmadd_ps(va, y, x));
         tail_at += 8;
     }
     for (x, &y) in acc[tail_at..].iter_mut().zip(tb) {
-        *x += a * y;
+        *x = a.mul_add(y, *x);
     }
 }
 
@@ -228,39 +229,40 @@ unsafe fn fma_row4_avx2(acc: &mut [f32], a: [f32; 4], b: [&[f32]; 4]) {
     while j + 8 <= acc.len() {
         // SAFETY: j + 8 <= len for acc and the equally long b rows.
         let mut x = _mm256_loadu_ps(acc.as_ptr().add(j));
-        x = _mm256_add_ps(x, _mm256_mul_ps(va0, _mm256_loadu_ps(b0.as_ptr().add(j))));
-        x = _mm256_add_ps(x, _mm256_mul_ps(va1, _mm256_loadu_ps(b1.as_ptr().add(j))));
-        x = _mm256_add_ps(x, _mm256_mul_ps(va2, _mm256_loadu_ps(b2.as_ptr().add(j))));
-        x = _mm256_add_ps(x, _mm256_mul_ps(va3, _mm256_loadu_ps(b3.as_ptr().add(j))));
+        x = _mm256_fmadd_ps(va0, _mm256_loadu_ps(b0.as_ptr().add(j)), x);
+        x = _mm256_fmadd_ps(va1, _mm256_loadu_ps(b1.as_ptr().add(j)), x);
+        x = _mm256_fmadd_ps(va2, _mm256_loadu_ps(b2.as_ptr().add(j)), x);
+        x = _mm256_fmadd_ps(va3, _mm256_loadu_ps(b3.as_ptr().add(j)), x);
         _mm256_storeu_ps(acc.as_mut_ptr().add(j), x);
         j += 8;
     }
     while j < acc.len() {
-        acc[j] = (((acc[j] + a[0] * b0[j]) + a[1] * b1[j]) + a[2] * b2[j]) + a[3] * b3[j];
+        let x01 = a[1].mul_add(b1[j], a[0].mul_add(b0[j], acc[j]));
+        acc[j] = a[3].mul_add(b3[j], a[2].mul_add(b2[j], x01));
         j += 1;
     }
 }
 
 /// One `+= a · b` step of a tile row: two vectors of `b` times one
-/// broadcast a-value, multiply then add (never fused).
+/// broadcast a-value, each one fused multiply-add.
 macro_rules! tile_step {
-    ($set1:ident, $add:ident, $mul:ident; $av:expr, $b0:ident, $b1:ident, $lo:ident, $hi:ident) => {{
+    ($set1:ident, $fmadd:ident; $av:expr, $b0:ident, $b1:ident, $lo:ident, $hi:ident) => {{
         let va = $set1($av);
-        $lo = $add($lo, $mul(va, $b0));
-        $hi = $add($hi, $mul(va, $b1));
+        $lo = $fmadd(va, $b0, $lo);
+        $hi = $fmadd(va, $b1, $hi);
     }};
 }
 
 /// [`tile_step!`] for row `$r` at a flagged k-step: skipped when that
 /// row's a-value is a bitwise zero.
 macro_rules! tile_step_skip_zero {
-    ($set1:ident, $add:ident, $mul:ident; $ap:ident, $r:literal, $dk:ident,
+    ($set1:ident, $fmadd:ident; $ap:ident, $r:literal, $dk:ident,
      $b0:ident, $b1:ident, $lo:ident, $hi:ident) => {{
         // SAFETY: $dk < klen and every a row is klen long.
         let av = *$ap[$r].add($dk);
         // analyze: allow(float-equality) — exact-zero sparsity fast path; skipping only bitwise zeros cannot change the accumulated sum
         if av != 0.0 {
-            tile_step!($set1, $add, $mul; av, $b0, $b1, $lo, $hi);
+            tile_step!($set1, $fmadd; av, $b0, $b1, $lo, $hi);
         }
     }};
 }
@@ -275,7 +277,7 @@ macro_rules! tile_step_skip_zero {
 /// arrays the allocator spills the tile to the stack and the kernel runs
 /// at half speed, so the unroll is written out.
 macro_rules! panel6_tile {
-    ($lanes:literal, $load:ident, $store:ident, $set1:ident, $add:ident, $mul:ident;
+    ($lanes:literal, $load:ident, $store:ident, $set1:ident, $fmadd:ident;
      $acc:ident, $ap:ident, $zmask:ident, $klen:ident, $b:ident, $n:ident, $j:ident) => {
         while $j + 2 * $lanes <= $n {
             let j = $j;
@@ -293,7 +295,7 @@ macro_rules! panel6_tile {
             let mut lo5 = $load($acc[5].as_ptr().add(j));
             let mut hi5 = $load($acc[5].as_ptr().add(j + $lanes));
             // Iterate maximal zero-free runs of k so the hot loop is twelve
-            // unconditional multiply-adds with no branch diamond — a per-step
+            // unconditional fused multiply-adds with no branch diamond — a per-step
             // flag test makes the allocator shuffle the tile through the
             // stack. Flagged k-steps (some a-value is bitwise zero) run one
             // at a time between runs with the per-row skip.
@@ -307,12 +309,12 @@ macro_rules! panel6_tile {
                     let brow = $b.as_ptr().add(kk * $n + j);
                     let b0 = $load(brow);
                     let b1 = $load(brow.add($lanes));
-                    tile_step!($set1, $add, $mul; *$ap[0].add(kk), b0, b1, lo0, hi0);
-                    tile_step!($set1, $add, $mul; *$ap[1].add(kk), b0, b1, lo1, hi1);
-                    tile_step!($set1, $add, $mul; *$ap[2].add(kk), b0, b1, lo2, hi2);
-                    tile_step!($set1, $add, $mul; *$ap[3].add(kk), b0, b1, lo3, hi3);
-                    tile_step!($set1, $add, $mul; *$ap[4].add(kk), b0, b1, lo4, hi4);
-                    tile_step!($set1, $add, $mul; *$ap[5].add(kk), b0, b1, lo5, hi5);
+                    tile_step!($set1, $fmadd; *$ap[0].add(kk), b0, b1, lo0, hi0);
+                    tile_step!($set1, $fmadd; *$ap[1].add(kk), b0, b1, lo1, hi1);
+                    tile_step!($set1, $fmadd; *$ap[2].add(kk), b0, b1, lo2, hi2);
+                    tile_step!($set1, $fmadd; *$ap[3].add(kk), b0, b1, lo3, hi3);
+                    tile_step!($set1, $fmadd; *$ap[4].add(kk), b0, b1, lo4, hi4);
+                    tile_step!($set1, $fmadd; *$ap[5].add(kk), b0, b1, lo5, hi5);
                 }
                 dk = end;
                 if dk < $klen {
@@ -320,12 +322,12 @@ macro_rules! panel6_tile {
                     let brow = $b.as_ptr().add(dk * $n + j);
                     let b0 = $load(brow);
                     let b1 = $load(brow.add($lanes));
-                    tile_step_skip_zero!($set1, $add, $mul; $ap, 0, dk, b0, b1, lo0, hi0);
-                    tile_step_skip_zero!($set1, $add, $mul; $ap, 1, dk, b0, b1, lo1, hi1);
-                    tile_step_skip_zero!($set1, $add, $mul; $ap, 2, dk, b0, b1, lo2, hi2);
-                    tile_step_skip_zero!($set1, $add, $mul; $ap, 3, dk, b0, b1, lo3, hi3);
-                    tile_step_skip_zero!($set1, $add, $mul; $ap, 4, dk, b0, b1, lo4, hi4);
-                    tile_step_skip_zero!($set1, $add, $mul; $ap, 5, dk, b0, b1, lo5, hi5);
+                    tile_step_skip_zero!($set1, $fmadd; $ap, 0, dk, b0, b1, lo0, hi0);
+                    tile_step_skip_zero!($set1, $fmadd; $ap, 1, dk, b0, b1, lo1, hi1);
+                    tile_step_skip_zero!($set1, $fmadd; $ap, 2, dk, b0, b1, lo2, hi2);
+                    tile_step_skip_zero!($set1, $fmadd; $ap, 3, dk, b0, b1, lo3, hi3);
+                    tile_step_skip_zero!($set1, $fmadd; $ap, 4, dk, b0, b1, lo4, hi4);
+                    tile_step_skip_zero!($set1, $fmadd; $ap, 5, dk, b0, b1, lo5, hi5);
                     dk += 1;
                 }
             }
@@ -350,8 +352,8 @@ macro_rules! panel6_tile {
 /// The register-tiled heart of the row-blocked training matmul: a 6-row ×
 /// 16-column accumulator tile lives in twelve ymm registers for the whole
 /// k-panel, so the output touches memory once per panel instead of once
-/// per four k-steps. Each element still sees exactly one mul + one add
-/// per k in ascending order, and the
+/// per four k-steps. Each element still sees exactly one fused
+/// multiply-add per k in ascending order, and the
 /// bitwise-zero skip branches per `(row, k)` — identical semantics to
 /// six [`KernelBackend::fma_row`] sweeps, load/store traffic 16× lower.
 #[target_feature(enable = "avx2,fma")]
@@ -359,7 +361,7 @@ unsafe fn fma_panel6_avx2(mut acc: [&mut [f32]; 6], a: [&[f32]; 6], b: &[f32], n
     let (ap, zmask, klen) = panel6_operands(&acc, &a, b, n);
     let mut j = 0;
     panel6_tile!(
-        8, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_set1_ps, _mm256_add_ps, _mm256_mul_ps;
+        8, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_set1_ps, _mm256_fmadd_ps;
         acc, ap, zmask, klen, b, n, j
     );
     panel6_columns(&mut acc, &a, b, n, j);
@@ -367,7 +369,7 @@ unsafe fn fma_panel6_avx2(mut acc: [&mut [f32]; 6], a: [&[f32]; 6], b: &[f32], n
 
 /// [`fma_panel6_avx2`] with a 6-row × 32-column tile in twelve zmm
 /// registers in front: the same chains, the same zero-run mask and skip,
-/// twice the columns per `vmulps` + `vaddps`. The ymm tile takes a
+/// twice the columns per `vfmadd`. The ymm tile takes a
 /// 16-column group left over, and the scalar chains the last columns.
 ///
 /// # Safety
@@ -378,11 +380,11 @@ unsafe fn fma_panel6_avx512(mut acc: [&mut [f32]; 6], a: [&[f32]; 6], b: &[f32],
     let (ap, zmask, klen) = panel6_operands(&acc, &a, b, n);
     let mut j = 0;
     panel6_tile!(
-        16, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_set1_ps, _mm512_add_ps, _mm512_mul_ps;
+        16, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_set1_ps, _mm512_fmadd_ps;
         acc, ap, zmask, klen, b, n, j
     );
     panel6_tile!(
-        8, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_set1_ps, _mm256_add_ps, _mm256_mul_ps;
+        8, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_set1_ps, _mm256_fmadd_ps;
         acc, ap, zmask, klen, b, n, j
     );
     panel6_columns(&mut acc, &a, b, n, j);
@@ -432,7 +434,7 @@ fn panel6_columns(acc: &mut [&mut [f32]; 6], a: &[&[f32]; 6], b: &[f32], n: usiz
                 if av == 0.0 {
                     continue;
                 }
-                x += av * b[dk * n + jj];
+                x = av.mul_add(b[dk * n + jj], x);
             }
             accr[jj] = x;
         }
@@ -443,8 +445,8 @@ fn panel6_columns(acc: &mut [&mut [f32]; 6], a: &[&[f32]; 6], b: &[f32], n: usiz
 /// lanes of one or two ymm registers per row — a 16-column group, the
 /// whole tile at K + 1 ≤ 16 — and three rows advance abreast, so each `kk`
 /// loads its slice of `kt` once for six independent add chains. Every
-/// element starts at `+0.0` and takes `vmulps` + `vaddps` per `kk`,
-/// ascending, with no zero skip: the scalar default's chain.
+/// element starts at `+0.0` and takes one `vfmadd` per `kk`, ascending,
+/// with no zero skip: the scalar default's chain.
 ///
 /// # Safety
 ///
@@ -546,7 +548,7 @@ unsafe fn score_rows<const R: usize, const V: usize>(
             // SAFETY: i0 + r < rows and q holds rows * d floats.
             let qv = _mm256_set1_ps(*qp.add(r * d + kk));
             for (a, &k) in row.iter_mut().zip(&kv) {
-                *a = _mm256_add_ps(*a, _mm256_mul_ps(qv, k));
+                *a = _mm256_fmadd_ps(qv, k, *a);
             }
         }
     }
@@ -710,7 +712,7 @@ unsafe fn affine_row_avx2(dst: &mut [f32], xhat: &[f32], gamma: &[f32], beta: &[
         let xh = _mm256_loadu_ps(xhat.as_ptr().add(j));
         let g = _mm256_loadu_ps(gamma.as_ptr().add(j));
         let b = _mm256_loadu_ps(beta.as_ptr().add(j));
-        // mul + add (not fmadd): matches the scalar training-path rounding.
+        // Separate multiply and add: the scalar affine rounds twice.
         _mm256_storeu_ps(dst.as_mut_ptr().add(j), _mm256_add_ps(_mm256_mul_ps(xh, g), b));
         j += 8;
     }
@@ -747,7 +749,7 @@ unsafe fn lanes8_avx2<const SQ: bool>(xt: &[f32], mean: [f32; 8]) -> [f32; 8] {
 }
 
 /// `KernelBackend::matvec8`: the eight rows' accumulators in one ymm
-/// register, one `vmulps` + `vaddps` per `kk`, and a blend that keeps the
+/// register, one `vfmadd` per `kk`, and a blend that keeps the
 /// old value in every lane whose coefficient is a bitwise zero (`±0.0`
 /// compares equal to zero, NaN does not) — the scalar skip, lane by lane.
 ///
@@ -761,7 +763,7 @@ unsafe fn matvec8_avx2(acc: &mut [f32; 8], at: &[f32], x: &[f32]) {
     for (a8, &xv) in at.chunks_exact(8).zip(x) {
         // SAFETY: the chunk is exactly 8 contiguous f32s.
         let a = _mm256_loadu_ps(a8.as_ptr());
-        let sum = _mm256_add_ps(v, _mm256_mul_ps(a, _mm256_set1_ps(xv)));
+        let sum = _mm256_fmadd_ps(a, _mm256_set1_ps(xv), v);
         v = _mm256_blendv_ps(v, sum, _mm256_cmp_ps::<_CMP_NEQ_UQ>(a, zero));
     }
     _mm256_storeu_ps(acc.as_mut_ptr(), v);

@@ -87,7 +87,7 @@ fn tn_parent(a: &Matrix, b: &Matrix) -> Matrix {
                     continue;
                 }
                 for j in 0..n {
-                    acc[i * n + j] += av * b[(kk, j)];
+                    acc[i * n + j] = av.mul_add(b[(kk, j)], acc[i * n + j]);
                 }
             }
         }

@@ -101,15 +101,28 @@ fn assert_is_the_oracle(g: Gemm, a: &Matrix, b: &Matrix, tolerance: f32) {
     }
 }
 
+/// Asserts the fused `a · b` of `g` is its exact one bit for bit, NaN
+/// positions included: both run one fused multiply-add per `k`, ascending,
+/// bitwise-zero coefficients skipped — the fused one row at a time, the
+/// exact one through the register tile, or eight rows abreast at `n = 1`.
+fn assert_fused_nn_is_exact(g: Gemm, a: &Matrix, b: &Matrix) {
+    let label = format!("{:?} of {:?} and {:?}", g.fused(), a.shape(), b.shape());
+    let fused = assert_thread_invariant(&label, || a.gemm(b, g.fused()));
+    assert_eq!(canonical_bits(&fused), canonical_bits(&a.gemm(b, g)), "{label}");
+}
+
 /// One property over layout × batch × shape. An exact product adds one
-/// product per `k`, ascending, to a `+0.0` accumulator; its zero skip is a
-/// bitwise no-op on finite operands (the accumulator is never `−0.0`), so
+/// fused product per `k`, ascending, to a `+0.0` accumulator; its zero skip is a
+/// bitwise no-op on finite operands (whose products here never underflow,
+/// so the accumulator is never `−0.0`), so
 /// there every exact product is the naive oracle bit for bit — except an
 /// unbatched `aᵀ · b` of more than 2¹⁸ multiply-adds, which sums chunk
 /// partials (within today's 2e-2 at 600 rows). A batched `a · bᵀ` skips
 /// nothing, so it is the oracle on every input, `−0.0` rows, `±∞` and NaN
 /// included. Each product is also checked at 1, 3 and 8 threads: the
-/// trainer's shapes here cross the parallel threshold.
+/// trainer's shapes here cross the parallel threshold. Every `a · b` is
+/// also checked against its fused form, which must give the same bits on
+/// every input — one output column, `±0.0` rows, `±∞` and NaN included.
 #[test]
 fn gemm_is_the_oracle_on_every_layout_batch_and_shape() {
     // The trainer's shapes: a linear layer, its dX = dY·Wᵀ and its
@@ -125,6 +138,26 @@ fn gemm_is_the_oracle_on_every_layout_batch_and_shape() {
     ];
     for (g, a, b, tolerance) in &trainer {
         assert_is_the_oracle(*g, a, b, *tolerance);
+        if g.layout == Layout::Nn {
+            assert_fused_nn_is_exact(*g, a, b);
+        }
+    }
+    // One output column (the readout's `[Ĥ₀ ‖ Ĥₖ]·α`): the exact product
+    // runs eight rows abreast, the fused one the row body; with rows of
+    // `0.0` and `−0.0` and a `+∞`, `−∞` and NaN in either operand.
+    for (g, (m, k)) in [(Gemm::NN, (70, 130)), (Gemm::NN, (13, 5)), (Gemm::NN.batched(3), (9, 7))] {
+        let ((ar, ac), (br, bc)) = operand_shapes(g.layout, g.batch.unwrap_or(1), (m, k, 1));
+        let (mut a, mut b) = (dense(ar, ac, ar + 3), dense(br, bc, ac + 4));
+        assert_fused_nn_is_exact(g, &a, &b);
+        a.row_mut(1).fill(0.0);
+        a.row_mut(2).fill(-0.0);
+        a[(3, 1)] = f32::INFINITY;
+        a[(4, 0)] = f32::NEG_INFINITY;
+        a[(5, 2)] = f32::NAN;
+        b[(0, 0)] = -0.0;
+        b[(2, 0)] = f32::INFINITY;
+        b[(4, 0)] = f32::NAN;
+        assert_fused_nn_is_exact(g, &a, &b);
     }
     // Small fixed shapes on every layout, unbatched and batched: a 9-wide
     // product crosses the 8-lane remainder, and the blocks are not square.
@@ -169,7 +202,10 @@ fn gemm_is_the_oracle_on_every_layout_batch_and_shape() {
         let a = Matrix::from_fn(ar, ac, |_, _| rng.gen_range(-3.0..3.0));
         let b = Matrix::from_fn(br, bc, |_, _| rng.gen_range(-3.0..3.0));
         assert_is_the_oracle(g, &a, &b, 0.0);
-        if layout == Layout::Nt && g.batch.is_some() {
+        if layout == Layout::Nn {
+            assert_fused_nn_is_exact(g, &a, &b);
+        }
+        if layout == Layout::Nn || (layout == Layout::Nt && g.batch.is_some()) {
             // Signed-zero rows and non-finite entries, on both sides.
             let mut special = |m: &Matrix| {
                 let mut m = m.clone();
@@ -181,7 +217,11 @@ fn gemm_is_the_oracle_on_every_layout_batch_and_shape() {
                 m
             };
             let (a, b) = (special(&a), special(&b));
-            assert_is_the_oracle(g, &a, &b, 0.0);
+            if layout == Layout::Nn {
+                assert_fused_nn_is_exact(g, &a, &b);
+            } else {
+                assert_is_the_oracle(g, &a, &b, 0.0);
+            }
         }
     });
 }
@@ -869,7 +909,7 @@ fn product_hash() -> u64 {
 /// The product bits, fixed on every backend at one and at eight threads.
 #[test]
 fn product_bits_are_pinned_and_backend_invariant() {
-    const PINNED: u64 = 0xbd91_54b8_9a85_ec6f;
+    const PINNED: u64 = 0x33cb_3203_a266_e8a6;
     let _guard = thread_lock();
     for backend in backends() {
         for threads in [1usize, 8] {

@@ -9,6 +9,7 @@ use hoga_check::cases;
 use hoga_repro::circuit::simulate::{probably_equivalent, simulate_pos};
 use hoga_repro::circuit::{Aig, Lit, NodeId};
 use hoga_repro::gen::multiplier::{booth_multiplier, csa_multiplier};
+use hoga_repro::gen::reason::{class_histogram, label_nodes};
 use hoga_repro::gen::techmap::lut_map;
 use hoga_repro::synth::cuts::enumerate_cuts;
 use hoga_repro::synth::{balance, refactor, resub, rewrite, run_recipe, Recipe};
@@ -186,4 +187,59 @@ fn booth_equals_csa_on_nonnegative_operands() {
         words[2 * width - 1] = 0;
         assert_eq!(simulate_pos(&a.aig, &words), simulate_pos(&b.aig, &words));
     });
+}
+
+/// A random circuit of AND, XOR and MAJ gates over earlier literals,
+/// possibly complemented: [`random_aig`] with the adder functions the
+/// labeler looks for mixed in.
+fn random_adder_soup(rng: &mut impl Rng, pis: usize, gates: usize) -> Aig {
+    fn pick(rng: &mut impl Rng, pool: &[Lit]) -> Lit {
+        let l = pool[rng.gen_range(0..pool.len())];
+        if rng.gen() {
+            !l
+        } else {
+            l
+        }
+    }
+    let mut aig = Aig::new(pis);
+    let mut pool: Vec<Lit> = (0..pis).map(|i| aig.pi_lit(i)).collect();
+    for _ in 0..gates {
+        let (a, b, c) = (pick(rng, &pool), pick(rng, &pool), pick(rng, &pool));
+        let l = match rng.gen_range(0..3) {
+            0 => aig.and(a, b),
+            1 => aig.xor(a, b),
+            _ => aig.maj(a, b, c),
+        };
+        pool.push(l);
+    }
+    for &l in &pool[pool.len() - pool.len().min(3)..] {
+        aig.add_po(l);
+    }
+    aig
+}
+
+/// `label_nodes` classifies cuts of at most three leaves only, and a cut
+/// of three leaves or fewer merges from children's cuts that small, which
+/// every `k` enumerates first: so the cut size passed in never changes a
+/// label. Checked on random AND/XOR/MAJ circuits and on 4-LUT-mapped CSA
+/// and Booth multipliers (where every class occurs).
+#[test]
+fn labels_do_not_depend_on_the_cut_size() {
+    let same_for_every_k = |aig: &Aig| {
+        let at3 = label_nodes(aig, 3);
+        for k in 4..=6 {
+            assert!(label_nodes(aig, k) == at3, "labels at k = {k} differ from k = 3");
+        }
+        at3
+    };
+    cases(24, |rng| {
+        let aig = random_adder_soup(rng, 6, 80);
+        same_for_every_k(&aig);
+    });
+    for width in [4usize, 6] {
+        for traced in [csa_multiplier(width), booth_multiplier(width)] {
+            let labels = same_for_every_k(&lut_map(&traced.aig, 4).aig);
+            assert!(class_histogram(&labels).iter().all(|&c| c > 0), "width {width}");
+        }
+    }
 }
