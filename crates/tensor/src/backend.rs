@@ -18,7 +18,7 @@
 //!
 //! # Determinism contract per path
 //!
-//! Training-path methods (`fma_row`, `fma_row4`, `fma_panel6`,
+//! Training-path methods (`fma_row`, `fma_row4`, `fma_lanes`, `fma_panel6`,
 //! `score_tile`, `transpose`, `sum`, the eight-lane `sum8`,
 //! `sq_diff_sum8` and `matvec8`, and the element-wise ops) are **bitwise
 //! identical** across all backends. A dense product's step is one
@@ -31,7 +31,10 @@
 //! within a documented ULP bound of the training-path result (see
 //! `docs/PERFORMANCE.md`). No backend overrides them — the trait
 //! defaults are their one implementation — so they too are a pure
-//! function of their inputs, never of the machine or thread count.
+//! function of their inputs, never of the machine or thread count. Built
+//! for the default x86-64 target, `f32::mul_add` outside a function that
+//! enables `fma` is a call to libm's `fmaf`, so on the SIMD backends only
+//! the `*_fast` defaults still reach libm.
 //!
 //! The int8 methods (`qdot_row`, `quantize_row`) are bitwise identical
 //! across backends as well: the product row sums exact `i32` products, and
@@ -179,6 +182,18 @@ pub(crate) trait KernelBackend {
         for (j, x) in acc.iter_mut().enumerate() {
             let x01 = a[1].mul_add(b1[j], a[0].mul_add(b0[j], *x));
             *x = a[3].mul_add(b3[j], a[2].mul_add(b2[j], x01));
+        }
+    }
+
+    /// `acc[i] = a[i].mul_add(b, acc[i])` with the skip per lane: a lane
+    /// whose coefficient `a[i]` is a bitwise zero keeps `acc[i]` (training
+    /// path). The row step of a narrow `aᵀ · b`, whose coefficients are a
+    /// row of `a` and whose `b` is one element of the other operand; per
+    /// lane it is one [`KernelBackend::fma_row`] step.
+    fn fma_lanes(acc: &mut [f32], a: &[f32], b: f32) {
+        for (x, &av) in acc.iter_mut().zip(a) {
+            // analyze: allow(float-equality) — exact-zero sparsity fast path; skipping only bitwise zeros cannot change the accumulated sum
+            *x = if av == 0.0 { *x } else { av.mul_add(b, *x) };
         }
     }
 

@@ -805,11 +805,13 @@ impl Matrix {
     }
 
     /// [`Self::tn_rows`] for an output narrower than one 16-column tile (the
-    /// classifier head's dW, a matrix–vector gradient): the panels have no
-    /// full tile and `fma_row` over `n`-float rows is a backend call per `n`
-    /// multiply-adds, so the contract is spelled out here instead, one
-    /// output column at a time into `outᵀ` (which is `out` for one column):
-    /// the `m` outputs a row updates are then contiguous, as is `a`'s row.
+    /// readout's dα and the classifier head's dW): the panels have no full
+    /// tile and `fma_row` over `n`-float rows is a backend call per `n`
+    /// multiply-adds. So the product runs one output column at a time into
+    /// `outᵀ` (which is `out` for one column), where the `m` outputs a row
+    /// updates are contiguous, as is `a`'s row: per column, rows ascending,
+    /// one [`KernelBackend::fma_lanes`] per row, which keeps each output's
+    /// chain and skip.
     fn tn_narrow<B: KernelBackend>(
         a: &[f32],
         b: &[f32],
@@ -827,10 +829,7 @@ impl Matrix {
         };
         for (j, acc) in acc_t.chunks_exact_mut(m).enumerate() {
             for (arow, &bv) in a.chunks_exact(m).zip(b[j..].iter().step_by(n)) {
-                for (o, &av) in acc.iter_mut().zip(arow) {
-                    // analyze: allow(float-equality) — exact-zero sparsity fast path; skipping only bitwise zeros cannot change the accumulated sum
-                    *o = if av == 0.0 { *o } else { av.mul_add(bv, *o) };
-                }
+                B::fma_lanes(acc, arow, bv);
             }
         }
         if n > 1 {

@@ -130,6 +130,11 @@ impl<const ZMM: bool> KernelBackend for SimdKernels<ZMM> {
         unsafe { fma_row4_avx2(acc, a, b) }
     }
 
+    fn fma_lanes(acc: &mut [f32], a: &[f32], b: f32) {
+        // SAFETY: gated on avx2_available() by backend::resolved().
+        unsafe { fma_lanes_avx2(acc, a, b) }
+    }
+
     fn fma_panel6(acc: [&mut [f32]; 6], a: [&[f32]; 6], b: &[f32], n: usize) {
         if ZMM {
             // SAFETY: SimdKernels<true> is gated on avx512_available() by
@@ -240,6 +245,36 @@ unsafe fn fma_row4_avx2(acc: &mut [f32], a: [f32; 4], b: [&[f32]; 4]) {
         let x01 = a[1].mul_add(b1[j], a[0].mul_add(b0[j], acc[j]));
         acc[j] = a[3].mul_add(b3[j], a[2].mul_add(b2[j], x01));
         j += 1;
+    }
+}
+
+/// [`KernelBackend::fma_lanes`] on ymm: eight lanes a `vfmadd`, the skip a
+/// blend.
+///
+/// # Safety
+///
+/// The CPU must report `avx2` and `fma` ([`avx2_available`]).
+#[target_feature(enable = "avx2,fma")]
+unsafe fn fma_lanes_avx2(acc: &mut [f32], a: &[f32], b: f32) {
+    let (zero, vb) = (_mm256_setzero_ps(), _mm256_set1_ps(b));
+    let len = acc.len().min(a.len());
+    let tail_at = len - len % 8;
+    for (x8, a8) in acc[..tail_at].chunks_exact_mut(8).zip(a.chunks_exact(8)) {
+        // SAFETY: both chunks are exactly 8 contiguous f32s.
+        let x = _mm256_loadu_ps(x8.as_ptr());
+        let va = _mm256_loadu_ps(a8.as_ptr());
+        // The compare of `matvec8_avx2`: a lane whose coefficient is a
+        // bitwise zero keeps its accumulator; a NaN one is used.
+        let sum = _mm256_fmadd_ps(va, vb, x);
+        _mm256_storeu_ps(
+            x8.as_mut_ptr(),
+            _mm256_blendv_ps(x, sum, _mm256_cmp_ps::<_CMP_NEQ_UQ>(va, zero)),
+        );
+    }
+    // The tail stays in this function, where `mul_add` is one `vfmadd`.
+    for (x, &av) in acc[tail_at..].iter_mut().zip(&a[tail_at..]) {
+        // analyze: allow(float-equality) — exact-zero sparsity fast path; skipping only bitwise zeros cannot change the accumulated sum
+        *x = if av == 0.0 { *x } else { av.mul_add(b, *x) };
     }
 }
 
@@ -1160,6 +1195,38 @@ mod tests {
             ScalarKernels::matvec8(&mut acc_s, &at, &x);
             Avx2Kernels::matvec8(&mut acc_v, &at, &x);
             assert_eq!(bits(&acc_s), bits(&acc_v), "matvec8 {d}");
+        }
+    }
+
+    #[test]
+    fn avx2_fma_lanes_matches_scalar_bitwise() {
+        if !avx2_available() {
+            return;
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let special = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        // Every vector/tail split up to two vectors and a lane; coefficients
+        // with `±0.0`, `±∞` and NaN lanes (in the vector part and the tail),
+        // accumulators with `±0.0` and non-finite lanes, and each special
+        // value as the broadcast factor.
+        for n in 0..=17 {
+            let (mut a, mut start) = vecs(n);
+            for (i, x) in a.iter_mut().enumerate() {
+                if i % 3 == 1 {
+                    *x = special[i % special.len()];
+                }
+            }
+            for (i, x) in start.iter_mut().enumerate() {
+                if i % 4 == 2 {
+                    *x = special[(i + 1) % special.len()];
+                }
+            }
+            for b in [-0.625f32, 1.75].into_iter().chain(special) {
+                let (mut acc_s, mut acc_v) = (start.clone(), start.clone());
+                ScalarKernels::fma_lanes(&mut acc_s, &a, b);
+                Avx2Kernels::fma_lanes(&mut acc_v, &a, b);
+                assert_eq!(bits(&acc_s), bits(&acc_v), "fma_lanes n={n} b={b}");
+            }
         }
     }
 }

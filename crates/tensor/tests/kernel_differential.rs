@@ -10,8 +10,8 @@
 use hoga_check::cases;
 use hoga_tensor::{
     active_backend, approx_eq_eps, approx_eq_ulps, layernorm_forward, layernorm_rows, qmatmul,
-    set_backend, set_threads, Backend, CsrMatrix, Gemm, Layout, Matrix, QuantizedMatrix,
-    QuantizedWeights,
+    set_backend, set_threads, with_threads, Backend, CsrMatrix, Gemm, Layout, Matrix,
+    QuantizedMatrix, QuantizedWeights,
 };
 use rand::Rng;
 use std::collections::BTreeMap;
@@ -123,6 +123,8 @@ fn assert_fused_nn_is_exact(g: Gemm, a: &Matrix, b: &Matrix) {
 /// trainer's shapes here cross the parallel threshold. Every `a · b` is
 /// also checked against its fused form, which must give the same bits on
 /// every input — one output column, `±0.0` rows, `±∞` and NaN included.
+/// The trainer's narrow `aᵀ · b` must give the scalar backend's bits on
+/// every backend, on those inputs too.
 #[test]
 fn gemm_is_the_oracle_on_every_layout_batch_and_shape() {
     // The trainer's shapes: a linear layer, its dX = dY·Wᵀ and its
@@ -158,6 +160,31 @@ fn gemm_is_the_oracle_on_every_layout_batch_and_shape() {
         b[(2, 0)] = f32::INFINITY;
         b[(4, 0)] = f32::NAN;
         assert_fused_nn_is_exact(g, &a, &b);
+    }
+    // The trainer's narrow `aᵀ · b` (fewer than 16 output columns): a
+    // block's readout dα and classifier dW, then the whole batch's. At 4 608
+    // rows the product sums chunk partials, exactly here (quarter-integer
+    // operands). Then, on every backend at 1 and 8 threads, `0.0` and
+    // `−0.0` rows and a `+∞`, `−∞` and NaN in either operand.
+    for (k, m, n) in [(256, 128, 1), (32, 64, 4), (4608, 128, 1), (512, 64, 4)] {
+        let (mut a, mut b) = (dense(k, m, k + m), dense(k, n, k + n + 1));
+        assert_is_the_oracle(Gemm::TN, &a, &b, 0.0);
+        a.row_mut(1).fill(0.0);
+        a.row_mut(2).fill(-0.0);
+        a[(3, 1)] = f32::INFINITY;
+        a[(4, 0)] = f32::NEG_INFINITY;
+        a[(5, m - 1)] = f32::NAN;
+        b.row_mut(6).fill(-0.0);
+        b[(7, 0)] = f32::INFINITY;
+        b[(8, n - 1)] = f32::NEG_INFINITY;
+        b[(9, 0)] = f32::NAN;
+        let label = format!("special TN of {:?} and {:?}", a.shape(), b.shape());
+        let at = |threads| {
+            assert_backend_invariant(&format!("{label} at {threads} threads"), || {
+                with_threads(threads, || a.gemm(&b, Gemm::TN))
+            })
+        };
+        assert_eq!(canonical_bits(&at(1)), canonical_bits(&at(8)), "{label}: 1 vs 8 threads");
     }
     // Small fixed shapes on every layout, unbatched and batched: a 9-wide
     // product crosses the 8-lane remainder, and the blocks are not square.
