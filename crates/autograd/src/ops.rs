@@ -82,6 +82,49 @@ pub trait Ops<'p> {
     /// graph-level pooling of the QoR heads. Panics on an empty segment.
     fn segment_mean(&mut self, x: Self::Var, segments: Vec<(usize, usize)>) -> Self::Var;
 
+    /// The attentive readout of Eq. 10 over the node-major hop stack `h`,
+    /// `batch` nodes of `k1` rows: `y = Ĥ₀ + Σₖ cₖ Ĥₖ` with
+    /// `cₖ = softmax_k(αᵀ [Ĥ₀ ‖ Ĥₖ])`, `α` being parameter `alpha` of
+    /// `params`. Returns `y` (`batch × d`) and the scores `cₖ`
+    /// (`batch × (k1 − 1)`), and releases `h`.
+    ///
+    /// The default body is what a [`Tape`](crate::Tape) records and
+    /// differentiates: the gathers of `Ĥ₀`, of `Ĥ₀` repeated `K` times and
+    /// of `Ĥ₁..Ĥ_K`, their concat, its product with `α`, the softmax, the
+    /// batched `(1 × K) · (K × d)` product and the add. A holder that
+    /// overrides it computes the same values its own way and must give
+    /// these ops' bits at its precision.
+    fn readout(
+        &mut self,
+        h: Self::Var,
+        params: &'p ParamSet,
+        alpha: ParamId,
+        batch: usize,
+        k1: usize,
+    ) -> (Self::Var, Self::Var) {
+        let k = k1 - 1;
+        let idx0: Vec<usize> = (0..batch).map(|b| b * k1).collect();
+        let h0 = self.select_rows(h, idx0);
+        // Gather Ĥ₀ repeated K times alongside Ĥ₁..Ĥ_K.
+        let idx0_rep: Vec<usize> =
+            (0..batch).flat_map(|b| std::iter::repeat_n(b * k1, k)).collect();
+        let idx_rest: Vec<usize> =
+            (0..batch).flat_map(|b| (1..k1).map(move |hop| b * k1 + hop)).collect();
+        let h0_rep = self.select_rows(h, idx0_rep);
+        let h_rest = self.select_rows(h, idx_rest);
+        let cat = self.concat_cols(h0_rep, h_rest);
+        let alpha = self.param(params, alpha);
+        let logits_flat = self.matmul(cat, alpha); // (B*K, 1)
+        let logits = self.reshape(logits_flat, batch, k);
+        let scores = self.softmax_rows(logits); // (B, K) — the cₖ of Eq. 10.
+        self.release(&[h, h0_rep, cat, logits_flat, logits]);
+        // y = Ĥ₀ + Σₖ cₖ Ĥₖ  as a batched (1,K)·(K,d) product.
+        let weighted = self.batched_matmul(scores, h_rest, batch); // (B, d)
+        let y = self.add(h0, weighted);
+        self.release(&[h_rest, h0, weighted]);
+        (y, scores)
+    }
+
     /// Marks the values `done` as read for the last time. A tape keeps
     /// every value for its backward sweep, so by default nothing happens; a
     /// tape-free holder hands their storage to the next op.

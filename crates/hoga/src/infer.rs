@@ -18,6 +18,11 @@
 //!   is quantized once for all four projections. The tiny readout
 //!   (`α` scoring, softmax, weighted hop sum) stays in f32.
 //!
+//! At every precision the readout of Eq. 10 reads `Ĥ` in place
+//! ([`hoga_tensor::readout_logits`], [`hoga_tensor::readout_sum`]): its two
+//! products run the exact chain in every mode, so they give the tape's
+//! bits, and only its softmax follows the mode.
+//!
 //! Weights quantize once per model via [`HogaModel::int8_plan`]; reusing a
 //! plan across calls is deterministic (bitwise-identical outputs for
 //! identical inputs).
@@ -26,8 +31,8 @@ use crate::model::{Aggregator, HogaModel};
 use hoga_autograd::{NodeBlock, Ops, ParamId, ParamSet};
 use hoga_tensor::recycle::{give_back, retire};
 use hoga_tensor::{
-    layernorm_rows, layernorm_rows_fast, parallel_blocks, qmatmul, softmax_rows, softmax_rows_fast,
-    CsrMatrix, Gemm, Matrix, QuantizedMatrix, QuantizedWeights,
+    layernorm_rows, layernorm_rows_fast, parallel_blocks, qmatmul, readout_logits, readout_sum,
+    softmax_rows, softmax_rows_fast, CsrMatrix, Gemm, Matrix, QuantizedMatrix, QuantizedWeights,
 };
 use std::borrow::Cow;
 use std::error::Error;
@@ -120,8 +125,9 @@ pub struct InferOutput {
 ///
 /// Only the hidden projections (`W_in`, `W_Q`, `W_K`, `W_U`, `W_V`) are
 /// quantized: they dominate the MAC count. Biases, LayerNorm parameters and
-/// the readout vector `α` remain f32 — the readout is a `(B·K) × 2d` by
-/// `2d × 1` product, far too small to be worth the accuracy loss.
+/// the readout vector `α` remain f32 — the readout's two products are
+/// `2d` and `K` multiply-adds an output, far too few to be worth the
+/// accuracy loss.
 pub struct Int8Plan {
     /// Each projection weight with its quantized copy, in
     /// [`HogaModel::projections`] order.
@@ -268,7 +274,8 @@ impl HogaModel {
                 // `zeros` draws from the lent list; a `to_vec` would not.
                 let mut stack = Matrix::zeros(nodes * k1, width);
                 stack.as_mut_slice().copy_from_slice(rows);
-                let mut ops = NoTape { values: Vec::new(), mode };
+                let mut ops = NoTape::new();
+                ops.mode = mode;
                 let x = ops.constant(stack);
                 let out = self.forward_var(&mut ops, x, nodes);
                 reps.copy_from_slice(ops.value(out.representations).as_slice());
@@ -291,11 +298,15 @@ impl HogaModel {
 /// [`NoTape::new`] computes at `Exact`, so a forward on it has the tape's
 /// bits: evaluation runs GCN, GraphSAGE and the graph heads on it that way.
 /// The sparse product and the segment mean run the tape's kernels at every
-/// precision.
+/// precision, and the readout ([`Ops::readout`]) reads `Ĥ` in place with
+/// the tape's bits.
 #[derive(Default)]
 pub struct NoTape<'p> {
     values: Vec<Value<'p>>,
     mode: Mode<'p>,
+    /// The shape of every value the holder took, in order.
+    #[cfg(test)]
+    shapes: Vec<(usize, usize)>,
 }
 
 /// Handle to a value a [`NoTape`] holds.
@@ -324,6 +335,8 @@ impl<'p> NoTape<'p> {
     }
 
     fn push(&mut self, matrix: Cow<'p, Matrix>, columns: Option<&'p QuantizedWeights>) -> Slot {
+        #[cfg(test)]
+        self.shapes.push(matrix.shape());
         self.values.push(Value { matrix, columns, rows: None });
         Slot(self.values.len() - 1)
     }
@@ -439,6 +452,27 @@ impl<'p> Ops<'p> for NoTape<'p> {
         self.computed(v)
     }
 
+    /// Eq. 10 on `h` in place ([`readout_logits`], [`readout_sum`]): no
+    /// gather, no `[Ĥ₀ ‖ Ĥₖ]`, and the default body's bits at every
+    /// precision, since both of its products run the exact chain in every
+    /// mode. The softmax is this holder's own, exact or fast.
+    fn readout(
+        &mut self,
+        h: Slot,
+        params: &'p ParamSet,
+        alpha: ParamId,
+        batch: usize,
+        k1: usize,
+    ) -> (Slot, Slot) {
+        assert_eq!(self.value(h).rows(), batch * k1, "readout: hop stack row mismatch");
+        let logits = readout_logits(self.value(h), params.value(alpha).as_slice(), k1);
+        let logits = self.computed(logits);
+        let scores = self.softmax_rows(logits);
+        let y = readout_sum(self.value(h), self.value(scores), k1);
+        self.release(&[h, logits]);
+        (self.computed(y), scores)
+    }
+
     fn release(&mut self, done: &[Slot]) {
         for v in done {
             let value = &mut self.values[v.0];
@@ -453,8 +487,11 @@ impl<'p> Ops<'p> for NoTape<'p> {
 
 /// Floats in one block-sized `(block · (K+1)) × hidden_dim` intermediate:
 /// 72 KiB, so the handful a block keeps live stay cache-resident and under
-/// the allocator's `mmap` threshold; the model's pool keeps them from block
-/// to block.
+/// the allocator's `mmap` threshold (128 KiB by default); the model's pool
+/// keeps them from block to block. It is the largest value of the tape-free
+/// forward, whose readout reads `Ĥ` in place. A tape's readout still builds
+/// `(block · K) × 2·hidden_dim` values, 128 KiB at the paper's shapes: the
+/// concat `[Ĥ₀ ‖ Ĥₖ]` forward and its gradient backward.
 const BLOCK_ELEMS: usize = 18 * 1024;
 
 /// Nodes per block of the forward, tape-free here and recorded in the
@@ -584,6 +621,31 @@ mod tests {
             }
         }
         set_threads(0);
+    }
+
+    /// The tape-free readout reads `Ĥ` in place: at the paper's shapes, in
+    /// every mode, no value the holder takes in a block's forward is the
+    /// tape's `B·K × 2d` concat `[Ĥ₀ ‖ Ĥₖ]`, and none outgrows a block's
+    /// `B·(K+1) × d` intermediates.
+    #[test]
+    fn the_tape_free_readout_builds_no_concat() {
+        let (k1, d) = (9, 64);
+        let nodes = block_nodes(k1, d);
+        let model = HogaModel::new(&HogaConfig::new(INPUT, d, k1 - 1), 5);
+        let plan = model.int8_plan();
+        let stack = Init::SmallUniform.matrix(nodes * k1, INPUT, 6);
+        for (name, mode) in
+            [("exact", Mode::Exact), ("fast", Mode::Fast), ("int8", Mode::Int8(&plan))]
+        {
+            let mut ops = NoTape::new();
+            ops.mode = mode;
+            let x = ops.constant(stack.clone());
+            assert!(model.forward_var(&mut ops, x, nodes).readout_scores.is_some());
+            let concat = (nodes * (k1 - 1), 2 * d);
+            assert!(!ops.shapes.contains(&concat), "{name}: holds {concat:?}: {:?}", ops.shapes);
+            let largest = ops.shapes.iter().map(|(r, c)| r * c).max();
+            assert_eq!(largest, Some(BLOCK_ELEMS), "{name}: {:?}", ops.shapes);
+        }
     }
 
     #[test]

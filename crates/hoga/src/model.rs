@@ -7,7 +7,10 @@
 //!   `Ĥ = ReLU(LayerNorm(U ⊙ (softmax(QKᵀ) V)))` with
 //!   `Q = HW_Q, K = HW_K, U = HW_U, V = HW_V` (Eq. 9),
 //! * the attentive readout `y = Ĥ₀ + Σₖ cₖ Ĥₖ` with
-//!   `cₖ = softmax_k(αᵀ [Ĥ₀ ‖ Ĥₖ])` (Eq. 10).
+//!   `cₖ = softmax_k(αᵀ [Ĥ₀ ‖ Ĥₖ])` (Eq. 10), one [`Ops::readout`]: a tape
+//!   records it op by op (gathers, the concat `[Ĥ₀ ‖ Ĥₖ]`, two products),
+//!   and the tape-free [`NoTape`] computes the same bits reading `Ĥ` in
+//!   place.
 //!
 //! The §III-B ablations are first-class: [`Aggregator::GateOnly`] drops the
 //! attention matrix (Eq. 6 only) and [`Aggregator::Sum`] drops the module
@@ -171,7 +174,6 @@ impl HogaModel {
         batch: usize,
     ) -> HogaOutput<O::Var> {
         let k1 = self.config.num_hops + 1;
-        let k = self.config.num_hops;
 
         // Input projection H = X W_in + b_in. Each value is released after
         // its last reader, which lets a tape-free holder reuse its storage.
@@ -217,11 +219,10 @@ impl HogaModel {
         }
 
         // Readout (Eq. 10).
-        let idx0: Vec<usize> = (0..batch).map(|b| b * k1).collect();
-        let h0 = ops.select_rows(h, idx0);
         if self.config.aggregator == Aggregator::Sum {
             // y = Σₖ Hₖ (uniform combination, the paper's strawman).
-            let mut y = h0;
+            let idx0: Vec<usize> = (0..batch).map(|b| b * k1).collect();
+            let mut y = ops.select_rows(h, idx0);
             for hop in 1..k1 {
                 let idx: Vec<usize> = (0..batch).map(|b| b * k1 + hop).collect();
                 let hk = ops.select_rows(h, idx);
@@ -232,24 +233,7 @@ impl HogaModel {
             ops.release(&[h]);
             return HogaOutput { representations: y, readout_scores: None };
         }
-
-        // Gather Ĥ₀ repeated K times alongside Ĥ₁..Ĥ_K.
-        let idx0_rep: Vec<usize> =
-            (0..batch).flat_map(|b| std::iter::repeat_n(b * k1, k)).collect();
-        let idx_rest: Vec<usize> =
-            (0..batch).flat_map(|b| (1..k1).map(move |hop| b * k1 + hop)).collect();
-        let h0_rep = ops.select_rows(h, idx0_rep);
-        let h_rest = ops.select_rows(h, idx_rest);
-        let cat = ops.concat_cols(h0_rep, h_rest);
-        let alpha = ops.param(&self.params, self.alpha);
-        let logits_flat = ops.matmul(cat, alpha); // (B*K, 1)
-        let logits = ops.reshape(logits_flat, batch, k);
-        let scores = ops.softmax_rows(logits); // (B, K) — the cₖ of Eq. 10.
-        ops.release(&[h, h0_rep, cat, logits_flat, logits]);
-        // y = Ĥ₀ + Σₖ cₖ Ĥₖ  as a batched (1,K)·(K,d) product.
-        let weighted = ops.batched_matmul(scores, h_rest, batch); // (B, d)
-        let y = ops.add(h0, weighted);
-        ops.release(&[h_rest, h0, weighted]);
+        let (y, scores) = ops.readout(h, &self.params, self.alpha, batch, k1);
         HogaOutput { representations: y, readout_scores: Some(scores) }
     }
 

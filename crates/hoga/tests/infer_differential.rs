@@ -16,7 +16,7 @@
 use hoga_autograd::Tape;
 use hoga_core::infer::{block_nodes, InferError, InferOutput, Int8Plan, Precision};
 use hoga_core::model::{Aggregator, HogaConfig, HogaModel};
-use hoga_tensor::{Init, Matrix};
+use hoga_tensor::{active_backend, set_backend, with_threads, Backend, Init, Matrix};
 
 fn toy_stack(batch: usize, k1: usize, d: usize, seed: u64) -> Matrix {
     Init::SmallUniform.matrix(batch * k1, d, seed)
@@ -42,30 +42,93 @@ fn tape_forward(model: &HogaModel, stack: &Matrix, batch: usize) -> (Matrix, Opt
     (reps, scores)
 }
 
+/// `to_bits` of every element with every NaN read as one pattern: which NaN
+/// an operation returns is the code generator's choice, so "bitwise" fixes
+/// where NaNs are, not their payloads.
+fn canonical_bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| if v.is_nan() { 0x7fc0_0000 } else { v.to_bits() }).collect()
+}
+
+/// The model `cfg` builds from `seed`, its readout `α` holding `±0.0`, `±∞`
+/// and NaN. LayerNorm's gain 0 and shift −1 hold `Ĥ`'s columns 0 and 1 at
+/// ReLU's `+0.0`, and there `α` holds NaN and `±∞` on both halves: every
+/// lane that meets them must be skipped, or a logit turns NaN. Column 2
+/// meets a live `+∞` on the hop-0 half (a node whose `Ĥ₀` is positive there
+/// gets `+∞` logits and NaN scores), and column 3 meets `−0.0` and `+0.0`.
+fn special_alpha_model(cfg: &HogaConfig, seed: u64) -> HogaModel {
+    let d = cfg.hidden_dim;
+    let mut model = HogaModel::new(cfg, seed);
+    let id = |model: &HogaModel, name| model.params.find(name).expect("HOGA parameter");
+    let (gamma, beta, alpha) =
+        (id(&model, "layer0.gamma"), id(&model, "layer0.beta"), id(&model, "readout.alpha"));
+    for c in 0..2 {
+        model.params.value_mut(gamma)[(0, c)] = 0.0;
+        model.params.value_mut(beta)[(0, c)] = -1.0;
+    }
+    let alpha = model.params.value_mut(alpha);
+    for (row, v) in [
+        (0, f32::NAN),
+        (d, f32::NEG_INFINITY),
+        (1, f32::INFINITY),
+        (d + 1, f32::NAN),
+        (2, f32::INFINITY),
+        (3, -0.0),
+        (d + 3, 0.0),
+    ] {
+        alpha[(row, 0)] = v;
+    }
+    model
+}
+
+/// `Exact` is the tape's forward bit for bit — representations and readout
+/// scores, for every aggregator; at the ledger's shape (`K = 8`, `d = 64`)
+/// over two and a half blocks; at `K = 1`; and with `±0.0`, `±∞` and NaN in
+/// the readout's `α` (NaN positions compared, not payloads) — at 1 and 8
+/// threads on every kernel backend.
 #[test]
 fn exact_inference_is_bitwise_identical_to_tape_forward() {
-    let configs = [
-        HogaConfig::new(7, 16, 5),
-        HogaConfig::new(7, 16, 5).with_aggregator(Aggregator::GateOnly),
-        HogaConfig::new(7, 16, 5).with_aggregator(Aggregator::Sum),
+    let small = HogaConfig::new(7, 16, 5);
+    let ledger = HogaConfig::new(7, 64, 8);
+    let cases = [
+        (HogaModel::new(&small, 3), 4),
+        (HogaModel::new(&small.with_aggregator(Aggregator::GateOnly), 4), 4),
+        (HogaModel::new(&small.with_aggregator(Aggregator::Sum), 5), 4),
+        (HogaModel::new(&ledger, 6), 5 * block_nodes(9, 64) / 2),
+        (HogaModel::new(&HogaConfig::new(7, 16, 1), 7), 9),
+        (HogaModel::new(&HogaConfig::new(7, 16, 1).with_aggregator(Aggregator::GateOnly), 8), 9),
+        (special_alpha_model(&small, 9), 20),
     ];
-    for (i, cfg) in configs.iter().enumerate() {
-        let model = HogaModel::new(cfg, 3 + i as u64);
-        let batch = 4;
-        let stack = toy_stack(batch, cfg.num_hops + 1, cfg.input_dim, 40 + i as u64);
-        let (want_reps, want_scores) = tape_forward(&model, &stack, batch);
-        let got = infer(&model, &stack, batch, Precision::Exact);
-        assert_eq!(
-            bits(&want_reps),
-            bits(&got.representations),
-            "config {i}: exact inference differs bitwise from the tape forward"
-        );
-        match (want_scores, got.readout_scores) {
-            (Some(w), Some(g)) => assert_eq!(bits(&w), bits(&g), "config {i}: scores differ"),
-            (None, None) => {}
-            _ => panic!("config {i}: score presence mismatch"),
+    let special = cases.len() - 1;
+    for (i, (model, batch)) in cases.iter().enumerate() {
+        let cfg = model.config();
+        let stack = toy_stack(*batch, cfg.num_hops + 1, cfg.input_dim, 40 + i as u64);
+        let (want_reps, want_scores) = tape_forward(model, &stack, *batch);
+        let bits = if i == special { canonical_bits } else { bits };
+        for backend in [Backend::Scalar, Backend::Avx2, Backend::Simd] {
+            set_backend(backend);
+            for threads in [1, 8] {
+                let got = with_threads(threads, || infer(model, &stack, *batch, Precision::Exact));
+                let at = format!("case {i} on {} at {threads} threads", active_backend());
+                assert_eq!(
+                    bits(&want_reps),
+                    bits(&got.representations),
+                    "{at}: exact inference differs bitwise from the tape forward"
+                );
+                match (&want_scores, &got.readout_scores) {
+                    (Some(w), Some(g)) => assert_eq!(bits(w), bits(g), "{at}: scores differ"),
+                    (None, None) => {}
+                    _ => panic!("{at}: score presence mismatch"),
+                }
+            }
         }
     }
+    // The special case is not vacuous: a lane met `+∞`, and every NaN
+    // that met a live lane would have reached the scores.
+    let (model, batch) = &cases[special];
+    let stack = toy_stack(*batch, 6, 7, 40 + special as u64);
+    let scores = infer(model, &stack, *batch, Precision::Exact).readout_scores.expect("scores");
+    let nan_rows = (0..*batch).filter(|&r| scores.row(r).iter().any(|v| v.is_nan())).count();
+    assert!(0 < nan_rows && nan_rows < *batch, "{nan_rows} of {batch} score rows are NaN");
 }
 
 #[test]

@@ -1,5 +1,7 @@
 //! Row-wise neural-network kernels: softmax and LayerNorm, with exact
-//! backward passes for the autograd layer.
+//! backward passes for the autograd layer, and the tape-free readout of
+//! Eq. 10 ([`readout_logits`], [`readout_sum`]), which reads a hop stack in
+//! place.
 //!
 //! Inner loops dispatch through [`crate::backend::KernelBackend`]; the
 //! training entry points are bitwise identical across backends, while the
@@ -20,6 +22,7 @@
 //! poisoning pattern depended on where the NaN sat in the row.
 
 use crate::backend::{dispatch, KernelBackend};
+use crate::recycle::give_back;
 use crate::Matrix;
 
 const LN_EPS: f32 = 1e-5;
@@ -302,6 +305,106 @@ pub fn layernorm_backward(
         }
     }
     (dx, dgamma, dbeta)
+}
+
+/// The readout logits of Eq. 10, `αᵀ [Ĥ₀ ‖ Ĥₖ]` for every node and hop
+/// `k ≥ 1`, read from the node-major hop stack `h` in place: node `i`'s
+/// hops are rows `i·k1 .. (i+1)·k1` of `h`, `α` is the `2d` column of the
+/// readout, and the result is `nodes × (k1 − 1)`.
+///
+/// Each logit is bitwise its row of the product `[Ĥ₀ ‖ Ĥₖ] · α` by
+/// [`Matrix::gemm`] at `Gemm::NN`, exact or fused (both run one chain per
+/// row of a one-column product): `+0.0`, then one fused multiply-add per
+/// column of the concat, ascending, a bitwise-zero coefficient skipped. The
+/// first `d` steps of a node's `K` rows are the same, so each node's hop-0
+/// chain over `α[..d]` runs once, on the hop-0 lanes only, and every hop
+/// continues it over `α[d..]`. `h` is transposed once, one row per (hop,
+/// column) with node `i` in lane `i`, and each step is one
+/// `KernelBackend::fma_lanes`: over the nodes' lanes for hop 0, over the
+/// lanes of every node and hop from 1 on for the others.
+///
+/// # Panics
+///
+/// Panics if `k1` is zero or does not divide `h.rows()`, or `alpha` is not
+/// `2 · h.cols()` long.
+pub fn readout_logits(h: &Matrix, alpha: &[f32], k1: usize) -> Matrix {
+    let (nodes, d) = hop_stack_shape(h, k1);
+    assert_eq!(alpha.len(), 2 * d, "readout alpha length mismatch");
+    let (k, (alpha0, alpha_k)) = (k1 - 1, alpha.split_at(d));
+    let mut logits = Matrix::zeros(nodes, k);
+    if logits.is_empty() || d == 0 {
+        return logits;
+    }
+    // `ht` row `hop·d + c` is column `c` of every node's hop `hop`; `chains`
+    // row 0 is the hop-0 chain and row `hop` hop `hop`'s logit, per node;
+    // `lanes` holds one column of every hop from 1 on, in `chains`' order.
+    let mut ht = Matrix::zeros(k1 * d, nodes);
+    let mut chains = Matrix::zeros(k1, nodes);
+    let mut lanes = Matrix::zeros(k, nodes);
+    dispatch!(B => {
+        B::transpose(h.as_slice(), nodes, k1 * d, ht.as_mut_slice(), nodes);
+        let (hop0, hops) = chains.as_mut_slice().split_at_mut(nodes);
+        for (column, &a) in ht.as_slice().chunks_exact(nodes).zip(alpha0) {
+            B::fma_lanes(hop0, column, a);
+        }
+        for chain in hops.chunks_exact_mut(nodes) {
+            chain.copy_from_slice(hop0);
+        }
+        // Each column's step of all `K` hop chains is one call.
+        let hop_rows = &ht.as_slice()[d * nodes..];
+        for (c, &a) in alpha_k.iter().enumerate() {
+            let columns = hop_rows[c * nodes..].chunks(d * nodes);
+            for (lane, column) in lanes.as_mut_slice().chunks_exact_mut(nodes).zip(columns) {
+                lane.copy_from_slice(&column[..nodes]);
+            }
+            B::fma_lanes(hops, lanes.as_slice(), a);
+        }
+        B::transpose(hops, k, nodes, logits.as_mut_slice(), k);
+    });
+    give_back(ht);
+    give_back(chains);
+    give_back(lanes);
+    logits
+}
+
+/// The readout sum of Eq. 10, `y = Ĥ₀ + Σₖ cₖ Ĥₖ` per node, read from the
+/// node-major hop stack `h` in place with the `nodes × (k1 − 1)` scores.
+/// Bitwise the batched `(1 × K) · (K × d)` product of [`Matrix::gemm`]
+/// (`Gemm::NN.batched`, exact or fused) — per element `+0.0`, then one
+/// `KernelBackend::fma_row` step per hop, ascending, a zero score
+/// skipped — followed by the element-wise `Ĥ₀ + ·`.
+///
+/// # Panics
+///
+/// Panics if `k1` is zero or does not divide `h.rows()`, or `scores` is not
+/// `nodes × (k1 − 1)`.
+pub fn readout_sum(h: &Matrix, scores: &Matrix, k1: usize) -> Matrix {
+    let (nodes, d) = hop_stack_shape(h, k1);
+    assert_eq!(scores.shape(), (nodes, k1 - 1), "readout scores shape mismatch");
+    let mut y = Matrix::zeros(nodes, d);
+    if y.is_empty() {
+        return y;
+    }
+    dispatch!(B => for (i, yrow) in y.as_mut_slice().chunks_exact_mut(d).enumerate() {
+        let (h0, hops) = h.as_slice()[i * k1 * d..(i + 1) * k1 * d].split_at(d);
+        for (&c, hk) in scores.row(i).iter().zip(hops.chunks_exact(d)) {
+            B::fma_row(yrow, c, hk);
+        }
+        for (y, &h0) in yrow.iter_mut().zip(h0) {
+            *y += h0;
+        }
+    });
+    y
+}
+
+/// `(nodes, d)` of a node-major hop stack of `k1` rows a node.
+fn hop_stack_shape(h: &Matrix, k1: usize) -> (usize, usize) {
+    assert!(
+        k1 > 0 && h.rows().is_multiple_of(k1),
+        "{} rows are not whole nodes of {k1} hops",
+        h.rows()
+    );
+    (h.rows() / k1, h.cols())
 }
 
 #[cfg(test)]

@@ -61,8 +61,8 @@ pub use backend::{active_backend, set_backend, Backend};
 pub use error::ShapeError;
 pub use init::Init;
 pub use kernels::{
-    layernorm_backward, layernorm_forward, layernorm_rows, layernorm_rows_fast,
-    softmax_backward_rows, softmax_rows, softmax_rows_fast, LayerNormCache,
+    layernorm_backward, layernorm_forward, layernorm_rows, layernorm_rows_fast, readout_logits,
+    readout_sum, softmax_backward_rows, softmax_rows, softmax_rows_fast, LayerNormCache,
 };
 pub use matrix::{Gemm, Layout, Matrix, TnFold};
 pub use parallel::{available_threads, parallel_blocks, set_threads, with_threads};

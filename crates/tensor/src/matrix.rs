@@ -677,7 +677,10 @@ impl Matrix {
     }
 
     /// `out[i] += a_i · x` for consecutive `k`-float rows `a_i` of `a`: the
-    /// `a · b` of a one-column `b` (the readout's `[Ĥ₀ ‖ Ĥₖ]·α`, Eq. 10).
+    /// `a · b` of a one-column `b` — the tape's readout `[Ĥ₀ ‖ Ĥₖ]·α`
+    /// (Eq. 10) and the one-output heads, such as the graph regressor's last
+    /// layer. The tape-free readout runs `kernels::readout_logits` instead,
+    /// which gives these bits without building the concat.
     /// The panel kernel tiles sixteen output columns and walks a lone one
     /// element at a time down a single dependency chain; here each block of
     /// eight rows is transposed into `at` so that the rows sit in the eight

@@ -10,8 +10,8 @@
 use hoga_check::cases;
 use hoga_tensor::{
     active_backend, approx_eq_eps, approx_eq_ulps, layernorm_forward, layernorm_rows, qmatmul,
-    set_backend, set_threads, with_threads, Backend, CsrMatrix, Gemm, Layout, Matrix,
-    QuantizedMatrix, QuantizedWeights,
+    readout_logits, readout_sum, set_backend, set_threads, with_threads, Backend, CsrMatrix, Gemm,
+    Layout, Matrix, QuantizedMatrix, QuantizedWeights,
 };
 use rand::Rng;
 use std::collections::BTreeMap;
@@ -513,6 +513,73 @@ fn training_path_is_backend_and_thread_invariant_jointly() {
     }
     set_backend(Backend::Simd);
     set_threads(0);
+}
+
+/// Eq. 10's two tape-free kernels are the ops the tape records, bit for bit
+/// (NaN positions, not payloads), on every backend: `readout_logits` is the
+/// gathered `[Ĥ₀ ‖ Ĥₖ] · α` (`select_rows`, `concat_cols`, `Gemm::NN`) and
+/// `readout_sum` the batched `(1 × K) · (K × d)` product of the scores and
+/// `Ĥ₁..Ĥ_K` plus `Ĥ₀` — exact and fused alike — for `d` from one column
+/// to the ledger's 64 and `K` of 1, 5 and 8. The special inputs put a
+/// `+0.0` and a `−0.0` hop row where `α` holds `±∞` and NaN (every lane
+/// there skipped), `±∞` and NaN in `h`, and `±0.0`, `±∞` and NaN in the
+/// scores.
+#[test]
+fn readout_kernels_are_backend_invariant_and_the_ops_they_replace_bitwise() {
+    let nodes = 11;
+    for d in [1, 7, 16, 64] {
+        for k in [1, 5, 8] {
+            let k1 = k + 1;
+            for specials in [false, true] {
+                let mut h = dense_rough(nodes * k1, d, d + k);
+                let mut alpha = dense_rough(2 * d, 1, d * k + 1);
+                let mut scores = dense_rough(nodes, k, d + 2 * k);
+                if specials {
+                    h.row_mut(1).fill(0.0);
+                    h.row_mut(k1).fill(-0.0);
+                    h[(3 * k1, d - 1)] = f32::INFINITY;
+                    h[(4 * k1 + k, 0)] = f32::NEG_INFINITY;
+                    h[(5 * k1 + 1, d / 2)] = f32::NAN;
+                    for (row, v) in [
+                        (0, f32::NEG_INFINITY),
+                        (d - 1, f32::INFINITY),
+                        (d, -0.0),
+                        (2 * d - 1, f32::NAN),
+                    ] {
+                        alpha[(row, 0)] = v;
+                    }
+                    for (node, hop, v) in [
+                        (6, 0, 0.0),
+                        (7, k - 1, -0.0),
+                        (8, 0, f32::INFINITY),
+                        (9, k / 2, f32::NAN),
+                        (10, k - 1, f32::NEG_INFINITY),
+                    ] {
+                        scores[(node, hop)] = v;
+                    }
+                }
+                let label =
+                    format!("readout d {d} K {k}{}", if specials { ", specials" } else { "" });
+                let idx0: Vec<usize> = (0..nodes).map(|b| b * k1).collect();
+                let idx0_rep: Vec<usize> =
+                    (0..nodes).flat_map(|b| std::iter::repeat_n(b * k1, k)).collect();
+                let idx_rest: Vec<usize> =
+                    (0..nodes).flat_map(|b| (1..k1).map(move |hop| b * k1 + hop)).collect();
+                let (h0, h_rest) = (h.select_rows(&idx0), h.select_rows(&idx_rest));
+                let cat = h.select_rows(&idx0_rep).concat_cols(&h_rest);
+                let logits =
+                    assert_backend_invariant(&label, || readout_logits(&h, alpha.as_slice(), k1));
+                let y = assert_backend_invariant(&label, || readout_sum(&h, &scores, k1));
+                for g in [Gemm::NN, Gemm::NN.fused()] {
+                    let want = cat.gemm(&alpha, g);
+                    let want = Matrix::from_vec(nodes, k, want.as_slice().to_vec());
+                    assert_eq!(canonical_bits(&logits), canonical_bits(&want), "{label}: {g:?}");
+                    let want = &h0 + &scores.gemm(&h_rest, g.batched(nodes));
+                    assert_eq!(canonical_bits(&y), canonical_bits(&want), "{label}: {g:?} sum");
+                }
+            }
+        }
+    }
 }
 
 /// LayerNorm one row at a time, as its contract states it: the sum and
