@@ -3,11 +3,11 @@
 //!
 //! The layer is split the same way the rest of the analyzer is:
 //!
-//! * **Per-file extraction** ([`extract`]) splits each non-test function
+//! * **Per-file extraction** (`extract`) splits each non-test function
 //!   body into statements at `;`, `{` and `}` and records *facts* — panic
 //!   seeds and call sites. Facts are plain data ([`CgFacts`]), one value
 //!   per file.
-//! * **Cross-file resolution** ([`build_graph`] + [`resolve_rules`]) is a
+//! * **Cross-file resolution** ([`build_graph`] + `resolve_rules`) is a
 //!   pure function of the per-file facts: it merges definitions by name,
 //!   condenses the graph with an iterative Tarjan SCC pass, propagates
 //!   may-panic over the condensation in reverse topological order, and

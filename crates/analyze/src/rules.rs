@@ -46,7 +46,7 @@ pub struct Finding {
     pub line: u32,
     /// 1-based column.
     pub col: u32,
-    /// Rule id (one of [`RULE_IDS`]).
+    /// Rule id (one of `RULE_IDS`).
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -56,7 +56,7 @@ pub struct Finding {
 }
 
 impl Finding {
-    /// `"error"` or `"warning"` (see [`severity_of`]).
+    /// `"error"` or `"warning"` (see `severity_of`).
     pub fn severity(&self) -> &'static str {
         severity_of(self.rule)
     }
@@ -175,7 +175,7 @@ pub struct FileFacts {
 }
 
 /// The per-file stage: lexes `src` (the analysis path's only `lex` call),
-/// builds the [`FileView`], runs every rule over it, and collects the
+/// builds the `FileView`, runs every rule over it, and collects the
 /// definitions and identifier counts the symbol graph needs.
 pub fn analyze_file(rel_path: &str, src: &str, profile: FileProfile) -> FileFacts {
     let tokens = lex(src);

@@ -30,7 +30,7 @@ use crate::rules::{FileFacts, Finding};
 pub struct SymbolDef {
     /// Declared name.
     pub name: String,
-    /// Source unit that owns it (see [`source_unit`]).
+    /// Source unit that owns it (see `source_unit`).
     pub unit: String,
     /// Workspace-relative file.
     pub file: String,

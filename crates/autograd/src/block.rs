@@ -6,7 +6,7 @@
 use crate::params::ParamId;
 use crate::tape::{accumulate, Gradients};
 use hoga_tensor::recycle::give_back;
-use hoga_tensor::{Matrix, TnFold};
+use hoga_tensor::{readout_alpha_grad_chunk, Matrix, TnFold};
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -84,6 +84,29 @@ impl RowSum {
                 RowSum::Chunk(partial)
             }
             None => RowSum::Tn(lhs.clone(), gy, total),
+        }
+    }
+
+    /// `α`'s part of Eq. 10's readout over the block's hop stack `h`, with
+    /// the logits' gradient `dlogits`: what [`RowSum::matmul`] hands back
+    /// for the gathered concat `[Ĥ₀ ‖ Ĥₖ]` and the flattened `dlogits`,
+    /// read from `h` in place as a chunk partial, and with the concat built
+    /// only when its rows must be handed back.
+    pub(crate) fn readout(h: &Matrix, dlogits: Matrix, k1: usize, block: NodeBlock) -> Self {
+        match readout_alpha_grad_chunk(h, &dlogits, k1, block.size, block.index, block.batch) {
+            Some(partial) => {
+                give_back(dlogits);
+                RowSum::Chunk(partial)
+            }
+            None => {
+                let (k, d) = (k1 - 1, h.cols());
+                let rows = dlogits.len();
+                let concat = Matrix::from_fn(rows, 2 * d, |r, c| match c.checked_sub(d) {
+                    None => h[((r / k) * k1, c)],
+                    Some(c) => h[((r / k) * k1 + r % k + 1, c)],
+                });
+                RowSum::Tn(concat, Matrix::from_vec(rows, 1, dlogits.into_vec()), block.batch * k)
+            }
         }
     }
 

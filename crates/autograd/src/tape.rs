@@ -6,8 +6,9 @@ use crate::ops::Ops;
 use crate::params::{ParamId, ParamSet};
 use hoga_tensor::recycle::{give_back, retire};
 use hoga_tensor::{
-    layernorm_backward, layernorm_forward, softmax_backward_rows, softmax_rows, CsrMatrix, Gemm,
-    LayerNormCache, Layout, Matrix,
+    layernorm_backward, layernorm_backward_dx, layernorm_forward, readout_alpha_grad,
+    readout_hops_grad, readout_logits, readout_scores_grad, readout_sum, softmax_backward_rows,
+    softmax_rows, CsrMatrix, Gemm, LayerNormCache, Layout, Matrix,
 };
 use std::ops::Range;
 use std::sync::Arc;
@@ -102,6 +103,10 @@ pub(crate) fn accumulate(slot: &mut Option<Matrix>, delta: Matrix) {
     }
 }
 
+/// A recorded op. Eq. 10's readout is two nodes over the hop stack `h`
+/// (`k1` rows a node) and `α`: `ReadoutScores` holds the scores `cₖ`, and
+/// `Readout` holds `y` over them; the backward of `Readout` is the whole
+/// readout's, scores included.
 enum Op {
     Constant,
     Param(ParamId),
@@ -119,6 +124,8 @@ enum Op {
     Reshape(Var),
     Spmm { adj_t: Arc<CsrMatrix>, x: Var },
     SegmentMean { x: Var, segments: Vec<(usize, usize)> },
+    ReadoutScores { h: Var, alpha: Var, k1: usize },
+    Readout { scores: Var, h: Var, alpha: Var, k1: usize },
     SumAll(Var),
     MseLoss { pred: Var, target: Matrix },
     CrossEntropyMean { logits: Var, labels: Vec<usize>, probs: Matrix, weights: Vec<f32> },
@@ -138,13 +145,15 @@ impl Op {
             | Op::SelectRows { x, .. }
             | Op::Spmm { x, .. }
             | Op::SegmentMean { x, .. }
+            | Op::Readout { scores: x, .. }
             | Op::MseLoss { pred: x, .. }
             | Op::CrossEntropyMean { logits: x, .. } => [Some(x), None, None],
             Op::Add(a, b)
             | Op::Hadamard(a, b)
             | Op::Gemm { a, b, .. }
             | Op::ConcatCols(a, b)
-            | Op::AddBias { x: a, bias: b } => [Some(a), Some(b), None],
+            | Op::AddBias { x: a, bias: b }
+            | Op::ReadoutScores { h: a, alpha: b, .. } => [Some(a), Some(b), None],
             Op::LayerNorm { x, gamma, beta, .. } => [Some(x), Some(gamma), Some(beta)],
         };
         vars.into_iter().flatten()
@@ -208,6 +217,11 @@ impl Tape {
     /// The forward value of `v`.
     pub fn value(&self, v: Var) -> &Matrix {
         &self.nodes[v.0].value
+    }
+
+    /// Every recorded value, in recording order.
+    pub fn values(&self) -> impl Iterator<Item = &Matrix> {
+        self.nodes.iter().map(|node| &node.value)
     }
 
     fn push(&mut self, value: Matrix, op: Op) -> Var {
@@ -333,10 +347,12 @@ impl Tape {
     /// parameters must enter only as an unbatched `a · b`'s right operand,
     /// a bias, or LayerNorm's gain and shift. Then every parameter's
     /// gradient is a sum over the batch's rows, and the sweep leaves that sum
-    /// to [`BlockFold`]: for a weight it hands back the block's chunk
+    /// to [`BlockFold`](crate::BlockFold): for a weight it hands back the block's chunk
     /// partial of the batch's `aᵀ · dY` ([`Gemm::TN`]) when the block is
     /// one of its chunks ([`Matrix::matmul_tn_chunk`]), and the block's
     /// rows of both operands otherwise; for a column sum, the block's rows.
+    /// Eq. 10's `α` ([`Ops::readout`]) counts as the right operand of the
+    /// concat product the readout's scores are defined by.
     /// Everything else is per row, so it is computed here exactly as the
     /// whole-batch sweep computes those rows.
     ///
@@ -523,17 +539,24 @@ impl Tape {
                 }
                 Op::LayerNorm { x, gamma, beta, cache } => {
                     let (x, gamma, beta) = (*x, *gamma, *beta);
-                    let gm = self.nodes[gamma.0].value.row(0).to_vec();
-                    let (dx, dg, db) = layernorm_backward(&gy, &gm, cache);
-                    acc!(x, dx);
-                    // The kernel sums `dy · x̂` and `dy` down the rows; a
-                    // block hands back the rows of both, `dy` as itself.
-                    let dg = Matrix::from_vec(1, dg.len(), dg);
-                    row_sum!(gamma, dg, RowSum::Cols(gy.hadamard(&cache.normalized)));
-                    match block.filter(|_| self.nodes[beta.0].needs_grad) {
-                        Some(_) => hand_back!(beta, RowSum::Cols(gy)),
-                        None => {
-                            acc!(beta, Matrix::from_vec(1, db.len(), db));
+                    let gm = self.nodes[gamma.0].value.row(0);
+                    if block.is_none() {
+                        let (dx, dg, db) = layernorm_backward(&gy, gm, cache);
+                        acc!(x, dx);
+                        acc!(gamma, Matrix::from_vec(1, dg.len(), dg));
+                        acc!(beta, Matrix::from_vec(1, db.len(), db));
+                        give_back(gy);
+                    } else {
+                        // A block hands back the rows the kernel sums down,
+                        // `dy · x̂` and `dy` (as itself), so only `dx` is
+                        // computed here.
+                        acc!(x, layernorm_backward_dx(&gy, gm, cache));
+                        if self.nodes[gamma.0].needs_grad {
+                            hand_back!(gamma, RowSum::Cols(gy.hadamard(&cache.normalized)));
+                        }
+                        if self.nodes[beta.0].needs_grad {
+                            hand_back!(beta, RowSum::Cols(gy));
+                        } else {
                             give_back(gy);
                         }
                     }
@@ -586,6 +609,57 @@ impl Tape {
                     }
                     acc!(x, dx);
                     give_back(gy);
+                }
+                Op::ReadoutScores { h, alpha, k1 } | Op::Readout { h, alpha, k1, .. } => {
+                    let (h, alpha, k1) = (*h, *alpha, *k1);
+                    let (hv, av) = (&self.nodes[h.0].value, &self.nodes[alpha.0].value);
+                    // At `y`, with `dy` and whatever reached the scores; at
+                    // the scores only when nothing reached `y`. The scores'
+                    // gradient is their readers' plus the batched
+                    // product's, as the op-by-op sweep sums them.
+                    let (scores, dy, dscores) = match self.nodes[i].op {
+                        Op::Readout { scores, .. } => {
+                            let from_y = readout_scores_grad(hv, &gy, k1);
+                            let dscores = match grads[scores.0].take() {
+                                Some(mut sum) => {
+                                    sum.axpy(1.0, &from_y);
+                                    give_back(from_y);
+                                    sum
+                                }
+                                None => from_y,
+                            };
+                            (scores, Some(gy), dscores)
+                        }
+                        _ => (Var(i), None, gy),
+                    };
+                    let sv = &self.nodes[scores.0].value;
+                    let dlogits = softmax_backward_rows(sv, &dscores);
+                    give_back(dscores);
+                    if self.nodes[h.0].needs_grad {
+                        let (rows, cols) = hv.shape();
+                        let mut dh =
+                            grads[h.0].take().unwrap_or_else(|| Matrix::full(rows, cols, -0.0));
+                        readout_hops_grad(
+                            hv,
+                            av.as_slice(),
+                            sv,
+                            dy.as_ref(),
+                            &dlogits,
+                            k1,
+                            &mut dh,
+                        );
+                        grads[h.0] = Some(dh);
+                    }
+                    if let Some(dy) = dy {
+                        give_back(dy);
+                    }
+                    match block {
+                        None => {
+                            acc!(alpha, readout_alpha_grad(hv, &dlogits, k1));
+                            give_back(dlogits);
+                        }
+                        Some(block) => hand_back!(alpha, RowSum::readout(hv, dlogits, k1, block)),
+                    }
                 }
                 Op::SumAll(x) => {
                     let x = *x;
@@ -688,6 +762,35 @@ impl<'p> Ops<'p> for Tape {
     fn segment_mean(&mut self, x: Var, segments: Vec<(usize, usize)>) -> Var {
         let v = self.nodes[x.0].value.segment_mean(&segments);
         self.push(v, Op::SegmentMean { x, segments })
+    }
+
+    /// Eq. 10 as one fused op: the tape-free kernels
+    /// ([`readout_logits`], the exact softmax, [`readout_sum`]) on `h` in
+    /// place, recorded as `α`'s parameter node, the scores and `y`. No
+    /// gather, no `[Ĥ₀ ‖ Ĥₖ]`: the backward reads `h` in place as well
+    /// ([`readout_scores_grad`], [`readout_hops_grad`],
+    /// [`readout_alpha_grad`]), and gives the gradients of the op-by-op
+    /// recording bit for bit, scores included.
+    fn readout(
+        &mut self,
+        h: Var,
+        params: &'p ParamSet,
+        alpha: ParamId,
+        batch: usize,
+        k1: usize,
+    ) -> (Var, Var) {
+        let (rows, d) = self.nodes[h.0].value.shape();
+        assert_eq!(rows, batch * k1, "readout: hop stack row mismatch");
+        let alpha = self.param(params, alpha);
+        let (hv, av) = (&self.nodes[h.0].value, &self.nodes[alpha.0].value);
+        assert_eq!(av.shape(), (2 * d, 1), "readout: alpha must be a 2d column");
+        let logits = readout_logits(hv, av.as_slice(), k1);
+        let scores = softmax_rows(&logits);
+        give_back(logits);
+        let y = readout_sum(hv, &scores, k1);
+        let scores = self.push(scores, Op::ReadoutScores { h, alpha, k1 });
+        let y = self.push(y, Op::Readout { scores, h, alpha, k1 });
+        (y, scores)
     }
 }
 

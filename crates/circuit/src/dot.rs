@@ -13,7 +13,7 @@ use std::io::Write;
 /// * PIs are boxes, AND gates ellipses, the constant a diamond.
 /// * Complemented fanin edges are dashed.
 /// * `labels`, if provided, annotates node names (one string per node id,
-///   e.g. the [`hoga_gen`-style] class names).
+///   e.g. the `hoga_gen`-style class names).
 ///
 /// # Errors
 ///

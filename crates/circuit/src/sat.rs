@@ -9,7 +9,7 @@
 //! and how Gamora's symbolic-reasoning ground truth is justified.
 //!
 //! The solver is intentionally simple (no clause learning); a conflict
-//! budget keeps worst cases bounded, returning [`SatResult::Unknown`]
+//! budget keeps worst cases bounded, returning `SatResult::Unknown`
 //! instead of hanging. Multiplier-sized miters (the hard case for SAT)
 //! should use the simulation check instead; everything the synthesis test
 //! suite proves is comfortably in range.

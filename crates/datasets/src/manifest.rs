@@ -3,7 +3,7 @@
 //! Both QoR builders label each `(design, recipe)` sample as one record;
 //! the resumable one writes it to disk as a small text file with a trailing
 //! CRC-32, written atomically (temp-file + rename via
-//! [`crate::io::write_atomic`]), so a killed sweep leaves only complete,
+//! `crate::io::write_atomic`), so a killed sweep leaves only complete,
 //! verifiable records and a resumed sweep can trust what it finds.
 //!
 //! Records carry **no timestamps, hostnames, or other run-local state**:

@@ -4,7 +4,7 @@
 //! fixed and only the representation model varies — HOGA vs the baselines
 //! of `hoga-baselines`. Hop-wise learning has no inter-node dependencies
 //! (§III), so a training step is a pure function of (parameters, batch)
-//! whatever the model, the thread count or the supervisor around it: [`fit`] is
+//! whatever the model, the thread count or the supervisor around it: `fit` is
 //! the one epoch loop — resume, schedule, divergence guard, Adam step,
 //! checkpoint — and each entry point hands it the one thing that differs,
 //! how a batch becomes a loss and its gradients. Every run is deterministic
@@ -184,7 +184,7 @@ fn maybe_checkpoint(
     Ok(true)
 }
 
-/// Wall-clock statistics of a training run. [`fit`] and the gradient
+/// Wall-clock statistics of a training run. `fit` and the gradient
 /// providers fill it in as they go; nothing timed here reaches a
 /// checkpoint, manifest or job event.
 ///
@@ -268,7 +268,7 @@ fn timed<T>(phase: &mut Duration, f: impl FnOnce() -> T) -> T {
 // The one training loop
 // ---------------------------------------------------------------------------
 
-/// What [`fit`] needs of a model: where its parameters live.
+/// What `fit` needs of a model: where its parameters live.
 pub(crate) trait Trainable {
     /// The model's parameters (any head registered in the same set).
     fn params(&self) -> &ParamSet;
@@ -296,7 +296,7 @@ pub struct Step<'a> {
     pub epoch: usize,
     /// Index of the step within its epoch.
     pub step: usize,
-    /// The step's minibatch: indices into whatever [`fit`] was told to split.
+    /// The step's minibatch: indices into whatever `fit` was told to split.
     pub batch: &'a [usize],
     /// The run's statistics; providers add their forward and backward time.
     pub stats: &'a mut TrainStats,
@@ -304,7 +304,7 @@ pub struct Step<'a> {
     pub events: &'a mut Vec<RecoveryEvent>,
     /// The run's armed fault plan.
     pub faults: &'a FaultInjector,
-    /// The run's recycled storage: [`fit`] runs every step in one of its
+    /// The run's recycled storage: `fit` runs every step in one of its
     /// lists, and a blocked step runs each block in one.
     pub pool: &'a Pool,
 }
@@ -548,7 +548,7 @@ pub fn train_reasoning(
 ///
 /// # Errors
 ///
-/// As [`fit`], under the default [`RecoveryPolicy`].
+/// As `fit`, under the default [`RecoveryPolicy`].
 pub fn try_train_reasoning(
     graph: &ReasoningGraph,
     kind: ReasonModelKind,
@@ -580,7 +580,7 @@ pub fn try_train_reasoning(
     }
 }
 
-/// [`fit`] for a model over hop features (HOGA, SIGN): every step is
+/// `fit` for a model over hop features (HOGA, SIGN): every step is
 /// [`HopwiseTask::step`], a loop over node blocks.
 pub(crate) fn fit_hopwise<M: Trainable + Hopwise>(
     graph: &ReasoningGraph,
@@ -662,7 +662,7 @@ impl<M: Hopwise> HopwiseTask<'_, M> {
     /// back non-finite parts is recomputed after its region in block order,
     /// one event each, so a fault costs time, never a bit. Blocks are
     /// scanned only when a fault was claimed or a block unwound; a block
-    /// whose own arithmetic went non-finite is left to [`fit`]'s guard.
+    /// whose own arithmetic went non-finite is left to `fit`'s guard.
     ///
     /// # Panics
     ///
@@ -755,7 +755,7 @@ impl<M: Hopwise> NodeBlocks<'_, M> {
 
     /// Recomputes here, in block order, each block that unwound or handed
     /// back non-finite parts, and logs those it recovers (a block whose own
-    /// arithmetic went non-finite is left to [`fit`]'s guard).
+    /// arithmetic went non-finite is left to `fit`'s guard).
     fn recover(&self, run: &mut Step<'_>, blocks: &[NodeBlock], outs: &mut [Option<BlockOut>]) {
         let finite = |(grads, probs): &BlockOut| grads.is_finite() && probs.is_finite();
         let (epoch, step) = (run.epoch, run.step);
@@ -838,7 +838,7 @@ fn reduced<B, R>(
     timed(&mut stats.backward_time, || reduce(outs))
 }
 
-/// [`fit`] for GraphSAGE: a full-graph step, or with `sampled` a GraphSAINT
+/// `fit` for GraphSAGE: a full-graph step, or with `sampled` a GraphSAINT
 /// random-walk subgraph per step (functionality-severing by construction,
 /// §II-A). Either way an epoch takes as many optimizer steps as the
 /// hop-based models' `ceil(n / batch_nodes)`, whose node batches it ignores.
@@ -1034,7 +1034,7 @@ pub fn train_qor_with_target(
 ///
 /// [`TrainError::InvalidConfig`] when the dataset has no designs or no
 /// training samples, or the requested hop count exceeds what the dataset
-/// precomputed; otherwise as [`fit`], under the default [`RecoveryPolicy`].
+/// precomputed; otherwise as `fit`, under the default [`RecoveryPolicy`].
 pub fn try_train_qor_with_target(
     ds: &QorDataset,
     kind: QorModelKind,
@@ -1083,7 +1083,7 @@ fn group_by_design<'a>(
     by_design
 }
 
-/// [`fit`] for a QoR model: registers the pooled regressor on `model` and
+/// `fit` for a QoR model: registers the pooled regressor on `model` and
 /// trains both on minibatches of training samples. A step groups its
 /// samples by design, in design order, and sums `design_step`'s loss and
 /// gradients over the designs' [`DesignHead`]s.
@@ -1230,7 +1230,7 @@ pub fn eval_qor(ds: &QorDataset, model: &QorModel, use_train: bool) -> Vec<QorEv
 }
 
 /// Evaluates a QoR model for an explicit [`QorTarget`], tape-free at
-/// `Exact`: each design's representations of every node, [`fit_qor`]'s
+/// `Exact`: each design's representations of every node, `fit_qor`'s
 /// forward without the tape, are pooled once and scored against each
 /// sample's recipe by [`GraphRegressor::score`], as serving scores a
 /// circuit, so a prediction is the served ratio and, unless

@@ -453,7 +453,7 @@ impl<'p> Ops<'p> for NoTape<'p> {
     }
 
     /// Eq. 10 on `h` in place ([`readout_logits`], [`readout_sum`]): no
-    /// gather, no `[Ĥ₀ ‖ Ĥₖ]`, and the default body's bits at every
+    /// gather, no `[Ĥ₀ ‖ Ĥₖ]`, and the op-by-op composition's bits at every
     /// precision, since both of its products run the exact chain in every
     /// mode. The softmax is this holder's own, exact or fast.
     fn readout(
@@ -489,9 +489,8 @@ impl<'p> Ops<'p> for NoTape<'p> {
 /// 72 KiB, so the handful a block keeps live stay cache-resident and under
 /// the allocator's `mmap` threshold (128 KiB by default); the model's pool
 /// keeps them from block to block. It is the largest value of the tape-free
-/// forward, whose readout reads `Ĥ` in place. A tape's readout still builds
-/// `(block · K) × 2·hidden_dim` values, 128 KiB at the paper's shapes: the
-/// concat `[Ĥ₀ ‖ Ĥₖ]` forward and its gradient backward.
+/// forward, whose readout reads `Ĥ` in place, and of a training block's
+/// tape, whose readout does too.
 const BLOCK_ELEMS: usize = 18 * 1024;
 
 /// Nodes per block of the forward, tape-free here and recorded in the

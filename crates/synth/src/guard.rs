@@ -13,7 +13,7 @@
 //!   rolled back and recorded as a structured [`Incident`]; the recipe
 //!   continues on the pre-pass circuit.
 //! * **Pass budgets** — every pass runs under a deterministic work budget
-//!   (and an optional wall-clock deadline) tracked by a [`WorkMeter`];
+//!   (and an optional wall-clock deadline) tracked by a `WorkMeter`;
 //!   exhaustion rolls the pass back instead of hanging the sweep.
 //! * **Fault injection** — the `Step` sites of a [`hoga_jobs::JobFaultPlan`]
 //!   deliberately miscompile (`Corrupt`) or stall (`Stall`) selected steps

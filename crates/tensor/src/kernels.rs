@@ -22,8 +22,11 @@
 //! poisoning pattern depended on where the NaN sat in the row.
 
 use crate::backend::{dispatch, KernelBackend};
+use crate::matrix::{tn_chunk_count, tn_chunks_are_runs};
+use crate::parallel::parallel_map;
 use crate::recycle::give_back;
 use crate::Matrix;
+use std::ops::Range;
 
 const LN_EPS: f32 = 1e-5;
 
@@ -270,18 +273,40 @@ pub fn layernorm_backward(
     gamma: &[f32],
     cache: &LayerNormCache,
 ) -> (Matrix, Vec<f32>, Vec<f32>) {
+    let mut dgamma = vec![0.0f32; dy.cols()];
+    let mut dbeta = vec![0.0f32; dy.cols()];
+    let dx = layernorm_backward_impl(dy, gamma, cache, Some((&mut dgamma, &mut dbeta)));
+    (dx, dgamma, dbeta)
+}
+
+/// The `dx` of [`layernorm_backward`], bit for bit, without summing
+/// `dgamma` and `dbeta` down the rows: for a caller that sums those itself,
+/// as a node block of a training step hands its rows back.
+///
+/// # Panics
+///
+/// Panics if shapes disagree with the cached forward pass.
+pub fn layernorm_backward_dx(dy: &Matrix, gamma: &[f32], cache: &LayerNormCache) -> Matrix {
+    layernorm_backward_impl(dy, gamma, cache, None)
+}
+
+/// `dx`, with `dγ` and `dβ` summed into `sums` row after row when given.
+fn layernorm_backward_impl(
+    dy: &Matrix,
+    gamma: &[f32],
+    cache: &LayerNormCache,
+    mut sums: Option<(&mut [f32], &mut [f32])>,
+) -> Matrix {
     let d = dy.cols();
     assert_eq!(gamma.len(), d, "gamma length mismatch");
     assert_eq!(cache.normalized.shape(), dy.shape(), "cache shape mismatch");
     let n_rows = dy.rows();
+    let mut dx = Matrix::zeros(n_rows, d);
     if d == 0 {
         // Width-0 forward was a no-op; the backward has no feature axis to
         // reduce over either (and `1.0 / d` below would be inf).
-        return (Matrix::zeros(n_rows, 0), Vec::new(), Vec::new());
+        return dx;
     }
-    let mut dx = Matrix::zeros(n_rows, d);
-    let mut dgamma = vec![0.0f32; d];
-    let mut dbeta = vec![0.0f32; d];
     for r in 0..n_rows {
         let dyr = dy.row(r);
         let xhat = cache.normalized.row(r);
@@ -294,8 +319,12 @@ pub fn layernorm_backward(
             let dxhat = dyr[c] * gamma[c];
             sum_dxhat += dxhat;
             sum_dxhat_xhat += dxhat * xhat[c];
-            dgamma[c] += dyr[c] * xhat[c];
-            dbeta[c] += dyr[c];
+        }
+        if let Some((dgamma, dbeta)) = sums.as_mut() {
+            for c in 0..d {
+                dgamma[c] += dyr[c] * xhat[c];
+                dbeta[c] += dyr[c];
+            }
         }
         let drow = dx.row_mut(r);
         let inv_d = 1.0 / d as f32;
@@ -304,7 +333,7 @@ pub fn layernorm_backward(
             drow[c] = is * (dxhat - inv_d * sum_dxhat - inv_d * xhat[c] * sum_dxhat_xhat);
         }
     }
-    (dx, dgamma, dbeta)
+    dx
 }
 
 /// The readout logits of Eq. 10, `αᵀ [Ĥ₀ ‖ Ĥₖ]` for every node and hop
@@ -395,6 +424,220 @@ pub fn readout_sum(h: &Matrix, scores: &Matrix, k1: usize) -> Matrix {
         }
     });
     y
+}
+
+/// The readout's score gradient from `y`'s gradient `dy` (`nodes × d`):
+/// `dyᵢ · Ĥₖᵀ` for every node `i` and hop `k ≥ 1`, read from the node-major
+/// hop stack `h` in place, `nodes × (k1 − 1)`. Bitwise the batched product
+/// `dy · [Ĥ₁..Ĥ_K]ᵀ` of [`Matrix::gemm`] at `Gemm::NT.batched(nodes)` that
+/// the op-by-op backward of Eq. 10 takes: each node's hops are one
+/// contiguous block of `h`, transposed and handed to
+/// `KernelBackend::score_tile` as that product hands its blocks — per
+/// element `+0.0`, then one fused multiply-add per column, ascending,
+/// nothing skipped.
+///
+/// # Panics
+///
+/// Panics if `k1` is zero or does not divide `h.rows()`, or `dy` is not
+/// `nodes × h.cols()`.
+pub fn readout_scores_grad(h: &Matrix, dy: &Matrix, k1: usize) -> Matrix {
+    let (nodes, d) = hop_stack_shape(h, k1);
+    assert_eq!(dy.shape(), (nodes, d), "readout dy shape mismatch");
+    let k = k1 - 1;
+    let mut dscores = Matrix::zeros(nodes, k);
+    if dscores.is_empty() {
+        return dscores;
+    }
+    let stride = k.next_multiple_of(8);
+    let mut kt = Matrix::zeros(d, stride);
+    dispatch!(B => for (i, out) in dscores.as_mut_slice().chunks_exact_mut(k).enumerate() {
+        let hops = &h.as_slice()[(i * k1 + 1) * d..(i + 1) * k1 * d];
+        B::transpose(hops, k, d, kt.as_mut_slice(), stride);
+        B::score_tile(out, k, dy.row(i), d, kt.as_slice(), stride);
+    });
+    give_back(kt);
+    dscores
+}
+
+/// Adds Eq. 10's gradient with respect to the hop stack `h` into `dh`
+/// (`h`'s shape), given the readout's `alpha`, its `scores`, the logits'
+/// gradient `dlogits` (both `nodes × (k1 − 1)`) and `y`'s gradient `dy`,
+/// if one reached `y`. Pass `dh` full of `−0.0` when it holds nothing yet:
+/// `−0.0 + x` is `x`, bit for bit.
+///
+/// Bitwise what the op-by-op backward adds, which sums three gathers'
+/// gradients into `dh` in arrival order, each scattered into a zero matrix
+/// of `h`'s shape first:
+/// 1. `Ĥ₁..Ĥ_K`'s: the batched product's `cₖ · dy` (one
+///    `KernelBackend::fma_row` from `+0.0`, a zero score skipped; only
+///    when `dy` is given) plus the concat's right half `dlogit · α[d..]`
+///    (the same step, a zero logit gradient skipped);
+/// 2. `Ĥ₀` repeated `K` times: the concat's left halves `dlogit · α[..d]`,
+///    summed into `+0.0` in hop order;
+/// 3. `Ĥ₀`'s: `dy` itself, when given.
+///
+/// The scatter into zeros is `0.0 + g`, which turns a `−0.0` into `+0.0`,
+/// and every row a gather does not touch still adds its `+0.0`.
+///
+/// # Panics
+///
+/// Panics if `k1` is zero or does not divide `h.rows()`, or an operand's
+/// shape disagrees with `h`'s.
+pub fn readout_hops_grad(
+    h: &Matrix,
+    alpha: &[f32],
+    scores: &Matrix,
+    dy: Option<&Matrix>,
+    dlogits: &Matrix,
+    k1: usize,
+    dh: &mut Matrix,
+) {
+    let (nodes, d) = hop_stack_shape(h, k1);
+    let k = k1 - 1;
+    assert_eq!(alpha.len(), 2 * d, "readout alpha length mismatch");
+    assert_eq!(scores.shape(), (nodes, k), "readout scores shape mismatch");
+    assert_eq!(dlogits.shape(), (nodes, k), "readout dlogits shape mismatch");
+    assert_eq!(dh.shape(), h.shape(), "readout dh shape mismatch");
+    if let Some(dy) = dy {
+        assert_eq!(dy.shape(), (nodes, d), "readout dy shape mismatch");
+    }
+    if dh.is_empty() {
+        return;
+    }
+    let (alpha0, alpha_k) = alpha.split_at(d);
+    // Row 0: a hop's gradient; row 1: a concat half; row 2: the repeats' sum.
+    let mut rows = Matrix::zeros(3, d);
+    dispatch!(B => for (i, node) in dh.as_mut_slice().chunks_exact_mut(k1 * d).enumerate() {
+        let (grad, rest) = rows.as_mut_slice().split_at_mut(d);
+        let (half, repeats) = rest.split_at_mut(d);
+        let (dh0, dhk) = node.split_at_mut(d);
+        repeats.fill(0.0);
+        for (hop, dhrow) in dhk.chunks_exact_mut(d).enumerate() {
+            let dl = dlogits[(i, hop)];
+            half.fill(0.0);
+            B::fma_row(half, dl, alpha0);
+            for (r, &l) in repeats.iter_mut().zip(&*half) {
+                *r += l;
+            }
+            half.fill(0.0);
+            B::fma_row(half, dl, alpha_k);
+            match dy {
+                Some(dy) => {
+                    grad.fill(0.0);
+                    B::fma_row(grad, scores[(i, hop)], dy.row(i));
+                    for (g, &c) in grad.iter_mut().zip(&*half) {
+                        *g += c;
+                    }
+                }
+                None => grad.copy_from_slice(half),
+            }
+            for (x, &g) in dhrow.iter_mut().zip(&*grad) {
+                *x = (*x + (0.0 + g)) + 0.0;
+                if dy.is_some() {
+                    *x += 0.0;
+                }
+            }
+        }
+        for (c, x) in dh0.iter_mut().enumerate() {
+            *x = (*x + 0.0) + repeats[c];
+            if let Some(dy) = dy {
+                *x += 0.0 + dy[(i, c)];
+            }
+        }
+    });
+    give_back(rows);
+}
+
+/// Eq. 10's `α` gradient, `[Ĥ₀ ‖ Ĥₖ]ᵀ · dlogits` (`2d × 1`), read from the
+/// node-major hop stack `h` in place, with the `nodes × (k1 − 1)` logit
+/// gradient: bitwise the product of the gathered concat (row `i·K + k − 1`
+/// node `i`'s hop `k`) and the flattened `dlogits` by [`Matrix::gemm`] at
+/// `Gemm::TN`, chunked as that product chunks its rows, the partials summed
+/// into zeros in ascending order. Per row, one `KernelBackend::fma_lanes`
+/// over each half of the concat's row, the chain and skip of the narrow
+/// `aᵀ · b`.
+///
+/// # Panics
+///
+/// Panics if `k1` is zero or does not divide `h.rows()`, or `dlogits` is
+/// not `nodes × (k1 − 1)`.
+pub fn readout_alpha_grad(h: &Matrix, dlogits: &Matrix, k1: usize) -> Matrix {
+    let (nodes, d) = hop_stack_shape(h, k1);
+    assert_eq!(dlogits.shape(), (nodes, k1 - 1), "readout dlogits shape mismatch");
+    let total = dlogits.len();
+    let mut out = Matrix::zeros(2 * d, 1);
+    let chunks = tn_chunk_count(2 * d, total, 1);
+    if chunks <= 1 {
+        dispatch!(B => readout_tn_rows::<B>(h, dlogits, k1, 0..total, out.as_mut_slice()));
+        return out;
+    }
+    let rows_per = total.div_ceil(chunks);
+    let partials = parallel_map(chunks, |ci| {
+        let mut partial = Matrix::zeros(2 * d, 1);
+        let rows = ci * rows_per..((ci + 1) * rows_per).min(total);
+        dispatch!(B => readout_tn_rows::<B>(h, dlogits, k1, rows, partial.as_mut_slice()));
+        partial
+    });
+    for partial in partials {
+        for (o, &p) in out.as_mut_slice().iter_mut().zip(partial.as_slice()) {
+            *o += p;
+        }
+        give_back(partial);
+    }
+    out
+}
+
+/// [`readout_alpha_grad`] over one node block, run `index` of a
+/// `batch`-node batch cut into runs of `size` nodes: its chunk partial of
+/// the batch's product when the product's chunks are exactly the blocks'
+/// concat rows, as [`Matrix::matmul_tn_chunk`] gives it for the gathered
+/// concat, and `None` otherwise.
+///
+/// # Panics
+///
+/// Panics if `k1` is zero or does not divide `h.rows()`, `dlogits` is not
+/// `nodes × (k1 − 1)`, or `h` does not hold run `index`'s nodes.
+pub fn readout_alpha_grad_chunk(
+    h: &Matrix,
+    dlogits: &Matrix,
+    k1: usize,
+    size: usize,
+    index: usize,
+    batch: usize,
+) -> Option<Matrix> {
+    let (nodes, d) = hop_stack_shape(h, k1);
+    assert_eq!(dlogits.shape(), (nodes, k1 - 1), "readout dlogits shape mismatch");
+    let run = size.min(batch.saturating_sub(index * size));
+    assert_eq!(nodes, run, "{nodes} nodes are not run {index} of {batch} in runs of {size}");
+    let k = k1 - 1;
+    if !tn_chunks_are_runs(2 * d, 1, size * k, batch * k) {
+        return None;
+    }
+    let mut out = Matrix::zeros(2 * d, 1);
+    let rows = 0..dlogits.len();
+    dispatch!(B => readout_tn_rows::<B>(h, dlogits, k1, rows, out.as_mut_slice()));
+    Some(out)
+}
+
+/// `out += [Ĥ₀ ‖ Ĥₖ]ᵀ · dlogits` over the concat's rows `rows` (row
+/// `i·K + k − 1` is node `i`'s hop `k`), `out` `2d` long: per row, one
+/// `fma_lanes` over `Ĥ₀` into `out[..d]` and one over `Ĥₖ` into `out[d..]`,
+/// which is per lane the narrow `aᵀ · b`'s step over the concat's row.
+fn readout_tn_rows<B: KernelBackend>(
+    h: &Matrix,
+    dlogits: &Matrix,
+    k1: usize,
+    rows: Range<usize>,
+    out: &mut [f32],
+) {
+    let (k, d) = (k1 - 1, h.cols());
+    let (out0, out_k) = out.split_at_mut(d);
+    let dl = dlogits.as_slice();
+    for r in rows {
+        let (i, hop) = (r / k, r % k + 1);
+        B::fma_lanes(out0, h.row(i * k1), dl[r]);
+        B::fma_lanes(out_k, h.row(i * k1 + hop), dl[r]);
+    }
 }
 
 /// `(nodes, d)` of a node-major hop stack of `k1` rows a node.

@@ -40,12 +40,21 @@ const TN_SINGLE_CHUNK_MACS: usize = 1 << 18;
 /// Number of `k`-chunks an unbatched `aᵀ · b` decomposes into — a pure function of the
 /// operand shapes, never of the thread count, so the fixed-order reduction
 /// over chunk partials yields bitwise-identical floats at any parallelism.
-fn tn_chunk_count(m: usize, k: usize, n: usize) -> usize {
+pub(crate) fn tn_chunk_count(m: usize, k: usize, n: usize) -> usize {
     if m * k * n <= TN_SINGLE_CHUNK_MACS {
         1
     } else {
         k.div_ceil(TN_K_CHUNK).clamp(1, TN_MAX_CHUNKS)
     }
+}
+
+/// Whether the unbatched `aᵀ · b` of two `total`-row operands, `m` and `n`
+/// columns wide, sums more than one chunk and its chunks are exactly the
+/// consecutive runs of `rows` rows, none empty: then each run's own
+/// product is one of its chunk partials ([`Matrix::matmul_tn_chunk`]).
+pub(crate) fn tn_chunks_are_runs(m: usize, n: usize, rows: usize, total: usize) -> bool {
+    let chunks = tn_chunk_count(m, total, n);
+    chunks > 1 && total.div_ceil(chunks) == rows && total.div_ceil(rows) == chunks
 }
 
 /// The operand layout of a dense product.
@@ -677,10 +686,10 @@ impl Matrix {
     }
 
     /// `out[i] += a_i · x` for consecutive `k`-float rows `a_i` of `a`: the
-    /// `a · b` of a one-column `b` — the tape's readout `[Ĥ₀ ‖ Ĥₖ]·α`
-    /// (Eq. 10) and the one-output heads, such as the graph regressor's last
-    /// layer. The tape-free readout runs `kernels::readout_logits` instead,
-    /// which gives these bits without building the concat.
+    /// `a · b` of a one-column `b` — the one-output heads, such as the graph
+    /// regressor's last layer. Eq. 10's readout, on a tape and off it, runs
+    /// `kernels::readout_logits` instead, which gives the bits of the
+    /// concat's `[Ĥ₀ ‖ Ĥₖ]·α` without building the concat.
     /// The panel kernel tiles sixteen output columns and walks a lone one
     /// element at a time down a single dependency chain; here each block of
     /// eight rows is transposed into `at` so that the rows sit in the eight
@@ -760,9 +769,7 @@ impl Matrix {
         let run = rows.min(total.saturating_sub(index * rows));
         assert_eq!(self.rows, run, "rows are not run {index} of {total} in runs of {rows}");
         let (m, n) = (self.cols, other.cols);
-        let chunks = tn_chunk_count(m, total, n);
-        // Every chunk one run, none empty: the product's chunks are the runs.
-        if chunks <= 1 || total.div_ceil(chunks) != rows || total.div_ceil(rows) != chunks {
+        if !tn_chunks_are_runs(m, n, rows, total) {
             return None;
         }
         let mut out = Self::zeros(m, n);
@@ -808,7 +815,8 @@ impl Matrix {
     }
 
     /// [`Self::tn_rows`] for an output narrower than one 16-column tile (the
-    /// readout's dα and the classifier head's dW): the panels have no full
+    /// classifier head's dW; Eq. 10's dα takes the same steps in
+    /// `kernels::readout_alpha_grad`): the panels have no full
     /// tile and `fma_row` over `n`-float rows is a backend call per `n`
     /// multiply-adds. So the product runs one output column at a time into
     /// `outᵀ` (which is `out` for one column), where the `m` outputs a row

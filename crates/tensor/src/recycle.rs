@@ -152,7 +152,7 @@ pub struct Pool {
 
 impl Default for Pool {
     /// An empty pool, its bookkeeping allocated on the thread that will
-    /// free it (see [`FLOOR`] on small chunks freed elsewhere).
+    /// free it (see `FLOOR` on small chunks freed elsewhere).
     fn default() -> Self {
         Pool { idle: Mutex::new(Vec::with_capacity(64)) }
     }
