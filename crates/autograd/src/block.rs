@@ -109,20 +109,6 @@ impl RowSum {
             }
         }
     }
-
-    fn is_finite(&self) -> bool {
-        match self {
-            RowSum::Chunk(m) | RowSum::Cols(m) => m.is_finite(),
-            RowSum::Tn(a, g, _) => a.is_finite() && g.is_finite(),
-        }
-    }
-
-    /// Scales the sum this part contributes by `s`.
-    fn scale(&mut self, s: f32) {
-        match self {
-            RowSum::Chunk(m) | RowSum::Cols(m) | RowSum::Tn(_, m, _) => m.map_inplace(|x| x * s),
-        }
-    }
 }
 
 /// A parameter's sum over the batch's rows, folded block by block: a
@@ -188,16 +174,6 @@ impl BlockGrads {
     /// partials (the others as rows).
     pub fn chunk_partials(&self) -> usize {
         self.sums.iter().filter(|sum| matches!(sum.part, RowSum::Chunk(_))).count()
-    }
-
-    /// Whether every part is finite.
-    pub fn is_finite(&self) -> bool {
-        self.sums.iter().all(|sum| sum.part.is_finite())
-    }
-
-    /// Scales this block's share of every parameter gradient by `s`.
-    pub fn scale(&mut self, s: f32) {
-        self.sums.iter_mut().for_each(|sum| sum.part.scale(s));
     }
 }
 

@@ -2,26 +2,20 @@
 //!
 //! The paper's headline claim is *scalable* training (Figure 5's
 //! near-linear multi-worker speedup on OpenABC-D-scale data). At that
-//! scale a trainer that aborts on the first NaN loss or panicking worker
-//! loses hours of work, so the training entry points in this crate are
-//! fault-tolerant: they return a typed [`TrainError`] instead of
-//! panicking, recover from divergence by rolling back to the last good
-//! checkpoint (see [`crate::resilient`]), and recompute a node block that
-//! panics or hands back non-finite parts rather than fail the step (see
-//! [`crate::trainer::HopwiseTask::step`]).
+//! scale a trainer that aborts on the first NaN loss loses hours of work,
+//! so the training entry points in this crate return a typed
+//! [`TrainError`] instead of panicking and recover from divergence by
+//! rolling back to the start of the epoch (see [`crate::resilient`]). A
+//! lost process is the job engine's to retry and resume from its last
+//! checkpoint (`hoga_jobs`).
 //!
 //! What goes wrong on purpose is not defined here: the trainers take a
-//! [`hoga_jobs::JobFaultPlan`] and claim its `Step { epoch, step, block }`
-//! and `Loss { epoch, step }` sites from a [`hoga_jobs::FaultInjector`].
-//! A plan injects the same faults at the same coordinates every run, which
-//! is what lets the tests assert that a faulted run converges to the
-//! *bitwise-identical* model of a fault-free run.
+//! [`hoga_jobs::JobFaultPlan`] and claim its `Loss { epoch, step }` sites
+//! from a [`hoga_jobs::FaultInjector`]. A plan injects the same faults at
+//! the same coordinates every run, which is what lets the tests assert that
+//! a rolled-back run ends on the bits of a clean run at the backed-off rate.
 
 use hoga_datasets::io::CheckpointError;
-use hoga_jobs::{FaultKind, FaultSite, JobFaultPlan};
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use std::error::Error;
 use std::fmt;
 
@@ -83,39 +77,6 @@ impl From<CheckpointError> for TrainError {
     }
 }
 
-/// Samples `count` block faults at distinct `epochs × steps × blocks` step
-/// sites (all of them when `count` is larger), deterministically in `seed`,
-/// so every fault is its own event. Kinds cycle panic → stall (5 ms) →
-/// corrupt.
-pub fn random_block_faults(
-    seed: u64,
-    epochs: usize,
-    steps: usize,
-    blocks: usize,
-    count: usize,
-) -> JobFaultPlan {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let (epochs, steps, blocks) = (epochs.max(1), steps.max(1), blocks.max(1));
-    let mut sites: Vec<FaultSite> = Vec::new();
-    while sites.len() < count.min(epochs * steps * blocks) {
-        let unit = rng.gen_range(0..epochs) as u64;
-        let step = rng.gen_range(0..steps) as u64;
-        let lane = rng.gen_range(0..blocks) as u64;
-        let site = FaultSite::Step { unit, step, lane };
-        if !sites.contains(&site) {
-            sites.push(site);
-        }
-    }
-    sites.into_iter().enumerate().fold(JobFaultPlan::none(), |plan, (k, site)| {
-        let kind = match k % 3 {
-            0 => FaultKind::Panic,
-            1 => FaultKind::Stall { millis: 5 },
-            _ => FaultKind::Corrupt,
-        };
-        plan.inject(site, kind)
-    })
-}
-
 /// One recovery action taken by a fault-tolerant trainer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecoveryEvent {
@@ -150,36 +111,6 @@ pub enum RecoveryEvent {
         /// 1-based retry count.
         retry: usize,
     },
-    /// A node block of a training step panicked; the caller recomputed it.
-    BlockPanicked {
-        /// Epoch of the fault.
-        epoch: usize,
-        /// Step of the fault.
-        step: usize,
-        /// Index of the block in its step.
-        block: usize,
-    },
-    /// A node block handed back non-finite parts; the caller recomputed it.
-    BlockCorrupted {
-        /// Epoch of the fault.
-        epoch: usize,
-        /// Step of the fault.
-        step: usize,
-        /// Index of the block in its step.
-        block: usize,
-    },
-    /// A node block was injected with a stall (informational; no
-    /// recomputation needed).
-    BlockDelayed {
-        /// Epoch of the fault.
-        epoch: usize,
-        /// Step of the fault.
-        step: usize,
-        /// Index of the block in its step.
-        block: usize,
-        /// Stall duration in milliseconds.
-        millis: u64,
-    },
 }
 
 /// Structured record of what a fault-tolerant run survived.
@@ -198,12 +129,6 @@ pub struct TrainReport {
 }
 
 impl TrainReport {
-    /// Number of events that involved recomputing or rolling back state
-    /// (everything except informational delays).
-    pub fn recoveries(&self) -> usize {
-        self.events.iter().filter(|e| !matches!(e, RecoveryEvent::BlockDelayed { .. })).count()
-    }
-
     /// Human-readable one-line-per-event rendering.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -214,9 +139,8 @@ impl TrainReport {
             out.push_str(&format!("{ev:?}\n"));
         }
         out.push_str(&format!(
-            "{} events ({} recoveries), {} retries, {} checkpoints written, final lr {:.3e}\n",
+            "{} events, {} retries, {} checkpoints written, final lr {:.3e}\n",
             self.events.len(),
-            self.recoveries(),
             self.retries,
             self.checkpoints_written,
             self.final_lr,
@@ -249,38 +173,6 @@ impl Default for RecoveryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn random_plans_are_deterministic_in_seed() {
-        let a = random_block_faults(9, 4, 6, 3, 5);
-        let b = random_block_faults(9, 4, 6, 3, 5);
-        let c = random_block_faults(10, 4, 6, 3, 5);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a.faults().len(), 5);
-        // Every site is distinct, and a plan asking for more faults than
-        // there are sites gets one per site.
-        let all = random_block_faults(9, 2, 1, 3, 100);
-        assert_eq!(all.faults().len(), 6);
-        let faults = all.faults();
-        let distinct =
-            faults.iter().enumerate().all(|(i, f)| faults[..i].iter().all(|g| g.site != f.site));
-        assert!(distinct, "{faults:?}");
-    }
-
-    #[test]
-    fn report_counts_recoveries_not_delays() {
-        let report = TrainReport {
-            events: vec![
-                RecoveryEvent::BlockDelayed { epoch: 0, step: 0, block: 0, millis: 5 },
-                RecoveryEvent::BlockPanicked { epoch: 0, step: 1, block: 1 },
-                RecoveryEvent::RolledBack { to_epoch: 0, retry: 1 },
-            ],
-            ..TrainReport::default()
-        };
-        assert_eq!(report.recoveries(), 2);
-        assert!(report.render().contains("retries"));
-    }
 
     #[test]
     fn train_error_messages_are_descriptive() {

@@ -6,9 +6,8 @@
 //!   rollback, Adam step, checkpoint) and the task entry points that feed
 //!   it a gradient provider, for HOGA and every baseline with identical
 //!   task pipelines (Figure 3's controlled swap). HOGA and SIGN steps run
-//!   as node blocks in one parallel region, supervised so a panicking or
-//!   corrupt block is recomputed instead of fatal; Figure 5's workers are
-//!   that region's threads.
+//!   as node blocks in one parallel region, reduced in block order whatever
+//!   order they finish in; Figure 5's workers are that region's threads.
 //! * [`fault`] — the recovery vocabulary: [`fault::TrainError`],
 //!   [`fault::RecoveryPolicy`] and the [`fault::TrainReport`] recovery log
 //!   (what gets injected is a [`hoga_jobs::JobFaultPlan`]).

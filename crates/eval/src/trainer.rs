@@ -30,14 +30,13 @@ use hoga_gen::reason::NodeClass;
 use hoga_tensor::recycle::Pool;
 use hoga_tensor::{parallel_blocks, Matrix};
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::fault::{RecoveryEvent, RecoveryPolicy, TrainError, TrainReport};
 use crate::metrics::{accuracy, argmax_rows, mape};
-use hoga_jobs::{FaultInjector, FaultKind, JobFaultPlan};
+use hoga_jobs::{FaultInjector, JobFaultPlan};
 
 /// Common hyperparameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -300,10 +299,6 @@ pub struct Step<'a> {
     pub batch: &'a [usize],
     /// The run's statistics; providers add their forward and backward time.
     pub stats: &'a mut TrainStats,
-    /// The run's recovery log, for providers that recover on their own.
-    pub events: &'a mut Vec<RecoveryEvent>,
-    /// The run's armed fault plan.
-    pub faults: &'a FaultInjector,
     /// The run's recycled storage: `fit` runs every step in one of its
     /// lists, and a blocked step runs each block in one.
     pub pool: &'a Pool,
@@ -334,8 +329,8 @@ pub(crate) fn tape_step(
 /// taken when the epoch began, scales the rate by `policy.lr_backoff` and
 /// runs the epoch again — the same batches, since their order is a pure
 /// function of `(seed, epoch)`. A `Loss { epoch, step }` site in `plan` makes
-/// that step's loss read NaN (each fires once) to exercise that path; its
-/// `Step` sites are the gradient provider's to claim.
+/// that step's loss read NaN (each fires once) to exercise that path; no
+/// other site of `plan` is read here.
 ///
 /// # Errors
 ///
@@ -371,15 +366,7 @@ pub(crate) fn fit<M: Trainable>(
         for (step, batch) in
             minibatches(items, batch_size, cfg.seed, epoch as u64).iter().enumerate()
         {
-            let mut run = Step {
-                epoch,
-                step,
-                batch,
-                stats: &mut stats,
-                events: &mut report.events,
-                faults: &faults,
-                pool: &pool,
-            };
+            let mut run = Step { epoch, step, batch, stats: &mut stats, pool: &pool };
             let (mut loss, grads) = pool.run(|| grad(model, &mut run));
             if faults.claim_loss(epoch as u64, step as u64).is_some() {
                 loss = f32::NAN;
@@ -636,9 +623,6 @@ pub struct BlockedStep {
     pub chunk_partials: usize,
 }
 
-/// One block's outputs: its gradient parts and its rows' label probabilities.
-type BlockOut = (BlockGrads, Matrix);
-
 impl<M: Hopwise> HopwiseTask<'_, M> {
     /// One training step on the nodes `run.batch`, run as a loop over
     /// blocks of [`block_nodes`] nodes in parallel regions of up to
@@ -654,15 +638,12 @@ impl<M: Hopwise> HopwiseTask<'_, M> {
     /// whole-batch order. Loss and gradients are one whole-batch tape's bit
     /// for bit, at any batch and thread count. The blocks' forward and
     /// backward time, summed over workers, and the reduction's time, as
-    /// backward, go to `run.stats`.
+    /// backward, go to `run.stats`. Which worker runs a block, and when it
+    /// finishes, never enters the result.
     ///
-    /// A `Step { epoch, step, lane }` fault of `run`'s plan hits block
-    /// `lane`, claimed here in block order before the first region (a stall
-    /// is logged then, slept in its block). A block that unwound or handed
-    /// back non-finite parts is recomputed after its region in block order,
-    /// one event each, so a fault costs time, never a bit. Blocks are
-    /// scanned only when a fault was claimed or a block unwound; a block
-    /// whose own arithmetic went non-finite is left to `fit`'s guard.
+    /// Nothing here recovers a block: a block whose arithmetic went
+    /// non-finite is `fit`'s guard's to roll back, and a block that panics
+    /// unwinds out of the step with its worker's payload.
     ///
     /// # Panics
     ///
@@ -699,41 +680,12 @@ struct NodeBlocks<'a, M> {
 impl<M: Hopwise> NodeBlocks<'_, M> {
     /// [`HopwiseTask::step`].
     fn step(&self, run: &mut Step<'_>) -> BlockedStep {
-        let (batch, epoch, step) = (run.batch, run.epoch, run.step);
+        let batch = run.batch;
         let size = block_nodes(self.hops.len(), self.model.hidden_dim());
         let blocks: Vec<NodeBlock> = NodeBlock::cover(batch.len(), size).collect();
-        let (e, s) = (epoch as u64, step as u64);
-        let mut faults: Vec<Vec<FaultKind>> = Vec::with_capacity(blocks.len());
-        for block in 0..blocks.len() {
-            faults.push(std::iter::from_fn(|| run.faults.claim_step(e, s, block as u64)).collect());
-            for &kind in &faults[block] {
-                if let FaultKind::Stall { millis } = kind {
-                    run.events.push(RecoveryEvent::BlockDelayed { epoch, step, block, millis });
-                }
-            }
-        }
         let (mut fold, mut label_probs, mut chunk_partials) = (BlockFold::default(), vec![], 0);
-        for (wave, wave_faults) in blocks.chunks(WAVE_BLOCKS).zip(faults.chunks(WAVE_BLOCKS)) {
-            let work = wave.iter().copied().zip(wave_faults).collect();
-            let mut outs = blocked(run, work, |(block, kinds)| {
-                for &kind in kinds {
-                    if let FaultKind::Stall { millis } = kind {
-                        std::thread::sleep(Duration::from_millis(millis));
-                    } else if kind == FaultKind::Panic {
-                        // analyze: allow(panic-free-paths) — deliberate fault injection; the step catches the unwind and recomputes the block
-                        panic!("injected block panic (fault plan)");
-                    }
-                }
-                let ((mut grads, label_probs), times) = self.block(block, batch);
-                if kinds.contains(&FaultKind::Corrupt) {
-                    grads.scale(f32::NAN);
-                }
-                ((grads, label_probs), times)
-            });
-            if wave_faults.iter().any(|kinds| !kinds.is_empty()) || outs.iter().any(Option::is_none)
-            {
-                self.recover(run, wave, &mut outs);
-            }
+        for wave in blocks.chunks(WAVE_BLOCKS) {
+            let outs = blocked(run, wave.to_vec(), |block| self.block(block, batch));
             reduced(run.stats, outs, |outs| {
                 for (grads, probs) in outs {
                     chunk_partials += grads.chunk_partials();
@@ -753,34 +705,10 @@ impl<M: Hopwise> NodeBlocks<'_, M> {
         })
     }
 
-    /// Recomputes here, in block order, each block that unwound or handed
-    /// back non-finite parts, and logs those it recovers (a block whose own
-    /// arithmetic went non-finite is left to `fit`'s guard).
-    fn recover(&self, run: &mut Step<'_>, blocks: &[NodeBlock], outs: &mut [Option<BlockOut>]) {
-        let finite = |(grads, probs): &BlockOut| grads.is_finite() && probs.is_finite();
-        let (epoch, step) = (run.epoch, run.step);
-        for (&block, out) in blocks.iter().zip(outs) {
-            let event = match out {
-                None => RecoveryEvent::BlockPanicked { epoch, step, block: block.index },
-                Some(out) if !finite(out) => {
-                    RecoveryEvent::BlockCorrupted { epoch, step, block: block.index }
-                }
-                Some(_) => continue,
-            };
-            let (fresh, [forward, backward]) = run.pool.run(|| self.block(block, run.batch));
-            run.stats.forward_time += forward;
-            run.stats.backward_time += backward;
-            if out.is_none() || finite(&fresh) {
-                run.events.push(event);
-            }
-            *out = Some(fresh);
-        }
-    }
-
     /// One block of a step: its gradient parts and its rows' probabilities
     /// of their labels, and its forward and backward time (the hop-stack
     /// gather is neither).
-    fn block(&self, block: NodeBlock, batch: &[usize]) -> (BlockOut, [Duration; 2]) {
+    fn block(&self, block: NodeBlock, batch: &[usize]) -> ((BlockGrads, Matrix), [Duration; 2]) {
         let nodes = block.nodes();
         let stack = hop_stack(self.hops, &batch[nodes.clone()]);
         let start = Instant::now();
@@ -804,37 +732,31 @@ impl<M: Hopwise> NodeBlocks<'_, M> {
     }
 }
 
-/// Runs every block in one parallel region, each in a list of `run.pool`
-/// and under `catch_unwind` (an unwind cannot take its worker's other
-/// blocks down), and hands back their outputs in block order, `None` for one
-/// that unwound; their forward and backward time go to `run.stats`, summed.
+/// Runs every block in one parallel region, each in a list of `run.pool`,
+/// and hands back their outputs in block order, whatever order the blocks
+/// finish in; their forward and backward time go to `run.stats`, summed. A
+/// block that panics unwinds out of the region with its worker's payload.
 fn blocked<T: Send, B: Send>(
     run: &mut Step<'_>,
     blocks: Vec<T>,
     block_out: impl Fn(T) -> (B, [Duration; 2]) + Sync,
-) -> Vec<Option<B>> {
+) -> Vec<B> {
     let mut outs: Vec<Option<(B, [Duration; 2])>> = blocks.iter().map(|_| None).collect();
     let work = blocks.into_iter().zip(outs.iter_mut()).collect();
     let pool = run.pool;
-    parallel_blocks(work, |(block, out)| {
-        *out = pool.run(|| catch_unwind(AssertUnwindSafe(|| block_out(block)))).ok();
-    });
-    let mut phases = |(out, [forward, backward]): (B, [Duration; 2])| {
-        run.stats.forward_time += forward;
-        run.stats.backward_time += backward;
+    parallel_blocks(work, |(block, out)| *out = Some(pool.run(|| block_out(block))));
+    let stats = &mut *run.stats;
+    let phases = |(out, [forward, backward]): (B, [Duration; 2])| {
+        stats.forward_time += forward;
+        stats.backward_time += backward;
         out
     };
-    outs.into_iter().map(|out| out.map(&mut phases)).collect()
+    outs.into_iter().flatten().map(phases).collect()
 }
 
-/// `reduce` on the blocks' outputs in block order, on the caller, once
-/// every block is recovered; its time counts as backward.
-fn reduced<B, R>(
-    stats: &mut TrainStats,
-    outs: Vec<Option<B>>,
-    reduce: impl FnOnce(Vec<B>) -> R,
-) -> R {
-    let outs = outs.into_iter().flatten().collect();
+/// `reduce` on the blocks' outputs in block order, on the caller; its time
+/// counts as backward.
+fn reduced<B, R>(stats: &mut TrainStats, outs: Vec<B>, reduce: impl FnOnce(Vec<B>) -> R) -> R {
     timed(&mut stats.backward_time, || reduce(outs))
 }
 
@@ -1162,7 +1084,7 @@ impl DesignHead<'_> {
     /// in a whole-design tape's order. Pass two is [`HopwiseTask::step`]'s
     /// blocks, every row seeded with that row. Loss and gradients are the
     /// whole-design tape's bit for bit. The blocks take `run`'s epoch, step,
-    /// statistics and events, not its batch, and claim no `Step` fault site.
+    /// statistics and pool, not its batch.
     pub fn hoga_step(&self, model: &HogaModel, run: &mut Step<'_>) -> BlockedStep {
         let batch = &self.design.pooled_nodes;
         let reps = timed(&mut run.stats.forward_time, || design_reps(model, self.design, batch));
@@ -1177,10 +1099,8 @@ impl DesignHead<'_> {
         let seed = Seed::Pooled { loss: loss_value, grad: grad.row(0) };
         let hops = &self.design.hops[..=model.config().num_hops];
         let blocks = NodeBlocks { model, params: &model.params, hops, seed };
-        let faults = &FaultInjector::new(&JobFaultPlan::none());
-        let (epoch, step, stats, events) = (run.epoch, run.step, &mut *run.stats, &mut *run.events);
-        let pool = run.pool;
-        let mut out = blocks.step(&mut Step { epoch, step, batch, stats, events, faults, pool });
+        let (epoch, step, stats, pool) = (run.epoch, run.step, &mut *run.stats, run.pool);
+        let mut out = blocks.step(&mut Step { epoch, step, batch, stats, pool });
         out.grads.accumulate(&head_grads);
         out
     }
@@ -1548,32 +1468,22 @@ mod tests {
 
     #[test]
     fn blocked_steps_report_both_phases_and_count_the_reduction_as_backward() {
-        let (mut stats, mut events) = (TrainStats::default(), vec![]);
+        let mut stats = TrainStats::default();
         let (forward, backward) = (Duration::from_millis(2), Duration::from_millis(3));
         let reduction = Duration::from_millis(20);
-        let mut run = Step {
-            epoch: 0,
-            step: 0,
-            batch: &[],
-            stats: &mut stats,
-            events: &mut events,
-            faults: &FaultInjector::new(&JobFaultPlan::none()),
-            pool: &Pool::default(),
-        };
-        let block = |i: u32| {
-            assert!(i != 3, "block {i} unwinds");
-            (i, [forward, backward])
-        };
+        let mut run =
+            Step { epoch: 0, step: 0, batch: &[], stats: &mut stats, pool: &Pool::default() };
+        let block = |i: u32| (i, [forward, backward]);
         let outs = hoga_tensor::with_threads(2, || blocked(&mut run, (1..=4).collect(), block));
-        assert_eq!(outs, [Some(1), Some(2), None, Some(4)], "the unwind took no other block down");
-        assert_eq!(stats.forward_time, forward * 3, "the blocks' forward, summed over workers");
-        assert_eq!(stats.backward_time, backward * 3);
+        assert_eq!(outs, [1, 2, 3, 4]);
+        assert_eq!(stats.forward_time, forward * 4, "the blocks' forward, summed over workers");
+        assert_eq!(stats.backward_time, backward * 4);
         let reduce = |outs: Vec<u32>| {
             std::thread::sleep(reduction);
             outs.iter().sum::<u32>()
         };
-        assert_eq!(reduced(&mut stats, outs, reduce), 7, "every output reaches the reduction");
-        let least = backward * 3 + reduction;
+        assert_eq!(reduced(&mut stats, outs, reduce), 10, "every output reaches the reduction");
+        let least = backward * 4 + reduction;
         assert!(stats.backward_time >= least, "the reduction is backward: {stats:?}");
 
         let cfg = TrainConfig { epochs: 1, ..tiny_cfg() };
@@ -1581,6 +1491,24 @@ mod tests {
             let (_, stats) = train_reasoning(&tiny_graph(), kind, &cfg);
             let both = stats.forward_time > Duration::ZERO && stats.backward_time > Duration::ZERO;
             assert!(both, "{kind:?}: {}", stats.phases_line());
+        }
+    }
+
+    #[test]
+    fn blocked_hands_back_block_order_in_every_completion_order() {
+        // Three blocks, one worker each: sleeping 0, 40 and 80 ms by each
+        // block's place in `order` makes the blocks finish in that order.
+        let orders = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
+        for order in orders {
+            let (mut stats, pool) = (TrainStats::default(), Pool::default());
+            let mut run = Step { epoch: 0, step: 0, batch: &[], stats: &mut stats, pool: &pool };
+            let finish = |block: usize| {
+                let place = order.iter().position(|&b| b == block).expect("a block of `order`");
+                std::thread::sleep(Duration::from_millis(40 * place as u64));
+                (block, [Duration::ZERO; 2])
+            };
+            let outs = hoga_tensor::with_threads(3, || blocked(&mut run, vec![0, 1, 2], finish));
+            assert_eq!(outs, [0, 1, 2], "completion order {order:?} moved the outputs");
         }
     }
 

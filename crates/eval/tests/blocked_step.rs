@@ -20,7 +20,6 @@ use hoga_datasets::gamora::{
 use hoga_datasets::splits::minibatches;
 use hoga_eval::trainer::{Hopwise, HopwiseTask, Step, TrainStats};
 use hoga_gen::reason::NodeClass;
-use hoga_jobs::{FaultInjector, JobFaultPlan};
 use hoga_tensor::recycle::Pool;
 use hoga_tensor::with_threads;
 
@@ -69,7 +68,6 @@ fn check<M: Hopwise>(
         class_weights: &weights,
     };
     let pool = Pool::default();
-    let faults = FaultInjector::new(&JobFaultPlan::none());
     for (salt, n) in BATCHES.into_iter().enumerate() {
         let batch = minibatches(graph.aig.num_nodes(), n, salt as u64, 0).swap_remove(0);
         assert_eq!(batch.len(), n);
@@ -84,12 +82,9 @@ fn check<M: Hopwise>(
             bits(value, &tape.backward(loss))
         };
         for threads in [1, 2, 3] {
-            let (mut stats, mut events) = (TrainStats::default(), Vec::new());
-            let (stats, events) = (&mut stats, &mut events);
-            let (faults, pool) = (&faults, &pool);
-            let mut run = Step { epoch: 0, step: 0, batch: &batch, stats, events, faults, pool };
+            let (stats, pool) = (&mut TrainStats::default(), &pool);
+            let mut run = Step { epoch: 0, step: 0, batch: &batch, stats, pool };
             let out = with_threads(threads, || task.step(&mut run));
-            assert!(run.events.is_empty(), "a fault-free step logs nothing");
             println!("{name} batch {n} threads {threads}: {} chunk partials", out.chunk_partials);
             assert!(
                 bits(out.loss, &out.grads) == whole,

@@ -7,11 +7,11 @@
 //! inference server — reads that plan directly. What a kind *means* depends
 //! on who claims the site; this table is the contract:
 //!
-//! | kind \ consumer | engine (`Attempt`), [`crate::JobContext::apply_step_fault`] (`Step`) | HOGA/SIGN step (`Step` = epoch/step/block) | synthesis guard (`Step`, `step` = recipe step) | every trainer (`Loss` = epoch/step) |
-//! |-----------------|------------------------------|----------------------------------|----------------------------------|----------------|
-//! | `Panic`         | panic inside `catch_unwind`  | the block panics                 | refused with a typed error       | loss reads NaN |
-//! | `Stall`         | cancellable sleep, then run  | the block sleeps first           | the pass's work meter is spent   | loss reads NaN |
-//! | `Corrupt`       | retryable incident           | the block's gradients read NaN   | the pass output is miscompiled   | loss reads NaN |
+//! | kind \ consumer | engine (`Attempt`), [`crate::JobContext::apply_step_fault`] (`Step`) | synthesis guard (`Step`, `step` = recipe step) | every trainer (`Loss` = epoch/step) |
+//! |-----------------|------------------------------|----------------------------------|----------------|
+//! | `Panic`         | panic inside `catch_unwind`  | refused with a typed error       | loss reads NaN |
+//! | `Stall`         | cancellable sleep, then run  | the pass's work meter is spent   | loss reads NaN |
+//! | `Corrupt`       | retryable incident           | the pass output is miscompiled   | loss reads NaN |
 //!
 //! Serve-path sites ([`ServeSite`], claimed via
 //! [`FaultInjector::claim_serve`]):
@@ -48,13 +48,12 @@ pub enum FaultSite {
     /// Engine-level: at the start of the given attempt (1-based).
     Attempt { attempt: u32 },
     /// Domain-level step coordinates, claimed by whoever runs the step.
-    /// The meaning of the axes is per consumer (trainer: epoch/step/block;
-    /// dataset sweep: chunk/0/0; synthesis guard: `step` is the recipe step
-    /// and the other two are not read).
+    /// The meaning of the axes is per consumer (`train` job stage:
+    /// first-epoch/0/0; dataset sweep: chunk/0/0; synthesis guard: `step` is
+    /// the recipe step and the other two are not read). No trainer claims it.
     Step { unit: u64, step: u64, lane: u64 },
-    /// The loss of optimizer step `step` of epoch `unit`, as opposed to one
-    /// block's share of it: claimed by the training loop after the step's
-    /// gradients are in.
+    /// The loss of optimizer step `step` of epoch `unit`: claimed by the
+    /// training loop after the step's gradients are in.
     Loss { unit: u64, step: u64 },
     /// Inference-server degradation point, claimed by `crates/serve`.
     Serve(ServeSite),
@@ -138,7 +137,7 @@ impl FaultInjector {
 
     /// Claim the next unfired fault planned at step coordinates
     /// `(unit, step, lane)`; call until `None` to take all of them.
-    pub fn claim_step(&self, unit: u64, step: u64, lane: u64) -> Option<FaultKind> {
+    pub(crate) fn claim_step(&self, unit: u64, step: u64, lane: u64) -> Option<FaultKind> {
         self.claim(FaultSite::Step { unit, step, lane })
     }
 
